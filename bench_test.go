@@ -10,6 +10,7 @@ package o2k_test
 // Figures at full scale sweep P = 1..64; set -short for the quick variant.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func runExperiment(b *testing.B, name string) {
 	o := opts(b)
 	var out string
 	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Run(name, o)
+		tables, err := experiments.RunOnCtx(context.Background(), runner.New(0), name, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,6 +79,6 @@ func BenchmarkFig14ConjugateGradient(b *testing.B) { runExperiment(b, "cg") }
 func BenchmarkAllShared(b *testing.B) {
 	o := opts(b)
 	for i := 0; i < b.N; i++ {
-		experiments.RunAll(runner.New(o.Jobs), o)
+		experiments.RunAllCtx(context.Background(), runner.New(0), o)
 	}
 }

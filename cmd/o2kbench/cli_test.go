@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"o2k/internal/experiments"
 	"o2k/internal/obs"
 )
 
@@ -233,17 +234,17 @@ func TestCLIGroupedHelp(t *testing.T) {
 }
 
 func TestParseProcsPresets(t *testing.T) {
-	ps, err := parseProcs("scale1024")
+	ps, err := experiments.ParseProcs("scale1024")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ps) == 0 || ps[len(ps)-1] != 1024 {
 		t.Fatalf("scale1024 preset = %v, want a sweep ending at 1024", ps)
 	}
-	if ps, err := parseProcs("1, 2,4"); err != nil || len(ps) != 3 {
+	if ps, err := experiments.ParseProcs("1, 2,4"); err != nil || len(ps) != 3 {
 		t.Fatalf("explicit list = %v, %v", ps, err)
 	}
-	if _, err := parseProcs("scale9000"); err == nil ||
+	if _, err := experiments.ParseProcs("scale9000"); err == nil ||
 		!strings.Contains(err.Error(), "scale1024") {
 		t.Fatalf("unknown preset should fail mentioning valid presets, got %v", err)
 	}

@@ -19,7 +19,10 @@
 //
 // The flag surface reads as four sections (see -help): experiment
 // selection and output, engine and execution, multi-process sweeps, and
-// observability and profiling.
+// observability and profiling. The engine flags (-cache -leases -engine
+// -jobs -timeout -cellretries -stalldeadline) are one engineFlags value
+// (engine.go) that the one-shot run, its -worker children, and serve all
+// register, validate, and build their engine from.
 //
 // -engine selects the simulation engine (DESIGN.md §5.7): "event" (the
 // default) runs each gang on a single-threaded virtual-time event scheduler
@@ -97,6 +100,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -107,7 +111,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 
 	"o2k/internal/core"
@@ -124,13 +127,6 @@ import (
 // spawn path exactly like the real binary does.
 const mainArgsEnv = "O2K_MAIN_ARGS"
 
-// leaseAuditEnv, when set to a path prefix, makes every lease-protocol event
-// of this process append to <prefix>.<pid>.jsonl. The chaos harness merges
-// these streams into the lease-owner audit (no two overlapping holds per
-// cell); it is an env var rather than a flag because it must survive the
-// orchestrator's argv reconstruction untouched.
-const leaseAuditEnv = "O2K_LEASE_AUDIT"
-
 // listTable renders the experiment index from the registry.
 func listTable() *core.Table {
 	t := &core.Table{
@@ -142,13 +138,6 @@ func listTable() *core.Table {
 	}
 	t.AddRow("all", "", "every non-standalone experiment above, in index order")
 	return t
-}
-
-// parseProcs parses the -procs value: either a named preset or a
-// comma-separated processor-count list (shared with the serve subcommand
-// through experiments.ParseProcs).
-func parseProcs(s string) ([]int, error) {
-	return experiments.ParseProcs(s)
 }
 
 // parseWorkerSpec parses the -worker value "i/N" into (shard, shards).
@@ -164,34 +153,6 @@ func parseWorkerSpec(s string) (shard, shards int, err error) {
 		return 0, 0, fmt.Errorf("bad -worker %q: want i/N with 0 <= i < N", s)
 	}
 	return shard, shards, nil
-}
-
-// leaseAuditHook wires the lease manager's protocol events to the JSONL
-// audit stream named by O2K_LEASE_AUDIT (nil hook when unset). Each process
-// appends to its own <prefix>.<pid>.jsonl, so SIGKILL can at worst truncate
-// the final line of one file; the chaos test merges and tolerates that.
-func leaseAuditHook() func(lease.Event) {
-	prefix := os.Getenv(leaseAuditEnv)
-	if prefix == "" {
-		return nil
-	}
-	f, err := os.OpenFile(fmt.Sprintf("%s.%d.jsonl", prefix, os.Getpid()),
-		os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "o2kbench: lease audit disabled:", err)
-		return nil
-	}
-	var mu sync.Mutex
-	return func(ev lease.Event) {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		data = append(data, '\n')
-		mu.Lock()
-		f.Write(data)
-		mu.Unlock()
-	}
 }
 
 // runReportFlag implements -runreport[=text|json]. The bare form means
@@ -230,9 +191,10 @@ func (f *runReportFlag) resolve(format string) string {
 }
 
 // flagGroups is the -help layout: every flag belongs to exactly one of
-// three sections so the CLI surface reads as selection/output, engine and
-// execution, and observability. usage() appends any unclaimed flag under
-// "Other" so a new flag can never silently vanish from -help.
+// four sections so the CLI surface reads as selection/output, engine and
+// execution, multi-process sweeps, and observability. usage() appends any
+// unclaimed flag under "Other" so a new flag can never silently vanish from
+// -help.
 var flagGroups = []struct {
 	title string
 	names []string
@@ -423,26 +385,21 @@ func run() int {
 		return runServe(os.Args[2:])
 	}
 
-	exp := flag.String("exp", "all", "experiment to run (-list for the index; 'all' runs everything)")
-	quick := flag.Bool("quick", false, "reduced workloads and processor counts")
-	procs := flag.String("procs", "", "processor counts: a comma-separated list, or a preset name\n("+strings.Join(experiments.ProcsPresetNames(), ", ")+")")
+	var req experiments.Request
+	flag.StringVar(&req.Exp, "exp", "all", "experiment to run (-list for the index; 'all' runs everything)")
+	flag.BoolVar(&req.Quick, "quick", false, "reduced workloads and processor counts")
+	flag.StringVar(&req.Procs, "procs", "", "processor counts: a comma-separated list, or a preset name\n("+strings.Join(experiments.ProcsPresetNames(), ", ")+")")
 	format := flag.String("format", "text", "output format: text or json")
-	engine := flag.String("engine", "event", "simulation engine: event (virtual-time scheduler) or goroutine (reference gang)")
-	jobs := flag.Int("jobs", 0, "concurrent simulation cells (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-cell compute deadline (0 = none); expired cells render FAILED(timeout)")
-	retries := flag.Int("cellretries", 0, "retry budget for cells that fail with a transient error")
-	stallDeadline := flag.Duration("stalldeadline", sim.DefaultStallDeadline,
-		"simulation stall watchdog: panic a proc blocked this long with no virtual-time\nprogress (0 = off). Catches deadlocks; -timeout bounds a whole cell's wall time")
+	ef := defaultEngineFlags()
+	ef.register(flag.CommandLine)
 	var runreport runReportFlag
 	flag.Var(&runreport, "runreport", "print the cell cache/timing report to stderr; =text or =json forces the\nformat, bare follows -format")
-	cacheDir := flag.String("cache", "", "persistent cell-cache directory (created if missing); cache failures degrade to recompute")
 	cacheVerify := flag.Bool("cache-verify", false, "with -cache: validate every entry, evict bad ones, sweep orphaned temp and\nstale lease files, and exit (1 if any entries were bad)")
 	cacheClear := flag.Bool("cache-clear", false, "with -cache: remove every entry and exit")
 	workers := flag.Int("workers", 0, "run the sweep as this many worker subprocesses sharing -cache (requires -cache);\nthe parent merges by a final in-process pass over the warm cache")
 	workerRestarts := flag.Int("worker-restarts", 32, "with -workers: total respawn budget for workers that die to a signal")
 	chaosKill := flag.Duration("chaos-kill", 0, "with -workers: SIGKILL a random live worker this often (chaos harness; 0 = off)")
 	workerSpec := flag.String("worker", "", "run as worker i/N of a fleet (set by -workers; requires -cache): enables\nleases with shard bias i of N")
-	leasesOn := flag.Bool("leases", false, "with -cache: coordinate with other processes on the same cache directory\nthrough per-cell lease files, even without -workers")
 	list := flag.Bool("list", false, "list every experiment name, its aliases, and its description")
 	version := flag.Bool("version", false, "print the build identity and cache version fence, then exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
@@ -454,15 +411,17 @@ func run() int {
 	flag.Usage = usage
 	flag.Parse()
 
+	usageErr := func(err error) int {
+		fmt.Fprintln(os.Stderr, "o2kbench:", err)
+		return 2
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", err)
-			return 2
+			return usageErr(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", err)
-			return 2
+			return usageErr(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -493,58 +452,33 @@ func run() int {
 		return 0
 	}
 
-	se, err := sim.EngineByName(*engine)
+	o, err := req.Opts()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "o2kbench:", err)
-		return 2
+		return usageErr(err)
 	}
-	sim.SetDefaultEngine(se)
-
-	o := experiments.DefaultOpts()
-	if *quick {
-		o = experiments.QuickOpts()
-	}
-	if *procs != "" {
-		ps, err := parseProcs(*procs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", err)
-			return 2
-		}
-		o.Procs = ps
-	}
-	if *retries < 0 {
-		fmt.Fprintln(os.Stderr, "o2kbench: -cellretries must be >= 0")
-		return 2
-	}
-	o.Jobs = *jobs
-	sim.SetStallDeadline(*stallDeadline)
 
 	shard, shards := 0, 1
 	if *workerSpec != "" {
-		var err error
 		if shard, shards, err = parseWorkerSpec(*workerSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", err)
-			return 2
+			return usageErr(err)
 		}
 	}
 	switch {
 	case *workers < 0 || *workerRestarts < 0 || *chaosKill < 0:
-		fmt.Fprintln(os.Stderr, "o2kbench: -workers, -worker-restarts, and -chaos-kill must be >= 0")
-		return 2
+		return usageErr(errors.New("-workers, -worker-restarts, and -chaos-kill must be >= 0"))
 	case *workers > 1 && *workerSpec != "":
-		fmt.Fprintln(os.Stderr, "o2kbench: -workers (orchestrate) and -worker (be a worker) are mutually exclusive")
-		return 2
-	case (*workers > 1 || *workerSpec != "" || *leasesOn) && *cacheDir == "":
-		fmt.Fprintln(os.Stderr, "o2kbench: -workers/-worker/-leases require -cache DIR (the cache directory is the coordination substrate)")
-		return 2
+		return usageErr(errors.New("-workers (orchestrate) and -worker (be a worker) are mutually exclusive"))
+	case (*workers > 1 || *workerSpec != "" || ef.leases) && ef.cache == "":
+		return usageErr(errors.New("-workers/-worker/-leases require -cache DIR (the cache directory is the coordination substrate)"))
+	case (*cacheVerify || *cacheClear) && ef.cache == "":
+		return usageErr(errors.New("-cache-verify/-cache-clear require -cache DIR"))
 	}
-
-	if (*cacheVerify || *cacheClear) && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "o2kbench: -cache-verify/-cache-clear require -cache DIR")
-		return 2
+	ef.leases = ef.leases || *workerSpec != "" // a worker is a leased process
+	if err := ef.apply(); err != nil {
+		return usageErr(err)
 	}
 	if *cacheVerify || *cacheClear {
-		return cacheMaintenance(*cacheDir, *cacheClear, *cacheVerify)
+		return cacheMaintenance(ef.cache, *cacheClear, *cacheVerify)
 	}
 
 	// Tracing (DESIGN.md §5.6) re-runs one cell with phase recording on, so
@@ -553,8 +487,7 @@ func run() int {
 	tracing := *traceFile != "" || *traceASCII || *phaseReport
 	if tracing {
 		if err := experiments.CheckTraceTarget(*traceExp); err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", err)
-			return 2
+			return usageErr(err)
 		}
 	}
 
@@ -570,51 +503,20 @@ func run() int {
 		// normal in-process run below — against the now-warm cache, that run
 		// IS the merge, and it recomputes whatever a crashed fleet left
 		// missing. Orchestration failures are therefore only warnings.
-		wargs := func(i int) []string {
-			a := []string{
-				"-worker", fmt.Sprintf("%d/%d", i, *workers),
-				"-exp", *exp, "-engine", *engine, "-cache", *cacheDir,
-				"-jobs", strconv.Itoa(*jobs), "-cellretries", strconv.Itoa(*retries),
-				"-timeout", timeout.String(), "-stalldeadline", stallDeadline.String(),
-			}
-			if *quick {
-				a = append(a, "-quick")
-			}
-			if *procs != "" {
-				a = append(a, "-procs", *procs)
-			}
-			return a
-		}
+		// A worker is this same command line with -worker i/N in place of
+		// -workers: the request and the engine flags render themselves.
 		if err := orchestrate(ctx, orchCfg{
 			workers:   *workers,
 			restarts:  *workerRestarts,
 			chaosKill: *chaosKill,
-			args:      wargs,
+			args: append([]string{"-exp=" + req.Exp, "-quick=" + strconv.FormatBool(req.Quick), "-procs=" + req.Procs},
+				ef.argv()...),
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "o2kbench:", err, "— degrading to a single-process run")
 		}
 	}
 
-	eng := runner.NewWithPolicy(ctx, o.Jobs, runner.Policy{
-		CellTimeout: *timeout,
-		Retries:     *retries,
-	})
-	if *cacheDir != "" {
-		// A cache that cannot even be opened is a warning, not a failure:
-		// the run proceeds memory-only with identical output.
-		if dc, err := diskcache.Open(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench: cache disabled:", err)
-		} else {
-			eng.SetCache(dc)
-			if *workerSpec != "" || *leasesOn {
-				eng.SetLeases(lease.New(lease.Config{
-					Dir:   *cacheDir,
-					Shard: shard, Shards: shards,
-					Hook: leaseAuditHook(),
-				}))
-			}
-		}
-	}
+	eng := ef.build(ctx, shard, shards)
 	var collector *obs.Collector
 	if *traceFile != "" {
 		// The trace file carries host-side tracks of this run's cell
@@ -622,10 +524,9 @@ func run() int {
 		collector = &obs.Collector{}
 		eng.SetHook(collector.Hook())
 	}
-	tables, err := experiments.RunOn(eng, *exp, o)
+	tables, err := experiments.RunOnCtx(ctx, eng, req.Exp, o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "o2kbench:", err)
-		return 2
+		return usageErr(err)
 	}
 	switch *format {
 	case "json":
@@ -636,12 +537,7 @@ func run() int {
 			return 1
 		}
 	case "text":
-		for i, t := range tables {
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Print(t.String())
-		}
+		fmt.Print(experiments.Render(tables))
 	default:
 		fmt.Fprintf(os.Stderr, "o2kbench: unknown format %q\n", *format)
 		return 2
@@ -652,8 +548,7 @@ func run() int {
 	if tracing {
 		traced, terr := experiments.Trace(*traceExp, o)
 		if terr != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", terr)
-			return 2
+			return usageErr(terr)
 		}
 		phases = make([]obs.RunPhases, len(traced))
 		for i, tr := range traced {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -15,12 +16,12 @@ func TestRegistryResolvesAllNames(t *testing.T) {
 	o := experiments.QuickOpts()
 	o.Procs = []int{1, 2}
 	for _, name := range []string{"table1", "workloads", "loc", "fig2", "mesh-speedup"} {
-		tabs, err := experiments.Run(name, o)
+		tabs, err := experiments.RunOnCtx(context.Background(), runner.New(0), name, o)
 		if err != nil || len(tabs) == 0 {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := experiments.Run("nope", o); err == nil {
+	if _, err := experiments.RunOnCtx(context.Background(), runner.New(0), "nope", o); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -42,13 +43,13 @@ func TestListTableCoversRegistry(t *testing.T) {
 }
 
 func TestParseProcs(t *testing.T) {
-	ps, err := parseProcs("1, 2,8")
+	ps, err := experiments.ParseProcs("1, 2,8")
 	if err != nil || len(ps) != 3 || ps[2] != 8 {
-		t.Fatalf("parseProcs: %v %v", ps, err)
+		t.Fatalf("ParseProcs: %v %v", ps, err)
 	}
 	for _, bad := range []string{"", "0", "x", "1,,2", "-3"} {
-		if _, err := parseProcs(bad); err == nil {
-			t.Fatalf("parseProcs accepted %q", bad)
+		if _, err := experiments.ParseProcs(bad); err == nil {
+			t.Fatalf("ParseProcs accepted %q", bad)
 		}
 	}
 }
@@ -56,7 +57,7 @@ func TestParseProcs(t *testing.T) {
 func TestTablesSerializeToJSON(t *testing.T) {
 	o := experiments.QuickOpts()
 	o.Procs = []int{1, 2}
-	tabs, err := experiments.Run("table1", o)
+	tabs, err := experiments.RunOnCtx(context.Background(), runner.New(0), "table1", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestCacheMaintenance(t *testing.T) {
 	o.Procs = []int{1, 2}
 	eng := runner.New(1)
 	eng.SetCache(dc)
-	if _, err := experiments.RunOn(eng, "mesh-speedup", o); err != nil {
+	if _, err := experiments.RunOnCtx(context.Background(), eng, "mesh-speedup", o); err != nil {
 		t.Fatal(err)
 	}
 	n, err := dc.Len()

@@ -36,10 +36,10 @@ const drainTimeout = 20 * time.Second
 
 // orchCfg parameterizes one worker fleet.
 type orchCfg struct {
-	workers   int                  // fleet size (>= 2)
-	restarts  int                  // total respawn budget across the fleet
-	chaosKill time.Duration        // SIGKILL a random live worker this often (0 = off)
-	args      func(i int) []string // argv for worker slot i
+	workers   int           // fleet size (>= 2)
+	restarts  int           // total respawn budget across the fleet
+	chaosKill time.Duration // SIGKILL a random live worker this often (0 = off)
+	args      []string      // the fleet's common argv; slot i runs -worker=i/workers before it
 }
 
 // orchestrator tracks the live fleet so the signal-drain and chaos-kill
@@ -107,11 +107,12 @@ func orchestrate(ctx context.Context, cfg orchCfg) error {
 // budget runs dry. Returns whether the slot ever started a process.
 func (o *orchestrator) runSlot(ctx context.Context, slot int) bool {
 	startedOnce := false
+	args := append([]string{fmt.Sprintf("-worker=%d/%d", slot, o.cfg.workers)}, o.cfg.args...)
 	for {
-		cmd := exec.Command(o.exe, o.cfg.args(slot)...)
+		cmd := exec.Command(o.exe, args...)
 		// The env mirror lets the test binary's TestMain run the same argv
 		// through run(); the real binary parses argv and ignores it.
-		cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(o.cfg.args(slot), " "))
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, " "))
 		cmd.Stdout = io.Discard // the parent's merge pass renders the tables
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

@@ -2,9 +2,9 @@ package main
 
 // The serve subcommand: `o2kbench serve -addr :8080` runs the experiment
 // engine as a long-running HTTP daemon (internal/server, DESIGN.md §5.11)
-// instead of a one-shot table regeneration. It reuses the CLI's engine,
-// cache, and lease setup verbatim, so a daemon and a `-workers` fleet
-// sharing one -cache directory coordinate through the same lease files.
+// instead of a one-shot table regeneration. Its engine comes from the same
+// engineFlags wiring as the CLI's (engine.go), so a daemon and a `-workers`
+// fleet sharing one -cache directory coordinate through the same lease files.
 
 import (
 	"context"
@@ -17,25 +17,15 @@ import (
 	"syscall"
 	"time"
 
-	"o2k/internal/runner"
-	"o2k/internal/runner/diskcache"
-	"o2k/internal/runner/lease"
 	"o2k/internal/server"
-	"o2k/internal/sim"
 )
 
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("o2kbench serve", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	cacheDir := fs.String("cache", "", "persistent cell-cache directory shared with CLI runs and worker fleets")
-	leasesOn := fs.Bool("leases", false, "with -cache: coordinate with other processes on the same cache directory\nthrough per-cell lease files")
-	engine := fs.String("engine", "event", "simulation engine: event or goroutine")
-	jobs := fs.Int("jobs", 0, "concurrent simulation cells (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 0, "per-cell compute deadline (0 = none)")
-	retries := fs.Int("cellretries", 0, "retry budget for cells that fail with a transient error")
-	stallDeadline := fs.Duration("stalldeadline", sim.DefaultStallDeadline,
-		"simulation stall watchdog (0 = off)")
+	ef := defaultEngineFlags()
+	ef.register(fs)
 	inflight := fs.Int("inflight", 4, "concurrently running experiment requests")
 	queue := fs.Int("queue", 16, "requests allowed to wait for a run slot; beyond inflight+queue, 429")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute,
@@ -47,51 +37,16 @@ func runServe(args []string) int {
 		fmt.Fprintf(os.Stderr, "o2kbench serve: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	if *leasesOn && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "o2kbench serve: -leases requires -cache DIR")
-		return 2
-	}
-	if *retries < 0 {
-		fmt.Fprintln(os.Stderr, "o2kbench serve: -cellretries must be >= 0")
-		return 2
-	}
-	se, err := sim.EngineByName(*engine)
-	if err != nil {
+	if err := ef.apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "o2kbench serve:", err)
 		return 2
 	}
-	sim.SetDefaultEngine(se)
-	sim.SetStallDeadline(*stallDeadline)
 
 	// The engine lives on the *process's* context, not the signal context:
 	// a drain must let admitted requests finish and commit their cells, so
 	// shutdown stops the listener, never the engine.
-	eng := runner.NewWithPolicy(context.Background(), *jobs, runner.Policy{
-		CellTimeout: *timeout,
-		Retries:     *retries,
-	})
-	var dc *diskcache.Cache
-	if *cacheDir != "" {
-		if dc, err = diskcache.Open(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench serve: cache disabled:", err)
-			dc = nil
-		} else {
-			eng.SetCache(dc)
-			if *leasesOn {
-				eng.SetLeases(lease.New(lease.Config{
-					Dir:   *cacheDir,
-					Shard: 0, Shards: 1,
-					Hook: leaseAuditHook(),
-				}))
-			}
-		}
-	}
-	srv := server.New(server.Config{
-		Engine:      eng,
-		Cache:       dc,
-		MaxInflight: *inflight,
-		MaxQueue:    *queue,
-	})
+	eng := ef.build(context.Background(), 0, 1)
+	srv := server.New(server.Config{Engine: eng, MaxInflight: *inflight, MaxQueue: *queue})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -45,6 +45,23 @@ func (m Model) String() string {
 // AllModels lists the models in presentation order.
 func AllModels() []Model { return []Model{MP, SHMEM, SAS} }
 
+// ParseModel resolves the spelling of a model on a command line or in a URL
+// (case-insensitive): mp, shmem, sas (also cc-sas, ccsas), and mp+sas (also
+// mp-sas) for the Hybrid extension.
+func ParseModel(s string) (Model, bool) {
+	switch strings.ToLower(s) {
+	case "mp":
+		return MP, true
+	case "shmem":
+		return SHMEM, true
+	case "sas", "cc-sas", "ccsas":
+		return SAS, true
+	case "mp+sas", "mp-sas":
+		return Hybrid, true
+	}
+	return 0, false
+}
+
 // Metrics is the outcome of one application run on one machine
 // configuration under one programming model.
 type Metrics struct {

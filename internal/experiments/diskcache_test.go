@@ -29,7 +29,7 @@ func runAllCached(t *testing.T, jobs int, dc *diskcache.Cache) (string, *runner.
 	if dc != nil {
 		e.SetCache(dc)
 	}
-	out := renderAll(RunAll(e, o))
+	out := Render(RunAllCtx(bg, e, o))
 	return out, e.Report()
 }
 
@@ -174,7 +174,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 
 	e := runner.New(2)
 	e.SetCache(openCache(t, dir))
-	if _, err := RunOn(e, "machine-sweep", o); err != nil {
+	if _, err := RunOnCtx(bg, e, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
 	rep := e.Report()
@@ -205,7 +205,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 	// A second sweep over the same presets serves both plan cells from disk.
 	e2 := runner.New(2)
 	e2.SetCache(openCache(t, dir))
-	if _, err := RunOn(e2, "machine-sweep", o); err != nil {
+	if _, err := RunOnCtx(bg, e2, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
 	if rep2 := e2.Report(); rep2.PlanDiskHits != 2 {
@@ -231,7 +231,7 @@ func runSweepChild(dir string) {
 	}
 	e := runner.New(1)
 	e.SetCache(dc)
-	RunAll(e, QuickOpts())
+	RunAllCtx(bg, e, QuickOpts())
 	os.Exit(0)
 }
 

@@ -97,7 +97,7 @@ func TestEnginesAgreeOnQuickSuiteBytes(t *testing.T) {
 	outputs := map[string]string{}
 	for _, en := range sim.EngineNames() {
 		underEngine(t, en, func() {
-			outputs[en] = renderAll(RunAll(runner.New(4), o))
+			outputs[en] = Render(RunAllCtx(bg, runner.New(4), o))
 		})
 	}
 	names := sim.EngineNames()
@@ -119,11 +119,11 @@ func TestEnginesAgreeOnPoisonedCell(t *testing.T) {
 		underEngine(t, en, func() {
 			e := runner.New(2)
 			poisonMeshMP(e, o, maxP, errors.New("injected fault"))
-			tabs, err := RunOn(e, "mesh-speedup", o)
+			tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			outputs[en] = renderAll(tabs)
+			outputs[en] = Render(tabs)
 		})
 	}
 	names := sim.EngineNames()

@@ -7,8 +7,12 @@
 // invocation that produces many artifacts — `o2kbench -exp all`, the
 // verdict checker — simulates each unique (application, model, machine,
 // workload, P) cell exactly once, in parallel on a bounded worker pool.
-// Register/Run/RunOn/List are the only entry points; the pre-registry
-// per-artifact wrappers (Fig2, Table6, …) are gone.
+//
+// This package is also the one place that knows what a cell is: the typed
+// cell helpers and their keys (cells.go), the application table the cell
+// endpoint and the tracer resolve "app/model" against (apps.go), and the
+// Request every front end — CLI flags, worker argv, POST body — reduces to
+// (registry.go). The engine underneath is generic.
 //
 // Cells carry errors (DESIGN.md §5.3): a cell that panicked, timed out, or
 // was cancelled renders as a FAILED(<reason>) table entry via the fmt*
@@ -20,7 +24,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/barnes"
@@ -39,7 +42,6 @@ type Opts struct {
 	NBodyW   barnes.Workload    // N-body workload
 	StencilW stencil.Workload   // regular-control workload
 	CGW      cg.Workload        // conjugate-gradient workload
-	Jobs     int                // worker-pool size for Run; <= 0 means GOMAXPROCS
 }
 
 // DefaultOpts returns the full-scale configuration: the Origin2000 study's
@@ -162,9 +164,9 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	var cgPl *cg.Plan
 	var meshErr, nbErr, cgErr error
 	e.Warm(
-		func() { meshPlans, meshErr = e.MeshPlans(ctx, o.MeshW, 1) },
-		func() { nbPlans, nbErr = e.NBodyPlans(ctx, o.NBodyW, 1) },
-		func() { cgPl, cgErr = e.CGPlan(ctx, o.CGW, 1) },
+		func() { meshPlans, meshErr = MeshPlans(ctx, e, o.MeshW, 1) },
+		func() { nbPlans, nbErr = NBodyPlans(ctx, e, o.NBodyW, 1) },
+		func() { cgPl, cgErr = CGPlan(ctx, e, o.CGW, 1) },
 	)
 	// A zero-cycle/zero-step workload yields an empty plan sequence; render
 	// it as a failure row instead of dividing by len() == 0 below.
@@ -227,35 +229,26 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 
 func buildFig2(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	return scalingTable(ctx, e, "Figure 2 — Adaptive mesh: time and speedup vs processors",
-		o.Procs, func(p int) [3]runner.Res { return e.MeshModels(ctx, machine.Default(p), o.MeshW) })
+		o.Procs, func(p int) [3]runner.Res { return MeshModels(ctx, e, machine.Default(p), o.MeshW) })
 }
 
 func buildFig3(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	return scalingTable(ctx, e, "Figure 3 — Barnes-Hut N-body: time and speedup vs processors",
-		o.Procs, func(p int) [3]runner.Res { return e.NBodyModels(ctx, machine.Default(p), o.NBodyW) })
+		o.Procs, func(p int) [3]runner.Res { return NBodyModels(ctx, e, machine.Default(p), o.NBodyW) })
 }
 
-// scalingTable warms every processor count's cells in parallel, then
-// assembles the rows serially from the (now cached) results, so row order
-// never depends on execution order.
+// scalingTable resolves every processor count's cells in parallel, then
+// assembles the rows serially, so row order never depends on execution
+// order.
 func scalingTable(ctx context.Context, e *runner.Engine, title string, procs []int, run func(p int) [3]runner.Res) *core.Table {
 	t := &core.Table{
 		Title: title,
 		Header: []string{"P", "MP time", "SHMEM time", "CC-SAS time",
 			"MP spdup", "SHMEM spdup", "CC-SAS spdup"},
 	}
-	fns := make([]func(), len(procs))
+	res := each(e, len(procs), func(i int) [3]runner.Res { return run(procs[i]) })
 	for i, p := range procs {
-		p := p
-		fns[i] = func() { run(p) }
-	}
-	e.Warm(fns...)
-	var base [3]runner.Res
-	for i, p := range procs {
-		m := run(p)
-		if i == 0 {
-			base = m
-		}
+		m, base := res[i], res[0]
 		t.AddRow(fmt.Sprintf("%d", p),
 			fmtT(m[0]), fmtT(m[1]), fmtT(m[2]),
 			fmtSpeedup(m[0], base[0]), fmtSpeedup(m[1], base[1]), fmtSpeedup(m[2], base[2]))
@@ -265,7 +258,7 @@ func scalingTable(ctx context.Context, e *runner.Engine, title string, procs []i
 
 func buildFig4(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	p := o.Procs[len(o.Procs)-1]
-	m := e.MeshModels(ctx, machine.Default(p), o.MeshW)
+	m := MeshModels(ctx, e, machine.Default(p), o.MeshW)
 	t := &core.Table{
 		Title:  fmt.Sprintf("Figure 4 — Adaptive mesh phase breakdown at P=%d", p),
 		Header: []string{"phase", "MP", "SHMEM", "CC-SAS"},
@@ -293,8 +286,8 @@ func buildTable6(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	p := o.Procs[len(o.Procs)-1]
 	var mm, nb [3]runner.Res
 	e.Warm(
-		func() { mm = e.MeshModels(ctx, machine.Default(p), o.MeshW) },
-		func() { nb = e.NBodyModels(ctx, machine.Default(p), o.NBodyW) },
+		func() { mm = MeshModels(ctx, e, machine.Default(p), o.MeshW) },
+		func() { nb = NBodyModels(ctx, e, machine.Default(p), o.NBodyW) },
 	)
 	t := &core.Table{
 		Title:  fmt.Sprintf("Table 6 — Model-visible data memory at P=%d (bytes)", p),
@@ -340,13 +333,9 @@ func buildFig7(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  fmt.Sprintf("Figure 7 — Sensitivity to remote:local latency ratio (mesh, P=%d)", procs),
 		Header: []string{"ratio", "MP", "SHMEM", "CC-SAS", "CC-SAS/MP"},
 	}
-	res := make([][3]runner.Res, len(fig7Ratios))
-	fns := make([]func(), len(fig7Ratios))
-	for i, ratio := range fig7Ratios {
-		i, ratio := i, ratio
-		fns[i] = func() { res[i] = e.MeshModels(ctx, fig7Config(procs, ratio), o.MeshW) }
-	}
-	e.Warm(fns...)
+	res := each(e, len(fig7Ratios), func(i int) [3]runner.Res {
+		return MeshModels(ctx, e, fig7Config(procs, fig7Ratios[i]), o.MeshW)
+	})
 	for i, ratio := range fig7Ratios {
 		m := res[i]
 		t.AddRow(fmt.Sprintf("%.1fx", ratio),
@@ -365,8 +354,8 @@ func buildFig8(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	wOff.NoRemap = true
 	var on, off [3]runner.Res
 	e.Warm(
-		func() { on = e.MeshModels(ctx, machine.Default(procs), o.MeshW) },
-		func() { off = e.MeshModels(ctx, machine.Default(procs), wOff) },
+		func() { on = MeshModels(ctx, e, machine.Default(procs), o.MeshW) },
+		func() { off = MeshModels(ctx, e, machine.Default(procs), wOff) },
 	)
 	moved := func(r runner.Res) string {
 		if r.Err != nil {
@@ -387,17 +376,9 @@ func buildTable9(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Header: []string{"P", "model", "msgs", "bytes", "remote misses", "coh evictions", "lock ops"},
 	}
 	procs := []int{o.Procs[len(o.Procs)/2], o.Procs[len(o.Procs)-1]}
-	res := make([][3]runner.Res, len(procs))
-	var wg sync.WaitGroup
-	for i, p := range procs {
-		i, p := i, p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res[i] = e.MeshModels(ctx, machine.Default(p), o.MeshW)
-		}()
-	}
-	wg.Wait()
+	res := each(e, len(procs), func(i int) [3]runner.Res {
+		return MeshModels(ctx, e, machine.Default(procs[i]), o.MeshW)
+	})
 	for i, p := range procs {
 		for j, model := range core.AllModels() {
 			r := res[i][j]
@@ -430,12 +411,11 @@ func buildFig10(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	res := make([]row, len(procs))
 	var fns []func()
 	for i, p := range procs {
-		i, p := i, p
 		fns = append(fns,
-			func() { res[i].st0 = e.Stencil(ctx, core.MP, machine.Default(p), o.StencilW) },
-			func() { res[i].st2 = e.Stencil(ctx, core.SAS, machine.Default(p), o.StencilW) },
-			func() { res[i].me = e.MeshModels(ctx, machine.Default(p), o.MeshW) },
-			func() { res[i].nb = e.NBodyModels(ctx, machine.Default(p), o.NBodyW) },
+			func() { res[i].st0 = Stencil(ctx, e, core.MP, machine.Default(p), o.StencilW) },
+			func() { res[i].st2 = Stencil(ctx, e, core.SAS, machine.Default(p), o.StencilW) },
+			func() { res[i].me = MeshModels(ctx, e, machine.Default(p), o.MeshW) },
+			func() { res[i].nb = NBodyModels(ctx, e, machine.Default(p), o.NBodyW) },
 		)
 	}
 	e.Warm(fns...)
@@ -464,10 +444,9 @@ func buildFig11(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	pm := make([]runner.Res, len(procs))
 	var fns []func()
 	for i, p := range procs {
-		i, p := i, p
 		fns = append(fns,
-			func() { ft[i] = e.Mesh(ctx, core.SAS, machine.Default(p), o.MeshW) },
-			func() { pm[i] = e.Mesh(ctx, core.SAS, machine.Default(p), wMig) },
+			func() { ft[i] = Mesh(ctx, e, core.SAS, machine.Default(p), o.MeshW) },
+			func() { pm[i] = Mesh(ctx, e, core.SAS, machine.Default(p), wMig) },
 		)
 	}
 	e.Warm(fns...)
@@ -506,13 +485,7 @@ func buildFig12(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Header: []string{"machine", "MP", "SHMEM", "CC-SAS", "winner"},
 	}
 	classes := fig12Classes(procs)
-	res := make([][3]runner.Res, len(classes))
-	fns := make([]func(), len(classes))
-	for i, cl := range classes {
-		i, cl := i, cl
-		fns[i] = func() { res[i] = e.MeshModels(ctx, cl.cfg, o.MeshW) }
-	}
-	e.Warm(fns...)
+	res := each(e, len(classes), func(i int) [3]runner.Res { return MeshModels(ctx, e, classes[i].cfg, o.MeshW) })
 	for i, cl := range classes {
 		winner := "n/a" // undecidable when any model's cell failed
 		if !res[i][0].Failed() && !res[i][1].Failed() && !res[i][2].Failed() {
@@ -546,11 +519,10 @@ func buildFig13(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	res := make([]row, len(classes))
 	var fns []func()
 	for i, cl := range classes {
-		i, cl := i, cl
 		fns = append(fns,
-			func() { res[i].pure = e.Mesh(ctx, core.MP, cl.cfg, o.MeshW) },
-			func() { res[i].sas = e.Mesh(ctx, core.SAS, cl.cfg, o.MeshW) },
-			func() { res[i].hyb = e.MeshHybrid(ctx, cl.cfg, o.MeshW) },
+			func() { res[i].pure = Mesh(ctx, e, core.MP, cl.cfg, o.MeshW) },
+			func() { res[i].sas = Mesh(ctx, e, core.SAS, cl.cfg, o.MeshW) },
+			func() { res[i].hyb = MeshHybrid(ctx, e, cl.cfg, o.MeshW) },
 		)
 	}
 	e.Warm(fns...)
@@ -566,13 +538,7 @@ func buildFig14(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  "Figure 14 — Conjugate gradient: time vs processors, reduction share",
 		Header: []string{"P", "MP", "SHMEM", "CC-SAS", "MP sync frac", "CC-SAS sync frac"},
 	}
-	res := make([][3]runner.Res, len(o.Procs))
-	fns := make([]func(), len(o.Procs))
-	for i, p := range o.Procs {
-		i, p := i, p
-		fns[i] = func() { res[i] = e.CGModels(ctx, machine.Default(p), o.CGW) }
-	}
-	e.Warm(fns...)
+	res := each(e, len(o.Procs), func(i int) [3]runner.Res { return CGModels(ctx, e, machine.Default(o.Procs[i]), o.CGW) })
 	syncFrac := func(m core.Metrics) float64 { return m.PhaseFraction(sim.PhaseSync) }
 	for i, p := range o.Procs {
 		met := res[i]

@@ -12,7 +12,7 @@ import (
 // runOne builds a single registered experiment through the registry API.
 func runOne(t *testing.T, name string, o Opts) *core.Table {
 	t.Helper()
-	tables, err := Run(name, o)
+	tables, err := RunOnCtx(bg, runner.New(0), name, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func runOne(t *testing.T, name string, o Opts) *core.Table {
 }
 
 func TestAllExperimentsQuick(t *testing.T) {
-	tables := RunAll(runner.New(0), QuickOpts())
+	tables := RunAllCtx(bg, runner.New(0), QuickOpts())
 	if len(tables) != 14 {
 		t.Fatalf("expected 14 experiment tables, got %d", len(tables))
 	}
@@ -145,7 +145,7 @@ func TestFig12MachineClassWinners(t *testing.T) {
 }
 
 func TestVerdictsAllPassQuick(t *testing.T) {
-	tb := Verdicts(QuickOpts())
+	tb := buildVerdicts(bg, runner.New(0), QuickOpts())
 	for _, r := range tb.Rows {
 		if r[2] != "PASS" {
 			t.Errorf("%s (%s): %s — %s", r[0], r[1], r[2], r[3])

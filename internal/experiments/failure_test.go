@@ -25,7 +25,7 @@ func TestFailedCellRendersAsFailedEntry(t *testing.T) {
 	e := runner.New(2)
 	poisonMeshMP(e, o, maxP, errors.New("injected fault"))
 
-	tabs, err := RunOn(e, "mesh-speedup", o)
+	tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFailedRunIsByteStableAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		e := runner.New(jobs)
 		poisonMeshMP(e, o, maxP, errors.New("injected fault"))
-		tabs, err := RunOn(e, "all", o)
+		tabs, err := RunOnCtx(bg, e, "all", o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestGoldenQuickOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite; skipped with -short")
 	}
-	out := renderAll(RunAll(runner.New(0), QuickOpts()))
+	out := Render(RunAllCtx(bg, runner.New(0), QuickOpts()))
 	sum := sha256.Sum256([]byte(out))
 	got := hex.EncodeToString(sum[:])
 	if got != goldenQuickSHA256 {

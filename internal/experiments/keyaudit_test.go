@@ -1,4 +1,4 @@
-package runner
+package experiments
 
 // Exhaustive-field audit of the plan-tier cache keys (the analogue of
 // core/key_test.go for the typed key helpers in cells.go): every field of

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"o2k/internal/core"
@@ -27,16 +28,15 @@ func Table5() *core.Table {
 		Header: []string{"component", "MP", "SHMEM", "CC-SAS"},
 	}
 	root := repoRoot()
-	count := func(rel string) int {
+	count := func(rel string) string {
 		n, err := countLoC(filepath.Join(root, rel))
 		if err != nil {
-			return -1
+			return "?"
 		}
-		return n
+		return strconv.Itoa(n)
 	}
 	row := func(label, mpF, shF, saF string) {
-		t.AddRow(label,
-			itoa(count(mpF)), itoa(count(shF)), itoa(count(saF)))
+		t.AddRow(label, count(mpF), count(shF), count(saF))
 	}
 	row("adaptive mesh app",
 		"internal/apps/adaptmesh/mpapp.go",
@@ -57,21 +57,6 @@ func Table5() *core.Table {
 	row("model runtime",
 		"internal/mp", "internal/shm", "internal/sas")
 	return t
-}
-
-func itoa(n int) string {
-	if n < 0 {
-		return "?"
-	}
-	s := ""
-	if n == 0 {
-		return "0"
-	}
-	for n > 0 {
-		s = string(rune('0'+n%10)) + s
-		n /= 10
-	}
-	return s
 }
 
 // repoRoot locates the module root from this source file's path.

@@ -1,4 +1,4 @@
-package runner
+package experiments
 
 // Plan-tier persistence and fault semantics: the structure/plan cells added
 // for millisecond warm runs must round-trip through the disk cache across
@@ -15,27 +15,19 @@ import (
 
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/cg"
+	"o2k/internal/runner"
 	"o2k/internal/runner/diskcache"
 )
 
-func openDisk(t *testing.T, dir string, opts ...diskcache.Option) *diskcache.Cache {
-	t.Helper()
-	dc, err := diskcache.Open(dir, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dc
-}
-
 // meshPlanBytes resolves the mesh plans on a fresh engine over dc and
 // returns their canonical serialization plus the engine's report.
-func meshPlanBytes(t *testing.T, w adaptmesh.Workload, procs int, dc *diskcache.Cache) ([]byte, *Report) {
+func meshPlanBytes(t *testing.T, w adaptmesh.Workload, procs int, dc *diskcache.Cache) ([]byte, *runner.Report) {
 	t.Helper()
-	e := New(1)
+	e := runner.New(1)
 	if dc != nil {
 		e.SetCache(dc)
 	}
-	plans, err := e.MeshPlans(context.Background(), w, procs)
+	plans, err := MeshPlans(context.Background(), e, w, procs)
 	if err != nil {
 		t.Fatalf("MeshPlans: %v", err)
 	}
@@ -46,12 +38,12 @@ func TestPlanCellsPersistAcrossEngines(t *testing.T) {
 	w := adaptmesh.Small()
 	dir := t.TempDir()
 
-	ref, coldRep := meshPlanBytes(t, w, 4, openDisk(t, dir))
+	ref, coldRep := meshPlanBytes(t, w, 4, openCache(t, dir))
 	if coldRep.PlanDiskHits != 0 || coldRep.PlanCells == 0 {
 		t.Fatalf("cold report: PlanDiskHits=%d PlanCells=%d", coldRep.PlanDiskHits, coldRep.PlanCells)
 	}
 
-	warm, warmRep := meshPlanBytes(t, w, 4, openDisk(t, dir))
+	warm, warmRep := meshPlanBytes(t, w, 4, openCache(t, dir))
 	if !bytes.Equal(warm, ref) {
 		t.Fatal("warm plans differ from cold plans")
 	}
@@ -70,12 +62,12 @@ func TestPlanCellsPersistAcrossEngines(t *testing.T) {
 func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 	w := adaptmesh.Small()
 	dir := t.TempDir()
-	ref, _ := meshPlanBytes(t, w, 4, openDisk(t, dir))
+	ref, _ := meshPlanBytes(t, w, 4, openCache(t, dir))
 
 	t.Run("bit rot on every read", func(t *testing.T) {
 		ffs := diskcache.NewFaultFS(nil)
 		ffs.FlipBitOnRead(1 << 20)
-		out, rep := meshPlanBytes(t, w, 4, openDisk(t, dir, diskcache.WithFS(ffs)))
+		out, rep := meshPlanBytes(t, w, 4, openCache(t, dir, diskcache.WithFS(ffs)))
 		if !bytes.Equal(out, ref) {
 			t.Fatal("bit-rotted plan cache changed the plans")
 		}
@@ -86,10 +78,10 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 
 	t.Run("read errors on every probe", func(t *testing.T) {
 		dir := t.TempDir()
-		meshPlanBytes(t, w, 4, openDisk(t, dir))
+		meshPlanBytes(t, w, 4, openCache(t, dir))
 		ffs := diskcache.NewFaultFS(nil)
 		ffs.FailReads(errors.New("injected EIO"))
-		out, rep := meshPlanBytes(t, w, 4, openDisk(t, dir, diskcache.WithFS(ffs)))
+		out, rep := meshPlanBytes(t, w, 4, openCache(t, dir, diskcache.WithFS(ffs)))
 		if !bytes.Equal(out, ref) {
 			t.Fatal("unreadable plan cache changed the plans")
 		}
@@ -103,7 +95,7 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 	// where a corrupt plan entry could otherwise surface as a run error.
 	t.Run("well-framed garbage plan payloads", func(t *testing.T) {
 		dir := t.TempDir()
-		dc := openDisk(t, dir)
+		dc := openCache(t, dir)
 		for _, key := range []string{meshStructKey(w), meshPlanKey(w, 4)} {
 			if err := dc.Put(key, []byte("v\nnot a plan at all")); err != nil {
 				t.Fatal(err)
@@ -118,7 +110,7 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 		}
 		// The decoder rejections must have evicted both entries; a rerun
 		// stores fresh ones and serves them.
-		out2, rep2 := meshPlanBytes(t, w, 4, openDisk(t, dir))
+		out2, rep2 := meshPlanBytes(t, w, 4, openCache(t, dir))
 		if !bytes.Equal(out2, ref) {
 			t.Fatal("recovered plan cache changed the plans")
 		}
@@ -130,24 +122,24 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 	t.Run("truncated and mis-framed cg plan entries", func(t *testing.T) {
 		cw := cg.Small()
 		dir := t.TempDir()
-		e := New(1)
-		e.SetCache(openDisk(t, dir))
-		refPlan, err := e.CGPlan(context.Background(), cw, 4)
+		e := runner.New(1)
+		e.SetCache(openCache(t, dir))
+		refPlan, err := CGPlan(context.Background(), e, cw, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		refBytes := cg.EncodePlan(refPlan)
 
-		dc := openDisk(t, dir)
+		dc := openCache(t, dir)
 		if err := dc.Put(cgMeshKey(cw), []byte("e\n{")); err != nil { // torn error frame
 			t.Fatal(err)
 		}
 		if err := dc.Put(cgPlanKey(cw, 4), []byte("v\no2kcgplan 1")); err != nil { // truncated plan
 			t.Fatal(err)
 		}
-		e2 := New(1)
+		e2 := runner.New(1)
 		e2.SetCache(dc)
-		p, err := e2.CGPlan(context.Background(), cw, 4)
+		p, err := CGPlan(context.Background(), e2, cw, 4)
 		if err != nil {
 			t.Fatalf("corrupt cg plan entries surfaced as a run error: %v", err)
 		}

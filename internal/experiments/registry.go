@@ -93,18 +93,53 @@ func Lookup(name string) (Spec, bool) {
 	return *p, true
 }
 
-// Run executes the named experiment (or "all") on a fresh engine sized from
-// o.Jobs and returns its tables. Callers that run several experiments and
-// want them to share the cell cache should create one runner.Engine and use
-// RunOn.
-func Run(name string, o Opts) ([]*core.Table, error) {
-	return RunOn(runner.New(o.Jobs), name, o)
+// Request is what every front end asks for: the CLI's -exp/-quick/-procs
+// flags and the POST /v1/experiments body are these same three fields, so a
+// request and the equivalent flag set select identical cells. The zero value
+// means the defaults: every experiment, full workloads, the paper sweep.
+type Request struct {
+	Exp   string `json:"exp"`   // registry name, alias, or "all" (also "")
+	Quick bool   `json:"quick"` // reduced workloads and processor counts
+	Procs string `json:"procs"` // "1,4,16" or a preset name; "" keeps the suite default
+}
+
+// Opts validates the request and resolves its experiment scale. Every error
+// is a usage error: CLI exit status 2, HTTP 400.
+func (r Request) Opts() (Opts, error) {
+	if _, _, err := resolve(r.Exp); err != nil {
+		return Opts{}, err
+	}
+	o := DefaultOpts()
+	if r.Quick {
+		o = QuickOpts()
+	}
+	if r.Procs != "" {
+		ps, err := ParseProcs(r.Procs)
+		if err != nil {
+			return Opts{}, err
+		}
+		o.Procs = ps
+	}
+	return o, nil
+}
+
+// resolve maps an experiment name to its spec; all is true for "all" and
+// for "", a request's default. The error names every accepted experiment.
+func resolve(name string) (s Spec, all bool, err error) {
+	if name == "" || strings.EqualFold(name, "all") {
+		return Spec{}, true, nil
+	}
+	s, ok := Lookup(name)
+	if !ok {
+		return Spec{}, false, fmt.Errorf("unknown experiment %q (want all, %s)", name, strings.Join(Names(), ", "))
+	}
+	return s, false, nil
 }
 
 // Render joins a table list into the exact bytes o2kbench prints on stdout:
 // tables separated by one blank line, each rendered by core.Table.String.
-// The experiment server returns this rendering so its output can be compared
-// byte-for-byte against the CLI.
+// The CLI prints it and the experiment server returns it, so the two
+// outputs are the same bytes by construction.
 func Render(tables []*core.Table) string {
 	var b strings.Builder
 	for i, t := range tables {
@@ -116,23 +151,18 @@ func Render(tables []*core.Table) string {
 	return b.String()
 }
 
-// RunOn is Run on a caller-supplied engine. The name "all" produces every
-// non-standalone experiment in index order, built concurrently over the
-// shared cell cache.
-func RunOn(e *runner.Engine, name string, o Opts) ([]*core.Table, error) {
-	return RunOnCtx(context.Background(), e, name, o)
-}
-
-// RunOnCtx is RunOn scoped to one request context: builders receive ctx and
-// thread it into every cell request, so cancelling ctx abandons this
-// invocation without disturbing other users of the shared engine.
+// RunOnCtx runs the named experiment on e and returns its tables. The name
+// "all" produces every non-standalone experiment in index order, built
+// concurrently over the shared cell cache. Builders receive ctx and thread it
+// into every cell request, so cancelling ctx abandons this invocation
+// without disturbing other users of the shared engine.
 func RunOnCtx(ctx context.Context, e *runner.Engine, name string, o Opts) ([]*core.Table, error) {
-	if strings.ToLower(name) == "all" {
-		return RunAllCtx(ctx, e, o), nil
+	s, all, err := resolve(name)
+	if err != nil {
+		return nil, err
 	}
-	s, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q (run -list for the index)", name)
+	if all {
+		return RunAllCtx(ctx, e, o), nil
 	}
 	return []*core.Table{buildSafe(ctx, s, e, o)}, nil
 }
@@ -154,35 +184,16 @@ func buildSafe(ctx context.Context, s Spec, e *runner.Engine, o Opts) (t *core.T
 	return s.Build(ctx, e, o)
 }
 
-// RunAll builds every non-standalone experiment on the shared engine.
+// RunAllCtx builds every non-standalone experiment on the shared engine.
 // Builders run concurrently — the engine's single-flight cache ensures each
 // unique cell is still simulated exactly once — but results are returned in
 // registration order, so the output is byte-identical at any parallelism.
-func RunAll(e *runner.Engine, o Opts) []*core.Table {
-	return RunAllCtx(context.Background(), e, o)
-}
-
-// RunAllCtx is RunAll scoped to one request context.
 func RunAllCtx(ctx context.Context, e *runner.Engine, o Opts) []*core.Table {
-	specs := List()
-	out := make([]*core.Table, len(specs))
-	var wg sync.WaitGroup
-	for i, s := range specs {
-		if s.Standalone {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, s Spec) {
-			defer wg.Done()
-			out[i] = buildSafe(ctx, s, e, o)
-		}(i, s)
-	}
-	wg.Wait()
-	tables := make([]*core.Table, 0, len(specs))
-	for _, t := range out {
-		if t != nil {
-			tables = append(tables, t)
+	var specs []Spec
+	for _, s := range List() {
+		if !s.Standalone {
+			specs = append(specs, s)
 		}
 	}
-	return tables
+	return each(e, len(specs), func(i int) *core.Table { return buildSafe(ctx, specs[i], e, o) })
 }

@@ -1,24 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"o2k/internal/core"
 	"o2k/internal/runner"
 )
 
-// renderAll joins a table list into the exact bytes o2kbench prints.
-func renderAll(tables []*core.Table) string {
-	var b strings.Builder
-	for i, t := range tables {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(t.String())
-	}
-	return b.String()
-}
+// bg is the context of tests that exercise no cancellation.
+var bg = context.Background()
 
 func TestRegistryIndex(t *testing.T) {
 	specs := List()
@@ -51,12 +42,12 @@ func TestRegistryIndex(t *testing.T) {
 func TestAliasAndNameProduceSameTable(t *testing.T) {
 	o := QuickOpts()
 	o.Procs = []int{1, 2}
-	byAlias, err1 := Run("fig2", o)
-	byName, err2 := Run("mesh-speedup", o)
+	byAlias, err1 := RunOnCtx(bg, runner.New(0), "fig2", o)
+	byName, err2 := RunOnCtx(bg, runner.New(0), "mesh-speedup", o)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if renderAll(byAlias) != renderAll(byName) {
+	if Render(byAlias) != Render(byName) {
 		t.Fatal("alias and canonical name produced different tables")
 	}
 }
@@ -68,8 +59,8 @@ func TestParallelSerialEquivalence(t *testing.T) {
 		t.Skip("runs the full quick suite twice")
 	}
 	o := QuickOpts()
-	serial := renderAll(RunAll(runner.New(1), o))
-	parallel := renderAll(RunAll(runner.New(8), o))
+	serial := Render(RunAllCtx(bg, runner.New(1), o))
+	parallel := Render(RunAllCtx(bg, runner.New(8), o))
 	if serial != parallel {
 		t.Fatal("-jobs=1 and -jobs=8 table output differ")
 	}
@@ -86,7 +77,7 @@ func TestSharedEngineCacheRate(t *testing.T) {
 		t.Skip("runs the full quick suite")
 	}
 	e := runner.New(4)
-	RunAll(e, QuickOpts())
+	RunAllCtx(bg, e, QuickOpts())
 	r := e.Report()
 	if rate := r.HitRate(); rate < 0.30 {
 		t.Fatalf("shared-cache hit rate %.1f%% < 30%% (unique=%d requests=%d)",
@@ -100,25 +91,35 @@ func TestSecondRunAllCacheHits(t *testing.T) {
 	o := QuickOpts()
 	o.Procs = []int{1, 4}
 	e := runner.New(2)
-	first, err := RunOn(e, "loadbalance", o)
+	first, err := RunOnCtx(bg, e, "loadbalance", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := e.Report().Unique
-	second, err := RunOn(e, "loadbalance", o)
+	second, err := RunOnCtx(bg, e, "loadbalance", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := e.Report(); r.Unique != misses {
 		t.Fatalf("re-run simulated %d new cells, want 0", r.Unique-misses)
 	}
-	if renderAll(first) != renderAll(second) {
+	if Render(first) != Render(second) {
 		t.Fatal("re-run produced different bytes")
 	}
 }
 
 func TestRunUnknownName(t *testing.T) {
-	if _, err := Run("nope", QuickOpts()); err == nil {
+	_, err := RunOnCtx(bg, runner.New(0), "nope", QuickOpts())
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	// Every front end reports the same sentence, naming what is accepted.
+	if _, rerr := (Request{Exp: "nope"}).Opts(); rerr == nil || rerr.Error() != err.Error() {
+		t.Fatalf("Request.Opts error %v differs from RunOnCtx error %v", rerr, err)
+	}
+	for _, name := range []string{"all", "mesh-speedup", "fig2"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list the accepted name %q", err, name)
+		}
 	}
 }

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"o2k/internal/apps/adaptmesh"
-	"o2k/internal/apps/barnes"
-	"o2k/internal/apps/cg"
-	"o2k/internal/apps/stencil"
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/sim"
@@ -28,60 +24,37 @@ type TracedRun struct {
 	Group *sim.Group
 }
 
-// traceTarget is a parsed -trace-exp argument: an application, optionally
-// narrowed to one model.
-type traceTarget struct {
-	app    string // "mesh", "nbody", "stencil", "cg", or "hybrid"
-	models []core.Model
-}
-
-// traceApps are the accepted -trace-exp applications. "hybrid" is the mesh
-// MP+SAS extension: a single-model target that rejects narrowing.
-var traceApps = map[string]bool{
-	"mesh": true, "nbody": true, "stencil": true, "cg": true, "hybrid": true,
-}
-
-// parseTraceTarget resolves "app" or "app/model" (case-insensitive; model
-// accepts the paper names mp, shmem, and sas/cc-sas).
-func parseTraceTarget(name string) (traceTarget, error) {
-	tg := traceTarget{models: core.AllModels()}
-	app, modelSel, narrowed := strings.Cut(strings.ToLower(name), "/")
-	tg.app = app
-	if !traceApps[app] {
-		return tg, fmt.Errorf("unknown trace target %q (want mesh, nbody, stencil, cg, or hybrid, optionally /MODEL)", name)
+// parseTraceTarget resolves a -trace-exp argument, "app" or "app/model"
+// (case-insensitive), into the app and the models to trace.
+func parseTraceTarget(name string) (*App, []core.Model, error) {
+	appName, modelSel, narrowed := strings.Cut(strings.ToLower(name), "/")
+	app, err := LookupApp(appName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("unknown trace target %q: %w", name, err)
 	}
-	if narrowed {
-		if app == "hybrid" {
-			return tg, fmt.Errorf("trace target %q: hybrid is a single-model target, drop the /%s", name, modelSel)
-		}
-		switch modelSel {
-		case "mp":
-			tg.models = []core.Model{core.MP}
-		case "shmem":
-			tg.models = []core.Model{core.SHMEM}
-		case "sas", "cc-sas", "ccsas":
-			tg.models = []core.Model{core.SAS}
-		default:
-			return tg, fmt.Errorf("unknown trace model %q (want mp, shmem, or sas)", modelSel)
-		}
+	if !narrowed {
+		return app, app.models, nil
 	}
-	return tg, nil
+	m, err := app.Model(modelSel)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace target %q: %w", name, err)
+	}
+	return app, []core.Model{m}, nil
 }
 
 // CheckTraceTarget validates a -trace-exp argument without running
 // anything, so a typo fails fast instead of after the experiment suite.
 func CheckTraceTarget(name string) error {
-	_, err := parseTraceTarget(name)
+	_, _, err := parseTraceTarget(name)
 	return err
 }
 
 // Trace re-runs the named application with phase-timeline tracing enabled
 // at the largest processor count of o and returns one traced group per
-// selected model, in core.AllModels order. name is "mesh", "nbody",
-// "stencil", "cg", or "hybrid", optionally narrowed as e.g. "mesh/mp"
-// (hybrid is single-model by construction).
+// selected model, in the app's model order. name is an app of the table,
+// optionally narrowed as e.g. "mesh/mp".
 func Trace(name string, o Opts) ([]TracedRun, error) {
-	tg, err := parseTraceTarget(name)
+	app, models, err := parseTraceTarget(name)
 	if err != nil {
 		return nil, err
 	}
@@ -93,45 +66,10 @@ func Trace(name string, o Opts) ([]TracedRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace %s: %w", name, err)
 	}
-	var runs []TracedRun
-	switch tg.app {
-	case "mesh":
-		plans := adaptmesh.BuildPlans(o.MeshW, procs)
-		for _, m := range tg.models {
-			runs = append(runs, TracedRun{
-				Label: fmt.Sprintf("mesh %v P=%d", m, procs),
-				Group: adaptmesh.TraceRun(m, mach, o.MeshW, plans),
-			})
-		}
-	case "nbody":
-		plans := barnes.BuildPlans(o.NBodyW, procs)
-		for _, m := range tg.models {
-			runs = append(runs, TracedRun{
-				Label: fmt.Sprintf("n-body %v P=%d", m, procs),
-				Group: barnes.TraceRun(m, mach, o.NBodyW, plans),
-			})
-		}
-	case "stencil":
-		for _, m := range tg.models {
-			runs = append(runs, TracedRun{
-				Label: fmt.Sprintf("stencil %v P=%d", m, procs),
-				Group: stencil.TraceRun(m, mach, o.StencilW),
-			})
-		}
-	case "cg":
-		plan := cg.BuildPlan(o.CGW, procs)
-		for _, m := range tg.models {
-			runs = append(runs, TracedRun{
-				Label: fmt.Sprintf("cg %v P=%d", m, procs),
-				Group: cg.TraceRun(m, mach, o.CGW, plan),
-			})
-		}
-	case "hybrid":
-		plans := adaptmesh.BuildPlans(o.MeshW, mach.Nodes())
-		runs = append(runs, TracedRun{
-			Label: fmt.Sprintf("mesh MP+SAS P=%d", procs),
-			Group: adaptmesh.TraceHybridWithPlans(mach, o.MeshW, plans),
-		})
+	traced := app.trace(mach, o)
+	runs := make([]TracedRun, len(models))
+	for i, m := range models {
+		runs[i] = TracedRun{Label: runLabel(app.label, m, procs), Group: traced(m)}
 	}
 	return runs, nil
 }

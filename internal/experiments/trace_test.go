@@ -29,28 +29,29 @@ func TestParseTraceTarget(t *testing.T) {
 		{"stencil/mp", "stencil", []core.Model{core.MP}},
 		{"cg", "cg", core.AllModels()},
 		{"CG/shmem", "cg", []core.Model{core.SHMEM}},
-		{"hybrid", "hybrid", core.AllModels()},
+		{"hybrid", "hybrid", []core.Model{core.Hybrid}},
+		{"hybrid/mp+sas", "hybrid", []core.Model{core.Hybrid}},
 	}
 	for _, tc := range cases {
-		tg, err := parseTraceTarget(tc.in)
+		app, models, err := parseTraceTarget(tc.in)
 		if err != nil {
 			t.Errorf("%q: %v", tc.in, err)
 			continue
 		}
-		if tg.app != tc.app || len(tg.models) != len(tc.models) {
-			t.Errorf("%q: parsed %q/%v, want %q/%v", tc.in, tg.app, tg.models, tc.app, tc.models)
+		if app.name != tc.app || len(models) != len(tc.models) {
+			t.Errorf("%q: parsed %q/%v, want %q/%v", tc.in, app.name, models, tc.app, tc.models)
 			continue
 		}
 		for i := range tc.models {
-			if tg.models[i] != tc.models[i] {
-				t.Errorf("%q: model[%d] = %v, want %v", tc.in, i, tg.models[i], tc.models[i])
+			if models[i] != tc.models[i] {
+				t.Errorf("%q: model[%d] = %v, want %v", tc.in, i, models[i], tc.models[i])
 			}
 		}
 	}
 }
 
 func TestCheckTraceTargetRejects(t *testing.T) {
-	for _, bad := range []string{"", "warp", "mesh/openmp", "nbody/", "mesh/mp/extra", "hybrid/mp", "stencil/openmp"} {
+	for _, bad := range []string{"", "warp", "mesh/openmp", "nbody/", "mesh/mp/extra", "hybrid/mp", "mesh/mp+sas", "stencil/openmp"} {
 		if err := CheckTraceTarget(bad); err == nil {
 			t.Errorf("%q: accepted, want error", bad)
 		}

@@ -15,7 +15,7 @@ import (
 // shape" lines of EXPERIMENTS.md) as executable checks and reports
 // PASS/FAIL for each — the reproduction statement in one table. Every
 // underlying simulation goes through the cell engine, so on a shared
-// engine (o2kbench after -exp all, or RunAll) most of its evidence is
+// engine (o2kbench after -exp all, or RunAllCtx) most of its evidence is
 // already cached.
 //
 // V0 is the evidence gate: if any cell the checks depend on failed
@@ -50,19 +50,19 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	var onPlans, offPlans []*adaptmesh.CyclePlan
 	var onErr, offErr error
 	e.Warm(
-		func() { meshMax = e.MeshModels(ctx, machine.Default(maxP), o.MeshW) },
-		func() { meshMid = e.MeshModels(ctx, machine.Default(midP), o.MeshW) },
-		func() { nb = e.NBodyModels(ctx, machine.Default(maxP), o.NBodyW) },
-		func() { nbMid = e.NBodyModels(ctx, machine.Default(midP), o.NBodyW) },
+		func() { meshMax = MeshModels(ctx, e, machine.Default(maxP), o.MeshW) },
+		func() { meshMid = MeshModels(ctx, e, machine.Default(midP), o.MeshW) },
+		func() { nb = NBodyModels(ctx, e, machine.Default(maxP), o.NBodyW) },
+		func() { nbMid = NBodyModels(ctx, e, machine.Default(midP), o.NBodyW) },
 		func() { fig7 = buildFig7(ctx, e, o) },
-		func() { stMP = e.Stencil(ctx, core.MP, machine.Default(maxP), o.StencilW) },
-		func() { stSAS = e.Stencil(ctx, core.SAS, machine.Default(maxP), o.StencilW) },
-		func() { onPlans, onErr = e.MeshPlans(ctx, o.MeshW, maxP) },
-		func() { offPlans, offErr = e.MeshPlans(ctx, wOff, maxP) },
-		func() { t3e = e.MeshModels(ctx, machine.T3E(midP), o.MeshW) },
-		func() { hyb = e.MeshHybrid(ctx, machine.Default(maxP), o.MeshW) },
-		func() { cgMaxMP = e.CG(ctx, core.MP, machine.Default(maxP), o.CGW) },
-		func() { cgMidMP = e.CG(ctx, core.MP, machine.Default(midP), o.CGW) },
+		func() { stMP = Stencil(ctx, e, core.MP, machine.Default(maxP), o.StencilW) },
+		func() { stSAS = Stencil(ctx, e, core.SAS, machine.Default(maxP), o.StencilW) },
+		func() { onPlans, onErr = MeshPlans(ctx, e, o.MeshW, maxP) },
+		func() { offPlans, offErr = MeshPlans(ctx, e, wOff, maxP) },
+		func() { t3e = MeshModels(ctx, e, machine.T3E(midP), o.MeshW) },
+		func() { hyb = MeshHybrid(ctx, e, machine.Default(maxP), o.MeshW) },
+		func() { cgMaxMP = CG(ctx, e, core.MP, machine.Default(maxP), o.CGW) },
+		func() { cgMidMP = CG(ctx, e, core.MP, machine.Default(midP), o.CGW) },
 	)
 
 	// V0: evidence integrity.
@@ -169,12 +169,6 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 
 	return t
 }
-
-// Verdicts runs every check on a private engine.
-//
-// Deprecated: use Run("verdicts", o), or RunOn with the engine that already
-// ran the experiments the checks re-examine.
-func Verdicts(o Opts) *core.Table { return buildVerdicts(context.Background(), runner.New(o.Jobs), o) }
 
 func atoiSafe(s string) int {
 	n := 0

@@ -22,8 +22,9 @@ import (
 // Codec serializes one cell type's successful value for the persistent
 // cache. Only cells whose helpers pass a codec to DoCached persist. Two
 // codec families exist: MetricsCodec for run cells, and the plan codecs in
-// cells.go that persist the structural tier (adaptation histories, reference
-// simulations, partitioning decisions) behind the plan cells.
+// experiments/cells.go that persist the structural tier (adaptation
+// histories, reference simulations, partitioning decisions) behind the plan
+// cells.
 type Codec struct {
 	// Kind classifies the cell for reporting ("metrics", "plan"); it does
 	// not affect storage.

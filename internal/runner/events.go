@@ -71,7 +71,7 @@ func (e *Engine) SetHook(h Hook) { e.hook = h }
 type reqHookKey struct{}
 
 // WithRequestHook returns a context that carries h as a per-request event
-// hook. Every event a DoCtx/DoCachedCtx call fires for that request — and
+// hook. Every event a DoCachedCtx call fires for that request — and
 // only that request — is also delivered to h, in addition to the engine-wide
 // SetHook observer. Because all event kinds fire synchronously in the
 // requester's own goroutines, a request hook sees exactly the cell

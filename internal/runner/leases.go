@@ -28,9 +28,6 @@ import (
 // single-flight process-local.
 func (e *Engine) SetLeases(m *lease.Manager) { e.leases = m }
 
-// Leases returns the attached lease manager, or nil.
-func (e *Engine) Leases() *lease.Manager { return e.leases }
-
 // computeShared is the owner path of DoCached when a lease manager is
 // attached and the disk probe missed: coordinate with other processes over
 // the cell's lease, and either compute under it or adopt the foreign

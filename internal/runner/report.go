@@ -33,9 +33,9 @@ type Report struct {
 	Requests     int64         `json:"requests"`
 	Hits         int64         `json:"hits"`
 	Dedups       int64         `json:"dedups"`
-	Failures     int           `json:"failures"`       // completed cells that ended in error
-	CellWall     time.Duration `json:"cell_wall_ns"`   // summed compute time of all unique cells
-	DiskHits     int64         `json:"disk_hits"`      // unique cells restored from the persistent cache
+	Failures     int           `json:"failures"`        // completed cells that ended in error
+	CellWall     time.Duration `json:"cell_wall_ns"`    // summed compute time of all unique cells
+	DiskHits     int64         `json:"disk_hits"`       // unique cells restored from the persistent cache
 	PlanCells    int           `json:"plan_cells"`      // completed plan-tier cells (structures + plans)
 	PlanDiskHits int64         `json:"plan_disk_hits"`  // plan-tier cells restored from the persistent cache
 	Disk         *DiskStats    `json:"disk,omitempty"`  // persistent-cache telemetry, nil when memory-only
@@ -52,9 +52,14 @@ type Report struct {
 // numbers.
 func (e *Engine) Report() *Report {
 	e.mu.Lock()
-	cells := make([]*cell, len(e.order))
-	copy(cells, e.order)
+	cells := make([]*cell, 0, len(e.cells))
+	for _, c := range e.cells {
+		cells = append(cells, c)
+	}
 	e.mu.Unlock()
+	// Creation order first, so the stable wall-time sort below breaks ties
+	// the same way on every run.
+	sort.Slice(cells, func(i, j int) bool { return cells[i].seq < cells[j].seq })
 
 	r := &Report{Jobs: e.jobs, Unique: len(cells)}
 	if e.cache != nil {

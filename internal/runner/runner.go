@@ -1,9 +1,12 @@
-// Package runner is the concurrent experiment engine behind the experiments
-// registry. It decomposes every table and figure of the evaluation into
-// *simulation cells* — one (application, model, machine config, workload,
-// processor count) point of the comparison matrix, keyed by a stable
-// content hash (core.CellKey) — and guarantees that each unique cell is
-// simulated exactly once per Engine, however many experiments ask for it.
+// Package runner is the concurrent cell engine behind the experiments
+// registry. A *cell* is any keyed computation — the experiments layer keys
+// one per (application, model, machine config, workload, processor count)
+// point of the comparison matrix with a stable content hash (core.CellKey) —
+// and the engine guarantees that each unique cell is computed exactly once
+// per Engine, however many experiments ask for it. The engine knows no
+// application: what a cell is, and how run cells depend on plan and
+// structure cells, is the vocabulary of internal/experiments (cells.go
+// there); an import-boundary test keeps it that way.
 //
 // Three mechanisms combine to make `o2kbench -exp all` cost O(unique cells)
 // instead of O(experiments × cells):
@@ -50,7 +53,7 @@ import (
 // when every requester waiting on the cell has gone away before it completed
 // (per-request cancellation, DESIGN.md §5.11). It wraps context.Canceled, so
 // an aborted outcome is never persisted to the disk cache; the engine also
-// retires the cell from the memo map and the report order, so the next
+// retires the cell from the memo map (and so from the report), so the next
 // request of the same key recomputes from scratch as if the cell had never
 // been asked for.
 var ErrCellAborted = fmt.Errorf("every requester left: %w", context.Canceled)
@@ -110,7 +113,7 @@ type Engine struct {
 
 	mu    sync.Mutex
 	cells map[string]*cell
-	order []*cell // insertion order, for stable reports
+	seq   uint64 // cells created so far; stamps cell.seq
 }
 
 // cell is one memoized computation: the single-flight slot, its result or
@@ -124,6 +127,7 @@ type Engine struct {
 type cell struct {
 	key      string
 	label    string
+	seq      uint64        // creation order, for stable reports
 	kind     string        // codec classification ("metrics", "plan"), "" if memory-only
 	done     chan struct{} // closed once val/err are set
 	val      any
@@ -210,7 +214,7 @@ func (e *Engine) Cancel(cause error) { e.cancel(cause) }
 // compute must not call Do (directly or through a typed cell helper) —
 // nested acquisition could deadlock the bounded pool. Resolve dependency
 // cells *before* calling Do and capture their results in the closure, as
-// the typed helpers in cells.go do with their plan cells.
+// the typed helpers in experiments/cells.go do with their plan cells.
 func (e *Engine) Do(key, label string, compute func(ctx context.Context) (any, error)) (any, error) {
 	return e.DoCachedCtx(context.Background(), key, label, nil, compute)
 }
@@ -226,15 +230,10 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute func(ctx cont
 	return e.DoCachedCtx(context.Background(), key, label, codec, compute)
 }
 
-// DoCtx is Do scoped to one request: cancelling ctx abandons this request's
-// wait without disturbing the engine or other requesters of the same cell.
-func (e *Engine) DoCtx(ctx context.Context, key, label string, compute func(ctx context.Context) (any, error)) (any, error) {
-	return e.DoCachedCtx(ctx, key, label, nil, compute)
-}
-
-// DoCachedCtx is DoCached scoped to one request (the experiment server's
-// entry point; the CLI paths call it with a background context through
-// Do/DoCached and behave exactly as before). The request semantics:
+// DoCachedCtx is the one implementation behind Do and DoCached, scoped to
+// one request: cancelling ctx abandons this request's wait without
+// disturbing the engine or other requesters of the same cell. A nil codec
+// keeps the cell memory-only. The request semantics:
 //
 //   - every live requester of an in-flight cell — the owner included —
 //     holds one reference on it; cancelling ctx drops this request out of
@@ -252,11 +251,60 @@ func (e *Engine) DoCtx(ctx context.Context, key, label string, compute func(ctx 
 // produces is also delivered to it.
 func (e *Engine) DoCachedCtx(ctx context.Context, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (any, error) {
 	rh := requestHook(ctx)
-	for {
-		v, err, retry := e.doCached(ctx, rh, key, label, codec, compute)
-		if !retry {
-			return v, err
+	for { // one pass serves, waits, or owns; only a retired outcome loops
+		e.mu.Lock()
+		c, found := e.cells[key]
+		if found && c.completed {
+			// Memo hit. A retired cell leaves the map in the critical section
+			// that completes it, so a completed cell found here is never retired.
+			e.mu.Unlock()
+			<-c.done
+			c.hits.Add(1)
+			if e.hooked(rh) {
+				e.fire(rh, Event{Kind: EventMemoHit, Key: key, Label: label, Start: time.Now(), Err: errMsg(c.err)})
+			}
+			return c.val, c.err
 		}
+		if found {
+			c.waiters++
+		} else {
+			c = &cell{key: key, label: label, seq: e.seq, done: make(chan struct{}), waiters: 1}
+			e.seq++
+			if codec != nil {
+				c.kind = codec.Kind
+			}
+			c.cctx, c.abort = context.WithCancelCause(e.ctx)
+			e.cells[key] = c
+		}
+		e.mu.Unlock()
+
+		var t0 time.Time
+		if found {
+			c.dedup.Add(1)
+			if e.hooked(rh) {
+				t0 = time.Now()
+			}
+		} else {
+			// The creator spawns the detached publisher that computes and
+			// publishes the outcome, then waits exactly like any other
+			// requester — so a creator whose request context is cancelled
+			// unblocks immediately while the compute keeps running for (or is
+			// aborted on behalf of) the remaining references. The publisher
+			// holds no reference of its own; the creator's registration is
+			// what keeps a fresh cell's compute alive.
+			go e.publish(c, rh, codec, compute)
+		}
+		retired, err := e.await(ctx, c, label)
+		if err != nil {
+			return nil, err
+		}
+		if retired {
+			continue // look the key up again: the retired cell is gone from the map
+		}
+		if found && e.hooked(rh) {
+			e.fire(rh, Event{Kind: EventDedup, Key: key, Label: label, Start: t0, Dur: time.Since(t0), Err: errMsg(c.err)})
+		}
+		return c.val, c.err
 	}
 }
 
@@ -271,117 +319,29 @@ func (e *Engine) unregister(c *cell) {
 	e.mu.Unlock()
 }
 
-// doCached is one pass of DoCachedCtx: serve, wait, or own. retry is true
-// when the observed outcome was a retired (aborted) cell while this request
-// is still live — the caller loops and looks the key up again.
-func (e *Engine) doCached(ctx context.Context, rh Hook, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (val any, err error, retry bool) {
-	e.mu.Lock()
-	if c, ok := e.cells[key]; ok {
-		e.mu.Unlock()
-		select {
-		case <-c.done:
-			if c.retired && ctx.Err() == nil && e.ctx.Err() == nil {
-				// The lookup raced the owner's retirement: the cell was
-				// still in the map when we read it but its outcome was
-				// aborted and withdrawn. Look again.
-				return nil, nil, true
-			}
-			c.hits.Add(1)
-			if e.hooked(rh) {
-				e.fire(rh, Event{Kind: EventMemoHit, Key: key, Label: label, Start: time.Now(), Err: errMsg(c.err)})
-			}
-			return c.val, c.err, false
-		default:
-		}
-		// In flight: register as a waiter. The AfterFunc carries the
-		// reference drop for a cancelled request; a request that completes
-		// its wait normally stops it and drops the reference itself.
-		e.mu.Lock()
-		if c.completed || c.retired {
-			// Completed (or retired) between the lookup and here; done is
-			// closed or about to close — fall through to the wait without
-			// registering, the owner no longer observes waiters.
-			e.mu.Unlock()
-			<-c.done
-			if c.retired && ctx.Err() == nil && e.ctx.Err() == nil {
-				return nil, nil, true
-			}
-			c.hits.Add(1)
-			if e.hooked(rh) {
-				e.fire(rh, Event{Kind: EventMemoHit, Key: key, Label: label, Start: time.Now(), Err: errMsg(c.err)})
-			}
-			return c.val, c.err, false
-		}
-		c.waiters++
-		e.mu.Unlock()
-		stop := context.AfterFunc(ctx, func() { e.unregister(c) })
-		c.dedup.Add(1)
-		var t0 time.Time
-		if e.hooked(rh) {
-			t0 = time.Now()
-		}
-		select {
-		case <-c.done:
-			if stop() {
-				e.unregister(c)
-			}
-			if c.retired && ctx.Err() == nil && e.ctx.Err() == nil {
-				// The owner aborted after every registered requester left;
-				// ours raced the abort. Still live, so look the key up
-				// again — the retired cell is gone from the map.
-				return nil, nil, true
-			}
-			if e.hooked(rh) {
-				e.fire(rh, Event{Kind: EventDedup, Key: key, Label: label, Start: t0, Dur: time.Since(t0), Err: errMsg(c.err)})
-			}
-			return c.val, c.err, false
-		case <-ctx.Done():
-			// The AfterFunc drops our reference (and possibly aborts).
-			return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), false
-		case <-e.ctx.Done():
-			if stop() {
-				e.unregister(c)
-			}
-			return nil, fmt.Errorf("cell %s: %w", label, context.Cause(e.ctx)), false
-		}
-	}
-	c := &cell{key: key, label: label, done: make(chan struct{}), waiters: 1}
-	if codec != nil {
-		c.kind = codec.Kind
-	}
-	c.cctx, c.abort = context.WithCancelCause(e.ctx)
-	e.cells[key] = c
-	e.order = append(e.order, c)
-	e.mu.Unlock()
-
-	// Creator path: spawn the detached publisher that computes and publishes
-	// the outcome, then wait exactly like any other requester — so a creator
-	// whose request context is cancelled unblocks immediately while the
-	// compute keeps running for (or is aborted on behalf of) the remaining
-	// references. The publisher holds no reference of its own; the creator's
-	// registration is what keeps a fresh cell's compute alive.
-	go e.publish(c, rh, codec, compute)
+// await blocks a registered requester of c until the cell publishes, the
+// request is cancelled, or the engine is. The AfterFunc carries the
+// reference drop for a cancelled request; a request that leaves its wait any
+// other way stops it and drops the reference itself. retired reports a
+// retired outcome observed by a still-live request: the owner aborted after
+// every other requester left and this registration raced the abort, so the
+// caller must ask again.
+func (e *Engine) await(ctx context.Context, c *cell, label string) (retired bool, err error) {
 	stop := context.AfterFunc(ctx, func() { e.unregister(c) })
 	select {
 	case <-c.done:
 		if stop() {
 			e.unregister(c)
 		}
-		if c.retired && ctx.Err() == nil && e.ctx.Err() == nil {
-			// Our own compute was aborted by a racing departure (a co-waiter
-			// left last while our registration raced it); still live, so ask
-			// again.
-			return nil, nil, true
-		}
-		return c.val, c.err, false
+		return c.retired && ctx.Err() == nil && e.ctx.Err() == nil, nil
 	case <-ctx.Done():
-		// The AfterFunc drops the reference (and possibly aborts the cell).
-		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), false
+		// The AfterFunc drops our reference (and possibly aborts the cell).
+		return false, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
 	case <-e.ctx.Done():
 		if stop() {
 			e.unregister(c)
 		}
-		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(e.ctx)), false
+		return false, fmt.Errorf("cell %s: %w", label, context.Cause(e.ctx))
 	}
 }
 
@@ -393,17 +353,14 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, compute func(ctx contex
 	start := time.Now()
 	if v, cerr, ok := e.diskLoad(c.key, codec); ok {
 		c.val, c.err, c.fromDisk = v, cerr, true
-		if e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start), Err: errMsg(cerr)})
-		}
 	} else if e.leases != nil && e.cache != nil && codec != nil {
 		c.val, c.err, c.attempts, c.fromDisk = e.computeShared(c.cctx, rh, c.key, c.label, codec, compute)
-		if c.fromDisk && e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start), Err: errMsg(c.err)})
-		}
 	} else {
 		c.val, c.err, c.attempts = e.run(c.cctx, rh, c.key, c.label, compute)
 		e.diskStore(c.key, codec, c.val, c.err)
+	}
+	if c.fromDisk && e.hooked(rh) {
+		e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start), Err: errMsg(c.err)})
 	}
 	c.wall = time.Since(start)
 
@@ -414,12 +371,6 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, compute func(ctx contex
 	if errors.Is(c.err, ErrCellAborted) && e.ctx.Err() == nil {
 		c.retired = true
 		delete(e.cells, c.key)
-		for i, oc := range e.order {
-			if oc == c {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
-			}
-		}
 	}
 	c.completed = true
 	e.mu.Unlock()

@@ -1,6 +1,9 @@
 // Package server is the long-running experiment-serving daemon behind
 // `o2kbench serve` (DESIGN.md §5.11): an HTTP/JSON front end over the same
 // engine, registry, disk cache, and lease machinery the one-shot CLI uses.
+// It knows no application and parses no model name: a POST body is an
+// experiments.Request, and a cell URL is resolved against the application
+// table in internal/experiments.
 // Many concurrent clients share one memoized cell map — N identical
 // submissions cost one simulation — and a fleet of daemons or `-workers`
 // processes sharing a cache directory coordinates through the existing
@@ -39,7 +42,6 @@ import (
 
 	"o2k/internal/core"
 	"o2k/internal/experiments"
-	"o2k/internal/machine"
 	"o2k/internal/runner"
 	"o2k/internal/runner/diskcache"
 )
@@ -47,10 +49,9 @@ import (
 // Config assembles a Server. Engine is required; the zero value of every
 // other field selects a sensible default.
 type Config struct {
+	// Engine resolves every cell; its persistent cache (Engine.Cache, nil
+	// when the daemon runs memory-only) is surfaced through /v1/cache.
 	Engine *runner.Engine
-	// Cache is the engine's persistent cache, surfaced read-only through
-	// /v1/cache; nil when the daemon runs memory-only.
-	Cache *diskcache.Cache
 	// MaxInflight bounds concurrently running experiment/cell requests
 	// (default 4). Cell concurrency *within* a request is still the engine's
 	// -jobs pool; this bounds how many requests contend for it.
@@ -67,7 +68,6 @@ type Config struct {
 // hook on the engine, so construct it before the engine's first cell.
 type Server struct {
 	eng      *runner.Engine
-	dc       *diskcache.Cache
 	slots    chan struct{}
 	limit    int64        // MaxInflight + MaxQueue
 	pending  atomic.Int64 // admitted requests: running + queued
@@ -89,7 +89,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		eng:   cfg.Engine,
-		dc:    cfg.Cache,
 		slots: make(chan struct{}, inflight),
 		limit: int64(inflight + queue),
 		met:   newMetrics(),
@@ -162,6 +161,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.met.observeHTTP(sw.code)
 }
 
+// writeIndented writes v as the indented JSON document of the read-only
+// telemetry endpoints.
+func writeIndented(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
 // jsonError writes a JSON error document with the given status.
 func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -194,32 +202,6 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) func() {
 	}
 }
 
-// experimentsRequest is the POST /v1/experiments body. The zero value means
-// the CLI's defaults: every experiment, full workloads, the paper sweep.
-type experimentsRequest struct {
-	Exp   string `json:"exp"`   // registry name, alias, or "all" (default)
-	Quick bool   `json:"quick"` // reduced workloads and processor counts
-	Procs string `json:"procs"` // "1,4,16" or a preset name; "" keeps the suite default
-}
-
-// requestOpts resolves the request into experiment options, mirroring the
-// CLI flag handling so a given request and the equivalent flag set select
-// identical cells.
-func requestOpts(req experimentsRequest) (experiments.Opts, error) {
-	o := experiments.DefaultOpts()
-	if req.Quick {
-		o = experiments.QuickOpts()
-	}
-	if req.Procs != "" {
-		ps, err := experiments.ParseProcs(req.Procs)
-		if err != nil {
-			return o, err
-		}
-		o.Procs = ps
-	}
-	return o, nil
-}
-
 // streamLine is one NDJSON line of an experiment response.
 type streamLine struct {
 	Type    string  `json:"type"`              // "cell", "result", or "error"
@@ -236,21 +218,12 @@ type streamLine struct {
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	var req experimentsRequest
+	var req experiments.Request
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		jsonError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Exp == "" {
-		req.Exp = "all"
-	}
-	if req.Exp != "all" {
-		if _, ok := experiments.Lookup(req.Exp); !ok {
-			jsonError(w, http.StatusBadRequest, "unknown experiment %q (GET /v1/report lists nothing — see o2kbench -list)", req.Exp)
-			return
-		}
-	}
-	o, err := requestOpts(req)
+	o, err := req.Opts()
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -359,34 +332,26 @@ func cellSource(k runner.EventKind) string {
 }
 
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	app, modelName := r.PathValue("app"), r.PathValue("model")
+	appName, modelName := r.PathValue("app"), r.PathValue("model")
 	procs, err := strconv.Atoi(r.PathValue("procs"))
 	if err != nil || procs < 1 {
 		jsonError(w, http.StatusBadRequest, "bad processor count %q", r.PathValue("procs"))
 		return
 	}
-	quick := r.URL.Query().Get("quick") == "1" || r.URL.Query().Get("quick") == "true"
-	o := experiments.DefaultOpts()
-	if quick {
-		o = experiments.QuickOpts()
-	}
-	var model core.Model
-	switch modelName {
-	case "mp":
-		model = core.MP
-	case "shmem":
-		model = core.SHMEM
-	case "sas", "cc-sas", "ccsas":
-		model = core.SAS
-	case "mp+sas", "mp-sas":
-		if app != "hybrid" {
-			jsonError(w, http.StatusBadRequest, "model %q is only valid for the hybrid app", modelName)
-			return
-		}
-	default:
-		jsonError(w, http.StatusBadRequest, "unknown model %q (want mp, shmem, or sas; hybrid uses mp+sas)", modelName)
+	// Validate against the app table before admission: a request that can
+	// only be answered 4xx must not take a run slot or a queue position.
+	app, err := experiments.LookupApp(appName)
+	if err != nil {
+		jsonError(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	model, err := app.Model(modelName)
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	quick := r.URL.Query().Get("quick") == "1" || r.URL.Query().Get("quick") == "true"
+	o, _ := experiments.Request{Quick: quick}.Opts() // cannot fail: no name, no procs
 
 	release := s.acquire(w, r)
 	if release == nil {
@@ -409,48 +374,24 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		last, seen = ev, true
 		mu.Unlock()
 	})
+	res := app.Cell(ctx, s.eng, model, procs, o)
 
-	cfg := machine.Default(procs)
-	var res runner.Res
-	switch app {
-	case "mesh":
-		res = s.eng.Mesh(ctx, model, cfg, o.MeshW)
-	case "nbody":
-		res = s.eng.NBody(ctx, model, cfg, o.NBodyW)
-	case "cg":
-		res = s.eng.CG(ctx, model, cfg, o.CGW)
-	case "stencil":
-		res = s.eng.Stencil(ctx, model, cfg, o.StencilW)
-	case "hybrid":
-		if modelName != "mp+sas" && modelName != "mp-sas" {
-			jsonError(w, http.StatusBadRequest, "hybrid is a single-model app: GET /v1/cells/hybrid/mp+sas/%d", procs)
-			return
-		}
-		res = s.eng.MeshHybrid(ctx, cfg, o.MeshW)
-	default:
-		jsonError(w, http.StatusNotFound, "unknown app %q (want mesh, nbody, cg, stencil, or hybrid)", app)
-		return
-	}
-
-	resp := cellResponse{App: app, Model: modelName, Procs: procs, Quick: quick}
+	resp := cellResponse{App: appName, Model: modelName, Procs: procs, Quick: quick}
 	mu.Lock()
 	if seen {
 		resp.Key, resp.Label, resp.Source = last.Key, last.Label, cellSource(last.Kind)
 	}
 	mu.Unlock()
+	code := http.StatusOK
 	if res.Err != nil {
-		resp.Err = res.Err.Error()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		json.NewEncoder(w).Encode(resp)
-		return
-	}
-	// The strict lossless codec from core — the same bytes the disk cache
-	// stores — so a client round-trips exactly what the engine computed.
-	if data, err := core.EncodeMetrics(res.M); err == nil {
+		resp.Err, code = res.Err.Error(), http.StatusInternalServerError
+	} else if data, err := core.EncodeMetrics(res.M); err == nil {
+		// The strict lossless codec from core — the same bytes the disk cache
+		// stores — so a client round-trips exactly what the engine computed.
 		resp.Metrics = data
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(resp)
 }
 
@@ -461,10 +402,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, rep.Table().String())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
+	writeIndented(w, rep)
 }
 
 // cacheResponse is the GET /v1/cache document.
@@ -477,14 +415,14 @@ type cacheResponse struct {
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	resp := cacheResponse{Enabled: s.dc != nil}
-	if s.dc != nil {
-		resp.Dir, resp.Fence = s.dc.Dir(), s.dc.Fence()
-		c := s.dc.Counters()
+	dc := s.eng.Cache()
+	resp := cacheResponse{Enabled: dc != nil}
+	if dc != nil {
+		resp.Dir, resp.Fence = dc.Dir(), dc.Fence()
+		c := dc.Counters()
 		resp.Counters = &c
 		if q := r.URL.Query().Get("verify"); q == "1" || q == "true" {
-			st, err := s.dc.Verify()
+			st, err := dc.Verify()
 			if err != nil {
 				jsonError(w, http.StatusInternalServerError, "cache verify: %v", err)
 				return
@@ -492,9 +430,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 			resp.Verify = &st
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	writeIndented(w, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -72,7 +72,7 @@ func init() {
 			blockMu.Lock()
 			gate, started := blockGate, blockStarted
 			blockMu.Unlock()
-			v, err := e.DoCtx(ctx, "test-block-cell", "test-block", func(cctx context.Context) (any, error) {
+			v, err := e.DoCachedCtx(ctx, "test-block-cell", "test-block", nil, func(cctx context.Context) (any, error) {
 				blockMu.Lock()
 				blockCount++
 				blockMu.Unlock()
@@ -374,14 +374,61 @@ func TestCellEndpointSourcesAndValidation(t *testing.T) {
 		t.Fatalf("hybrid cell: code=%d resp=%+v", code, cr)
 	}
 
-	for path, want := range map[string]int{
+	invalid := map[string]int{
 		"/v1/cells/warp/mp/2":        http.StatusNotFound,
+		"/v1/cells/nope/mp/4":        http.StatusNotFound,
 		"/v1/cells/stencil/openmp/2": http.StatusBadRequest,
 		"/v1/cells/stencil/mp/zero":  http.StatusBadRequest,
 		"/v1/cells/mesh/mp+sas/2":    http.StatusBadRequest,
-	} {
+		"/v1/cells/hybrid/mp/4":      http.StatusBadRequest,
+	}
+	for path, want := range invalid {
 		if code, _ := get(path); code != want {
 			t.Errorf("GET %s = %d, want %d", path, code, want)
+		}
+	}
+
+	// An unknown experiment is refused with the sentence the CLI prints: the
+	// accepted names, from the one function both front ends call.
+	_, wantErr := experiments.Request{Exp: "nope"}.Opts()
+	code, _, res := postExperiment(t, ts.URL, `{"exp":"nope"}`)
+	var doc struct{ Error string }
+	json.Unmarshal([]byte(res.Error), &doc)
+	if code != http.StatusBadRequest || doc.Error != wantErr.Error() || !strings.Contains(doc.Error, "mesh-speedup") {
+		t.Errorf("POST unknown experiment: code=%d error=%q, want 400 with %q", code, doc.Error, wantErr)
+	}
+
+	// Validation comes before admission: with the only run slot taken and the
+	// queue full, an invalid cell is still answered 4xx at once — never 429,
+	// never parked — and takes no queue position.
+	gate, started := resetBlock()
+	ts, _, _ = newTestServer(t, Config{MaxInflight: 1, MaxQueue: 1})
+	done := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			code, _, _ := postExperiment(t, ts.URL, `{"exp":"test-block"}`)
+			done <- code
+		}()
+	}
+	<-started
+	waitCond(t, "a saturated admission queue", func() bool {
+		return strings.Contains(scrapeMetrics(t, ts.URL), "o2k_requests_pending 2")
+	})
+	for path, want := range invalid {
+		if code, _ := get(path); code != want {
+			t.Errorf("saturated: GET %s = %d, want %d", path, code, want)
+		}
+	}
+	if code, _ := get("/v1/cells/stencil/mp/2?quick=1"); code != http.StatusTooManyRequests {
+		t.Errorf("saturated: a valid cell got %d, want 429", code)
+	}
+	if m := scrapeMetrics(t, ts.URL); !strings.Contains(m, "o2k_requests_pending 2") {
+		t.Errorf("invalid cells took queue positions:\n%s", m)
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if code := <-done; code != http.StatusOK {
+			t.Errorf("admitted request finished with %d", code)
 		}
 	}
 }
@@ -394,7 +441,7 @@ func TestReportCacheAndMetricsEndpoints(t *testing.T) {
 	}
 	eng := runner.New(0)
 	eng.SetCache(dc)
-	ts, _, _ := newTestServer(t, Config{Engine: eng, Cache: dc})
+	ts, _, _ := newTestServer(t, Config{Engine: eng})
 
 	// Populate one cell so every surface has something to show.
 	if resp, _ := http.Get(ts.URL + "/v1/cells/stencil/sas/2?quick=1"); resp.StatusCode != http.StatusOK {
@@ -476,7 +523,7 @@ func TestTwoServersSharingCacheComputeEachCellOnce(t *testing.T) {
 		eng := runner.New(4)
 		eng.SetCache(dc)
 		eng.SetLeases(lease.New(lease.Config{Dir: dir, Shard: shard, Shards: 2}))
-		ts, _, _ := newTestServer(t, Config{Engine: eng, Cache: dc, Hook: countHook})
+		ts, _, _ := newTestServer(t, Config{Engine: eng, Hook: countHook})
 		return ts
 	}
 	a, b := mk(0), mk(1)
