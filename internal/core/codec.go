@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -22,19 +23,28 @@ func EncodeMetrics(m Metrics) ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// DecodeMetrics is the strict inverse of EncodeMetrics: unknown fields and
-// trailing data are errors, so an entry written by a different Metrics
-// schema that slipped past the cache's version fence is rejected (and
-// recomputed) instead of being half-read.
-func DecodeMetrics(data []byte) (Metrics, error) {
+// DecodeStrict decodes data as exactly one JSON value into v: unknown fields
+// and trailing data are errors, so a payload written under a different
+// schema is rejected instead of being half-read.
+func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var m Metrics
-	if err := dec.Decode(&m); err != nil {
-		return Metrics{}, fmt.Errorf("core: decode metrics: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
 	if dec.More() {
-		return Metrics{}, fmt.Errorf("core: decode metrics: trailing data")
+		return errors.New("trailing data")
+	}
+	return nil
+}
+
+// DecodeMetrics is the strict inverse of EncodeMetrics (DecodeStrict), so an
+// entry written by a different Metrics schema that slipped past the cache's
+// version fence is rejected (and recomputed).
+func DecodeMetrics(data []byte) (Metrics, error) {
+	var m Metrics
+	if err := DecodeStrict(data, &m); err != nil {
+		return Metrics{}, fmt.Errorf("core: decode metrics: %w", err)
 	}
 	return m, nil
 }

@@ -38,16 +38,55 @@ import (
 // only the processor count does — so machine presets that differ only in
 // timing (fig12's four classes) share every plan-tier entry.
 //
-// Dependency discipline: every helper resolves its plan cell *before*
-// entering the run cell, so a goroutine never holds a worker slot while
-// waiting for another cell — the bounded pool cannot deadlock, even at
-// -jobs=1. A plan cell's failure propagates to every run cell that depends
-// on it without starting the run.
+// Dependency discipline: dependencies are demand-driven. A run cell names its
+// plan cell in its *prepare* stage (runner.Cell.Prepare), which the engine
+// runs only when the run cell itself has to be computed — the memo map, the
+// disk and a foreign lease owner have all missed — and before it takes a
+// worker slot, so a goroutine never holds a slot while waiting for another
+// cell and the bounded pool cannot deadlock, even at -jobs=1. A run cell
+// that is already known is served without instantiating, reading or decoding
+// anything of the plan tier: a fully warm suite touches only its metrics and
+// characteristics entries, and a partially warm one loads exactly the plan
+// chains of the cells that missed. A plan cell's failure becomes the outcome
+// of every run cell that has to be computed from it, without starting the
+// run; a run cell already in the memo map or on disk is served even if its
+// plan cell would fail. The builders never read a plan themselves: the few
+// numbers Table 1 and the verdicts take from one are small persisted
+// *characteristics* cells that depend on the plans the same lazy way.
+
+// prepareFn is the typed form of runner.Cell.Prepare: resolve the cell's
+// dependencies under ctx, return the work that captures them.
+type prepareFn[T any] func(ctx context.Context) (func() T, error)
+
+// leaf is the prepare stage of a cell with no dependencies.
+func leaf[T any](compute func() T) prepareFn[T] {
+	return func(context.Context) (func() T, error) { return compute, nil }
+}
+
+// after is the prepare stage of a cell with one dependency: resolve dep, then
+// compute from its value. what names the dependency in the cell's failure
+// when dep fails ("mesh plans: …").
+func after[D, T any](what string, dep func(context.Context) (D, error), compute func(D) T) prepareFn[T] {
+	return func(ctx context.Context) (func() T, error) {
+		d, err := dep(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", what, err)
+		}
+		return func() T { return compute(d) }, nil
+	}
+}
 
 // cellOf resolves one cell whose compute cannot fail and asserts the
 // outcome's type; a nil codec keeps the cell memory-only.
-func cellOf[T any](ctx context.Context, e *runner.Engine, key, label string, codec *runner.Codec, compute func() T) (T, error) {
-	v, err := e.DoCachedCtx(ctx, key, label, codec, func(context.Context) (any, error) { return compute(), nil })
+func cellOf[T any](ctx context.Context, e *runner.Engine, key, label string, codec *runner.Codec, prepare prepareFn[T]) (T, error) {
+	v, err := e.DoCell(ctx, runner.Cell{Key: key, Label: label, Codec: codec,
+		Prepare: func(ctx context.Context) (runner.Compute, error) {
+			compute, err := prepare(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return func(context.Context) (any, error) { return compute(), nil }, nil
+		}})
 	if err != nil {
 		var zero T
 		return zero, err
@@ -56,13 +95,8 @@ func cellOf[T any](ctx context.Context, e *runner.Engine, key, label string, cod
 }
 
 // runCell resolves one metrics run cell, labelled "<app> <model> P=<procs>".
-// depErr is the failure of the plan cell the run depends on: it becomes the
-// run's outcome without starting the run.
-func runCell(ctx context.Context, e *runner.Engine, app string, model core.Model, procs int, key string, depErr error, run func() core.Metrics) runner.Res {
-	if depErr != nil {
-		return runner.Res{Err: depErr}
-	}
-	m, err := cellOf(ctx, e, key, runLabel(app, model, procs), runner.MetricsCodec, run)
+func runCell(ctx context.Context, e *runner.Engine, app string, model core.Model, procs int, key string, prepare prepareFn[core.Metrics]) runner.Res {
+	m, err := cellOf(ctx, e, key, runLabel(app, model, procs), runner.MetricsCodec, prepare)
 	return runner.Res{M: m, Err: err}
 }
 
@@ -128,6 +162,10 @@ func nbodyStructKey(w barnes.Workload) string {
 	return core.CellKey("nbody/structure", barnes.StructureSchema, w)
 }
 
+func nbodyPlanKey(w barnes.Workload, procs int) string {
+	return core.CellKey("nbody/plans", w, procs)
+}
+
 func cgMeshKey(w cg.Workload) string {
 	return core.CellKey("cg/mesh", cg.MeshSchema, cgStructWorkload(w))
 }
@@ -138,16 +176,16 @@ func cgPlanKey(w cg.Workload, procs int) string {
 
 // MeshPlans returns the memoized cycle plans for the mesh workload at the
 // given processor count. The structure cell — the persisted adaptation
-// history — is resolved first (never inside the plan cell's compute, see the
-// discipline above); the plan cell then persists only the per-cycle
-// partitioning decisions.
+// history — is resolved first rather than in the plan cell's prepare stage:
+// the plan cell persists only the per-cycle partitioning decisions, and its
+// decoder replays them against the structure, so a disk hit needs it too.
 func MeshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) ([]*adaptmesh.CyclePlan, error) {
 	sw := meshStructWorkload(w)
 	st, err := cellOf(ctx, e, meshStructKey(w), "mesh structure",
 		planCodec(
 			func(st *adaptmesh.Structure) []byte { return adaptmesh.EncodeStructure(st, sw) },
 			func(data []byte) (*adaptmesh.Structure, error) { return adaptmesh.DecodeStructure(data, sw) }),
-		func() *adaptmesh.Structure { return adaptmesh.BuildStructure(sw) })
+		leaf(func() *adaptmesh.Structure { return adaptmesh.BuildStructure(sw) }))
 	if err != nil {
 		return nil, err
 	}
@@ -155,15 +193,17 @@ func MeshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, proc
 		planCodec(
 			func(plans []*adaptmesh.CyclePlan) []byte { return adaptmesh.EncodePlans(plans, procs) },
 			func(data []byte) ([]*adaptmesh.CyclePlan, error) { return st.DecodePlans(data, procs) }),
-		func() []*adaptmesh.CyclePlan { return st.Plans(procs, w.NoRemap) })
+		leaf(func() []*adaptmesh.CyclePlan { return st.Plans(procs, w.NoRemap) }))
 }
 
 // Mesh runs the adaptive-mesh application under one model on one machine
 // configuration (cfg.Procs is the processor count), memoized.
 func Mesh(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w adaptmesh.Workload) runner.Res {
-	plans, err := MeshPlans(ctx, e, w, cfg.Procs)
-	return runCell(ctx, e, "mesh", model, cfg.Procs, core.CellKey("mesh/run", model, cfg, w), wrapErr("mesh plans", err),
-		func() core.Metrics { return adaptmesh.RunWithPlans(model, machine.MustNew(cfg), w, plans) })
+	return runCell(ctx, e, "mesh", model, cfg.Procs, core.CellKey("mesh/run", model, cfg, w), after("mesh plans",
+		func(ctx context.Context) ([]*adaptmesh.CyclePlan, error) { return MeshPlans(ctx, e, w, cfg.Procs) },
+		func(plans []*adaptmesh.CyclePlan) core.Metrics {
+			return adaptmesh.RunWithPlans(model, machine.MustNew(cfg), w, plans)
+		}))
 }
 
 // MeshModels runs the mesh application under all three models, in parallel
@@ -175,13 +215,18 @@ func MeshModels(ctx context.Context, e *runner.Engine, cfg machine.Config, w ada
 // MeshHybrid runs the MP+SAS hybrid mesh extension: plans are built at the
 // machine's node count (one MP rank per node board).
 func MeshHybrid(ctx context.Context, e *runner.Engine, cfg machine.Config, w adaptmesh.Workload) runner.Res {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return runner.Res{Err: fmt.Errorf("machine: %w", err)}
-	}
-	plans, err := MeshPlans(ctx, e, w, m.Nodes())
-	return runCell(ctx, e, "mesh", core.Hybrid, cfg.Procs, core.CellKey("mesh/hybrid", cfg, w), wrapErr("mesh plans", err),
-		func() core.Metrics { return adaptmesh.RunHybridWithPlans(m, w, plans) })
+	return runCell(ctx, e, "mesh", core.Hybrid, cfg.Procs, core.CellKey("mesh/hybrid", cfg, w),
+		func(ctx context.Context) (func() core.Metrics, error) {
+			m, err := machine.New(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("machine: %w", err)
+			}
+			plans, err := MeshPlans(ctx, e, w, m.Nodes())
+			if err != nil {
+				return nil, fmt.Errorf("mesh plans: %w", err)
+			}
+			return func() core.Metrics { return adaptmesh.RunHybridWithPlans(m, w, plans) }, nil
+		})
 }
 
 // NBodyPlans returns the memoized per-step plans for the N-body workload.
@@ -193,19 +238,21 @@ func NBodyPlans(ctx context.Context, e *runner.Engine, w barnes.Workload, procs 
 	st, err := cellOf(ctx, e, nbodyStructKey(w), "n-body structure",
 		planCodec(barnes.EncodeStructure,
 			func(data []byte) (*barnes.Structure, error) { return barnes.DecodeStructure(data, w) }),
-		func() *barnes.Structure { return barnes.BuildStructure(w) })
+		leaf(func() *barnes.Structure { return barnes.BuildStructure(w) }))
 	if err != nil {
 		return nil, err
 	}
-	return cellOf(ctx, e, core.CellKey("nbody/plans", w, procs), fmt.Sprintf("n-body plans P=%d", procs), nil,
-		func() []*barnes.StepPlan { return st.Plans(procs) })
+	return cellOf(ctx, e, nbodyPlanKey(w, procs), fmt.Sprintf("n-body plans P=%d", procs), nil,
+		leaf(func() []*barnes.StepPlan { return st.Plans(procs) }))
 }
 
 // NBody runs the Barnes-Hut application under one model, memoized.
 func NBody(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w barnes.Workload) runner.Res {
-	plans, err := NBodyPlans(ctx, e, w, cfg.Procs)
-	return runCell(ctx, e, "n-body", model, cfg.Procs, core.CellKey("nbody/run", model, cfg, w), wrapErr("n-body plans", err),
-		func() core.Metrics { return barnes.RunWithPlans(model, machine.MustNew(cfg), w, plans) })
+	return runCell(ctx, e, "n-body", model, cfg.Procs, core.CellKey("nbody/run", model, cfg, w), after("n-body plans",
+		func(ctx context.Context) ([]*barnes.StepPlan, error) { return NBodyPlans(ctx, e, w, cfg.Procs) },
+		func(plans []*barnes.StepPlan) core.Metrics {
+			return barnes.RunWithPlans(model, machine.MustNew(cfg), w, plans)
+		}))
 }
 
 // NBodyModels runs the N-body application under all three models.
@@ -237,21 +284,21 @@ func CGPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*c
 			m.AppendGlobal(&pw)
 			return pw.Bytes()
 		}, decodeGlobalMesh),
-		func() *mesh.Mesh { return cg.BuildMesh(sw) })
+		leaf(func() *mesh.Mesh { return cg.BuildMesh(sw) }))
 	if err != nil {
 		return nil, err
 	}
 	return cellOf(ctx, e, cgPlanKey(w, procs), fmt.Sprintf("cg plan P=%d", procs),
 		planCodec(cg.EncodePlan,
 			func(data []byte) (*cg.Plan, error) { return cg.DecodePlan(data, sw, m, procs) }),
-		func() *cg.Plan { return cg.PlanForMesh(sw, m, procs) })
+		leaf(func() *cg.Plan { return cg.PlanForMesh(sw, m, procs) }))
 }
 
 // CG runs the conjugate-gradient application under one model, memoized.
 func CG(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w cg.Workload) runner.Res {
-	plan, err := CGPlan(ctx, e, w, cfg.Procs)
-	return runCell(ctx, e, "cg", model, cfg.Procs, core.CellKey("cg/run", model, cfg, w), wrapErr("cg plan", err),
-		func() core.Metrics { return cg.RunWithPlan(model, machine.MustNew(cfg), w, plan) })
+	return runCell(ctx, e, "cg", model, cfg.Procs, core.CellKey("cg/run", model, cfg, w), after("cg plan",
+		func(ctx context.Context) (*cg.Plan, error) { return CGPlan(ctx, e, w, cfg.Procs) },
+		func(plan *cg.Plan) core.Metrics { return cg.RunWithPlan(model, machine.MustNew(cfg), w, plan) }))
 }
 
 // CGModels runs the conjugate-gradient application under all three models.
@@ -262,16 +309,8 @@ func CGModels(ctx context.Context, e *runner.Engine, cfg machine.Config, w cg.Wo
 // Stencil runs the regular Jacobi control application under one model;
 // it has no plan stage.
 func Stencil(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w stencil.Workload) runner.Res {
-	return runCell(ctx, e, "stencil", model, cfg.Procs, core.CellKey("stencil/run", model, cfg, w), nil,
-		func() core.Metrics { return stencil.Run(model, machine.MustNew(cfg), w) })
-}
-
-// wrapErr names the failed dependency of a run cell; nil stays nil.
-func wrapErr(what string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%s: %w", what, err)
+	return runCell(ctx, e, "stencil", model, cfg.Procs, core.CellKey("stencil/run", model, cfg, w),
+		leaf(func() core.Metrics { return stencil.Run(model, machine.MustNew(cfg), w) }))
 }
 
 // allModels resolves one run cell per model concurrently and returns the

@@ -6,17 +6,22 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"o2k/internal/core"
+	"o2k/internal/machine"
 	"o2k/internal/runner"
 	"o2k/internal/runner/diskcache"
 )
 
 // The suite-level guarantees of the persistent cell cache (DESIGN.md §5.5):
 // a warm cache makes `-exp all` serve its metrics cells from disk with
-// byte-identical output at any -jobs value, and every injected fault —
+// byte-identical output at any -jobs value without touching the plan tier,
+// a partially warm one loads exactly what missed, and every injected fault —
 // unreadable entries, bit rot, version skew, a SIGKILL mid-sweep — degrades
 // to recomputation without changing a single output byte.
 
@@ -42,6 +47,9 @@ func openCache(t *testing.T, dir string, opts ...diskcache.Option) *diskcache.Ca
 	return dc
 }
 
+// planRow is the -runreport row CI's cache-warm job greps for.
+const planRow = "plan cells from disk"
+
 func TestWarmCacheByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite; skipped with -short")
@@ -65,21 +73,60 @@ func TestWarmCacheByteIdentity(t *testing.T) {
 		if warmRep.Disk == nil || warmRep.Disk.Corrupt != 0 || warmRep.Disk.Stale != 0 {
 			t.Fatalf("warm run at -jobs %d reported damage: %+v", jobs, warmRep.Disk)
 		}
-		// Every persisted cell — metrics and plan tier alike — must come
-		// from disk; the only cells computed on a warm run are the
-		// memory-only n-body per-P plan derivations (no codec, Kind "").
-		if warmRep.DiskHits == 0 {
-			t.Fatalf("warm run at -jobs %d served nothing from disk", jobs)
+		// A full-hit pass is a function of its metrics and characteristics
+		// entries alone: every cell it asks for comes from disk on the first
+		// probe, and no plan-tier cell is instantiated, read or derived.
+		if warmRep.PlanCells != 0 || warmRep.Disk.Misses != 0 {
+			t.Fatalf("warm run at -jobs %d touched the plan tier: PlanCells=%d Disk=%+v",
+				jobs, warmRep.PlanCells, warmRep.Disk)
 		}
-		if warmRep.PlanDiskHits == 0 {
-			t.Fatalf("warm run at -jobs %d served no plan cells from disk", jobs)
+		if strings.Contains(warmRep.Table().String(), planRow) {
+			t.Fatalf("warm run at -jobs %d reports a %q row with no plan cell instantiated", jobs, planRow)
 		}
 		for _, c := range warmRep.Cells {
-			if !c.FromDisk && c.Kind != "" {
-				t.Fatalf("warm run at -jobs %d recomputed persisted cell %q", jobs, c.Label)
+			if !c.FromDisk {
+				t.Fatalf("warm run at -jobs %d instantiated %q without a disk hit", jobs, c.Label)
 			}
 		}
 	}
+
+	// Plan-warm leg: with the metrics entries gone every run cell misses and
+	// resolves its plan chain — all of it from disk, none of it recomputed —
+	// so the plan tier is still proven end to end.
+	if removeEntries(t, dir, coldRep, func(c runner.CellStat) bool { return c.Kind == "metrics" }) == 0 {
+		t.Fatal("cold report lists no metrics cells")
+	}
+	planWarm, planRep := runAllCached(t, 1, openCache(t, dir))
+	if planWarm != ref {
+		t.Fatal("plan-warm run differs from cold run")
+	}
+	if planRep.PlanCells == 0 || planRep.PlanDiskHits != int64(planRep.PlanCells) {
+		t.Fatalf("plan-warm run served %d of %d plan cells from disk", planRep.PlanDiskHits, planRep.PlanCells)
+	}
+	if !strings.Contains(planRep.Table().String(), planRow) {
+		t.Fatalf("plan-warm run report lacks the %q row", planRow)
+	}
+	for _, c := range planRep.Cells {
+		if c.Kind == "characteristics" && !c.FromDisk {
+			t.Fatalf("plan-warm run recomputed %q", c.Label)
+		}
+	}
+}
+
+// removeEntries deletes the cache entries of the report's cells that match
+// and returns how many it removed.
+func removeEntries(t *testing.T, dir string, rep *runner.Report, match func(runner.CellStat) bool) int {
+	t.Helper()
+	n := 0
+	for _, c := range rep.Cells {
+		if match(c) {
+			if err := os.Remove(diskcache.SidecarPath(dir, c.Key, ".cell")); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // Every injected fault class must leave the output bytes untouched.
@@ -202,17 +249,68 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 		t.Fatalf("disk has %d entries, report persisted %d cells", got, persisted)
 	}
 
-	// A second sweep over the same presets serves both plan cells from disk.
+	// A second sweep whose run cells all miss (their entries removed) still
+	// needs exactly those two plan cells, and serves both from disk.
+	removeEntries(t, dir, rep, func(c runner.CellStat) bool { return c.Kind == "metrics" })
 	e2 := runner.New(2)
 	e2.SetCache(openCache(t, dir))
 	if _, err := RunOnCtx(bg, e2, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
-	if rep2 := e2.Report(); rep2.PlanDiskHits != 2 {
-		t.Fatalf("warm sweep served %d plan cells from disk, want 2", rep2.PlanDiskHits)
+	if rep2 := e2.Report(); rep2.PlanCells != 2 || rep2.PlanDiskHits != 2 {
+		t.Fatalf("plan-warm sweep served %d of %d plan cells from disk, want 2 of 2", rep2.PlanDiskHits, rep2.PlanCells)
 	}
 	if got := countEntries(t, dir); got != persisted {
-		t.Fatalf("warm sweep changed the entry count: %d != %d", countEntries(t, dir), got)
+		t.Fatalf("plan-warm sweep changed the entry count: %d != %d", got, persisted)
+	}
+}
+
+// A partially warm directory costs exactly the chains of the cells that
+// missed: one absent run entry instantiates that run cell, its plan cell and
+// its structure cell — nothing of any other processor count or application.
+func TestPartialWarmthLoadsOnlyMissedChains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full quick suite; skipped with -short")
+	}
+	o := QuickOpts()
+	maxP := o.Procs[len(o.Procs)-1]
+	hybridCfg := machine.Default(maxP)
+	dir := t.TempDir()
+	ref, _ := runAllCached(t, 1, openCache(t, dir))
+	for _, tc := range []struct {
+		name, key string
+		want      []string // labels of every cell not served from a metrics/characteristics entry
+	}{
+		{"n-body SHMEM P=4", core.CellKey("nbody/run", core.SHMEM, machine.Default(4), o.NBodyW),
+			[]string{"n-body SHMEM P=4 (computed)", "n-body plans P=4 (computed)", "n-body structure (disk)"}},
+		// The hybrid's plans are built at the node count, not the proc count.
+		{"mesh hybrid", core.CellKey("mesh/hybrid", hybridCfg, o.MeshW),
+			[]string{runLabel("mesh", core.Hybrid, maxP) + " (computed)",
+				fmt.Sprintf("mesh plans P=%d (disk)", machine.MustNew(hybridCfg).Nodes()), "mesh structure (disk)"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { // each rerun refills the entry it found missing
+			if err := os.Remove(diskcache.SidecarPath(dir, tc.key, ".cell")); err != nil {
+				t.Fatal(err)
+			}
+			out, rep := runAllCached(t, 1, openCache(t, dir))
+			if out != ref {
+				t.Fatal("partially warm run changed output bytes")
+			}
+			var got []string
+			for _, c := range rep.Cells {
+				switch {
+				case !c.FromDisk:
+					got = append(got, c.Label+" (computed)")
+				case c.Kind == "plan":
+					got = append(got, c.Label+" (disk)")
+				}
+			}
+			slices.Sort(got)
+			slices.Sort(tc.want)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("partially warm run instantiated\n  %q\nwant exactly\n  %q", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -159,54 +159,42 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  "Table 1 — Application and workload characteristics (reconstructed)",
 		Header: []string{"application", "elements", "edges/interactions", "adapt cycles/steps", "sweeps per cycle", "max imbalance pre-LB"},
 	}
-	var meshPlans []*adaptmesh.CyclePlan
-	var nbPlans []*barnes.StepPlan
-	var cgPl *cg.Plan
+	var mc MeshChars
+	var nc NBodyChars
+	var cc CGChars
 	var meshErr, nbErr, cgErr error
 	e.Warm(
-		func() { meshPlans, meshErr = MeshPlans(ctx, e, o.MeshW, 1) },
-		func() { nbPlans, nbErr = NBodyPlans(ctx, e, o.NBodyW, 1) },
-		func() { cgPl, cgErr = CGPlan(ctx, e, o.CGW, 1) },
+		func() { mc, meshErr = MeshCharacteristics(ctx, e, o.MeshW, 1) },
+		func() { nc, nbErr = NBodyCharacteristics(ctx, e, o.NBodyW, 1) },
+		func() { cc, cgErr = CGCharacteristics(ctx, e, o.CGW, 1) },
 	)
 	// A zero-cycle/zero-step workload yields an empty plan sequence; render
-	// it as a failure row instead of dividing by len() == 0 below.
-	if meshErr == nil && len(meshPlans) == 0 {
+	// it as a failure row instead of dividing by zero below.
+	if meshErr == nil && mc.Cycles == 0 {
 		meshErr = fmt.Errorf("empty plan sequence (Cycles=%d)", o.MeshW.Cycles)
 	}
-	if nbErr == nil && len(nbPlans) == 0 {
+	if nbErr == nil && nc.Steps == 0 {
 		nbErr = fmt.Errorf("empty plan sequence (Steps=%d)", o.NBodyW.Steps)
 	}
 	if meshErr != nil {
 		t.AddRow("adaptive mesh", runner.FailLabel(meshErr), "", "", "", "")
 	} else {
-		last := meshPlans[len(meshPlans)-1]
-		avgT, avgE := 0, 0
-		for _, pl := range meshPlans {
-			avgT += pl.M.NumTris()
-			avgE += pl.M.NumEdges()
-		}
 		t.AddRow("adaptive mesh",
-			fmt.Sprintf("%d tris (final %d)", avgT/len(meshPlans), last.M.NumTris()),
-			fmt.Sprintf("%d edges", avgE/len(meshPlans)),
+			fmt.Sprintf("%d tris (final %d)", mc.Tris/mc.Cycles, mc.FinalTris),
+			fmt.Sprintf("%d edges", mc.Edges/mc.Cycles),
 			fmt.Sprintf("%d cycles", o.MeshW.Cycles),
 			fmt.Sprintf("%d", o.MeshW.SolveIters),
-			core.F(last.Imbalance))
+			core.F(mc.Imbalance))
 	}
 	if nbErr != nil {
 		t.AddRow("barnes-hut n-body", runner.FailLabel(nbErr), "", "", "", "")
 	} else {
-		inter := 0
-		cells := 0
-		for _, pl := range nbPlans {
-			inter += pl.TotalInter
-			cells += pl.Tree.NumCells()
-		}
 		t.AddRow("barnes-hut n-body",
 			fmt.Sprintf("%d bodies", o.NBodyW.N),
-			fmt.Sprintf("%d interactions/step", inter/len(nbPlans)),
+			fmt.Sprintf("%d interactions/step", nc.Inter/nc.Steps),
 			fmt.Sprintf("%d steps", o.NBodyW.Steps),
 			"1",
-			fmt.Sprintf("theta=%.2f, %d cells", o.NBodyW.Theta, cells/len(nbPlans)))
+			fmt.Sprintf("theta=%.2f, %d cells", o.NBodyW.Theta, nc.Cells/nc.Steps))
 	}
 	t.AddRow("jacobi stencil (control)",
 		fmt.Sprintf("%dx%d grid", o.StencilW.N, o.StencilW.N),
@@ -218,8 +206,8 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		t.AddRow("conjugate gradient", runner.FailLabel(cgErr), "", "", "", "")
 	} else {
 		t.AddRow("conjugate gradient",
-			fmt.Sprintf("%d tris", cgPl.M.NumTris()),
-			fmt.Sprintf("%d edges (matrix rows %d)", cgPl.M.NumEdges(), cgPl.M.NumVertsUsed()),
+			fmt.Sprintf("%d tris", cc.Tris),
+			fmt.Sprintf("%d edges (matrix rows %d)", cc.Edges, cc.Rows),
 			"static refined",
 			fmt.Sprintf("%d CG iters", o.CGW.Iters),
 			"2 allreduce/iter")

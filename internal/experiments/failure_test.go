@@ -19,6 +19,69 @@ func poisonMeshMP(e *runner.Engine, o Opts, procs int, err error) {
 	e.Do(key, "poisoned mesh MP", func(context.Context) (any, error) { return nil, err })
 }
 
+// poisonMeshPlans pre-fails the mesh plan cell at the given processor count
+// the same way; every mesh run cell at that count depends on it.
+func poisonMeshPlans(e *runner.Engine, o Opts, procs int, err error) {
+	e.Do(meshPlanKey(o.MeshW, procs), "poisoned mesh plans", func(context.Context) (any, error) { return nil, err })
+}
+
+// A failed plan cell is the outcome of every run cell that has to be
+// computed from it — rendered as the dependency's failure behind the
+// dependency's name, without starting a run — and of nothing else.
+func TestPoisonedPlanFailsTheRunsComputedFromIt(t *testing.T) {
+	o := QuickOpts()
+	maxP := o.Procs[len(o.Procs)-1]
+	e := runner.New(2)
+	poisonMeshPlans(e, o, maxP, errors.New("injected fault"))
+
+	tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tabs[0].Rows
+	for col, got := range rows[len(rows)-1][1:] {
+		if got != "FAILED(mesh plans: injected fault)" {
+			t.Fatalf("column %d at P=%d = %q, want FAILED(mesh plans: injected fault)", col+1, maxP, got)
+		}
+	}
+	for _, r := range rows[:len(rows)-1] {
+		if strings.Contains(strings.Join(r, " "), "FAILED") {
+			t.Fatalf("a processor count with healthy plans degraded: %v", r)
+		}
+	}
+	if r := e.Report(); r.Failures != 4 { // the plan cell and its three run cells
+		t.Fatalf("Failures = %d, want 4", r.Failures)
+	}
+}
+
+// Dependencies are demand-driven: a run cell that is already on disk is
+// served without asking whether its plan cell would still resolve.
+func TestWarmRunCellIsServedDespitePoisonedPlan(t *testing.T) {
+	o := QuickOpts()
+	maxP := o.Procs[len(o.Procs)-1]
+	dir := t.TempDir()
+	render := func(e *runner.Engine) string {
+		tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Render(tabs)
+	}
+	fill := runner.New(2)
+	fill.SetCache(openCache(t, dir))
+	ref := render(fill)
+
+	e := runner.New(2)
+	e.SetCache(openCache(t, dir))
+	poisonMeshPlans(e, o, maxP, errors.New("injected fault"))
+	if got := render(e); got != ref {
+		t.Fatalf("warm run cells were not served past a poisoned plan cell:\n%s", got)
+	}
+	if r := e.Report(); r.Failures != 1 || r.PlanCells != 0 { // only the poisoned cell itself
+		t.Fatalf("Failures=%d PlanCells=%d, want 1 and 0", r.Failures, r.PlanCells)
+	}
+}
+
 func TestFailedCellRendersAsFailedEntry(t *testing.T) {
 	o := QuickOpts()
 	maxP := o.Procs[len(o.Procs)-1]

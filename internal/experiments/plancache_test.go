@@ -15,6 +15,7 @@ import (
 
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/cg"
+	"o2k/internal/core"
 	"o2k/internal/runner"
 	"o2k/internal/runner/diskcache"
 )
@@ -150,4 +151,46 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 			t.Fatalf("corrupt entries were served: PlanDiskHits=%d", rep.PlanDiskHits)
 		}
 	})
+}
+
+// The characteristics cells behind Table 1 persist like any other cell — a
+// warm table is three small disk hits and no plan cell — and their decoder is
+// strict: a well-framed payload of another shape is evicted and recomputed.
+func TestCharacteristicsCellsPersistAndRejectForeignPayloads(t *testing.T) {
+	o := QuickOpts()
+	dir := t.TempDir()
+	table1 := func(dc *diskcache.Cache) (string, *runner.Report) {
+		e := runner.New(2)
+		e.SetCache(dc)
+		return buildTable1(context.Background(), e, o).String(), e.Report()
+	}
+	ref, _ := table1(openCache(t, dir))
+
+	out, rep := table1(openCache(t, dir))
+	if out != ref {
+		t.Fatal("warm Table 1 differs from the cold one")
+	}
+	if rep.Unique != 3 || rep.DiskHits != 3 || rep.PlanCells != 0 {
+		t.Fatalf("warm Table 1: unique=%d disk hits=%d plan cells=%d, want 3/3/0", rep.Unique, rep.DiskHits, rep.PlanCells)
+	}
+
+	dc := openCache(t, dir)
+	for key, payload := range map[string]string{
+		core.CellKey("mesh/chars", charsSchema, meshPlanKey(o.MeshW, 1)): `{"Cycles":1,"Bogus":2}`,               // unknown field
+		core.CellKey("cg/chars", charsSchema, cgPlanKey(o.CGW, 1)):       `{"Tris":1,"Edges":1,"Rows":1} "more"`, // trailing data
+	} {
+		if err := dc.Put(key, []byte("v\n"+payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, rep = table1(dc)
+	if out != ref {
+		t.Fatal("foreign characteristics payloads changed Table 1")
+	}
+	if rep.DiskHits-rep.PlanDiskHits != 1 { // only the n-body characteristics survived
+		t.Fatalf("foreign payloads were served: %d non-plan disk hits, want 1", rep.DiskHits-rep.PlanDiskHits)
+	}
+	if _, rep = table1(openCache(t, dir)); rep.DiskHits != 3 {
+		t.Fatalf("evicted characteristics were not rewritten: disk hits=%d, want 3", rep.DiskHits)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/runner"
@@ -47,7 +46,7 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	var meshMax, meshMid, nb, nbMid, t3e [3]runner.Res
 	var fig7 *core.Table
 	var stMP, stSAS, hyb, cgMaxMP, cgMidMP runner.Res
-	var onPlans, offPlans []*adaptmesh.CyclePlan
+	var on, off MeshChars
 	var onErr, offErr error
 	e.Warm(
 		func() { meshMax = MeshModels(ctx, e, machine.Default(maxP), o.MeshW) },
@@ -57,8 +56,8 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		func() { fig7 = buildFig7(ctx, e, o) },
 		func() { stMP = Stencil(ctx, e, core.MP, machine.Default(maxP), o.StencilW) },
 		func() { stSAS = Stencil(ctx, e, core.SAS, machine.Default(maxP), o.StencilW) },
-		func() { onPlans, onErr = MeshPlans(ctx, e, o.MeshW, maxP) },
-		func() { offPlans, offErr = MeshPlans(ctx, e, wOff, maxP) },
+		func() { on, onErr = MeshCharacteristics(ctx, e, o.MeshW, maxP) },
+		func() { off, offErr = MeshCharacteristics(ctx, e, wOff, maxP) },
 		func() { t3e = MeshModels(ctx, e, machine.T3E(midP), o.MeshW) },
 		func() { hyb = MeshHybrid(ctx, e, machine.Default(maxP), o.MeshW) },
 		func() { cgMaxMP = CG(ctx, e, core.MP, machine.Default(maxP), o.CGW) },
@@ -135,14 +134,9 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		fmt.Sprintf("stencil %.2f vs mesh %.2f", stGap, gapMax))
 
 	// V8: PLUM remap reduces movement.
-	var mOn, mOff float64
-	for i := range onPlans {
-		mOn += onPlans[i].Remap.TotalW
-		mOff += offPlans[i].Remap.TotalW
-	}
 	add("V8", "PLUM remap moves less weight than identity",
-		onErr == nil && offErr == nil && mOn <= mOff,
-		fmt.Sprintf("%.0f vs %.0f", mOn, mOff))
+		onErr == nil && offErr == nil && on.MovedW <= off.MovedW,
+		fmt.Sprintf("%.0f vs %.0f", on.MovedW, off.MovedW))
 
 	// V9: machine-class flip.
 	add("V9", "on a T3E-like MPP the winner flips to SHMEM",

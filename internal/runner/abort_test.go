@@ -14,6 +14,11 @@ import (
 	"time"
 )
 
+// doCtx requests a memory-only cell with no dependencies under ctx.
+func doCtx(ctx context.Context, e *Engine, key string, compute Compute) (any, error) {
+	return e.DoCell(ctx, Cell{Key: key, Label: "cell", Prepare: Ready(compute)})
+}
+
 // waitFor polls cond for up to two seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -38,7 +43,7 @@ func TestRequestCancelAbortsAndRetiresCell(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.DoCachedCtx(ctx, "k", "cell", nil, blocking)
+		_, err := doCtx(ctx, e, "k", blocking)
 		errc <- err
 	}()
 	waitFor(t, "compute to start", func() bool { return count.Load() == 1 })
@@ -52,7 +57,7 @@ func TestRequestCancelAbortsAndRetiresCell(t *testing.T) {
 	waitFor(t, "cell retirement", func() bool { return e.Report().Unique == 0 })
 
 	// A fresh request recomputes as if the key had never been asked for.
-	v, err := e.DoCachedCtx(context.Background(), "k", "cell", nil, func(ctx context.Context) (any, error) {
+	v, err := doCtx(context.Background(), e, "k", func(ctx context.Context) (any, error) {
 		count.Add(1)
 		return 42, nil
 	})
@@ -84,7 +89,7 @@ func TestSecondWaiterKeepsCellAliveWhenFirstLeaves(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
 	go func() {
-		_, err := e.DoCachedCtx(ctxA, "k", "cell", nil, compute)
+		_, err := doCtx(ctxA, e, "k", compute)
 		errA <- err
 	}()
 	waitFor(t, "owner to start", func() bool { return count.Load() == 1 })
@@ -95,7 +100,7 @@ func TestSecondWaiterKeepsCellAliveWhenFirstLeaves(t *testing.T) {
 	}
 	resB := make(chan out, 1)
 	go func() {
-		v, err := e.DoCachedCtx(context.Background(), "k", "cell", nil, compute)
+		v, err := doCtx(context.Background(), e, "k", compute)
 		resB <- out{v, err}
 	}()
 	// B is registered once the in-flight cell shows a dedup request.
@@ -132,7 +137,7 @@ func TestEngineCancelOutcomesAreNotRetired(t *testing.T) {
 	started := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.DoCachedCtx(context.Background(), "k", "cell", nil, func(cctx context.Context) (any, error) {
+		_, err := doCtx(context.Background(), e, "k", func(cctx context.Context) (any, error) {
 			close(started)
 			<-cctx.Done()
 			return nil, context.Cause(cctx)
@@ -164,11 +169,11 @@ func TestRequestHookSeesOnlyItsOwnEvents(t *testing.T) {
 	hookB, _ := collect(&evB)
 
 	ctxA := WithRequestHook(context.Background(), hookA)
-	if _, err := e.DoCachedCtx(ctxA, "k", "cell", nil, func(ctx context.Context) (any, error) { return 1, nil }); err != nil {
+	if _, err := doCtx(ctxA, e, "k", func(ctx context.Context) (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	ctxB := WithRequestHook(context.Background(), hookB)
-	if _, err := e.DoCachedCtx(ctxB, "k", "cell", nil, nil); err != nil {
+	if _, err := doCtx(ctxB, e, "k", nil); err != nil {
 		t.Fatal(err)
 	}
 

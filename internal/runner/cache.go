@@ -20,14 +20,14 @@ import (
 // the cache can make a run slower, never different.
 
 // Codec serializes one cell type's successful value for the persistent
-// cache. Only cells whose helpers pass a codec to DoCached persist. Two
-// codec families exist: MetricsCodec for run cells, and the plan codecs in
-// experiments/cells.go that persist the structural tier (adaptation
-// histories, reference simulations, partitioning decisions) behind the plan
-// cells.
+// cache. Only cells that carry a codec persist. Three codec families
+// exist: MetricsCodec for run cells, and in experiments/cells.go the plan
+// codecs that persist the structural tier (adaptation histories, reference
+// simulations, partitioning decisions) behind the plan cells and the
+// characteristics codec for the few numbers the tables read off a plan.
 type Codec struct {
-	// Kind classifies the cell for reporting ("metrics", "plan"); it does
-	// not affect storage.
+	// Kind classifies the cell for reporting ("metrics", "plan",
+	// "characteristics"); it does not affect storage.
 	Kind string
 	// Encode turns the cell's value into a stable payload. An error means
 	// "do not cache this value"; the run is unaffected.
@@ -68,7 +68,8 @@ type cachedErrPayload struct {
 // and transient failures depend on deadlines, signals, and luck — caching
 // them would convert a one-off hiccup into a persistent wrong answer.
 // Values, deterministic compute errors, and panics (the simulator is
-// deterministic, so a panic reproduces) persist.
+// deterministic, so a panic reproduces) persist. A failed Prepare stage
+// does not: it restates a dependency's outcome, which has its own entry.
 func persistable(err error) bool {
 	if err == nil {
 		return true
@@ -76,7 +77,8 @@ func persistable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	return !IsTransient(err)
+	var pe *prepareError
+	return !errors.As(err, &pe) && !IsTransient(err)
 }
 
 // SetCache attaches a persistent cache to the engine. It must be called

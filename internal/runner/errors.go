@@ -29,6 +29,16 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
+// prepareError marks the failure of a cell's Prepare stage. It is transparent
+// — same message, same chain, so FailLabel renders the dependency's failure
+// exactly as the dependency itself would — and exists only so persistable can
+// keep the outcome off the disk: the failed dependency's own entry is the
+// durable record.
+type prepareError struct{ err error }
+
+func (e *prepareError) Error() string { return e.err.Error() }
+func (e *prepareError) Unwrap() error { return e.err }
+
 // transientError marks an error as retryable under the engine's Policy.
 type transientError struct{ err error }
 

@@ -71,13 +71,14 @@ func (e *Engine) SetHook(h Hook) { e.hook = h }
 type reqHookKey struct{}
 
 // WithRequestHook returns a context that carries h as a per-request event
-// hook. Every event a DoCachedCtx call fires for that request — and
-// only that request — is also delivered to h, in addition to the engine-wide
-// SetHook observer. Because all event kinds fire synchronously in the
-// requester's own goroutines, a request hook sees exactly the cell
-// lifecycle of its request with correct attribution, even while other
-// requests share the engine — the seam the experiment server streams
-// per-cell NDJSON from.
+// hook. Every event a DoCell call fires for that request — and only that
+// request — is also delivered to h, in addition to the engine-wide SetHook
+// observer. Events fire synchronously in the requester's goroutine or in the
+// publisher it created, and the publisher hands the hook on to the cells its
+// Prepare stage requests, so a request hook sees exactly the cell lifecycle
+// its request caused, with correct attribution, even while other requests
+// share the engine — the seam the experiment server streams per-cell NDJSON
+// from.
 func WithRequestHook(ctx context.Context, h Hook) context.Context {
 	return context.WithValue(ctx, reqHookKey{}, h)
 }

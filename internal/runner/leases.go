@@ -31,8 +31,9 @@ func (e *Engine) SetLeases(m *lease.Manager) { e.leases = m }
 // computeShared is the owner path of DoCached when a lease manager is
 // attached and the disk probe missed: coordinate with other processes over
 // the cell's lease, and either compute under it or adopt the foreign
-// owner's committed entry. fromDisk reports the latter.
-func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (val any, err error, attempts int, fromDisk bool) {
+// owner's committed entry. fromDisk reports the latter — an adopted cell
+// never runs its Prepare stage.
+func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, codec *Codec, prepare Prepare) (val any, err error, attempts int, fromDisk bool) {
 	for {
 		l, st := e.leases.Acquire(key)
 		switch st {
@@ -46,10 +47,13 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 				l.Release()
 				return v, cerr, 0, true
 			}
-			// Commit the outcome before releasing: a waiter that sees the
-			// lease vanish must find the entry (or conclude the outcome was
-			// environmental and compute it itself).
-			val, err, attempts = e.run(ctx, rh, key, label, compute)
+			// The lease is held across the cell's Prepare stage as well as its
+			// compute: the dependency graph is a DAG (run → plan → structure),
+			// so nested acquisitions cannot cycle, and the heartbeat covers
+			// the hold. Commit the outcome before releasing: a waiter that
+			// sees the lease vanish must find the entry (or conclude the
+			// outcome was environmental and compute it itself).
+			val, err, attempts = e.run(ctx, rh, key, label, prepare)
 			e.diskStore(key, codec, val, err)
 			l.Release()
 			return val, err, attempts, false
@@ -72,7 +76,7 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 			// hard links, corrupt-and-unremovable lease). Compute without
 			// exclusion: worst case is duplicated work, and last-rename-wins
 			// on identical bytes keeps the cache coherent.
-			val, err, attempts = e.run(ctx, rh, key, label, compute)
+			val, err, attempts = e.run(ctx, rh, key, label, prepare)
 			e.diskStore(key, codec, val, err)
 			return val, err, attempts, false
 		}

@@ -13,14 +13,14 @@ import (
 type CellStat struct {
 	Label    string        `json:"label"`               // human-readable cell description
 	Key      string        `json:"key"`                 // content hash (core.CellKey)
-	Wall     time.Duration `json:"wall_ns"`             // compute wall time paid by the owner
+	Wall     time.Duration `json:"wall_ns"`             // wall time paid by the owner, waits for its dependencies included
 	Hits     int64         `json:"hits"`                // requests served from the completed cache entry
 	Dedups   int64         `json:"dedups"`              // requests that shared the in-flight execution
 	Attempts int           `json:"attempts"`            // compute executions (1 unless retried)
 	Err      string        `json:"err,omitempty"`       // the cell's failure, empty on success
 	InFlight bool          `json:"in_flight,omitempty"` // still computing at snapshot time
 	FromDisk bool          `json:"from_disk,omitempty"` // served from the persistent cache
-	Kind     string        `json:"kind,omitempty"`      // codec classification ("metrics", "plan")
+	Kind     string        `json:"kind,omitempty"`      // codec classification ("metrics", "plan", "characteristics")
 }
 
 // Report is the engine's execution summary: how many cell requests the
@@ -34,7 +34,7 @@ type Report struct {
 	Hits         int64         `json:"hits"`
 	Dedups       int64         `json:"dedups"`
 	Failures     int           `json:"failures"`        // completed cells that ended in error
-	CellWall     time.Duration `json:"cell_wall_ns"`    // summed compute time of all unique cells
+	CellWall     time.Duration `json:"cell_wall_ns"`    // summed owner wall time of all unique cells
 	DiskHits     int64         `json:"disk_hits"`       // unique cells restored from the persistent cache
 	PlanCells    int           `json:"plan_cells"`      // completed plan-tier cells (structures + plans)
 	PlanDiskHits int64         `json:"plan_disk_hits"`  // plan-tier cells restored from the persistent cache
@@ -127,7 +127,10 @@ func (r *Report) Table() *core.Table {
 	if r.Disk != nil {
 		t.AddRow("disk cache", r.Disk.String(), "", "")
 		t.AddRow("cells from disk", fmt.Sprintf("%d", r.DiskHits), "", "")
-		t.AddRow("plan cells from disk", fmt.Sprintf("%d of %d", r.PlanDiskHits, r.PlanCells), "", "")
+		// A pass whose run cells were all known instantiates no plan cell.
+		if r.PlanCells > 0 {
+			t.AddRow("plan cells from disk", fmt.Sprintf("%d of %d", r.PlanDiskHits, r.PlanCells), "", "")
+		}
 	}
 	if r.Lease != nil {
 		t.AddRow("leases", fmt.Sprintf("acquired=%d stolen=%d lost=%d degraded=%d",

@@ -25,6 +25,10 @@
 // wall time and hit/miss/dedup statistics; Report exposes them as the
 // observability hook behind `o2kbench -runreport`.
 //
+// A cell's dependencies are a stage of the cell (Cell.Prepare), run only where
+// the cell itself has to be computed: a cell that is known, in memory or on
+// disk, is served without touching anything below it (DESIGN.md §5.2).
+//
 // Cells carry errors, not just values (DESIGN.md §5.3): a compute that
 // panics, times out, or fails is published as the cell's error and served to
 // every requester, so one wedged cell degrades one table entry instead of
@@ -128,11 +132,11 @@ type cell struct {
 	key      string
 	label    string
 	seq      uint64        // creation order, for stable reports
-	kind     string        // codec classification ("metrics", "plan"), "" if memory-only
+	kind     string        // codec classification (Codec.Kind), "" if memory-only
 	done     chan struct{} // closed once val/err are set
 	val      any
 	err      error
-	wall     time.Duration // compute wall time across all attempts
+	wall     time.Duration // the publisher's wall time: probes, Prepare, all attempts
 	attempts int           // times compute actually ran
 	fromDisk bool          // outcome restored from the persistent cache
 	retired  bool          // aborted outcome withdrawn from the memo map
@@ -197,26 +201,46 @@ func (e *Engine) Jobs() int { return e.jobs }
 // goroutines run to completion but publish the cancellation error.
 func (e *Engine) Cancel(cause error) { e.cancel(cause) }
 
+// Compute is a cell's work once its dependencies are resolved. It receives a
+// context cancelled at the per-cell deadline, on engine cancellation, or when
+// the cell's last requester leaves; long-running computes may observe it, but
+// the simulation runtime's stall watchdog is the backstop for those that
+// don't. It runs holding a worker slot and must not request cells.
+type Compute func(ctx context.Context) (any, error)
+
+// Cell is one request of the engine: a keyed computation, where it persists,
+// and how to produce it when every cheaper source has missed.
+type Cell struct {
+	Key   string // stable content hash (core.CellKey)
+	Label string // human-readable description for reports and events
+	Codec *Codec // persistence of the outcome; nil keeps the cell memory-only
+	// Prepare is the cell's dependency stage: it resolves whatever other
+	// cells the work needs and returns the Compute that captures them. The
+	// engine calls it at most once per owned miss — after the memo map, the
+	// disk and (with leases) the under-lease disk re-check have all missed,
+	// before a worker slot is taken, and never for a cell adopted from a
+	// foreign lease owner — so a dependency is paid for only where the cell
+	// itself has to be computed, and Prepare may request cells without
+	// risking the bounded pool, even at -jobs=1. Its context is the cell's
+	// compute context (so the last requester leaving aborts the nested
+	// waits too) carrying the creating request's hook. An error is the
+	// cell's outcome for this engine — memoized, never persisted: the failed
+	// dependency's own entry is the durable record.
+	Prepare Prepare
+}
+
+// Prepare is a cell's dependency stage (see Cell.Prepare).
+type Prepare func(ctx context.Context) (Compute, error)
+
+// Ready is the Prepare stage of a cell with no dependencies.
+func Ready(compute Compute) Prepare {
+	return func(context.Context) (Compute, error) { return compute, nil }
+}
+
 // Do returns the memoized result of compute under key, running it at most
-// once per Engine. The first requester becomes the owner: it acquires a
-// worker slot, computes (with the Policy's timeout and retry budget), and
-// publishes; concurrent requesters of the same key block on that one
-// execution (single-flight), and later requesters get the cached outcome
-// immediately. Failures are outcomes too: a panic, timeout, or returned
-// error is published as the cell's error to every requester — waiters
-// always unblock, and a subsequent request of the same key returns the
-// cached error without recomputing.
-//
-// compute receives a context cancelled at the per-cell deadline or on
-// engine cancellation; long-running computes may observe it, but the
-// simulation runtime's stall watchdog is the backstop for those that don't.
-//
-// compute must not call Do (directly or through a typed cell helper) —
-// nested acquisition could deadlock the bounded pool. Resolve dependency
-// cells *before* calling Do and capture their results in the closure, as
-// the typed helpers in experiments/cells.go do with their plan cells.
-func (e *Engine) Do(key, label string, compute func(ctx context.Context) (any, error)) (any, error) {
-	return e.DoCachedCtx(context.Background(), key, label, nil, compute)
+// once per Engine: DoCell for a memory-only cell with no dependencies.
+func (e *Engine) Do(key, label string, compute Compute) (any, error) {
+	return e.DoCached(key, label, nil, compute)
 }
 
 // DoCached is Do for cells that also persist across processes: when the
@@ -226,14 +250,25 @@ func (e *Engine) Do(key, label string, compute func(ctx context.Context) (any, e
 // slot — a warm entry costs one read, and every disk failure (absent,
 // unreadable, corrupt, stale) silently falls through to compute, so cached
 // and uncached runs are byte-identical by construction.
-func (e *Engine) DoCached(key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (any, error) {
-	return e.DoCachedCtx(context.Background(), key, label, codec, compute)
+func (e *Engine) DoCached(key, label string, codec *Codec, compute Compute) (any, error) {
+	return e.DoCell(context.Background(), Cell{Key: key, Label: label, Codec: codec, Prepare: Ready(compute)})
 }
 
-// DoCachedCtx is the one implementation behind Do and DoCached, scoped to
-// one request: cancelling ctx abandons this request's wait without
-// disturbing the engine or other requesters of the same cell. A nil codec
-// keeps the cell memory-only. The request semantics:
+// DoCell is the engine's one request entry. It returns the memoized outcome
+// of the cell, producing it at most once per Engine. The first requester
+// becomes the owner: a detached publisher tries the disk, then prepares the
+// dependencies, acquires a worker slot, computes (with the Policy's timeout
+// and retry budget) and publishes; concurrent requesters of the same key
+// block on that one execution (single-flight), and later requesters get the
+// cached outcome immediately. Failures are outcomes too: a panic, timeout,
+// or returned error — of Prepare or of the compute — is published as the
+// cell's error to every requester — waiters always unblock, and a
+// subsequent request of the same key returns the cached error without
+// recomputing. A cell served from the memo map or the disk is served
+// without asking whether its dependencies would still resolve.
+//
+// The request is scoped to ctx: cancelling it abandons this request's wait
+// without disturbing the engine or other requesters of the same cell.
 //
 //   - every live requester of an in-flight cell — the owner included —
 //     holds one reference on it; cancelling ctx drops this request out of
@@ -248,8 +283,10 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute func(ctx cont
 //     retries its lookup.
 //
 // If ctx carries a request hook (WithRequestHook), every event this request
-// produces is also delivered to it.
-func (e *Engine) DoCachedCtx(ctx context.Context, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (any, error) {
+// produces — including those of the cells its Prepare resolves — is also
+// delivered to it.
+func (e *Engine) DoCell(ctx context.Context, req Cell) (any, error) {
+	key, label := req.Key, req.Label
 	rh := requestHook(ctx)
 	for { // one pass serves, waits, or owns; only a retired outcome loops
 		e.mu.Lock()
@@ -270,8 +307,8 @@ func (e *Engine) DoCachedCtx(ctx context.Context, key, label string, codec *Code
 		} else {
 			c = &cell{key: key, label: label, seq: e.seq, done: make(chan struct{}), waiters: 1}
 			e.seq++
-			if codec != nil {
-				c.kind = codec.Kind
+			if req.Codec != nil {
+				c.kind = req.Codec.Kind
 			}
 			c.cctx, c.abort = context.WithCancelCause(e.ctx)
 			e.cells[key] = c
@@ -292,7 +329,7 @@ func (e *Engine) DoCachedCtx(ctx context.Context, key, label string, codec *Code
 			// aborted on behalf of) the remaining references. The publisher
 			// holds no reference of its own; the creator's registration is
 			// what keeps a fresh cell's compute alive.
-			go e.publish(c, rh, codec, compute)
+			go e.publish(c, rh, req.Codec, req.Prepare)
 		}
 		retired, err := e.await(ctx, c, label)
 		if err != nil {
@@ -349,14 +386,14 @@ func (e *Engine) await(ctx context.Context, c *cell, label string) (retired bool
 // (disk, lease-coordinated compute, or plain compute), publishes it, and
 // closes done. Whatever happens inside — success, error, panic, timeout,
 // abort — done is closed, so no requester can block forever on this key.
-func (e *Engine) publish(c *cell, rh Hook, codec *Codec, compute func(ctx context.Context) (any, error)) {
+func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 	start := time.Now()
 	if v, cerr, ok := e.diskLoad(c.key, codec); ok {
 		c.val, c.err, c.fromDisk = v, cerr, true
 	} else if e.leases != nil && e.cache != nil && codec != nil {
-		c.val, c.err, c.attempts, c.fromDisk = e.computeShared(c.cctx, rh, c.key, c.label, codec, compute)
+		c.val, c.err, c.attempts, c.fromDisk = e.computeShared(c.cctx, rh, c.key, c.label, codec, prepare)
 	} else {
-		c.val, c.err, c.attempts = e.run(c.cctx, rh, c.key, c.label, compute)
+		c.val, c.err, c.attempts = e.run(c.cctx, rh, c.key, c.label, prepare)
 		e.diskStore(c.key, codec, c.val, c.err)
 	}
 	if c.fromDisk && e.hooked(rh) {
@@ -378,10 +415,16 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, compute func(ctx contex
 	c.abort(nil) // release the cctx timer/child bookkeeping
 }
 
-// run executes compute under the engine's retry policy and returns the final
-// outcome and the number of attempts actually made. ctx is the cell's
-// compute context: the engine context plus the cell's abort.
-func (e *Engine) run(ctx context.Context, rh Hook, key, label string, compute func(ctx context.Context) (any, error)) (val any, err error, attempts int) {
+// run is the owned-miss path of one cell: prepare the dependencies — once,
+// holding no worker slot — then execute the compute under the engine's retry
+// policy. It returns the final outcome and the number of attempts actually
+// made. ctx is the cell's compute context: the engine context plus the
+// cell's abort.
+func (e *Engine) run(ctx context.Context, rh Hook, key, label string, prepare Prepare) (val any, err error, attempts int) {
+	compute, err := e.prepare(ctx, rh, label, prepare)
+	if err != nil {
+		return nil, err, 0
+	}
 	for {
 		var t0 time.Time
 		if e.hooked(rh) {
@@ -406,13 +449,33 @@ func (e *Engine) run(ctx context.Context, rh Hook, key, label string, compute fu
 	}
 }
 
+// prepare runs a cell's dependency stage on the publisher goroutine. The
+// nested requests it makes wait under ctx, so they end with the cell, and
+// carry the creating request's hook, so the dependencies a request caused
+// appear on its event stream. Failures (a panic included) are marked so the
+// outcome is memoized but never persisted.
+func (e *Engine) prepare(ctx context.Context, rh Hook, label string, stage Prepare) (compute Compute, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Cell: label, Reason: r, Stack: debug.Stack()}
+		}
+		if err != nil {
+			err = &prepareError{err: err}
+		}
+	}()
+	if rh != nil {
+		ctx = WithRequestHook(ctx, rh)
+	}
+	return stage(ctx)
+}
+
 // attempt runs compute once: acquire a worker slot (or fail on engine
 // cancellation or cell abort), execute on a child goroutine with panic
 // recovery, and wait for the result or the per-cell deadline. The child
 // releases the slot when compute actually returns — a timed-out compute
 // keeps its slot until then, so the pool never runs more than jobs
 // simulations at once.
-func (e *Engine) attempt(ctx context.Context, label string, compute func(ctx context.Context) (any, error)) (any, error) {
+func (e *Engine) attempt(ctx context.Context, label string, compute Compute) (any, error) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():

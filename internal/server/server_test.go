@@ -72,7 +72,7 @@ func init() {
 			blockMu.Lock()
 			gate, started := blockGate, blockStarted
 			blockMu.Unlock()
-			v, err := e.DoCachedCtx(ctx, "test-block-cell", "test-block", nil, func(cctx context.Context) (any, error) {
+			v, err := e.DoCell(ctx, runner.Cell{Key: "test-block-cell", Label: "test-block", Prepare: runner.Ready(func(cctx context.Context) (any, error) {
 				blockMu.Lock()
 				blockCount++
 				blockMu.Unlock()
@@ -86,7 +86,7 @@ func init() {
 				case <-cctx.Done():
 					return nil, context.Cause(cctx)
 				}
-			})
+			})})
 			tb := &core.Table{Title: "test-block", Header: []string{"result"}}
 			if err != nil {
 				tb.AddRow("FAILED(" + err.Error() + ")")
