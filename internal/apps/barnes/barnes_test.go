@@ -145,3 +145,32 @@ func TestMetricsExtras(t *testing.T) {
 		t.Error("MP run sent no messages")
 	}
 }
+
+// TestSmallCountersPinned pins the simulated outcome of the Small workload —
+// virtual time and every counter — per model at P = 1 and 8, as recorded from
+// the commit before the force replay went memo-free (PR 14): a host-side
+// optimisation of the charging loops must reproduce them exactly.
+func TestSmallCountersPinned(t *testing.T) {
+	pins := []struct {
+		model core.Model
+		procs int
+		total sim.Time
+		c     sim.Counters
+	}{
+		{core.MP, 1, 17775542, sim.Counters{CacheHits: 1475238, LocalMisses: 338, BytesSent: 61440, Collectives: 6}},
+		{core.SHMEM, 1, 17775542, sim.Counters{CacheHits: 1475238, LocalMisses: 338, BytesSent: 61440, Collectives: 9}},
+		{core.SAS, 1, 17757702, sim.Counters{CacheHits: 1467558, LocalMisses: 338, Collectives: 13}},
+		{core.MP, 8, 3770419, sim.Counters{CacheHits: 1564320, LocalMisses: 2704, BytesSent: 62016, MsgsSent: 72, Collectives: 48}},
+		{core.SHMEM, 8, 3542407, sim.Counters{CacheHits: 1564320, LocalMisses: 2704, BytesSent: 61440, MsgsSent: 168, Collectives: 72}},
+		{core.SAS, 8, 3075328, sim.Counters{CacheHits: 1461016, LocalMisses: 1729, RemoteMisses: 5151, CohMisses: 5063, Collectives: 104}},
+	}
+	w := Small()
+	plans := map[int][]*StepPlan{1: BuildPlans(w, 1), 8: BuildPlans(w, 8)}
+	for _, pin := range pins {
+		met := RunWithPlans(pin.model, mach(pin.procs), w, plans[pin.procs])
+		if met.Total != pin.total || met.Counters != pin.c {
+			t.Errorf("%v P=%d: total %d counters %+v, pinned %d %+v",
+				pin.model, pin.procs, met.Total, met.Counters, pin.total, pin.c)
+		}
+	}
+}

@@ -40,7 +40,11 @@ type StepStructure struct {
 func (st *Structure) attachWalks(w Workload) {
 	m := nbody.NewPlummer(w.N, w.Seed).M
 	for _, ss := range st.Steps {
-		ss.Walk = newWalkPlan(ss.X, ss.Y, m, ss.Tree, w.Theta)
+		total := 0
+		for _, k := range ss.Inter {
+			total += k
+		}
+		ss.Walk = newWalkPlan(ss.X, ss.Y, m, ss.Tree, w.Theta, total)
 	}
 }
 

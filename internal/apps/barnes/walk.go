@@ -1,116 +1,12 @@
 package barnes
 
-import (
-	"math"
-
-	"o2k/internal/nbody"
-	"o2k/internal/numa"
-)
+import "o2k/internal/numa"
 
 // replayWalk charges body i's force-walk loads from the precomputed trace —
-// the exact access sequence the cursor walker (below) would issue, with the
-// traversal logic and physics paid once in WalkPlan.build instead of once
-// per model per processor count. Entry e >= 0 loads body e's x/y/m; entry
+// the exact access sequence the cursor walker (walk_test.go) would issue,
+// with the traversal logic and physics paid once in WalkPlan.build instead of
+// once per model per processor count. Entry e >= 0 loads body e's x/y/m; entry
 // e < 0 loads cell ^e's three centre-of-mass words.
 func replayWalk(wp *WalkPlan, i int, cx, cy, cm, ccl *numa.Cursor[float64]) {
 	numa.ReplayLoads(wp.Trace[wp.Off[i]:wp.Off[i+1]], cx, cy, cm, ccl)
-}
-
-// treeWalker runs the Barnes-Hut traversal against cursor-based readers.
-// nbody.(*Tree).Accel takes func-valued readers so each model can charge its
-// own memory costs, but that indirect call per interaction dominates
-// full-scale profiles; with concrete cursors the costed loads inline straight
-// into the loop. Arithmetic and traversal order are identical to nbody.Accel
-// (walk_test.go checks them value-for-value), and the traversal stack is
-// reused across bodies. The production force loops replay the precomputed
-// trace instead (replayWalk); the walker remains as the differential
-// reference that pins the trace to the real traversal.
-type treeWalker struct {
-	stack []int32
-}
-
-func (wk *treeWalker) accel(t *nbody.Tree, self int32, bx, by, theta float64,
-	cx, cy, cm, ccl *numa.Cursor[float64]) (ax, ay float64, inter int) {
-
-	stack := wk.stack[:0]
-	stack = append(stack, t.Root)
-	tt := theta * theta // hoisted; (theta*theta)*d2 is the original association
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cell := &t.Cells[c]
-		if cell.NBody == 0 {
-			continue
-		}
-		if cell.Bodies != nil {
-			for _, j := range cell.Bodies {
-				if j == self {
-					continue
-				}
-				ji := int(j)
-				jx, ok := cx.TryLoad(ji)
-				if !ok {
-					if jx, ok = cx.TryProbe(ji); !ok {
-						jx = cx.LoadMiss(ji)
-					}
-				}
-				jy, ok := cy.TryLoad(ji)
-				if !ok {
-					if jy, ok = cy.TryProbe(ji); !ok {
-						jy = cy.LoadMiss(ji)
-					}
-				}
-				jm, ok := cm.TryLoad(ji)
-				if !ok {
-					if jm, ok = cm.TryProbe(ji); !ok {
-						jm = cm.LoadMiss(ji)
-					}
-				}
-				dx, dy := jx-bx, jy-by
-				d2 := dx*dx + dy*dy + nbody.Soft2
-				inv := 1 / (d2 * math.Sqrt(d2))
-				ax += nbody.G * jm * dx * inv
-				ay += nbody.G * jm * dy * inv
-				inter++
-			}
-			continue
-		}
-		ci := int(3 * c)
-		ccx, ok := ccl.TryLoad(ci)
-		if !ok {
-			if ccx, ok = ccl.TryProbe(ci); !ok {
-				ccx = ccl.LoadMiss(ci)
-			}
-		}
-		ccy, ok := ccl.TryLoad(ci + 1)
-		if !ok {
-			if ccy, ok = ccl.TryProbe(ci + 1); !ok {
-				ccy = ccl.LoadMiss(ci + 1)
-			}
-		}
-		ccm, ok := ccl.TryLoad(ci + 2)
-		if !ok {
-			if ccm, ok = ccl.TryProbe(ci + 2); !ok {
-				ccm = ccl.LoadMiss(ci + 2)
-			}
-		}
-		dx, dy := ccx-bx, ccy-by
-		d2 := dx*dx + dy*dy
-		if cell.Size*cell.Size < tt*d2 {
-			d2 += nbody.Soft2
-			inv := 1 / (d2 * math.Sqrt(d2))
-			ax += nbody.G * ccm * dx * inv
-			ay += nbody.G * ccm * dy * inv
-			inter++
-			continue
-		}
-		// Push children in reverse quadrant order so they pop in order.
-		for q := 3; q >= 0; q-- {
-			if ch := cell.Child[q]; ch >= 0 {
-				stack = append(stack, ch)
-			}
-		}
-	}
-	wk.stack = stack
-	return ax, ay, inter
 }

@@ -1,12 +1,72 @@
 package barnes
 
 import (
+	"math"
 	"testing"
 
 	"o2k/internal/nbody"
 	"o2k/internal/numa"
 	"o2k/internal/sim"
 )
+
+// walkAccel runs the Barnes-Hut traversal against cursor-based readers:
+// arithmetic and traversal order are nbody.Accel's, every load is a costed
+// Cursor.Load. The production force loops replay the precomputed trace
+// instead (replayWalk); this walker is the differential reference that pins
+// the trace — visit sequence, accelerations, charges — to the real traversal.
+func walkAccel(t *nbody.Tree, self int32, bx, by, theta float64,
+	cx, cy, cm, ccl *numa.Cursor[float64]) (ax, ay float64, inter int) {
+
+	stack := []int32{t.Root}
+	tt := theta * theta // hoisted; (theta*theta)*d2 is the original association
+	for len(stack) > 0 {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		cell := &t.Cells[c]
+		if cell.NBody == 0 {
+			continue
+		}
+		if cell.Bodies != nil {
+			for _, j := range cell.Bodies {
+				if j == self {
+					continue
+				}
+				ji := int(j)
+				jx := cx.Load(ji)
+				jy := cy.Load(ji)
+				jm := cm.Load(ji)
+				dx, dy := jx-bx, jy-by
+				d2 := dx*dx + dy*dy + nbody.Soft2
+				inv := 1 / (d2 * math.Sqrt(d2))
+				ax += nbody.G * jm * dx * inv
+				ay += nbody.G * jm * dy * inv
+				inter++
+			}
+			continue
+		}
+		ci := int(3 * c)
+		ccx := ccl.Load(ci)
+		ccy := ccl.Load(ci + 1)
+		ccm := ccl.Load(ci + 2)
+		dx, dy := ccx-bx, ccy-by
+		d2 := dx*dx + dy*dy
+		if cell.Size*cell.Size < tt*d2 {
+			d2 += nbody.Soft2
+			inv := 1 / (d2 * math.Sqrt(d2))
+			ax += nbody.G * ccm * dx * inv
+			ay += nbody.G * ccm * dy * inv
+			inter++
+			continue
+		}
+		// Push children in reverse quadrant order so they pop in order.
+		for q := 3; q >= 0; q-- {
+			if ch := cell.Child[q]; ch >= 0 {
+				stack = append(stack, ch)
+			}
+		}
+	}
+	return ax, ay, inter
+}
 
 // walkFixture builds one step's body/cell arrays on a fresh 1-proc space and
 // hands the cursors to fn inside a simulated proc body. Each call allocates
@@ -64,11 +124,10 @@ func TestWalkPlanMatchesCursorWalker(t *testing.T) {
 		axW := make([]float64, w.N)
 		ayW := make([]float64, w.N)
 		tW, hW := walkFixture(t, ss, m, func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64]) {
-			var wk treeWalker
 			for i := 0; i < w.N; i++ {
 				bx, by := cx.Load(i), cy.Load(i)
 				var inter int
-				axW[i], ayW[i], inter = wk.accel(ss.Tree, int32(i), bx, by, w.Theta, cx, cy, cm, ccl)
+				axW[i], ayW[i], inter = walkAccel(ss.Tree, int32(i), bx, by, w.Theta, cx, cy, cm, ccl)
 				if inter != ss.Inter[i] {
 					t.Fatalf("body %d: walker inter %d, structure %d", i, inter, ss.Inter[i])
 				}
@@ -110,13 +169,7 @@ func TestWalkPlanMatchesCursorWalker(t *testing.T) {
 				for _, e := range wp.Trace[wp.Off[i]:wp.Off[i+1]] {
 					if e >= 0 {
 						j := int(e)
-						jx, ok := cx.TryLoad(j)
-						if !ok {
-							if jx, ok = cx.TryProbe(j); !ok {
-								jx = cx.LoadMiss(j)
-							}
-						}
-						_ = jx
+						_ = cx.Load(j)
 						if !cy.TryTouch(j) {
 							cy.TouchMiss(j)
 						}

@@ -27,6 +27,7 @@ type WalkPlan struct {
 	x, y, m []float64
 	tree    *nbody.Tree
 	theta   float64
+	inter   int // the step's recorded interaction total: sizes the trace
 	once    sync.Once
 
 	AX, AY []float64 // per body, the step's reference accelerations
@@ -35,8 +36,9 @@ type WalkPlan struct {
 }
 
 // newWalkPlan captures the inputs; the trace itself is built on first Ensure.
-func newWalkPlan(x, y, m []float64, t *nbody.Tree, theta float64) *WalkPlan {
-	return &WalkPlan{x: x, y: y, m: m, tree: t, theta: theta}
+// inter is the step's recorded interaction total.
+func newWalkPlan(x, y, m []float64, t *nbody.Tree, theta float64, inter int) *WalkPlan {
+	return &WalkPlan{x: x, y: y, m: m, tree: t, theta: theta, inter: inter}
 }
 
 // Ensure builds the trace once and returns the receiver. Safe to call from
@@ -57,7 +59,9 @@ func (wp *WalkPlan) build() {
 	wp.AX = make([]float64, n)
 	wp.AY = make([]float64, n)
 	wp.Off = make([]int32, n+1)
-	trace := make([]int32, 0, 32*n)
+	// One entry per interaction plus one per opened cell; a quarter on top
+	// covers the opened cells at the paper's theta, and append still grows.
+	trace := make([]int32, 0, wp.inter+wp.inter/4)
 	stack := make([]int32, 0, 64)
 	tt := wp.theta * wp.theta
 	for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package numa
 import (
 	"testing"
 
+	"o2k/internal/machine"
 	"o2k/internal/sim"
 )
 
@@ -74,9 +75,26 @@ func BenchmarkTouchRange(b *testing.B) {
 
 // BenchmarkReplayLoads charges a walk-shaped trace (a cell read followed by
 // a burst of leaf loads, repeated) through the four-cursor batched replay —
-// the barnes force phase's hot loop.
+// the barnes force phase's hot loop — in its two regimes. hit: the 4 MB
+// cache, every line alone in its set, every load an MRU hit (the P = 1 cells).
+// conflict: a two-set cache in which the x, y and m lines of a leaf share a
+// set (arrays are page-aligned), so nearly every load finds its line in a
+// non-MRU way and reorders the set — the far end of what the replicated
+// arrays of the MP/SHMEM P = 64 cells do on about half their loads.
 func BenchmarkReplayLoads(b *testing.B) {
-	sp, _ := space(1)
+	b.Run("hit", func(b *testing.B) {
+		benchReplayLoads(b, machine.Default(1), 512, func(c, j int) int { return (c*11 + j*3) % 4096 })
+	})
+	b.Run("conflict", func(b *testing.B) {
+		cfg := machine.Default(1)
+		cfg.CacheBytes = 2 * cacheWays * cfg.LineBytes
+		// Two body lines and one cell line: seven lines, all resident.
+		benchReplayLoads(b, cfg, 5, func(c, j int) int { return (c + j*5) % 32 })
+	})
+}
+
+func benchReplayLoads(b *testing.B, cfg machine.Config, cells int, leaf func(c, j int) int) {
+	sp := NewSpace(machine.MustNew(cfg))
 	g := sim.NewGroup(1)
 	x := NewPrivate[float64](sp, 0, 4096)
 	y := NewPrivate[float64](sp, 0, 4096)
@@ -84,9 +102,9 @@ func BenchmarkReplayLoads(b *testing.B) {
 	cl := NewPrivate[float64](sp, 0, 3*512)
 	var tr []int32
 	for c := 0; c < 512; c++ {
-		tr = append(tr, int32(^c))
+		tr = append(tr, int32(^(c % cells)))
 		for j := 0; j < 6; j++ {
-			tr = append(tr, int32((c*11+j*3)%4096))
+			tr = append(tr, int32(leaf(c, j)))
 		}
 	}
 	p := g.Proc(0)
@@ -100,6 +118,7 @@ func BenchmarkReplayLoads(b *testing.B) {
 	cy.Flush()
 	cm.Flush()
 	cc.Flush()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*3*len(tr)), "ns/load")
 }
 
 // BenchmarkLoadArmSweep runs the stencil inner loop's access shape: three

@@ -156,6 +156,17 @@ func (c *cache) mruHit(base, line uint64) bool {
 	return c.chunks[base>>chunkSlotsLog][base&(chunkSlots-1)] == uint32(line)+1
 }
 
+// mruAt is setBase + mruHit over a cache's geometry held in the caller's
+// locals (chunks, setBits&63, setMask) — for loops hot enough that reloading
+// the three through c on every probe shows (ReplayLoads): whether line
+// occupies the MRU way of its set. With setBits < 64, u>>setBits is
+// line>>(2*setBits). Must stay inlinable, and in step with setBase.
+func mruAt(chunks [][]uint32, setBits uint, setMask, line uint64) bool {
+	u := line >> setBits
+	base := ((line ^ u ^ u>>setBits) & setMask) * cacheWays
+	return chunks[base>>chunkSlotsLog][base&(chunkSlots-1)] == uint32(line)+1
+}
+
 // access looks line up and installs it as MRU; reports whether it was a hit.
 func (c *cache) access(line uint64) bool {
 	base := c.setBase(line)

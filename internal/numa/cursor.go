@@ -50,55 +50,11 @@ func (cu *Cursor[T]) Load(i int) T {
 	return cu.loadSlow(i, gl)
 }
 
-// TryLoad is the inlinable fast path of Load: it returns (value, true) iff
-// element i hits the per-proc MRU memo, charging exactly like Load's fast
-// path. On false it charges nothing; the caller completes the access with
-// LoadMiss(i). Load itself cannot inline (its slow-path call alone busts the
-// inliner's budget), so the hottest inner loops — the tree walk — use this
-// pair to keep the fast path call-free.
-func (cu *Cursor[T]) TryLoad(i int) (T, bool) {
-	a := cu.a
-	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
-	if lr.line == gl+1 && lr.gen == cu.c.gen {
-		cu.hits++
-		cu.lat += a.cacheHitNS
-		return a.data[i], true
-	}
-	var zero T
-	return zero, false
-}
-
-// TryProbe is the second inlinable stage of a cursor load: after TryLoad
-// misses the memo, it probes the MRU way of the line's set directly — the
-// overwhelmingly common outcome in replayed loops like the tree walk, where
-// a line transition leaves the target line still MRU from the previous
-// body's traversal. A hit charges and refreshes the memo exactly like
-// loadSlow's probe branch. On false (not MRU, or reference model) the caller
-// completes the access with LoadMiss(i).
-func (cu *Cursor[T]) TryProbe(i int) (T, bool) {
-	var zero T
-	if refModel {
-		return zero, false
-	}
-	a := cu.a
-	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	c := cu.c
-	base := c.setBase(gl)
-	if c.mruHit(base, gl) {
-		cu.hits++
-		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, c.gen}
-		return a.data[i], true
-	}
-	return zero, false
-}
-
 // TryTouch charges a load of element i iff it hits the per-proc MRU memo,
 // without materializing the value — the replay loops (precomputed traversal
 // traces) need only the charge. Returns whether it charged; on false it
 // changes nothing and the caller completes with TouchMiss(i). Charging is
-// identical to TryLoad's.
+// identical to Load's memo fast path.
 func (cu *Cursor[T]) TryTouch(i int) bool {
 	a := cu.a
 	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
@@ -112,7 +68,9 @@ func (cu *Cursor[T]) TryTouch(i int) bool {
 }
 
 // TouchMiss completes a charge whose TryTouch returned false; identical
-// charging to LoadMiss without returning the element.
+// charging to Load's slow path without returning the element. It never
+// consults the memo, so on its own it charges any load correctly — an MRU
+// probe, else the full access (ReplayLoads' touchEntry relies on that).
 func (cu *Cursor[T]) TouchMiss(i int) {
 	a := cu.a
 	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
@@ -167,14 +125,6 @@ func (cu *Cursor[T]) LoadArm(arm *Arm, i int) T {
 	arm.line = gl + 1
 	arm.gen = cu.c.gen
 	return v
-}
-
-// LoadMiss completes an access whose TryLoad returned false. TryLoad+LoadMiss
-// charges identically to one Load (and TryLoad+TryProbe+LoadMiss likewise:
-// a failed probe changes no state, so the re-probe inside charges the same).
-func (cu *Cursor[T]) LoadMiss(i int) T {
-	a := cu.a
-	return cu.loadSlow(i, a.baseLine+uint64(uint64(i)*a.elemSize>>a.lineShift))
 }
 
 func (cu *Cursor[T]) loadSlow(i int, gl uint64) T {

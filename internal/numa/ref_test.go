@@ -1,10 +1,13 @@
 package numa
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"o2k/internal/machine"
 	"o2k/internal/sim"
 )
 
@@ -21,6 +24,24 @@ type traceResult struct {
 	Evicts   []uint64
 	PenLog   []sim.Time // concatenated MergeEpoch penalties, in call order
 	Checksum float64    // data written through the arrays (model-independent)
+}
+
+// mergeEpoch resolves coherence at a synchronization point and charges the
+// penalties exactly as a barrier would, logging them.
+func (res *traceResult) mergeEpoch(sp *Space, g *sim.Group) {
+	for i, d := range sp.MergeEpoch() {
+		g.Proc(i).Advance(d)
+		res.PenLog = append(res.PenLog, d)
+	}
+}
+
+// snapshot records every processor's final state and the eviction counts.
+func (res *traceResult) snapshot(sp *Space, g *sim.Group) {
+	for i := 0; i < g.Size(); i++ {
+		p := g.Proc(i)
+		res.Procs = append(res.Procs, procState{p.Now(), p.PhaseTimes(), p.Counters})
+	}
+	res.Evicts = sp.CohEvictions()
 }
 
 // runTrace executes a seeded random access trace against a fresh Space with
@@ -87,30 +108,20 @@ func runTrace(t *testing.T, seed int64, useRef bool) traceResult {
 				sum += a.Load(p, rng.Intn(a.Len()))
 			}
 		case 6:
-			// Cursor load chains, staged randomly through the inlinable
-			// TryLoad / TryProbe fast paths and the LoadMiss completion.
+			// Cursor load chains: the value-returning Load, and the charge-only
+			// TryTouch/TouchMiss pair reading the element directly.
 			cu := shA.Cursor(p)
 			n := 1 + rng.Intn(32)
 			for k := 0; k < n; k++ {
 				i := rng.Intn(shA.Len())
-				switch rng.Intn(3) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					sum += cu.Load(i)
-				case 1:
-					v, ok := cu.TryLoad(i)
-					if !ok {
-						v = cu.LoadMiss(i)
-					}
-					sum += v
-				default:
-					v, ok := cu.TryLoad(i)
-					if !ok {
-						if v, ok = cu.TryProbe(i); !ok {
-							v = cu.LoadMiss(i)
-						}
-					}
-					sum += v
+					continue
 				}
+				if !cu.TryTouch(i) {
+					cu.TouchMiss(i)
+				}
+				sum += shA.Data()[i]
 			}
 			cu.Flush()
 		case 7:
@@ -157,33 +168,20 @@ func runTrace(t *testing.T, seed int64, useRef bool) traceResult {
 			cm.Flush()
 			cc.Flush()
 		}
-		// Periodic synchronization point: resolve coherence and charge the
-		// penalties exactly as a barrier would.
+		// Periodic synchronization point.
 		if step%257 == 256 {
-			pen := sp.MergeEpoch()
-			for i, d := range pen {
-				g.Proc(i).Advance(d)
-				res.PenLog = append(res.PenLog, d)
-			}
+			res.mergeEpoch(sp, g)
 		}
 	}
 
-	for i := 0; i < procs; i++ {
-		p := g.Proc(i)
-		res.Procs = append(res.Procs, procState{
-			Clock:    p.Now(),
-			Phases:   p.PhaseTimes(),
-			Counters: p.Counters,
-		})
-	}
-	res.Evicts = sp.CohEvictions()
+	res.snapshot(sp, g)
 	res.Checksum = sum
 	return res
 }
 
 // TestFastPathMatchesReference is the differential test for the optimized
 // cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
-// cursor chains (TryLoad/TryProbe/LoadMiss, TryTouch/TouchMiss, LoadArm),
+// cursor chains (Load, TryTouch/TouchMiss, LoadArm),
 // the batched trace replay (ReplayLoads), and the filtered, inverted
 // coherence merge must be observationally identical to the straightforward
 // reference implementations in ref.go — same virtual clocks, same per-phase
@@ -230,4 +228,203 @@ func TestTouchRangeMatchesPerLine(t *testing.T) {
 		t.Fatalf("bulk TouchRange diverged from per-line charging:\nbulk: %+v %v\nline: %+v %v",
 			bulkSt, bulkEv, lineSt, lineEv)
 	}
+}
+
+// replayCase is one ReplayLoads regime for the differential test below.
+type replayCase struct {
+	name        string
+	line, cache int  // LineBytes / CacheBytes overrides (0 = machine default)
+	window      int  // leaf loads come from this many consecutive bodies (0 = 48)
+	private     bool // private arrays, one processor (the MP/SHMEM replicas)
+	mixed       bool // by bound to another processor: the per-access fallback
+	wantReorder bool // the non-MRU-hit path must take a large share of loads
+}
+
+// replayResult is everything a replay scenario may change: the traceResult
+// of runTrace plus the final tag array of every cache, LRU order included.
+type replayResult struct {
+	traceResult
+	Tags [][]uint32
+}
+
+// replayRegime counts, on the optimized path, how the replayed loads split:
+// slow-path hits (a non-MRU way, reordered) are charged straight to the
+// processor, MRU hits sit in the cursors until Flush.
+type replayRegime struct {
+	loads, reorder, straddle uint64
+}
+
+// runReplayCase drives walk-shaped traces through ReplayLoads on a quartet of
+// arrays of element type T, with per-access Load/Store/TryTouch traffic on
+// the same arrays before the replay and — through the same, unflushed
+// cursors — after it, so memos the replay left stale are consulted, and
+// periodic coherence merges.
+func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, val func(int) T) (replayResult, replayRegime) {
+	t.Helper()
+	refModel = useRef
+	defer func() { refModel = false }()
+
+	const procs, bodies, ncells = 4, 1024, 128
+	cfg := machine.Default(procs)
+	cfg.LineBytes = cmp.Or(rc.line, cfg.LineBytes)
+	cfg.CacheBytes = cmp.Or(rc.cache, cfg.CacheBytes)
+	sp := NewSpace(machine.MustNew(cfg))
+	g := sim.NewGroup(procs)
+	alloc := func(n int, block bool) *Array[T] {
+		if rc.private {
+			return NewPrivate[T](sp, 1, n)
+		}
+		a := NewShared[T](sp, n)
+		if block {
+			a.PlaceBlock()
+		} else {
+			a.PlaceInterleave()
+		}
+		return a
+	}
+	x, y, m, cl := alloc(bodies, false), alloc(bodies, true), alloc(bodies, false), alloc(3*ncells, true)
+	quartet := [...]*Array[T]{x, y, m, cl}
+
+	straddles := func(c int) bool { return cl.lineOf(3*c) != cl.lineOf(3*c+2) }
+
+	window := cmp.Or(rc.window, 48)
+	rng := rand.New(rand.NewSource(seed))
+	var res replayResult
+	var reg replayRegime
+	centre := rng.Intn(bodies)
+	for step := 0; step < 600; step++ {
+		p := g.Proc(1)
+		if !rc.private {
+			p = g.Proc(rng.Intn(procs))
+		}
+		// Per-access traffic that leaves Array.last memos behind.
+		access := func(cu []*Cursor[T]) {
+			for k := rng.Intn(4); k > 0; k-- {
+				w := rng.Intn(4)
+				a := quartet[w]
+				i := rng.Intn(a.Len())
+				if w < 3 && rng.Intn(2) == 0 {
+					i = (centre + rng.Intn(32)) % bodies
+				}
+				switch rng.Intn(5) {
+				case 0:
+					a.Load(p, i)
+				case 1:
+					a.Store(p, i, val(step))
+				case 2:
+					if cu != nil {
+						cu[w].Load(i)
+					}
+				case 3:
+					if cu != nil {
+						cu[w].Store(i, val(step))
+					}
+				default:
+					if cu != nil && !cu[w].TryTouch(i) {
+						cu[w].TouchMiss(i)
+					}
+				}
+			}
+		}
+		access(nil)
+
+		// A walk-shaped trace: cell reads, each followed by a burst of leaf
+		// loads from a slowly drifting window (so lines repeat and alias).
+		var tr []int32
+		for grp := 1 + rng.Intn(4); grp > 0; grp-- {
+			c := rng.Intn(ncells)
+			if straddles(c) {
+				reg.straddle++
+			}
+			tr = append(tr, int32(^c))
+			for k := rng.Intn(7); k > 0; k-- {
+				tr = append(tr, int32((centre+rng.Intn(window))%bodies))
+			}
+			if rng.Intn(3) == 0 {
+				centre = (centre + rng.Intn(2*window)) % bodies
+			}
+		}
+
+		q := p
+		if rc.mixed {
+			q = g.Proc((p.ID() + 1) % procs)
+		}
+		cx, cy, cm, cc := x.Cursor(p), y.Cursor(q), m.Cursor(p), cl.Cursor(p)
+		hits0 := p.CacheHits
+		ReplayLoads(tr, &cx, &cy, &cm, &cc)
+		reg.loads += 3 * uint64(len(tr))
+		reg.reorder += p.CacheHits - hits0
+		if !rc.mixed {
+			access([]*Cursor[T]{&cx, &cy, &cm, &cc})
+		}
+		cx.Flush()
+		cy.Flush()
+		cm.Flush()
+		cc.Flush()
+
+		if step%37 == 36 {
+			res.mergeEpoch(sp, g)
+		}
+	}
+
+	res.snapshot(sp, g)
+	for _, c := range sp.caches {
+		res.Tags = append(res.Tags, slices.Concat(c.chunks...))
+	}
+	return res, reg
+}
+
+// TestReplayLoadsMatchesReference is the differential test of the memo-free
+// replay loop (DESIGN.md §5.9) against ref.go, regime by regime: cells that
+// straddle a line at two line sizes, elements wider than half a line (a cell
+// then spans three lines), caches so small that the x/y/m lines of a leaf
+// alias into one set and most loads reorder a non-MRU way, private and shared
+// arrays, and cursors on two caches (the per-access fallback). Clocks,
+// counters, evictions, merge penalties and the final tags of every cache must
+// all be identical.
+func TestReplayLoadsMatchesReference(t *testing.T) {
+	type wide [12]float64 // 96 bytes: wider than half a 128-byte line
+	cases := []replayCase{
+		{name: "default"},
+		{name: "line64", line: 64},
+		{name: "private", private: true},
+		// Arrays are page-aligned, so in a cache of a few sets the x, y and m
+		// lines of one leaf share a set and take turns in its MRU way.
+		{name: "alias-1set", cache: 512, window: 6, private: true, wantReorder: true},
+		{name: "alias-2sets", cache: 1024, window: 6, wantReorder: true},
+		{name: "alias-line64", line: 64, cache: 1024, window: 4, private: true, wantReorder: true},
+		// A few more sets: the three lines of a leaf sit in different sets, so
+		// entries are counted whole and same-line runs take the prevLo
+		// shortcut, while cell and neighbour lines keep evicting them.
+		{name: "small-cache", cache: 4096, window: 24},
+		{name: "small-cache-line64", line: 64, cache: 4096, window: 24, private: true},
+		{name: "mixed-caches", mixed: true},
+	}
+	check := func(rc replayCase, run func(seed int64, useRef bool) (replayResult, replayRegime)) {
+		name := rc.name
+		for _, seed := range []int64{1, 7, 20260928} {
+			fast, reg := run(seed, false)
+			ref, _ := run(seed, true)
+			if !reflect.DeepEqual(fast, ref) {
+				t.Errorf("%s seed %d: replay diverged from reference\nfast: %+v\nref:  %+v",
+					name, seed, fast.traceResult, ref.traceResult)
+			}
+			t.Logf("%s seed %d: %d loads, %d reordered, %d straddling cells", name, seed, reg.loads, reg.reorder, reg.straddle)
+			if rc.wantReorder && reg.reorder*3 < reg.loads {
+				t.Errorf("%s seed %d: only %d of %d loads reordered a non-MRU way", name, seed, reg.reorder, reg.loads)
+			}
+			if reg.straddle == 0 {
+				t.Errorf("%s seed %d: no straddling cell entry", name, seed)
+			}
+		}
+	}
+	for _, rc := range cases {
+		check(rc, func(seed int64, useRef bool) (replayResult, replayRegime) {
+			return runReplayCase(t, rc, seed, useRef, func(i int) float64 { return float64(i) })
+		})
+	}
+	rc := replayCase{name: "wide-elements"}
+	check(rc, func(seed int64, useRef bool) (replayResult, replayRegime) {
+		return runReplayCase(t, rc, seed, useRef, func(i int) wide { return wide{float64(i)} })
+	})
 }

@@ -5,149 +5,86 @@ import "o2k/internal/sim"
 // ReplayLoads charges the load sequence of a precomputed tree-walk trace
 // through four cursors: an entry e >= 0 loads element e of bx, by, bm (in
 // that order); an entry e < 0 loads elements 3c, 3c+1, 3c+2 of cells for
-// c = ^e. The sequence of probes, charges, and memo updates is exactly what
-// the per-access TryTouch/TouchMiss chain would perform — the point of the
-// batched form is that the per-proc MRU memos of all four arrays and the
-// cache's generation counter live in locals across the whole trace instead
-// of being reloaded per access, which roughly halves the cost of the hit
-// path that dominates replayed walks.
+// c = ^e. Cache state, counters and flushed totals are exactly those of the
+// per-access TouchMiss chain (touchEntry) over the same trace.
+//
+// Nearly every replayed load hits the MRU way of its set, and an MRU hit
+// changes no cache state, so the loop is one question per entry — are all
+// three loads MRU hits? — asked with the cache geometry in locals and
+// answered by counting the entry. Any other entry is charged load by load
+// through touchEntry. Unlike the per-access paths the loop keeps no
+// Array.last memo current: a memo is the claim "line L was MRU at cache
+// generation g", which stays true while the generation is unchanged whoever
+// recorded it, so a stale memo can only miss, never lie (DESIGN.md §5.9).
 //
 // All four cursors must be bound to the same processor (they share one
-// cache; the function falls back to the per-access chain if not). Hits and
-// latency accumulate into bx — flush all four cursors before any rendezvous
-// as usual; only the flushed totals are observable, and those are identical.
+// cache; otherwise, and under the reference model, every entry goes through
+// touchEntry). Counted entries accumulate into bx, the others into their own
+// cursors — flush all four before any rendezvous as usual; only the flushed
+// totals are observable.
 func ReplayLoads[T any](trace []int32, bx, by, bm, cells *Cursor[T]) {
 	c := bx.c
 	if refModel || by.c != c || bm.c != c || cells.c != c {
 		for _, e := range trace {
-			if e >= 0 {
-				j := int(e)
-				if !bx.TryTouch(j) {
-					bx.TouchMiss(j)
-				}
-				if !by.TryTouch(j) {
-					by.TouchMiss(j)
-				}
-				if !bm.TryTouch(j) {
-					bm.TouchMiss(j)
-				}
-			} else {
-				c3 := int(^e) * 3
-				if !cells.TryTouch(c3) {
-					cells.TouchMiss(c3)
-				}
-				if !cells.TryTouch(c3 + 1) {
-					cells.TouchMiss(c3 + 1)
-				}
-				if !cells.TryTouch(c3 + 2) {
-					cells.TouchMiss(c3 + 2)
-				}
-			}
+			touchEntry(e, bx, by, bm, cells)
 		}
 		return
 	}
 
-	p := bx.p
-	me := bx.me
-	aX, aY, aM, aC := bx.a, by.a, bm.a, cells.a
 	// One space, one line geometry; element size is fixed by T.
-	es, shift := aX.elemSize, aX.lineShift
-	baseX, baseY, baseM, baseC := aX.baseLine, aY.baseLine, aM.baseLine, aC.baseLine
-	hitNS := aX.cacheHitNS
-	lrX, lrY, lrM, lrC := aX.last[me], aY.last[me], aM.last[me], aC.last[me]
-	gen := c.gen
-	var hits uint64
-	var lat sim.Time
-
-	// prevLo remembers the line offset of the last leaf entry that completed
-	// with all three body memos current: if no install has moved tags since
-	// (every install path below resets or re-checks via gen), a following
-	// leaf entry on the same line is three guaranteed memo hits — chargeable
-	// with one compare instead of three memo checks.
+	es, shift := bx.a.elemSize, bx.a.lineShift&63
+	baseX, baseY, baseM, baseC := bx.a.baseLine, by.a.baseLine, bm.a.baseLine, cells.a.baseLine
+	// The outer chunks header never changes after newCache (materialising a
+	// chunk stores a new inner slice into the same backing array, and every
+	// probe loads its inner slice afresh), so one copy serves the whole trace.
+	chunks, setBits, setMask := c.chunks, c.setBits&63, c.setMask
+	var fast uint64 // entries whose three loads were all MRU hits
+	// prevLo is the line offset of the last counted leaf entry while no tag
+	// has moved since: a leaf entry on the same line is three more MRU hits.
 	prevLo := ^uint64(0)
 
 	for _, e := range trace {
 		if e >= 0 {
 			lo := uint64(e) * es >> shift
-			if lo == prevLo {
-				hits += 3
-				lat += 3 * hitNS
+			if lo == prevLo || mruAt(chunks, setBits, setMask, baseX+lo) &&
+				mruAt(chunks, setBits, setMask, baseY+lo) &&
+				mruAt(chunks, setBits, setMask, baseM+lo) {
+				fast++
+				prevLo = lo
 				continue
 			}
-			g0 := gen
-
-			gl := baseX + lo
-			if lrX.line == gl+1 && lrX.gen == gen {
-				hits++
-				lat += hitNS
-			} else if sb := c.setBase(gl); c.mruHit(sb, gl) {
-				hits++
-				lat += hitNS
-				lrX = lastRef{gl + 1, gen}
-			} else {
-				lat += aX.chargeSlowAcc(p, c, sb, gl, uint32(lo), false)
-				gen = c.gen
-				lrX = lastRef{gl + 1, gen}
-			}
-
-			gl = baseY + lo
-			if lrY.line == gl+1 && lrY.gen == gen {
-				hits++
-				lat += hitNS
-			} else if sb := c.setBase(gl); c.mruHit(sb, gl) {
-				hits++
-				lat += hitNS
-				lrY = lastRef{gl + 1, gen}
-			} else {
-				lat += aY.chargeSlowAcc(p, c, sb, gl, uint32(lo), false)
-				gen = c.gen
-				lrY = lastRef{gl + 1, gen}
-			}
-
-			gl = baseM + lo
-			if lrM.line == gl+1 && lrM.gen == gen {
-				hits++
-				lat += hitNS
-			} else if sb := c.setBase(gl); c.mruHit(sb, gl) {
-				hits++
-				lat += hitNS
-				lrM = lastRef{gl + 1, gen}
-			} else {
-				lat += aM.chargeSlowAcc(p, c, sb, gl, uint32(lo), false)
-				gen = c.gen
-				lrM = lastRef{gl + 1, gen}
-			}
-
-			if gen == g0 {
-				// No install during this entry: all three memos hold this
-				// line at the current generation.
-				prevLo = lo
-			} else {
-				prevLo = ^uint64(0)
-			}
 		} else {
-			c3 := uint64(int(^e) * 3)
-			for k := uint64(0); k < 3; k++ {
-				lo := (c3 + k) * es >> shift
-				gl := baseC + lo
-				if lrC.line == gl+1 && lrC.gen == gen {
-					hits++
-					lat += hitNS
-				} else if sb := c.setBase(gl); c.mruHit(sb, gl) {
-					hits++
-					lat += hitNS
-					lrC = lastRef{gl + 1, gen}
-				} else {
-					lat += aC.chargeSlowAcc(p, c, sb, gl, uint32(lo), false)
-					gen = c.gen
-					lrC = lastRef{gl + 1, gen}
-					prevLo = ^uint64(0) // install may have displaced a body memo line
-				}
+			// The three words sit on one line, or straddle two adjacent ones
+			// (then the middle word shares a line with a neighbour, and a load
+			// directly after a load of its line is an MRU hit).
+			c3 := uint64(^e) * 3
+			lo, l2 := c3*es>>shift, (c3+2)*es>>shift
+			if mruAt(chunks, setBits, setMask, baseC+lo) &&
+				(l2 == lo || l2 == lo+1 && mruAt(chunks, setBits, setMask, baseC+l2)) {
+				fast++
+				continue
 			}
 		}
+		prevLo = ^uint64(0)
+		touchEntry(e, bx, by, bm, cells)
 	}
 
-	aX.last[me], aY.last[me], aM.last[me], aC.last[me] = lrX, lrY, lrM, lrC
-	bx.hits += hits
-	bx.lat += lat
+	bx.hits += 3 * fast
+	bx.lat += sim.Time(3*fast) * bx.a.cacheHitNS
+}
+
+// touchEntry charges one trace entry load by load, each through its own
+// cursor: the per-access chain ReplayLoads is defined by.
+func touchEntry[T any](e int32, bx, by, bm, cells *Cursor[T]) {
+	if e >= 0 {
+		j := int(e)
+		bx.TouchMiss(j)
+		by.TouchMiss(j)
+		bm.TouchMiss(j)
+		return
+	}
+	c3 := int(^e) * 3
+	cells.TouchMiss(c3)
+	cells.TouchMiss(c3 + 1)
+	cells.TouchMiss(c3 + 2)
 }

@@ -6,9 +6,7 @@
 // programming-model implementations consume.
 package partition
 
-import (
-	"sort"
-)
+import "slices"
 
 // RCB partitions n weighted points (xs[i], ys[i], w[i]) into nparts parts by
 // recursive coordinate bisection: split the longer bounding-box axis at the
@@ -64,12 +62,18 @@ func rcbRec(xs, ys, w []float64, idx []int32, base, nparts int, out []int32) {
 	if maxY-minY > maxX-minX {
 		coord = ys
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if coord[ia] != coord[ib] {
-			return coord[ia] < coord[ib]
+	// Coordinate, then index: a total order, so the permutation is unique
+	// whatever the algorithm. SortFunc has no reflection swapper; the plain
+	// comparisons matter too (cmp.Compare orders NaNs, and with it this sort
+	// is half again slower than the sort.Slice it replaced).
+	slices.SortFunc(idx, func(ia, ib int32) int {
+		switch ca, cb := coord[ia], coord[ib]; {
+		case ca < cb:
+			return -1
+		case ca > cb:
+			return 1
 		}
-		return ia < ib
+		return int(ia) - int(ib)
 	})
 	left := nparts / 2
 	right := nparts - left

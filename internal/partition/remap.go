@@ -1,6 +1,9 @@
 package partition
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // The PLUM framework (Oliker & Biswas) observed that after repartitioning an
 // adapted mesh, the labels of the new parts are arbitrary — so choosing which
@@ -49,15 +52,10 @@ func Remap(oldOwner, newPart []int32, w []float64, nparts int) ([]int32, RemapSt
 			entries = append(entries, entry{v, int32(k >> 32), int32(k & 0xffffffff)})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := &entries[i], &entries[j]
-		if a.w != b.w {
-			return a.w > b.w
-		}
-		if a.p != b.p {
-			return a.p < b.p
-		}
-		return a.q < b.q
+	// Weight descending, then (p, q) ascending: (p, q) is a map key, hence
+	// unique, so this is a total order and the result is algorithm-independent.
+	slices.SortFunc(entries, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.p, b.p), cmp.Compare(a.q, b.q))
 	})
 	assign := make([]int32, nparts)
 	procTaken := make([]bool, nparts)
