@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -143,8 +144,12 @@ func readAuditSessions(t *testing.T, prefix string) []auditSession {
 }
 
 // TestCLIChaosWorkers is the acceptance run: a 4-worker sweep under a kill
-// loop produces byte-identical stdout, verifies clean, and the lease audit
-// shows no cell ever held by two live owners at once.
+// loop respawns at least one worker, produces byte-identical stdout, verifies
+// clean, and the lease audit shows no cell ever held by two live owners at
+// once. The respawn budget bounds the unlucky case in which no worker
+// outlives the kill cadence long enough to finish: 64 respawns x 100 ms is
+// under 7 s before the slots give up and the parent's merge pass computes
+// what is missing (a budget of 1024 made that case 103 s).
 func TestCLIChaosWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -159,7 +164,7 @@ func TestCLIChaosWorkers(t *testing.T) {
 
 	audit := filepath.Join(chaosDir, "audit")
 	chaosOut, stderr, code := o2kbenchEnv(t,
-		suite+"-cache "+chaosDir+" -workers 4 -chaos-kill 100ms -worker-restarts 1024",
+		suite+"-cache "+chaosDir+" -workers 4 -chaos-kill 100ms -worker-restarts 64",
 		leaseAuditEnv+"="+audit)
 	if code != 0 {
 		t.Fatalf("chaos run exited %d (stderr: %s)", code, stderr)
@@ -167,8 +172,12 @@ func TestCLIChaosWorkers(t *testing.T) {
 	if chaosOut != refOut {
 		t.Fatalf("chaos-run stdout differs from the single-process run:\n--- ref ---\n%s\n--- chaos ---\n%s", refOut, chaosOut)
 	}
-	if !strings.Contains(stderr, "worker(s):") {
+	m := regexp.MustCompile(`(\d+) respawn\(s\) used`).FindStringSubmatch(stderr)
+	if m == nil {
 		t.Fatalf("no fleet summary on stderr:\n%s", stderr)
+	}
+	if m[1] == "0" {
+		t.Fatalf("the kill loop cost no worker its life — nothing was tested:\n%s", stderr)
 	}
 
 	if _, stderr, code := o2kbench(t, "-cache "+chaosDir+" -cache-verify"); code != 0 {

@@ -102,6 +102,7 @@ func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, plans []*Cycl
 	for _, ev := range sp.CohEvictions() {
 		met.Counters.CohMisses += ev
 	}
+	sp.Close() // the run is over and read out: return the arrays' host memory now
 	maxMem := [3]int{}
 	var tris, verts, cut, movedW, imb float64
 	for _, pl := range plans {

@@ -90,6 +90,7 @@ func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, w Workload, p
 	for _, ev := range sp.CohEvictions() {
 		met.Counters.CohMisses += ev
 	}
+	sp.Close() // the run is over and read out: return the arrays' host memory now
 	totalInter, maxCells, imb := 0, 0, 1.0
 	for _, pl := range plans {
 		totalInter += pl.TotalInter

@@ -32,6 +32,7 @@ import (
 type Array[T any] struct {
 	sp       *Space
 	data     []T
+	chunk    *hostChunk // the mapping data lies in; nil when data is a heap slice
 	elemSize uint64
 	base     uint64 // byte address of element 0 (page aligned)
 	baseLine uint64
@@ -134,7 +135,6 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 	pageShift := uint(mbits.TrailingZeros64(pb))
 	a := &Array[T]{
 		sp:           sp,
-		data:         allocData[T](sp, es, n),
 		elemSize:     es,
 		base:         base,
 		baseLine:     base >> lineShift,
@@ -149,43 +149,22 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 		nodes:        sp.M.Nodes(),
 		last:         make([]lastRef, sp.M.Procs()),
 	}
+	a.data = allocData(a, n)
 	sp.addAlloc(int(bytes))
 	return a
 }
 
-// poolMinElems is the smallest allocation worth pooling/rounding: tiny arrays
-// are cheap to allocate and would pollute the reuse buckets.
-const poolMinElems = 1024
-
-// allocData hands out the host backing slice for a new array: a recycled
-// slice from the space's pool when one fits (re-zeroed, so semantically a
-// fresh make), else a fresh allocation. Large allocations round the host
-// capacity up to a power of two so a later, slightly larger array can reuse
-// the slice once released — adaptive workloads grow their arrays cycle over
-// cycle, and exact-fit pooling would never hit. Only host memory is affected:
-// simulated addresses always come fresh from Space.reserve.
-func allocData[T any](sp *Space, es uint64, n int) []T {
-	if n < poolMinElems {
-		return make([]T, n)
-	}
-	if sl := takePool[T](sp, es, n); sl != nil {
-		return sl
-	}
-	c := poolMinElems
-	for c < n {
-		c <<= 1
-	}
-	return make([]T, n, c)
-}
-
-// Release returns a's host backing store to its Space's reuse pool and
-// detaches the array; any later costed access panics on the nil data slice.
-// Only call it when no simulated code can touch the array again (the arrays
-// of a finished adaptation cycle, once the next cycle's remap has read them).
-// Shared arrays are also dropped from the coherence-merge roster; their
-// write-sets must be empty, i.e. a merge has run since the last write.
-// AllocBytes is NOT decremented: the simulated program never freed anything,
-// the host merely reuses memory — so the model cannot observe a Release.
+// Release gives a's host backing store back — mapped pages are unmapped with
+// the last array of their chunk, a heap slice is left to the collector — and
+// detaches the array: any later access through it, or through a Cursor on it,
+// panics on the nil data slice, and a slice obtained from Data must not be
+// used afterwards. Only call it when no simulated code can touch the array
+// again (the arrays of a finished adaptation cycle, once the next cycle's
+// remap has read them). Shared arrays are also dropped from the
+// coherence-merge roster; their write-sets must be empty, i.e. a merge has
+// run since the last write. AllocBytes is NOT decremented: the simulated
+// program never freed anything, so the model cannot observe a Release.
+// Releasing twice is a no-op.
 func Release[T any](a *Array[T]) {
 	if a == nil || a.data == nil {
 		return
@@ -198,8 +177,8 @@ func Release[T any](a *Array[T]) {
 		}
 		a.sp.unregisterShared(a)
 	}
-	if cap(a.data) >= poolMinElems {
-		a.sp.putPool(a.elemSize, a.data[:0])
+	if a.chunk != nil {
+		a.sp.maps.release(a.chunk)
 	}
 	a.data = nil
 }

@@ -1,6 +1,7 @@
 package numa
 
 import (
+	"fmt"
 	"testing"
 
 	"o2k/internal/machine"
@@ -119,6 +120,54 @@ func benchReplayLoads(b *testing.B, cfg machine.Config, cells int, leaf func(c, 
 	cm.Flush()
 	cc.Flush()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*3*len(tr)), "ns/load")
+}
+
+// BenchmarkPrivateSparseCycle prices the allocation path of a large-P mesh
+// cycle: 512 ranks each get a full-length private array, scatter their 34
+// elements into it (five clusters: ten cache lines on five host pages, what a
+// P = 512 rank of the last cycle touches) and release it. mesh512 is that
+// cycle's array (16 969 float64) at the shipped threshold; the size/backing
+// grid is what mapMinBytes was chosen from.
+func BenchmarkPrivateSparseCycle(b *testing.B) {
+	b.Run("mesh512", func(b *testing.B) { benchSparseCycle(b, 16969) })
+	for _, kb := range []int{8, 32, 128} {
+		for _, backing := range []struct {
+			name string
+			min  uintptr
+		}{{"heap", ^uintptr(0)}, {"map", 0}} {
+			b.Run(fmt.Sprintf("%dKB/%s", kb, backing.name), func(b *testing.B) {
+				defer func(old uintptr) { mapMinBytes = old }(mapMinBytes)
+				mapMinBytes = backing.min
+				benchSparseCycle(b, kb<<10/8)
+			})
+		}
+	}
+}
+
+func benchSparseCycle(b *testing.B, n int) {
+	const procs = 512
+	sp, _ := space(procs)
+	g := sim.NewGroup(procs)
+	idx := make([]int32, 34)
+	vals := make([]float64, len(idx))
+	b.ReportAllocs()
+	b.ResetTimer()
+	arrays := make([]*Array[float64], procs)
+	for i := 0; i < b.N; i++ {
+		for q := range arrays {
+			arrays[q] = NewPrivate[float64](sp, q, n)
+		}
+		for q, a := range arrays {
+			for k := range idx {
+				idx[k] = int32((q*33 + k/7*(n/5) + k%7*3) % n)
+			}
+			a.ScatterIdx(g.Proc(q), idx, vals)
+		}
+		for _, a := range arrays {
+			Release(a)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*procs), "ns/array")
 }
 
 // BenchmarkLoadArmSweep runs the stencil inner loop's access shape: three

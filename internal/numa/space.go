@@ -1,6 +1,7 @@
 package numa
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -20,12 +21,11 @@ type Space struct {
 	mu     sync.Mutex
 	shared []epochTracker // shared arrays with live write-sets
 
-	// pool holds released host backing slices for reuse, bucketed by element
-	// size (the stored values are typed slices; takePool type-asserts). Only
-	// the host allocation is recycled: simulated addresses always come fresh
-	// from reserve, and a reused slice is re-zeroed, so the model cannot
-	// observe the difference. See Release.
-	pool map[uint64][]any
+	// maps lists the live demand-zero mappings behind this space's large
+	// arrays (backing.go). The last Release of a mapping's arrays unmaps it,
+	// Close unmaps the rest, and a cleanup on the Space does if nobody closed
+	// it.
+	maps *hostMaps
 
 	// Scratch for MergeEpoch, reused across barrier episodes. Safe because
 	// MergeEpoch only runs from a barrier rendezvous hook while every
@@ -53,20 +53,29 @@ type epochTracker interface {
 
 // NewSpace creates the memory system for machine m.
 func NewSpace(m *machine.Machine) *Space {
-	s := &Space{M: m, caches: make([]*cache, m.Procs())}
+	s := &Space{M: m, caches: make([]*cache, m.Procs()), maps: new(hostMaps)}
 	for i := range s.caches {
 		s.caches[i] = newCache(m.Cfg.CacheBytes, m.Cfg.LineBytes)
 	}
 	s.nextBase.Store(uint64(m.Cfg.PageBytes)) // keep address 0 unused
+	// The Space is unreachable only once every Array is (each points at it),
+	// so nothing can read a mapping the cleanup takes away.
+	runtime.AddCleanup(s, (*hostMaps).closeAll, s.maps)
 	return s
 }
+
+// Close unmaps the host memory of every mapped array of s that is still
+// alive; those arrays are dead afterwards, exactly as after Release (small
+// arrays live on the heap and are the collector's). Call it when the run is
+// over and its results have been read out. Closing twice is a no-op, and a
+// space nobody closes is cleaned up when the collector finds it unreachable.
+func (s *Space) Close() { s.maps.closeAll() }
 
 // reserve claims an address range of n bytes aligned to the page size.
 //
 // The total address range is bounded so that every global line index fits a
 // 32-bit cache tag (see cache.go): with 128-byte lines that is half a
-// terabyte of simulated memory, far beyond any workload here — the backing
-// Go slices would exhaust host memory long before this panics.
+// terabyte of simulated memory, far beyond any workload here.
 func (s *Space) reserve(n int) uint64 {
 	pb := uint64(s.M.Cfg.PageBytes)
 	sz := (uint64(n) + pb - 1) / pb * pb
@@ -95,39 +104,6 @@ func (s *Space) unregisterShared(t epochTracker) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// putPool returns a released backing slice (stored as a typed slice in an
-// any) to the element-size bucket. Caller must not retain the slice.
-func (s *Space) putPool(elemSize uint64, slice any) {
-	s.mu.Lock()
-	if s.pool == nil {
-		s.pool = make(map[uint64][]any)
-	}
-	s.pool[elemSize] = append(s.pool[elemSize], slice)
-	s.mu.Unlock()
-}
-
-// takePool finds a pooled slice of element type T with capacity >= n, removes
-// it from the bucket, and returns it resliced to n and zeroed — semantically
-// a fresh make([]T, n). Returns nil when nothing fits.
-func takePool[T any](s *Space, elemSize uint64, n int) []T {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bucket := s.pool[elemSize]
-	for i := len(bucket) - 1; i >= 0; i-- {
-		sl, ok := bucket[i].([]T)
-		if !ok || cap(sl) < n {
-			continue
-		}
-		bucket[i] = bucket[len(bucket)-1]
-		bucket[len(bucket)-1] = nil
-		s.pool[elemSize] = bucket[:len(bucket)-1]
-		sl = sl[:n]
-		clear(sl)
-		return sl
-	}
-	return nil
 }
 
 func (s *Space) addAlloc(n int) { s.allocBytes.Add(uint64(n)) }

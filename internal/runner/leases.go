@@ -33,7 +33,8 @@ func (e *Engine) SetLeases(m *lease.Manager) { e.leases = m }
 // the cell's lease, and either compute under it or adopt the foreign
 // owner's committed entry. fromDisk reports the latter — an adopted cell
 // never runs its Prepare stage.
-func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, codec *Codec, prepare Prepare) (val any, err error, attempts int, fromDisk bool) {
+func (e *Engine) computeShared(c *cell, rh Hook, codec *Codec, prepare Prepare) (val any, err error, fromDisk bool) {
+	ctx, key, label := c.cctx, c.key, c.label
 	for {
 		l, st := e.leases.Acquire(key)
 		switch st {
@@ -45,7 +46,7 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 			// probe-miss — which the experiment-server fleet test asserts.
 			if v, cerr, ok := e.diskLoad(key, codec); ok {
 				l.Release()
-				return v, cerr, 0, true
+				return v, cerr, true
 			}
 			// The lease is held across the cell's Prepare stage as well as its
 			// compute: the dependency graph is a DAG (run → plan → structure),
@@ -53,10 +54,10 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 			// the hold. Commit the outcome before releasing: a waiter that
 			// sees the lease vanish must find the entry (or conclude the
 			// outcome was environmental and compute it itself).
-			val, err, attempts = e.run(ctx, rh, key, label, prepare)
+			val, err = e.run(c, rh, prepare)
 			e.diskStore(key, codec, val, err)
 			l.Release()
-			return val, err, attempts, false
+			return val, err, false
 
 		case lease.Busy:
 			// A live foreign owner is computing. Poll for its entry with
@@ -65,10 +66,10 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 			select {
 			case <-time.After(e.leases.PollInterval()):
 			case <-ctx.Done():
-				return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), 0, false
+				return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), false
 			}
 			if v, cerr, ok := e.diskLoad(key, codec); ok {
-				return v, cerr, 0, true
+				return v, cerr, true
 			}
 
 		default: // lease.Degraded
@@ -76,9 +77,9 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 			// hard links, corrupt-and-unremovable lease). Compute without
 			// exclusion: worst case is duplicated work, and last-rename-wins
 			// on identical bytes keeps the cache coherent.
-			val, err, attempts = e.run(ctx, rh, key, label, prepare)
+			val, err = e.run(c, rh, prepare)
 			e.diskStore(key, codec, val, err)
-			return val, err, attempts, false
+			return val, err, false
 		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 type CellStat struct {
 	Label    string        `json:"label"`               // human-readable cell description
 	Key      string        `json:"key"`                 // content hash (core.CellKey)
-	Wall     time.Duration `json:"wall_ns"`             // wall time paid by the owner, waits for its dependencies included
+	Wall     time.Duration `json:"wall_ns"`             // wall time paid by the owner, waits for its dependencies and for a worker slot included
+	Compute  time.Duration `json:"compute_ns"`          // the part of Wall its attempts held a worker slot: what the cell itself cost
 	Hits     int64         `json:"hits"`                // requests served from the completed cache entry
 	Dedups   int64         `json:"dedups"`              // requests that shared the in-flight execution
 	Attempts int           `json:"attempts"`            // compute executions (1 unless retried)
@@ -35,12 +36,13 @@ type Report struct {
 	Dedups       int64         `json:"dedups"`
 	Failures     int           `json:"failures"`        // completed cells that ended in error
 	CellWall     time.Duration `json:"cell_wall_ns"`    // summed owner wall time of all unique cells
+	CellCompute  time.Duration `json:"cell_compute_ns"` // summed slot-held time of all unique cells; at most jobs × the run's wall time
 	DiskHits     int64         `json:"disk_hits"`       // unique cells restored from the persistent cache
 	PlanCells    int           `json:"plan_cells"`      // completed plan-tier cells (structures + plans)
 	PlanDiskHits int64         `json:"plan_disk_hits"`  // plan-tier cells restored from the persistent cache
 	Disk         *DiskStats    `json:"disk,omitempty"`  // persistent-cache telemetry, nil when memory-only
 	Lease        *lease.Stats  `json:"lease,omitempty"` // cross-process single-flight telemetry, nil when solo
-	Cells        []CellStat    `json:"cells"`           // sorted by wall time, descending
+	Cells        []CellStat    `json:"cells"`           // sorted by compute time, then wall time, descending
 }
 
 // Report snapshots the engine's statistics. It is safe to call while cells
@@ -57,8 +59,8 @@ func (e *Engine) Report() *Report {
 		cells = append(cells, c)
 	}
 	e.mu.Unlock()
-	// Creation order first, so the stable wall-time sort below breaks ties
-	// the same way on every run.
+	// Creation order first, so the stable sort below breaks ties the same way
+	// on every run.
 	sort.Slice(cells, func(i, j int) bool { return cells[i].seq < cells[j].seq })
 
 	r := &Report{Jobs: e.jobs, Unique: len(cells)}
@@ -73,7 +75,7 @@ func (e *Engine) Report() *Report {
 		s := CellStat{Label: c.label, Key: c.key, Kind: c.kind, Hits: c.hits.Load(), Dedups: c.dedup.Load()}
 		select {
 		case <-c.done:
-			s.Wall, s.Attempts, s.FromDisk = c.wall, c.attempts, c.fromDisk
+			s.Wall, s.Compute, s.Attempts, s.FromDisk = c.wall, c.compute, c.attempts, c.fromDisk
 			if s.FromDisk {
 				r.DiskHits++
 				if s.Kind == "plan" {
@@ -93,10 +95,17 @@ func (e *Engine) Report() *Report {
 		r.Hits += s.Hits
 		r.Dedups += s.Dedups
 		r.CellWall += s.Wall
+		r.CellCompute += s.Compute
 		r.Cells = append(r.Cells, s)
 	}
 	r.Requests = int64(r.Unique) + r.Hits + r.Dedups
-	sort.SliceStable(r.Cells, func(i, j int) bool { return r.Cells[i].Wall > r.Cells[j].Wall })
+	sort.SliceStable(r.Cells, func(i, j int) bool {
+		a, b := &r.Cells[i], &r.Cells[j]
+		if a.Compute != b.Compute {
+			return a.Compute > b.Compute
+		}
+		return a.Wall > b.Wall
+	})
 	return r
 }
 
@@ -111,33 +120,37 @@ func (r *Report) HitRate() float64 {
 }
 
 // Table renders the report: a summary block followed by every unique cell,
-// slowest first. Failed cells carry their FAILED(<reason>) annotation in
-// the wall column.
+// costliest first. compute is the time a cell's attempts held a worker slot;
+// wall adds the owner's waits — for dependencies and, at a small -jobs, for
+// the slot — so only the compute column sums to something the run paid.
+// Failed cells carry their FAILED(<reason>) annotation in the wall column.
 func (r *Report) Table() *core.Table {
 	t := &core.Table{
 		Title:  "Run report — simulation cells",
-		Header: []string{"cell", "wall", "hits", "dedups"},
+		Header: []string{"cell", "compute", "wall", "hits", "dedups"},
 	}
-	t.AddRow("jobs", fmt.Sprintf("%d", r.Jobs), "", "")
-	t.AddRow("requests", fmt.Sprintf("%d", r.Requests), "", "")
+	summary := func(name, value string) { t.AddRow(name, value, "", "", "") }
+	summary("jobs", fmt.Sprintf("%d", r.Jobs))
+	summary("requests", fmt.Sprintf("%d", r.Requests))
 	t.AddRow(fmt.Sprintf("unique cells (misses) %d", r.Unique),
+		r.CellCompute.Round(time.Millisecond).String(),
 		r.CellWall.Round(time.Millisecond).String(),
 		fmt.Sprintf("%d", r.Hits), fmt.Sprintf("%d", r.Dedups))
-	t.AddRow("cache hit rate", fmt.Sprintf("%.1f%%", 100*r.HitRate()), "", "")
+	summary("cache hit rate", fmt.Sprintf("%.1f%%", 100*r.HitRate()))
 	if r.Disk != nil {
-		t.AddRow("disk cache", r.Disk.String(), "", "")
-		t.AddRow("cells from disk", fmt.Sprintf("%d", r.DiskHits), "", "")
+		summary("disk cache", r.Disk.String())
+		summary("cells from disk", fmt.Sprintf("%d", r.DiskHits))
 		// A pass whose run cells were all known instantiates no plan cell.
 		if r.PlanCells > 0 {
-			t.AddRow("plan cells from disk", fmt.Sprintf("%d of %d", r.PlanDiskHits, r.PlanCells), "", "")
+			summary("plan cells from disk", fmt.Sprintf("%d of %d", r.PlanDiskHits, r.PlanCells))
 		}
 	}
 	if r.Lease != nil {
-		t.AddRow("leases", fmt.Sprintf("acquired=%d stolen=%d lost=%d degraded=%d",
-			r.Lease.Acquired, r.Lease.Stolen, r.Lease.Lost, r.Lease.Degraded), "", "")
+		summary("leases", fmt.Sprintf("acquired=%d stolen=%d lost=%d degraded=%d",
+			r.Lease.Acquired, r.Lease.Stolen, r.Lease.Lost, r.Lease.Degraded))
 	}
 	if r.Failures > 0 {
-		t.AddRow("failed cells", fmt.Sprintf("%d", r.Failures), "", "")
+		summary("failed cells", fmt.Sprintf("%d", r.Failures))
 	}
 	for _, c := range r.Cells {
 		wall := c.Wall.Round(10 * time.Microsecond).String()
@@ -149,7 +162,7 @@ func (r *Report) Table() *core.Table {
 		case c.FromDisk:
 			wall += " (disk)"
 		}
-		t.AddRow(c.Label, wall, fmt.Sprintf("%d", c.Hits), fmt.Sprintf("%d", c.Dedups))
+		t.AddRow(c.Label, c.Compute.Round(10*time.Microsecond).String(), wall, fmt.Sprintf("%d", c.Hits), fmt.Sprintf("%d", c.Dedups))
 	}
 	return t
 }

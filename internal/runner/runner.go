@@ -121,7 +121,7 @@ type Engine struct {
 }
 
 // cell is one memoized computation: the single-flight slot, its result or
-// error, and its statistics. val, err, wall, attempts, and retired are
+// error, and its statistics. val, err, wall, compute, attempts, and retired are
 // written only by the owner goroutine before done is closed; readers must
 // observe done first (close(done) is the publication barrier). waiters and
 // completed are guarded by the engine mutex: they implement per-request
@@ -136,7 +136,8 @@ type cell struct {
 	done     chan struct{} // closed once val/err are set
 	val      any
 	err      error
-	wall     time.Duration // the publisher's wall time: probes, Prepare, all attempts
+	wall     time.Duration // the publisher's wall time: probes, Prepare, all attempts and their waits for a worker slot
+	compute  time.Duration // the part of wall the attempts held a worker slot
 	attempts int           // times compute actually ran
 	fromDisk bool          // outcome restored from the persistent cache
 	retired  bool          // aborted outcome withdrawn from the memo map
@@ -391,9 +392,9 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 	if v, cerr, ok := e.diskLoad(c.key, codec); ok {
 		c.val, c.err, c.fromDisk = v, cerr, true
 	} else if e.leases != nil && e.cache != nil && codec != nil {
-		c.val, c.err, c.attempts, c.fromDisk = e.computeShared(c.cctx, rh, c.key, c.label, codec, prepare)
+		c.val, c.err, c.fromDisk = e.computeShared(c, rh, codec, prepare)
 	} else {
-		c.val, c.err, c.attempts = e.run(c.cctx, rh, c.key, c.label, prepare)
+		c.val, c.err = e.run(c, rh, prepare)
 		e.diskStore(c.key, codec, c.val, c.err)
 	}
 	if c.fromDisk && e.hooked(rh) {
@@ -415,28 +416,32 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 	c.abort(nil) // release the cctx timer/child bookkeeping
 }
 
-// run is the owned-miss path of one cell: prepare the dependencies — once,
+// run is the owned-miss path of cell c: prepare the dependencies — once,
 // holding no worker slot — then execute the compute under the engine's retry
-// policy. It returns the final outcome and the number of attempts actually
-// made. ctx is the cell's compute context: the engine context plus the
-// cell's abort.
-func (e *Engine) run(ctx context.Context, rh Hook, key, label string, prepare Prepare) (val any, err error, attempts int) {
+// policy, under the cell's compute context (the engine context plus the
+// cell's abort). It returns the final outcome and records on c the attempts
+// actually made and the time they held a worker slot.
+func (e *Engine) run(c *cell, rh Hook, prepare Prepare) (val any, err error) {
+	ctx, key, label := c.cctx, c.key, c.label
 	compute, err := e.prepare(ctx, rh, label, prepare)
 	if err != nil {
-		return nil, err, 0
+		return nil, err
 	}
 	for {
 		var t0 time.Time
 		if e.hooked(rh) {
 			t0 = time.Now()
 		}
-		val, err = e.attempt(ctx, label, compute)
-		attempts++
+		var held time.Duration
+		val, err, held = e.attempt(ctx, label, compute)
+		c.attempts++
+		c.compute += held
+		attempts := c.attempts
 		if e.hooked(rh) {
 			e.fire(rh, Event{Kind: EventCompute, Key: key, Label: label, Start: t0, Dur: time.Since(t0), Attempt: attempts, Err: errMsg(err)})
 		}
 		if err == nil || !IsTransient(err) || attempts > e.pol.Retries {
-			return val, err, attempts
+			return val, err
 		}
 		if e.hooked(rh) {
 			e.fire(rh, Event{Kind: EventRetry, Key: key, Label: label, Start: time.Now(), Attempt: attempts, Err: errMsg(err)})
@@ -444,7 +449,7 @@ func (e *Engine) run(ctx context.Context, rh Hook, key, label string, prepare Pr
 		select {
 		case <-time.After(e.jitterBackoff(attempts - 1)):
 		case <-ctx.Done():
-			return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), attempts
+			return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
 		}
 	}
 }
@@ -474,13 +479,15 @@ func (e *Engine) prepare(ctx context.Context, rh Hook, label string, stage Prepa
 // recovery, and wait for the result or the per-cell deadline. The child
 // releases the slot when compute actually returns — a timed-out compute
 // keeps its slot until then, so the pool never runs more than jobs
-// simulations at once.
-func (e *Engine) attempt(ctx context.Context, label string, compute Compute) (any, error) {
+// simulations at once. held is how long the attempt had its slot, the wait
+// for it excluded.
+func (e *Engine) attempt(ctx context.Context, label string, compute Compute) (val any, err error, held time.Duration) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
+		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), 0
 	}
+	start := time.Now()
 
 	cancel := context.CancelFunc(func() {})
 	if e.pol.CellTimeout > 0 {
@@ -489,26 +496,27 @@ func (e *Engine) attempt(ctx context.Context, label string, compute Compute) (an
 	defer cancel()
 
 	type outcome struct {
-		val any
-		err error
+		val  any
+		err  error
+		held time.Duration // read before the slot is released, so the holds of one slot never overlap
 	}
 	ch := make(chan outcome, 1) // buffered: the child never blocks if we left
 	go func() {
 		defer func() { <-e.sem }()
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- outcome{err: &PanicError{Cell: label, Reason: r, Stack: debug.Stack()}}
+				ch <- outcome{err: &PanicError{Cell: label, Reason: r, Stack: debug.Stack()}, held: time.Since(start)}
 			}
 		}()
 		v, err := compute(ctx)
-		ch <- outcome{val: v, err: err}
+		ch <- outcome{val: v, err: err, held: time.Since(start)}
 	}()
 
 	select {
 	case out := <-ch:
-		return out.val, out.err
+		return out.val, out.err, out.held
 	case <-ctx.Done():
-		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
+		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), time.Since(start)
 	}
 }
 

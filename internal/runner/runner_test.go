@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -298,6 +299,50 @@ func TestReportHitRate(t *testing.T) {
 	}
 	if tb := r.Table(); len(tb.Rows) != 4+r.Unique {
 		t.Fatalf("report table has %d rows, want %d", len(tb.Rows), 4+r.Unique)
+	}
+}
+
+// At -jobs 1 every owner but one is waiting for the worker slot, so each
+// cell's wall reads about the length of the run; compute is the slot-held
+// part, and over all cells it cannot exceed what one slot had to give.
+func TestReportComputeExcludesTheWaitForASlot(t *testing.T) {
+	e := New(1)
+	const cells, nap = 8, 5 * time.Millisecond
+	var fns []func()
+	for i := range cells {
+		key := fmt.Sprint("cell", i)
+		fns = append(fns, func() {
+			e.Do(key, key, func(context.Context) (any, error) {
+				time.Sleep(nap)
+				return key, nil
+			})
+		})
+	}
+	start := time.Now()
+	e.Warm(fns...)
+	run := time.Since(start)
+	r := e.Report()
+	if r.CellCompute > run || r.CellCompute < cells*nap {
+		t.Fatalf("summed compute %v outside [%v, %v (the run)]", r.CellCompute, cells*nap, run)
+	}
+	if r.CellWall <= run {
+		t.Fatalf("summed wall %v: the owners' waits for the slot should push it past the run's %v", r.CellWall, run)
+	}
+	var sum time.Duration
+	for i, c := range r.Cells {
+		if c.Compute < nap || c.Compute > c.Wall {
+			t.Errorf("%s: compute %v, wall %v, slept %v", c.Label, c.Compute, c.Wall, nap)
+		}
+		if i > 0 && c.Compute > r.Cells[i-1].Compute {
+			t.Errorf("cells not sorted by compute: %v after %v", c.Compute, r.Cells[i-1].Compute)
+		}
+		sum += c.Compute
+	}
+	if sum != r.CellCompute {
+		t.Fatalf("cells sum to %v, report says %v", sum, r.CellCompute)
+	}
+	if got := r.Table().Header; len(got) != 5 || got[1] != "compute" || got[2] != "wall" {
+		t.Fatalf("table header = %v", got)
 	}
 }
 
