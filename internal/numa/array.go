@@ -67,22 +67,17 @@ type Array[T any] struct {
 	writeLines [][]uint32 // per proc: line indices written this epoch
 	writeBits  [][]uint64 // per proc: dedup bitmap over line indices
 
-	// inst[q] bounds the array-local lines processor q has ever installed in
-	// its cache (shared arrays only): a conservative superset of this array's
-	// residency in cache q, never shrunk by eviction or flush. Address ranges
-	// are never reused (Space.reserve), so a line of this array can only enter
-	// a cache through this array's accessors — the merge may therefore skip
-	// any cache whose install range misses a written line. At large processor
-	// counts a cache holds only its partition (plus ghost halo) of each array,
-	// so this per-array range stays sharp where the cache-global occupancy
-	// filters saturate.
-	inst []instRange
-}
-
-// instRange is a closed [lo, hi] interval of array-local line indices;
-// lo > hi means empty.
-type instRange struct {
-	lo, hi uint32
+	// Sharer directory (shared arrays only; DESIGN.md §5.9). installs[q] logs
+	// the array-local lines processor q installed in its cache since the last
+	// merge — one log per processor, because the goroutine gang runs simulated
+	// processors on real threads. The merge folds the logs into dirHead: per
+	// line, the 1-based index of the first record of its sharer list in the
+	// space's arena (0 = no sharer; allocated by the first fold). Address ranges
+	// are never reused (Space.reserve), so a line of this array can only enter a
+	// cache through this array's accessors: log plus lists name a superset of
+	// the caches that hold each line, and the merge probes only those.
+	installs [][]uint32
+	dirHead  []int32
 }
 
 // lastRef is one entry of Array.last: line is the global line address + 1
@@ -107,10 +102,7 @@ func NewShared[T any](sp *Space, n int) *Array[T] {
 	p := sp.M.Procs()
 	a.writeLines = make([][]uint32, p)
 	a.writeBits = make([][]uint64, p)
-	a.inst = make([]instRange, p)
-	for i := range a.inst {
-		a.inst[i].lo = ^uint32(0)
-	}
+	a.installs = make([][]uint32, p)
 	sp.registerShared(a)
 	return a
 }
@@ -161,10 +153,10 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 // used afterwards. Only call it when no simulated code can touch the array
 // again (the arrays of a finished adaptation cycle, once the next cycle's
 // remap has read them). Shared arrays are also dropped from the
-// coherence-merge roster; their write-sets must be empty, i.e. a merge has
-// run since the last write. AllocBytes is NOT decremented: the simulated
-// program never freed anything, so the model cannot observe a Release.
-// Releasing twice is a no-op.
+// coherence-merge roster and lose their sharer directory and install logs;
+// their write-sets must be empty, i.e. a merge has run since the last write.
+// AllocBytes is NOT decremented: the simulated program never freed anything,
+// so the model cannot observe a Release. Releasing twice is a no-op.
 func Release[T any](a *Array[T]) {
 	if a == nil || a.data == nil {
 		return
@@ -176,6 +168,10 @@ func Release[T any](a *Array[T]) {
 			}
 		}
 		a.sp.unregisterShared(a)
+		for _, head := range a.dirHead {
+			a.sp.freeSharers(head)
+		}
+		a.dirHead, a.installs = nil, nil
 	}
 	if a.chunk != nil {
 		a.sp.maps.release(a.chunk)
@@ -340,19 +336,12 @@ func (a *Array[T]) chargeSlow(p *sim.Proc, c *cache, base, gl uint64, li uint32,
 	a.last[me] = lastRef{gl + 1, c.gen}
 }
 
-// noteInstall widens processor me's install range after a miss installed
-// array-local line li in its cache. Only shared arrays track installs (the
-// merge is the sole consumer); the nil check keeps private arrays free.
+// noteInstall logs that a miss installed array-local line li in processor
+// me's cache. Only shared arrays keep a directory (the merge is the sole
+// consumer); the nil check keeps private arrays free.
 func (a *Array[T]) noteInstall(me int, li uint32) {
-	if a.inst == nil {
-		return
-	}
-	r := &a.inst[me]
-	if li < r.lo {
-		r.lo = li
-	}
-	if li > r.hi {
-		r.hi = li
+	if a.installs != nil {
+		a.installs[me] = append(a.installs[me], li)
 	}
 }
 
@@ -534,71 +523,55 @@ func (a *Array[T]) LineRange(e0, e1 int) (lo, hi uint64) {
 // mergeEpoch applies the epoch's write-sets: every line written by some
 // processor is invalidated in every other processor's cache.
 //
-// The loops run per writer, then per cache, then per line, so each target
-// cache is filtered once per writer with its occupancy count and line-range
-// bounds before any per-line probing. Invalidation outcomes are
-// order-independent — invalidate(L) in cache q depends only on whether q
-// still holds L, and each (line, cache) pair evicts at most once however many
-// writers touched the line — so any probe order (including the reference
-// path's line-major order in ref.go) yields identical cache state and evict
-// counts.
+// It first folds the install logs into the sharer directory, then walks each
+// written line's list: every recorded cache but the writer's is probed and its
+// record unlinked, evicted or not — a record whose line LRU had already
+// dropped is a stale superset entry, and a cache that installs the line again
+// logs it again. Invalidation outcomes are order-independent — invalidate(L)
+// in cache q depends only on whether q still holds L, and a cache the
+// directory does not name holds no copy — so the result is the cache state and
+// evict counts of the reference path's probe of every cache (ref.go).
 func (a *Array[T]) mergeEpoch(caches []*cache, evicts []uint64) {
 	if refModel {
 		a.mergeEpochRef(caches, evicts)
 		return
 	}
-	for w := range a.writeLines {
-		lines := a.writeLines[w]
-		if len(lines) == 0 {
+	sp := a.sp
+	for q, log := range a.installs {
+		if len(log) == 0 {
 			continue
 		}
-		// Precompute global addresses and signature bits once per writer; the
-		// per-line signature check below is what keeps the merge affordable
-		// at hundreds of caches — a probe only reaches the tag array when the
-		// target cache has installed a line in that signature granule.
-		gls := a.sp.mergeGls[:0]
-		sigs := a.sp.mergeSigs[:0]
-		lo, hi := lines[0], lines[0]
-		var wsig uint64
-		for _, li := range lines {
-			if li < lo {
-				lo = li
-			}
-			if li > hi {
-				hi = li
-			}
-			gl := a.baseLine + uint64(li)
-			sb := sigBit(gl)
-			wsig |= sb
-			gls = append(gls, gl)
-			sigs = append(sigs, sb)
+		if a.dirHead == nil {
+			a.dirHead = make([]int32, a.lines())
 		}
-		a.sp.mergeGls, a.sp.mergeSigs = gls, sigs
-		glo, ghi := a.baseLine+uint64(lo), a.baseLine+uint64(hi)
-		for q, c := range caches {
-			// The per-array install range is the sharpest filter at large
-			// processor counts (see inst); the cache-global occupancy and
-			// signature checks still help when the range is wide.
-			r := a.inst[q]
-			if q == w || r.lo > hi || r.hi < lo ||
-				c.live == 0 || ghi < c.minLine || glo > c.maxLine || c.sig&wsig == 0 {
-				continue
-			}
-			n := uint64(0)
-			csig := c.sig
-			for k, li := range lines {
-				if li < r.lo || li > r.hi || csig&sigs[k] == 0 {
-					continue
-				}
-				if c.invalidate(gls[k]) {
-					n++
-				}
-			}
-			evicts[q] += n
+		for _, li := range log {
+			sp.addSharer(&a.dirHead[li], int32(q))
+		}
+		a.installs[q] = log[:0]
+	}
+	for w, lines := range a.writeLines {
+		if len(lines) == 0 {
+			continue
 		}
 		bits := a.writeBits[w]
 		for _, li := range lines {
 			bits[li>>6] &^= uint64(1) << (li & 63)
+			gl := a.baseLine + uint64(li)
+			// The writer installed li at some point, so a fold has made dirHead.
+			link := &a.dirHead[li]
+			for r := *link; r != 0; r = *link {
+				rec := &sp.dir[r]
+				q := rec.proc
+				if int(q) == w {
+					link = &rec.next
+					continue
+				}
+				if caches[q].invalidate(gl) {
+					evicts[q]++
+				}
+				*link = rec.next
+				rec.next, sp.dirFree = sp.dirFree, r
+			}
 		}
 		a.writeLines[w] = lines[:0]
 	}

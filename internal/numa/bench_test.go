@@ -46,6 +46,7 @@ func BenchmarkStoreSharedTracked(b *testing.B) {
 }
 
 func BenchmarkMergeEpoch(b *testing.B) {
+	unaudited(b)
 	sp, _ := space(8)
 	g := sim.NewGroup(8)
 	a := NewShared[float64](sp, 1<<14)
@@ -191,10 +192,10 @@ func BenchmarkLoadArmSweep(b *testing.B) {
 }
 
 // BenchmarkMergeEpochWide is the merge at scale: 64 caches with disjoint
-// per-proc write blocks, where the per-(array, proc) install ranges and
-// occupancy signatures let each writer skip the 63 caches that never held
-// its lines.
+// per-proc write blocks nobody else has read, so every written line's sharer
+// list names the writer alone and no cache is probed.
 func BenchmarkMergeEpochWide(b *testing.B) {
+	unaudited(b)
 	const procs = 64
 	sp, _ := space(procs)
 	g := sim.NewGroup(procs)
@@ -210,5 +211,46 @@ func BenchmarkMergeEpochWide(b *testing.B) {
 		}
 		b.StartTimer()
 		sp.MergeEpoch()
+	}
+}
+
+// BenchmarkMergeEpochHalo is the merge with the mesh's sharing shape: every
+// processor writes its own block after its two neighbours read the block's
+// boundary lines, so the written lines' sharer lists are two or three records
+// long and every merge evicts the neighbours' copies.
+func BenchmarkMergeEpochHalo(b *testing.B) {
+	unaudited(b)
+	for _, procs := range []int{64, 512} {
+		b.Run(fmt.Sprintf("P%d", procs), func(b *testing.B) {
+			const block, halo = 1024, 64 // elements: 64 lines per block, 4 shared with each neighbour
+			sp, _ := space(procs)
+			g := sim.NewGroup(procs)
+			a := NewShared[float64](sp, procs*block)
+			a.PlaceBlock()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for q := 0; q < procs; q++ {
+					p := g.Proc(q)
+					if q > 0 {
+						a.TouchRange(p, q*block-halo, q*block, false)
+					}
+					if q < procs-1 {
+						a.TouchRange(p, (q+1)*block, (q+1)*block+halo, false)
+					}
+				}
+				for q := 0; q < procs; q++ {
+					a.TouchRange(g.Proc(q), q*block, (q+1)*block, true)
+				}
+				b.StartTimer()
+				sp.MergeEpoch()
+			}
+			b.StopTimer()
+			var evicts uint64
+			for _, e := range sp.CohEvictions() {
+				evicts += e
+			}
+			b.ReportMetric(float64(evicts)/float64(b.N), "evictions/op")
+		})
 	}
 }

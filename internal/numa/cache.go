@@ -59,20 +59,6 @@ type cache struct {
 	lineShift uint
 	cohEvicts uint64 // lines invalidated by coherence since last reset
 
-	// Conservative occupancy summary, maintained on install/invalidate, so
-	// the coherence merge can skip probing caches that cannot hold a written
-	// line. live counts valid tags; [minLine, maxLine] bounds every line
-	// installed since the last flush (never shrunk by invalidation); sig is a
-	// one-word Bloom signature of every line installed since the last flush
-	// (see sigBit — never cleared by invalidation, so a resident line always
-	// has its bit set). The range filter dies once a cache has touched arrays
-	// at distant addresses; the signature keeps discriminating by address set,
-	// which is what makes the merge affordable at hundreds of procs.
-	live    int
-	minLine uint64
-	maxLine uint64
-	sig     uint64
-
 	// gen counts tag mutations (LRU shuffles, installs, invalidations,
 	// flushes). Arrays record {line, gen} after each completed access; while
 	// gen is unchanged, no tag has moved, so that line provably still occupies
@@ -108,7 +94,6 @@ func newCache(cacheBytes, lineBytes int) *cache {
 		setMask:   uint64(sets - 1),
 		setBits:   bits,
 		lineShift: shift,
-		minLine:   ^uint64(0),
 	}
 	c.owned = make([]bool, len(c.chunks))
 	for i := range c.chunks {
@@ -120,16 +105,6 @@ func newCache(cacheBytes, lineBytes int) *cache {
 		c.chunks[i] = zeroChunk[:hi-lo]
 	}
 	return c
-}
-
-// sigBit maps a line address to its Bloom-signature bit. The low shift gives
-// 8-line granules (a processor's working set is a few contiguous blocks, so
-// it occupies few bits), the xor folds distant address regions apart.
-func sigBit(line uint64) uint64 {
-	h := line >> 3
-	h ^= h >> 6
-	h ^= h >> 12
-	return uint64(1) << (h & 63)
 }
 
 // setOf maps a line address to its set. The index XOR-folds higher address
@@ -210,16 +185,6 @@ func (c *cache) accessSlow(base, line uint64) bool {
 		c.owned[ci] = true
 		set = priv[off : off+cacheWays : off+cacheWays]
 	}
-	if set[3] == 0 {
-		c.live++
-	}
-	if line < c.minLine {
-		c.minLine = line
-	}
-	if line > c.maxLine {
-		c.maxLine = line
-	}
-	c.sig |= sigBit(line)
 	set[3] = set[2]
 	set[2] = set[1]
 	set[1] = set[0]
@@ -264,7 +229,6 @@ func (c *cache) invalidate(line uint64) bool {
 			copy(set[w:cacheWays-1], set[w+1:cacheWays])
 			set[cacheWays-1] = 0
 			c.cohEvicts++
-			c.live--
 			c.gen++
 			return true
 		}
@@ -284,8 +248,4 @@ func (c *cache) flush() {
 		}
 	}
 	c.cohEvicts = 0
-	c.live = 0
-	c.minLine = ^uint64(0)
-	c.maxLine = 0
-	c.sig = 0
 }

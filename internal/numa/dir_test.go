@@ -1,0 +1,187 @@
+package numa
+
+import (
+	"fmt"
+	"os"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"o2k/internal/sim"
+)
+
+// TestMain audits the sharer directory at the end of every MergeEpoch any
+// test of this package runs on the optimized path — the spaces applications
+// create internally included (adaptmesh_test.go, suite_test.go).
+func TestMain(m *testing.M) {
+	afterMerge = func(sp *Space) {
+		if refModel {
+			return // the reference merge probes every cache and keeps no directory
+		}
+		if err := checkDirectory(sp, true); err != nil {
+			panic(err)
+		}
+		directoryAudits.Add(1)
+	}
+	os.Exit(m.Run())
+}
+
+// unaudited takes the audit off the merges a benchmark times.
+func unaudited(b *testing.B) {
+	audit := afterMerge
+	afterMerge = nil
+	b.Cleanup(func() { afterMerge = audit })
+}
+
+// directoryAudits counts the merges TestMain's hook has audited.
+var directoryAudits atomic.Int64
+
+// dirState is what checkDirectory needs of one shared array, whatever its
+// element type.
+type dirState struct {
+	baseLine uint64
+	lines    int
+	heads    []int32 // nil until the first fold
+	installs [][]uint32
+}
+
+func (a *Array[T]) dirState() dirState {
+	return dirState{a.baseLine, a.lines(), a.dirHead, a.installs}
+}
+
+// checkDirectory is the conservation check of the sharer directory: the arena
+// is exactly its free list plus the records on the lists (plus the sentinel),
+// no list names a processor twice, and every valid tag of a shared array's
+// line in cache q is covered by a record q on that line's list or by q's
+// pending install log — the superset invariant the merge rests on. With
+// merged set (the state MergeEpoch leaves) every install log must be empty.
+func checkDirectory(sp *Space, merged bool) error {
+	sp.mu.Lock()
+	trackers := slices.Clone(sp.shared)
+	sp.mu.Unlock()
+	arrays := make([]dirState, len(trackers))
+	for i, t := range trackers {
+		arrays[i] = t.(interface{ dirState() dirState }).dirState()
+	}
+
+	records := 0
+	listed := make([]int, len(sp.caches)) // list number that last named each proc
+	list := 0
+	for ai, a := range arrays {
+		for q, log := range a.installs {
+			if merged && len(log) != 0 {
+				return fmt.Errorf("array %d: proc %d has %d installs logged after a merge", ai, q, len(log))
+			}
+		}
+		for li, head := range a.heads {
+			list++
+			for r := head; r != 0; r = sp.dir[r].next {
+				q := sp.dir[r].proc
+				if listed[q] == list {
+					return fmt.Errorf("array %d line %d: proc %d listed twice", ai, li, q)
+				}
+				listed[q] = list
+				if records++; records >= len(sp.dir) {
+					return fmt.Errorf("array %d line %d: more records on lists than the arena holds (%d)", ai, li, len(sp.dir))
+				}
+			}
+		}
+	}
+	free := 0
+	for r := sp.dirFree; r != 0; r = sp.dir[r].next {
+		if free++; free >= len(sp.dir) {
+			return fmt.Errorf("free list longer than the arena (%d)", len(sp.dir))
+		}
+	}
+	if 1+records+free != len(sp.dir) {
+		return fmt.Errorf("arena of %d records: %d on lists, %d free, 1 sentinel", len(sp.dir), records, free)
+	}
+
+	for q, c := range sp.caches {
+		for ci, own := range c.owned {
+			if !own {
+				continue
+			}
+			for _, tag := range c.chunks[ci] {
+				if tag == 0 {
+					continue
+				}
+				gl := uint64(tag - 1)
+				for ai, a := range arrays {
+					li := gl - a.baseLine
+					if gl < a.baseLine || li >= uint64(a.lines) {
+						continue
+					}
+					if !dirCovers(sp, a, uint32(li), int32(q)) {
+						return fmt.Errorf("array %d line %d: cached by proc %d, on neither its list nor the proc's install log", ai, li, q)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// dirCovers reports whether proc q is recorded for line li of a: on the
+// line's sharer list, or in q's pending install log.
+func dirCovers(sp *Space, a dirState, li uint32, q int32) bool {
+	if a.heads != nil {
+		for r := a.heads[li]; r != 0; r = sp.dir[r].next {
+			if sp.dir[r].proc == q {
+				return true
+			}
+		}
+	}
+	return slices.Contains(a.installs[q], li)
+}
+
+// sharersOf lists the processors on the sharer list starting at record head.
+func sharersOf(sp *Space, head int32) []int32 {
+	var procs []int32
+	for r := head; r != 0; r = sp.dir[r].next {
+		procs = append(procs, sp.dir[r].proc)
+	}
+	return procs
+}
+
+// Release returns a shared array's records to the arena and forgets its
+// pending installs; the other arrays' lists are untouched.
+func TestReleaseDropsDirectory(t *testing.T) {
+	const procs = 3
+	sp, _ := space(procs)
+	g := sim.NewGroup(procs)
+	s := NewShared[float64](sp, 256) // 16 lines
+	keep := NewShared[float64](sp, 64)
+	for q := 0; q < procs; q++ {
+		s.TouchRange(g.Proc(q), 0, 256, false)
+		keep.Load(g.Proc(q), 0)
+	}
+	sp.MergeEpoch()
+	s.Load(g.Proc(0), 0) // a hit: nothing logged
+	sp.caches[1].flush()
+	s.Load(g.Proc(1), 17) // an install the release finds still logged
+	if err := checkDirectory(sp, false); err != nil {
+		t.Fatal(err)
+	}
+	Release(s)
+	if s.dirHead != nil || s.installs != nil {
+		t.Error("released array keeps its directory")
+	}
+	if err := checkDirectory(sp, true); err != nil {
+		t.Error(err)
+	}
+	if got := len(sharersOf(sp, sp.dirFree)); got != 16*procs {
+		t.Errorf("%d records on the free list after the release, want %d", got, 16*procs)
+	}
+	if got := sharersOf(sp, keep.dirHead[0]); len(got) != procs {
+		t.Errorf("surviving array's line lists %v", got)
+	}
+	// The next array's lists are built from the freed records.
+	n := len(sp.dir)
+	next := NewShared[float64](sp, 256)
+	next.TouchRange(g.Proc(2), 0, 256, true)
+	sp.MergeEpoch()
+	if len(sp.dir) != n {
+		t.Errorf("arena grew from %d to %d records with %d free", n, len(sp.dir), 16*procs)
+	}
+}

@@ -47,3 +47,7 @@ func CountMappings(t testing.TB) *atomic.Int64 {
 	t.Cleanup(func() { mapBytes = old })
 	return made
 }
+
+// DirectoryAudits is how many merges the package's TestMain has audited with
+// checkDirectory so far (dir_test.go).
+func DirectoryAudits() int64 { return directoryAudits.Load() }

@@ -1,6 +1,7 @@
 package numa
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +139,36 @@ func TestFlushCaches(t *testing.T) {
 	a.Load(p, 0)
 	if p.LocalMisses != misses+1 {
 		t.Fatal("flush did not cool the cache")
+	}
+
+	// A flush leaves the sharer directory naming caches that hold nothing.
+	// The next write of such a line must evict nothing, and must still take
+	// the stale records off the line's list.
+	const procs = 4
+	sp, _ = space(procs)
+	g = sim.NewGroup(procs)
+	sh := NewShared[float64](sp, 64) // 4 lines
+	for q := 0; q < procs; q++ {
+		sh.TouchRange(g.Proc(q), 0, 64, false)
+	}
+	sp.MergeEpoch()
+	sp.FlushCaches()
+	sh.Store(g.Proc(2), 0, 1)
+	sh.Store(g.Proc(1), 40, 1)
+	for q, d := range sp.MergeEpoch() {
+		if d != 0 {
+			t.Errorf("proc %d charged %v for invalidations after a flush", q, d)
+		}
+	}
+	if ev := sp.CohEvictions(); slices.Max(ev) != 0 {
+		t.Errorf("evictions after a flush: %v", ev)
+	}
+	for li, want := range [][]int32{{2}, {0, 1, 2, 3}, {1}, {0, 1, 2, 3}} {
+		got := sharersOf(sp, sh.dirHead[li])
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("line %d lists procs %v after the merge, want %v", li, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package numa
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -23,6 +24,7 @@ type traceResult struct {
 	Procs    []procState
 	Evicts   []uint64
 	PenLog   []sim.Time // concatenated MergeEpoch penalties, in call order
+	Tags     [][]uint32 // final tag array of every cache, LRU order included
 	Checksum float64    // data written through the arrays (model-independent)
 }
 
@@ -35,26 +37,61 @@ func (res *traceResult) mergeEpoch(sp *Space, g *sim.Group) {
 	}
 }
 
-// snapshot records every processor's final state and the eviction counts.
+// snapshot records every processor's final state, the eviction counts and the
+// cache contents.
 func (res *traceResult) snapshot(sp *Space, g *sim.Group) {
 	for i := 0; i < g.Size(); i++ {
 		p := g.Proc(i)
 		res.Procs = append(res.Procs, procState{p.Now(), p.PhaseTimes(), p.Counters})
 	}
 	res.Evicts = sp.CohEvictions()
+	for _, c := range sp.caches {
+		res.Tags = append(res.Tags, slices.Concat(c.chunks...))
+	}
+}
+
+// diff names the first field in which res differs from ref ("" if none),
+// without printing whole tag arrays.
+func (res traceResult) diff(ref traceResult) string {
+	switch {
+	case !reflect.DeepEqual(res.Procs, ref.Procs):
+		return fmt.Sprintf("processor states\nfast: %+v\nref:  %+v", res.Procs, ref.Procs)
+	case !reflect.DeepEqual(res.Evicts, ref.Evicts):
+		return fmt.Sprintf("coherence evictions\nfast: %v\nref:  %v", res.Evicts, ref.Evicts)
+	case !reflect.DeepEqual(res.PenLog, ref.PenLog):
+		return fmt.Sprintf("merge penalties\nfast: %v\nref:  %v", res.PenLog, ref.PenLog)
+	case res.Checksum != ref.Checksum:
+		return fmt.Sprintf("checksum: fast %v, ref %v", res.Checksum, ref.Checksum)
+	}
+	for q := range res.Tags {
+		if !slices.Equal(res.Tags[q], ref.Tags[q]) {
+			return fmt.Sprintf("tags of cache %d", q)
+		}
+	}
+	return ""
+}
+
+// traceCfg is one machine shape for runTrace.
+type traceCfg struct {
+	name       string
+	procs      int
+	cacheBytes int // 0 = the machine default
+	steps      int
 }
 
 // runTrace executes a seeded random access trace against a fresh Space with
 // the given cost-model selection and returns the observable state. The trace
 // is generated from the seed alone, so two calls with the same seed perform
 // the identical operation sequence.
-func runTrace(t *testing.T, seed int64, useRef bool) traceResult {
+func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 	t.Helper()
 	refModel = useRef
 	defer func() { refModel = false }()
 
-	const procs = 8
-	sp, _ := space(procs)
+	procs := tc.procs
+	cfg := machine.Default(procs)
+	cfg.CacheBytes = cmp.Or(tc.cacheBytes, cfg.CacheBytes)
+	sp := NewSpace(machine.MustNew(cfg))
 	g := sim.NewGroup(procs)
 
 	shA := NewShared[float64](sp, 4096)
@@ -75,18 +112,22 @@ func runTrace(t *testing.T, seed int64, useRef bool) traceResult {
 	shM.PlaceInterleave()
 	shC := NewShared[float64](sp, 3*256)
 	shC.PlaceBlock()
+	// A per-cycle buffer like the mesh's contribution array: released and
+	// replaced mid-trace, taking its sharer lists with it.
+	shS := NewShared[float64](sp, 1500)
+	shS.PlaceBlock()
 
 	rng := rand.New(rand.NewSource(seed))
 	phases := []sim.Phase{sim.PhaseCompute, sim.PhaseMark, sim.PhaseRemap}
 	res := traceResult{}
 	sum := 0.0
 
-	for step := 0; step < 4000; step++ {
+	for step := 0; step < tc.steps; step++ {
 		p := g.Proc(rng.Intn(procs))
 		if rng.Intn(16) == 0 {
 			p.SetPhase(phases[rng.Intn(len(phases))])
 		}
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0:
 			sum += shA.Load(p, rng.Intn(shA.Len()))
 		case 1:
@@ -167,10 +208,27 @@ func runTrace(t *testing.T, seed int64, useRef bool) traceResult {
 			cy.Flush()
 			cm.Flush()
 			cc.Flush()
+		case 10:
+			if i := rng.Intn(shS.Len()); rng.Intn(2) == 0 {
+				sum += shS.Load(p, i)
+			} else {
+				shS.StoreRange(p, i, make([]float64, min(1+rng.Intn(40), shS.Len()-i)))
+			}
 		}
-		// Periodic synchronization point.
+		// Periodic synchronization point; two of them also end a cycle (the
+		// buffer is released with records on its lists and a successor takes
+		// over) and cool every cache under the directory.
 		if step%257 == 256 {
 			res.mergeEpoch(sp, g)
+			switch step / 257 {
+			case 3:
+				shS.Load(p, 0) // an install the release finds still logged
+				Release(shS)
+				shS = NewShared[float64](sp, 1100)
+				shS.PlaceInterleave()
+			case 6:
+				sp.FlushCaches()
+			}
 		}
 	}
 
@@ -182,18 +240,35 @@ func runTrace(t *testing.T, seed int64, useRef bool) traceResult {
 // TestFastPathMatchesReference is the differential test for the optimized
 // cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
 // cursor chains (Load, TryTouch/TouchMiss, LoadArm),
-// the batched trace replay (ReplayLoads), and the filtered, inverted
+// the batched trace replay (ReplayLoads), and the directory-driven
 // coherence merge must be observationally identical to the straightforward
 // reference implementations in ref.go — same virtual clocks, same per-phase
 // attribution, same counters, same coherence evictions, same merge penalties
 // — on randomized traces.
+//
+// The second machine is where the sharer directory can be wrong: 72 caches
+// (processor indices past one machine word) of 32 lines each, so lines are
+// silently dropped by LRU and installed again between merges, under lists
+// that still name — or no longer name — their cache.
 func TestFastPathMatchesReference(t *testing.T) {
-	for _, seed := range []int64{1, 2, 42, 20260805} {
-		fast := runTrace(t, seed, false)
-		ref := runTrace(t, seed, true)
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("seed %d: fast path diverged from reference\nfast: %+v\nref:  %+v",
-				seed, fast, ref)
+	for _, tc := range []traceCfg{
+		{name: "default", procs: 8, steps: 4000},
+		{name: "tiny-caches", procs: 72, cacheBytes: 4096, steps: 12000},
+	} {
+		for _, seed := range []int64{1, 2, 42, 20260805} {
+			fast := runTrace(t, tc, seed, false)
+			ref := runTrace(t, tc, seed, true)
+			if d := fast.diff(ref); d != "" {
+				t.Fatalf("%s seed %d: fast path diverged from reference in %s", tc.name, seed, d)
+			}
+			var evicts uint64
+			for _, e := range fast.Evicts {
+				evicts += e
+			}
+			t.Logf("%s seed %d: %d coherence evictions", tc.name, seed, evicts)
+			if evicts == 0 {
+				t.Errorf("%s seed %d: no coherence eviction", tc.name, seed)
+			}
 		}
 	}
 }
@@ -240,13 +315,6 @@ type replayCase struct {
 	wantReorder bool // the non-MRU-hit path must take a large share of loads
 }
 
-// replayResult is everything a replay scenario may change: the traceResult
-// of runTrace plus the final tag array of every cache, LRU order included.
-type replayResult struct {
-	traceResult
-	Tags [][]uint32
-}
-
 // replayRegime counts, on the optimized path, how the replayed loads split:
 // slow-path hits (a non-MRU way, reordered) are charged straight to the
 // processor, MRU hits sit in the cursors until Flush.
@@ -259,7 +327,7 @@ type replayRegime struct {
 // the same arrays before the replay and — through the same, unflushed
 // cursors — after it, so memos the replay left stale are consulted, and
 // periodic coherence merges.
-func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, val func(int) T) (replayResult, replayRegime) {
+func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, val func(int) T) (traceResult, replayRegime) {
 	t.Helper()
 	refModel = useRef
 	defer func() { refModel = false }()
@@ -289,7 +357,7 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 
 	window := cmp.Or(rc.window, 48)
 	rng := rand.New(rand.NewSource(seed))
-	var res replayResult
+	var res traceResult
 	var reg replayRegime
 	centre := rng.Intn(bodies)
 	for step := 0; step < 600; step++ {
@@ -368,9 +436,6 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 	}
 
 	res.snapshot(sp, g)
-	for _, c := range sp.caches {
-		res.Tags = append(res.Tags, slices.Concat(c.chunks...))
-	}
 	return res, reg
 }
 
@@ -400,14 +465,13 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 		{name: "small-cache-line64", line: 64, cache: 4096, window: 24, private: true},
 		{name: "mixed-caches", mixed: true},
 	}
-	check := func(rc replayCase, run func(seed int64, useRef bool) (replayResult, replayRegime)) {
+	check := func(rc replayCase, run func(seed int64, useRef bool) (traceResult, replayRegime)) {
 		name := rc.name
 		for _, seed := range []int64{1, 7, 20260928} {
 			fast, reg := run(seed, false)
 			ref, _ := run(seed, true)
-			if !reflect.DeepEqual(fast, ref) {
-				t.Errorf("%s seed %d: replay diverged from reference\nfast: %+v\nref:  %+v",
-					name, seed, fast.traceResult, ref.traceResult)
+			if d := fast.diff(ref); d != "" {
+				t.Errorf("%s seed %d: replay diverged from reference in %s", name, seed, d)
 			}
 			t.Logf("%s seed %d: %d loads, %d reordered, %d straddling cells", name, seed, reg.loads, reg.reorder, reg.straddle)
 			if rc.wantReorder && reg.reorder*3 < reg.loads {
@@ -419,12 +483,12 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 		}
 	}
 	for _, rc := range cases {
-		check(rc, func(seed int64, useRef bool) (replayResult, replayRegime) {
+		check(rc, func(seed int64, useRef bool) (traceResult, replayRegime) {
 			return runReplayCase(t, rc, seed, useRef, func(i int) float64 { return float64(i) })
 		})
 	}
 	rc := replayCase{name: "wide-elements"}
-	check(rc, func(seed int64, useRef bool) (replayResult, replayRegime) {
+	check(rc, func(seed int64, useRef bool) (traceResult, replayRegime) {
 		return runReplayCase(t, rc, seed, useRef, func(i int) wide { return wide{float64(i)} })
 	})
 }

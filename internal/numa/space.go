@@ -34,13 +34,20 @@ type Space struct {
 	// fully consumed before the next merge can start.
 	mergeEvicts []uint64
 	mergePen    []sim.Time
-	// Per-writer scratch for mergeEpoch: the write-set's global line
-	// addresses and their Bloom-signature bits, computed once per writer and
-	// reused against every target cache.
-	mergeGls  []uint64
-	mergeSigs []uint64
+
+	// dir is the arena behind every shared array's sharer lists (Array.dirHead
+	// indexes it; record 0 is the nil sentinel) and dirFree heads its free
+	// list. Only the merge and Release touch it — never a running processor.
+	dir     []sharer
+	dirFree int32
 
 	allocBytes atomic.Uint64
+}
+
+// sharer is one directory record: processor proc may hold the line whose list
+// the record is on; next is the following record's index (0 ends the list).
+type sharer struct {
+	proc, next int32
 }
 
 // epochTracker is the slice of Array behaviour the coherence merge needs.
@@ -53,7 +60,7 @@ type epochTracker interface {
 
 // NewSpace creates the memory system for machine m.
 func NewSpace(m *machine.Machine) *Space {
-	s := &Space{M: m, caches: make([]*cache, m.Procs()), maps: new(hostMaps)}
+	s := &Space{M: m, caches: make([]*cache, m.Procs()), maps: new(hostMaps), dir: make([]sharer, 1)}
 	for i := range s.caches {
 		s.caches[i] = newCache(m.Cfg.CacheBytes, m.Cfg.LineBytes)
 	}
@@ -137,32 +144,52 @@ func (s *Space) MergeEpoch() []sim.Time {
 	for i, e := range evicts {
 		pen[i] = sim.Time(e) * per
 	}
+	if afterMerge != nil {
+		afterMerge(s)
+	}
 	return pen
 }
 
-// InvalidateLines drops the given global line addresses from processor pe's
-// cache and returns how many were actually evicted. Like MergeEpoch, it must
-// only be called while pe is blocked at a rendezvous.
-func (s *Space) InvalidateLines(pe int, lines []uint64) int {
-	c := s.caches[pe]
-	n := 0
-	for _, l := range lines {
-		if c.invalidate(l) {
-			n++
+// afterMerge, when set, sees the space at the end of every MergeEpoch. Like
+// refModel it is for tests only (dir_test.go audits the sharer directory
+// through it, also for spaces an application creates internally) and must
+// only be changed while no simulation is running.
+var afterMerge func(*Space)
+
+// addSharer puts processor q on the sharer list headed by *head unless the
+// list already names it. Lists are short (the caches that read one line
+// between two writes of it), so the duplicate check is a walk.
+func (s *Space) addSharer(head *int32, q int32) {
+	for r := *head; r != 0; r = s.dir[r].next {
+		if s.dir[r].proc == q {
+			return
 		}
 	}
-	return n
+	r := s.dirFree
+	if r != 0 {
+		s.dirFree = s.dir[r].next
+	} else {
+		r = int32(len(s.dir))
+		s.dir = append(s.dir, sharer{})
+	}
+	s.dir[r] = sharer{q, *head}
+	*head = r
+}
+
+// freeSharers returns the whole list starting at record head to the free list.
+func (s *Space) freeSharers(head int32) {
+	for r := head; r != 0; {
+		next := s.dir[r].next
+		s.dir[r].next, s.dirFree = s.dirFree, r
+		r = next
+	}
 }
 
 // InvalidateSpan drops the contiguous global line range [lo, hi) from
-// processor pe's cache and returns how many lines were actually evicted. The
-// occupancy filter makes the no-overlap case O(1). Like MergeEpoch, it must
-// only be called while pe is blocked at a rendezvous.
+// processor pe's cache and returns how many lines were actually evicted.
+// Like MergeEpoch, it must only be called while pe is blocked at a rendezvous.
 func (s *Space) InvalidateSpan(pe int, lo, hi uint64) int {
 	c := s.caches[pe]
-	if c.live == 0 || hi <= lo || hi-1 < c.minLine || lo > c.maxLine {
-		return 0
-	}
 	n := 0
 	for l := lo; l < hi; l++ {
 		if c.invalidate(l) {
