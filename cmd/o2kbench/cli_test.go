@@ -192,25 +192,17 @@ func TestCLIRunReportModes(t *testing.T) {
 	}
 }
 
+// There is one simulation scheduler and no stall timer: the flags that chose
+// between two engines and set the gang's watchdog are gone, not ignored.
 func TestCLIEngineFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	base := "-quick -procs 1,4 -exp mesh-speedup -engine "
-	evOut, stderr, code := o2kbench(t, base+"event")
-	if code != 0 {
-		t.Fatalf("-engine event exited %d (stderr: %s)", code, stderr)
-	}
-	gorOut, stderr, code := o2kbench(t, base+"goroutine")
-	if code != 0 {
-		t.Fatalf("-engine goroutine exited %d (stderr: %s)", code, stderr)
-	}
-	if evOut != gorOut {
-		t.Fatalf("engines disagree on stdout bytes:\nevent:\n%s\ngoroutine:\n%s", evOut, gorOut)
-	}
-	if _, stderr, code := o2kbench(t, base+"warp"); code != 2 ||
-		!strings.Contains(stderr, "warp") {
-		t.Fatalf("-engine warp should be rejected (code %d, stderr: %s)", code, stderr)
+	for _, args := range []string{"-engine event", "-engine goroutine", "-stalldeadline 1s"} {
+		_, stderr, code := o2kbench(t, "-quick -procs 1,4 -exp mesh-speedup "+args)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Errorf("%s: code %d, stderr: %s", args, code, stderr)
+		}
 	}
 }
 

@@ -13,26 +13,19 @@ import (
 	"o2k/internal/runner"
 	"o2k/internal/runner/diskcache"
 	"o2k/internal/runner/lease"
-	"o2k/internal/sim"
 )
 
 // engineFlags is the one wiring of the cell engine, shared by every front
 // end: the one-shot run, the -worker children the orchestrator forks, and
 // `o2kbench serve` register the same flags, validate them the same way, and
 // build their runner.Engine through build. The fields hold the defaults
-// before register and the parsed values after.
+// (all zero) before register and the parsed values after.
 type engineFlags struct {
-	cache         string
-	leases        bool
-	engine        string
-	jobs          int
-	timeout       time.Duration
-	retries       int
-	stallDeadline time.Duration
-}
-
-func defaultEngineFlags() engineFlags {
-	return engineFlags{engine: "event", stallDeadline: sim.DefaultStallDeadline}
+	cache   string
+	leases  bool
+	jobs    int
+	timeout time.Duration
+	retries int
 }
 
 // register declares the engine flags on fs, with f's current values as the
@@ -40,12 +33,9 @@ func defaultEngineFlags() engineFlags {
 func (f *engineFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.cache, "cache", f.cache, "persistent cell-cache directory (created if missing), shared with other runs,\nworker fleets and daemons; cache failures degrade to recompute")
 	fs.BoolVar(&f.leases, "leases", f.leases, "with -cache: coordinate with other processes on the same cache directory\nthrough per-cell lease files")
-	fs.StringVar(&f.engine, "engine", f.engine, "simulation engine: event (virtual-time scheduler) or goroutine (reference gang)")
 	fs.IntVar(&f.jobs, "jobs", f.jobs, "concurrent simulation cells (0 = GOMAXPROCS)")
 	fs.DurationVar(&f.timeout, "timeout", f.timeout, "per-cell compute deadline (0 = none); expired cells render FAILED(timeout)")
 	fs.IntVar(&f.retries, "cellretries", f.retries, "retry budget for cells that fail with a transient error")
-	fs.DurationVar(&f.stallDeadline, "stalldeadline", f.stallDeadline,
-		"simulation stall watchdog: panic a proc blocked this long with no virtual-time\nprogress (0 = off). Catches deadlocks; -timeout bounds a whole cell's wall time")
 }
 
 // argv renders f back to command-line arguments, one -name=value per
@@ -59,20 +49,14 @@ func (f engineFlags) argv() []string {
 	return args
 }
 
-// apply validates the flags and installs the process-wide simulator
-// settings they select. Every error is a usage error.
-func (f *engineFlags) apply() error {
-	se, err := sim.EngineByName(f.engine)
+// validate checks the flags against each other. Every error is a usage error.
+func (f *engineFlags) validate() error {
 	switch {
-	case err != nil:
-		return err
 	case f.retries < 0:
 		return errors.New("-cellretries must be >= 0")
 	case f.leases && f.cache == "":
 		return errors.New("-leases requires -cache DIR")
 	}
-	sim.SetDefaultEngine(se)
-	sim.SetStallDeadline(f.stallDeadline)
 	return nil
 }
 

@@ -3,8 +3,7 @@
 // Usage:
 //
 //	o2kbench [-exp name] [-quick] [-procs 1,2,4|preset] [-format text|json] [-list] [-version]
-//	         [-engine event|goroutine] [-jobs N] [-timeout d] [-cellretries N]
-//	         [-stalldeadline d] [-runreport[=text|json]]
+//	         [-jobs N] [-timeout d] [-cellretries N] [-runreport[=text|json]]
 //	         [-cache dir] [-cache-verify] [-cache-clear]
 //	         [-workers N] [-worker-restarts N] [-chaos-kill d] [-leases]
 //	         [-trace f] [-trace-exp name] [-trace-ascii] [-phasereport]
@@ -19,18 +18,15 @@
 //
 // The flag surface reads as four sections (see -help): experiment
 // selection and output, engine and execution, multi-process sweeps, and
-// observability and profiling. The engine flags (-cache -leases -engine
-// -jobs -timeout -cellretries -stalldeadline) are one engineFlags value
-// (engine.go) that the one-shot run, its -worker children, and serve all
-// register, validate, and build their engine from.
+// observability and profiling. The engine flags (-cache -leases -jobs
+// -timeout -cellretries) are one engineFlags value (engine.go) that the
+// one-shot run, its -worker children, and serve all register, validate, and
+// build their engine from.
 //
-// -engine selects the simulation engine (DESIGN.md §5.7): "event" (the
-// default) runs each gang on a single-threaded virtual-time event scheduler
-// built on continuations, "goroutine" runs the original one-OS-goroutine-
-// per-proc gang. Both produce byte-identical tables; the goroutine engine is
-// kept as the differential reference. -procs takes either an explicit
-// comma-separated list or a named preset (paper, scale128, scale256,
-// scale1024) for sweeps past the paper's 64-processor ceiling.
+// -procs takes either an explicit comma-separated list or a named preset
+// (paper, scale128, scale256, scale1024) for sweeps past the paper's
+// 64-processor ceiling; a simulated gang of any size runs on one host thread
+// (DESIGN.md §5.7).
 //
 // The trace flags are the observability subsystem (DESIGN.md §5.6): they
 // re-run one application cell with phase-timeline recording enabled —
@@ -66,13 +62,11 @@
 // a deadline) before the parent itself exits. -leases joins the same
 // coordination from independently-launched processes sharing one cache.
 //
-// -timeout and -stalldeadline bound different things: -timeout is a wall-
-// clock deadline on a whole cell (a cell that is legitimately slow renders
-// FAILED(timeout)); -stalldeadline is the simulator's per-proc watchdog,
-// panicking a simulated proc that sits this long on one event with no
-// virtual-time progress (a deadlock), which cell retries then surface as a
-// FAILED(stall ...) entry. A slow cell trips -timeout; only a wedged one
-// trips -stalldeadline.
+// -timeout is the one bound on a cell: a wall-clock deadline on its whole
+// computation, so a cell that is merely slow renders FAILED(timeout). A
+// deadlocked simulation needs no bound — the scheduler proves the deadlock
+// the moment no simulated processor can run (DESIGN.md §5.7) and the cell
+// renders FAILED(panic: … stalled …) at once.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the inputs to
 // the hot-path work recorded in DESIGN.md §5.4); profiles go to separate
@@ -88,7 +82,7 @@
 // prints the engine's cell/cache statistics to stderr — bare it follows
 // -format, `-runreport=json` forces the machine-readable document (report
 // plus phase aggregates when tracing ran). stdout carries only the tables
-// and stays byte-identical at any -jobs value and under either engine.
+// and stays byte-identical at any -jobs value.
 //
 // Failure semantics (DESIGN.md §5.3): a cell that panics, exceeds the
 // -timeout deadline, or is cancelled (SIGINT/SIGTERM) becomes a
@@ -202,7 +196,7 @@ var flagGroups = []struct {
 	{"Experiment selection and output", []string{
 		"exp", "list", "quick", "procs", "format", "version"}},
 	{"Engine and execution", []string{
-		"engine", "jobs", "timeout", "cellretries", "stalldeadline", "runreport",
+		"jobs", "timeout", "cellretries", "runreport",
 		"cache", "cache-verify", "cache-clear"}},
 	{"Multi-process sweeps", []string{
 		"workers", "worker-restarts", "chaos-kill", "worker", "leases"}},
@@ -390,7 +384,7 @@ func run() int {
 	flag.BoolVar(&req.Quick, "quick", false, "reduced workloads and processor counts")
 	flag.StringVar(&req.Procs, "procs", "", "processor counts: a comma-separated list, or a preset name\n("+strings.Join(experiments.ProcsPresetNames(), ", ")+")")
 	format := flag.String("format", "text", "output format: text or json")
-	ef := defaultEngineFlags()
+	var ef engineFlags
 	ef.register(flag.CommandLine)
 	var runreport runReportFlag
 	flag.Var(&runreport, "runreport", "print the cell cache/timing report to stderr; =text or =json forces the\nformat, bare follows -format")
@@ -474,7 +468,7 @@ func run() int {
 		return usageErr(errors.New("-cache-verify/-cache-clear require -cache DIR"))
 	}
 	ef.leases = ef.leases || *workerSpec != "" // a worker is a leased process
-	if err := ef.apply(); err != nil {
+	if err := ef.validate(); err != nil {
 		return usageErr(err)
 	}
 	if *cacheVerify || *cacheClear {

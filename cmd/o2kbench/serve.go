@@ -24,7 +24,7 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("o2kbench serve", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	ef := defaultEngineFlags()
+	var ef engineFlags
 	ef.register(fs)
 	inflight := fs.Int("inflight", 4, "concurrently running experiment requests")
 	queue := fs.Int("queue", 16, "requests allowed to wait for a run slot; beyond inflight+queue, 429")
@@ -37,7 +37,7 @@ func runServe(args []string) int {
 		fmt.Fprintf(os.Stderr, "o2kbench serve: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	if err := ef.apply(); err != nil {
+	if err := ef.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "o2kbench serve:", err)
 		return 2
 	}

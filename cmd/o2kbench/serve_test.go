@@ -185,9 +185,9 @@ func TestCLIServeUsageErrors(t *testing.T) {
 		!strings.Contains(stderr, "-leases requires -cache") {
 		t.Fatalf("serve -leases without -cache: code=%d stderr=%s", code, stderr)
 	}
-	if _, stderr, code := o2kbench(t, "serve -engine warp"); code != 2 ||
-		!strings.Contains(stderr, "warp") {
-		t.Fatalf("serve -engine warp: code=%d stderr=%s", code, stderr)
+	if _, stderr, code := o2kbench(t, "serve -engine event"); code != 2 ||
+		!strings.Contains(stderr, "flag provided but not defined") {
+		t.Fatalf("serve -engine event: code=%d stderr=%s", code, stderr)
 	}
 	if _, stderr, code := o2kbench(t, "serve extra"); code != 2 ||
 		!strings.Contains(stderr, "unexpected argument") {

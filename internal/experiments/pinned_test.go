@@ -11,17 +11,16 @@ import (
 
 	"o2k/internal/core"
 	"o2k/internal/runner"
-	"o2k/internal/sim"
 )
 
 // smallCellsFile pins the complete Metrics — total, per-phase critical path
 // and average, every counter, data size, checksum, extras — of every app
 // under every model it runs at P = 1, 8 and 64 on the Small workloads, one
-// lossless core.EncodeMetrics document per line. It was recorded while the
-// event scheduler and the goroutine gang both existed and agreed on every
-// cell; it is what the one remaining scheduler must keep reproducing, so a
-// host-side change to sim, numa or a model runtime that moves one simulated
-// number names the cell and the field here.
+// lossless core.EncodeMetrics document per line. It was recorded while sim
+// still had two schedulers, the event scheduler that remains and a gang of
+// one goroutine per processor, and the two agreed on every cell: a host-side
+// change to sim, numa or a model runtime that moves one simulated number
+// names the cell and the field here.
 //
 // After an INTENTIONAL model change (one that also updates
 // goldenQuickSHA256), delete the file and run the test once: it records the
@@ -40,11 +39,7 @@ func TestSmallCellsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	o := QuickOpts()
-	engines := map[string]*runner.Engine{}
-	for _, en := range sim.EngineNames() {
-		engines[en] = runner.New(0)
-	}
+	o, e := QuickOpts(), runner.New(0)
 	var lines []string
 	for i := range apps {
 		a := &apps[i]
@@ -52,31 +47,28 @@ func TestSmallCellsPinned(t *testing.T) {
 			t.Run(a.name+"/"+m.String(), func(t *testing.T) {
 				for _, procs := range []int{1, 8, 64} {
 					if m == core.Hybrid && procs == 1 {
-						continue // the hybrid runs one rank per node
+						continue // the hybrid's unit is a two-processor node
 					}
 					t.Run(fmt.Sprintf("P=%d", procs), func(t *testing.T) {
 						name := strings.TrimPrefix(t.Name(), "TestSmallCellsPinned/")
-						want := pinned[name]
-						for _, en := range sim.EngineNames() {
-							var res runner.Res
-							underEngine(t, en, func() { res = a.Cell(bg, engines[en], m, procs, o) })
-							if res.Err != nil {
-								t.Fatal(res.Err)
-							}
-							if record && want == nil {
-								// The first engine's document; the others must equal it.
-								if want, err = core.EncodeMetrics(res.M); err != nil {
-									t.Fatal(err)
-								}
-								lines = append(lines, fmt.Sprintf("%q: %s", name, want))
-							}
-							wantM, err := core.DecodeMetrics(want)
+						res := a.Cell(bg, e, m, procs, o)
+						if res.Err != nil {
+							t.Fatal(res.Err)
+						}
+						if record {
+							doc, err := core.EncodeMetrics(res.M)
 							if err != nil {
-								t.Fatalf("%s: %v", smallCellsFile, err)
+								t.Fatal(err)
 							}
-							if diff := diffMetrics(res.M, wantM); diff != "" {
-								t.Errorf("%s engine moved a pinned cell:%s", en, diff)
-							}
+							lines = append(lines, fmt.Sprintf("%q: %s", name, doc))
+							return
+						}
+						want, err := core.DecodeMetrics(pinned[name])
+						if err != nil {
+							t.Fatalf("%s: %v", smallCellsFile, err)
+						}
+						if diff := diffMetrics(res.M, want); diff != "" {
+							t.Errorf("a pinned cell moved:%s", diff)
 						}
 					})
 				}
@@ -98,7 +90,7 @@ func diffMetrics(got, want core.Metrics) string {
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < gv.NumField(); i++ {
 		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
-			fmt.Fprintf(&b, "\n  %s: got %v, pinned %v", gv.Type().Field(i).Name, g, w)
+			fmt.Fprintf(&b, "\n  %s: got %+v, pinned %+v", gv.Type().Field(i).Name, g, w)
 		}
 	}
 	return b.String()

@@ -8,12 +8,12 @@ import (
 )
 
 // Processor-count scaling presets for o2kbench's -procs flag. The paper's
-// sweep stops at 64 because the studied Origin2000 did; the event engine and
-// lazy cache-tag allocation make larger gangs practical, and these presets
-// name the standard sweeps so CI jobs and scaling runs don't hand-maintain
-// doubling lists. scale1024 is deliberately coarser (factor-4 steps): the
-// point of the largest preset is the memory/scheduling envelope at the top
-// end, not a dense curve.
+// sweep stops at 64 because the studied Origin2000 did; the one-thread
+// scheduler and lazy cache-tag allocation make larger gangs practical, and
+// these presets name the standard sweeps so CI jobs and scaling runs don't
+// hand-maintain doubling lists. scale1024 is deliberately coarser (factor-4
+// steps): the point of the largest preset is the memory/scheduling envelope
+// at the top end, not a dense curve.
 var procsPresets = map[string][]int{
 	"paper":     {1, 2, 4, 8, 16, 32, 64},
 	"scale128":  {1, 2, 4, 8, 16, 32, 64, 128},

@@ -35,9 +35,9 @@ type message struct {
 	availAt  sim.Time // earliest virtual time the payload can be delivered
 }
 
-// mailbox is one rank's pending-message queue with tag matching. Blocking
-// receives suspend via an engine-aware sim.Cond, so they work identically
-// under the goroutine gang and the event scheduler.
+// mailbox is one rank's pending-message queue with tag matching. A blocking
+// receive suspends its processor on a sim.Cond, so the scheduler goroutine
+// that runs every rank is never blocked itself.
 type mailbox struct {
 	mu   sync.Mutex
 	cond sim.Cond

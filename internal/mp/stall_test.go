@@ -2,6 +2,7 @@ package mp
 
 import (
 	"testing"
+	"time"
 
 	"o2k/internal/machine"
 	"o2k/internal/sim"
@@ -9,21 +10,18 @@ import (
 
 // TestRecvDeadlockStallDiagnostics: a Recv whose matching Send never comes is
 // the Cond-flavored stall — no barrier episode, no participant roster, just a
-// proc suspended on a mailbox that can never fill. It mirrors the barrier
-// case in sim's TestEnginesAgreeOnStallDiagnostics, but only on the event
-// engine: under the goroutine engine a proc stuck in sync.Cond.Wait outside
-// any barrier episode simply hangs (no watchdog covers it), so there is no
-// goroutine-side behavior to compare against. The test pins two things: the
-// structural detector diagnoses the deadlock as a *StallError with the
-// mailbox's "mp recv" kind on the lowest blocked rank, and the poison
-// unwinds through mailbox.take's deferred mutex unlock as an ordinary
-// *ProcPanic rather than a "sync: unlock of unlocked mutex" runtime fatal
-// that would abort the whole process.
+// proc suspended on a mailbox that can never fill. The test pins two things:
+// the scheduler's deadlock detector diagnoses it as a *StallError with the
+// mailbox's "mp recv" kind on the lowest blocked rank, and the poison unwinds
+// through mailbox.take's deferred mutex unlock as an ordinary *ProcPanic
+// rather than a "sync: unlock of unlocked mutex" runtime fatal that would
+// abort the whole process.
 func TestRecvDeadlockStallDiagnostics(t *testing.T) {
 	m := machine.MustNew(machine.Default(2))
 	w := NewWorld(m)
-	g := sim.NewGroupOn(sim.EventEngine(), 2)
+	g := sim.NewGroup(2)
 	var v any
+	start := time.Now()
 	func() {
 		defer func() { v = recover() }()
 		g.Run(func(p *sim.Proc) {
@@ -33,6 +31,9 @@ func TestRecvDeadlockStallDiagnostics(t *testing.T) {
 			}
 		})
 	}()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Run took %v to report a deadlock it proves from an empty run queue", d)
+	}
 	pp, ok := v.(*sim.ProcPanic)
 	if !ok {
 		t.Fatalf("Run re-panicked with %T (%v), want *ProcPanic", v, v)

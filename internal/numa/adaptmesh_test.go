@@ -8,7 +8,6 @@ import (
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/numa"
-	"o2k/internal/sim"
 )
 
 // At Small every array of the mesh application sits below the mapping
@@ -46,21 +45,17 @@ func TestMeshMetricsIdenticalWithEveryArrayMapped(t *testing.T) {
 
 // The CC-SAS mesh run keeps the sharer directory sound through remap, page
 // migration, per-cycle contribution buffers and their Release: TestMain's
-// checkDirectory audit runs at every barrier of the run, under both engines,
-// so at least once in each adaptation cycle.
+// checkDirectory audit runs at every barrier of the run, so at least once in
+// each adaptation cycle.
 func TestMeshSASDirectoryAudited(t *testing.T) {
 	w := adaptmesh.Small()
 	mach := machine.MustNew(machine.Default(8))
 	plans := adaptmesh.BuildPlans(w, 8)
-	for _, engine := range []sim.Engine{sim.EventEngine(), sim.GoroutineEngine()} {
-		prev := sim.SetDefaultEngine(engine)
-		before := numa.DirectoryAudits()
-		adaptmesh.RunWithPlans(core.SAS, mach, w, plans)
-		sim.SetDefaultEngine(prev)
-		n := numa.DirectoryAudits() - before
-		t.Logf("%s engine: %d merges audited in %d cycles", engine.Name(), n, len(plans))
-		if n < int64(len(plans)) {
-			t.Errorf("%s engine: too few audits", engine.Name())
-		}
+	before := numa.DirectoryAudits()
+	adaptmesh.RunWithPlans(core.SAS, mach, w, plans)
+	n := numa.DirectoryAudits() - before
+	t.Logf("%d merges audited in %d cycles", n, len(plans))
+	if n < int64(len(plans)) {
+		t.Error("too few audits")
 	}
 }

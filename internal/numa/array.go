@@ -67,17 +67,15 @@ type Array[T any] struct {
 	writeLines [][]uint32 // per proc: line indices written this epoch
 	writeBits  [][]uint64 // per proc: dedup bitmap over line indices
 
-	// Sharer directory (shared arrays only; DESIGN.md §5.9). installs[q] logs
-	// the array-local lines processor q installed in its cache since the last
-	// merge — one log per processor, because the goroutine gang runs simulated
-	// processors on real threads. The merge folds the logs into dirHead: per
-	// line, the 1-based index of the first record of its sharer list in the
-	// space's arena (0 = no sharer; allocated by the first fold). Address ranges
-	// are never reused (Space.reserve), so a line of this array can only enter a
-	// cache through this array's accessors: log plus lists name a superset of
-	// the caches that hold each line, and the merge probes only those.
-	installs [][]uint32
-	dirHead  []int32
+	// Sharer directory (shared arrays only; DESIGN.md §5.9): per line, the
+	// 1-based index of the first record of its sharer list in the space's arena
+	// (0 = no sharer; allocated by the first miss). Every miss that installs a
+	// line of this array in a cache links that cache's record (noteInstall).
+	// Address ranges are never reused (Space.reserve), so a line of this array
+	// can only enter a cache through this array's accessors: the lists name a
+	// superset of the caches that hold each line, and the merge probes only
+	// those.
+	dirHead []int32
 }
 
 // lastRef is one entry of Array.last: line is the global line address + 1
@@ -102,7 +100,6 @@ func NewShared[T any](sp *Space, n int) *Array[T] {
 	p := sp.M.Procs()
 	a.writeLines = make([][]uint32, p)
 	a.writeBits = make([][]uint64, p)
-	a.installs = make([][]uint32, p)
 	sp.registerShared(a)
 	return a
 }
@@ -171,7 +168,7 @@ func Release[T any](a *Array[T]) {
 		for _, head := range a.dirHead {
 			a.sp.freeSharers(head)
 		}
-		a.dirHead, a.installs = nil, nil
+		a.dirHead = nil
 	}
 	if a.chunk != nil {
 		a.sp.maps.release(a.chunk)
@@ -336,13 +333,18 @@ func (a *Array[T]) chargeSlow(p *sim.Proc, c *cache, base, gl uint64, li uint32,
 	a.last[me] = lastRef{gl + 1, c.gen}
 }
 
-// noteInstall logs that a miss installed array-local line li in processor
-// me's cache. Only shared arrays keep a directory (the merge is the sole
-// consumer); the nil check keeps private arrays free.
+// noteInstall records that a miss installed array-local line li in processor
+// me's cache. Only shared arrays keep a directory (the merge is its sole
+// consumer). One scheduler thread runs every processor of the space
+// (sim.Group.Run), so the miss links its record into the shared arena itself.
 func (a *Array[T]) noteInstall(me int, li uint32) {
-	if a.installs != nil {
-		a.installs[me] = append(a.installs[me], li)
+	if !a.shared {
+		return
 	}
+	if a.dirHead == nil {
+		a.dirHead = make([]int32, a.lines())
+	}
+	a.sp.addSharer(&a.dirHead[li], int32(me))
 }
 
 // recordWrite adds li to processor me's epoch write-set (once per line).
@@ -523,32 +525,20 @@ func (a *Array[T]) LineRange(e0, e1 int) (lo, hi uint64) {
 // mergeEpoch applies the epoch's write-sets: every line written by some
 // processor is invalidated in every other processor's cache.
 //
-// It first folds the install logs into the sharer directory, then walks each
-// written line's list: every recorded cache but the writer's is probed and its
-// record unlinked, evicted or not — a record whose line LRU had already
-// dropped is a stale superset entry, and a cache that installs the line again
-// logs it again. Invalidation outcomes are order-independent — invalidate(L)
-// in cache q depends only on whether q still holds L, and a cache the
-// directory does not name holds no copy — so the result is the cache state and
-// evict counts of the reference path's probe of every cache (ref.go).
+// It walks each written line's sharer list: every recorded cache but the
+// writer's is probed and its record unlinked, evicted or not — a record whose
+// line LRU had already dropped is a stale superset entry, and a cache that
+// installs the line again links a new one. Invalidation outcomes are
+// order-independent — invalidate(L) in cache q depends only on whether q still
+// holds L, and a cache the directory does not name holds no copy — so the
+// result is the cache state and evict counts of the reference path's probe of
+// every cache (ref.go).
 func (a *Array[T]) mergeEpoch(caches []*cache, evicts []uint64) {
 	if refModel {
 		a.mergeEpochRef(caches, evicts)
 		return
 	}
 	sp := a.sp
-	for q, log := range a.installs {
-		if len(log) == 0 {
-			continue
-		}
-		if a.dirHead == nil {
-			a.dirHead = make([]int32, a.lines())
-		}
-		for _, li := range log {
-			sp.addSharer(&a.dirHead[li], int32(q))
-		}
-		a.installs[q] = log[:0]
-	}
 	for w, lines := range a.writeLines {
 		if len(lines) == 0 {
 			continue
@@ -557,7 +547,7 @@ func (a *Array[T]) mergeEpoch(caches []*cache, evicts []uint64) {
 		for _, li := range lines {
 			bits[li>>6] &^= uint64(1) << (li & 63)
 			gl := a.baseLine + uint64(li)
-			// The writer installed li at some point, so a fold has made dirHead.
+			// The writer installed li at some point, which made dirHead.
 			link := &a.dirHead[li]
 			for r := *link; r != 0; r = *link {
 				rec := &sp.dir[r]

@@ -18,7 +18,7 @@ func TestMain(m *testing.M) {
 		if refModel {
 			return // the reference merge probes every cache and keeps no directory
 		}
-		if err := checkDirectory(sp, true); err != nil {
+		if err := checkDirectory(sp); err != nil {
 			panic(err)
 		}
 		directoryAudits.Add(1)
@@ -41,21 +41,19 @@ var directoryAudits atomic.Int64
 type dirState struct {
 	baseLine uint64
 	lines    int
-	heads    []int32 // nil until the first fold
-	installs [][]uint32
+	heads    []int32 // nil until the first miss
 }
 
 func (a *Array[T]) dirState() dirState {
-	return dirState{a.baseLine, a.lines(), a.dirHead, a.installs}
+	return dirState{a.baseLine, a.lines(), a.dirHead}
 }
 
 // checkDirectory is the conservation check of the sharer directory: the arena
 // is exactly its free list plus the records on the lists (plus the sentinel),
 // no list names a processor twice, and every valid tag of a shared array's
-// line in cache q is covered by a record q on that line's list or by q's
-// pending install log — the superset invariant the merge rests on. With
-// merged set (the state MergeEpoch leaves) every install log must be empty.
-func checkDirectory(sp *Space, merged bool) error {
+// line in cache q is covered by a record q on that line's list — the superset
+// invariant the merge rests on.
+func checkDirectory(sp *Space) error {
 	sp.mu.Lock()
 	trackers := slices.Clone(sp.shared)
 	sp.mu.Unlock()
@@ -68,11 +66,6 @@ func checkDirectory(sp *Space, merged bool) error {
 	listed := make([]int, len(sp.caches)) // list number that last named each proc
 	list := 0
 	for ai, a := range arrays {
-		for q, log := range a.installs {
-			if merged && len(log) != 0 {
-				return fmt.Errorf("array %d: proc %d has %d installs logged after a merge", ai, q, len(log))
-			}
-		}
 		for li, head := range a.heads {
 			list++
 			for r := head; r != 0; r = sp.dir[r].next {
@@ -113,7 +106,7 @@ func checkDirectory(sp *Space, merged bool) error {
 						continue
 					}
 					if !dirCovers(sp, a, uint32(li), int32(q)) {
-						return fmt.Errorf("array %d line %d: cached by proc %d, on neither its list nor the proc's install log", ai, li, q)
+						return fmt.Errorf("array %d line %d: cached by proc %d, which is not on its list", ai, li, q)
 					}
 				}
 			}
@@ -122,17 +115,17 @@ func checkDirectory(sp *Space, merged bool) error {
 	return nil
 }
 
-// dirCovers reports whether proc q is recorded for line li of a: on the
-// line's sharer list, or in q's pending install log.
+// dirCovers reports whether proc q is on the sharer list of line li of a.
 func dirCovers(sp *Space, a dirState, li uint32, q int32) bool {
-	if a.heads != nil {
-		for r := a.heads[li]; r != 0; r = sp.dir[r].next {
-			if sp.dir[r].proc == q {
-				return true
-			}
+	if a.heads == nil {
+		return false
+	}
+	for r := a.heads[li]; r != 0; r = sp.dir[r].next {
+		if sp.dir[r].proc == q {
+			return true
 		}
 	}
-	return slices.Contains(a.installs[q], li)
+	return false
 }
 
 // sharersOf lists the processors on the sharer list starting at record head.
@@ -144,8 +137,8 @@ func sharersOf(sp *Space, head int32) []int32 {
 	return procs
 }
 
-// Release returns a shared array's records to the arena and forgets its
-// pending installs; the other arrays' lists are untouched.
+// Release returns a shared array's records to the arena; the other arrays'
+// lists are untouched.
 func TestReleaseDropsDirectory(t *testing.T) {
 	const procs = 3
 	sp, _ := space(procs)
@@ -157,17 +150,17 @@ func TestReleaseDropsDirectory(t *testing.T) {
 		keep.Load(g.Proc(q), 0)
 	}
 	sp.MergeEpoch()
-	s.Load(g.Proc(0), 0) // a hit: nothing logged
+	s.Load(g.Proc(0), 0) // a hit: nothing linked
 	sp.caches[1].flush()
-	s.Load(g.Proc(1), 17) // an install the release finds still logged
-	if err := checkDirectory(sp, false); err != nil {
+	s.Load(g.Proc(1), 17) // a re-install: proc 1 is on the list already, no second record
+	if err := checkDirectory(sp); err != nil {
 		t.Fatal(err)
 	}
 	Release(s)
-	if s.dirHead != nil || s.installs != nil {
+	if s.dirHead != nil {
 		t.Error("released array keeps its directory")
 	}
-	if err := checkDirectory(sp, true); err != nil {
+	if err := checkDirectory(sp); err != nil {
 		t.Error(err)
 	}
 	if got := len(sharersOf(sp, sp.dirFree)); got != 16*procs {

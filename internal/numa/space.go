@@ -37,7 +37,8 @@ type Space struct {
 
 	// dir is the arena behind every shared array's sharer lists (Array.dirHead
 	// indexes it; record 0 is the nil sentinel) and dirFree heads its free
-	// list. Only the merge and Release touch it — never a running processor.
+	// list. Misses link records, the merge and Release unlink them — all on
+	// the one scheduler thread that runs the space's processors.
 	dir     []sharer
 	dirFree int32
 

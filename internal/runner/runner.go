@@ -69,8 +69,8 @@ type Policy struct {
 	// CellTimeout bounds each compute attempt; 0 means no bound. On expiry
 	// the attempt's requesters get context.DeadlineExceeded while the
 	// compute goroutine keeps its worker slot until it actually returns
-	// (the sim stall watchdog guarantees it eventually does), so the pool
-	// is never oversubscribed.
+	// (a simulation always does: its scheduler turns a deadlock into a
+	// *sim.StallError panic at once), so the pool is never oversubscribed.
 	CellTimeout time.Duration
 	// Retries is the number of extra attempts granted to a compute whose
 	// error is marked Transient. Deterministic failures are never retried.
@@ -204,9 +204,9 @@ func (e *Engine) Cancel(cause error) { e.cancel(cause) }
 
 // Compute is a cell's work once its dependencies are resolved. It receives a
 // context cancelled at the per-cell deadline, on engine cancellation, or when
-// the cell's last requester leaves; long-running computes may observe it, but
-// the simulation runtime's stall watchdog is the backstop for those that
-// don't. It runs holding a worker slot and must not request cells.
+// the cell's last requester leaves; long-running computes may observe it, and
+// a simulation that does not still ends (a deadlocked one panics at once with
+// a *sim.StallError). It runs holding a worker slot and must not request cells.
 type Compute func(ctx context.Context) (any, error)
 
 // Cell is one request of the engine: a keyed computation, where it persists,

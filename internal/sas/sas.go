@@ -87,10 +87,10 @@ func (c *Ctx) Range(n int) (lo, hi int) {
 // models an uncontended remote atomic; contention additionally serializes
 // virtual time because acquirers merge clocks with the previous holder.
 //
-// Holding is tracked by a flag guarded by a briefly-held host mutex, with an
-// engine-aware sim.Cond for contended waits: no host lock is ever held
-// across a suspension point, which the event engine's single scheduler
-// goroutine requires (and the goroutine engine tolerates identically).
+// Holding is tracked by a flag guarded by a briefly-held host mutex, with a
+// sim.Cond for contended waits: no host lock is ever held across a
+// suspension point, because one scheduler goroutine runs every processor and
+// nobody else could release it.
 type Lock struct {
 	w       *World
 	mu      sync.Mutex

@@ -1,39 +1,98 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
+
+// episode is the rendezvous state Barrier and Reducer share: n participants
+// arrive, the last one closes the episode and releases the others at the
+// maximum entry clock plus cost(n) (plus a per-participant penalty), and
+// everyone charges the wait to PhaseSync. It needs no lock — the scheduler
+// runs one processor of a group at a time (see event.go) — and a waiter is
+// resumed exactly once, by the release or by the deadlock detector, so there
+// is nothing to re-check on wake-up.
+type episode struct {
+	kind string // "barrier" or "reducer", for stall diagnostics
+	n    int
+	cost func(n int) Time
+
+	maxT    Time        // latest entry clock of the open episode
+	arrived []int       // ranks (or slots) in the open episode
+	waiting []*evProc   // its suspended participants
+	relT    Time        // release time of the episode that last closed
+	pen     []Time      // its per-rank penalties (indexed by Proc.ID), or nil
+	stall   *StallError // sticky: a stalled rendezvous stays broken
+}
+
+// arrive enters p into the open episode as participant id and reports
+// whether it is the last one. A late arrival at a stalled rendezvous must
+// not wait: the episode is unrecoverable and the group is unwinding.
+func (e *episode) arrive(p *Proc, id int) (last bool) {
+	if e.stall != nil {
+		panic(e.stall)
+	}
+	e.maxT = Max(e.maxT, p.clock)
+	e.arrived = append(e.arrived, id)
+	return len(e.arrived) == e.n
+}
+
+// await suspends p until the episode closes; if it never can, p panics with
+// the *StallError the deadlock detector poisons it with.
+func (e *episode) await(p *Proc) { p.block(&e.waiting, e) }
+
+// release closes the episode, run by its last arriver: it fixes the release
+// time, opens the next episode and reschedules every suspended participant
+// at its own release time, which keeps the event heap ordered by virtual
+// time.
+func (e *episode) release(pen []Time) {
+	e.relT = e.maxT
+	if e.cost != nil {
+		e.relT += e.cost(e.n)
+	}
+	e.pen = pen
+	e.maxT = 0
+	e.arrived = e.arrived[:0]
+	for _, ep := range e.waiting {
+		ep.wake(e.releaseTime(ep.p))
+	}
+	e.waiting = e.waiting[:0]
+}
+
+// releaseTime is when p leaves the episode that last closed. No participant
+// can close the next one before every participant of this one has left, so
+// relT and pen are still this episode's when a woken waiter reads them.
+func (e *episode) releaseTime(p *Proc) Time {
+	if p.id < len(e.pen) {
+		return e.relT + e.pen[p.id]
+	}
+	return e.relT
+}
+
+// leave advances p to its release time, charged to PhaseSync.
+func (e *episode) leave(p *Proc) {
+	prev := p.SetPhase(PhaseSync)
+	p.AdvanceTo(e.releaseTime(p))
+	p.SetPhase(prev)
+}
+
+// stallInfo marks the open episode as stalled and returns the sticky error.
+// Idempotent: every participant poisoned during the unwind receives the same
+// error.
+func (e *episode) stallInfo() *StallError {
+	if e.stall == nil {
+		e.stall = &StallError{Kind: e.kind, N: e.n, Arrived: append([]int(nil), e.arrived...)}
+	}
+	return e.stall
+}
 
 // Barrier is a reusable (cyclic) barrier that also merges virtual clocks:
 // every participant leaves at the maximum entry time plus a configurable
 // cost. Wait time is charged to PhaseSync.
 //
-// Unlike Proc, a Barrier is shared and safe for concurrent use — it is the
-// synchronization point between processor goroutines.
-//
-// Every episode is covered against stalls: under the goroutine engine by the
-// wall-clock watchdog (see watchdog.go), under the event engine by the
-// scheduler's structural deadlock detection (see event.go). Either way, if
-// the participant count can no longer reach n, all arrived participants
-// panic with a *StallError instead of blocking forever.
+// A Barrier is shared by the processors of one Group. If the participant
+// count of an episode can no longer reach n, all arrived participants panic
+// with a *StallError instead of waiting forever.
 type Barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	waiting int
-	gen     uint64
-	maxT    Time
-	relT    Time
-	pen     []Time
-	cost    func(n int) Time
-	hook    func() []Time
-
-	arrived []int       // ranks in the open episode, for stall diagnostics
-	evq     []*evProc   // event-engine participants suspended in the episode
-	timer   *time.Timer // pending watchdog deadline, nil between episodes
-	stall   *StallError // sticky: a stalled barrier stays broken
+	episode
+	hook func() []Time
 }
 
 // NewBarrier creates a barrier for n participants. cost maps the group size
@@ -51,172 +110,35 @@ func NewBarrierHook(n int, cost func(n int) Time, hook func() []Time) *Barrier {
 	if n <= 0 {
 		panic("sim: barrier size must be positive")
 	}
-	b := &Barrier{n: n, cost: cost, hook: hook}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// armWatchdog starts the stall deadline for the episode that just opened.
-// Called with b.mu held by the episode's first arriver.
-func (b *Barrier) armWatchdog() {
-	d := StallDeadline()
-	if d <= 0 {
-		return
-	}
-	gen := b.gen
-	b.timer = time.AfterFunc(d, func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		// A stale fire — the episode completed and bumped the generation
-		// before Stop won the race — is a no-op.
-		if b.gen != gen || b.stall != nil {
-			return
-		}
-		b.stall = &StallError{Kind: "barrier", N: b.n,
-			Arrived: append([]int(nil), b.arrived...), Deadline: d}
-		b.cond.Broadcast()
-	})
-}
-
-// disarmWatchdog cancels the pending deadline. Called with b.mu held by the
-// episode's last arriver.
-func (b *Barrier) disarmWatchdog() {
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
+	return &Barrier{episode: episode{kind: "barrier", n: n, cost: cost}, hook: hook}
 }
 
 // Wait blocks until all n participants have arrived, then advances p's clock
 // to max(entry clocks) + cost(n) (+ any hook penalty). The advance is charged
-// to PhaseSync. If the episode stalls past StallDeadline, Wait panics with a
-// *StallError instead of blocking forever.
+// to PhaseSync. If the episode stalls, Wait panics with a *StallError instead
+// of blocking forever.
 func (b *Barrier) Wait(p *Proc) {
-	b.mu.Lock()
-	if b.stall != nil {
-		// A late arrival at an already-stalled barrier must not block: the
-		// episode is unrecoverable and the group is unwinding.
-		err := b.stall
-		b.mu.Unlock()
-		panic(err)
-	}
-	if p.clock > b.maxT {
-		b.maxT = p.clock
-	}
-	b.waiting++
-	b.arrived = append(b.arrived, p.id)
-	if b.waiting == 1 && p.ev == nil {
-		// Event-engine episodes rely on structural deadlock detection
-		// instead of a wall-clock timer (see event.go).
-		b.armWatchdog()
-	}
-	if b.waiting == b.n {
-		b.disarmWatchdog()
-		rel := b.maxT
-		if b.cost != nil {
-			rel += b.cost(b.n)
-		}
-		b.relT = rel
-		b.pen = nil
+	if b.arrive(p, p.id) {
+		var pen []Time
 		if b.hook != nil {
-			b.pen = b.hook()
+			pen = b.hook()
 		}
-		b.waiting = 0
-		b.maxT = 0
-		b.arrived = b.arrived[:0]
-		b.gen++
-		b.release()
+		b.release(pen)
 	} else {
-		gen := b.gen
-		for gen == b.gen && b.stall == nil {
-			b.wait(p)
-		}
-		if b.stall != nil && gen == b.gen {
-			err := b.stall
-			b.mu.Unlock()
-			panic(err)
-		}
+		b.await(p)
 	}
-	rel := b.relT
-	if b.pen != nil && p.id < len(b.pen) {
-		rel += b.pen[p.id]
-	}
-	b.mu.Unlock()
-
-	prev := p.SetPhase(PhaseSync)
-	p.AdvanceTo(rel)
-	p.SetPhase(prev)
-}
-
-// wait suspends p until the open episode completes or stalls. b.mu is held
-// at entry and exit. Goroutine-engine procs block on the condition variable;
-// event-engine procs suspend their continuation, dropping b.mu first because
-// the whole gang shares one goroutine. A poisoned proc panics with b.mu
-// released, exactly like the watchdog path in Wait.
-func (b *Barrier) wait(p *Proc) {
-	if p.ev == nil {
-		b.cond.Wait()
-		return
-	}
-	b.evq = append(b.evq, p.ev)
-	b.mu.Unlock()
-	if err := p.ev.block(b.stallInfo); err != nil {
-		panic(err)
-	}
-	b.mu.Lock()
-}
-
-// release wakes every suspended participant of the episode that just
-// completed. Called with b.mu held by the last arriver, after relT/pen are
-// final: event-engine procs are rescheduled at their individual release
-// times, which keeps the event heap ordered by virtual time.
-func (b *Barrier) release() {
-	for _, ep := range b.evq {
-		rel := b.relT
-		if b.pen != nil && ep.p.id < len(b.pen) {
-			rel += b.pen[ep.p.id]
-		}
-		ep.wake(rel)
-	}
-	b.evq = b.evq[:0]
-	b.cond.Broadcast()
-}
-
-// stallInfo marks the open episode as stalled and returns the sticky error —
-// the event engine's counterpart of the watchdog timer callback. Idempotent:
-// every participant poisoned during the unwind receives the same error.
-func (b *Barrier) stallInfo() *StallError {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.stall == nil {
-		b.stall = &StallError{Kind: "barrier", N: b.n,
-			Arrived: append([]int(nil), b.arrived...), Deadline: StallDeadline()}
-	}
-	return b.stall
+	b.leave(p)
 }
 
 // Reducer merges one value per participant at a barrier-like rendezvous and
 // hands every participant the combined result. It is the building block for
 // deterministic cross-processor reductions: values are combined in rank
-// order, so floating-point results are identical on every run.
-//
-// Reducer episodes are covered by the same stall watchdog as Barrier.
+// order, so floating-point results are identical on every run. Episodes
+// stall like Barrier's.
 type Reducer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	filled int
-	gen    uint64
+	episode
 	slots  []any
 	result any
-	maxT   Time
-	relT   Time
-	cost   func(n int) Time
-
-	arrived []int
-	evq     []*evProc
-	timer   *time.Timer
-	stall   *StallError
 }
 
 // NewReducer creates a rendezvous reducer for n participants with the given
@@ -225,9 +147,7 @@ func NewReducer(n int, cost func(n int) Time) *Reducer {
 	if n <= 0 {
 		panic("sim: reducer size must be positive")
 	}
-	r := &Reducer{n: n, slots: make([]any, n), cost: cost}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+	return &Reducer{episode: episode{kind: "reducer", n: n, cost: cost}, slots: make([]any, n)}
 }
 
 // Do deposits v for rank p.ID(), waits for all participants, and returns
@@ -252,114 +172,14 @@ func (r *Reducer) DoAs(p *Proc, slot int, v any, combine func(vals []any) any) a
 	if slot < 0 || slot >= r.n {
 		panic(fmt.Sprintf("sim: slot %d out of range for %d-participant reducer", slot, r.n))
 	}
-	r.mu.Lock()
-	if r.stall != nil {
-		err := r.stall
-		r.mu.Unlock()
-		panic(err)
-	}
+	last := r.arrive(p, slot)
 	r.slots[slot] = v
-	if p.clock > r.maxT {
-		r.maxT = p.clock
-	}
-	r.filled++
-	r.arrived = append(r.arrived, slot)
-	if r.filled == 1 && p.ev == nil {
-		// As with Barrier: event-engine episodes stall structurally.
-		r.armWatchdog()
-	}
-	if r.filled == r.n {
-		r.disarmWatchdog()
+	if last {
 		r.result = combine(r.slots)
-		rel := r.maxT
-		if r.cost != nil {
-			rel += r.cost(r.n)
-		}
-		r.relT = rel
-		r.filled = 0
-		r.maxT = 0
-		r.arrived = r.arrived[:0]
-		r.gen++
-		r.release()
+		r.release(nil)
 	} else {
-		gen := r.gen
-		for gen == r.gen && r.stall == nil {
-			r.wait(p)
-		}
-		if r.stall != nil && gen == r.gen {
-			err := r.stall
-			r.mu.Unlock()
-			panic(err)
-		}
+		r.await(p)
 	}
-	res := r.result
-	rel := r.relT
-	r.mu.Unlock()
-
-	prev := p.SetPhase(PhaseSync)
-	p.AdvanceTo(rel)
-	p.SetPhase(prev)
-	return res
-}
-
-// wait, release, and stallInfo mirror Barrier's engine dispatch for reducer
-// episodes; see the Barrier methods for the locking discipline.
-func (r *Reducer) wait(p *Proc) {
-	if p.ev == nil {
-		r.cond.Wait()
-		return
-	}
-	r.evq = append(r.evq, p.ev)
-	r.mu.Unlock()
-	if err := p.ev.block(r.stallInfo); err != nil {
-		panic(err)
-	}
-	r.mu.Lock()
-}
-
-func (r *Reducer) release() {
-	for _, ep := range r.evq {
-		ep.wake(r.relT)
-	}
-	r.evq = r.evq[:0]
-	r.cond.Broadcast()
-}
-
-func (r *Reducer) stallInfo() *StallError {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stall == nil {
-		r.stall = &StallError{Kind: "reducer", N: r.n,
-			Arrived: append([]int(nil), r.arrived...), Deadline: StallDeadline()}
-	}
-	return r.stall
-}
-
-// armWatchdog starts the stall deadline for the episode that just opened.
-// Called with r.mu held by the episode's first arriver.
-func (r *Reducer) armWatchdog() {
-	d := StallDeadline()
-	if d <= 0 {
-		return
-	}
-	gen := r.gen
-	r.timer = time.AfterFunc(d, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.gen != gen || r.stall != nil {
-			return
-		}
-		r.stall = &StallError{Kind: "reducer", N: r.n,
-			Arrived: append([]int(nil), r.arrived...), Deadline: d}
-		r.cond.Broadcast()
-	})
-}
-
-// disarmWatchdog cancels the pending deadline. Called with r.mu held by the
-// episode's last arriver.
-func (r *Reducer) disarmWatchdog() {
-	if r.timer != nil {
-		r.timer.Stop()
-		r.timer = nil
-	}
+	r.leave(p)
+	return r.result
 }

@@ -10,28 +10,20 @@ import (
 // the floor under every rendezvous the apps execute.
 
 // BenchmarkBarrierRoundTrip measures one full park/release cycle per op:
-// every proc blocks on the barrier and the engine wakes all of them again,
-// so an op costs procs context switches plus the release sweep. Run under
-// both engines to keep the event scheduler honest against the goroutine
-// baseline.
+// every proc blocks on the barrier and the scheduler wakes all of them
+// again, so an op costs procs context switches plus the release sweep.
 func BenchmarkBarrierRoundTrip(b *testing.B) {
-	for _, name := range EngineNames() {
-		eng, err := EngineByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, procs := range []int{4, 64, 256} {
-			b.Run(fmt.Sprintf("%s/procs=%d", name, procs), func(b *testing.B) {
-				g := NewGroupOn(eng, procs)
-				bar := NewBarrier(procs, func(n int) Time { return Time(n) })
-				b.ResetTimer()
-				g.Run(func(p *Proc) {
-					for i := 0; i < b.N; i++ {
-						bar.Wait(p)
-					}
-				})
+	for _, procs := range []int{4, 64, 256} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			g := NewGroup(procs)
+			bar := NewBarrier(procs, func(n int) Time { return Time(n) })
+			b.ResetTimer()
+			g.Run(func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					bar.Wait(p)
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -40,29 +32,21 @@ func BenchmarkBarrierRoundTrip(b *testing.B) {
 // wake on each side — the sharpest view of per-switch overhead, without the
 // barrier's fan-in/fan-out.
 func BenchmarkCondPingPong(b *testing.B) {
-	for _, name := range EngineNames() {
-		eng, err := EngineByName(name)
-		if err != nil {
-			b.Fatal(err)
+	g := NewGroup(2)
+	var mu sync.Mutex
+	var cv Cond
+	turn := 0
+	b.ResetTimer()
+	g.Run(func(p *Proc) {
+		me := p.ID()
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 0; i < b.N; i++ {
+			for turn != me {
+				cv.Wait(p, &mu)
+			}
+			turn = 1 - me
+			cv.Broadcast()
 		}
-		b.Run(name, func(b *testing.B) {
-			g := NewGroupOn(eng, 2)
-			var mu sync.Mutex
-			var cv Cond
-			turn := 0
-			b.ResetTimer()
-			g.Run(func(p *Proc) {
-				me := p.ID()
-				mu.Lock()
-				defer mu.Unlock()
-				for i := 0; i < b.N; i++ {
-					for turn != me {
-						cv.Wait(p, &mu)
-					}
-					turn = 1 - me
-					cv.Broadcast()
-				}
-			})
-		})
-	}
+	})
 }

@@ -2,69 +2,47 @@ package sim
 
 import "sync"
 
-// Cond is an engine-aware condition variable for model runtimes that need
+// Cond is the scheduler's condition variable, for model runtimes that need
 // to suspend a processor until another processor changes shared state (a
-// message arrives in a mailbox, a lock is released). Under the goroutine
-// engine it degrades to a plain sync.Cond; under the event engine Wait
-// suspends the processor's continuation so the single scheduler goroutine
-// is never blocked.
+// message arrives in a mailbox, a lock is released). Wait suspends the
+// processor's continuation, so the scheduler goroutine itself never blocks.
 //
-// The zero value is ready to use. All methods must be called with the same
-// lock held that guards the predicate, exactly as with sync.Cond; Wait is
-// handed that lock explicitly because the goroutine path binds its
-// sync.Cond to it lazily.
+// The zero value is ready to use. The discipline is the standard library
+// condition variable's: all methods must be called with the lock held that
+// guards the predicate; Wait is handed that lock because it releases it while
+// the processor is suspended.
 //
 // A processor suspended here when the gang can make no further progress is
-// poisoned by the event engine's deadlock detector with a *StallError whose
-// Kind is the Cond's label — a failure mode the goroutine engine cannot
-// surface (a goroutine stuck in sync.Cond.Wait outside any barrier episode
-// simply hangs), so the event engine is strictly more diagnosable here.
+// poisoned by the deadlock detector with a *StallError whose Kind is the
+// Cond's label.
 type Cond struct {
 	// Kind labels stall diagnostics for procs suspended on this Cond,
 	// e.g. "mp recv"; empty reads as "wait".
-	Kind string
-	c    *sync.Cond
-	evq  []*evProc
+	Kind    string
+	waiting []*evProc
 }
 
 // Wait atomically releases l and suspends p until Broadcast; l is re-held
-// on return. As with sync.Cond, the caller must re-check its predicate in a
-// loop.
+// on return. The caller must re-check its predicate in a loop.
 func (c *Cond) Wait(p *Proc, l sync.Locker) {
-	if p.ev != nil {
-		c.evq = append(c.evq, p.ev)
-		l.Unlock()
-		err := p.ev.block(c.stallInfo)
-		// Re-acquire l before unwinding a poisoned proc: callers hold l
-		// across Wait (typically with a deferred Unlock), so panicking
-		// unlocked would turn the stall diagnostic into an unrecoverable
-		// "unlock of unlocked mutex" runtime fatal.
-		l.Lock()
-		if err != nil {
-			panic(err)
-		}
-		return
-	}
-	if c.c == nil {
-		// First goroutine-engine waiter; l is held, and every Wait call
-		// site holds the same l, so this lazy init cannot race.
-		c.c = sync.NewCond(l)
-	}
-	c.c.Wait()
+	l.Unlock()
+	// Re-acquire l however the wait ends: callers hold l across Wait
+	// (typically with a deferred Unlock), so a stall panic unwinding with l
+	// released would become an unrecoverable "unlock of unlocked mutex"
+	// runtime fatal.
+	defer l.Lock()
+	p.block(&c.waiting, c)
 }
 
-// Broadcast wakes all suspended processors. Event-engine waiters resume at
-// their own virtual clocks: unlike a barrier release, a state change here
-// imposes no clock merge by itself — the woken processor re-checks its
-// predicate and charges whatever cost its runtime defines.
+// Broadcast wakes all suspended processors, each at its own virtual clock:
+// unlike a barrier release, a state change here imposes no clock merge by
+// itself — the woken processor re-checks its predicate and charges whatever
+// cost its runtime defines.
 func (c *Cond) Broadcast() {
-	for _, ep := range c.evq {
+	for _, ep := range c.waiting {
 		ep.wake(ep.p.clock)
 	}
-	c.evq = c.evq[:0]
-	if c.c != nil {
-		c.c.Broadcast()
-	}
+	c.waiting = c.waiting[:0]
 }
 
 // stallInfo synthesizes the poison error for a proc wedged on this Cond.
@@ -74,5 +52,5 @@ func (c *Cond) stallInfo() *StallError {
 	if kind == "" {
 		kind = "wait"
 	}
-	return &StallError{Kind: kind, Deadline: StallDeadline()}
+	return &StallError{Kind: kind}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestCondPoisonKeepsCallerLockInvariant: when the event engine's deadlock
-// detector poisons a proc suspended in Cond.Wait, the caller's mutex must be
+// TestCondPoisonKeepsCallerLockInvariant: when the deadlock detector poisons
+// a proc suspended in Cond.Wait, the caller's mutex must be
 // re-held before the *StallError unwinds. Real callers hold that mutex
 // across Wait with a deferred Unlock (mp's mailbox.take, sas's Lock.Acquire),
 // so a panic with the lock released would escalate into Go's unrecoverable
@@ -14,7 +14,7 @@ import (
 // surfacing the documented *ProcPanic. Regression test for exactly that
 // crash: under the broken unwind this test kills the whole test binary.
 func TestCondPoisonKeepsCallerLockInvariant(t *testing.T) {
-	g := NewGroupOn(EventEngine(), 2)
+	g := NewGroup(2)
 	var mu sync.Mutex
 	cond := Cond{Kind: "test wait"}
 	v := mustPanic(t, func() {
@@ -42,11 +42,11 @@ func TestCondPoisonKeepsCallerLockInvariant(t *testing.T) {
 	}
 }
 
-// TestCondBroadcastWakesEventWaiter: the healthy path — a Cond waiter under
-// the event engine resumes after Broadcast with the lock re-held and the
+// TestCondBroadcastWakesEventWaiter: the healthy path — a Cond waiter
+// resumes after Broadcast with the lock re-held and the
 // predicate satisfied, no stall involved.
 func TestCondBroadcastWakesEventWaiter(t *testing.T) {
-	g := NewGroupOn(EventEngine(), 2)
+	g := NewGroup(2)
 	var mu sync.Mutex
 	var cond Cond
 	ready := false

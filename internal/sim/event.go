@@ -2,35 +2,22 @@ package sim
 
 import "iter"
 
-// The event engine runs a whole gang inside one goroutine. Each processor
-// body becomes a resumable continuation (iter.Pull coroutine); rendezvous
-// primitives suspend the running continuation instead of blocking an OS
-// thread, and a min-heap of (virtual-time, rank) events decides which
-// processor resumes next. This removes the park/unpark cost that dominates
-// the goroutine gang beyond ~128 procs and makes the schedule itself
-// deterministic: every heap key derives from virtual time, so host load and
-// GOMAXPROCS cannot reorder execution.
+// The scheduler. Group.Run executes the whole gang inside the calling
+// goroutine: each processor body is a resumable continuation (an iter.Pull
+// coroutine), a rendezvous primitive suspends the running continuation
+// instead of blocking a host thread, and a min-heap of (virtual time, rank)
+// events decides which processor resumes next. Every heap key derives from
+// virtual time, so the schedule itself is deterministic — host load and
+// GOMAXPROCS cannot reorder execution — and because exactly one continuation
+// of a group runs at a time, the rendezvous primitives keep their state
+// without locks and a resumed waiter never has to re-check why it woke.
 //
-// Liveness differs from the goroutine engine by construction. A wall-clock
-// watchdog makes no sense when nothing ever blocks on the host, so barrier
-// and reducer episodes do not arm timers under this engine. Instead the
-// scheduler detects a stall structurally: if the run queue is empty while
-// unfinished processors remain, every remaining processor is blocked on a
-// rendezvous that can never complete. The scheduler then poisons the blocked
-// processor with the lowest rank — its primitive records the same sticky
-// *StallError the watchdog would have produced (same Kind/N/Arrived fields,
-// Deadline reported as the configured StallDeadline) — and repeats until the
-// gang has unwound. Group.Run therefore surfaces an identical root-cause
-// ProcPanic under both engines, just without waiting out a wall-clock
-// deadline first.
-
-// eventEngine implements Engine with the continuation scheduler.
-type eventEngine struct{}
-
-// EventEngine returns the virtual-time event-scheduler engine (the default).
-func EventEngine() Engine { return eventEngine{} }
-
-func (eventEngine) Name() string { return "event" }
+// Nothing ever blocks on the host, so a deadlock is detected structurally
+// rather than waited out: if the run queue is empty while unfinished
+// processors remain, every one of them is suspended on a rendezvous that can
+// never complete. The scheduler then poisons the suspended processor with
+// the lowest rank — its primitive records a sticky *StallError naming who
+// arrived — and repeats until the gang has unwound.
 
 // evProc is one processor's continuation plus its scheduling state.
 type evProc struct {
@@ -40,40 +27,39 @@ type evProc struct {
 	// yield suspends the continuation; valid only while the body runs.
 	yield func(struct{}) bool
 
-	key     Time // heap key while queued: the virtual time it resumes at
-	blocked bool // suspended in block(), waiting for wake or poison
-	done    bool // body returned (pp records an escaped panic)
-	poison  *StallError
-	// stallInfo is set while blocked: invoked by the scheduler's deadlock
-	// detector, it must mark the primitive the proc is blocked on as stalled
-	// and return the sticky *StallError to poison the proc with.
-	stallInfo func() *StallError
-	pp        *ProcPanic
+	key    Time       // heap key while queued: the virtual time it resumes at
+	on     rendezvous // what the proc is suspended on in block(); nil otherwise
+	done   bool       // body returned (pp records an escaped panic)
+	poison *StallError
+	pp     *ProcPanic
 }
 
-// block suspends the calling continuation until wake (normal resume, nil
-// return) or poison (the deadlock detector chose this proc), in which case
-// the StallError is returned for the caller to panic with. Returning rather
-// than panicking here lets each primitive restore its own lock invariant
-// first: Cond.Wait must re-acquire the caller's mutex before unwinding (its
-// callers hold it across Wait with a deferred Unlock), while Barrier and
-// Reducer deliberately panic with their mutex released, matching the
-// watchdog-fired path. The caller must not hold any host lock across block:
-// the whole gang shares one goroutine, so a held lock could never be
-// released while suspended.
-func (ep *evProc) block(info func() *StallError) *StallError {
-	ep.blocked = true
-	ep.stallInfo = info
-	if !ep.yield(struct{}{}) {
-		panic("sim: event scheduler stopped mid-run")
+// rendezvous is what a proc can be suspended on. stallInfo is invoked by the
+// deadlock detector: it must mark the primitive as stalled and return the
+// sticky *StallError to poison the proc with.
+type rendezvous interface{ stallInfo() *StallError }
+
+// block parks p on the wait queue *q of on and suspends its continuation
+// until a wake, or until the deadlock detector poisons it, in which case
+// block panics with the *StallError. The caller must not hold a host lock
+// across block: the whole gang shares one goroutine, so nobody could release
+// it. A Proc that no Run is executing has no continuation to suspend;
+// blocking it is a caller bug.
+func (p *Proc) block(q *[]*evProc, on rendezvous) {
+	ep := p.ev
+	if ep == nil {
+		panic("sim: rendezvous outside Group.Run")
 	}
-	ep.blocked = false
-	ep.stallInfo = nil
+	*q = append(*q, ep)
+	ep.on = on
+	if !ep.yield(struct{}{}) {
+		panic("sim: scheduler stopped mid-run")
+	}
+	ep.on = nil
 	if err := ep.poison; err != nil {
 		ep.poison = nil
-		return err
+		panic(err)
 	}
-	return nil
 }
 
 // wake schedules a blocked proc to resume at virtual time at. Waking an
@@ -86,9 +72,9 @@ func (ep *evProc) wake(at Time) {
 	ep.s.push(ep, at)
 }
 
-// evSched is the per-Run scheduler state: the continuation for every proc
-// and the runnable min-heap ordered by (key, rank). The slices persist on
-// the Group across Runs; the continuations are created fresh each Run.
+// evSched is the scheduler state of one Group: the continuation of every
+// proc and the runnable min-heap ordered by (key, rank). The slices persist
+// across Runs; the continuations are created fresh each Run.
 type evSched struct {
 	eps  []*evProc
 	heap []*evProc
@@ -140,50 +126,47 @@ func (s *evSched) pop() *evProc {
 // poisonLowest is the structural deadlock detector: called when the run
 // queue is empty but unfinished procs remain, it picks the blocked proc with
 // the lowest rank, stamps it with the primitive's sticky StallError, and
-// reschedules it so the panic unwinds its body. Lowest-rank-first matches
-// the goroutine engine's deterministic root-cause preference.
+// reschedules it so the panic unwinds its body.
 func (s *evSched) poisonLowest() {
 	for _, ep := range s.eps {
-		if ep.blocked {
-			ep.poison = ep.stallInfo()
+		if ep.on != nil {
+			ep.poison = ep.on.stallInfo()
 			s.push(ep, ep.p.clock)
 			return
 		}
 	}
-	panic("sim: event scheduler: no runnable or blocked procs in a live gang")
+	panic("sim: scheduler: no runnable or blocked procs in a live gang")
 }
 
-func (eventEngine) run(g *Group, body func(*Proc)) {
-	if g.sched == nil {
-		g.sched = &evSched{}
-	}
-	s := g.sched
+// Run executes body once per processor and returns when all have finished.
+// This is the SPMD entry point: body receives the Proc it owns and may use it
+// with any of the model runtimes. Run is not safe for concurrent use on the
+// same Group (the Procs are single-owner); sequential Runs reuse the group's
+// scheduler state.
+//
+// If any body panics, Run lets the rest of the gang unwind (participants
+// blocked on the dead rank are poisoned by the deadlock detector) and then
+// re-panics with a *ProcPanic on the calling goroutine.
+func (g *Group) Run(body func(p *Proc)) {
+	s := &g.sched
 	s.eps = s.eps[:0]
 	for _, p := range g.procs {
 		ep := &evProc{p: p, s: s}
-		next, _ := iter.Pull(func(yield func(struct{}) bool) {
+		ep.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 			ep.yield = yield
-			ep.pp = runBody(ep.p, body)
+			ep.pp = runBody(p, body)
 		})
-		ep.next = next
+		p.ev = ep
 		s.eps = append(s.eps, ep)
+		s.push(ep, p.clock)
 	}
-	// Bind every proc to its continuation before any body starts, and always
-	// unbind on the way out so raw (non-Run) uses of Barrier/Reducer on these
-	// procs fall back to host blocking.
-	for _, ep := range s.eps {
-		ep.p.ev = ep
-	}
+	// Always unbind on the way out: a Proc outside Run has nothing to suspend.
 	defer func() {
-		for _, ep := range s.eps {
-			ep.p.ev = nil
+		for _, p := range g.procs {
+			p.ev = nil
 		}
 	}()
-	for _, ep := range s.eps {
-		s.push(ep, ep.p.clock)
-	}
-	live := len(s.eps)
-	for live > 0 {
+	for live := len(s.eps); live > 0; {
 		if len(s.heap) == 0 {
 			s.poisonLowest()
 		}
@@ -202,4 +185,17 @@ func (eventEngine) run(g *Group, body func(*Proc)) {
 	if first != nil {
 		panic(first)
 	}
+}
+
+// preferRootCause reports whether pp should replace first as the panic Run
+// re-raises. The choice is deterministic: a non-stall panic beats a
+// StallError (stalls are downstream symptoms of the real failure), then the
+// lowest rank wins.
+func preferRootCause(pp, first *ProcPanic) bool {
+	if first == nil {
+		return true
+	}
+	isStall := func(v any) bool { _, ok := v.(*StallError); return ok }
+	return (isStall(first.Value) && !isStall(pp.Value)) ||
+		(isStall(first.Value) == isStall(pp.Value) && pp.Rank < first.Rank)
 }

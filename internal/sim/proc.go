@@ -64,10 +64,9 @@ func (c *Counters) Add(other *Counters) {
 }
 
 // Proc is one simulated processor: a private virtual clock plus per-phase
-// time attribution and event counters. A Proc is owned by exactly one
-// execution context (worker goroutine or scheduled continuation, depending
-// on the Group's Engine) for the duration of a Group.Run; its methods are
-// not safe for concurrent use by multiple goroutines.
+// time attribution and event counters. During a Group.Run a Proc is owned by
+// the continuation that runs its body; its methods are not safe for
+// concurrent use by multiple goroutines.
 type Proc struct {
 	id        int
 	clock     Time
@@ -75,9 +74,8 @@ type Proc struct {
 	phaseTime [NumPhases]Time
 	Counters
 
-	// ev binds the proc to its continuation while an event-engine Run is in
-	// flight (nil otherwise). Rendezvous primitives dispatch on it: nil means
-	// host blocking, non-nil means suspend the continuation.
+	// ev binds the proc to its continuation while a Run is in flight (nil
+	// otherwise): what a rendezvous primitive suspends (see block).
 	ev *evProc
 
 	// Optional phase-timeline tracing (see Group.EnableTrace).
@@ -144,44 +142,38 @@ func (p *Proc) PhaseTime(ph Phase) Time { return p.phaseTime[ph] }
 func (p *Proc) PhaseTimes() [NumPhases]Time { return p.phaseTime }
 
 // Group is a gang of simulated processors that execute one SPMD program
-// under a fixed Engine (see engine.go for the execution strategies).
+// (see Run, in event.go, for how).
 type Group struct {
 	procs []*Proc
-	eng   Engine
-
-	// Goroutine-engine gang state (nil until its first Run; see engine.go).
-	work []chan func(*Proc) // one channel per worker
-	res  chan *ProcPanic    // completion per worker per Run (nil = clean)
-
-	// Event-engine scheduler state, reused across Runs (see event.go).
-	sched *evSched
+	sched evSched // reused across Runs
 }
 
-// NewGroup creates n processors with zeroed clocks, ranked 0..n-1, running
-// under the process-wide default engine (see SetDefaultEngine).
+// NewGroup creates n processors with zeroed clocks, ranked 0..n-1.
 func NewGroup(n int) *Group {
-	return NewGroupOn(DefaultEngine(), n)
-}
-
-// NewGroupOn is NewGroup with an explicit engine, pinning the group to e
-// regardless of later SetDefaultEngine calls — the hook differential tests
-// use to run the same program under both engines side by side.
-func NewGroupOn(e Engine, n int) *Group {
 	if n <= 0 {
 		panic("sim: group size must be positive")
 	}
-	if e == nil {
-		panic("sim: nil engine")
-	}
-	g := &Group{procs: make([]*Proc, n), eng: e}
+	g := &Group{procs: make([]*Proc, n)}
 	for i := range g.procs {
 		g.procs[i] = &Proc{id: i}
 	}
 	return g
 }
 
-// Engine returns the engine this group executes under.
-func (g *Group) Engine() Engine { return g.eng }
+// Engine, EventEngine and NewGroupOn are what is left of the time when a
+// Group ran on one of two schedulers. The benchmark module (bench/kernels.go)
+// is frozen between benchmark PRs and still spells NewGroup this way; nothing
+// else may, and the three go when it moves to NewGroup (ROADMAP, "Ledger
+// round 2").
+//
+// Deprecated: there is one scheduler.
+type Engine struct{}
+
+// Deprecated: there is one scheduler; see Engine.
+func EventEngine() Engine { return Engine{} }
+
+// Deprecated: use NewGroup; see Engine.
+func NewGroupOn(_ Engine, n int) *Group { return NewGroup(n) }
 
 // runBody runs body on p, converting an escaped panic into a *ProcPanic.
 func runBody(p *Proc, body func(*Proc)) (pp *ProcPanic) {
@@ -200,15 +192,16 @@ func (g *Group) Size() int { return len(g.procs) }
 // Proc returns processor i.
 func (g *Group) Proc(i int) *Proc { return g.procs[i] }
 
-// ProcPanic wraps a panic that escaped a processor goroutine. Group.Run
-// recovers it there and re-raises it on Run's calling goroutine, so a bug in
-// SPMD body code (or a barrier StallError) surfaces where it can be handled —
-// e.g. recovered by the experiment engine into a failed cell — instead of
-// crashing the whole process from an anonymous goroutine.
+// ProcPanic wraps a panic that escaped a processor body. Group.Run recovers
+// it inside the body's continuation and re-raises it on its caller once the
+// gang has unwound, so a bug in SPMD body code (or a StallError) surfaces
+// where it can be handled — e.g. recovered by the experiment engine into a
+// failed cell. When several processors panic, Run re-raises the root cause:
+// a non-stall panic before a StallError, then the lowest rank.
 type ProcPanic struct {
 	Rank  int    // the processor whose body panicked
 	Value any    // the original panic value
-	Stack []byte // that goroutine's stack at panic time
+	Stack []byte // the body's stack at panic time
 }
 
 func (e *ProcPanic) Error() string {
@@ -221,23 +214,6 @@ func (e *ProcPanic) Unwrap() error {
 		return err
 	}
 	return nil
-}
-
-// Run executes body once per processor under the group's engine and returns
-// when all have finished. This is the SPMD entry point: body receives the
-// Proc it owns and may use it with any of the model runtimes. Run is not
-// safe for concurrent use on the same Group (the Procs are single-owner);
-// sequential Runs reuse the engine's per-group state.
-//
-// If any body panics, Run waits for the rest of the gang to unwind (the
-// stall watchdog under the goroutine engine, or the event scheduler's
-// structural deadlock detection, guarantees participants blocked on the dead
-// rank do so) and then re-panics with a *ProcPanic on the calling goroutine.
-// When several processors panic, the root cause is preferred
-// deterministically: a non-stall panic beats a StallError (stalls are
-// downstream symptoms), then the lowest rank wins.
-func (g *Group) Run(body func(p *Proc)) {
-	g.eng.run(g, body)
 }
 
 // MaxTime returns the latest virtual clock in the group — the simulated

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -226,6 +227,23 @@ func TestBarrierDeterministic(t *testing.T) {
 		if got := run(); got != first {
 			t.Fatalf("virtual time not deterministic: %v vs %v", got, first)
 		}
+	}
+}
+
+// The schedule itself: runnable processors resume in (virtual time, rank)
+// order. No simulated number depends on it — clocks only merge at rendezvous,
+// in an order-free way — so nothing but a direct observation pins it.
+func TestRunOrderIsVirtualTimeThenRank(t *testing.T) {
+	pen := []Time{5, 0, 5, 1}
+	b := NewBarrierHook(4, nil, func() []Time { return pen })
+	var order []int
+	NewGroup(4).Run(func(p *Proc) {
+		order = append(order, p.ID()) // every clock is 0: rank order
+		b.Wait(p)
+		order = append(order, p.ID()) // the last arriver runs on; the rest by release time
+	})
+	if want := []int{0, 1, 2, 3, 3, 1, 0, 2}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("run order %v, want %v", order, want)
 	}
 }
 

@@ -204,14 +204,8 @@ func TestRunMatchesSpec(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		prog := randomProgram(rng, n)
 		want := specRun(n, prog)
-		for _, name := range EngineNames() {
-			e, err := EngineByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := realRun(NewGroupOn(e, n), prog); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d, %d procs, %s engine: Run diverges from the definitions:\n got %+v\nwant %+v", seed, n, name, got, want)
-			}
+		if got := realRun(NewGroup(n), prog); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, %d procs: Run diverges from the definitions:\n got %+v\nwant %+v", seed, n, got, want)
 		}
 	}
 }

@@ -10,11 +10,9 @@
 // synchronization-ordered events, the resulting virtual times are
 // bit-for-bit reproducible across runs and host machines.
 //
-// How the processors are multiplexed onto the host is a separate, pluggable
-// concern: an Engine (see engine.go) executes the gang either as resumable
-// continuations under a single-threaded virtual-time event scheduler (the
-// default) or as one goroutine per processor. Both engines produce
-// identical simulation results.
+// How the processors are multiplexed onto the host is not part of the model:
+// Group.Run executes the whole gang as resumable continuations under a
+// single-threaded scheduler ordered by (virtual time, rank); see event.go.
 package sim
 
 import "fmt"
