@@ -67,7 +67,7 @@ type Config struct {
 
 // MaxProcs bounds group sizes; the Origin2000 in the study scaled to 64,
 // and the largest shipped configuration to 1024 (128 in a single image) —
-// the one-thread scheduler and lazy cache tags make the full 1024 simulable.
+// the one-thread scheduler and demand-zero cache tags make the full 1024 simulable.
 const MaxProcs = 1024
 
 // Default returns the baseline Origin2000-like configuration for p

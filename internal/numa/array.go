@@ -54,15 +54,6 @@ type Array[T any] struct {
 	nodeLat      []sim.Time // machine.NodeLat table, row-major by source node
 	nodes        int
 
-	// last[me] remembers the line this processor most recently accessed in
-	// this array, with the cache generation at which it did. While the
-	// generation matches (no tag has moved since), that line is provably
-	// still the MRU way of its set, so a repeat access is a hit with no LRU
-	// reorder — chargeable with two compares, no set hash, no tag probe. The
-	// tags arrays are large enough to miss in the host cache; this 16-byte
-	// slot stays hot. Never consulted or written on the reference path.
-	last []lastRef
-
 	// Epoch write-sets (shared arrays only).
 	writeLines [][]uint32 // per proc: line indices written this epoch
 	writeBits  [][]uint64 // per proc: dedup bitmap over line indices
@@ -70,19 +61,12 @@ type Array[T any] struct {
 	// Sharer directory (shared arrays only; DESIGN.md §5.9): per line, the
 	// 1-based index of the first record of its sharer list in the space's arena
 	// (0 = no sharer; allocated by the first miss). Every miss that installs a
-	// line of this array in a cache links that cache's record (noteInstall).
+	// line of this array in a cache links that cache's record (miss).
 	// Address ranges are never reused (Space.reserve), so a line of this array
 	// can only enter a cache through this array's accessors: the lists name a
 	// superset of the caches that hold each line, and the merge probes only
 	// those.
 	dirHead []int32
-}
-
-// lastRef is one entry of Array.last: line is the global line address + 1
-// (0 = never set), gen the owning cache's mutation count when it was stored.
-type lastRef struct {
-	line uint64
-	gen  uint64
 }
 
 // NewPrivate allocates n elements of private memory homed on owner.
@@ -107,6 +91,9 @@ func NewShared[T any](sp *Space, n int) *Array[T] {
 func newArray[T any](sp *Space, n int) *Array[T] {
 	if n < 0 {
 		panic("numa: negative array length")
+	}
+	if sp.closed() {
+		panic("numa: use of closed Space")
 	}
 	var z T
 	es := uint64(unsafe.Sizeof(z))
@@ -136,7 +123,6 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 		procNode:     sp.M.ProcNode(),
 		nodeLat:      sp.M.NodeLat(),
 		nodes:        sp.M.Nodes(),
-		last:         make([]lastRef, sp.M.Procs()),
 	}
 	a.data = allocData(a, n)
 	sp.addAlloc(int(bytes))
@@ -145,13 +131,14 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 
 // Release gives a's host backing store back — mapped pages are unmapped with
 // the last array of their chunk, a heap slice is left to the collector — and
-// detaches the array: any later access through it, or through a Cursor on it,
-// panics on the nil data slice, and a slice obtained from Data must not be
-// used afterwards. Only call it when no simulated code can touch the array
-// again (the arrays of a finished adaptation cycle, once the next cycle's
-// remap has read them). Shared arrays are also dropped from the
-// coherence-merge roster and lose their sharer directory and install logs;
-// their write-sets must be empty, i.e. a merge has run since the last write.
+// detaches the array: any later access that moves an element, through it or
+// through a Cursor bound to it before, panics on the nil data slice (the
+// charge-only Touch forms move none and are not caught), and a slice obtained
+// from Data must not be used afterwards. Only call it when no simulated code
+// can touch the array again (the arrays of a finished adaptation cycle, once
+// the next cycle's remap has read them). Shared arrays are also dropped from
+// the coherence-merge roster and lose their sharer directory; their
+// write-sets must be empty, i.e. a merge has run since the last write.
 // AllocBytes is NOT decremented: the simulated program never freed anything,
 // so the model cannot observe a Release. Releasing twice is a no-op.
 func Release[T any](a *Array[T]) {
@@ -271,80 +258,56 @@ func (a *Array[T]) pageOf(i int) int {
 	return int(uint64(i) * a.elemSize >> a.pageShift)
 }
 
+// lineOf is the array-local line index of element i (&63: lineShift is the
+// log2 of a validated line size, and saying so spares the shift its range
+// check on every access).
 func (a *Array[T]) lineOf(i int) uint32 {
-	return uint32(uint64(i) * a.elemSize >> a.lineShift)
+	return uint32(uint64(i) * a.elemSize >> (a.lineShift & 63))
 }
 
 // --- Costed access ---------------------------------------------------------
 
 // charge runs the cache/NUMA cost model for one access to local line index
 // li by processor p, and (for shared arrays) records the write-set entry.
-// The overwhelmingly common case — a repeat access to the processor's last
-// line in this array, needing no write-set record — is answered from the
-// last-line slot with two compares; an MRU-way hit costs one tag probe more;
-// everything else (LRU shuffle, miss, write record, reference model) drops
-// to chargeSlow. Load and Store repeat both fast paths inline (the compiler
-// will not inline charge into them) — keep the three copies in sync.
+// The overwhelmingly common case — the line sits in the MRU way of its set
+// and needs no write-set record — is one tag probe; everything else (LRU
+// shuffle, miss, write record, reference model) drops to chargeSlow. Load and
+// Store repeat the probe inline (the compiler will not inline charge into
+// them).
 func (a *Array[T]) charge(p *sim.Proc, li uint32, write bool) {
-	me := p.ID()
-	c := a.caches[me]
+	c := a.caches[p.ID()]
 	gl := a.baseLine + uint64(li)
-	lr := &a.last[me]
-	if lr.line == gl+1 && lr.gen == c.gen && !(write && a.shared) {
-		p.CacheHits++
-		p.Advance(a.cacheHitNS)
-		return
-	}
-	base := c.setBase(gl)
-	if (write && a.shared) || refModel || !c.mruHit(base, gl) {
-		a.chargeSlow(p, c, base, gl, li, write)
+	if (write && a.shared) || refModel || !c.mruHit(gl) {
+		a.chargeSlow(p, c, gl, li, write)
 		return
 	}
 	p.CacheHits++
 	p.Advance(a.cacheHitNS)
-	lr.line, lr.gen = gl+1, c.gen
 }
 
-func (a *Array[T]) chargeSlow(p *sim.Proc, c *cache, base, gl uint64, li uint32, write bool) {
+func (a *Array[T]) chargeSlow(p *sim.Proc, c *cache, gl uint64, li uint32, write bool) {
 	if refModel {
 		a.chargeRef(p, li, write)
 		return
 	}
-	me := p.ID()
-	if c.mruHit(base, gl) || c.accessSlow(base, gl) {
-		p.CacheHits++
-		p.Advance(a.cacheHitNS)
-	} else {
-		a.noteInstall(me, li)
-		sn := a.procNode[me]
-		hn := a.procNode[a.pageHome[li>>a.pageOverLine]]
-		if sn == hn {
-			p.LocalMisses++
-		} else {
-			p.RemoteMisses++
-		}
-		p.Advance(a.nodeLat[int(sn)*a.nodes+int(hn)])
-	}
-	if write && a.shared {
-		a.recordWrite(me, li)
-	}
-	// The access (hit or install) left gl in the MRU way; c.gen reflects any
-	// shuffle accessSlow just did.
-	a.last[me] = lastRef{gl + 1, c.gen}
+	p.Advance(a.chargeSlowAcc(p, c, gl, li, write))
 }
 
-// noteInstall records that a miss installed array-local line li in processor
-// me's cache. Only shared arrays keep a directory (the merge is its sole
-// consumer). One scheduler thread runs every processor of the space
-// (sim.Group.Run), so the miss links its record into the shared arena itself.
-func (a *Array[T]) noteInstall(me int, li uint32) {
-	if !a.shared {
-		return
+// miss is the one place a line enters a cache: it links processor me onto the
+// sharer list of array-local line li (shared arrays only — the merge is the
+// directory's sole consumer; one scheduler thread runs every processor of the
+// space, so the miss writes the shared arena itself) and prices the fill from
+// the line's home memory, reporting whether that is me's own node.
+func (a *Array[T]) miss(me int, li uint32) (lat sim.Time, local bool) {
+	if a.shared {
+		if a.dirHead == nil {
+			a.dirHead = make([]int32, a.lines())
+		}
+		a.sp.addSharer(&a.dirHead[li], int32(me))
 	}
-	if a.dirHead == nil {
-		a.dirHead = make([]int32, a.lines())
-	}
-	a.sp.addSharer(&a.dirHead[li], int32(me))
+	sn := a.procNode[me]
+	hn := a.procNode[a.pageHome[li>>a.pageOverLine]]
+	return a.nodeLat[int(sn)*a.nodes+int(hn)], sn == hn
 }
 
 // recordWrite adds li to processor me's epoch write-set (once per line).
@@ -394,51 +357,32 @@ func (a *Array[T]) lines() int {
 	return int((a.elemSize*uint64(len(a.data)) + uint64(a.sp.M.Cfg.LineBytes) - 1) / uint64(a.sp.M.Cfg.LineBytes))
 }
 
-// Load returns element i, charging the access to p. The charge fast paths
-// are repeated here (not called) so the hot hit case costs no function call.
+// Load returns element i, charging the access to p. The MRU probe of charge
+// is repeated here (not called) so the hot hit case costs no function call.
 func (a *Array[T]) Load(p *sim.Proc, i int) T {
-	me := p.ID()
 	li := a.lineOf(i)
-	c := a.caches[me]
+	c := a.caches[p.ID()]
 	gl := a.baseLine + uint64(li)
-	lr := &a.last[me]
-	if lr.line == gl+1 && lr.gen == c.gen {
-		p.CacheHits++
-		p.Advance(a.cacheHitNS)
-		return a.data[i]
-	}
-	base := c.setBase(gl)
-	if refModel || !c.mruHit(base, gl) {
-		a.chargeSlow(p, c, base, gl, li, false)
+	if refModel || !c.mruHit(gl) {
+		a.chargeSlow(p, c, gl, li, false)
 	} else {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
-		lr.line, lr.gen = gl+1, c.gen
 	}
 	return a.data[i]
 }
 
-// Store writes element i, charging the access to p; fast paths as in Load
+// Store writes element i, charging the access to p; probe as in Load
 // (shared-array stores always drop to chargeSlow for the write record).
 func (a *Array[T]) Store(p *sim.Proc, i int, v T) {
-	me := p.ID()
 	li := a.lineOf(i)
-	c := a.caches[me]
+	c := a.caches[p.ID()]
 	gl := a.baseLine + uint64(li)
-	lr := &a.last[me]
-	if !a.shared && lr.line == gl+1 && lr.gen == c.gen {
-		p.CacheHits++
-		p.Advance(a.cacheHitNS)
-		a.data[i] = v
-		return
-	}
-	base := c.setBase(gl)
-	if a.shared || refModel || !c.mruHit(base, gl) {
-		a.chargeSlow(p, c, base, gl, li, true)
+	if a.shared || refModel || !c.mruHit(gl) {
+		a.chargeSlow(p, c, gl, li, true)
 	} else {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
-		lr.line, lr.gen = gl+1, c.gen
 	}
 	a.data[i] = v
 }
@@ -470,35 +414,26 @@ func (a *Array[T]) TouchRange(p *sim.Proc, lo, hi int, write bool) {
 	}
 	me := p.ID()
 	c := a.caches[me]
-	sn := a.procNode[me]
 	var lat sim.Time
-	var hits, local, remote uint64
+	var hits, local uint64
 	for li := l0; li <= l1; li++ {
-		gl := a.baseLine + uint64(li)
-		base := c.setBase(gl)
-		if c.mruHit(base, gl) || c.accessSlow(base, gl) {
+		if gl := a.baseLine + uint64(li); c.mruHit(gl) || c.accessSlow(gl) {
 			hits++
-			lat += a.cacheHitNS
 			continue
 		}
-		a.noteInstall(me, li)
-		hn := a.procNode[a.pageHome[li>>a.pageOverLine]]
-		if sn == hn {
+		d, near := a.miss(me, li)
+		lat += d
+		if near {
 			local++
-		} else {
-			remote++
 		}
-		lat += a.nodeLat[int(sn)*a.nodes+int(hn)]
 	}
 	p.CacheHits += hits
 	p.LocalMisses += local
-	p.RemoteMisses += remote
-	p.Advance(lat)
+	p.RemoteMisses += uint64(l1-l0+1) - hits - local
+	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
 	if write && a.shared {
 		a.recordWriteRange(me, l0, l1)
 	}
-	// l1 was the final probe, so it sits in the MRU way of its set.
-	a.last[me] = lastRef{a.baseLine + uint64(l1) + 1, c.gen}
 }
 
 // Fill stores v into [lo, hi), charging one event per line.

@@ -79,6 +79,41 @@ func allocData[T any](a *Array[T], n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(mem))), n)
 }
 
+// tagMapMinBytes is the size of a machine's cache tags, all caches together,
+// from which they are demand-zero pages instead of a heap slice: 16 MB is
+// P = 128 at the default 4 MB cache. Below it — every machine of the paper —
+// a cell either touches most of its tag pages or is over in a millisecond,
+// and a page fault costs five times the clearing of the page it saves (it
+// also holds the address-space lock against the faults of the other -jobs
+// threads): on mapped tags a `-quick -exp all` pass read 12-22 % more wall,
+// on heap tags the parent's. From there up the tags are what a processor
+// could address, not what it touches, and the mapping is what keeps a
+// P = 1024 sweep at 200 MB (DESIGN.md §5.4 "Cache tags"). A variable only so
+// that tests can move it.
+var tagMapMinBytes = 16 << 20
+
+// allocTags gives every cache of s its zeroed tag array: consecutive pieces
+// of one allocation — of tagMapMinBytes or more, a mapping, so that a
+// simulated processor's cache costs the host the pages of the sets it
+// installs into, not the 128 KB it could address; smaller, or refused by the
+// kernel, a heap slice. The mapping is a chunk of its own that no array is
+// carved from, so no Release reaches it and it lives until closeAll. It has
+// no drop: Close takes the slices away itself, mapped or not, before the pages
+// go, and the cleanup of an unreachable Space has nobody left to probe.
+func allocTags(s *Space) {
+	n := s.caches[0].slots()
+	total := n * len(s.caches)
+	var all []uint32
+	if c := s.maps.mapTags(4 * total); c != nil {
+		all = unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(c.mem))), total)
+	} else {
+		all = make([]uint32, total)
+	}
+	for i, c := range s.caches {
+		c.tags = all[i*n : (i+1)*n : (i+1)*n]
+	}
+}
+
 // pointerFree reports whether a value of type t holds no Go pointer.
 func pointerFree(t reflect.Type) bool {
 	switch k := t.Kind(); {
@@ -105,16 +140,9 @@ func (h *hostMaps) carve(n int, drop func()) ([]byte, *hostChunk) {
 	defer h.mu.Unlock()
 	c := h.cur
 	if c == nil || n > len(c.mem)-c.used {
-		mem, err := mapBytes(max(n, chunkBytes))
-		if err != nil {
+		if c = h.mapChunk(max(n, chunkBytes)); c == nil {
 			return nil, nil
 		}
-		liveMaps.Add(1)
-		c = &hostChunk{mem: mem}
-		if h.chunks == nil {
-			h.chunks = make(map[*hostChunk]struct{})
-		}
-		h.chunks[c] = struct{}{}
 		h.cur = c
 	}
 	mem := c.mem[c.used : c.used+n]
@@ -122,6 +150,33 @@ func (h *hostMaps) carve(n int, drop func()) ([]byte, *hostChunk) {
 	c.live++
 	c.drops = append(c.drops, drop)
 	return mem, c
+}
+
+// mapTags maps n bytes of cache tags as a chunk of their own; nil when they
+// are too few to map or the kernel refuses.
+func (h *hostMaps) mapTags(n int) *hostChunk {
+	if n < tagMapMinBytes {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.mapChunk((n + pageBytes - 1) / pageBytes * pageBytes)
+}
+
+// mapChunk maps n bytes and lists them as a live chunk of h, whose lock the
+// caller holds; nil when the kernel refuses.
+func (h *hostMaps) mapChunk(n int) *hostChunk {
+	mem, err := mapBytes(n)
+	if err != nil {
+		return nil
+	}
+	liveMaps.Add(1)
+	c := &hostChunk{mem: mem}
+	if h.chunks == nil {
+		h.chunks = make(map[*hostChunk]struct{})
+	}
+	h.chunks[c] = struct{}{}
+	return c
 }
 
 // release takes one array off c and unmaps c with its last one.

@@ -13,8 +13,25 @@ import (
 
 const mappedLen = 32768 // float64s: 256 KB, well above mapMinBytes
 
-// mappingHost settles the live-mapping count at zero and skips the test on a
-// host that maps nothing.
+// tagMaps is the mappings an open Space holds before it has a single array,
+// once mapTags has put the tags of these small machines on a mapping: the one
+// they are carved from (allocTags).
+const tagMaps = 1
+
+// shippedTagMapMinBytes is the rule before any test moved it.
+var shippedTagMapMinBytes = tagMapMinBytes
+
+// mapTags maps the cache tags of every Space made in the rest of the test,
+// however small its machine: the lifetime tests below run on two processors.
+func mapTags(t *testing.T) {
+	old := tagMapMinBytes
+	tagMapMinBytes = 0
+	t.Cleanup(func() { tagMapMinBytes = old })
+}
+
+// mappingHost settles the live-mapping count at zero, skips the test on a
+// host that maps nothing, and puts the tags of the test's machines on
+// mappings as those of a large machine are.
 func mappingHost(t *testing.T) {
 	t.Helper()
 	AwaitNoMappings(t)
@@ -25,22 +42,26 @@ func mappingHost(t *testing.T) {
 	if err := osUnmap(mem); err != nil {
 		t.Fatal(err)
 	}
+	mapTags(t)
 }
 
-// mustPanic runs f and fails unless it panics — with a Go panic the test
-// binary survives, which a fault on unmapped memory would not allow.
-func mustPanic(t *testing.T, what string, f func()) {
+// mustPanic runs f, fails unless it panics — with a Go panic the test binary
+// survives, which a fault on unmapped memory would not allow — and returns
+// what it panicked with.
+func mustPanic(t *testing.T, what string, f func()) (r any) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
+		if r = recover(); r == nil {
 			t.Errorf("%s: no panic", what)
 		}
 	}()
 	f()
+	return nil
 }
 
-// mustBeDead checks that every way to reach a's elements panics.
-func mustBeDead(t *testing.T, a *Array[float64], p *sim.Proc) {
+// mustBeDead checks that every way to reach a's elements panics, the ways
+// through bound, a cursor bound to a while it was alive, included.
+func mustBeDead(t *testing.T, a *Array[float64], p *sim.Proc, bound *Cursor[float64]) {
 	t.Helper()
 	if a.Data() != nil {
 		t.Error("dead array still hands out its data")
@@ -53,8 +74,12 @@ func mustBeDead(t *testing.T, a *Array[float64], p *sim.Proc) {
 	mustPanic(t, "StoreRange", func() { a.StoreRange(p, 3, out) })
 	mustPanic(t, "Fill", func() { a.Fill(p, 0, 4, 1) })
 	cu := a.Cursor(p)
-	mustPanic(t, "Cursor.Load", func() { cu.Load(3) })
-	mustPanic(t, "Cursor.Store", func() { cu.Store(3, 1) })
+	var arm Arm
+	for _, cu := range []*Cursor[float64]{&cu, bound} {
+		mustPanic(t, "Cursor.Load", func() { cu.Load(3) })
+		mustPanic(t, "Cursor.Store", func() { cu.Store(3, 1) })
+		mustPanic(t, "Cursor.LoadArm", func() { cu.LoadArm(&arm, 3) })
+	}
 }
 
 func TestThresholdIsInBytes(t *testing.T) {
@@ -63,11 +88,11 @@ func TestThresholdIsInBytes(t *testing.T) {
 	defer sp.Close()
 	type wide struct{ f [12]float64 } // 96 bytes
 	NewPrivate[float64](sp, 0, 2048)  // 16 KB
-	if n := LiveMappings(); n != 0 {
+	if n := LiveMappings(); n != tagMaps {
 		t.Fatalf("a 16 KB array was mapped (%d live)", n)
 	}
 	NewPrivate[wide](sp, 0, 400) // 37.5 KB in 400 elements
-	if n := LiveMappings(); n != 1 {
+	if n := LiveMappings(); n != tagMaps+1 {
 		t.Fatalf("a 37.5 KB array of 96-byte elements was not mapped (%d live)", n)
 	}
 }
@@ -79,7 +104,7 @@ func TestMappedArrayReadsZero(t *testing.T) {
 	p := sim.NewGroup(2).Proc(1)
 	priv := NewPrivate[float64](sp, 1, mappedLen)
 	shared := NewShared[[3]int32](sp, mappedLen)
-	if priv.chunk == nil || shared.chunk != priv.chunk || LiveMappings() != 1 {
+	if priv.chunk == nil || shared.chunk != priv.chunk || LiveMappings() != tagMaps+1 {
 		t.Fatalf("two large arrays should share one mapping (%d live)", LiveMappings())
 	}
 	if len(priv.Data()) != mappedLen || cap(priv.Data()) != mappedLen {
@@ -118,60 +143,95 @@ func TestReleaseUnmapsAndDetaches(t *testing.T) {
 	small := NewPrivate[float64](sp, 0, 16)
 	a.Store(p, 7, 1)
 	s.Store(p, 7, 1)
+	ca, cs, csmall := a.Cursor(p), s.Cursor(p), small.Cursor(p)
 	sp.MergeEpoch() // a shared array may only be released with its write-sets merged
 	for range 2 {   // the second round: releasing twice is a no-op
 		Release(a)
-		if s.Load(p, 7) != 1 || LiveMappings() != 1 {
+		if s.Load(p, 7) != 1 || LiveMappings() != tagMaps+1 {
 			t.Fatal("a mapping must stay while an array carved from it is alive")
 		}
 	}
 	for range 2 {
 		Release(s)
 		Release(small)
-		if n := LiveMappings(); n != 0 {
-			t.Fatalf("%d mappings live after the last Release", n)
+		if n := LiveMappings(); n != tagMaps {
+			t.Fatalf("%d mappings live after the last Release, want the tags' alone", n)
 		}
 	}
-	mustBeDead(t, a, p)
-	mustBeDead(t, s, p)
-	mustBeDead(t, small, p)
+	mustBeDead(t, a, p, &ca)
+	mustBeDead(t, s, p, &cs)
+	mustBeDead(t, small, p, &csmall)
 	if a.Len() != 0 || sp.AllocBytes() == 0 {
 		t.Fatal("Release must empty the array and leave the model's allocation count alone")
+	}
+	// The space outlives its arrays: the tags are its own mapping.
+	if b := NewPrivate[float64](sp, 0, mappedLen); b.Load(p, 5) != 0 || LiveMappings() != tagMaps+1 {
+		t.Fatal("allocation after the last Release")
 	}
 }
 
 func TestCloseUnmapsAndDetaches(t *testing.T) {
 	mappingHost(t)
 	sp, _ := space(2)
-	p := sim.NewGroup(2).Proc(0)
+	g := sim.NewGroup(2)
+	p := g.Proc(0)
 	a := NewPrivate[float64](sp, 0, mappedLen)
 	s := NewShared[float64](sp, mappedLen)
 	gone := NewPrivate[float64](sp, 0, mappedLen)
 	heap := NewPrivate[float64](sp, 0, 16)
+	heap.Store(p, 3, 1)
+	s.Load(g.Proc(1), 7)
+	s.Store(p, 7, 1) // left unmerged: the next merge would probe the other cache
+	ca, cs, cheap := a.Cursor(p), s.Cursor(p), heap.Cursor(p)
 	Release(gone)
-	if n := LiveMappings(); n != 1 {
-		t.Fatalf("%d mappings live, want 1", n)
+	if n := LiveMappings(); n != tagMaps+1 {
+		t.Fatalf("%d mappings live, want %d", n, tagMaps+1)
 	}
 	sp.Close()
 	sp.Close()
 	if n := LiveMappings(); n != 0 {
 		t.Fatalf("%d mappings live after Close", n)
 	}
-	mustBeDead(t, a, p)
-	mustBeDead(t, s, p)
+	mustBeDead(t, a, p, &ca)
+	mustBeDead(t, s, p, &cs)
 	Release(a) // and Release after Close is a no-op too
-	if heap.Load(p, 3) != 0 {
-		t.Fatal("Close took a heap-backed array with it")
+	// Close ends the space, heap-backed arrays included: their data is the
+	// collector's, but the cache tags every access probes are gone.
+	if heap.Data()[3] != 1 {
+		t.Fatal("Close took the data of a heap-backed array")
 	}
-	// The space still allocates; what it maps now is the next Close's.
-	b := NewPrivate[float64](sp, 0, mappedLen)
-	if b.Load(p, 5) != 0 || LiveMappings() != 1 {
-		t.Fatal("allocation after Close")
+	mustPanic(t, "Load of a heap-backed array", func() { heap.Load(p, 3) })
+	mustPanic(t, "Cursor.Load of a heap-backed array", func() { cheap.Load(3) })
+	mustPanic(t, "Cursor.TryTouch", func() { cheap.TryTouch(3) })
+	mustPanic(t, "ReplayLoads", func() { ReplayLoads([]int32{3, ^1}, &cheap, &cheap, &cheap, &cheap) })
+	mustPanic(t, "TouchRange", func() { heap.TouchRange(p, 0, 16, false) })
+	mustPanic(t, "MergeEpoch", func() { sp.MergeEpoch() })
+	mustPanic(t, "InvalidateSpan", func() { sp.InvalidateSpan(1, 0, 4) })
+	if r := mustPanic(t, "allocation", func() { NewPrivate[float64](sp, 0, 16) }); r != "numa: use of closed Space" {
+		t.Fatalf("allocation on a closed Space panics with %v", r)
+	}
+	if sp.AllocBytes() == 0 || len(sp.CohEvictions()) != 2 {
+		t.Fatal("the counts of a closed Space must stay readable")
+	}
+}
+
+// With the kernel refusing every mapping the tags are heap slices, and Close
+// ends the space all the same.
+func TestCloseEndsASpaceOnHeapTags(t *testing.T) {
+	old := mapBytes
+	defer func() { mapBytes = old }()
+	mapBytes = func(int) ([]byte, error) { return nil, errors.New("cannot allocate memory") }
+	sp, _ := space(2)
+	p := sim.NewGroup(2).Proc(0)
+	a := NewPrivate[float64](sp, 0, mappedLen)
+	cu := a.Cursor(p)
+	if a.Load(p, 3) != 0 || a.chunk != nil {
+		t.Fatal("want a working heap-backed array")
 	}
 	sp.Close()
-	if n := LiveMappings(); n != 0 {
-		t.Fatalf("%d mappings live after the last Close", n)
-	}
+	mustPanic(t, "Load", func() { a.Load(p, 3) })
+	mustPanic(t, "Cursor.Load", func() { cu.Load(3) })
+	mustPanic(t, "allocation", func() { NewPrivate[float64](sp, 0, 16) })
 }
 
 func TestPointerfulElementsStayOnTheHeap(t *testing.T) {
@@ -186,8 +246,8 @@ func TestPointerfulElementsStayOnTheHeap(t *testing.T) {
 	ptrs := NewPrivate[*int](sp, 0, mappedLen)
 	boxes := NewPrivate[boxed](sp, 0, mappedLen)
 	strs := NewPrivate[[2]string](sp, 0, mappedLen)
-	if n := LiveMappings(); n != 0 {
-		t.Fatalf("%d arrays of pointerful elements were mapped", n)
+	if n := LiveMappings(); n != tagMaps {
+		t.Fatalf("%d arrays of pointerful elements were mapped", n-tagMaps)
 	}
 	for i := range mappedLen {
 		v := new(int)
@@ -249,8 +309,8 @@ func TestRefusedMappingFallsBackToTheHeap(t *testing.T) {
 		return nil, errors.New("cannot allocate memory")
 	}
 	gotC, gotT, gotB := sparseRun()
-	if asked != 13 {
-		t.Fatalf("the stub was asked for %d mappings, want 13", asked)
+	if asked != tagMaps+13 { // the tags, the shared array, twelve private ones: all on the heap
+		t.Fatalf("the stub was asked for %d mappings, want %d", asked, tagMaps+13)
 	}
 	if n := LiveMappings(); n != 0 {
 		t.Fatalf("%d mappings live though every one was refused", n)
@@ -277,7 +337,7 @@ func TestMappedArraysStayOffTheHeap(t *testing.T) {
 			t.Fatal("a 256 KB array is on the heap")
 		}
 	}
-	if n, want := LiveMappings(), int64(len(arrays)*mappedLen*8/chunkBytes); n != want {
+	if n, want := LiveMappings(), int64(tagMaps+len(arrays)*mappedLen*8/chunkBytes); n != want {
 		t.Fatalf("%d mappings for 128 MB of arrays, want %d", n, want)
 	}
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 8<<20 {
@@ -296,8 +356,8 @@ func TestAbandonedSpaceIsCleanedUp(t *testing.T) {
 		}
 		NewShared[float64](sp, mappedLen)
 	}()
-	if n := LiveMappings(); n != 1 {
-		t.Fatalf("%d mappings live, want 1", n)
+	if n := LiveMappings(); n != tagMaps+1 {
+		t.Fatalf("%d mappings live, want %d", n, tagMaps+1)
 	}
 	AwaitNoMappings(t)
 }
@@ -320,7 +380,7 @@ func TestArrayLargerThanAChunk(t *testing.T) {
 		t.Fatal("big array does not read back")
 	}
 	Release(big)
-	if n := LiveMappings(); n != 1 {
-		t.Fatalf("%d mappings live after releasing the big array, want 1", n)
+	if n := LiveMappings(); n != tagMaps+1 {
+		t.Fatalf("%d mappings live after releasing the big array, want %d", n, tagMaps+1)
 	}
 }

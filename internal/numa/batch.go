@@ -26,53 +26,39 @@ type Num interface {
 		~float32 | ~float64
 }
 
-// chargeSlowAcc is chargeSlow for the batched paths: identical probe, counter,
-// and write-set behaviour, but the latency is returned for the caller to
-// accumulate into a single Advance instead of being charged immediately.
-func (a *Array[T]) chargeSlowAcc(p *sim.Proc, c *cache, base, gl uint64, li uint32, write bool) sim.Time {
+// chargeSlowAcc is the one slow path behind every per-access entry point: the
+// full probe, the miss's directory record, the counters and the write-set
+// record, with the latency returned for the caller to accumulate into a single
+// Advance (chargeSlow charges it at once).
+func (a *Array[T]) chargeSlowAcc(p *sim.Proc, c *cache, gl uint64, li uint32, write bool) sim.Time {
 	me := p.ID()
-	var lat sim.Time
-	if c.mruHit(base, gl) || c.accessSlow(base, gl) {
+	lat := a.cacheHitNS
+	if c.mruHit(gl) || c.accessSlow(gl) {
 		p.CacheHits++
-		lat = a.cacheHitNS
 	} else {
-		a.noteInstall(me, li)
-		sn := a.procNode[me]
-		hn := a.procNode[a.pageHome[li>>a.pageOverLine]]
-		if sn == hn {
+		var local bool
+		if lat, local = a.miss(me, li); local {
 			p.LocalMisses++
 		} else {
 			p.RemoteMisses++
 		}
-		lat = a.nodeLat[int(sn)*a.nodes+int(hn)]
 	}
 	if write && a.shared {
 		a.recordWrite(me, li)
 	}
-	a.last[me] = lastRef{gl + 1, c.gen}
 	return lat
 }
 
 // chargeAcc performs one costed access for the multi-array batch helpers,
-// accumulating latency into *lat. It repeats the Load/Store fast paths (see
-// the charge comment in array.go: the copies must stay in sync).
+// accumulating latency into *lat: charge with the Advance left to the caller.
 func (a *Array[T]) chargeAcc(p *sim.Proc, c *cache, li uint32, write bool, lat *sim.Time) {
-	me := p.ID()
 	gl := a.baseLine + uint64(li)
-	lr := &a.last[me]
-	if lr.line == gl+1 && lr.gen == c.gen && !(write && a.shared) {
-		p.CacheHits++
-		*lat += a.cacheHitNS
-		return
-	}
-	base := c.setBase(gl)
-	if (write && a.shared) || !c.mruHit(base, gl) {
-		*lat += a.chargeSlowAcc(p, c, base, gl, li, write)
+	if (write && a.shared) || !c.mruHit(gl) {
+		*lat += a.chargeSlowAcc(p, c, gl, li, write)
 		return
 	}
 	p.CacheHits++
 	*lat += a.cacheHitNS
-	lr.line, lr.gen = gl+1, c.gen
 }
 
 // GatherIdx copies element idx[k] into out[k] for every k, charging each read
@@ -90,29 +76,21 @@ func (a *Array[T]) GatherIdx(p *sim.Proc, idx []int32, out []T) {
 		}
 		return
 	}
-	me := p.ID()
-	c := a.caches[me]
-	lr := &a.last[me]
+	c := a.caches[p.ID()]
 	var lat sim.Time
 	var hits uint64
 	for k, ix := range idx {
 		i := int(ix)
 		li := a.lineOf(i)
-		gl := a.baseLine + uint64(li)
-		if lr.line == gl+1 && lr.gen == c.gen {
+		if gl := a.baseLine + uint64(li); c.mruHit(gl) {
 			hits++
-			lat += a.cacheHitNS
-		} else if base := c.setBase(gl); c.mruHit(base, gl) {
-			hits++
-			lat += a.cacheHitNS
-			lr.line, lr.gen = gl+1, c.gen
 		} else {
-			lat += a.chargeSlowAcc(p, c, base, gl, li, false)
+			lat += a.chargeSlowAcc(p, c, gl, li, false)
 		}
 		out[k] = a.data[i]
 	}
 	p.CacheHits += hits
-	p.Advance(lat)
+	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
 }
 
 // ScatterIdx stores vals[k] into element idx[k] for every k, charging each
@@ -131,29 +109,21 @@ func (a *Array[T]) ScatterIdx(p *sim.Proc, idx []int32, vals []T) {
 		}
 		return
 	}
-	me := p.ID()
-	c := a.caches[me]
-	lr := &a.last[me]
+	c := a.caches[p.ID()]
 	var lat sim.Time
 	var hits uint64
 	for k, ix := range idx {
 		i := int(ix)
 		li := a.lineOf(i)
-		gl := a.baseLine + uint64(li)
-		if !a.shared && lr.line == gl+1 && lr.gen == c.gen {
+		if gl := a.baseLine + uint64(li); !a.shared && c.mruHit(gl) {
 			hits++
-			lat += a.cacheHitNS
-		} else if base := c.setBase(gl); !a.shared && c.mruHit(base, gl) {
-			hits++
-			lat += a.cacheHitNS
-			lr.line, lr.gen = gl+1, c.gen
 		} else {
-			lat += a.chargeSlowAcc(p, c, base, gl, li, true)
+			lat += a.chargeSlowAcc(p, c, gl, li, true)
 		}
 		a.data[i] = vals[k]
 	}
 	p.CacheHits += hits
-	p.Advance(lat)
+	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
 }
 
 // FillIdx stores v into every element named by idx, charging each write like
@@ -169,29 +139,21 @@ func (a *Array[T]) FillIdx(p *sim.Proc, idx []int32, v T) {
 		}
 		return
 	}
-	me := p.ID()
-	c := a.caches[me]
-	lr := &a.last[me]
+	c := a.caches[p.ID()]
 	var lat sim.Time
 	var hits uint64
 	for _, ix := range idx {
 		i := int(ix)
 		li := a.lineOf(i)
-		gl := a.baseLine + uint64(li)
-		if !a.shared && lr.line == gl+1 && lr.gen == c.gen {
+		if gl := a.baseLine + uint64(li); !a.shared && c.mruHit(gl) {
 			hits++
-			lat += a.cacheHitNS
-		} else if base := c.setBase(gl); !a.shared && c.mruHit(base, gl) {
-			hits++
-			lat += a.cacheHitNS
-			lr.line, lr.gen = gl+1, c.gen
 		} else {
-			lat += a.chargeSlowAcc(p, c, base, gl, li, true)
+			lat += a.chargeSlowAcc(p, c, gl, li, true)
 		}
 		a.data[i] = v
 	}
 	p.CacheHits += hits
-	p.Advance(lat)
+	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
 }
 
 // AddIdx adds vals[k] to element idx[k] for every k. Per element it charges a
@@ -435,7 +397,8 @@ func (a *Array[T]) StoreRange(p *sim.Proc, lo int, vals []T) {
 // one per line — by probing each line once and accounting the remaining
 // accesses of that line as MRU repeats (a probe leaves its line in the MRU
 // way, so every subsequent access of the same line is a hit with no LRU
-// movement; charging them arithmetically is exact, not an approximation).
+// movement; charging them arithmetically is exact, not an approximation):
+// every access that is not a line's miss is a hit.
 func (a *Array[T]) rangeCharge(p *sim.Proc, lo, hi int, write bool) {
 	if lo >= hi {
 		return
@@ -448,8 +411,7 @@ func (a *Array[T]) rangeCharge(p *sim.Proc, lo, hi int, write bool) {
 	}
 	me := p.ID()
 	c := a.caches[me]
-	lb := uint64(a.sp.M.Cfg.LineBytes)
-	if a.elemSize > lb {
+	if a.elemSize > uint64(a.sp.M.Cfg.LineBytes) {
 		// Oversized elements: per-element charging touches only each element's
 		// first line, so the per-line walk below would probe lines the
 		// unbatched loop never does. Charge element-at-a-time instead.
@@ -460,45 +422,27 @@ func (a *Array[T]) rangeCharge(p *sim.Proc, lo, hi int, write bool) {
 		p.Advance(lat)
 		return
 	}
-	sn := a.procNode[me]
+	// Every line of [l0, l1] holds the first byte of at least one element.
 	l0, l1 := a.lineOf(lo), a.lineOf(hi-1)
 	var lat sim.Time
-	var hits, local, remote uint64
+	var misses, local uint64
 	for li := l0; li <= l1; li++ {
-		// Elements of this line inside [lo, hi): the next line's first element
-		// is ceil((li+1)*lineBytes / elemSize).
-		n := uint64(hi - lo)
-		if li < l1 {
-			first := (uint64(li+1)*lb + a.elemSize - 1) / a.elemSize
-			n = first - uint64(lo)
+		if gl := a.baseLine + uint64(li); c.mruHit(gl) || c.accessSlow(gl) {
+			continue
 		}
-		gl := a.baseLine + uint64(li)
-		base := c.setBase(gl)
-		if c.mruHit(base, gl) || c.accessSlow(base, gl) {
-			hits++
-			lat += a.cacheHitNS
-		} else {
-			a.noteInstall(me, li)
-			hn := a.procNode[a.pageHome[li>>a.pageOverLine]]
-			if sn == hn {
-				local++
-			} else {
-				remote++
-			}
-			lat += a.nodeLat[int(sn)*a.nodes+int(hn)]
+		d, near := a.miss(me, li)
+		lat += d
+		misses++
+		if near {
+			local++
 		}
-		if n > 1 {
-			hits += n - 1
-			lat += sim.Time(n-1) * a.cacheHitNS
-		}
-		lo += int(n)
 	}
+	hits := uint64(hi-lo) - misses
 	p.CacheHits += hits
 	p.LocalMisses += local
-	p.RemoteMisses += remote
-	p.Advance(lat)
+	p.RemoteMisses += misses - local
+	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
 	if write && a.shared {
 		a.recordWriteRange(me, l0, l1)
 	}
-	a.last[me] = lastRef{a.baseLine + uint64(l1) + 1, c.gen}
 }

@@ -123,6 +123,56 @@ func benchReplayLoads(b *testing.B, cfg machine.Config, cells int, leaf func(c, 
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*3*len(tr)), "ns/load")
 }
 
+// BenchmarkCursorEdgePattern is the mesh cycles' edge loop: two cursors, per
+// edge (a, b) the accesses u[a] u[b] acc[a] acc[a]<- acc[b] acc[b]<-, with a
+// and b on different lines — a fifth of the paper suite's host time, and a
+// pattern no single-line kernel shows, because every load leaves the line its
+// array was on last. hit: the 4 MB cache, every line alone in its set, every
+// access an MRU hit. conflict: a one-set cache holding exactly the four lines
+// of a and b, so every load finds its line in the last way and reorders the
+// set, and only the two stores are MRU hits.
+func BenchmarkCursorEdgePattern(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		benchCursorEdges(b, machine.Default(1), func(j int) (int, int) {
+			a := j * 7 % 4096
+			return a, (a + 16 + j%5*16) % 4096
+		})
+	})
+	b.Run("conflict", func(b *testing.B) {
+		cfg := machine.Default(1)
+		cfg.CacheBytes = cacheWays * cfg.LineBytes
+		benchCursorEdges(b, cfg, func(j int) (int, int) { return j * 7 % 16, 16 + j*3%16 })
+	})
+}
+
+func benchCursorEdges(b *testing.B, cfg machine.Config, edge func(j int) (a, b int)) {
+	sp := NewSpace(machine.MustNew(cfg))
+	g := sim.NewGroup(1)
+	u := NewPrivate[float64](sp, 0, 4096)
+	acc := NewPrivate[float64](sp, 0, 4096)
+	ea, eb := make([]int32, 4096), make([]int32, 4096)
+	for j := range ea {
+		x, y := edge(j)
+		ea[j], eb[j] = int32(x), int32(y)
+	}
+	p := g.Proc(0)
+	u.TouchRange(p, 0, 4096, false)
+	acc.TouchRange(p, 0, 4096, false)
+	cu, ca := u.Cursor(p), acc.Cursor(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & 4095
+		x, y := int(ea[j]), int(eb[j])
+		f := cu.Load(x) - cu.Load(y)
+		ca.Store(x, ca.Load(x)+f)
+		ca.Store(y, ca.Load(y)-f)
+	}
+	b.StopTimer()
+	cu.Flush()
+	ca.Flush()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*6), "ns/access")
+}
+
 // BenchmarkPrivateSparseCycle prices the allocation path of a large-P mesh
 // cycle: 512 ranks each get a full-length private array, scatter their 34
 // elements into it (five clusters: ten cache lines on five host pages, what a

@@ -25,26 +25,9 @@ const cacheWays = 4
 // this constant expression fails to compile if cacheWays changes.
 const _ = uint(cacheWays-4) + uint(4-cacheWays)
 
-// Tag storage is chunked and lazily materialized so the footprint stops
-// scaling as procs × cache size: every untouched chunk of every cache
-// aliases the one shared all-invalid chunk below, and a private (writable)
-// copy is made only when a line is first installed in that chunk. At 1024
-// simulated processors a 4 MiB cache would otherwise pin 128 KiB of tags
-// per proc — 128 MiB of host memory — while a quick run touches a few
-// chunks per proc. chunkSlots is a multiple of cacheWays, so a set never
-// straddles two chunks.
-const (
-	chunkSlotsLog = 10
-	chunkSlots    = 1 << chunkSlotsLog // 4 KiB of tags per chunk
-)
-
-// zeroChunk is the shared all-invalid chunk (tag 0 = invalid; real tags are
-// uint32(line)+1 >= 1, so aliasing it is always sound). Read-only.
-var zeroChunk [chunkSlots]uint32
-
 // cache is a set-associative, line-tagged cache simulator with LRU
 // replacement. It tracks only tags (presence), not data — data correctness
-// is handled by the real Go slices. A cache is owned by exactly one
+// is handled by the real Go slices. A cache belongs to exactly one
 // processor; the coherence merge touches it only while that processor is
 // blocked at a barrier.
 // A tag is uint32(line)+1 (0 = invalid): global line indices are bounded by
@@ -52,22 +35,29 @@ var zeroChunk [chunkSlots]uint32
 // cache footprint of the hot tag arrays (64 simulated processors' tags no
 // longer thrash the host LLC).
 type cache struct {
-	chunks    [][]uint32 // cacheWays tags per set, LRU-ordered (way 0 = MRU)
-	owned     []bool     // chunks[i] is a private copy, not the zero chunk
+	// tags holds cacheWays tags per set, LRU-ordered (way 0 = MRU), in one flat
+	// array so that a probe is one bounds check and one load. The Space hands
+	// it out (allocTags: every cache's tags are consecutive pieces of one
+	// allocation, for a large machine a demand-zero mapping, so that an
+	// untouched set costs address space only) and takes it back: it is nil
+	// once the Space is closed, and every probe of a closed Space panics on it.
+	tags      []uint32
+	sp        *Space // whose cleanup unmaps tags: holding a cache must hold it
 	setMask   uint64
-	setBits   uint // log2(number of sets)
-	lineShift uint
+	setBits   uint   // log2(number of sets)
 	cohEvicts uint64 // lines invalidated by coherence since last reset
 
 	// gen counts tag mutations (LRU shuffles, installs, invalidations,
-	// flushes). Arrays record {line, gen} after each completed access; while
-	// gen is unchanged, no tag has moved, so that line provably still occupies
-	// the MRU way of its set and a repeat access may be charged as a hit
-	// without re-probing (and without the LRU reorder a real probe would do,
-	// because an MRU hit performs none). See Array.last.
+	// flushes). While it is unchanged no tag has moved, so a line seen in the
+	// MRU way of its set at generation g is provably still there, and a repeat
+	// access may be charged as a hit without re-probing (and without the LRU
+	// reorder a real probe would do, because an MRU hit performs none). Arm is
+	// the one memo built on it.
 	gen uint64
 }
 
+// newCache returns the geometry of a cache of cacheBytes in lines of
+// lineBytes; its tags are the caller's to supply, c.slots() of them, zeroed.
 func newCache(cacheBytes, lineBytes int) *cache {
 	sets := cacheBytes / lineBytes / cacheWays
 	if sets < 1 {
@@ -77,10 +67,6 @@ func newCache(cacheBytes, lineBytes int) *cache {
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	shift := uint(0)
-	for 1<<shift < lineBytes {
-		shift++
-	}
 	bits := uint(0)
 	for 1<<bits < sets {
 		bits++
@@ -88,117 +74,73 @@ func newCache(cacheBytes, lineBytes int) *cache {
 	if bits == 0 {
 		bits = 1 // avoid zero shifts when there is a single set
 	}
-	n := sets * cacheWays
-	c := &cache{
-		chunks:    make([][]uint32, (n+chunkSlots-1)/chunkSlots),
-		setMask:   uint64(sets - 1),
-		setBits:   bits,
-		lineShift: shift,
-	}
-	c.owned = make([]bool, len(c.chunks))
-	for i := range c.chunks {
-		lo := i * chunkSlots
-		hi := lo + chunkSlots
-		if hi > n {
-			hi = n
-		}
-		c.chunks[i] = zeroChunk[:hi-lo]
-	}
-	return c
+	return &cache{setMask: uint64(sets - 1), setBits: bits}
 }
 
-// setOf maps a line address to its set. The index XOR-folds higher address
-// bits into the set bits — the deterministic stand-in for the physical page
-// colouring real operating systems use, which keeps the simulator's
-// page-aligned, power-of-two-strided allocations from aliasing into the
-// same sets.
-func (c *cache) setOf(line uint64) uint64 {
-	return (line ^ line>>c.setBits ^ line>>(2*c.setBits)) & c.setMask
+// slots is the length of the tag array: cacheWays per set.
+func (c *cache) slots() int { return int(c.setMask+1) * cacheWays }
+
+// setBase returns the tag-array offset of line's set in a cache of 1<<setBits
+// sets (setMask = sets-1). The index XOR-folds higher address bits into the set
+// bits — the deterministic stand-in for the physical page colouring real
+// operating systems use, which keeps the simulator's page-aligned,
+// power-of-two-strided allocations from aliasing into the same sets. It is the
+// one place the hash is written; every probe and every install goes through
+// it. The &63 tells the compiler what newCache guarantees (setBits <= 32), so
+// the shifts compile to one instruction each. Must stay inlinable.
+func setBase(setBits uint, setMask, line uint64) uint64 {
+	u := line >> (setBits & 63)
+	return ((line ^ u ^ u>>(setBits&63)) & setMask) * cacheWays
 }
 
-// setBase returns the tag-array offset of line's set; it must stay
-// inlinable (the charge hot path uses it to probe the MRU way without a
-// function call — repeated accesses to the current line, i.e. every
-// streaming loop, resolve with two inlined loads).
-func (c *cache) setBase(line uint64) uint64 {
-	return ((line ^ line>>c.setBits ^ line>>(2*c.setBits)) & c.setMask) * cacheWays
+// mruAt reports whether line occupies the MRU way of its set — the whole probe
+// of the hot paths: one bounds check and one load. It takes the cache's tags
+// and geometry apart so that a loop hot enough for it to show (ReplayLoads, a
+// Cursor) can hold the two scalars where it runs instead of reloading them
+// through c on every probe. Must stay inlinable.
+func mruAt(tags []uint32, setBits uint, setMask, line uint64) bool {
+	return tags[setBase(setBits, setMask, line)] == uint32(line)+1
 }
 
-// mruHit reports whether line occupies the MRU way of the set at base.
-// The chunk indirection costs one extra load on the hottest path; it is
-// what lets untouched chunks stay aliased to the shared zero chunk.
-func (c *cache) mruHit(base, line uint64) bool {
-	return c.chunks[base>>chunkSlotsLog][base&(chunkSlots-1)] == uint32(line)+1
-}
-
-// mruAt is setBase + mruHit over a cache's geometry held in the caller's
-// locals (chunks, setBits&63, setMask) — for loops hot enough that reloading
-// the three through c on every probe shows (ReplayLoads): whether line
-// occupies the MRU way of its set. With setBits < 64, u>>setBits is
-// line>>(2*setBits). Must stay inlinable, and in step with setBase.
-func mruAt(chunks [][]uint32, setBits uint, setMask, line uint64) bool {
-	u := line >> setBits
-	base := ((line ^ u ^ u>>setBits) & setMask) * cacheWays
-	return chunks[base>>chunkSlotsLog][base&(chunkSlots-1)] == uint32(line)+1
+// mruHit is mruAt on c's own fields.
+func (c *cache) mruHit(line uint64) bool {
+	return mruAt(c.tags, c.setBits, c.setMask, line)
 }
 
 // access looks line up and installs it as MRU; reports whether it was a hit.
 func (c *cache) access(line uint64) bool {
-	base := c.setBase(line)
-	return c.mruHit(base, line) || c.accessSlow(base, line)
+	return c.mruHit(line) || c.accessSlow(line)
 }
 
 // accessSlow handles the non-MRU ways and the miss path. The ways are
 // unrolled: a hit shifts at most three tags with register moves, where the
 // generic copy() in a loop paid a runtime call per probe.
-func (c *cache) accessSlow(base, line uint64) bool {
+func (c *cache) accessSlow(line uint64) bool {
 	c.gen++ // every path below reorders or installs tags
-	ci := base >> chunkSlotsLog
-	off := base & (chunkSlots - 1)
-	set := c.chunks[ci][off : off+cacheWays : off+cacheWays]
+	set := c.set(line)
 	t := uint32(line) + 1
-	// The hit cases below mutate set in place; they are only reachable when
-	// the tag is present, which implies the chunk is already materialized.
+	hit := true
 	switch t {
 	case set[1]:
-		set[1] = set[0]
-		set[0] = t
-		return true
 	case set[2]:
 		set[2] = set[1]
-		set[1] = set[0]
-		set[0] = t
-		return true
 	case set[3]:
 		set[3] = set[2]
 		set[2] = set[1]
-		set[1] = set[0]
-		set[0] = t
-		return true
+	default: // miss: evict LRU (last way)
+		hit = false
+		set[3] = set[2]
+		set[2] = set[1]
 	}
-	// Miss: evict LRU (last way), install as MRU — the only path that writes
-	// to a previously untouched chunk, so materialize a private copy first.
-	// The aliased zero chunk is all-invalid; there is nothing to copy.
-	if !c.owned[ci] {
-		priv := make([]uint32, len(c.chunks[ci]))
-		c.chunks[ci] = priv
-		c.owned[ci] = true
-		set = priv[off : off+cacheWays : off+cacheWays]
-	}
-	set[3] = set[2]
-	set[2] = set[1]
 	set[1] = set[0]
 	set[0] = t
-	return false
+	return hit
 }
 
-// set returns the cacheWays-long tag slice of line's set (possibly the
-// read-only zero chunk; callers that mutate must hold the tag, which
-// implies a materialized chunk).
+// set returns the cacheWays-long tag slice of line's set.
 func (c *cache) set(line uint64) []uint32 {
-	base := c.setOf(line) * cacheWays
-	off := base & (chunkSlots - 1)
-	return c.chunks[base>>chunkSlotsLog][off : off+cacheWays : off+cacheWays]
+	base := setBase(c.setBits, c.setMask, line)
+	return c.tags[base : base+cacheWays : base+cacheWays]
 }
 
 // present reports whether line is cached, without touching LRU state.
@@ -214,13 +156,8 @@ func (c *cache) present(line uint64) bool {
 }
 
 // invalidate drops line if present, counting a coherence eviction; it
-// reports whether the line was actually evicted. An unowned chunk is the
-// shared all-invalid zero chunk, so the probe resolves with one bool load —
-// the common case when the coherence merge sweeps hundreds of caches.
+// reports whether the line was actually evicted.
 func (c *cache) invalidate(line uint64) bool {
-	if !c.owned[c.setOf(line)*cacheWays>>chunkSlotsLog] {
-		return false
-	}
 	set := c.set(line)
 	t := uint32(line) + 1
 	for w := 0; w < cacheWays; w++ {
@@ -236,16 +173,9 @@ func (c *cache) invalidate(line uint64) bool {
 	return false
 }
 
-// flush empties the cache (used between experiment repetitions) by
-// re-aliasing every materialized chunk to the shared zero chunk, returning
-// the private copies to the allocator.
+// flush empties the cache (tests cool caches with it between phases).
 func (c *cache) flush() {
 	c.gen++
-	for i, own := range c.owned {
-		if own {
-			c.chunks[i] = zeroChunk[:len(c.chunks[i])]
-			c.owned[i] = false
-		}
-	}
+	clear(c.tags)
 	c.cohEvicts = 0
 }

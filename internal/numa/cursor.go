@@ -2,15 +2,22 @@ package numa
 
 import "o2k/internal/sim"
 
-// Cursor is a bound accessor: Array, processor, and cache resolved once, with
-// the per-access virtual latency accumulated locally and charged by a single
-// Advance at Flush. It exists for the irregular inner loops that interleave
-// several arrays per iteration (edge flux, vertex update, tree walk), where
-// the index-batched helpers in batch.go do not fit: the loop keeps its shape
-// and each Load/Store charges exactly like Array.Load/Store — same fast
-// paths, same probes, same write-set records, same counters — except that the
-// clock advances once per Flush instead of once per access. Within one phase
-// the sums are identical.
+// Cursor is a bound accessor: Array, processor, and cache resolved once, the
+// scalar geometry a probe needs — the array's base line and element size, the
+// cache's set hash — copied where the loop runs, and the MRU hits counted
+// locally and charged by a single Advance at Flush. It exists for the
+// irregular inner loops that interleave several arrays per iteration (edge
+// flux, vertex update, tree walk), where the index-batched helpers in batch.go
+// do not fit: the loop keeps its shape and each Load/Store charges exactly
+// like Array.Load/Store — same probes, same write-set records, same counters
+// — except that the clock advances once per Flush instead of once per access.
+// Within one phase the sums are identical.
+//
+// A cursor copies scalars only. The two slices an access reads — the cache's
+// tags, the array's data — may be demand-zero mappings that Release and Close
+// unmap, so they are read afresh through c and a on every access: a cursor
+// that outlives its array or its Space panics on the nil slice like any other
+// accessor, and never touches an unmapped page.
 //
 // Rules: a Cursor is single-proc (use p's own cursor only from p's body) and
 // must be Flushed before any synchronization, communication, or phase change
@@ -18,73 +25,82 @@ import "o2k/internal/sim"
 // derive further costed work. Flush is idempotent; an unflushed cursor at a
 // rendezvous would under-report the entry clock and break determinism.
 //
-// Under refModel every access degrades to chargeRef with an immediate
-// Advance, so Flush becomes a no-op and differential traces stay aligned.
+// Under refModel a cursor probes refProbe, which holds nothing, so every
+// access degrades to chargeRef with an immediate Advance, Flush becomes a
+// no-op and differential traces stay aligned.
 type Cursor[T any] struct {
-	a    *Array[T]
-	p    *sim.Proc
-	c    *cache
-	me   int
-	lat  sim.Time
-	hits uint64
+	a *Array[T]
+	p *sim.Proc
+	c *cache
+
+	baseLine  uint64
+	elemSize  uint64
+	lineShift uint
+	setBits   uint
+	setMask   uint64
+	shared    bool
+
+	lat  sim.Time // miss latency not yet charged
+	hits uint64   // MRU hits not yet charged: cacheHitNS apiece at Flush
 }
+
+// refProbe is the cache cursors probe under the reference model: one empty
+// set, so the inlined MRU probe always fails and the access reaches the slow
+// path, which charges through chargeRef and the processor's real cache.
+var refProbe = &cache{tags: make([]uint32, cacheWays), setBits: 1}
 
 // Cursor binds a to p. The returned value is cheap to create per loop; do not
 // share it across procs.
 func (a *Array[T]) Cursor(p *sim.Proc) Cursor[T] {
-	me := p.ID()
-	return Cursor[T]{a: a, p: p, c: a.caches[me], me: me}
+	c := a.caches[p.ID()]
+	if refModel {
+		c = refProbe
+	}
+	return Cursor[T]{
+		a: a, p: p, c: c,
+		baseLine: a.baseLine, elemSize: a.elemSize, lineShift: a.lineShift,
+		setBits: c.setBits, setMask: c.setMask, shared: a.shared,
+	}
+}
+
+// line is the global line address of element i.
+func (cu *Cursor[T]) line(i int) uint64 {
+	return cu.baseLine + uint64(i)*cu.elemSize>>(cu.lineShift&63)
 }
 
 // Load reads element i through the cursor; identical charging to Array.Load
 // with the Advance deferred to Flush.
 func (cu *Cursor[T]) Load(i int) T {
-	a := cu.a
-	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
-	if lr.line == gl+1 && lr.gen == cu.c.gen {
+	if gl := cu.line(i); mruAt(cu.c.tags, cu.setBits, cu.setMask, gl) {
 		cu.hits++
-		cu.lat += a.cacheHitNS
-		return a.data[i]
+	} else {
+		cu.slow(i, gl, false)
 	}
-	return cu.loadSlow(i, gl)
+	return cu.a.data[i]
 }
 
-// TryTouch charges a load of element i iff it hits the per-proc MRU memo,
-// without materializing the value — the replay loops (precomputed traversal
-// traces) need only the charge. Returns whether it charged; on false it
-// changes nothing and the caller completes with TouchMiss(i). Charging is
-// identical to Load's memo fast path.
+// TryTouch charges a load of element i iff its line sits in the MRU way of its
+// set, without materializing the value — the replay loops (precomputed
+// traversal traces) need only the charge. Returns whether it charged; on false
+// it changes nothing and the caller completes with TouchMiss(i): the inlined
+// half of one probe, TouchMiss the whole. It spells the probe out, as Load and
+// Store do: a helper method between it and mruAt costs a generic method its
+// place under the inliner's budget (83 against 80).
 func (cu *Cursor[T]) TryTouch(i int) bool {
-	a := cu.a
-	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
-	if lr.line == gl+1 && lr.gen == cu.c.gen {
+	if mruAt(cu.c.tags, cu.setBits, cu.setMask, cu.line(i)) {
 		cu.hits++
-		cu.lat += a.cacheHitNS
 		return true
 	}
 	return false
 }
 
 // TouchMiss completes a charge whose TryTouch returned false; identical
-// charging to Load's slow path without returning the element. It never
-// consults the memo, so on its own it charges any load correctly — an MRU
-// probe, else the full access (ReplayLoads' touchEntry relies on that).
+// charging to Load without returning the element. On its own it charges any
+// load correctly, an MRU hit included (ReplayLoads' touchEntry relies on
+// that).
 func (cu *Cursor[T]) TouchMiss(i int) {
-	a := cu.a
-	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	if refModel {
-		a.chargeRef(cu.p, a.lineOf(i), false)
-		return
-	}
-	base := cu.c.setBase(gl)
-	if cu.c.mruHit(base, gl) {
-		cu.hits++
-		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
-	} else {
-		cu.lat += a.chargeSlowAcc(cu.p, cu.c, base, gl, a.lineOf(i), false)
+	if !cu.TryTouch(i) {
+		cu.slow(i, cu.line(i), false)
 	}
 }
 
@@ -93,98 +109,57 @@ func (cu *Cursor[T]) TouchMiss(i int) {
 // generation at that moment. While the generation is unchanged no tag in the
 // cache has moved — installs, LRU reorders, invalidation evictions, and
 // flushes all bump it — so the line is provably still MRU and a repeat
-// access charges as a hit without the set hash and tag probe. The per-proc
-// memo in Array.last remembers only one line per array; loops that cycle
-// through several lines of one array each iteration (the up/down/row arms of
-// a 5-point stencil) thrash it, and a per-arm memo restores the hit rate.
+// access charges as a hit without the set hash and tag probe. It pays where a
+// loop walks a few lines element by element (the up/down/row arms of a
+// 5-point stencil: sixteen accesses to a line for one probe).
 type Arm struct {
 	line uint64 // global line address + 1 (0 = never set)
 	gen  uint64
 }
 
-// LoadArm reads element i like Load, additionally consulting and maintaining
-// arm as a second line memo. Charging is identical to Load: an arm hit is
-// exactly the probe-hit outcome it shortcuts (same hit count, latency, and
-// memo refresh), and the arm is bypassed under the reference model.
+// LoadArm reads element i like Load, consulting and maintaining arm as a line
+// memo. Charging is identical to Load: an arm hit is exactly the probe-hit
+// outcome it shortcuts (same hit count and latency). The arm is bypassed
+// under the reference model, where the generation of refProbe never moves.
 func (cu *Cursor[T]) LoadArm(arm *Arm, i int) T {
-	a := cu.a
-	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
-	if lr.line == gl+1 && lr.gen == cu.c.gen {
-		cu.hits++
-		cu.lat += a.cacheHitNS
-		return a.data[i]
-	}
+	gl := cu.line(i)
 	if arm.line == gl+1 && arm.gen == cu.c.gen && !refModel {
 		cu.hits++
-		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
-		return a.data[i]
+		return cu.a.data[i]
 	}
-	v := cu.loadSlow(i, gl)
-	arm.line = gl + 1
-	arm.gen = cu.c.gen
+	v := cu.Load(i)
+	arm.line, arm.gen = gl+1, cu.c.gen
 	return v
-}
-
-func (cu *Cursor[T]) loadSlow(i int, gl uint64) T {
-	a := cu.a
-	if refModel {
-		a.chargeRef(cu.p, a.lineOf(i), false)
-		return a.data[i]
-	}
-	base := cu.c.setBase(gl)
-	if cu.c.mruHit(base, gl) {
-		cu.hits++
-		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
-	} else {
-		cu.lat += a.chargeSlowAcc(cu.p, cu.c, base, gl, a.lineOf(i), false)
-	}
-	return a.data[i]
 }
 
 // Store writes element i through the cursor; identical charging to
 // Array.Store with the Advance deferred to Flush.
 func (cu *Cursor[T]) Store(i int, v T) {
-	a := cu.a
-	if !a.shared {
-		gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-		lr := &a.last[cu.me]
-		if lr.line == gl+1 && lr.gen == cu.c.gen {
-			cu.hits++
-			cu.lat += a.cacheHitNS
-			a.data[i] = v
-			return
-		}
+	if gl := cu.line(i); !cu.shared && mruAt(cu.c.tags, cu.setBits, cu.setMask, gl) {
+		cu.hits++
+	} else {
+		cu.slow(i, gl, true)
 	}
-	cu.storeSlow(i, v)
+	cu.a.data[i] = v
 }
 
-func (cu *Cursor[T]) storeSlow(i int, v T) {
+// slow charges what the inlined probe could not: any access under the
+// reference model, a store to a shared array (it needs its write-set record),
+// a hit in a non-MRU way, a miss.
+func (cu *Cursor[T]) slow(i int, gl uint64, write bool) {
 	a := cu.a
 	if refModel {
-		a.chargeRef(cu.p, a.lineOf(i), true)
-		a.data[i] = v
+		a.chargeRef(cu.p, a.lineOf(i), write)
 		return
 	}
-	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	base := cu.c.setBase(gl)
-	if !a.shared && cu.c.mruHit(base, gl) {
-		cu.hits++
-		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
-	} else {
-		cu.lat += a.chargeSlowAcc(cu.p, cu.c, base, gl, a.lineOf(i), true)
-	}
-	a.data[i] = v
+	cu.lat += a.chargeSlowAcc(cu.p, cu.c, gl, a.lineOf(i), write)
 }
 
 // Flush charges the accumulated hit count and latency to the processor. Call
 // it before any rendezvous, message, or phase switch.
 func (cu *Cursor[T]) Flush() {
 	cu.p.CacheHits += cu.hits
-	cu.p.Advance(cu.lat)
+	cu.p.Advance(cu.lat + sim.Time(cu.hits)*cu.a.cacheHitNS)
 	cu.hits = 0
 	cu.lat = 0
 }

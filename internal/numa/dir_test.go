@@ -10,11 +10,15 @@ import (
 	"o2k/internal/sim"
 )
 
-// TestMain audits the sharer directory at the end of every MergeEpoch any
-// test of this package runs on the optimized path — the spaces applications
-// create internally included (adaptmesh_test.go, suite_test.go).
+// TestMain audits the tag store at the end of every MergeEpoch any test of
+// this package runs, and the sharer directory with it on the optimized path —
+// the spaces applications create internally included (adaptmesh_test.go,
+// suite_test.go).
 func TestMain(m *testing.M) {
 	afterMerge = func(sp *Space) {
+		if err := checkTags(sp); err != nil {
+			panic(err)
+		}
 		if refModel {
 			return // the reference merge probes every cache and keeps no directory
 		}
@@ -24,6 +28,38 @@ func TestMain(m *testing.M) {
 		directoryAudits.Add(1)
 	}
 	os.Exit(m.Run())
+}
+
+// checkTags is the structural audit of the tag store: every cache has
+// cacheWays tags per set; in every set the valid tags are a prefix of the ways
+// (an install shifts the ways down from the MRU end, invalidate compacts), no
+// tag sits in a set twice, and every tag sits in the set its line hashes to —
+// the hash spelled out here from its definition, not taken from setBase.
+func checkTags(sp *Space) error {
+	for q, c := range sp.caches {
+		if len(c.tags) != int(c.setMask+1)*cacheWays {
+			return fmt.Errorf("cache %d: %d tags for %d sets of %d ways", q, len(c.tags), c.setMask+1, cacheWays)
+		}
+		for base := 0; base < len(c.tags); base += cacheWays {
+			set := c.tags[base : base+cacheWays]
+			for w, tag := range set {
+				if tag == 0 {
+					if slices.Max(set[w:]) != 0 {
+						return fmt.Errorf("cache %d set %d: tags %v have a hole", q, base/cacheWays, set)
+					}
+					break
+				}
+				line := uint64(tag - 1)
+				if home := (line ^ line>>c.setBits ^ line>>(2*c.setBits)) & c.setMask; home != uint64(base/cacheWays) {
+					return fmt.Errorf("cache %d set %d: line %d belongs in set %d", q, base/cacheWays, line, home)
+				}
+				if slices.Contains(set[:w], tag) {
+					return fmt.Errorf("cache %d set %d: line %d (tag %d) twice in tags %v", q, base/cacheWays, line, tag, set)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // unaudited takes the audit off the merges a benchmark times.
@@ -91,23 +127,18 @@ func checkDirectory(sp *Space) error {
 	}
 
 	for q, c := range sp.caches {
-		for ci, own := range c.owned {
-			if !own {
+		for _, tag := range c.tags {
+			if tag == 0 {
 				continue
 			}
-			for _, tag := range c.chunks[ci] {
-				if tag == 0 {
+			gl := uint64(tag - 1)
+			for ai, a := range arrays {
+				li := gl - a.baseLine
+				if gl < a.baseLine || li >= uint64(a.lines) {
 					continue
 				}
-				gl := uint64(tag - 1)
-				for ai, a := range arrays {
-					li := gl - a.baseLine
-					if gl < a.baseLine || li >= uint64(a.lines) {
-						continue
-					}
-					if !dirCovers(sp, a, uint32(li), int32(q)) {
-						return fmt.Errorf("array %d line %d: cached by proc %d, which is not on its list", ai, li, q)
-					}
+				if !dirCovers(sp, a, uint32(li), int32(q)) {
+					return fmt.Errorf("array %d line %d: cached by proc %d, which is not on its list", ai, li, q)
 				}
 			}
 		}

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// SetMapMinBytes moves the mapping threshold for the rest of the test.
+// SetMapMinBytes moves both mapping thresholds, of an array and of a
+// machine's cache tags, for the rest of the test.
 func SetMapMinBytes(t testing.TB, n uintptr) {
-	old := mapMinBytes
-	mapMinBytes = n
-	t.Cleanup(func() { mapMinBytes = old })
+	old, oldTags := mapMinBytes, tagMapMinBytes
+	mapMinBytes, tagMapMinBytes = n, int(n)
+	t.Cleanup(func() { mapMinBytes, tagMapMinBytes = old, oldTags })
 }
 
 // LiveMappings is the number of mappings numa has made and not yet returned,

@@ -1,6 +1,8 @@
 package numa
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +15,15 @@ func space(procs int) (*Space, *machine.Machine) {
 	return NewSpace(m), m
 }
 
+// heapCache is a cache outside any Space, its tags on the heap.
+func heapCache(cacheBytes, lineBytes int) *cache {
+	c := newCache(cacheBytes, lineBytes)
+	c.tags = make([]uint32, c.slots())
+	return c
+}
+
 func TestCacheBasics(t *testing.T) {
-	c := newCache(512, 128) // 1 set x 4 ways: every line shares the set
+	c := heapCache(512, 128) // 1 set x 4 ways: every line shares the set
 	if c.access(5) {
 		t.Fatal("first access should miss")
 	}
@@ -58,7 +67,7 @@ func TestCacheBasics(t *testing.T) {
 }
 
 func TestCacheLRUPromotionOnHit(t *testing.T) {
-	c := newCache(512, 128) // 1 set x 4 ways
+	c := heapCache(512, 128) // 1 set x 4 ways
 	for _, l := range []uint64{2, 4, 6, 8} {
 		c.access(l)
 	}
@@ -73,51 +82,88 @@ func TestCacheLRUPromotionOnHit(t *testing.T) {
 }
 
 func TestCacheNonPow2Capacity(t *testing.T) {
-	c := newCache(1000, 128) // 1000/128/4 -> 1 set
-	slots := 0
-	for _, ch := range c.chunks {
-		slots += len(ch)
+	c := heapCache(1000, 128) // 1000/128/4 -> 1 set
+	if len(c.tags) != cacheWays {
+		t.Fatalf("tag slots = %d, want %d", len(c.tags), cacheWays)
 	}
-	if slots != cacheWays {
-		t.Fatalf("tag slots = %d, want %d", slots, cacheWays)
+	c = heapCache(3<<20, 128) // 6144 sets round down to 4096
+	if len(c.tags) != 4096*cacheWays || c.setMask != 4095 || c.setBits != 12 {
+		t.Fatalf("3 MB cache: %d tag slots, set mask %#x, %d set bits", len(c.tags), c.setMask, c.setBits)
 	}
 }
 
-func TestCacheTagChunksLazilyMaterialized(t *testing.T) {
-	// A fresh cache must not own a single chunk: all tag storage aliases the
-	// shared zero chunk until a line is installed, and flush re-aliases it.
-	c := newCache(1<<22, 128) // 4 MiB: 8192 sets, 32 chunks
-	owned := func() int {
-		n := 0
-		for _, o := range c.owned {
-			if o {
-				n++
+// The hot loops probe with mruAt over geometry in their own locals, access
+// installs through the cache's fields: a line must be found where it was put,
+// at every set count.
+func TestProbeFindsWhatAccessInstalls(t *testing.T) {
+	for _, cacheBytes := range []int{512, 1024, 4096, 1 << 16, 4 << 20} {
+		c := heapCache(cacheBytes, 128)
+		rng := rand.New(rand.NewSource(int64(cacheBytes)))
+		for range 20000 {
+			line := uint64(rng.Int63n(1<<32 - 2))
+			if rng.Intn(4) == 0 {
+				line &= 1<<uint(rng.Intn(32)) - 1 // small addresses, where the fold is the identity
+			}
+			if mruAt(c.tags, c.setBits, c.setMask, line) != c.mruHit(line) {
+				t.Fatalf("%d-byte cache, line %d: mruAt and mruHit disagree before the install", cacheBytes, line)
+			}
+			c.access(line)
+			if !mruAt(c.tags, c.setBits, c.setMask, line) || !c.mruHit(line) || c.tags[setBase(c.setBits, c.setMask, line)] != uint32(line)+1 {
+				t.Fatalf("%d-byte cache, line %d: not found in the MRU way after its install", cacheBytes, line)
 			}
 		}
-		return n
 	}
-	if got := owned(); got != 0 {
-		t.Fatalf("fresh cache owns %d chunks, want 0", got)
+}
+
+// A Space's cache tags cost the host what the run touches of them, not
+// procs × cache size: 1024 caches of 4 MB are 128 MB of tags, none of it on
+// the Go heap and all of it one demand-zero mapping that Close returns.
+func TestSpaceTagsCostWhatIsTouched(t *testing.T) {
+	mappingHost(t)
+	tagMapMinBytes = shippedTagMapMinBytes // the rule as shipped, which mappingHost lowered
+	// The paper's largest machine stays below it: 8 MB of tags, on the heap.
+	small, _ := space(64)
+	if n := LiveMappings(); n != 0 || len(small.caches[63].tags) != 4<<20/128 {
+		t.Fatalf("%d mappings live for a P = 64 space with %d tags per cache", n, len(small.caches[63].tags))
 	}
-	if c.present(7) || c.invalidate(7) {
-		t.Fatal("probe of untouched cache found a line")
+	m := machine.MustNew(machine.Default(1024))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sp := NewSpace(m)
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 1<<20 {
+		t.Errorf("NewSpace at P = 1024 grew the heap by %d bytes", grown)
 	}
-	if got := owned(); got != 0 {
-		t.Fatalf("read-only probes materialized %d chunks, want 0", got)
+	if n := LiveMappings(); n != 1 {
+		t.Fatalf("%d mappings live after NewSpace, want 1", n)
 	}
-	c.access(7)
-	if got := owned(); got != 1 {
-		t.Fatalf("one install owns %d chunks, want 1", got)
+	total := 0
+	for _, c := range sp.caches {
+		total += len(c.tags)
 	}
-	if !c.present(7) || !c.access(7) {
-		t.Fatal("installed line not found")
+	if want := 1024 * (4 << 20) / 128; total != want {
+		t.Fatalf("%d tags in all, want %d", total, want)
 	}
-	c.flush()
-	if got := owned(); got != 0 {
-		t.Fatalf("flushed cache owns %d chunks, want 0", got)
+	// Untouched tags read as an empty cache; an install is found again, and
+	// found gone after a flush.
+	first, last := sp.caches[0], sp.caches[1023]
+	if last.present(7) || last.invalidate(7) || first.access(7) {
+		t.Fatal("probe of an untouched cache found a line")
 	}
-	if c.present(7) {
-		t.Fatal("line survived flush")
+	if !first.present(7) || !first.access(7) || last.present(7) {
+		t.Fatal("an installed line must be found, in its own cache only")
+	}
+	if err := checkTags(sp); err != nil {
+		t.Fatal(err)
+	}
+	first.flush()
+	if first.present(7) {
+		t.Fatal("line survived the flush")
+	}
+	sp.Close()
+	if n := LiveMappings(); n != 0 || first.tags != nil || last.tags != nil {
+		t.Fatalf("%d mappings live after Close (tags nil: %v, %v)", n, first.tags == nil, last.tags == nil)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -46,8 +47,9 @@ func (res *traceResult) snapshot(sp *Space, g *sim.Group) {
 	}
 	res.Evicts = sp.CohEvictions()
 	for _, c := range sp.caches {
-		res.Tags = append(res.Tags, slices.Concat(c.chunks...))
+		res.Tags = append(res.Tags, slices.Clone(c.tags))
 	}
+	runtime.KeepAlive(sp) // the last Clone reads tags that only sp keeps mapped
 }
 
 // diff names the first field in which res differs from ref ("" if none),
@@ -77,6 +79,8 @@ type traceCfg struct {
 	procs      int
 	cacheBytes int // 0 = the machine default
 	steps      int
+	tune       func(*machine.Config) // adjusts the machine, nil = the default one
+	place      func(elem int) int    // PlaceByElem owner for every shared array, nil = interleaved and block
 }
 
 // runTrace executes a seeded random access trace against a fresh Space with
@@ -91,6 +95,9 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 	procs := tc.procs
 	cfg := machine.Default(procs)
 	cfg.CacheBytes = cmp.Or(tc.cacheBytes, cfg.CacheBytes)
+	if tc.tune != nil {
+		tc.tune(&cfg)
+	}
 	sp := NewSpace(machine.MustNew(cfg))
 	g := sim.NewGroup(procs)
 
@@ -116,6 +123,11 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 	// replaced mid-trace, taking its sharer lists with it.
 	shS := NewShared[float64](sp, 1500)
 	shS.PlaceBlock()
+	if tc.place != nil {
+		for _, a := range []interface{ PlaceByElem(func(int) int) }{shA, shB, shX, shY, shM, shC, shS} {
+			a.PlaceByElem(tc.place)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	phases := []sim.Phase{sim.PhaseCompute, sim.PhaseMark, sim.PhaseRemap}
@@ -226,6 +238,9 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 				Release(shS)
 				shS = NewShared[float64](sp, 1100)
 				shS.PlaceInterleave()
+				if tc.place != nil {
+					shS.PlaceByElem(tc.place)
+				}
 			case 6:
 				sp.FlushCaches()
 			}
@@ -491,4 +506,62 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 	check(rc, func(seed int64, useRef bool) (traceResult, replayRegime) {
 		return runReplayCase(t, rc, seed, useRef, func(i int) wide { return wide{float64(i)} })
 	})
+}
+
+// storeRangeCase runs StoreRange, or the element-by-element Store loop it
+// stands for, over odd spans of an array of element type T — in a cache small
+// enough that lines are evicted between spans — and returns what is observable.
+func storeRangeCase[T any](bulk, useRef bool) traceResult {
+	refModel = useRef
+	defer func() { refModel = false }()
+	cfg := machine.Default(2)
+	cfg.CacheBytes = 2048
+	sp := NewSpace(machine.MustNew(cfg))
+	g := sim.NewGroup(2)
+	a := NewShared[T](sp, 700)
+	a.PlaceInterleave()
+	rng := rand.New(rand.NewSource(5))
+	var res traceResult
+	for step := range 300 {
+		p := g.Proc(rng.Intn(2))
+		lo := rng.Intn(a.Len())
+		vals := make([]T, rng.Intn(min(60, a.Len()-lo)+1))
+		if bulk {
+			a.StoreRange(p, lo, vals)
+		} else {
+			for k, v := range vals {
+				a.Store(p, lo+k, v)
+			}
+		}
+		if step%40 == 39 {
+			res.mergeEpoch(sp, g)
+		}
+	}
+	res.snapshot(sp, g)
+	return res
+}
+
+// StoreRange counts every access of a span that is not a line's miss as a
+// hit. That is the per-element loop exactly, whatever the element size:
+// elements that divide a line, elements that straddle lines (24 and 96 bytes
+// in 128), and elements wider than a line, which take the per-element path.
+func TestStoreRangeMatchesPerElementStores(t *testing.T) {
+	check := func(name string, run func(bulk, useRef bool) traceResult) {
+		want := run(false, true)
+		for _, v := range []struct {
+			name         string
+			bulk, useRef bool
+		}{{"Store loop", false, false}, {"StoreRange", true, false}, {"StoreRange on the reference model", true, true}} {
+			if d := run(v.bulk, v.useRef).diff(want); d != "" {
+				t.Errorf("%s, %s: differs from the reference Store loop in %s", name, v.name, d)
+			}
+		}
+		if want.Procs[0].Counters.CacheHits == 0 || want.Procs[0].Counters.LocalMisses == 0 {
+			t.Errorf("%s: want hits and misses, got %+v", name, want.Procs[0].Counters)
+		}
+	}
+	check("8-byte elements", storeRangeCase[float64])
+	check("24-byte elements", storeRangeCase[[3]float64])
+	check("96-byte elements", storeRangeCase[[12]float64])
+	check("160-byte elements", storeRangeCase[[20]float64])
 }

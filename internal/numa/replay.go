@@ -1,7 +1,5 @@
 package numa
 
-import "o2k/internal/sim"
-
 // ReplayLoads charges the load sequence of a precomputed tree-walk trace
 // through four cursors: an entry e >= 0 loads element e of bx, by, bm (in
 // that order); an entry e < 0 loads elements 3c, 3c+1, 3c+2 of cells for
@@ -10,12 +8,9 @@ import "o2k/internal/sim"
 //
 // Nearly every replayed load hits the MRU way of its set, and an MRU hit
 // changes no cache state, so the loop is one question per entry — are all
-// three loads MRU hits? — asked with the cache geometry in locals and
-// answered by counting the entry. Any other entry is charged load by load
-// through touchEntry. Unlike the per-access paths the loop keeps no
-// Array.last memo current: a memo is the claim "line L was MRU at cache
-// generation g", which stays true while the generation is unchanged whoever
-// recorded it, so a stale memo can only miss, never lie (DESIGN.md §5.9).
+// three loads MRU hits? — asked with the tags and the cache geometry in
+// locals and answered by counting the entry. Any other entry is charged load
+// by load through touchEntry (DESIGN.md §5.9).
 //
 // All four cursors must be bound to the same processor (they share one
 // cache; otherwise, and under the reference model, every entry goes through
@@ -31,13 +26,11 @@ func ReplayLoads[T any](trace []int32, bx, by, bm, cells *Cursor[T]) {
 		return
 	}
 
-	// One space, one line geometry; element size is fixed by T.
-	es, shift := bx.a.elemSize, bx.a.lineShift&63
-	baseX, baseY, baseM, baseC := bx.a.baseLine, by.a.baseLine, bm.a.baseLine, cells.a.baseLine
-	// The outer chunks header never changes after newCache (materialising a
-	// chunk stores a new inner slice into the same backing array, and every
-	// probe loads its inner slice afresh), so one copy serves the whole trace.
-	chunks, setBits, setMask := c.chunks, c.setBits&63, c.setMask
+	// One space, one line geometry; element size is fixed by T. The tags are
+	// c's for the length of this call only (a cursor keeps no slice).
+	es, shift := bx.elemSize, bx.lineShift&63
+	baseX, baseY, baseM, baseC := bx.baseLine, by.baseLine, bm.baseLine, cells.baseLine
+	tags, setBits, setMask := c.tags, bx.setBits, bx.setMask
 	var fast uint64 // entries whose three loads were all MRU hits
 	// prevLo is the line offset of the last counted leaf entry while no tag
 	// has moved since: a leaf entry on the same line is three more MRU hits.
@@ -46,9 +39,9 @@ func ReplayLoads[T any](trace []int32, bx, by, bm, cells *Cursor[T]) {
 	for _, e := range trace {
 		if e >= 0 {
 			lo := uint64(e) * es >> shift
-			if lo == prevLo || mruAt(chunks, setBits, setMask, baseX+lo) &&
-				mruAt(chunks, setBits, setMask, baseY+lo) &&
-				mruAt(chunks, setBits, setMask, baseM+lo) {
+			if lo == prevLo || mruAt(tags, setBits, setMask, baseX+lo) &&
+				mruAt(tags, setBits, setMask, baseY+lo) &&
+				mruAt(tags, setBits, setMask, baseM+lo) {
 				fast++
 				prevLo = lo
 				continue
@@ -59,8 +52,8 @@ func ReplayLoads[T any](trace []int32, bx, by, bm, cells *Cursor[T]) {
 			// directly after a load of its line is an MRU hit).
 			c3 := uint64(^e) * 3
 			lo, l2 := c3*es>>shift, (c3+2)*es>>shift
-			if mruAt(chunks, setBits, setMask, baseC+lo) &&
-				(l2 == lo || l2 == lo+1 && mruAt(chunks, setBits, setMask, baseC+l2)) {
+			if mruAt(tags, setBits, setMask, baseC+lo) &&
+				(l2 == lo || l2 == lo+1 && mruAt(tags, setBits, setMask, baseC+l2)) {
 				fast++
 				continue
 			}
@@ -70,7 +63,6 @@ func ReplayLoads[T any](trace []int32, bx, by, bm, cells *Cursor[T]) {
 	}
 
 	bx.hits += 3 * fast
-	bx.lat += sim.Time(3*fast) * bx.a.cacheHitNS
 }
 
 // touchEntry charges one trace entry load by load, each through its own

@@ -21,10 +21,10 @@ type Space struct {
 	mu     sync.Mutex
 	shared []epochTracker // shared arrays with live write-sets
 
-	// maps lists the live demand-zero mappings behind this space's large
-	// arrays (backing.go). The last Release of a mapping's arrays unmaps it,
-	// Close unmaps the rest, and a cleanup on the Space does if nobody closed
-	// it.
+	// maps lists the live demand-zero mappings behind this space's cache tags
+	// and large arrays (backing.go). The last Release of a mapping's arrays
+	// unmaps it, Close unmaps the rest, and a cleanup on the Space does if
+	// nobody closed it.
 	maps *hostMaps
 
 	// Scratch for MergeEpoch, reused across barrier episodes. Safe because
@@ -64,20 +64,33 @@ func NewSpace(m *machine.Machine) *Space {
 	s := &Space{M: m, caches: make([]*cache, m.Procs()), maps: new(hostMaps), dir: make([]sharer, 1)}
 	for i := range s.caches {
 		s.caches[i] = newCache(m.Cfg.CacheBytes, m.Cfg.LineBytes)
+		s.caches[i].sp = s
 	}
+	allocTags(s)
 	s.nextBase.Store(uint64(m.Cfg.PageBytes)) // keep address 0 unused
-	// The Space is unreachable only once every Array is (each points at it),
-	// so nothing can read a mapping the cleanup takes away.
+	// The Space is unreachable only once every Array and every cache is (each
+	// points at it), so nothing can read a mapping the cleanup takes away.
 	runtime.AddCleanup(s, (*hostMaps).closeAll, s.maps)
 	return s
 }
 
-// Close unmaps the host memory of every mapped array of s that is still
-// alive; those arrays are dead afterwards, exactly as after Release (small
-// arrays live on the heap and are the collector's). Call it when the run is
+// Close ends s: it unmaps the cache tags and every mapped array still alive,
+// and nothing of s may be used afterwards — allocating panics with "numa: use
+// of closed Space", and any access, merge or invalidation, through a mapped or
+// a heap-backed array alike, panics on the nil tags or the nil data (a Go
+// panic a caller can recover, never a fault on an unmapped page). What was
+// counted stays readable: AllocBytes, CohEvictions. Call it when the run is
 // over and its results have been read out. Closing twice is a no-op, and a
 // space nobody closes is cleaned up when the collector finds it unreachable.
-func (s *Space) Close() { s.maps.closeAll() }
+func (s *Space) Close() {
+	for _, c := range s.caches {
+		c.tags = nil // before the pages go: a probe after Close finds no slice, not a hole
+	}
+	s.maps.closeAll()
+}
+
+// closed reports whether Close has run.
+func (s *Space) closed() bool { return s.caches[0].tags == nil }
 
 // reserve claims an address range of n bytes aligned to the page size.
 //
