@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -255,5 +256,62 @@ func TestCLIBadTraceTargetFailsFast(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unknown trace target") {
 		t.Fatalf("stderr does not explain the rejection: %s", stderr)
+	}
+}
+
+// TestFlagsAndREADMEAgree keeps the documented surface and the binary's the
+// same set: every flag `o2kbench -h` and `o2kbench serve -h` print is named in
+// README.md, and README.md names no o2kbench flag the binary lacks. A README
+// mention is a dash token inside an inline code span that starts with a dash
+// (`-jobs`, `-procs scale1024`, `-exp/-quick/-procs`) or after "o2kbench" on
+// a line (fenced command lines included); flags of other commands are written
+// after their command's name (`go test -race`), which keeps them out. The
+// counts are the option surface: change them with the flag set, on purpose.
+func TestFlagsAndREADMEAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	helpFlag := regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
+	binary := map[string]bool{}
+	for args, want := range map[string]int{"-h": 23, "serve -h": 8} {
+		_, stderr, _ := o2kbench(t, args)
+		n := 0
+		for _, m := range helpFlag.FindAllStringSubmatch(stderr, -1) {
+			binary[m[1]] = true
+			n++
+		}
+		if n != want {
+			t.Errorf("o2kbench %s prints %d flags, want %d:\n%s", args, n, want, stderr)
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dash := regexp.MustCompile(`(?:^|[\s/\[])-([a-z][a-z0-9-]*)`)
+	named := map[string]bool{}
+	mention := func(text string) {
+		for _, m := range dash.FindAllStringSubmatch(text, -1) {
+			named[m[1]] = true
+		}
+	}
+	for _, span := range regexp.MustCompile("`(-[^`]*)`").FindAllStringSubmatch(string(readme), -1) {
+		mention(span[1])
+	}
+	for _, line := range strings.Split(string(readme), "\n") {
+		if _, after, ok := strings.Cut(line, "o2kbench "); ok {
+			mention(" " + strings.ReplaceAll(after, "`", " "))
+		}
+	}
+	for name := range binary {
+		if !named[name] {
+			t.Errorf("README.md does not mention -%s", name)
+		}
+	}
+	for name := range named {
+		if !binary[name] {
+			t.Errorf("README.md names -%s, which the binary does not have", name)
+		}
 	}
 }

@@ -25,7 +25,6 @@ type engineFlags struct {
 	leases  bool
 	jobs    int
 	timeout time.Duration
-	retries int
 }
 
 // register declares the engine flags on fs, with f's current values as the
@@ -35,7 +34,6 @@ func (f *engineFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.leases, "leases", f.leases, "with -cache: coordinate with other processes on the same cache directory\nthrough per-cell lease files")
 	fs.IntVar(&f.jobs, "jobs", f.jobs, "concurrent simulation cells (0 = GOMAXPROCS)")
 	fs.DurationVar(&f.timeout, "timeout", f.timeout, "per-cell compute deadline (0 = none); expired cells render FAILED(timeout)")
-	fs.IntVar(&f.retries, "cellretries", f.retries, "retry budget for cells that fail with a transient error")
 }
 
 // argv renders f back to command-line arguments, one -name=value per
@@ -51,10 +49,7 @@ func (f engineFlags) argv() []string {
 
 // validate checks the flags against each other. Every error is a usage error.
 func (f *engineFlags) validate() error {
-	switch {
-	case f.retries < 0:
-		return errors.New("-cellretries must be >= 0")
-	case f.leases && f.cache == "":
+	if f.leases && f.cache == "" {
 		return errors.New("-leases requires -cache DIR")
 	}
 	return nil
@@ -66,7 +61,7 @@ func (f *engineFlags) validate() error {
 // opened is a warning, not a failure: the engine runs memory-only with
 // identical output.
 func (f *engineFlags) build(ctx context.Context, shard, shards int) *runner.Engine {
-	eng := runner.NewWithPolicy(ctx, f.jobs, runner.Policy{CellTimeout: f.timeout, Retries: f.retries})
+	eng := runner.NewWithPolicy(ctx, f.jobs, runner.Policy{CellTimeout: f.timeout})
 	if f.cache == "" {
 		return eng
 	}

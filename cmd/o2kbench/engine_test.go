@@ -18,7 +18,6 @@ func TestEngineFlagsArgvRoundTrip(t *testing.T) {
 		leases:  true,
 		jobs:    3,
 		timeout: 90 * time.Second,
-		retries: 2,
 	}
 	wv := reflect.ValueOf(want)
 	for i := 0; i < wv.NumField(); i++ {

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	o2kbench [-exp name] [-quick] [-procs 1,2,4|preset] [-format text|json] [-list] [-version]
-//	         [-jobs N] [-timeout d] [-cellretries N] [-runreport[=text|json]]
+//	         [-jobs N] [-timeout d] [-runreport[=text|json]]
 //	         [-cache dir] [-cache-verify] [-cache-clear]
 //	         [-workers N] [-worker-restarts N] [-chaos-kill d] [-leases]
 //	         [-trace f] [-trace-exp name] [-trace-ascii] [-phasereport]
@@ -19,7 +19,7 @@
 // The flag surface reads as four sections (see -help): experiment
 // selection and output, engine and execution, multi-process sweeps, and
 // observability and profiling. The engine flags (-cache -leases -jobs
-// -timeout -cellretries) are one engineFlags value (engine.go) that the
+// -timeout) are one engineFlags value (engine.go) that the
 // one-shot run, its -worker children, and serve all register, validate, and
 // build their engine from.
 //
@@ -36,8 +36,8 @@
 // (-trace FILE, loadable in Perfetto), a terminal Gantt chart
 // (-trace-ascii), or a per-phase min/max/mean/imbalance table
 // (-phasereport, stderr). The trace file also carries host-side tracks of
-// this invocation's cell lifecycle (compute / memo-hit / disk-hit / retry
-// spans from the engine's event hook). Because tracing is a deliberate
+// this invocation's cell lifecycle (compute / memo-hit / disk-hit / dedup
+// events from the engine's event hook). Because tracing is a deliberate
 // re-simulation outside the memoized engine, stdout of the experiment
 // tables is byte-identical whether or not any trace flag is given.
 //
@@ -196,7 +196,7 @@ var flagGroups = []struct {
 	{"Experiment selection and output", []string{
 		"exp", "list", "quick", "procs", "format", "version"}},
 	{"Engine and execution", []string{
-		"jobs", "timeout", "cellretries", "runreport",
+		"jobs", "timeout", "runreport",
 		"cache", "cache-verify", "cache-clear"}},
 	{"Multi-process sweeps", []string{
 		"workers", "worker-restarts", "chaos-kill", "worker", "leases"}},

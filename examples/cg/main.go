@@ -29,4 +29,6 @@ func main() {
 	}
 	fmt.Print(t.String())
 	fmt.Println("\nresiduals are identical across models: same arithmetic, bit for bit.")
+	_, ref := cg.ReferenceSolve(w, cg.BuildPlan(w, 1))
+	fmt.Printf("sequential reference residual: %.3e\n", ref)
 }

@@ -121,7 +121,7 @@ func TestP1MatchesReferenceExactly(t *testing.T) {
 func TestParallelMatchesReferenceApprox(t *testing.T) {
 	w := Small()
 	ref := ReferenceChecksum(w)
-	got := Run(core.SAS, mach(8), w).Checksum
+	got := RunWithPlans(core.SAS, mach(8), w, BuildPlans(w, 8)).Checksum
 	if rel := math.Abs(got-ref) / math.Abs(ref); rel > 1e-9 {
 		t.Fatalf("P=8 drifted from reference: %v vs %v (rel %v)", got, ref, rel)
 	}
@@ -154,7 +154,7 @@ func TestSpeedupWithProcs(t *testing.T) {
 
 func TestPhaseBreakdownSane(t *testing.T) {
 	w := Small()
-	met := Run(core.MP, mach(4), w)
+	met := RunWithPlans(core.MP, mach(4), w, BuildPlans(w, 4))
 	if met.PhaseMax[sim.PhaseCompute] == 0 {
 		t.Error("no compute time recorded")
 	}
@@ -241,7 +241,7 @@ func TestStaticMeshFreezes(t *testing.T) {
 
 func TestMetricsExtras(t *testing.T) {
 	w := Small()
-	met := Run(core.SAS, mach(4), w)
+	met := RunWithPlans(core.SAS, mach(4), w, BuildPlans(w, 4))
 	for _, k := range []string{"avg_tris", "avg_verts", "avg_edgecut", "max_imbalance"} {
 		if met.Extra[k] <= 0 {
 			t.Errorf("extra %q = %v", k, met.Extra[k])

@@ -62,7 +62,7 @@ func TestZeroAuxFieldsStillValid(t *testing.T) {
 	w := Small()
 	w.AuxFields = 0
 	ref := ReferenceChecksum(w)
-	got := Run(core.SHMEM, mach(2), w).Checksum
+	got := RunWithPlans(core.SHMEM, mach(2), w, BuildPlans(w, 2)).Checksum
 	if math.Abs(got-ref) > 1e-9*math.Abs(ref) {
 		t.Fatalf("AuxFields=0 drifted: %v vs %v", got, ref)
 	}

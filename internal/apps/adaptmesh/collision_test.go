@@ -24,7 +24,7 @@ func TestCollisionWorkloadCrossModel(t *testing.T) {
 		t.Fatal("zero checksums")
 	}
 	// Two-front workload produces a different answer than single-front.
-	single := Run(core.SAS, mach(4), Small()).Checksum
+	single := RunWithPlans(core.SAS, mach(4), Small(), BuildPlans(Small(), 4)).Checksum
 	if sums[2] == single {
 		t.Fatal("collision workload identical to single front?")
 	}

@@ -33,8 +33,8 @@ func TestNoRemapPreservesResults(t *testing.T) {
 	w := Small()
 	woff := w
 	woff.NoRemap = true
-	a := Run(core.MP, mach(4), w).Checksum
-	b := Run(core.MP, mach(4), woff).Checksum
+	a := RunWithPlans(core.MP, mach(4), w, BuildPlans(w, 4)).Checksum
+	b := RunWithPlans(core.MP, mach(4), woff, BuildPlans(woff, 4)).Checksum
 	// Different ownership => different accumulation grouping => tolerance.
 	if rel := math.Abs(a-b) / math.Abs(a); rel > 1e-9 {
 		t.Fatalf("remap toggle drifted results: %v vs %v", a, b)
@@ -70,7 +70,7 @@ func TestWorkloadGrowsWithFrontCollision(t *testing.T) {
 
 func TestCheckpointableMetrics(t *testing.T) {
 	w := Small()
-	met := Run(core.SHMEM, mach(4), w)
+	met := RunWithPlans(core.SHMEM, mach(4), w, BuildPlans(w, 4))
 	// Every documented field populated.
 	if met.Model != core.SHMEM || met.Procs != 4 || met.Total == 0 {
 		t.Fatal("metrics incomplete")

@@ -88,7 +88,7 @@ func TestHybridPhasesAndMemory(t *testing.T) {
 	}
 	// Node-granular ghosts: hybrid replicates less than pure MP at the same
 	// processor count.
-	pureMP := Run(core.MP, mach(8), w)
+	pureMP := RunWithPlans(core.MP, mach(8), w, BuildPlans(w, 8))
 	if met.DataBytes >= pureMP.DataBytes {
 		t.Errorf("hybrid memory %d not below pure MP %d", met.DataBytes, pureMP.DataBytes)
 	}

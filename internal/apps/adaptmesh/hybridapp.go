@@ -16,6 +16,7 @@ package adaptmesh
 // floating-point tolerance rather than bitwise).
 
 import (
+	"o2k/internal/apps"
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/mp"
@@ -50,10 +51,7 @@ func runHybrid(mach *machine.Machine, w Workload, plans []*CyclePlan, trace bool
 	if plans[0].Dec.P != nnodes {
 		panic("adaptmesh: hybrid plans must be built for mach.Nodes() parts")
 	}
-	g := sim.NewGroup(nprocs)
-	if trace {
-		g.EnableTrace()
-	}
+	g := apps.NewGroup(mach, trace)
 	sp := numa.NewSpace(mach)
 	// The MP layer spans node leaders: give it a machine whose "processors"
 	// are the nodes themselves, preserving the inter-node hop geometry.
@@ -118,22 +116,7 @@ func runHybrid(mach *machine.Machine, w Workload, plans []*CyclePlan, trace bool
 		uOld = uNode
 		auxOld = auxNode
 	}
-	met := finishMetrics(core.Hybrid, g, sp, plans, 2+w.AuxFields, checksum)
-	// Hybrid data memory: MP-style replication, but at node granularity.
-	mpB, _, _ := maxDataMemory(plans, 2+w.AuxFields)
-	met.DataBytes = mpB
-	return met, g
-}
-
-// maxDataMemory returns the peak per-model analytic memory over the plans.
-func maxDataMemory(plans []*CyclePlan, nfields int) (mpB, shB, saB int) {
-	for _, pl := range plans {
-		a, b, c := pl.Dec.DataMemory(nfields)
-		if a > mpB {
-			mpB, shB, saB = a, b, c
-		}
-	}
-	return
+	return finishMetrics(core.Hybrid, g, sp, plans, 2+w.AuxFields, checksum), g
 }
 
 // lane returns this lane's slice of a node-level work list.

@@ -3,6 +3,7 @@ package adaptmesh
 import (
 	"math"
 
+	"o2k/internal/apps"
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/numa"
@@ -10,15 +11,10 @@ import (
 	"o2k/internal/solver"
 )
 
-// Run executes the workload under the given programming model on machine
-// mach and returns the run's metrics. Plans are rebuilt; use RunWithPlans to
-// amortize plan construction across models (the plans are read-only and
-// identical for every model at the same processor count).
-func Run(model core.Model, mach *machine.Machine, w Workload) core.Metrics {
-	return RunWithPlans(model, mach, w, BuildPlans(w, mach.Procs()))
-}
-
-// RunWithPlans is Run with precomputed cycle plans.
+// RunWithPlans executes the workload under the given programming model on
+// machine mach and returns the run's metrics. The plans (BuildPlans at
+// mach.Procs()) are read-only and identical for every model at the same
+// processor count, so one set serves all three.
 func RunWithPlans(model core.Model, mach *machine.Machine, w Workload, plans []*CyclePlan) core.Metrics {
 	met, _ := runModel(model, mach, w, plans, false)
 	return met
@@ -32,26 +28,16 @@ func TraceRun(model core.Model, mach *machine.Machine, w Workload, plans []*Cycl
 }
 
 func runModel(model core.Model, mach *machine.Machine, w Workload, plans []*CyclePlan, trace bool) (core.Metrics, *sim.Group) {
-	g := sim.NewGroup(mach.Procs())
-	if trace {
-		g.EnableTrace()
-	}
-	switch model {
-	case core.MP:
-		return runMP(mach, w, plans, g), g
-	case core.SHMEM:
-		return runSHMEM(mach, w, plans, g), g
-	case core.SAS:
-		return runSAS(mach, w, plans, g), g
-	}
-	panic("adaptmesh: unknown model")
+	return apps.Run(model, mach, trace,
+		func(g *sim.Group) core.Metrics { return runMP(mach, w, plans, g) },
+		func(g *sim.Group) core.Metrics { return runSHMEM(mach, w, plans, g) },
+		func(g *sim.Group) core.Metrics { return runSAS(mach, w, plans, g) })
 }
 
-// chargeOps advances p's clock by n abstract operations, attributed to ph.
+// chargeOps is apps.ChargeOps under the name the model files call it by:
+// they are the files Table 5 counts line by line, imports included.
 func chargeOps(p *sim.Proc, mach *machine.Machine, ph sim.Phase, n int) {
-	prev := p.SetPhase(ph)
-	p.Advance(sim.Time(n) * mach.Cfg.OpNS)
-	p.SetPhase(prev)
+	apps.ChargeOps(p, mach, ph, n)
 }
 
 // chargeMark bills the error-indicator evaluation over this proc's share of
@@ -85,31 +71,23 @@ func refineRecords(pl *CyclePlan, nprocs int) []int32 {
 	return make([]int32, per)
 }
 
-// finishMetrics assembles the result from the completed group. nfields is
-// the per-vertex field count for the analytic memory table (solved field +
-// accumulator + auxiliary state).
+// finishMetrics reads the completed run out (apps.Collect) and adds what is
+// the mesh's own: the analytic data memory — nfields is the per-vertex field
+// count (solved field + accumulator + auxiliary state) — and the structural
+// averages over the cycles.
 func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, plans []*CyclePlan, nfields int, checksum float64) core.Metrics {
-	met := core.Metrics{
-		Model:    model,
-		Procs:    g.Size(),
-		Total:    g.MaxTime(),
-		PhaseMax: g.MaxPhaseTime(),
-		PhaseAvg: g.AvgPhaseTime(),
-		Counters: g.TotalCounters(),
-		Checksum: checksum,
-		Extra:    map[string]float64{},
+	met := apps.Collect(model, g, sp, checksum)
+	mpB, shB, saB := maxDataMemory(plans, nfields)
+	switch model {
+	case core.MP, core.Hybrid: // the hybrid replicates MP-style, at node granularity
+		met.DataBytes = mpB
+	case core.SHMEM:
+		met.DataBytes = shB
+	case core.SAS:
+		met.DataBytes = saB
 	}
-	for _, ev := range sp.CohEvictions() {
-		met.Counters.CohMisses += ev
-	}
-	sp.Close() // the run is over and read out: return the arrays' host memory now
-	maxMem := [3]int{}
 	var tris, verts, cut, movedW, imb float64
 	for _, pl := range plans {
-		mpB, shB, saB := pl.Dec.DataMemory(nfields)
-		if mpB > maxMem[0] {
-			maxMem[0], maxMem[1], maxMem[2] = mpB, shB, saB
-		}
 		tris += float64(pl.M.NumTris())
 		verts += float64(pl.M.NumVertsUsed())
 		cut += float64(pl.Dec.EdgeCut)
@@ -117,18 +95,21 @@ func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, plans []*Cycl
 		imb = math.Max(imb, pl.Imbalance)
 	}
 	n := float64(len(plans))
-	switch model {
-	case core.MP:
-		met.DataBytes = maxMem[0]
-	case core.SHMEM:
-		met.DataBytes = maxMem[1]
-	case core.SAS:
-		met.DataBytes = maxMem[2]
-	}
 	met.Extra["avg_tris"] = tris / n
 	met.Extra["avg_verts"] = verts / n
 	met.Extra["avg_edgecut"] = cut / n
 	met.Extra["moved_weight"] = movedW
 	met.Extra["max_imbalance"] = imb
 	return met
+}
+
+// maxDataMemory returns the peak per-model analytic memory over the plans.
+func maxDataMemory(plans []*CyclePlan, nfields int) (mpB, shB, saB int) {
+	for _, pl := range plans {
+		a, b, c := pl.Dec.DataMemory(nfields)
+		if a > mpB {
+			mpB, shB, saB = a, b, c
+		}
+	}
+	return
 }

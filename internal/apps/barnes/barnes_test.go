@@ -76,7 +76,7 @@ func TestP1MatchesReferenceExactly(t *testing.T) {
 func TestParallelMatchesReferenceApprox(t *testing.T) {
 	w := Small()
 	ref := ReferenceChecksum(w)
-	got := Run(core.SAS, mach(8), w).Checksum
+	got := RunWithPlans(core.SAS, mach(8), w, BuildPlans(w, 8)).Checksum
 	if rel := math.Abs(got-ref) / math.Abs(ref); rel > 1e-9 {
 		t.Fatalf("P=8 drift: %v vs %v", got, ref)
 	}
@@ -134,7 +134,7 @@ func TestSpeedupAndContrasts(t *testing.T) {
 
 func TestMetricsExtras(t *testing.T) {
 	w := Small()
-	met := Run(core.MP, mach(4), w)
+	met := RunWithPlans(core.MP, mach(4), w, BuildPlans(w, 4))
 	if met.Extra["interactions_per_step"] <= 0 || met.Extra["tree_cells"] <= 0 {
 		t.Fatalf("extras missing: %v", met.Extra)
 	}

@@ -75,7 +75,7 @@ func runMP(mach *machine.Machine, w Workload, plans []*StepPlan, g *sim.Group) c
 			numa.Release(cells[q])
 		}
 	}
-	return finishMetrics(core.MP, g, sp, w, plans, mach, checksum)
+	return finishMetrics(core.MP, g, sp, w, plans, checksum)
 }
 
 // flattenCells packs the tree's centre-of-mass records as (cx, cy, cm)

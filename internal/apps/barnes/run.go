@@ -1,6 +1,7 @@
 package barnes
 
 import (
+	"o2k/internal/apps"
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/numa"
@@ -15,12 +16,8 @@ const (
 	updateOps = 8  // per body leapfrog update
 )
 
-// Run executes the workload under the given model.
-func Run(model core.Model, mach *machine.Machine, w Workload) core.Metrics {
-	return RunWithPlans(model, mach, w, BuildPlans(w, mach.Procs()))
-}
-
-// RunWithPlans is Run with precomputed step plans (shareable across models).
+// RunWithPlans executes the workload under the given model with its
+// precomputed step plans (BuildPlans at mach.Procs(); shareable across models).
 func RunWithPlans(model core.Model, mach *machine.Machine, w Workload, plans []*StepPlan) core.Metrics {
 	met, _ := runModel(model, mach, w, plans, false)
 	return met
@@ -35,25 +32,16 @@ func TraceRun(model core.Model, mach *machine.Machine, w Workload, plans []*Step
 }
 
 func runModel(model core.Model, mach *machine.Machine, w Workload, plans []*StepPlan, trace bool) (core.Metrics, *sim.Group) {
-	g := sim.NewGroup(mach.Procs())
-	if trace {
-		g.EnableTrace()
-	}
-	switch model {
-	case core.MP:
-		return runMP(mach, w, plans, g), g
-	case core.SHMEM:
-		return runSHMEM(mach, w, plans, g), g
-	case core.SAS:
-		return runSAS(mach, w, plans, g), g
-	}
-	panic("barnes: unknown model")
+	return apps.Run(model, mach, trace,
+		func(g *sim.Group) core.Metrics { return runMP(mach, w, plans, g) },
+		func(g *sim.Group) core.Metrics { return runSHMEM(mach, w, plans, g) },
+		func(g *sim.Group) core.Metrics { return runSAS(mach, w, plans, g) })
 }
 
+// chargeOps is apps.ChargeOps under the name the model files call it by:
+// they are the files Table 5 counts line by line, imports included.
 func chargeOps(p *sim.Proc, mach *machine.Machine, ph sim.Phase, n int) {
-	prev := p.SetPhase(ph)
-	p.Advance(sim.Time(n) * mach.Cfg.OpNS)
-	p.SetPhase(prev)
+	apps.ChargeOps(p, mach, ph, n)
 }
 
 // treeLevels approximates the quadtree depth for cost charging.
@@ -76,21 +64,8 @@ func chargePartitionStep(p *sim.Proc, mach *machine.Machine, w Workload, nprocs 
 	chargeOps(p, mach, sim.PhasePartition, ops)
 }
 
-func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, w Workload, plans []*StepPlan, mach *machine.Machine, checksum float64) core.Metrics {
-	met := core.Metrics{
-		Model:    model,
-		Procs:    g.Size(),
-		Total:    g.MaxTime(),
-		PhaseMax: g.MaxPhaseTime(),
-		PhaseAvg: g.AvgPhaseTime(),
-		Counters: g.TotalCounters(),
-		Checksum: checksum,
-		Extra:    map[string]float64{},
-	}
-	for _, ev := range sp.CohEvictions() {
-		met.Counters.CohMisses += ev
-	}
-	sp.Close() // the run is over and read out: return the arrays' host memory now
+func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, w Workload, plans []*StepPlan, checksum float64) core.Metrics {
+	met := apps.Collect(model, g, sp, checksum)
 	totalInter, maxCells, imb := 0, 0, 1.0
 	for _, pl := range plans {
 		totalInter += pl.TotalInter
@@ -117,6 +92,5 @@ func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, w Workload, p
 	met.Extra["interactions_per_step"] = float64(totalInter) / float64(len(plans))
 	met.Extra["tree_cells"] = float64(maxCells)
 	met.Extra["max_imbalance"] = imb
-	_ = mach
 	return met
 }

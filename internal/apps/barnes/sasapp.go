@@ -69,7 +69,7 @@ func runSAS(mach *machine.Machine, w Workload, plans []*StepPlan, g *sim.Group) 
 		// step's final barrier.
 		numa.Release(cells)
 	}
-	return finishMetrics(core.SAS, g, sp, w, plans, mach, checksum)
+	return finishMetrics(core.SAS, g, sp, w, plans, checksum)
 }
 
 func sasStep(c *sas.Ctx, mach *machine.Machine, w Workload, pl *StepPlan,

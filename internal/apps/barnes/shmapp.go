@@ -61,7 +61,7 @@ func runSHMEM(mach *machine.Machine, w Workload, plans []*StepPlan, g *sim.Group
 		})
 		shm.Free(cells)
 	}
-	return finishMetrics(core.SHMEM, g, sp, w, plans, mach, checksum)
+	return finishMetrics(core.SHMEM, g, sp, w, plans, checksum)
 }
 
 func shmStep(pe *shm.PE, mach *machine.Machine, w Workload, pl *StepPlan,

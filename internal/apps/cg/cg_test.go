@@ -63,7 +63,7 @@ func TestParallelMatchesReferenceApprox(t *testing.T) {
 	w := Small()
 	pl1 := BuildPlan(w, 1)
 	refCS, _ := ReferenceSolve(w, pl1)
-	met := Run(core.SAS, mach(8), w)
+	met := RunWithPlan(core.SAS, mach(8), w, BuildPlan(w, 8))
 	if rel := math.Abs(met.Checksum-refCS) / math.Abs(refCS); rel > 1e-8 {
 		t.Fatalf("P=8 drift %v (%v vs %v)", rel, met.Checksum, refCS)
 	}

@@ -35,7 +35,7 @@ func runMP(mach *machine.Machine, w Workload, pl *Plan, g *sim.Group) core.Metri
 			checksum, rho = cs, rh
 		}
 	})
-	return finish(core.MP, g, pl, checksum, rho)
+	return finish(core.MP, g, sp, pl, checksum, rho)
 }
 
 func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,

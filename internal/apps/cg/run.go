@@ -1,8 +1,10 @@
 package cg
 
 import (
+	"o2k/internal/apps"
 	"o2k/internal/core"
 	"o2k/internal/machine"
+	"o2k/internal/numa"
 	"o2k/internal/sim"
 )
 
@@ -14,12 +16,8 @@ const (
 	dotOps    = 2 // per owned vertex per dot product
 )
 
-// Run executes the CG workload under the given model.
-func Run(model core.Model, mach *machine.Machine, w Workload) core.Metrics {
-	return RunWithPlan(model, mach, w, BuildPlan(w, mach.Procs()))
-}
-
-// RunWithPlan is Run with a precomputed plan (shareable across models).
+// RunWithPlan executes the CG workload under the given model with its
+// precomputed plan (BuildPlan at mach.Procs(); shareable across models).
 func RunWithPlan(model core.Model, mach *machine.Machine, w Workload, p *Plan) core.Metrics {
 	met, _ := runModel(model, mach, w, p, false)
 	return met
@@ -33,36 +31,21 @@ func TraceRun(model core.Model, mach *machine.Machine, w Workload, p *Plan) *sim
 }
 
 func runModel(model core.Model, mach *machine.Machine, w Workload, p *Plan, trace bool) (core.Metrics, *sim.Group) {
-	g := sim.NewGroup(mach.Procs())
-	if trace {
-		g.EnableTrace()
-	}
-	switch model {
-	case core.MP:
-		return runMP(mach, w, p, g), g
-	case core.SHMEM:
-		return runSHMEM(mach, w, p, g), g
-	case core.SAS:
-		return runSAS(mach, w, p, g), g
-	}
-	panic("cg: unknown model")
+	return apps.Run(model, mach, trace,
+		func(g *sim.Group) core.Metrics { return runMP(mach, w, p, g) },
+		func(g *sim.Group) core.Metrics { return runSHMEM(mach, w, p, g) },
+		func(g *sim.Group) core.Metrics { return runSAS(mach, w, p, g) })
 }
 
+// chargeOps advances pc's clock by n abstract operations in whatever phase
+// the solver is in (apps.ChargeOps names one).
 func chargeOps(pc *sim.Proc, mach *machine.Machine, n int) {
 	pc.Advance(sim.Time(n) * mach.Cfg.OpNS)
 }
 
-func finish(model core.Model, g *sim.Group, p *Plan, checksum, rho float64) core.Metrics {
-	met := core.Metrics{
-		Model:    model,
-		Procs:    g.Size(),
-		Total:    g.MaxTime(),
-		PhaseMax: g.MaxPhaseTime(),
-		PhaseAvg: g.AvgPhaseTime(),
-		Counters: g.TotalCounters(),
-		Checksum: checksum,
-		Extra:    map[string]float64{"residual": rho},
-	}
+func finish(model core.Model, g *sim.Group, sp *numa.Space, p *Plan, checksum, rho float64) core.Metrics {
+	met := apps.Collect(model, g, sp, checksum)
+	met.Extra["residual"] = rho
 	mpB, shB, saB := p.Dec.DataMemory(5) // x, r, p, q, staging
 	switch model {
 	case core.MP:

@@ -66,7 +66,7 @@ func runSAS(mach *machine.Machine, w Workload, pl *Plan, g *sim.Group) core.Metr
 			checksum, rho = cs, rh
 		}
 	})
-	return finish(core.SAS, g, pl, checksum, rho)
+	return finish(core.SAS, g, sp, pl, checksum, rho)
 }
 
 func sasCG(c *sas.Ctx, mach *machine.Machine, w Workload, pl *Plan, offIn [][]int,

@@ -45,7 +45,7 @@ func runSHMEM(mach *machine.Machine, w Workload, pl *Plan, g *sim.Group) core.Me
 			checksum, rho = cs, rh
 		}
 	})
-	return finish(core.SHMEM, g, pl, checksum, rho)
+	return finish(core.SHMEM, g, world.Sp, pl, checksum, rho)
 }
 
 func shmCG(pe *shm.PE, mach *machine.Machine, w Workload, pl *Plan, offIn [][]int,

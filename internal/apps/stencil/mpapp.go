@@ -76,5 +76,5 @@ func runMP(mach *machine.Machine, w Workload, g *sim.Group) core.Metrics {
 			checksum = cs
 		}
 	})
-	return finish(core.MP, g, checksum, w)
+	return finish(core.MP, g, sp, checksum, w)
 }

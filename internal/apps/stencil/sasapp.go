@@ -58,5 +58,5 @@ func runSAS(mach *machine.Machine, w Workload, g *sim.Group) core.Metrics {
 			checksum = cs
 		}
 	})
-	return finish(core.SAS, g, checksum, w)
+	return finish(core.SAS, g, sp, checksum, w)
 }

@@ -64,5 +64,5 @@ func runSHMEM(mach *machine.Machine, w Workload, g *sim.Group) core.Metrics {
 			checksum = cs
 		}
 	})
-	return finish(core.SHMEM, g, checksum, w)
+	return finish(core.SHMEM, g, sp, checksum, w)
 }

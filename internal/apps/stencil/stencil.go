@@ -13,8 +13,10 @@
 package stencil
 
 import (
+	"o2k/internal/apps"
 	"o2k/internal/core"
 	"o2k/internal/machine"
+	"o2k/internal/numa"
 	"o2k/internal/sim"
 )
 
@@ -96,19 +98,10 @@ func TraceRun(model core.Model, mach *machine.Machine, w Workload) *sim.Group {
 }
 
 func runModel(model core.Model, mach *machine.Machine, w Workload, trace bool) (core.Metrics, *sim.Group) {
-	g := sim.NewGroup(mach.Procs())
-	if trace {
-		g.EnableTrace()
-	}
-	switch model {
-	case core.MP:
-		return runMP(mach, w, g), g
-	case core.SHMEM:
-		return runSHMEM(mach, w, g), g
-	case core.SAS:
-		return runSAS(mach, w, g), g
-	}
-	panic("stencil: unknown model")
+	return apps.Run(model, mach, trace,
+		func(g *sim.Group) core.Metrics { return runMP(mach, w, g) },
+		func(g *sim.Group) core.Metrics { return runSHMEM(mach, w, g) },
+		func(g *sim.Group) core.Metrics { return runSAS(mach, w, g) })
 }
 
 // ReferenceChecksum computes the final-grid digest sequentially.
@@ -140,17 +133,8 @@ func ReferenceChecksum(w Workload) float64 {
 	return s
 }
 
-func finish(model core.Model, g *sim.Group, checksum float64, w Workload) core.Metrics {
-	met := core.Metrics{
-		Model:    model,
-		Procs:    g.Size(),
-		Total:    g.MaxTime(),
-		PhaseMax: g.MaxPhaseTime(),
-		PhaseAvg: g.AvgPhaseTime(),
-		Counters: g.TotalCounters(),
-		Checksum: checksum,
-		Extra:    map[string]float64{},
-	}
+func finish(model core.Model, g *sim.Group, sp *numa.Space, checksum float64, w Workload) core.Metrics {
+	met := apps.Collect(model, g, sp, checksum)
 	row := (w.N + 2) * 8
 	switch model {
 	case core.MP:

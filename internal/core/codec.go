@@ -14,7 +14,7 @@ import (
 // round-trips exactly through encoding/json: integers (including the uint64
 // traffic counters) are emitted as full-precision decimals, and float64s use
 // Go's shortest-exact formatting, which parses back to the identical bit
-// pattern. The codec tests pin this with a Fingerprint equality check.
+// pattern. The codec tests pin this with a CellKey(Metrics) equality check.
 
 // EncodeMetrics serializes m for the persistent cell cache. It fails only
 // on non-finite floats (which the deterministic simulator never produces);

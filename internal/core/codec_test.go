@@ -47,10 +47,10 @@ func TestMetricsCodecRoundtripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fingerprint hashes the complete content, so equality here proves the
+	// CellKey digests the complete content, so equality here proves the
 	// round-trip is bit-exact — the property the persistent cache's
 	// byte-identity guarantee rests on.
-	if got.Fingerprint() != m.Fingerprint() {
+	if CellKey(got) != CellKey(m) {
 		t.Fatalf("round-trip changed the metrics:\n in  %+v\n out %+v", m, got)
 	}
 	if got.Counters.BytesSent != math.MaxUint64 || got.Counters.CacheHits != 1<<60 {

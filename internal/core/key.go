@@ -29,8 +29,3 @@ func CellKey(parts ...any) string {
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
-
-// Fingerprint digests the complete metrics content. Two runs of the same
-// cell must produce equal fingerprints — the cache-correctness tests assert
-// this, and a mismatch would indicate nondeterminism in the simulator.
-func (m Metrics) Fingerprint() string { return CellKey(m) }

@@ -39,15 +39,18 @@ func TestCellKeyRejectsUnhashable(t *testing.T) {
 	CellKey(func() {})
 }
 
+// CellKey over a Metrics digests its complete content: two runs of the same
+// cell must produce equal digests — the cache-correctness tests assert this,
+// and a mismatch would indicate nondeterminism in the simulator.
 func TestMetricsFingerprint(t *testing.T) {
 	m := Metrics{Model: SAS, Procs: 8, Total: 123 * sim.Microsecond,
 		DataBytes: 4096, Checksum: 1.25, Extra: map[string]float64{"x": 1}}
 	n := m
-	if m.Fingerprint() != n.Fingerprint() {
+	if CellKey(m) != CellKey(n) {
 		t.Fatal("equal metrics, different fingerprints")
 	}
 	n.Counters.MsgsSent++
-	if m.Fingerprint() == n.Fingerprint() {
+	if CellKey(m) == CellKey(n) {
 		t.Fatal("fingerprint ignored a counter change")
 	}
 }

@@ -260,20 +260,8 @@ func NBodyModels(ctx context.Context, e *runner.Engine, cfg machine.Config, w ba
 	return allModels(e, func(m core.Model) runner.Res { return NBody(ctx, e, m, cfg, w) })
 }
 
-// decodeGlobalMesh is the strict inverse of (*mesh.Mesh).AppendGlobal over a
-// whole payload: trailing bytes are an error.
-func decodeGlobalMesh(data []byte) (*mesh.Mesh, error) {
-	s := planio.NewScanner(data)
-	m, err := mesh.DecodeGlobalFrom(s)
-	if err != nil {
-		return nil, err
-	}
-	s.Done()
-	return m, s.Err()
-}
-
 // CGPlan returns the memoized static plan for the conjugate-gradient run.
-// The mesh cell — the persisted refined snapshot, serialized in the mesh v2
+// The mesh cell — the persisted refined snapshot, serialized in the mesh
 // global-ID format — is resolved first; the plan cell persists the
 // partitioning decision only.
 func CGPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*cg.Plan, error) {
@@ -283,7 +271,7 @@ func CGPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*c
 			var pw planio.Writer
 			m.AppendGlobal(&pw)
 			return pw.Bytes()
-		}, decodeGlobalMesh),
+		}, mesh.DecodeGlobal),
 		leaf(func() *mesh.Mesh { return cg.BuildMesh(sw) }))
 	if err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func TestMeshCellMatchesDirect(t *testing.T) {
 	if cell.Failed() {
 		t.Fatalf("cell failed: %v", cell.Err)
 	}
-	if direct.Fingerprint() != cell.M.Fingerprint() {
+	if core.CellKey(direct) != core.CellKey(cell.M) {
 		t.Fatalf("cell metrics diverge from direct run:\n cell   %v\n direct %v", cell.M, direct)
 	}
 }
@@ -47,7 +47,7 @@ func TestCacheCorrectness(t *testing.T) {
 		if first[i].Failed() || second[i].Failed() {
 			t.Fatalf("cell failed: %v / %v", first[i].Err, second[i].Err)
 		}
-		if first[i].M.Fingerprint() != second[i].M.Fingerprint() {
+		if core.CellKey(first[i].M) != core.CellKey(second[i].M) {
 			t.Fatalf("model %d: cached metrics differ from first run", i)
 		}
 	}

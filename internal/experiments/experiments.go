@@ -2,8 +2,8 @@
 // the evaluation — see DESIGN.md §5 for the experiment index and
 // EXPERIMENTS.md for recorded results.
 //
-// Experiments are declared as registry Specs (Register/List/Lookup) and
-// assembled from memoized simulation cells on a runner.Engine, so one
+// Experiments are declared as Specs in one index (the literal below;
+// List/Lookup read it) and assembled from memoized simulation cells on a runner.Engine, so one
 // invocation that produces many artifacts — `o2kbench -exp all`, the
 // verdict checker — simulates each unique (application, model, machine,
 // workload, P) cell exactly once, in parallel on a bounded worker pool.
@@ -118,40 +118,44 @@ func fmtU(r runner.Res, f func(core.Metrics) uint64) string {
 	return fmt.Sprintf("%d", f(r.M))
 }
 
-// The experiment index, in paper order. Registered here in one place (not
-// per-file init functions) so the registry order is explicit.
+// The experiment index, in paper order: the one literal every front end's
+// name resolves against.
 func init() {
-	Register(Spec{Name: "workloads", Aliases: []string{"table1"},
-		Title: "Table 1 — application and workload characteristics", Build: buildTable1})
-	Register(Spec{Name: "mesh-speedup", Aliases: []string{"fig2"},
-		Title: "Figure 2 — adaptive mesh: time and speedup vs processors", Build: buildFig2})
-	Register(Spec{Name: "nbody-speedup", Aliases: []string{"fig3"},
-		Title: "Figure 3 — Barnes-Hut N-body: time and speedup vs processors", Build: buildFig3})
-	Register(Spec{Name: "breakdown", Aliases: []string{"fig4"},
-		Title: "Figure 4 — mesh phase breakdown at the largest P", Build: buildFig4})
-	Register(Spec{Name: "loc", Aliases: []string{"table5"},
-		Title: "Table 5 — programming effort (lines of code per model)", Build: buildTable5})
-	Register(Spec{Name: "memory", Aliases: []string{"table6"},
-		Title: "Table 6 — model-visible data memory at the largest P", Build: buildTable6})
-	Register(Spec{Name: "latency-sweep", Aliases: []string{"fig7"},
-		Title: "Figure 7 — sensitivity to the remote:local latency ratio", Build: buildFig7})
-	Register(Spec{Name: "loadbalance", Aliases: []string{"fig8"},
-		Title: "Figure 8 — PLUM remapping on vs off", Build: buildFig8})
-	Register(Spec{Name: "traffic", Aliases: []string{"table9"},
-		Title: "Table 9 — communication/traffic statistics", Build: buildTable9})
-	Register(Spec{Name: "regular-control", Aliases: []string{"fig10"},
-		Title: "Figure 10 — MP:CC-SAS ratio, regular vs adaptive workloads", Build: buildFig10})
-	Register(Spec{Name: "page-migration", Aliases: []string{"fig11"},
-		Title: "Figure 11 — CC-SAS page-migration ablation", Build: buildFig11})
-	Register(Spec{Name: "machine-sweep", Aliases: []string{"fig12"},
-		Title: "Figure 12 — machine-class sweep (Origin/T3E/SMP/cluster)", Build: buildFig12})
-	Register(Spec{Name: "hybrid", Aliases: []string{"fig13"},
-		Title: "Figure 13 — hybrid MP+SAS extension", Build: buildFig13})
-	Register(Spec{Name: "cg", Aliases: []string{"fig14"},
-		Title: "Figure 14 — conjugate gradient scaling and reduction share", Build: buildFig14})
-	Register(Spec{Name: "verdicts",
-		Title: "the study's falsifiable predictions, checked", Build: buildVerdicts,
-		Standalone: true})
+	for _, s := range []Spec{
+		{Name: "workloads", Aliases: []string{"table1"},
+			Title: "Table 1 — application and workload characteristics", Build: buildTable1},
+		{Name: "mesh-speedup", Aliases: []string{"fig2"},
+			Title: "Figure 2 — adaptive mesh: time and speedup vs processors", Build: buildFig2},
+		{Name: "nbody-speedup", Aliases: []string{"fig3"},
+			Title: "Figure 3 — Barnes-Hut N-body: time and speedup vs processors", Build: buildFig3},
+		{Name: "breakdown", Aliases: []string{"fig4"},
+			Title: "Figure 4 — mesh phase breakdown at the largest P", Build: buildFig4},
+		{Name: "loc", Aliases: []string{"table5"},
+			Title: "Table 5 — programming effort (lines of code per model)", Build: buildTable5},
+		{Name: "memory", Aliases: []string{"table6"},
+			Title: "Table 6 — model-visible data memory at the largest P", Build: buildTable6},
+		{Name: "latency-sweep", Aliases: []string{"fig7"},
+			Title: "Figure 7 — sensitivity to the remote:local latency ratio", Build: buildFig7},
+		{Name: "loadbalance", Aliases: []string{"fig8"},
+			Title: "Figure 8 — PLUM remapping on vs off", Build: buildFig8},
+		{Name: "traffic", Aliases: []string{"table9"},
+			Title: "Table 9 — communication/traffic statistics", Build: buildTable9},
+		{Name: "regular-control", Aliases: []string{"fig10"},
+			Title: "Figure 10 — MP:CC-SAS ratio, regular vs adaptive workloads", Build: buildFig10},
+		{Name: "page-migration", Aliases: []string{"fig11"},
+			Title: "Figure 11 — CC-SAS page-migration ablation", Build: buildFig11},
+		{Name: "machine-sweep", Aliases: []string{"fig12"},
+			Title: "Figure 12 — machine-class sweep (Origin/T3E/SMP/cluster)", Build: buildFig12},
+		{Name: "hybrid", Aliases: []string{"fig13"},
+			Title: "Figure 13 — hybrid MP+SAS extension", Build: buildFig13},
+		{Name: "cg", Aliases: []string{"fig14"},
+			Title: "Figure 14 — conjugate gradient scaling and reduction share", Build: buildFig14},
+		{Name: "verdicts",
+			Title: "the study's falsifiable predictions, checked", Build: buildVerdicts,
+			Standalone: true},
+	} {
+		Register(s)
+	}
 }
 
 func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"o2k/internal/core"
 	"o2k/internal/runner"
@@ -14,8 +13,8 @@ import (
 // Spec declares one experiment: its canonical semantic name, the paper-
 // artifact aliases it also answers to, a one-line description, and the
 // builder that assembles its table from simulation cells on a shared
-// engine. Experiments register themselves at init time; cmd/o2kbench and
-// the All driver discover them through List and Lookup — there is no
+// engine. The index is the literal in experiments.go; cmd/o2kbench and the
+// All driver discover it through List and Lookup — there is no
 // hand-maintained name switch anywhere.
 type Spec struct {
 	Name    string   // canonical semantic name, e.g. "mesh-speedup"
@@ -31,24 +30,25 @@ type Spec struct {
 	Standalone bool
 }
 
+// The index: specs in paper order, and every accepted name — canonical names
+// and aliases, lower-cased — to its position. Both are filled during package
+// initialization and read-only afterwards, so they need no lock.
 var (
-	regMu    sync.RWMutex
 	registry []Spec
-	byName   = make(map[string]*Spec)
+	byName   = make(map[string]int)
 )
 
-// Register adds a spec to the registry. Name, Title, and Build are
-// required; names and aliases are case-insensitive and must be unique
-// across the registry. It panics on a bad spec — registration happens in
-// package init, where a broken table of contents should stop the program.
+// Register appends a spec to the index, from an init function only. Name,
+// Title, and Build are required; names and aliases are case-insensitive and
+// must be unique across the index. It panics on a bad spec: a broken table
+// of contents should stop the program. The product's one caller is the init
+// of experiments.go, over its literal; what keeps it exported is
+// internal/server's tests, which add a Standalone experiment whose cell
+// blocks on a gate.
 func Register(s Spec) {
-	regMu.Lock()
-	defer regMu.Unlock()
 	if s.Name == "" || s.Title == "" || s.Build == nil {
 		panic(fmt.Sprintf("experiments: incomplete spec %+v", s))
 	}
-	registry = append(registry, s)
-	p := &registry[len(registry)-1]
 	for _, n := range append([]string{s.Name}, s.Aliases...) {
 		n = strings.ToLower(n)
 		if n == "all" {
@@ -57,22 +57,17 @@ func Register(s Spec) {
 		if _, dup := byName[n]; dup {
 			panic(fmt.Sprintf("experiments: duplicate experiment name %q", n))
 		}
-		byName[n] = p
+		byName[n] = len(registry)
 	}
+	registry = append(registry, s)
 }
 
-// List returns every registered spec in registration (paper index) order.
-func List() []Spec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]Spec(nil), registry...)
-}
+// List returns every spec in index (paper) order.
+func List() []Spec { return append([]Spec(nil), registry...) }
 
 // Names returns every accepted experiment name — canonical names and
 // aliases — sorted, for error messages.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	ns := make([]string, 0, len(byName))
 	for n := range byName {
 		ns = append(ns, n)
@@ -84,13 +79,11 @@ func Names() []string {
 // Lookup resolves an experiment by canonical name or alias
 // (case-insensitive).
 func Lookup(name string) (Spec, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	p, ok := byName[strings.ToLower(name)]
+	i, ok := byName[strings.ToLower(name)]
 	if !ok {
 		return Spec{}, false
 	}
-	return *p, true
+	return registry[i], true
 }
 
 // Request is what every front end asks for: the CLI's -exp/-quick/-procs

@@ -12,8 +12,8 @@ func ExampleDefault() {
 	cfg := machine.Default(64)
 	cfg.RemoteMissNS *= 2 // a more NUMA machine
 	m := machine.MustNew(cfg)
-	fmt.Println(m.Procs(), "procs on", m.Nodes(), "nodes, diameter", m.Diameter())
-	// Output: 64 procs on 32 nodes, diameter 5
+	fmt.Println(m.Procs(), "procs on", m.Nodes(), "nodes")
+	// Output: 64 procs on 32 nodes
 }
 
 // Hop distances follow the hypercube interconnect.

@@ -200,26 +200,13 @@ func (m *Machine) Hops(p, q int) int {
 	return bits.OnesCount(uint(a ^ b))
 }
 
-// Diameter returns the maximum hop distance in the machine.
-func (m *Machine) Diameter() int {
-	if m.nodes <= 1 {
-		return 0
-	}
-	return bits.Len(uint(m.nodes - 1))
-}
-
-// MemAccess returns the latency of one cache-missing memory access issued by
-// proc when the line's home is homeProc's node.
-func (m *Machine) MemAccess(proc, homeProc int) sim.Time {
-	return m.nodeLat[int(m.procNode[proc])*m.nodes+int(m.procNode[homeProc])]
-}
-
 // ProcNode returns, for every processor, the node housing it — the table the
 // numa hot path uses for its local/remote classification. Callers must not
 // mutate the returned slice.
 func (m *Machine) ProcNode() []int32 { return m.procNode }
 
-// NodeLat returns the flat nodes×nodes MemAccess latency table (row-major by
+// NodeLat returns the flat nodes×nodes table of the latency of one
+// cache-missing memory access from a node to a line homed on another (row-major by
 // source node). Callers must not mutate the returned slice.
 func (m *Machine) NodeLat() []sim.Time { return m.nodeLat }
 

@@ -107,16 +107,8 @@ func (f *Forest) addBase(a, b, c int32) {
 	})
 }
 
-// NumVerts returns the total number of vertices ever created (IDs are
-// stable; some may be unused by the current leaves).
-func (f *Forest) NumVerts() int { return len(f.VX) }
-
 // BaseTris returns the number of base-mesh triangles.
 func (f *Forest) BaseTris() int { return f.nBase }
-
-// NumTris returns the size of the forest arena (including interior and
-// tombstoned triangles).
-func (f *Forest) NumTris() int { return len(f.tris) }
 
 // edgeKey canonicalizes an edge as (min, max).
 func edgeKey(a, b int32) [2]int32 {
@@ -140,12 +132,6 @@ func (f *Forest) midpoint(a, b int32) int32 {
 	f.MidB = append(f.MidB, k[1])
 	f.edgMid[k] = m
 	return m
-}
-
-// Mid returns the midpoint vertex of edge (a,b) and whether it exists.
-func (f *Forest) Mid(a, b int32) (int32, bool) {
-	m, ok := f.edgMid[edgeKey(a, b)]
-	return m, ok
 }
 
 // refine red-splits leaf t into four children.
@@ -355,15 +341,4 @@ func (f *Forest) edgeOverSplit(tr *ftri) bool {
 		}
 	}
 	return false
-}
-
-// LeafCount returns the number of active leaves.
-func (f *Forest) LeafCount() int {
-	n := 0
-	for t := range f.tris {
-		if f.tris[t].isLeaf() {
-			n++
-		}
-	}
-	return n
 }

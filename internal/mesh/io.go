@@ -1,23 +1,7 @@
 package mesh
 
-// Snapshot serialization: a small line-oriented text format so meshes can be
-// dumped, diffed, and reloaded (debugging, external tooling, golden tests).
-//
-//	o2kmesh 1
-//	verts <n>
-//	<x> <y>          (n lines, compacted vertex order)
-//	tris <m>
-//	<a> <b> <c> <level> <green>   (m lines, indices into the vertex list)
-//
-// Encoding compacts vertex IDs (a snapshot's global ID space has unused
-// holes); Decode rebuilds the edge structure and validates the result.
-//
-// Version 2 (EncodeGlobal/DecodeGlobal) preserves the *global* vertex-ID
-// space instead of compacting it: the persistent plan cache stores snapshots
-// whose IDs must keep indexing the forest-wide field arrays (MidA/MidB
-// parent chains, per-vertex degrees, solver fields), so holes — vertices the
-// snapshot does not use — are kept in place. It also keeps the Leaf column,
-// so a decoded snapshot is reflect.DeepEqual to the encoded one:
+// Snapshot serialization: the line-oriented text format the persistent plan
+// cache stores snapshots in.
 //
 //	o2kmesh 2
 //	verts <nv>
@@ -25,106 +9,23 @@ package mesh
 //	tris <m>
 //	<a> <b> <c> <level> <green> <leaf>
 //
+// The format preserves the *global* vertex-ID space: a snapshot's IDs must
+// keep indexing the forest-wide field arrays (MidA/MidB parent chains,
+// per-vertex degrees, solver fields), so holes — vertices the snapshot does
+// not use — are kept in place. With the Leaf column a decoded snapshot is
+// reflect.DeepEqual to the encoded one.
+//
 // Floats use shortest-round-trip formatting (bit-exact). Decoding is total:
 // any malformed or out-of-range token returns an error, never panics — the
 // cache layer treats a decode error as a corrupt entry and recomputes.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 
 	"o2k/internal/planio"
 )
 
-// Encode writes snapshot m in the o2kmesh text format.
-func (m *Mesh) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	// Compact the used vertices.
-	remap := make([]int32, len(m.VX))
-	for i := range remap {
-		remap[i] = -1
-	}
-	n := int32(0)
-	for v := range m.VX {
-		if m.used[v] {
-			remap[v] = n
-			n++
-		}
-	}
-	fmt.Fprintf(bw, "o2kmesh 1\nverts %d\n", n)
-	for v := range m.VX {
-		if m.used[v] {
-			fmt.Fprintf(bw, "%.17g %.17g\n", m.VX[v], m.VY[v])
-		}
-	}
-	fmt.Fprintf(bw, "tris %d\n", len(m.Tris))
-	for t, tv := range m.Tris {
-		g := 0
-		if m.Green[t] {
-			g = 1
-		}
-		fmt.Fprintf(bw, "%d %d %d %d %d\n",
-			remap[tv[0]], remap[tv[1]], remap[tv[2]], m.Level[t], g)
-	}
-	return bw.Flush()
-}
-
-// Decode reads an o2kmesh stream and reconstructs a standalone snapshot
-// (with freshly built edge structure). The result does not belong to any
-// Forest and cannot be adapted further; it is for inspection and solving.
-func Decode(r io.Reader) (*Mesh, error) {
-	br := bufio.NewReader(r)
-	var version int
-	if _, err := fmt.Fscanf(br, "o2kmesh %d\n", &version); err != nil {
-		return nil, fmt.Errorf("mesh: bad header: %w", err)
-	}
-	if version != 1 {
-		return nil, fmt.Errorf("mesh: unsupported version %d", version)
-	}
-	var nv int
-	if _, err := fmt.Fscanf(br, "verts %d\n", &nv); err != nil || nv <= 0 {
-		return nil, fmt.Errorf("mesh: bad vertex count")
-	}
-	vx := make([]float64, nv)
-	vy := make([]float64, nv)
-	for i := 0; i < nv; i++ {
-		if _, err := fmt.Fscanf(br, "%g %g\n", &vx[i], &vy[i]); err != nil {
-			return nil, fmt.Errorf("mesh: vertex %d: %w", i, err)
-		}
-	}
-	var nt int
-	if _, err := fmt.Fscanf(br, "tris %d\n", &nt); err != nil || nt <= 0 {
-		return nil, fmt.Errorf("mesh: bad triangle count")
-	}
-	m := &Mesh{VX: vx, VY: vy}
-	for t := 0; t < nt; t++ {
-		var a, b, c, lvl, g int
-		if _, err := fmt.Fscanf(br, "%d %d %d %d %d\n", &a, &b, &c, &lvl, &g); err != nil {
-			return nil, fmt.Errorf("mesh: triangle %d: %w", t, err)
-		}
-		if a < 0 || a >= nv || b < 0 || b >= nv || c < 0 || c >= nv {
-			return nil, fmt.Errorf("mesh: triangle %d has out-of-range vertex", t)
-		}
-		m.Tris = append(m.Tris, [3]int32{int32(a), int32(b), int32(c)})
-		m.Level = append(m.Level, int8(lvl))
-		m.Green = append(m.Green, g != 0)
-		m.Leaf = append(m.Leaf, -1)
-	}
-	m.buildEdges()
-	return m, nil
-}
-
-// EncodeGlobal writes snapshot m in the version-2 global-ID text format.
-func (m *Mesh) EncodeGlobal(w io.Writer) error {
-	var pw planio.Writer
-	m.AppendGlobal(&pw)
-	_, err := w.Write(pw.Bytes())
-	return err
-}
-
-// AppendGlobal appends the version-2 encoding of m to pw (for codecs that
-// embed a snapshot inside a larger payload).
+// AppendGlobal appends the encoding of m to pw.
 func (m *Mesh) AppendGlobal(pw *planio.Writer) {
 	pw.Word("o2kmesh")
 	pw.Int(2)
@@ -219,11 +120,13 @@ func DecodeTris(s *planio.Scanner, nt int, vx, vy []float64) (m *Mesh, err error
 	return m, nil
 }
 
-// DecodeGlobalFrom reads a version-2 snapshot from the scanner.
-func DecodeGlobalFrom(s *planio.Scanner) (*Mesh, error) {
+// DecodeGlobal is the strict inverse of AppendGlobal over a whole payload:
+// trailing bytes are an error.
+func DecodeGlobal(data []byte) (*Mesh, error) {
+	s := planio.NewScanner(data)
 	s.Expect("o2kmesh")
 	if v := s.Int(); s.Err() == nil && v != 2 {
-		return nil, fmt.Errorf("mesh: unsupported global version %d", v)
+		return nil, fmt.Errorf("mesh: unsupported version %d", v)
 	}
 	s.Expect("verts")
 	nv := s.IntRange(1, 1<<30)
@@ -239,25 +142,12 @@ func DecodeGlobalFrom(s *planio.Scanner) (*Mesh, error) {
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	return DecodeTris(s, nt, vx, vy)
-}
-
-// DecodeGlobal reads a complete version-2 stream produced by EncodeGlobal.
-func DecodeGlobal(r io.Reader) (*Mesh, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("mesh: %w", err)
-	}
-	s := planio.NewScanner(data)
-	m, err := DecodeGlobalFrom(s)
+	m, err := DecodeTris(s, nt, vx, vy)
 	if err != nil {
 		return nil, err
 	}
 	s.Done()
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return m, s.Err()
 }
 
 // AppendTo writes the front's parameters — the plan-structure codecs embed
@@ -320,30 +210,4 @@ func DecodeCollidingFrontsFrom(s *planio.Scanner) (CollidingFronts, error) {
 		return c, err
 	}
 	return c, s.Err()
-}
-
-// FromRaw builds a standalone snapshot from raw coordinate and connectivity
-// arrays (for importing externally generated meshes). It builds the edge
-// structure; call Validate to check conformity.
-func FromRaw(vx, vy []float64, tris [][3]int32) (*Mesh, error) {
-	if len(vx) != len(vy) {
-		return nil, fmt.Errorf("mesh: coordinate length mismatch")
-	}
-	if len(tris) == 0 {
-		return nil, fmt.Errorf("mesh: no triangles")
-	}
-	m := &Mesh{VX: vx, VY: vy}
-	for t, tv := range tris {
-		for _, v := range tv {
-			if v < 0 || int(v) >= len(vx) {
-				return nil, fmt.Errorf("mesh: triangle %d vertex out of range", t)
-			}
-		}
-		m.Tris = append(m.Tris, tv)
-		m.Level = append(m.Level, 0)
-		m.Green = append(m.Green, false)
-		m.Leaf = append(m.Leaf, -1)
-	}
-	m.buildEdges()
-	return m, nil
 }

@@ -1,10 +1,9 @@
 package mesh
 
-// Round-trip and corruption properties of the version-2 (global-ID) snapshot
-// codec and the front codecs — the formats the persistent plan cache stores.
+// Round-trip and corruption properties of the snapshot codec and the front
+// codecs — the formats the persistent plan cache stores.
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -36,11 +35,9 @@ func adaptedSnapshot(t *testing.T) *Mesh {
 
 func TestGlobalRoundTripDeepEqual(t *testing.T) {
 	m := adaptedSnapshot(t)
-	var buf bytes.Buffer
-	if err := m.EncodeGlobal(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecodeGlobal(bytes.NewReader(buf.Bytes()))
+	var pw planio.Writer
+	m.AppendGlobal(&pw)
+	m2, err := DecodeGlobal(pw.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +96,33 @@ func flipSample(data []byte, n int) [][]byte {
 // decoder property the cache's corruption path depends on.)
 func TestGlobalDecodeBitFlipsNeverPanic(t *testing.T) {
 	m := adaptedSnapshot(t)
-	var buf bytes.Buffer
-	if err := m.EncodeGlobal(&buf); err != nil {
-		t.Fatal(err)
+	var pw planio.Writer
+	m.AppendGlobal(&pw)
+	for _, c := range flipSample(pw.Bytes(), 200) {
+		DecodeGlobal(c) // must not panic
 	}
-	for _, c := range flipSample(buf.Bytes(), 200) {
-		DecodeGlobal(bytes.NewReader(c)) // must not panic
+}
+
+// DecodeGlobal is strict: anything but exactly one well-formed snapshot is an
+// error.
+func TestDecodeRejectsCorrupt(t *testing.T) {
+	var pw planio.Writer
+	adaptedSnapshot(t).AppendGlobal(&pw)
+	good := string(pw.Bytes())
+	cases := []string{
+		"",
+		"wrongmagic 2\n",
+		"o2kmesh 3\nverts 3\n0 0\n1 0\n0 1\ntris 1\n0 1 2 0 0 -1\n", // any version but 2
+		"o2kmesh 2\nverts -3\n",
+		"o2kmesh 2\nverts 3\n0 0\n1 0\n0 1\ntris 1\n0 1 9 0 0 -1\n", // out-of-range vertex
+		"o2kmesh 2\nverts 2\n0 0\n1 1\ntris 0\n",
+		"o2kmesh 2\nverts 2\n0 0\nbogus\n",
+		good + "trailing\n",
+		good[:len(good)/2],
+	}
+	for i, c := range cases {
+		if _, err := DecodeGlobal([]byte(c)); err == nil {
+			t.Errorf("case %d: corrupt input accepted", i)
+		}
 	}
 }

@@ -6,13 +6,32 @@ import (
 	"testing/quick"
 )
 
+func leafCount(f *Forest) int {
+	n := 0
+	for t := range f.tris {
+		if f.tris[t].isLeaf() {
+			n++
+		}
+	}
+	return n
+}
+
+// levelHistogram is the triangle count per refinement level.
+func levelHistogram(m *Mesh) map[int]int {
+	h := make(map[int]int)
+	for _, l := range m.Level {
+		h[int(l)]++
+	}
+	return h
+}
+
 func TestBaseMesh(t *testing.T) {
 	f := NewUnitSquare(4, 3)
-	if f.NumTris() != 32 {
-		t.Fatalf("base tris = %d, want 32", f.NumTris())
+	if len(f.tris) != 32 {
+		t.Fatalf("base tris = %d, want 32", len(f.tris))
 	}
-	if f.NumVerts() != 25 {
-		t.Fatalf("base verts = %d, want 25", f.NumVerts())
+	if len(f.VX) != 25 {
+		t.Fatalf("base verts = %d, want 25", len(f.VX))
 	}
 	m := f.Snapshot()
 	if err := m.Validate(); err != nil {
@@ -88,7 +107,7 @@ func TestLocalRefinementProducesGreens(t *testing.T) {
 	if greens == 0 {
 		t.Fatal("local refinement must need green closures")
 	}
-	hist := m.LevelHistogram()
+	hist := levelHistogram(m)
 	if hist[2] == 0 || hist[0] == 0 {
 		t.Fatalf("expected mixed levels, got %v", hist)
 	}
@@ -97,13 +116,13 @@ func TestLocalRefinementProducesGreens(t *testing.T) {
 func TestCoarseningRestoresBase(t *testing.T) {
 	f := NewUnitSquare(3, 3)
 	f.Adapt(func(x, y float64) int { return 2 })
-	refined := f.LeafCount()
+	refined := leafCount(f)
 	if refined != 18*16 {
 		t.Fatalf("after refine: %d leaves", refined)
 	}
 	st := f.Adapt(func(x, y float64) int { return 0 })
-	if f.LeafCount() != 18 {
-		t.Fatalf("after coarsen: %d leaves, want 18", f.LeafCount())
+	if leafCount(f) != 18 {
+		t.Fatalf("after coarsen: %d leaves, want 18", leafCount(f))
 	}
 	if st.Coarsened == 0 {
 		t.Fatal("no coarsening recorded")
@@ -146,11 +165,11 @@ func TestBalanceInvariant(t *testing.T) {
 func TestMidpointReuse(t *testing.T) {
 	f := NewUnitSquare(2, 2)
 	f.Adapt(func(x, y float64) int { return 1 })
-	nv := f.NumVerts()
+	nv := len(f.VX)
 	f.Adapt(func(x, y float64) int { return 0 }) // coarsen
 	f.Adapt(func(x, y float64) int { return 1 }) // re-refine
-	if f.NumVerts() != nv {
-		t.Fatalf("midpoints not reused: %d vs %d", f.NumVerts(), nv)
+	if len(f.VX) != nv {
+		t.Fatalf("midpoints not reused: %d vs %d", len(f.VX), nv)
 	}
 }
 
@@ -168,7 +187,7 @@ func TestMovingFrontCycles(t *testing.T) {
 			t.Fatalf("step %d: no passes", step)
 		}
 		// The refined region must track the front: count max-level tris.
-		hist := m.LevelHistogram()
+		hist := levelHistogram(m)
 		if hist[3] == 0 {
 			t.Fatalf("step %d: no max-level triangles near front", step)
 		}
@@ -211,25 +230,34 @@ func TestEdgesManifold(t *testing.T) {
 	}
 }
 
+// worstAspect is the worst ratio of longest edge to twice the inradius over
+// all triangles (1.0 ≈ equilateral; larger is worse).
+func worstAspect(m *Mesh) float64 {
+	worst := 0.0
+	for t, v := range m.Tris {
+		var l [3]float64
+		for i := 0; i < 3; i++ {
+			a, b := v[i], v[(i+1)%3]
+			l[i] = math.Hypot(m.VX[a]-m.VX[b], m.VY[a]-m.VY[b])
+		}
+		area := m.Area(t)
+		if area == 0 {
+			return math.Inf(1)
+		}
+		inr := area / ((l[0] + l[1] + l[2]) / 2)
+		worst = math.Max(worst, math.Max(l[0], math.Max(l[1], l[2]))/(2*inr))
+	}
+	return worst
+}
+
 func TestAspectRatioBounded(t *testing.T) {
 	f := NewUnitSquare(6, 3)
 	w := DefaultFront(3)
 	for step := 0; step < 4; step++ {
 		f.Adapt(w.At(step))
 		m := f.Snapshot()
-		if wa := m.WorstAspect(); wa > 6 {
+		if wa := worstAspect(m); wa > 6 {
 			t.Fatalf("step %d: aspect ratio %v too bad", step, wa)
-		}
-	}
-}
-
-func TestEdgeLenPositive(t *testing.T) {
-	f := NewUnitSquare(4, 1)
-	f.Adapt(func(x, y float64) int { return 1 })
-	m := f.Snapshot()
-	for e := range m.Edges {
-		if m.EdgeLen(e) <= 0 {
-			t.Fatalf("edge %d has non-positive length", e)
 		}
 	}
 }

@@ -5,40 +5,7 @@ import (
 	"math"
 )
 
-// Quality metrics and structural validation for snapshots. These back the
-// mesh test suite and the workload-characteristics table.
-
-// AspectRatio returns the ratio of longest edge to twice the inradius of
-// triangle t (1.0 ≈ equilateral; larger is worse).
-func (m *Mesh) AspectRatio(t int) float64 {
-	v := m.Tris[t]
-	l := [3]float64{}
-	for i := 0; i < 3; i++ {
-		a, b := v[i], v[(i+1)%3]
-		dx := m.VX[a] - m.VX[b]
-		dy := m.VY[a] - m.VY[b]
-		l[i] = math.Hypot(dx, dy)
-	}
-	area := m.Area(t)
-	if area == 0 {
-		return math.Inf(1)
-	}
-	s := (l[0] + l[1] + l[2]) / 2
-	inr := area / s
-	longest := math.Max(l[0], math.Max(l[1], l[2]))
-	return longest / (2 * math.Sqrt(3) * inr) * math.Sqrt(3)
-}
-
-// WorstAspect returns the worst aspect ratio over all triangles.
-func (m *Mesh) WorstAspect() float64 {
-	w := 0.0
-	for t := range m.Tris {
-		if a := m.AspectRatio(t); a > w {
-			w = a
-		}
-	}
-	return w
-}
+// Structural validation of snapshots.
 
 // Validate checks the structural invariants of a conforming snapshot:
 //   - every triangle has three distinct, in-range vertices and positive area;
@@ -90,13 +57,4 @@ func (m *Mesh) Validate() error {
 func onBoundary(x, y float64) bool {
 	const eps = 1e-12
 	return x < eps || x > 1-eps || y < eps || y > 1-eps
-}
-
-// LevelHistogram returns the triangle count per refinement level.
-func (m *Mesh) LevelHistogram() map[int]int {
-	h := make(map[int]int)
-	for _, l := range m.Level {
-		h[int(l)]++
-	}
-	return h
 }

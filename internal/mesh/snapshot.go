@@ -1,7 +1,5 @@
 package mesh
 
-import "math"
-
 // Mesh is one conforming snapshot of the forest's leaves: the structure the
 // solver, partitioner, and applications work on between adaptations.
 //
@@ -166,12 +164,4 @@ func (m *Mesh) TotalArea() float64 {
 		s += m.Area(t)
 	}
 	return s
-}
-
-// EdgeLen returns the length of edge e.
-func (m *Mesh) EdgeLen(e int) float64 {
-	a, b := m.Edges[e][0], m.Edges[e][1]
-	dx := m.VX[a] - m.VX[b]
-	dy := m.VY[a] - m.VY[b]
-	return math.Sqrt(dx*dx + dy*dy)
 }

@@ -35,18 +35,6 @@ type Bodies struct {
 // N returns the particle count.
 func (b *Bodies) N() int { return len(b.X) }
 
-// Clone deep-copies the particle set.
-func (b *Bodies) Clone() *Bodies {
-	c := &Bodies{
-		X:  append([]float64(nil), b.X...),
-		Y:  append([]float64(nil), b.Y...),
-		VX: append([]float64(nil), b.VX...),
-		VY: append([]float64(nil), b.VY...),
-		M:  append([]float64(nil), b.M...),
-	}
-	return c
-}
-
 // NewPlummer generates n bodies in a Plummer-like spherical cluster
 // (projected to 2-D) with a deterministic seed. Velocities are small random
 // transverse kicks, so the cluster slowly evolves — enough to move work

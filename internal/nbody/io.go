@@ -9,7 +9,7 @@ import (
 // Quadtree serialization for the persistent plan cache. The tree is stored
 // cell-for-cell (geometry, children, centre of mass, leaf payload), so a
 // decoded tree is reflect.DeepEqual to the encoded one — including the
-// leaf/internal distinction, which IsLeaf derives from Bodies being non-nil:
+// leaf/internal distinction, which is Bodies being non-nil:
 //
 //	o2knbtree 1 <ncells> <root>
 //	<X0> <Y0> <Size> <c0> <c1> <c2> <c3> <NBody> <CX> <CY> <CM> <nb> [bodies]

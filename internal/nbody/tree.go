@@ -22,9 +22,6 @@ type Tree struct {
 	Root  int32
 }
 
-// IsLeaf reports whether cell c is a leaf.
-func (t *Tree) IsLeaf(c int32) bool { return t.Cells[c].Bodies != nil || t.Cells[c].NBody == 0 }
-
 // NumCells returns the cell count.
 func (t *Tree) NumCells() int { return len(t.Cells) }
 

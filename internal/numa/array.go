@@ -166,11 +166,8 @@ func Release[T any](a *Array[T]) {
 // Len returns the element count.
 func (a *Array[T]) Len() int { return len(a.data) }
 
-// Bytes returns the allocation size in bytes.
-func (a *Array[T]) Bytes() int { return int(a.elemSize) * len(a.data) }
-
 // Data exposes the backing slice for bulk computation. Accesses through Data
-// are not costed; pair them with Touch/TouchRange, or prefer Load/Store.
+// are not costed; pair them with TouchRange, or prefer Load/Store.
 func (a *Array[T]) Data() []T { return a.data }
 
 // --- Placement -------------------------------------------------------------
@@ -180,15 +177,6 @@ func (a *Array[T]) PlaceUniform(owner int) {
 	a.checkProc(owner)
 	for i := range a.pageHome {
 		a.pageHome[i] = int32(owner)
-	}
-}
-
-// PlaceInterleave homes page i on processor i mod P (round-robin), the
-// classic "spread everything" placement.
-func (a *Array[T]) PlaceInterleave() {
-	p := int32(a.sp.M.Procs())
-	for i := range a.pageHome {
-		a.pageHome[i] = int32(i) % p
 	}
 }
 
@@ -266,24 +254,6 @@ func (a *Array[T]) lineOf(i int) uint32 {
 }
 
 // --- Costed access ---------------------------------------------------------
-
-// charge runs the cache/NUMA cost model for one access to local line index
-// li by processor p, and (for shared arrays) records the write-set entry.
-// The overwhelmingly common case — the line sits in the MRU way of its set
-// and needs no write-set record — is one tag probe; everything else (LRU
-// shuffle, miss, write record, reference model) drops to chargeSlow. Load and
-// Store repeat the probe inline (the compiler will not inline charge into
-// them).
-func (a *Array[T]) charge(p *sim.Proc, li uint32, write bool) {
-	c := a.caches[p.ID()]
-	gl := a.baseLine + uint64(li)
-	if (write && a.shared) || refModel || !c.mruHit(gl) {
-		a.chargeSlow(p, c, gl, li, write)
-		return
-	}
-	p.CacheHits++
-	p.Advance(a.cacheHitNS)
-}
 
 func (a *Array[T]) chargeSlow(p *sim.Proc, c *cache, gl uint64, li uint32, write bool) {
 	if refModel {
@@ -387,12 +357,6 @@ func (a *Array[T]) Store(p *sim.Proc, i int, v T) {
 	a.data[i] = v
 }
 
-// Touch charges a read (or write) of element i without moving data; use when
-// computing directly on Data.
-func (a *Array[T]) Touch(p *sim.Proc, i int, write bool) {
-	a.charge(p, a.lineOf(i), write)
-}
-
 // TouchRange charges a streaming access of elements [lo, hi) — one cache
 // event per distinct line — without moving data.
 //
@@ -433,14 +397,6 @@ func (a *Array[T]) TouchRange(p *sim.Proc, lo, hi int, write bool) {
 	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
 	if write && a.shared {
 		a.recordWriteRange(me, l0, l1)
-	}
-}
-
-// Fill stores v into [lo, hi), charging one event per line.
-func (a *Array[T]) Fill(p *sim.Proc, lo, hi int, v T) {
-	a.TouchRange(p, lo, hi, true)
-	for i := lo; i < hi; i++ {
-		a.data[i] = v
 	}
 }
 

@@ -72,7 +72,6 @@ func mustBeDead(t *testing.T, a *Array[float64], p *sim.Proc, bound *Cursor[floa
 	mustPanic(t, "GatherIdx", func() { a.GatherIdx(p, idx, out) })
 	mustPanic(t, "ScatterIdx", func() { a.ScatterIdx(p, idx, out) })
 	mustPanic(t, "StoreRange", func() { a.StoreRange(p, 3, out) })
-	mustPanic(t, "Fill", func() { a.Fill(p, 0, 4, 1) })
 	cu := a.Cursor(p)
 	var arm Arm
 	for _, cu := range []*Cursor[float64]{&cu, bound} {

@@ -172,10 +172,3 @@ func (c *cache) invalidate(line uint64) bool {
 	}
 	return false
 }
-
-// flush empties the cache (tests cool caches with it between phases).
-func (c *cache) flush() {
-	c.gen++
-	clear(c.tags)
-	c.cohEvicts = 0
-}

@@ -182,7 +182,7 @@ func TestReleaseDropsDirectory(t *testing.T) {
 	}
 	sp.MergeEpoch()
 	s.Load(g.Proc(0), 0) // a hit: nothing linked
-	sp.caches[1].flush()
+	flush(sp.caches[1])
 	s.Load(g.Proc(1), 17) // a re-install: proc 1 is on the list already, no second record
 	if err := checkDirectory(sp); err != nil {
 		t.Fatal(err)

@@ -15,6 +15,13 @@ func SetMapMinBytes(t testing.TB, n uintptr) {
 	t.Cleanup(func() { mapMinBytes, tagMapMinBytes = old, oldTags })
 }
 
+// SetRefModel routes every charge and merge through the reference model
+// (ref.go) for the rest of the test. No simulation may be running.
+func SetRefModel(t testing.TB) {
+	refModel = true
+	t.Cleanup(func() { refModel = false })
+}
+
 // LiveMappings is the number of mappings numa has made and not yet returned,
 // over all spaces.
 func LiveMappings() int64 { return liveMaps.Load() }

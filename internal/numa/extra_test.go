@@ -106,7 +106,7 @@ func TestConcurrentAccessDeterminism(t *testing.T) {
 func TestZeroLengthArray(t *testing.T) {
 	sp, _ := space(1)
 	a := NewPrivate[float64](sp, 0, 0)
-	if a.Len() != 0 || a.Bytes() != 0 {
+	if a.Len() != 0 || len(a.Data()) != 0 {
 		t.Fatal("zero array dims wrong")
 	}
 	if lo, hi := a.LineRange(0, 0); lo != 0 || hi != 0 {
@@ -124,6 +124,9 @@ func TestNegativeLengthPanics(t *testing.T) {
 	NewPrivate[float64](sp, 0, -1)
 }
 
+// The sharer directory is a superset: it may name caches that no longer hold
+// the line (LRU replacement drops lines without telling it; flushCaches, the
+// test's own device, empties every cache at once).
 func TestFlushCaches(t *testing.T) {
 	sp, _ := space(2)
 	g := sim.NewGroup(2)
@@ -134,7 +137,7 @@ func TestFlushCaches(t *testing.T) {
 	if p.CacheHits != 1 {
 		t.Fatal("warm hit expected")
 	}
-	sp.FlushCaches()
+	flushCaches(sp)
 	misses := p.LocalMisses
 	a.Load(p, 0)
 	if p.LocalMisses != misses+1 {
@@ -152,7 +155,7 @@ func TestFlushCaches(t *testing.T) {
 		sh.TouchRange(g.Proc(q), 0, 64, false)
 	}
 	sp.MergeEpoch()
-	sp.FlushCaches()
+	flushCaches(sp)
 	sh.Store(g.Proc(2), 0, 1)
 	sh.Store(g.Proc(1), 40, 1)
 	for q, d := range sp.MergeEpoch() {
@@ -185,7 +188,7 @@ func TestStructElementArrays(t *testing.T) {
 	if got.Y != 2 {
 		t.Fatalf("struct element corrupted: %+v", got)
 	}
-	if a.Bytes() != 100*24 {
-		t.Fatalf("struct sizing wrong: %d", a.Bytes())
+	if a.elemSize != 24 {
+		t.Fatalf("struct sizing wrong: %d", a.elemSize)
 	}
 }

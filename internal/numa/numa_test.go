@@ -16,6 +16,36 @@ func space(procs int) (*Space, *machine.Machine) {
 }
 
 // heapCache is a cache outside any Space, its tags on the heap.
+// placeInterleave homes page i on processor i mod P (round-robin), the
+// "spread everything" placement of the differential traces.
+func placeInterleave[T any](a *Array[T]) {
+	for i := range a.pageHome {
+		a.pageHome[i] = int32(i % a.sp.M.Procs())
+	}
+}
+
+// flush empties c behind the sharer directory's back, which then names a
+// cache that holds nothing — the stale record LRU replacement also leaves.
+func flush(c *cache) {
+	c.gen++
+	clear(c.tags)
+	c.cohEvicts = 0
+}
+
+func flushCaches(sp *Space) {
+	for _, c := range sp.caches {
+		flush(c)
+	}
+}
+
+// phaseTimes is p's per-phase time attribution.
+func phaseTimes(p *sim.Proc) (out [sim.NumPhases]sim.Time) {
+	for ph := range out {
+		out[ph] = p.PhaseTime(sim.Phase(ph))
+	}
+	return out
+}
+
 func heapCache(cacheBytes, lineBytes int) *cache {
 	c := newCache(cacheBytes, lineBytes)
 	c.tags = make([]uint32, c.slots())
@@ -60,7 +90,7 @@ func TestCacheBasics(t *testing.T) {
 	if c.cohEvicts != 1 {
 		t.Fatalf("cohEvicts = %d, want 1", c.cohEvicts)
 	}
-	c.flush()
+	flush(c)
 	if c.present(13) {
 		t.Fatal("flush did not clear cache")
 	}
@@ -157,7 +187,7 @@ func TestSpaceTagsCostWhatIsTouched(t *testing.T) {
 	if err := checkTags(sp); err != nil {
 		t.Fatal(err)
 	}
-	first.flush()
+	flush(first)
 	if first.present(7) {
 		t.Fatal("line survived the flush")
 	}
@@ -225,7 +255,7 @@ func TestPlacement(t *testing.T) {
 			t.Fatalf("PlaceUniform: home(%d) = %d", i, a.Home(i))
 		}
 	}
-	a.PlaceInterleave()
+	placeInterleave(a)
 	want := []int{0, 1, 2, 3}
 	for pg := 0; pg < 4; pg++ {
 		if a.Home(pg*2048) != want[pg] {
@@ -329,7 +359,7 @@ func TestWriteDedup(t *testing.T) {
 	}
 }
 
-func TestTouchRangeAndFill(t *testing.T) {
+func TestTouchRange(t *testing.T) {
 	sp, _ := space(1)
 	g := sim.NewGroup(1)
 	a := NewPrivate[float64](sp, 0, 64) // 4 lines of 16 elems
@@ -338,13 +368,11 @@ func TestTouchRangeAndFill(t *testing.T) {
 	if p.LocalMisses != 4 {
 		t.Fatalf("TouchRange charged %d misses, want 4", p.LocalMisses)
 	}
-	a.Fill(p, 0, 64, 9)
-	for i := 0; i < 64; i++ {
-		if a.Data()[i] != 9 {
-			t.Fatal("Fill did not write data")
-		}
-	}
+	a.TouchRange(p, 0, 64, true)
 	a.TouchRange(p, 5, 5, true) // empty: no-op
+	if p.LocalMisses != 4 || p.CacheHits != 4 {
+		t.Fatalf("a second pass over warm lines: %d misses, %d hits, want 4 and 4", p.LocalMisses, p.CacheHits)
+	}
 }
 
 func TestLineRange(t *testing.T) {
@@ -391,7 +419,7 @@ func TestDeterministicCost(t *testing.T) {
 			sp, _ := space(4)
 			g := sim.NewGroup(4)
 			a := NewShared[float64](sp, 4096)
-			a.PlaceInterleave()
+			placeInterleave(a)
 			p := g.Proc(1)
 			for _, ix := range idx {
 				i := int(ix) % 4096

@@ -43,7 +43,7 @@ func (res *traceResult) mergeEpoch(sp *Space, g *sim.Group) {
 func (res *traceResult) snapshot(sp *Space, g *sim.Group) {
 	for i := 0; i < g.Size(); i++ {
 		p := g.Proc(i)
-		res.Procs = append(res.Procs, procState{p.Now(), p.PhaseTimes(), p.Counters})
+		res.Procs = append(res.Procs, procState{p.Now(), phaseTimes(p), p.Counters})
 	}
 	res.Evicts = sp.CohEvictions()
 	for _, c := range sp.caches {
@@ -102,7 +102,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 	g := sim.NewGroup(procs)
 
 	shA := NewShared[float64](sp, 4096)
-	shA.PlaceInterleave()
+	placeInterleave(shA)
 	shB := NewShared[int32](sp, 1000) // odd length: exercises partial last line
 	shB.PlaceBlock()
 	var priv []*Array[float64]
@@ -112,11 +112,11 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 	// Replay quartet: body coordinates/masses plus a cell store, shaped like
 	// the tree-walk arrays ReplayLoads was built for.
 	shX := NewShared[float64](sp, 2048)
-	shX.PlaceInterleave()
+	placeInterleave(shX)
 	shY := NewShared[float64](sp, 2048)
 	shY.PlaceBlock()
 	shM := NewShared[float64](sp, 2048)
-	shM.PlaceInterleave()
+	placeInterleave(shM)
 	shC := NewShared[float64](sp, 3*256)
 	shC.PlaceBlock()
 	// A per-cycle buffer like the mesh's contribution array: released and
@@ -145,14 +145,18 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 		case 1:
 			shA.Store(p, rng.Intn(shA.Len()), float64(step))
 		case 2:
-			shB.Touch(p, rng.Intn(shB.Len()), rng.Intn(2) == 0)
+			if i := rng.Intn(shB.Len()); rng.Intn(2) == 0 {
+				shB.Store(p, i, int32(step))
+			} else {
+				sum += float64(shB.Load(p, i))
+			}
 		case 3:
 			lo := rng.Intn(shA.Len())
 			hi := lo + rng.Intn(shA.Len()-lo)
 			shA.TouchRange(p, lo, hi, rng.Intn(2) == 0)
 		case 4:
 			lo := rng.Intn(shB.Len())
-			shB.Fill(p, lo, lo+rng.Intn(shB.Len()-lo), int32(step))
+			shB.TouchRange(p, lo, lo+rng.Intn(shB.Len()-lo), true)
 		case 5:
 			a := priv[p.ID()]
 			if rng.Intn(2) == 0 {
@@ -237,12 +241,12 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 				shS.Load(p, 0) // an install the release finds still logged
 				Release(shS)
 				shS = NewShared[float64](sp, 1100)
-				shS.PlaceInterleave()
+				placeInterleave(shS)
 				if tc.place != nil {
 					shS.PlaceByElem(tc.place)
 				}
 			case 6:
-				sp.FlushCaches()
+				flushCaches(sp)
 			}
 		}
 	}
@@ -289,28 +293,28 @@ func TestFastPathMatchesReference(t *testing.T) {
 }
 
 // TestTouchRangeMatchesPerLine pins the bulk-path equivalence specifically:
-// a TouchRange over [lo, hi) must be indistinguishable from touching each
+// a TouchRange over [lo, hi) must be indistinguishable from storing to each
 // element's line exactly once in ascending order.
 func TestTouchRangeMatchesPerLine(t *testing.T) {
 	run := func(bulk bool) (procState, []uint64) {
 		sp, _ := space(4)
 		g := sim.NewGroup(4)
 		a := NewShared[float64](sp, 2048)
-		a.PlaceInterleave()
+		placeInterleave(a)
 		p := g.Proc(1)
 		if bulk {
 			a.TouchRange(p, 37, 1500, true)
 		} else {
 			l0, l1 := a.lineOf(37), a.lineOf(1499)
 			for li := l0; li <= l1; li++ {
-				a.charge(p, li, true)
+				a.Store(p, int(li)*16, 0) // 16 float64 to the 128-byte line
 			}
 		}
 		pen := sp.MergeEpoch()
 		for i, d := range pen {
 			g.Proc(i).Advance(d)
 		}
-		return procState{p.Now(), p.PhaseTimes(), p.Counters}, sp.CohEvictions()
+		return procState{p.Now(), phaseTimes(p), p.Counters}, sp.CohEvictions()
 	}
 	bulkSt, bulkEv := run(true)
 	lineSt, lineEv := run(false)
@@ -361,7 +365,7 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 		if block {
 			a.PlaceBlock()
 		} else {
-			a.PlaceInterleave()
+			placeInterleave(a)
 		}
 		return a
 	}
@@ -519,7 +523,7 @@ func storeRangeCase[T any](bulk, useRef bool) traceResult {
 	sp := NewSpace(machine.MustNew(cfg))
 	g := sim.NewGroup(2)
 	a := NewShared[T](sp, 700)
-	a.PlaceInterleave()
+	placeInterleave(a)
 	rng := rand.New(rand.NewSource(5))
 	var res traceResult
 	for step := range 300 {

@@ -222,11 +222,3 @@ func (s *Space) CohEvictions() []uint64 {
 	}
 	return out
 }
-
-// FlushCaches empties every processor cache; used between benchmark
-// repetitions so each repetition starts cold.
-func (s *Space) FlushCaches() {
-	for _, c := range s.caches {
-		c.flush()
-	}
-}

@@ -41,10 +41,9 @@ func (c *Collector) Len() int {
 
 // AddRunnerTrack adds the engine's cell events as the host-side process
 // (pid 0, wall time, normalized so the earliest event is at ts 0). Span
-// events — compute attempts, disk hits, dedup waits — are packed greedily
-// into non-overlapping lanes, one Chrome thread per lane, so concurrent
-// cells render side by side; memo-hit and retry instants go to a dedicated
-// lane above them.
+// events — computes, disk hits, dedup waits — are packed greedily into
+// non-overlapping lanes, one Chrome thread per lane, so concurrent cells
+// render side by side; memo-hit instants go to a dedicated lane above them.
 func (b *Builder) AddRunnerTrack(events []runner.Event) {
 	if len(events) == 0 {
 		return
@@ -108,7 +107,7 @@ func (b *Builder) AddRunnerTrack(events []runner.Event) {
 			Args:  runnerArgs(ev),
 		})
 	}
-	b.meta(hostPid, instantTid, "thread_name", "cache hits / retries")
+	b.meta(hostPid, instantTid, "thread_name", "cache hits")
 	for lane := 0; lane < lanes; lane++ {
 		b.meta(hostPid, lane, "thread_name", "cells")
 	}
@@ -118,9 +117,6 @@ func (b *Builder) AddRunnerTrack(events []runner.Event) {
 // runnerArgs renders an event's detail fields for the trace viewer.
 func runnerArgs(ev runner.Event) map[string]any {
 	args := map[string]any{"kind": ev.Kind.String(), "key": ev.Key}
-	if ev.Attempt > 0 {
-		args["attempt"] = ev.Attempt
-	}
 	if ev.Err != "" {
 		args["err"] = ev.Err
 	}

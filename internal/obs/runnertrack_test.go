@@ -13,8 +13,8 @@ func TestAddRunnerTrackLanePacking(t *testing.T) {
 	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
 	events := []runner.Event{
 		// a and b overlap → two lanes; c starts after a ends → reuses lane 0.
-		{Kind: runner.EventCompute, Key: "a", Label: "cell a", Start: ms(0), Dur: 10 * time.Millisecond, Attempt: 1},
-		{Kind: runner.EventCompute, Key: "b", Label: "cell b", Start: ms(5), Dur: 10 * time.Millisecond, Attempt: 1},
+		{Kind: runner.EventCompute, Key: "a", Label: "cell a", Start: ms(0), Dur: 10 * time.Millisecond},
+		{Kind: runner.EventCompute, Key: "b", Label: "cell b", Start: ms(5), Dur: 10 * time.Millisecond},
 		{Kind: runner.EventDiskHit, Key: "c", Label: "cell c", Start: ms(12), Dur: 2 * time.Millisecond},
 		{Kind: runner.EventMemoHit, Key: "a", Label: "cell a", Start: ms(20)},
 	}
@@ -61,14 +61,11 @@ func TestAddRunnerTrackEmptyIsNoop(t *testing.T) {
 }
 
 func TestRunnerArgsDetail(t *testing.T) {
-	args := runnerArgs(runner.Event{Kind: runner.EventCompute, Key: "k", Attempt: 2, Err: "boom"})
-	if args["kind"] != "compute" || args["key"] != "k" || args["attempt"] != 2 || args["err"] != "boom" {
+	args := runnerArgs(runner.Event{Kind: runner.EventCompute, Key: "k", Err: "boom"})
+	if args["kind"] != "compute" || args["key"] != "k" || args["err"] != "boom" {
 		t.Fatalf("runnerArgs = %v", args)
 	}
 	args = runnerArgs(runner.Event{Kind: runner.EventMemoHit, Key: "k"})
-	if _, ok := args["attempt"]; ok {
-		t.Fatal("attempt rendered for an event without one")
-	}
 	if _, ok := args["err"]; ok {
 		t.Fatal("err rendered for a successful event")
 	}
@@ -92,7 +89,7 @@ func TestCollectorConcurrentHook(t *testing.T) {
 		t.Fatalf("collected %d events, want 800", col.Len())
 	}
 	snap := col.Events()
-	hook(runner.Event{Kind: runner.EventRetry})
+	hook(runner.Event{Kind: runner.EventDedup})
 	if len(snap) != 800 {
 		t.Fatal("Events() snapshot aliases the live buffer")
 	}

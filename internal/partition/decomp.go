@@ -128,35 +128,6 @@ func sortInt32s(s []int32) {
 	}
 }
 
-// Neighbors returns, for processor p, the peers it exchanges border data
-// with (in ascending order), considering both directions.
-func (d *Decomp) Neighbors(p int) []int {
-	var out []int
-	for q := 0; q < d.P; q++ {
-		if q == p {
-			continue
-		}
-		if len(d.Border[p][q]) > 0 || len(d.Border[q][p]) > 0 {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// MaxBorder returns the largest single border list length (a proxy for the
-// largest message in the ghost exchange).
-func (d *Decomp) MaxBorder() int {
-	m := 0
-	for p := range d.Border {
-		for q := range d.Border[p] {
-			if l := len(d.Border[p][q]); l > m {
-				m = l
-			}
-		}
-	}
-	return m
-}
-
 // DataMemory returns the per-model "model-visible" field memory in bytes for
 // nfields vertex fields of 8 bytes each, used by the memory-footprint table:
 //

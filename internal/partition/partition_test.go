@@ -274,25 +274,8 @@ func TestDecompEdgeCutPositive(t *testing.T) {
 	if d1.EdgeCut != 0 {
 		t.Fatal("1-way partition has cut edges")
 	}
-	if len(d1.Neighbors(0)) != 0 {
-		t.Fatal("1-way partition has neighbors")
-	}
-}
-
-func TestDecompNeighborsSymmetric(t *testing.T) {
-	d := buildDecomp(t, 6, 2, 8)
-	for p := 0; p < d.P; p++ {
-		for _, q := range d.Neighbors(p) {
-			found := false
-			for _, r := range d.Neighbors(q) {
-				if r == p {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("neighbor relation asymmetric: %d->%d", p, q)
-			}
-		}
+	if len(d1.Border[0][0]) != 0 {
+		t.Fatal("1-way partition has a border")
 	}
 }
 
@@ -301,9 +284,6 @@ func TestDecompDataMemoryOrdering(t *testing.T) {
 	mpB, shmB, sasB := d.DataMemory(3)
 	if !(sasB < shmB && shmB < mpB) {
 		t.Fatalf("memory ordering violated: mp=%d shm=%d sas=%d", mpB, shmB, sasB)
-	}
-	if d.MaxBorder() == 0 {
-		t.Fatal("expected nonzero border")
 	}
 }
 

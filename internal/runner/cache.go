@@ -64,9 +64,9 @@ type cachedErrPayload struct {
 }
 
 // persistable reports whether a cell outcome is a property of the cell
-// itself rather than of this run's environment. Timeouts, cancellations,
-// and transient failures depend on deadlines, signals, and luck — caching
-// them would convert a one-off hiccup into a persistent wrong answer.
+// itself rather than of this run's environment. Timeouts and cancellations
+// depend on deadlines and signals — caching them would convert a one-off
+// hiccup into a persistent wrong answer.
 // Values, deterministic compute errors, and panics (the simulator is
 // deterministic, so a panic reproduces) persist. A failed Prepare stage
 // does not: it restates a dependency's outcome, which has its own entry.
@@ -78,7 +78,7 @@ func persistable(err error) bool {
 		return false
 	}
 	var pe *prepareError
-	return !errors.As(err, &pe) && !IsTransient(err)
+	return !errors.As(err, &pe)
 }
 
 // SetCache attaches a persistent cache to the engine. It must be called

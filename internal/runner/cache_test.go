@@ -148,17 +148,14 @@ func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
 	}
 
 	// Cancellation, including a custom cause.
-	e2 := cachedEngine(t, dir)
-	e2.Cancel(errors.New("operator stop"))
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(errors.New("operator stop"))
+	e2 := NewWithPolicy(ctx, 1, Policy{})
+	e2.SetCache(dc)
 	e2.DoCached(core.CellKey("test/cancelled", 1), "c", testCodec,
 		func(context.Context) (any, error) { return 1, nil })
 
-	// Transient failure: retryable by definition.
-	e3 := cachedEngine(t, dir)
-	e3.DoCached(core.CellKey("test/transient", 1), "t", testCodec,
-		func(context.Context) (any, error) { return nil, Transient(errors.New("flaky")) })
-
-	if n, _ := e3.Cache().Len(); n != 0 {
+	if n, _ := dc.Len(); n != 0 {
 		t.Fatalf("%d entries persisted for environmental failures, want 0", n)
 	}
 }

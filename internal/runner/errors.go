@@ -39,28 +39,6 @@ type prepareError struct{ err error }
 func (e *prepareError) Error() string { return e.err.Error() }
 func (e *prepareError) Unwrap() error { return e.err }
 
-// transientError marks an error as retryable under the engine's Policy.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return "transient: " + e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the engine's retry policy treats the failure as
-// retryable. Deterministic failures (panics, timeouts, assertion errors)
-// must not be wrapped: retrying them burns attempts on the same outcome.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable via Transient.
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
 // FailLabel renders a failed cell for table output: a deterministic, compact
 // FAILED(<reason>) annotation. Non-failed cells render their value; failed
 // cells render this, so the non-failed bytes of a table never depend on

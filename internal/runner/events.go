@@ -17,8 +17,8 @@ type EventKind uint8
 
 // The cell lifecycle events the engine reports.
 const (
-	// EventCompute is one compute attempt: a span from worker-slot
-	// acquisition to the attempt's outcome (including queue wait).
+	// EventCompute is a cell's compute: a span from the request of a worker
+	// slot to the outcome (queue wait included).
 	EventCompute EventKind = iota
 	// EventMemoHit is a request served from the in-memory cell map after
 	// the cell completed (instant).
@@ -29,12 +29,9 @@ const (
 	// EventDiskHit is a cell restored from the persistent cache: a span
 	// covering the disk load.
 	EventDiskHit
-	// EventRetry marks a transient failure that the policy scheduled for
-	// another attempt (instant, fired before the backoff sleep).
-	EventRetry
 )
 
-var eventKindNames = [...]string{"compute", "memo-hit", "dedup", "disk-hit", "retry"}
+var eventKindNames = [...]string{"compute", "memo-hit", "dedup", "disk-hit"}
 
 // String returns the kind's lowercase name.
 func (k EventKind) String() string {
@@ -47,13 +44,12 @@ func (k EventKind) String() string {
 // Event is one cell lifecycle event. Span kinds carry a start and duration
 // in host wall time; instant kinds carry only the start.
 type Event struct {
-	Kind    EventKind
-	Key     string // cell content hash (core.CellKey)
-	Label   string // human-readable cell description
-	Start   time.Time
-	Dur     time.Duration
-	Attempt int    // 1-based attempt number (compute and retry events)
-	Err     string // the outcome's failure message, "" on success
+	Kind  EventKind
+	Key   string // cell content hash (core.CellKey)
+	Label string // human-readable cell description
+	Start time.Time
+	Dur   time.Duration
+	Err   string // the outcome's failure message, "" on success
 }
 
 // Hook receives engine events. It is called synchronously from whatever

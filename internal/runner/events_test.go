@@ -54,7 +54,7 @@ func TestHookComputeAndMemoHit(t *testing.T) {
 		t.Fatalf("got %d compute events, want 1: %+v", len(comps), comps)
 	}
 	c := comps[0]
-	if c.Key != "k1" || c.Label != "cell one" || c.Attempt != 1 || c.Err != "" {
+	if c.Key != "k1" || c.Label != "cell one" || c.Err != "" {
 		t.Fatalf("compute event = %+v", c)
 	}
 	if c.Start.IsZero() || c.Dur < time.Millisecond {
@@ -102,35 +102,23 @@ func TestHookDedupSpan(t *testing.T) {
 	}
 }
 
-func TestHookRetryAndFailure(t *testing.T) {
+// A failed compute is one compute event carrying the failure; nothing is
+// retried, so nothing else fires.
+func TestHookFailure(t *testing.T) {
 	log := &eventLog{}
-	e := NewWithPolicy(context.Background(), 1, Policy{Retries: 2, Backoff: time.Microsecond})
+	e := New(1)
 	e.SetHook(log.hook)
-	boom := Transient(errors.New("flaky"))
 	calls := 0
-	_, err := e.Do("k", "flaky cell", func(context.Context) (any, error) {
+	_, err := e.Do("k", "failing cell", func(context.Context) (any, error) {
 		calls++
-		if calls < 3 {
-			return nil, boom
-		}
-		return "ok", nil
+		return nil, errors.New("boom")
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || calls != 1 {
+		t.Fatalf("err = %v after %d computes, want the failure after 1", err, calls)
 	}
 	comps := log.byKind(EventCompute)
-	if len(comps) != 3 {
-		t.Fatalf("got %d compute events, want 3", len(comps))
-	}
-	if comps[0].Err == "" || comps[2].Err != "" {
-		t.Fatalf("attempt errors wrong: first=%q last=%q", comps[0].Err, comps[2].Err)
-	}
-	retries := log.byKind(EventRetry)
-	if len(retries) != 2 {
-		t.Fatalf("got %d retry events, want 2", len(retries))
-	}
-	if retries[0].Attempt != 1 || retries[1].Attempt != 2 {
-		t.Fatalf("retry attempts = %d, %d", retries[0].Attempt, retries[1].Attempt)
+	if len(comps) != 1 || comps[0].Err != "boom" || len(log.evs) != 1 {
+		t.Fatalf("events = %+v, want one compute event carrying the failure", log.evs)
 	}
 }
 
@@ -173,7 +161,7 @@ func TestHookDiskHit(t *testing.T) {
 func TestEventKindNames(t *testing.T) {
 	want := map[EventKind]string{
 		EventCompute: "compute", EventMemoHit: "memo-hit", EventDedup: "dedup",
-		EventDiskHit: "disk-hit", EventRetry: "retry",
+		EventDiskHit: "disk-hit",
 	}
 	for k, name := range want {
 		if k.String() != name {

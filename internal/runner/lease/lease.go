@@ -116,8 +116,8 @@ type Event struct {
 // Config parameterizes a Manager. Dir is required; everything else has a
 // working default.
 type Config struct {
-	Dir   string      // cache directory (diskcache shard layout)
-	Owner string      // unique owner id; default host:pid:token
+	Dir   string       // cache directory (diskcache shard layout)
+	Owner string       // unique owner id; default host:pid:token
 	FS    diskcache.FS // filesystem seam; default OSFS
 
 	Heartbeat time.Duration // renewal interval; default DefaultHeartbeat
@@ -131,7 +131,7 @@ type Config struct {
 	// can still cover a dead peer's cells. Shards <= 1 disables deference.
 	Shard, Shards int
 
-	Seed int64        // seeds steal backoff + poll jitter; 0 derives per-process
+	Seed int64       // seeds steal backoff + poll jitter; 0 derives per-process
 	Hook func(Event) // protocol observer; nil = silent
 }
 
@@ -215,9 +215,6 @@ func defaultOwner() string {
 	}
 	return fmt.Sprintf("%s:%d:%08x", host, os.Getpid(), rand.Uint32())
 }
-
-// Owner returns the manager's owner id.
-func (m *Manager) Owner() string { return m.cfg.Owner }
 
 // Stats snapshots the protocol counters.
 func (m *Manager) Stats() Stats {
@@ -507,19 +504,6 @@ type Lease struct {
 
 	stop chan struct{} // closed by Release
 	done chan struct{} // closed when the heartbeat goroutine exits
-}
-
-// Key returns the cell key the lease covers.
-func (l *Lease) Key() string { return l.key }
-
-// Lost reports whether the lease was observed taken by another owner (e.g.
-// stolen during a long local pause). The holder cannot abort a deterministic
-// compute midway — and doesn't need to; Lost is telemetry, not a correctness
-// signal.
-func (l *Lease) Lost() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lost
 }
 
 func (l *Lease) heartbeat() {

@@ -50,7 +50,7 @@ func TestAcquireConflictRelease(t *testing.T) {
 		t.Fatalf("acquire of a held lease = %v, want Busy", st)
 	}
 	la.Release()
-	if la.Lost() {
+	if la.lost { // Release has stopped the heartbeat, the only other writer
 		t.Fatal("uncontested lease reports Lost")
 	}
 	lb, st := b.Acquire(k)

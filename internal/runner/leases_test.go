@@ -111,21 +111,3 @@ func TestLeaseFaultsStillComputeCells(t *testing.T) {
 		t.Fatal("degraded compute did not commit its entry")
 	}
 }
-
-// TestJitterBackoffSeeded pins the retry-jitter satellite: equal-jitter over
-// [b/2, b], and byte-for-byte reproducible under an explicit Policy.Seed.
-func TestJitterBackoffSeeded(t *testing.T) {
-	pol := Policy{Backoff: 80 * time.Millisecond, Seed: 42}
-	e1 := NewWithPolicy(context.Background(), 1, pol)
-	e2 := NewWithPolicy(context.Background(), 1, pol)
-	for i := 0; i < 6; i++ {
-		b := pol.backoff(i)
-		d1, d2 := e1.jitterBackoff(i), e2.jitterBackoff(i)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: seeded jitter not reproducible (%v vs %v)", i, d1, d2)
-		}
-		if d1 < b/2 || d1 > b {
-			t.Fatalf("attempt %d: jittered %v outside [%v, %v]", i, d1, b/2, b)
-		}
-	}
-}

@@ -57,24 +57,6 @@ func TestPrepareRunsOnlyOnOwnedMiss(t *testing.T) {
 	}
 }
 
-func TestPrepareRunsOncePerMissAcrossRetries(t *testing.T) {
-	e := NewWithPolicy(context.Background(), 1, Policy{Retries: 3, Backoff: time.Microsecond})
-	var prepares, computes atomic.Int32
-	v, err := e.DoCell(context.Background(), Cell{Key: "k", Label: "flaky", Prepare: counted(&prepares,
-		func(context.Context) (any, error) {
-			if computes.Add(1) < 3 {
-				return nil, Transient(errors.New("flaky"))
-			}
-			return "ok", nil
-		})})
-	if err != nil || v.(string) != "ok" {
-		t.Fatalf("retried cell: %v, %v", v, err)
-	}
-	if p, c := prepares.Load(), computes.Load(); p != 1 || c != 3 {
-		t.Fatalf("Prepare ran %d times for %d compute attempts, want 1 for 3", p, c)
-	}
-}
-
 // A process that adopts a foreign lease owner's committed entry never
 // prepares: the owner paid for the dependencies.
 func TestPrepareSkippedOnForeignLeaseAdoption(t *testing.T) {

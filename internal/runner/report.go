@@ -14,10 +14,9 @@ type CellStat struct {
 	Label    string        `json:"label"`               // human-readable cell description
 	Key      string        `json:"key"`                 // content hash (core.CellKey)
 	Wall     time.Duration `json:"wall_ns"`             // wall time paid by the owner, waits for its dependencies and for a worker slot included
-	Compute  time.Duration `json:"compute_ns"`          // the part of Wall its attempts held a worker slot: what the cell itself cost
+	Compute  time.Duration `json:"compute_ns"`          // the part of Wall its compute held a worker slot: what the cell itself cost
 	Hits     int64         `json:"hits"`                // requests served from the completed cache entry
 	Dedups   int64         `json:"dedups"`              // requests that shared the in-flight execution
-	Attempts int           `json:"attempts"`            // compute executions (1 unless retried)
 	Err      string        `json:"err,omitempty"`       // the cell's failure, empty on success
 	InFlight bool          `json:"in_flight,omitempty"` // still computing at snapshot time
 	FromDisk bool          `json:"from_disk,omitempty"` // served from the persistent cache
@@ -46,7 +45,7 @@ type Report struct {
 }
 
 // Report snapshots the engine's statistics. It is safe to call while cells
-// are still computing: per-cell result fields (wall time, attempts, error)
+// are still computing: per-cell result fields (wall time, error)
 // are written by the owner goroutine and published by the close of the
 // cell's done channel, so the snapshot reads them only for completed cells —
 // an in-flight cell contributes its label and request counters and is marked
@@ -75,7 +74,7 @@ func (e *Engine) Report() *Report {
 		s := CellStat{Label: c.label, Key: c.key, Kind: c.kind, Hits: c.hits.Load(), Dedups: c.dedup.Load()}
 		select {
 		case <-c.done:
-			s.Wall, s.Compute, s.Attempts, s.FromDisk = c.wall, c.compute, c.attempts, c.fromDisk
+			s.Wall, s.Compute, s.FromDisk = c.wall, c.compute, c.fromDisk
 			if s.FromDisk {
 				r.DiskHits++
 				if s.Kind == "plan" {
@@ -120,7 +119,7 @@ func (r *Report) HitRate() float64 {
 }
 
 // Table renders the report: a summary block followed by every unique cell,
-// costliest first. compute is the time a cell's attempts held a worker slot;
+// costliest first. compute is the time a cell's compute held a worker slot;
 // wall adds the owner's waits — for dependencies and, at a small -jobs, for
 // the slot — so only the compute column sums to something the run paid.
 // Failed cells carry their FAILED(<reason>) annotation in the wall column.

@@ -33,16 +33,14 @@
 // panics, times out, or fails is published as the cell's error and served to
 // every requester, so one wedged cell degrades one table entry instead of
 // deadlocking the run. The engine is cancellable as a whole (NewWithPolicy's
-// context), bounds each attempt with a per-cell timeout, and retries
-// failures marked Transient with exponential backoff.
+// context) and bounds each compute with a per-cell timeout; every failure is
+// final — the simulator is deterministic, so nothing is retried.
 package runner
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -63,38 +61,14 @@ import (
 var ErrCellAborted = fmt.Errorf("every requester left: %w", context.Canceled)
 
 // Policy is the engine's fault-tolerance configuration. The zero value means
-// no per-cell timeout and no retries — every failure is final on the first
-// attempt.
+// no per-cell timeout.
 type Policy struct {
-	// CellTimeout bounds each compute attempt; 0 means no bound. On expiry
-	// the attempt's requesters get context.DeadlineExceeded while the
-	// compute goroutine keeps its worker slot until it actually returns
-	// (a simulation always does: its scheduler turns a deadlock into a
+	// CellTimeout bounds a cell's compute; 0 means no bound. On expiry the
+	// cell's requesters get context.DeadlineExceeded while the compute
+	// goroutine keeps its worker slot until it actually returns (a
+	// simulation always does: its scheduler turns a deadlock into a
 	// *sim.StallError panic at once), so the pool is never oversubscribed.
 	CellTimeout time.Duration
-	// Retries is the number of extra attempts granted to a compute whose
-	// error is marked Transient. Deterministic failures are never retried.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt.
-	// 0 selects 10ms when Retries > 0. Each sleep is jittered over
-	// [b/2, b]: pure doubling synchronizes retry storms the moment N
-	// processes share one cache directory and hit the same flaky resource
-	// together, while equal jitter keeps the mean and the cap.
-	Backoff time.Duration
-	// Seed seeds the jitter stream. 0 derives a per-process seed (the
-	// desynchronization is the point); tests that need reproducible sleeps
-	// set it explicitly.
-	Seed int64
-}
-
-// backoff returns the un-jittered sleep cap before retry attempt i
-// (0-based); the engine jitters it at sleep time.
-func (p Policy) backoff(i int) time.Duration {
-	b := p.Backoff
-	if b <= 0 {
-		b = 10 * time.Millisecond
-	}
-	return b << i
 }
 
 // Engine memoizes simulation cells and bounds their concurrent execution.
@@ -102,18 +76,14 @@ func (p Policy) backoff(i int) time.Duration {
 // for concurrent use and is meant to be shared by every experiment of one
 // invocation — sharing is where the cross-experiment cache hits come from.
 type Engine struct {
-	jobs   int
-	sem    chan struct{}
-	pol    Policy
-	ctx    context.Context
-	cancel context.CancelCauseFunc
+	jobs int
+	sem  chan struct{}
+	pol  Policy
+	ctx  context.Context
 
 	cache  *diskcache.Cache // persistent cell cache, nil when memory-only
 	leases *lease.Manager   // cross-process single-flight, nil when solo
 	hook   Hook             // cell lifecycle observer, nil when silent
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // retry-backoff jitter stream
 
 	mu    sync.Mutex
 	cells map[string]*cell
@@ -121,7 +91,7 @@ type Engine struct {
 }
 
 // cell is one memoized computation: the single-flight slot, its result or
-// error, and its statistics. val, err, wall, compute, attempts, and retired are
+// error, and its statistics. val, err, wall, compute, and retired are
 // written only by the owner goroutine before done is closed; readers must
 // observe done first (close(done) is the publication barrier). waiters and
 // completed are guarded by the engine mutex: they implement per-request
@@ -136,9 +106,8 @@ type cell struct {
 	done     chan struct{} // closed once val/err are set
 	val      any
 	err      error
-	wall     time.Duration // the publisher's wall time: probes, Prepare, all attempts and their waits for a worker slot
-	compute  time.Duration // the part of wall the attempts held a worker slot
-	attempts int           // times compute actually ran
+	wall     time.Duration // the publisher's wall time: probes, Prepare, the compute and its wait for a worker slot
+	compute  time.Duration // the part of wall the compute held a worker slot
 	fromDisk bool          // outcome restored from the persistent cache
 	retired  bool          // aborted outcome withdrawn from the memo map
 	hits     atomic.Int64  // requests served after completion
@@ -152,15 +121,16 @@ type cell struct {
 
 // New returns an Engine whose worker pool admits jobs concurrent cell
 // executions; jobs <= 0 selects GOMAXPROCS. The engine has a zero Policy
-// and a background context — use NewWithPolicy for timeouts, retries, or
+// and a background context — use NewWithPolicy for a cell timeout or
 // engine-wide cancellation.
 func New(jobs int) *Engine {
 	return NewWithPolicy(context.Background(), jobs, Policy{})
 }
 
 // NewWithPolicy is New with fault-tolerance configuration: cancelling ctx
-// (or calling Cancel) aborts every pending and future cell request, and pol
-// sets the per-cell timeout and retry budget.
+// aborts every pending and future cell request — blocked requesters unblock
+// with ctx's cause, in-flight computes run to completion but publish the
+// cancellation — and pol sets the per-cell timeout.
 func NewWithPolicy(ctx context.Context, jobs int, pol Policy) *Engine {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -168,39 +138,14 @@ func NewWithPolicy(ctx context.Context, jobs int, pol Policy) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ectx, cancel := context.WithCancelCause(ctx)
-	seed := pol.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano() ^ int64(os.Getpid())<<32
-	}
 	return &Engine{
-		jobs:   jobs,
-		sem:    make(chan struct{}, jobs),
-		pol:    pol,
-		ctx:    ectx,
-		cancel: cancel,
-		rng:    rand.New(rand.NewSource(seed)),
-		cells:  make(map[string]*cell),
+		jobs:  jobs,
+		sem:   make(chan struct{}, jobs),
+		pol:   pol,
+		ctx:   ctx,
+		cells: make(map[string]*cell),
 	}
 }
-
-// jitterBackoff maps the policy's doubling cap for retry attempt i to an
-// equal-jitter sleep: uniform over [cap/2, cap].
-func (e *Engine) jitterBackoff(i int) time.Duration {
-	b := e.pol.backoff(i)
-	e.rngMu.Lock()
-	d := b/2 + time.Duration(e.rng.Int63n(int64(b/2)+1))
-	e.rngMu.Unlock()
-	return d
-}
-
-// Jobs returns the worker-pool size.
-func (e *Engine) Jobs() int { return e.jobs }
-
-// Cancel aborts the engine: every blocked requester unblocks with cause
-// (context.Canceled if nil) and future requests fail fast. In-flight compute
-// goroutines run to completion but publish the cancellation error.
-func (e *Engine) Cancel(cause error) { e.cancel(cause) }
 
 // Compute is a cell's work once its dependencies are resolved. It receives a
 // context cancelled at the per-cell deadline, on engine cancellation, or when
@@ -258,8 +203,8 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute Compute) (any
 // DoCell is the engine's one request entry. It returns the memoized outcome
 // of the cell, producing it at most once per Engine. The first requester
 // becomes the owner: a detached publisher tries the disk, then prepares the
-// dependencies, acquires a worker slot, computes (with the Policy's timeout
-// and retry budget) and publishes; concurrent requesters of the same key
+// dependencies, acquires a worker slot, computes (within the Policy's
+// timeout) and publishes; concurrent requesters of the same key
 // block on that one execution (single-flight), and later requesters get the
 // cached outcome immediately. Failures are outcomes too: a panic, timeout,
 // or returned error — of Prepare or of the compute — is published as the
@@ -416,42 +361,24 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 	c.abort(nil) // release the cctx timer/child bookkeeping
 }
 
-// run is the owned-miss path of cell c: prepare the dependencies — once,
-// holding no worker slot — then execute the compute under the engine's retry
-// policy, under the cell's compute context (the engine context plus the
-// cell's abort). It returns the final outcome and records on c the attempts
-// actually made and the time they held a worker slot.
+// run is the owned-miss path of cell c: prepare the dependencies — holding
+// no worker slot — then execute the compute once, under the cell's compute
+// context (the engine context plus the cell's abort). It returns the outcome
+// and records on c how long the compute held a worker slot.
 func (e *Engine) run(c *cell, rh Hook, prepare Prepare) (val any, err error) {
-	ctx, key, label := c.cctx, c.key, c.label
-	compute, err := e.prepare(ctx, rh, label, prepare)
+	compute, err := e.prepare(c.cctx, rh, c.label, prepare)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var t0 time.Time
-		if e.hooked(rh) {
-			t0 = time.Now()
-		}
-		var held time.Duration
-		val, err, held = e.attempt(ctx, label, compute)
-		c.attempts++
-		c.compute += held
-		attempts := c.attempts
-		if e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventCompute, Key: key, Label: label, Start: t0, Dur: time.Since(t0), Attempt: attempts, Err: errMsg(err)})
-		}
-		if err == nil || !IsTransient(err) || attempts > e.pol.Retries {
-			return val, err
-		}
-		if e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventRetry, Key: key, Label: label, Start: time.Now(), Attempt: attempts, Err: errMsg(err)})
-		}
-		select {
-		case <-time.After(e.jitterBackoff(attempts - 1)):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
-		}
+	var t0 time.Time
+	if e.hooked(rh) {
+		t0 = time.Now()
 	}
+	val, err, c.compute = e.attempt(c.cctx, c.label, compute)
+	if e.hooked(rh) {
+		e.fire(rh, Event{Kind: EventCompute, Key: c.key, Label: c.label, Start: t0, Dur: time.Since(t0), Err: errMsg(err)})
+	}
+	return val, err
 }
 
 // prepare runs a cell's dependency stage on the publisher goroutine. The

@@ -68,7 +68,7 @@ func TestDoSingleFlight(t *testing.T) {
 }
 
 func TestJobsDefaultsPositive(t *testing.T) {
-	if New(0).Jobs() < 1 || New(-3).Jobs() < 1 {
+	if New(0).jobs < 1 || New(-3).jobs < 1 {
 		t.Fatal("New must select a positive pool size")
 	}
 }
@@ -185,7 +185,9 @@ func TestCellTimeout(t *testing.T) {
 }
 
 func TestEngineCancelUnblocksWaiters(t *testing.T) {
-	e := NewWithPolicy(context.Background(), 1, Policy{})
+	cause := errors.New("operator abort")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	e := NewWithPolicy(ctx, 1, Policy{})
 	gate, holding := make(chan struct{}), make(chan struct{})
 	defer close(gate)
 	go e.Do("held", "held", func(context.Context) (any, error) { close(holding); <-gate; return 1, nil })
@@ -195,8 +197,7 @@ func TestEngineCancelUnblocksWaiters(t *testing.T) {
 	errs := make(chan error, 2)
 	go func() { _, err := e.Do("held", "held", ok(nil)); errs <- err }()
 	go func() { _, err := e.Do("other", "other", ok(nil)); errs <- err }()
-	cause := errors.New("operator abort")
-	time.AfterFunc(10*time.Millisecond, func() { e.Cancel(cause) })
+	time.AfterFunc(10*time.Millisecond, func() { cancel(cause) })
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-errs:
@@ -206,47 +207,6 @@ func TestEngineCancelUnblocksWaiters(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("cancellation did not unblock a requester")
 		}
-	}
-}
-
-func TestTransientRetry(t *testing.T) {
-	e := NewWithPolicy(context.Background(), 1, Policy{Retries: 3, Backoff: time.Millisecond})
-	var calls atomic.Int64
-	v, err := e.Do("flaky", "flaky", func(context.Context) (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, Transient(errors.New("try again"))
-		}
-		return "finally", nil
-	})
-	if err != nil || v.(string) != "finally" {
-		t.Fatalf("Do = %v, %v", v, err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("compute ran %d times, want 3", calls.Load())
-	}
-	r := e.Report()
-	if r.Cells[0].Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3", r.Cells[0].Attempts)
-	}
-
-	// A persistent transient error exhausts the budget and caches the error.
-	var persist atomic.Int64
-	_, err = e.Do("stillflaky", "stillflaky", func(context.Context) (any, error) {
-		persist.Add(1)
-		return nil, Transient(errors.New("never better"))
-	})
-	if err == nil || persist.Load() != 4 { // 1 attempt + 3 retries
-		t.Fatalf("persistent transient: err=%v attempts=%d, want error after 4 attempts", err, persist.Load())
-	}
-
-	// Non-transient errors are never retried.
-	var hard atomic.Int64
-	e.Do("hard", "hard", func(context.Context) (any, error) {
-		hard.Add(1)
-		return nil, errors.New("deterministic failure")
-	})
-	if hard.Load() != 1 {
-		t.Fatalf("deterministic failure retried %d times", hard.Load())
 	}
 }
 
@@ -360,8 +320,5 @@ func TestFailLabel(t *testing.T) {
 		if got := FailLabel(tc.err); got != tc.want {
 			t.Errorf("FailLabel(%v) = %q, want %q", tc.err, got, tc.want)
 		}
-	}
-	if !IsTransient(Transient(errors.New("x"))) || IsTransient(errors.New("x")) || Transient(nil) != nil {
-		t.Fatal("Transient/IsTransient misbehave")
 	}
 }

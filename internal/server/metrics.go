@@ -19,11 +19,9 @@ import (
 // scrape time from the admission state.
 type Metrics struct {
 	// One counter pair per runner.EventKind, indexed by the kind value.
-	events  [5]atomic.Int64
-	eventNS [5]atomic.Int64
-	// Compute attempts that ended in error (the failure signal a dashboard
-	// alerts on; retries that eventually succeed still count here once per
-	// failed attempt).
+	events  [numEventKinds]atomic.Int64
+	eventNS [numEventKinds]atomic.Int64
+	// Computes that ended in error (the failure signal a dashboard alerts on).
 	computeErrs atomic.Int64
 
 	rejectedQueue atomic.Int64 // admissions refused with 429 (queue full)
@@ -32,6 +30,11 @@ type Metrics struct {
 	mu    sync.Mutex
 	codes map[int]int64 // HTTP responses by status code
 }
+
+// numEventKinds sizes the per-kind counters from the engine's event-kind
+// table: EventDiskHit is its last entry (TestMetricsCoverEveryEventKind), so
+// /metrics has one line per kind and none for a kind that does not exist.
+const numEventKinds = int(runner.EventDiskHit) + 1
 
 func newMetrics() *Metrics {
 	return &Metrics{codes: make(map[int]int64)}
@@ -78,7 +81,7 @@ func (m *Metrics) write(w io.Writer, queued, inflight int, draining bool) {
 	for k := range m.eventNS {
 		fmt.Fprintf(w, "o2k_cell_event_seconds_total{kind=%q} %g\n", runner.EventKind(k), float64(m.eventNS[k].Load())/1e9)
 	}
-	fmt.Fprintf(w, "# HELP o2k_cell_compute_failures_total Compute attempts that ended in error.\n")
+	fmt.Fprintf(w, "# HELP o2k_cell_compute_failures_total Computes that ended in error.\n")
 	fmt.Fprintf(w, "# TYPE o2k_cell_compute_failures_total counter\n")
 	fmt.Fprintf(w, "o2k_cell_compute_failures_total %d\n", m.computeErrs.Load())
 

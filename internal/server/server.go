@@ -111,18 +111,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Metrics exposes the server's telemetry (the serve subcommand prints a
-// final scrape on drain).
-func (s *Server) Metrics() *Metrics { return s.met }
-
 // Drain flips the daemon to shutdown mode: /healthz answers 503 and new
 // work is refused, while requests already admitted run to completion —
 // their cells commit to the disk cache because the engine's context is the
 // process's, not any request's.
 func (s *Server) Drain() { s.draining.Store(true) }
-
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // statusWriter captures the response code for the HTTP metrics.
 type statusWriter struct {
@@ -204,17 +197,16 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) func() {
 
 // streamLine is one NDJSON line of an experiment response.
 type streamLine struct {
-	Type    string  `json:"type"`              // "cell", "result", or "error"
-	Kind    string  `json:"kind,omitempty"`    // cell: event kind (compute, memo-hit, …)
-	Key     string  `json:"key,omitempty"`     // cell: content hash
-	Label   string  `json:"label,omitempty"`   // cell: human-readable description
-	Ms      float64 `json:"ms,omitempty"`      // cell: event span in milliseconds
-	Attempt int     `json:"attempt,omitempty"` // cell: compute attempt number
-	Err     string  `json:"err,omitempty"`     // cell: outcome error
-	Exit    int     `json:"exit"`              // result: the CLI-equivalent exit code
-	Fails   int     `json:"failures"`          // result: distinct failed cells of this request
-	Output  string  `json:"output,omitempty"`  // result: the CLI's exact stdout bytes
-	Error   string  `json:"error,omitempty"`   // error: what went wrong
+	Type   string  `json:"type"`             // "cell", "result", or "error"
+	Kind   string  `json:"kind,omitempty"`   // cell: event kind (compute, memo-hit, …)
+	Key    string  `json:"key,omitempty"`    // cell: content hash
+	Label  string  `json:"label,omitempty"`  // cell: human-readable description
+	Ms     float64 `json:"ms,omitempty"`     // cell: event span in milliseconds
+	Err    string  `json:"err,omitempty"`    // cell: outcome error
+	Exit   int     `json:"exit"`             // result: the CLI-equivalent exit code
+	Fails  int     `json:"failures"`         // result: distinct failed cells of this request
+	Output string  `json:"output,omitempty"` // result: the CLI's exact stdout bytes
+	Error  string  `json:"error,omitempty"`  // error: what went wrong
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -268,17 +260,13 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		mu.Unlock()
 	}
 	hook := runner.Hook(func(ev runner.Event) {
-		if ev.Kind != runner.EventRetry {
-			// Terminal event kinds carry the cell's outcome for this
-			// request; the last one per key wins (a retried compute that
-			// succeeds clears its earlier attempts' errors).
-			mu.Lock()
-			cellErr[ev.Key] = ev.Err
-			mu.Unlock()
-		}
+		// Every event carries the cell's outcome for this request.
+		mu.Lock()
+		cellErr[ev.Key] = ev.Err
+		mu.Unlock()
 		writeLine(streamLine{
 			Type: "cell", Kind: ev.Kind.String(), Key: ev.Key, Label: ev.Label,
-			Ms: float64(ev.Dur) / 1e6, Attempt: ev.Attempt, Err: ev.Err,
+			Ms: float64(ev.Dur) / 1e6, Err: ev.Err,
 		})
 	})
 
@@ -367,9 +355,6 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		seen bool
 	)
 	ctx := runner.WithRequestHook(r.Context(), func(ev runner.Event) {
-		if ev.Kind == runner.EventRetry {
-			return
-		}
 		mu.Lock()
 		last, seen = ev, true
 		mu.Unlock()

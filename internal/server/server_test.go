@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -496,6 +497,26 @@ func TestReportCacheAndMetricsEndpoints(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, m)
 		}
+	}
+}
+
+// /metrics has one line per engine event kind in each per-kind family, and
+// none for a kind the engine does not have: the counters are sized from the
+// last kind of runner's table.
+func TestMetricsCoverEveryEventKind(t *testing.T) {
+	unnamed := runner.EventKind(255).String()
+	if last, past := runner.EventKind(numEventKinds-1).String(), runner.EventKind(numEventKinds).String(); last == unnamed || past != unnamed {
+		t.Fatalf("numEventKinds = %d is not the engine's kind count: kind %d is %q, kind %d is %q", numEventKinds, numEventKinds-1, last, numEventKinds, past)
+	}
+	ts, _, _ := newTestServer(t, Config{})
+	m := scrapeMetrics(t, ts.URL)
+	for k := 0; k < numEventKinds; k++ {
+		if want := fmt.Sprintf("o2k_cell_events_total{kind=%q}", runner.EventKind(k)); !strings.Contains(m, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	if n := strings.Count(m, "o2k_cell_events_total{"); n != numEventKinds {
+		t.Errorf("/metrics has %d o2k_cell_events_total lines for %d event kinds:\n%s", n, numEventKinds, m)
 	}
 }
 

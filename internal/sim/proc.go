@@ -20,7 +20,10 @@ const (
 	PhasePartition              // repartitioning computation
 	PhaseRemap                  // data migration after repartitioning
 	PhaseTree                   // N-body: tree construction
-	PhaseOther                  // anything else
+	// A ninth slot, "other", that no program attributes time to. It stays
+	// because NumPhases is the width of the phase arrays of every persisted
+	// Metrics (disk cache, pinned cells) and of the timeline legend.
+	_
 	NumPhases
 )
 
@@ -91,9 +94,6 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the processor's current virtual time.
 func (p *Proc) Now() Time { return p.clock }
 
-// Phase returns the phase virtual time is currently attributed to.
-func (p *Proc) Phase() Phase { return p.phase }
-
 // SetPhase switches time attribution to ph and returns the previous phase,
 // enabling the idiom:
 //
@@ -137,9 +137,6 @@ func (p *Proc) AdvanceTo(t Time) {
 
 // PhaseTime reports the total virtual time attributed to ph so far.
 func (p *Proc) PhaseTime(ph Phase) Time { return p.phaseTime[ph] }
-
-// PhaseTimes returns a copy of all per-phase accumulations.
-func (p *Proc) PhaseTimes() [NumPhases]Time { return p.phaseTime }
 
 // Group is a gang of simulated processors that execute one SPMD program
 // (see Run, in event.go, for how).

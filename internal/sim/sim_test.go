@@ -24,15 +24,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestTimeConversions(t *testing.T) {
-	if got := (2 * Second).Seconds(); got != 2.0 {
-		t.Errorf("Seconds() = %v, want 2", got)
-	}
-	if got := (3 * Microsecond).Micros(); got != 3.0 {
-		t.Errorf("Micros() = %v, want 3", got)
-	}
-}
-
 func TestMaxMin(t *testing.T) {
 	if Max(3, 5) != 5 || Max(5, 3) != 5 {
 		t.Error("Max wrong")
@@ -86,7 +77,7 @@ func TestPhaseAttribution(t *testing.T) {
 		t.Errorf("comm time = %v, want 11", p.PhaseTime(PhaseComm))
 	}
 	sum := Time(0)
-	for _, pt := range p.PhaseTimes() {
+	for _, pt := range p.phaseTime {
 		sum += pt
 	}
 	if sum != p.Now() {

@@ -192,7 +192,7 @@ func realRun(g *Group, prog []specStep) specOutcome {
 	})
 	for r := 0; r < n; r++ {
 		out.Clocks = append(out.Clocks, g.Proc(r).Now())
-		out.Phases = append(out.Phases, g.Proc(r).PhaseTimes())
+		out.Phases = append(out.Phases, g.Proc(r).phaseTime)
 	}
 	out.Traces = g.Traces()
 	return out

@@ -43,12 +43,6 @@ func (t Time) String() string {
 	}
 }
 
-// Seconds converts t to floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Micros converts t to floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Max returns the later of two times.
 func Max(a, b Time) Time {
 	if a > b {

@@ -74,18 +74,3 @@ func Reference(m *mesh.Mesh, u []float64, iters int) {
 		}
 	}
 }
-
-// Checksum folds the field into a single deterministic digest: the sum over
-// used vertices in ascending ID order. Parallel runs at the same processor
-// count produce bit-identical checksums across all three models; against
-// this sequential digest they agree within floating-point reassociation
-// tolerance (exactly at P=1).
-func Checksum(m *mesh.Mesh, u []float64) float64 {
-	s := 0.0
-	for v := 0; v < m.NumVertsTotal(); v++ {
-		if m.VertUsed(int32(v)) {
-			s += u[v]
-		}
-	}
-	return s
-}
