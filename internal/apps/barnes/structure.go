@@ -34,17 +34,15 @@ type StepStructure struct {
 	order     []int32 // Morton traversal order over X/Y, computed on demand
 }
 
-// attachWalks gives every step its walk-plan holder. Masses are constant over
-// the run and derivable from the workload, so they are never serialized; the
-// trace itself is built lazily on first force phase (see WalkPlan).
+// attachWalks gives every step its walk-plan holder, to be built on first
+// force phase (see WalkPlan). Masses are constant over the run and derivable
+// from the workload, so they are never serialized.
 func (st *Structure) attachWalks(w Workload) {
 	m := nbody.NewPlummer(w.N, w.Seed).M
+	var prev *WalkPlan
 	for _, ss := range st.Steps {
-		total := 0
-		for _, k := range ss.Inter {
-			total += k
-		}
-		ss.Walk = newWalkPlan(ss.X, ss.Y, m, ss.Tree, w.Theta, total)
+		ss.Walk = &WalkPlan{x: ss.X, y: ss.Y, m: m, tree: ss.Tree, theta: w.Theta, prev: prev}
+		prev = ss.Walk
 	}
 }
 
@@ -59,13 +57,13 @@ func (ss *StepStructure) mortonOrder() []int32 {
 }
 
 // BuildStructure runs the reference simulation once, capturing the per-step
-// structural record.
+// structural record. Each step's force evaluation is its walk plan's build:
+// one traversal per step yields the accelerations that advance the bodies, the
+// interaction counts and the stream the force phases replay.
 func BuildStructure(w Workload) *Structure {
 	b := nbody.NewPlummer(w.N, w.Seed)
-	ax := make([]float64, w.N)
-	ay := make([]float64, w.N)
-	inter := make([]int, w.N)
 	st := &Structure{N: w.N}
+	var prev *WalkPlan
 	for s := 0; s < w.Steps; s++ {
 		ss := &StepStructure{
 			X:     append([]float64(nil), b.X...),
@@ -73,11 +71,12 @@ func BuildStructure(w Workload) *Structure {
 			Tree:  nbody.Build(b),
 			Inter: make([]int, w.N),
 		}
-		nbody.Step(b, ss.Tree, w.Theta, ax, ay, inter)
-		copy(ss.Inter, inter)
+		wp := &WalkPlan{x: ss.X, y: ss.Y, m: b.M, tree: ss.Tree, theta: w.Theta, prev: prev}
+		wp.once.Do(func() { wp.build(ss.Inter) })
+		b.Leapfrog(wp.AX, wp.AY)
+		ss.Walk, prev = wp, wp
 		st.Steps = append(st.Steps, ss)
 	}
-	st.attachWalks(w)
 	return st
 }
 

@@ -16,6 +16,11 @@ func TestStructureRoundTripDeepEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The build walked every step; the decoded record walks on demand, and
+	// must arrive at the same accelerations and the same stream.
+	for _, ss := range st2.Steps {
+		ss.Walk.Ensure()
+	}
 	// Compare before deriving plans: the Morton-order memo is computed on
 	// demand and is not part of the serialized form.
 	if !reflect.DeepEqual(st, st2) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"o2k/internal/machine"
 	"o2k/internal/nbody"
 	"o2k/internal/numa"
 	"o2k/internal/sim"
@@ -72,11 +73,13 @@ func walkAccel(t *nbody.Tree, self int32, bx, by, theta float64,
 // hands the cursors to fn inside a simulated proc body. Each call allocates
 // an identical layout, so two fixtures observe identical simulated addresses
 // and their charge sequences are directly comparable.
-func walkFixture(t *testing.T, ss *StepStructure, m []float64,
+func walkFixture(t *testing.T, lineBytes int, ss *StepStructure, m []float64,
 	fn func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64])) (sim.Time, uint64) {
 
 	t.Helper()
-	mch := mach(1)
+	cfg := machine.Default(1)
+	cfg.LineBytes = lineBytes
+	mch := machine.MustNew(cfg)
 	sp := numa.NewSpace(mch)
 	g := sim.NewGroup(1)
 	n := len(ss.X)
@@ -105,90 +108,60 @@ func walkFixture(t *testing.T, ss *StepStructure, m []float64,
 	return total, hits
 }
 
-// TestWalkPlanMatchesCursorWalker pins the precomputed trace to the live
+// TestWalkPlanMatchesCursorWalker pins the precomputed walk to the live
 // traversal three ways: the recorded accelerations and interaction counts
 // must equal the cursor walker's bit-for-bit, and the replayed charge
 // sequence must cost exactly what the walker's loads cost — same virtual
-// time, same hit counts — on identically laid-out spaces.
+// time, same hit counts — on identically laid-out spaces. On 128-byte lines
+// the replay runs the compiled stream; on 64-byte lines, for which no stream
+// is compiled, it walks each body again and replays the entries.
 func TestWalkPlanMatchesCursorWalker(t *testing.T) {
 	w := Small()
 	st := BuildStructure(w)
 	m := nbody.NewPlummer(w.N, w.Seed).M
-	for _, ss := range st.Steps {
-		wp := ss.Walk.Ensure()
-		if got := int(wp.Off[w.N]); got != len(wp.Trace) {
-			t.Fatalf("step %d: Off[N]=%d, len(Trace)=%d", ss.Tree.NumCells(), got, len(wp.Trace))
-		}
-
-		// Walker: full traversal with physics, through cursors.
-		axW := make([]float64, w.N)
-		ayW := make([]float64, w.N)
-		tW, hW := walkFixture(t, ss, m, func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64]) {
-			for i := 0; i < w.N; i++ {
-				bx, by := cx.Load(i), cy.Load(i)
-				var inter int
-				axW[i], ayW[i], inter = walkAccel(ss.Tree, int32(i), bx, by, w.Theta, cx, cy, cm, ccl)
-				if inter != ss.Inter[i] {
-					t.Fatalf("body %d: walker inter %d, structure %d", i, inter, ss.Inter[i])
-				}
+	for _, lineBytes := range []int{128, 64} {
+		for _, ss := range st.Steps {
+			wp := ss.Walk.Ensure()
+			if wp.lineBytes != 128 || int(wp.off[w.N]) != len(wp.syms) || len(wp.syms) == 0 {
+				t.Fatalf("stream for %d-byte lines: off[N]=%d, len(syms)=%d", wp.lineBytes, wp.off[w.N], len(wp.syms))
 			}
-		})
 
-		for i := 0; i < w.N; i++ {
-			if wp.AX[i] != axW[i] || wp.AY[i] != ayW[i] {
-				t.Fatalf("body %d: plan accel (%v,%v) != walker (%v,%v)",
-					i, wp.AX[i], wp.AY[i], axW[i], ayW[i])
-			}
-		}
-
-		// Replay: batched charge-only path over the recorded trace.
-		tR, hR := walkFixture(t, ss, m, func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64]) {
-			for i := 0; i < w.N; i++ {
-				if !cx.TryTouch(i) {
-					cx.TouchMiss(i)
-				}
-				if !cy.TryTouch(i) {
-					cy.TouchMiss(i)
-				}
-				replayWalk(wp, i, cx, cy, cm, ccl)
-			}
-		})
-		if tR != tW || hR != hW {
-			t.Fatalf("replay charges differ: time %v vs %v, hits %d vs %d", tR, tW, hR, hW)
-		}
-
-		// Per-access fallback chain: must match the batched hoisted loop.
-		tF, hF := walkFixture(t, ss, m, func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64]) {
-			for i := 0; i < w.N; i++ {
-				if !cx.TryTouch(i) {
-					cx.TouchMiss(i)
-				}
-				if !cy.TryTouch(i) {
-					cy.TouchMiss(i)
-				}
-				for _, e := range wp.Trace[wp.Off[i]:wp.Off[i+1]] {
-					if e >= 0 {
-						j := int(e)
-						_ = cx.Load(j)
-						if !cy.TryTouch(j) {
-							cy.TouchMiss(j)
-						}
-						if !cm.TryTouch(j) {
-							cm.TouchMiss(j)
-						}
-					} else {
-						c3 := int(^e) * 3
-						for k := 0; k < 3; k++ {
-							if !ccl.TryTouch(c3 + k) {
-								ccl.TouchMiss(c3 + k)
-							}
-						}
+			// Walker: full traversal with physics, through cursors.
+			axW := make([]float64, w.N)
+			ayW := make([]float64, w.N)
+			tW, hW := walkFixture(t, lineBytes, ss, m, func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64]) {
+				for i := 0; i < w.N; i++ {
+					bx, by := cx.Load(i), cy.Load(i)
+					var inter int
+					axW[i], ayW[i], inter = walkAccel(ss.Tree, int32(i), bx, by, w.Theta, cx, cy, cm, ccl)
+					if inter != ss.Inter[i] {
+						t.Fatalf("body %d: walker inter %d, structure %d", i, inter, ss.Inter[i])
 					}
 				}
+			})
+
+			for i := 0; i < w.N; i++ {
+				if wp.AX[i] != axW[i] || wp.AY[i] != ayW[i] {
+					t.Fatalf("body %d: plan accel (%v,%v) != walker (%v,%v)",
+						i, wp.AX[i], wp.AY[i], axW[i], ayW[i])
+				}
 			}
-		})
-		if tF != tR || hF != hR {
-			t.Fatalf("fallback chain differs: time %v vs %v, hits %d vs %d", tF, tR, hF, hR)
+
+			// Replay: charge-only path over the recorded walk.
+			tR, hR := walkFixture(t, lineBytes, ss, m, func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64]) {
+				for i := 0; i < w.N; i++ {
+					if !cx.TryTouch(i) {
+						cx.TouchMiss(i)
+					}
+					if !cy.TryTouch(i) {
+						cy.TouchMiss(i)
+					}
+					replayWalk(wp, i, cx, cy, cm, ccl)
+				}
+			})
+			if tR != tW || hR != hW {
+				t.Fatalf("%d-byte lines: replay charges differ: time %v vs %v, hits %d vs %d", lineBytes, tR, tW, hR, hW)
+			}
 		}
 	}
 }

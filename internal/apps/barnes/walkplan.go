@@ -1,10 +1,11 @@
 package barnes
 
 import (
-	"math"
 	"sync"
 
+	"o2k/internal/machine"
 	"o2k/internal/nbody"
+	"o2k/internal/numa"
 )
 
 // WalkPlan is the per-step force-walk oracle: the reference traversal's exact
@@ -14,101 +15,87 @@ import (
 // the physics are computed once per structure step and every model (at every
 // processor count) replays just the charges. See replayWalk.
 //
-// The trace is flat: Trace[Off[i]:Off[i+1]] lists body i's visits in stack
-// order. An entry e >= 0 is a leaf-body interaction (loads of x[e], y[e],
-// m[e]); an entry e < 0 is an internal-cell visit (loads of cells[3c..3c+2]
-// for c = ^e), covering both opened and accepted cells — the walk reads a
-// cell's centre of mass before deciding, so both charge.
+// The visits are held as a line-symbol stream: syms[off[i]:off[i+1]] names,
+// for body i's visits in stack order, the cache lines their loads touch — a
+// leaf-body interaction loads x, y, m of the body; an internal-cell visit,
+// opened or accepted alike (the walk reads a cell's centre of mass before
+// deciding), loads the cell's three words. Symbols, and the entries they are
+// compiled from, are defined in one place, numa's replay.go. They are compiled
+// for lines of lineBytes, the line size of every machine preset; anywhere
+// else a replay walks the tree again for its entries (replayWalk).
 //
-// Built lazily on first use (the holder is shared across the plan sets every
-// processor count derives from one structure) and never serialized: a warm
-// structure rebuilds it from the captured positions and tree.
+// Built by the structure build, which takes the step's accelerations and
+// interaction counts from it, or — a structure decoded from the disk tier
+// never serializes it — on the first force phase (the holder is shared across
+// the plan sets every processor count derives from one structure).
 type WalkPlan struct {
 	x, y, m []float64
 	tree    *nbody.Tree
 	theta   float64
-	inter   int // the step's recorded interaction total: sizes the trace
+	prev    *WalkPlan // the step before: its stream length sizes this one's
 	once    sync.Once
 
-	AX, AY []float64 // per body, the step's reference accelerations
-	Trace  []int32   // flattened visit sequences (see above)
-	Off    []int32   // per body, Trace offsets; len = N+1
+	AX, AY    []float64 // per body, the step's reference accelerations
+	syms      []uint16  // flattened visit sequences as line symbols (see above)
+	off       []int32   // per body, syms offsets; len = N+1
+	lineBytes int       // the line size syms is compiled for; 0 = no symbols
 }
 
-// newWalkPlan captures the inputs; the trace itself is built on first Ensure.
-// inter is the step's recorded interaction total.
-func newWalkPlan(x, y, m []float64, t *nbody.Tree, theta float64, inter int) *WalkPlan {
-	return &WalkPlan{x: x, y: y, m: m, tree: t, theta: theta, inter: inter}
-}
-
-// Ensure builds the trace once and returns the receiver. Safe to call from
+// Ensure builds the walk once and returns the receiver. Safe to call from
 // concurrent simulated processors; the build is pure host work and charges
 // nothing.
 func (wp *WalkPlan) Ensure() *WalkPlan {
-	wp.once.Do(wp.build)
+	wp.once.Do(func() { wp.build(nil) })
 	return wp
 }
 
-// build replays nbody.Accel's traversal for every body, recording the visit
-// sequence and accumulating the accelerations with the identical arithmetic
-// and association (walk_test.go checks both against the cursor walker
-// value-for-value).
-func (wp *WalkPlan) build() {
+// walk is nbody.Accel for body i with every load recorded: it appends the
+// visits to entries (numa.ReplayLoads' encoding) and returns the acceleration
+// and the interaction count.
+func (wp *WalkPlan) walk(i int, entries []int32) ([]int32, float64, float64, int) {
 	t := wp.tree
+	ax, ay, inter := t.Accel(int32(i), wp.x[i], wp.y[i], wp.theta,
+		func(j int32) (float64, float64, float64) {
+			entries = append(entries, j)
+			return wp.x[j], wp.y[j], wp.m[j]
+		},
+		func(c int32) (float64, float64, float64) {
+			entries = append(entries, ^c)
+			cell := &t.Cells[c]
+			return cell.CX, cell.CY, cell.CM
+		})
+	return entries, ax, ay, inter
+}
+
+// build walks the tree for every body, keeping the accelerations, the visits
+// as line symbols and, when inter is not nil, the interaction counts.
+func (wp *WalkPlan) build(inter []int) {
 	n := len(wp.x)
 	wp.AX = make([]float64, n)
 	wp.AY = make([]float64, n)
-	wp.Off = make([]int32, n+1)
-	// One entry per interaction plus one per opened cell; a quarter on top
-	// covers the opened cells at the paper's theta, and append still grows.
-	trace := make([]int32, 0, wp.inter+wp.inter/4)
-	stack := make([]int32, 0, 64)
-	tt := wp.theta * wp.theta
-	for i := 0; i < n; i++ {
-		bx, by := wp.x[i], wp.y[i]
-		self := int32(i)
-		var ax, ay float64
-		stack = append(stack[:0], t.Root)
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			cell := &t.Cells[c]
-			if cell.NBody == 0 {
-				continue
-			}
-			if cell.Bodies != nil {
-				for _, j := range cell.Bodies {
-					if j == self {
-						continue
-					}
-					trace = append(trace, j)
-					dx, dy := wp.x[j]-bx, wp.y[j]-by
-					d2 := dx*dx + dy*dy + nbody.Soft2
-					inv := 1 / (d2 * math.Sqrt(d2))
-					ax += nbody.G * wp.m[j] * dx * inv
-					ay += nbody.G * wp.m[j] * dy * inv
-				}
-				continue
-			}
-			trace = append(trace, ^c)
-			dx, dy := cell.CX-bx, cell.CY-by
-			d2 := dx*dx + dy*dy
-			if cell.Size*cell.Size < tt*d2 {
-				d2 += nbody.Soft2
-				inv := 1 / (d2 * math.Sqrt(d2))
-				ax += nbody.G * cell.CM * dx * inv
-				ay += nbody.G * cell.CM * dy * inv
-				continue
-			}
-			// Push children in reverse quadrant order so they pop in order.
-			for q := 3; q >= 0; q-- {
-				if ch := cell.Child[q]; ch >= 0 {
-					stack = append(stack, ch)
-				}
+	wp.off = make([]int32, n+1)
+	var syms []uint16
+	if wp.prev != nil {
+		// A step's bodies have barely moved since the last one: the five
+		// Default streams are within 3 % of each other in length.
+		hint := len(wp.prev.Ensure().syms)
+		syms = make([]uint16, 0, hint+hint/32)
+	}
+	lineBytes := machine.Default(1).LineBytes
+	var entries []int32
+	for i := range n {
+		var k int
+		entries, wp.AX[i], wp.AY[i], k = wp.walk(i, entries[:0])
+		if inter != nil {
+			inter[i] = k
+		}
+		if lineBytes != 0 {
+			var ok bool
+			if syms, ok = numa.CompileLoads[float64](syms, lineBytes, entries); !ok {
+				syms, lineBytes = nil, 0
 			}
 		}
-		wp.AX[i], wp.AY[i] = ax, ay
-		wp.Off[i+1] = int32(len(trace))
+		wp.off[i+1] = int32(len(syms))
 	}
-	wp.Trace = trace
+	wp.syms, wp.lineBytes = syms, lineBytes
 }

@@ -57,11 +57,16 @@ func CostZonesOrdered(order []int32, cost []float64, nparts int) []int32 {
 // given tree, writing accelerations into ax/ay and returning per-body
 // interaction counts. Bodies update in index order.
 func Step(b *Bodies, t *Tree, theta float64, ax, ay []float64, inter []int) {
-	n := b.N()
-	for i := 0; i < n; i++ {
+	for i := range b.X {
 		ax[i], ay[i], inter[i] = t.DirectAccel(b, int32(i), theta)
 	}
-	for i := 0; i < n; i++ {
+	b.Leapfrog(ax, ay)
+}
+
+// Leapfrog advances every body by one step under the accelerations ax/ay, in
+// index order.
+func (b *Bodies) Leapfrog(ax, ay []float64) {
+	for i := range b.X {
 		b.VX[i] += ax[i] * DT
 		b.VY[i] += ay[i] * DT
 		b.X[i] += b.VX[i] * DT

@@ -3,7 +3,6 @@ package numa
 import (
 	"fmt"
 	mbits "math/bits"
-	"unsafe"
 
 	"o2k/internal/sim"
 )
@@ -95,11 +94,7 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 	if sp.closed() {
 		panic("numa: use of closed Space")
 	}
-	var z T
-	es := uint64(unsafe.Sizeof(z))
-	if es == 0 {
-		es = 1
-	}
+	es := elemBytes[T]()
 	bytes := es * uint64(n)
 	base := sp.reserve(int(bytes))
 	pb := uint64(sp.M.Cfg.PageBytes)

@@ -31,20 +31,26 @@ type Num interface {
 // record, with the latency returned for the caller to accumulate into a single
 // Advance (chargeSlow charges it at once).
 func (a *Array[T]) chargeSlowAcc(p *sim.Proc, c *cache, gl uint64, li uint32, write bool) sim.Time {
-	me := p.ID()
 	lat := a.cacheHitNS
 	if c.mruHit(gl) || c.accessSlow(gl) {
 		p.CacheHits++
 	} else {
-		var local bool
-		if lat, local = a.miss(me, li); local {
-			p.LocalMisses++
-		} else {
-			p.RemoteMisses++
-		}
+		lat = a.missAcc(p, li)
 	}
 	if write && a.shared {
-		a.recordWrite(me, li)
+		a.recordWrite(p.ID(), li)
+	}
+	return lat
+}
+
+// missAcc records and counts the miss of array-local line li that accessSlow
+// has just installed in p's cache, and returns its latency.
+func (a *Array[T]) missAcc(p *sim.Proc, li uint32) sim.Time {
+	lat, local := a.miss(p.ID(), li)
+	if local {
+		p.LocalMisses++
+	} else {
+		p.RemoteMisses++
 	}
 	return lat
 }

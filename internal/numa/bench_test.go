@@ -77,29 +77,43 @@ func BenchmarkTouchRange(b *testing.B) {
 
 // BenchmarkReplayLoads charges a walk-shaped trace (a cell read followed by
 // a burst of leaf loads, repeated) through the four-cursor batched replay —
-// the barnes force phase's hot loop — in its two regimes. hit: the 4 MB
-// cache, every line alone in its set, every load an MRU hit (the P = 1 cells).
-// conflict: a two-set cache in which the x, y and m lines of a leaf share a
-// set (arrays are page-aligned), so nearly every load finds its line in a
-// non-MRU way and reorders the set — the far end of what the replicated
-// arrays of the MP/SHMEM P = 64 cells do on about half their loads.
+// the barnes force phase's hot loop — in its four regimes. hit: the 4 MB
+// cache, every line alone in its set, every symbol pinned after its first
+// visit (the P = 1 cells). conflict: a two-set cache in which the x, y and m
+// lines of a leaf share a set (arrays are page-aligned), so nearly every load
+// finds its line in a non-MRU way and reorders the set. symmetric: the 4 MB
+// cache again, with y and m placed where every line of theirs falls in the set
+// of the same line of x — cells pin, every leaf entry is three hits in a
+// non-MRU way: what the symmetric blocks of the SHMEM cells do from P = 16 up,
+// half the replay time of the suite. pinned-after-miss: as hit, with every
+// line of the quartet invalidated before each pass, so each symbol is missed
+// once, pinned by that probe and counted from then on (the CC-SAS cells).
 func BenchmarkReplayLoads(b *testing.B) {
-	b.Run("hit", func(b *testing.B) {
-		benchReplayLoads(b, machine.Default(1), 512, func(c, j int) int { return (c*11 + j*3) % 4096 })
-	})
+	walk := func(c, j int) int { return (c*11 + j*3) % 4096 }
+	for _, regime := range []string{"hit", "symmetric", "pinned-after-miss"} {
+		b.Run(regime, func(b *testing.B) { benchReplayLoads(b, regime, machine.Default(1), 512, walk) })
+	}
 	b.Run("conflict", func(b *testing.B) {
 		cfg := machine.Default(1)
 		cfg.CacheBytes = 2 * cacheWays * cfg.LineBytes
 		// Two body lines and one cell line: seven lines, all resident.
-		benchReplayLoads(b, cfg, 5, func(c, j int) int { return (c + j*5) % 32 })
+		benchReplayLoads(b, "conflict", cfg, 5, func(c, j int) int { return (c + j*5) % 32 })
 	})
 }
 
-func benchReplayLoads(b *testing.B, cfg machine.Config, cells int, leaf func(c, j int) int) {
+func benchReplayLoads(b *testing.B, regime string, cfg machine.Config, cells int, leaf func(c, j int) int) {
+	unaudited(b)
+	symmetric, cold := regime == "symmetric", regime == "pinned-after-miss"
 	sp := NewSpace(machine.MustNew(cfg))
 	g := sim.NewGroup(1)
 	x := NewPrivate[float64](sp, 0, 4096)
+	if symmetric {
+		sameSetsAs(sp, x)
+	}
 	y := NewPrivate[float64](sp, 0, 4096)
+	if symmetric {
+		sameSetsAs(sp, x)
+	}
 	m := NewPrivate[float64](sp, 0, 4096)
 	cl := NewPrivate[float64](sp, 0, 3*512)
 	var tr []int32
@@ -113,9 +127,21 @@ func benchReplayLoads(b *testing.B, cfg machine.Config, cells int, leaf func(c, 
 	cx, cy, cm, cc := x.Cursor(p), y.Cursor(p), m.Cursor(p), cl.Cursor(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold {
+			b.StopTimer()
+			for _, a := range []*Array[float64]{x, y, m, cl} {
+				sp.InvalidateSpan(0, a.baseLine, a.baseLine+uint64(a.lines()))
+			}
+			b.StartTimer()
+		}
 		ReplayLoads(tr, &cx, &cy, &cm, &cc)
 	}
 	b.StopTimer()
+	// Every tag movement is a miss, an invalidation or a hit in a non-MRU way.
+	c := sp.caches[0]
+	if way := c.gen - p.LocalMisses - p.RemoteMisses - c.cohEvicts; (symmetric || regime == "conflict") != (way*2 > uint64(b.N*3*len(tr))) {
+		b.Errorf("%d of %d loads hit a non-MRU way", way, b.N*3*len(tr))
+	}
 	cx.Flush()
 	cy.Flush()
 	cm.Flush()

@@ -54,6 +54,10 @@ type cache struct {
 	// reorder a real probe would do, because an MRU hit performs none). Arm is
 	// the one memo built on it.
 	gen uint64
+
+	// pin is the replay's pin table (replay.go), nil until a replay binds one.
+	// Both writers of tags below unpin the set they write.
+	pin *pinTable
 }
 
 // newCache returns the geometry of a cache of cacheBytes in lines of
@@ -95,7 +99,7 @@ func setBase(setBits uint, setMask, line uint64) uint64 {
 
 // mruAt reports whether line occupies the MRU way of its set — the whole probe
 // of the hot paths: one bounds check and one load. It takes the cache's tags
-// and geometry apart so that a loop hot enough for it to show (ReplayLoads, a
+// and geometry apart so that a loop hot enough for it to show (ReplayLines, a
 // Cursor) can hold the two scalars where it runs instead of reloading them
 // through c on every probe. Must stay inlinable.
 func mruAt(tags []uint32, setBits uint, setMask, line uint64) bool {
@@ -117,7 +121,10 @@ func (c *cache) access(line uint64) bool {
 // generic copy() in a loop paid a runtime call per probe.
 func (c *cache) accessSlow(line uint64) bool {
 	c.gen++ // every path below reorders or installs tags
-	set := c.set(line)
+	set, base := c.set(line)
+	if c.pin != nil {
+		c.pin.unpin(base)
+	}
 	t := uint32(line) + 1
 	hit := true
 	switch t {
@@ -137,15 +144,15 @@ func (c *cache) accessSlow(line uint64) bool {
 	return hit
 }
 
-// set returns the cacheWays-long tag slice of line's set.
-func (c *cache) set(line uint64) []uint32 {
+// set returns the cacheWays-long tag slice of line's set and its offset in tags.
+func (c *cache) set(line uint64) ([]uint32, uint64) {
 	base := setBase(c.setBits, c.setMask, line)
-	return c.tags[base : base+cacheWays : base+cacheWays]
+	return c.tags[base : base+cacheWays : base+cacheWays], base
 }
 
 // present reports whether line is cached, without touching LRU state.
 func (c *cache) present(line uint64) bool {
-	set := c.set(line)
+	set, _ := c.set(line)
 	t := uint32(line) + 1
 	for w := 0; w < cacheWays; w++ {
 		if set[w] == t {
@@ -158,10 +165,13 @@ func (c *cache) present(line uint64) bool {
 // invalidate drops line if present, counting a coherence eviction; it
 // reports whether the line was actually evicted.
 func (c *cache) invalidate(line uint64) bool {
-	set := c.set(line)
+	set, base := c.set(line)
 	t := uint32(line) + 1
 	for w := 0; w < cacheWays; w++ {
 		if set[w] == t {
+			if c.pin != nil {
+				c.pin.unpin(base)
+			}
 			// Compact the remaining ways forward.
 			copy(set[w:cacheWays-1], set[w+1:cacheWays])
 			set[cacheWays-1] = 0

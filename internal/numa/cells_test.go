@@ -48,11 +48,34 @@ func smallCells(t *testing.T, visit func(t *testing.T, cell string, model core.M
 // directory — as on the reference model of ref.go, which knows none of them.
 // ref_test.go checks the same equality on seeded traces; this is the check
 // that the applications use the fast paths within what the traces cover.
+//
+// The Small n-body cells have 40 leaf lines each, and every one is alone in
+// its cache set. One Default-size cell is the regime they never reach: in
+// n-body SHMEM P=16 a quarter of the replayed entries are pinned and a third
+// hit a non-MRU way (3.4 M of 10.8 M).
 func TestWholeCellsMatchReference(t *testing.T) {
+	const large = "nbody/SHMEM/P=16 at Default size"
+	cells := func(t *testing.T, visit func(t *testing.T, cell string, m core.Metrics)) {
+		smallCells(t, func(t *testing.T, cell string, _ core.Model, _ int, m core.Metrics) { visit(t, cell, m) })
+		t.Run(large, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("a full-size cell on the reference model; skipped with -short")
+			}
+			app, err := experiments.LookupApp("nbody")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := app.Cell(context.Background(), runner.New(1), core.SHMEM, 16, experiments.DefaultOpts())
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			visit(t, large, res.M)
+		})
+	}
 	fast := map[string]core.Metrics{}
-	smallCells(t, func(_ *testing.T, cell string, _ core.Model, _ int, m core.Metrics) { fast[cell] = m })
+	cells(t, func(_ *testing.T, cell string, m core.Metrics) { fast[cell] = m })
 	numa.SetRefModel(t)
-	smallCells(t, func(t *testing.T, cell string, _ core.Model, _ int, ref core.Metrics) {
+	cells(t, func(t *testing.T, cell string, ref core.Metrics) {
 		if got := fast[cell]; !reflect.DeepEqual(got, ref) {
 			t.Errorf("the fast path and the reference model disagree:\nfast %+v\n ref %+v", got, ref)
 		}

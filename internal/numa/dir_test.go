@@ -27,8 +27,58 @@ func TestMain(m *testing.M) {
 		}
 		directoryAudits.Add(1)
 	}
+	afterReplay = func(c *cache) {
+		if err := checkPins(c); err != nil {
+			panic(err)
+		}
+		pinAudits.Add(1)
+	}
 	os.Exit(m.Run())
 }
+
+// checkPins is the structural audit of a cache's pin table, run after every
+// replay of every test of this package: a pinned symbol has each of its lines
+// in the MRU way of its set now, and each of those sets names that line's
+// symbol as what a write to it unpins.
+func checkPins(c *cache) error {
+	pt := c.pin
+	if pt == nil {
+		return nil
+	}
+	for s, state := range pt.st {
+		if !state {
+			continue
+		}
+		// Each line of the symbol, and the leaf or one-line cell symbol its set
+		// must be marked with.
+		lo, cell := uint64(s>>2), s&^3|symCell
+		var lines []uint64
+		var owners []int
+		switch s & 3 {
+		case symLeaf:
+			lines, owners = []uint64{pt.base[0] + lo, pt.base[1] + lo, pt.base[2] + lo}, []int{s, s, s}
+		case symCell:
+			lines, owners = []uint64{pt.base[3] + lo}, []int{cell}
+		case symStraddle:
+			lines, owners = []uint64{pt.base[3] + lo, pt.base[3] + lo + 1}, []int{cell, cell + 4}
+		default:
+			return fmt.Errorf("symbol %#x of no kind is pinned", s)
+		}
+		for i, line := range lines {
+			set := (line ^ line>>c.setBits ^ line>>(2*c.setBits)) & c.setMask
+			if c.tags[set*cacheWays] != uint32(line)+1 {
+				return fmt.Errorf("symbol %#x pinned, line %d not in the MRU way of set %d: %v", s, line, set, c.tags[set*cacheWays:(set+1)*cacheWays])
+			}
+			if got := int(pt.setSym[set]) - 1; got != owners[i] {
+				return fmt.Errorf("symbol %#x pinned, set %d of its line %d is marked %#x", s, set, line, got)
+			}
+		}
+	}
+	return nil
+}
+
+// pinAudits counts the replays TestMain's hook has audited.
+var pinAudits atomic.Int64
 
 // checkTags is the structural audit of the tag store: every cache has
 // cacheWays tags per set; in every set the valid tags are a prefix of the ways
@@ -62,11 +112,11 @@ func checkTags(sp *Space) error {
 	return nil
 }
 
-// unaudited takes the audit off the merges a benchmark times.
+// unaudited takes the audits off the merges and replays a benchmark times.
 func unaudited(b *testing.B) {
-	audit := afterMerge
-	afterMerge = nil
-	b.Cleanup(func() { afterMerge = audit })
+	merge, replay := afterMerge, afterReplay
+	afterMerge, afterReplay = nil, nil
+	b.Cleanup(func() { afterMerge, afterReplay = merge, replay })
 }
 
 // directoryAudits counts the merges TestMain's hook has audited.

@@ -28,6 +28,7 @@ func placeInterleave[T any](a *Array[T]) {
 // cache that holds nothing — the stale record LRU replacement also leaves.
 func flush(c *cache) {
 	c.gen++
+	c.pin = nil // a third writer of tags: the pins go with them
 	clear(c.tags)
 	c.cohEvicts = 0
 }

@@ -139,7 +139,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 		if rng.Intn(16) == 0 {
 			p.SetPhase(phases[rng.Intn(len(phases))])
 		}
-		switch rng.Intn(11) {
+		switch rng.Intn(12) {
 		case 0:
 			sum += shA.Load(p, rng.Intn(shA.Len()))
 		case 1:
@@ -201,6 +201,16 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 				sum += ca.LoadArm(&row, base+32+j)
 				sum += ca.LoadArm(&row, base+32+j+1)
 			}
+			// A stale arm: where the cache is small enough for another line of
+			// the array to share its set, the arm's line leaves the MRU way
+			// behind the arm's back and is walked again.
+			c := sp.caches[p.ID()]
+			for e := 0; e < shA.Len(); e += 16 {
+				if l, other := ca.line(base), ca.line(e); l != other && setBase(c.setBits, c.setMask, l) == setBase(c.setBits, c.setMask, other) {
+					sum += ca.LoadArm(&up, base) + ca.Load(e) + ca.LoadArm(&up, base)
+					break
+				}
+			}
 			ca.Flush()
 		case 9:
 			// Batched trace replay over the quartet, with an occasional store
@@ -230,6 +240,34 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			} else {
 				shS.StoreRange(p, i, make([]float64, min(1+rng.Intn(40), shS.Len()-i)))
 			}
+		case 11:
+			// The batch helpers interleave, per element, reads and writes of
+			// several arrays: an order that no total shows, only which line a
+			// full set of a small cache gives up.
+			idx := make([]int32, 1+rng.Intn(24))
+			for k := range idx {
+				idx[k] = int32(rng.Intn(512))
+			}
+			vals := make([]float64, 3*len(idx))
+			for k := range vals {
+				vals[k] = float64(step + k)
+			}
+			own, fields := priv[p.ID()], []*Array[float64]{shX, shY, shM}
+			switch rng.Intn(5) {
+			case 0:
+				AddIdx(p, shX, idx, vals[:len(idx)])
+			case 1:
+				AddGather(p, shA, idx, own, rng.Intn(own.Len()-len(idx)))
+			case 2:
+				GatherFields(p, fields, idx, vals)
+				for _, v := range vals {
+					sum += v
+				}
+			case 3:
+				ScatterFields(p, fields, idx, vals)
+			case 4:
+				CopyFields(p, []*Array[float64]{shA, own}, []*Array[float64]{shX, shY}, idx)
+			}
 		}
 		// Periodic synchronization point; two of them also end a cycle (the
 		// buffer is released with records on its lists and a successor takes
@@ -258,8 +296,9 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 
 // TestFastPathMatchesReference is the differential test for the optimized
 // cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
-// cursor chains (Load, TryTouch/TouchMiss, LoadArm),
-// the batched trace replay (ReplayLoads), and the directory-driven
+// cursor chains (Load, TryTouch/TouchMiss, LoadArm), the batch helpers
+// (AddIdx, AddGather, GatherFields, ScatterFields, CopyFields), the batched
+// trace replay (ReplayLoads), and the directory-driven
 // coherence merge must be observationally identical to the straightforward
 // reference implementations in ref.go — same virtual clocks, same per-phase
 // attribution, same counters, same coherence evictions, same merge penalties
@@ -334,18 +373,39 @@ type replayCase struct {
 	wantReorder bool // the non-MRU-hit path must take a large share of loads
 }
 
-// replayRegime counts, on the optimized path, how the replayed loads split:
-// slow-path hits (a non-MRU way, reordered) are charged straight to the
-// processor, MRU hits sit in the cursors until Flush.
+// replayRegime counts, on the optimized path, how the replayed loads split.
+// Every tag movement of a replay is a miss or a hit in a non-MRU way that
+// reorders its set; everything else is an MRU hit, probed or pinned.
 type replayRegime struct {
 	loads, reorder, straddle uint64
 }
 
+// sameSetsAs skips address space until an array as long as like, allocated in
+// sp next, falls line for line in the cache sets of like.
+func sameSetsAs[T any](sp *Space, like *Array[T]) {
+	c := sp.caches[0]
+	aligned := func() bool {
+		next := sp.nextBase.Load() >> like.lineShift
+		for lo := range uint64(like.lines()) {
+			if setBase(c.setBits, c.setMask, next+lo) != setBase(c.setBits, c.setMask, like.baseLine+lo) {
+				return false
+			}
+		}
+		return true
+	}
+	for !aligned() {
+		sp.reserve(1)
+	}
+}
+
 // runReplayCase drives walk-shaped traces through ReplayLoads on a quartet of
-// arrays of element type T, with per-access Load/Store/TryTouch traffic on
-// the same arrays before the replay and — through the same, unflushed
-// cursors — after it, so memos the replay left stale are consulted, and
-// periodic coherence merges.
+// arrays of element type T. One set of cursors replays several traces, and
+// between the replays comes everything that must take a pin off: per-access
+// Load/Store on the quartet's arrays, the same (and TryTouch, LoadArm with
+// arms that outlive the replays) through the unflushed cursors, stores through
+// them to shared arrays, loads and stores on a fifth array whose lines fall in
+// the sets of x's, and coherence merges that invalidate what other processors
+// wrote. TestMain audits the pins after every replay.
 func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, val func(int) T) (traceResult, replayRegime) {
 	t.Helper()
 	refModel = useRef
@@ -370,7 +430,9 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 		return a
 	}
 	x, y, m, cl := alloc(bodies, false), alloc(bodies, true), alloc(bodies, false), alloc(3*ncells, true)
-	quartet := [...]*Array[T]{x, y, m, cl}
+	sameSetsAs(sp, x)
+	fifth := alloc(bodies, true)
+	arrays := [...]*Array[T]{x, y, m, cl, fifth}
 
 	straddles := func(c int) bool { return cl.lineOf(3*c) != cl.lineOf(3*c+2) }
 
@@ -379,35 +441,39 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 	var res traceResult
 	var reg replayRegime
 	centre := rng.Intn(bodies)
-	for step := 0; step < 600; step++ {
+	for step := 0; step < 300; step++ {
 		p := g.Proc(1)
 		if !rc.private {
 			p = g.Proc(rng.Intn(procs))
 		}
-		// Per-access traffic that leaves Array.last memos behind.
+		// Per-access traffic on the five arrays, through the arrays and, when
+		// there are any, through the quartet's cursors and their arms.
+		var arms [4]Arm
 		access := func(cu []*Cursor[T]) {
-			for k := rng.Intn(4); k > 0; k-- {
-				w := rng.Intn(4)
-				a := quartet[w]
+			for k := rng.Intn(5); k > 0; k-- {
+				w := rng.Intn(5)
+				a := arrays[w]
 				i := rng.Intn(a.Len())
-				if w < 3 && rng.Intn(2) == 0 {
+				if w != 3 && rng.Intn(2) == 0 {
 					i = (centre + rng.Intn(32)) % bodies
 				}
-				switch rng.Intn(5) {
+				op := rng.Intn(6)
+				if cu == nil || w == 4 {
+					op %= 2
+				}
+				switch op {
 				case 0:
 					a.Load(p, i)
 				case 1:
 					a.Store(p, i, val(step))
 				case 2:
-					if cu != nil {
-						cu[w].Load(i)
-					}
+					cu[w].Load(i)
 				case 3:
-					if cu != nil {
-						cu[w].Store(i, val(step))
-					}
+					cu[w].Store(i, val(step))
+				case 4:
+					cu[w].LoadArm(&arms[w], i)
 				default:
-					if cu != nil && !cu[w].TryTouch(i) {
+					if !cu[w].TryTouch(i) {
 						cu[w].TouchMiss(i)
 					}
 				}
@@ -415,42 +481,46 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 		}
 		access(nil)
 
-		// A walk-shaped trace: cell reads, each followed by a burst of leaf
-		// loads from a slowly drifting window (so lines repeat and alias).
-		var tr []int32
-		for grp := 1 + rng.Intn(4); grp > 0; grp-- {
-			c := rng.Intn(ncells)
-			if straddles(c) {
-				reg.straddle++
-			}
-			tr = append(tr, int32(^c))
-			for k := rng.Intn(7); k > 0; k-- {
-				tr = append(tr, int32((centre+rng.Intn(window))%bodies))
-			}
-			if rng.Intn(3) == 0 {
-				centre = (centre + rng.Intn(2*window)) % bodies
-			}
-		}
-
 		q := p
 		if rc.mixed {
 			q = g.Proc((p.ID() + 1) % procs)
 		}
 		cx, cy, cm, cc := x.Cursor(p), y.Cursor(q), m.Cursor(p), cl.Cursor(p)
-		hits0 := p.CacheHits
-		ReplayLoads(tr, &cx, &cy, &cm, &cc)
-		reg.loads += 3 * uint64(len(tr))
-		reg.reorder += p.CacheHits - hits0
-		if !rc.mixed {
-			access([]*Cursor[T]{&cx, &cy, &cm, &cc})
+		cursors := []*Cursor[T]{&cx, &cy, &cm, &cc}
+		for rep := 1 + rng.Intn(3); rep > 0; rep-- {
+			// A walk-shaped trace: cell reads, each followed by a burst of leaf
+			// loads from a slowly drifting window (so lines repeat and alias).
+			var tr []int32
+			for grp := 1 + rng.Intn(4); grp > 0; grp-- {
+				c := rng.Intn(ncells)
+				if straddles(c) {
+					reg.straddle++
+				}
+				tr = append(tr, int32(^c))
+				for k := rng.Intn(7); k > 0; k-- {
+					tr = append(tr, int32((centre+rng.Intn(window))%bodies))
+				}
+				if rng.Intn(3) == 0 {
+					centre = (centre + rng.Intn(2*window)) % bodies
+				}
+			}
+			c := sp.caches[p.ID()]
+			moved0 := c.gen - p.LocalMisses - p.RemoteMisses
+			ReplayLoads(tr, &cx, &cy, &cm, &cc)
+			reg.loads += 3 * uint64(len(tr))
+			reg.reorder += c.gen - p.LocalMisses - p.RemoteMisses - moved0
+			if !rc.mixed {
+				access(cursors)
+			}
+			if rng.Intn(12) == 0 {
+				for _, cu := range cursors {
+					cu.Flush()
+				}
+				res.mergeEpoch(sp, g)
+			}
 		}
-		cx.Flush()
-		cy.Flush()
-		cm.Flush()
-		cc.Flush()
-
-		if step%37 == 36 {
-			res.mergeEpoch(sp, g)
+		for _, cu := range cursors {
+			cu.Flush()
 		}
 	}
 
@@ -510,6 +580,69 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 	check(rc, func(seed int64, useRef bool) (traceResult, replayRegime) {
 		return runReplayCase(t, rc, seed, useRef, func(i int) wide { return wide{float64(i)} })
 	})
+}
+
+// A replay that only reorders — every load a hit, two of them in non-MRU ways —
+// moves tags, so it must move the cache generation: the Arm armed before it
+// is stale after it. One set of four ways holding the quartet's four lines.
+func TestReplayReorderStalesArms(t *testing.T) {
+	run := func(useRef bool) traceResult {
+		refModel = useRef
+		defer func() { refModel = false }()
+		cfg := machine.Default(1)
+		cfg.CacheBytes = cacheWays * cfg.LineBytes
+		sp := NewSpace(machine.MustNew(cfg))
+		g := sim.NewGroup(1)
+		p := g.Proc(0)
+		var cu [4]Cursor[float64]
+		for i := range cu {
+			cu[i] = NewPrivate[float64](sp, 0, 16).Cursor(p)
+		}
+		replay := func(tr ...int32) { ReplayLoads(tr, &cu[0], &cu[1], &cu[2], &cu[3]) }
+		var arm Arm
+		replay(0, ^0)          // four misses; LRU order cells, m, y, x
+		cu[0].LoadArm(&arm, 0) // x, cells, m, y — and the arm says so
+		replay(0)              // x in the MRU way; y, then m, come up from the last: m, y, x, cells
+		cu[0].LoadArm(&arm, 1) // the same line of x, now in way 2: x, m, y, cells
+		for i := range cu {
+			cu[i].Flush()
+		}
+		var res traceResult
+		res.snapshot(sp, g)
+		return res
+	}
+	if d := run(false).diff(run(true)); d != "" {
+		t.Fatalf("an arm survived a replay that reordered its set: fast path and reference differ in %s", d)
+	}
+}
+
+// With the cells array also a leaf array a line has two symbols, which the pin
+// table cannot hold: the replay must fall back to charging entry by entry.
+// Leaf 0 and cell 0 share line 0 of the one array; a load on a second array
+// placed in its sets takes the line off the MRU way between two replays.
+func TestReplayWithCellsAlsoALeafArray(t *testing.T) {
+	run := func(useRef bool) traceResult {
+		refModel = useRef
+		defer func() { refModel = false }()
+		sp, _ := space(1)
+		g := sim.NewGroup(1)
+		p := g.Proc(0)
+		a := NewPrivate[float64](sp, 0, 64)
+		sameSetsAs(sp, a)
+		other := NewPrivate[float64](sp, 0, 64)
+		cu := a.Cursor(p)
+		for range 2 {
+			ReplayLoads([]int32{0, ^0, 0, ^0}, &cu, &cu, &cu, &cu)
+			other.Load(p, 0)
+		}
+		cu.Flush()
+		var res traceResult
+		res.snapshot(sp, g)
+		return res
+	}
+	if d := run(false).diff(run(true)); d != "" {
+		t.Fatalf("fast path and reference differ in %s", d)
+	}
 }
 
 // storeRangeCase runs StoreRange, or the element-by-element Store loop it

@@ -84,7 +84,9 @@ func NewSpace(m *machine.Machine) *Space {
 // space nobody closes is cleaned up when the collector finds it unreachable.
 func (s *Space) Close() {
 	for _, c := range s.caches {
-		c.tags = nil // before the pages go: a probe after Close finds no slice, not a hole
+		// Before the pages go: a probe after Close finds no slice, not a hole,
+		// and a replay no pin to count by instead of probing.
+		c.tags, c.pin = nil, nil
 	}
 	s.maps.closeAll()
 }
