@@ -1,55 +1,129 @@
 package experiments
 
 import (
-	"fmt"
+	"bufio"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"o2k/internal/core"
 )
 
-// TestTable5Frozen pins Table 5's LoC counts. The table is computed from the
-// working tree at runtime, which makes it the one part of the experiment
-// output that can drift silently with unrelated source edits — and with it
-// the golden quick-suite SHA (golden_test.go). Freezing the rows here turns
-// any change to a counted file into an explicit two-line diff: this table
-// and the golden hash, updated together, exactly once per PR that touches a
-// model implementation.
+// moduleRoot is the module root relative to this package's directory, where
+// `go test` runs.
+const moduleRoot = "../.."
+
+// TestTable5CountsItsSources recounts the files each row of table5 names and
+// compares the counts with the checked-in literal. The binary prints the
+// literal, so it needs no source tree at run time; this test is what keeps
+// the literal true. A counted-file edit fails here with the row to paste,
+// and — since Table 5 is part of the quick suite — moves goldenQuickSHA256
+// in the same commit.
 //
-// The frozen values also carry the paper's Table 5 point: the programming
-// effort ordering (CC-SAS ≤ SHMEM ≤ MP for the apps; the MP runtime's
-// explicit message machinery vs. CC-SAS's thin load/store veneer).
-func TestTable5Frozen(t *testing.T) {
-	want := [][4]string{
-		{"adaptive mesh app", "219", "254", "204"},
-		{"n-body app", "139", "124", "121"},
-		{"stencil app (control)", "72", "62", "55"},
-		{"conjugate gradient app", "134", "134", "132"},
-		{"model runtime", "289", "352", "128"},
-	}
-	tab := Table5()
-	if len(tab.Rows) != len(want) {
-		t.Fatalf("Table 5 has %d rows, want %d", len(tab.Rows), len(want))
-	}
-	var diffs []string
-	for i, w := range want {
-		got := tab.Rows[i]
-		if len(got) != 4 || got[0] != w[0] || got[1] != w[1] || got[2] != w[2] || got[3] != w[3] {
-			diffs = append(diffs, fmt.Sprintf("row %d: got %v, want %v", i, got, w[:]))
+// The counts also carry the paper's Table 5 point: CC-SAS needs the least
+// code in every application row (TestTable5LoCOrdering).
+func TestTable5CountsItsSources(t *testing.T) {
+	for _, r := range table5 {
+		var got [3]int
+		for i, rel := range r.files {
+			n, err := countLoC(filepath.Join(moduleRoot, rel))
+			if err != nil {
+				t.Fatalf("%s: %v", r.label, err)
+			}
+			got[i] = n
 		}
-	}
-	if diffs != nil {
-		t.Errorf("Table 5 LoC drifted from the frozen values:\n%s\n"+
-			"If the source change is intentional, update this table AND "+
-			"goldenQuickSHA256 in golden_test.go in the same commit.",
-			joinLines(diffs))
+		if got != r.lines {
+			t.Errorf("Table 5 %q is stale: the literal says %v, the sources count %v.\n"+
+				"Paste [3]int{%d, %d, %d} into its row of table5 in loc.go and update "+
+				"goldenQuickSHA256 in golden_test.go in the same commit.",
+				r.label, r.lines, got, got[0], got[1], got[2])
+		}
 	}
 }
 
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n"
-		}
-		out += s
+// TestExperimentsE5IsTable5 checks that EXPERIMENTS.md quotes the table the
+// binary prints: the fenced block under the E5 heading equals the rendered
+// Table 5.
+func TestExperimentsE5IsTable5(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(moduleRoot, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	_, sec, ok := strings.Cut(string(doc), "\n## E5 ")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no E5 section")
+	}
+	_, block, ok := strings.Cut(sec, "\n```\n")
+	if ok {
+		block, _, ok = strings.Cut(block, "```\n")
+	}
+	if !ok {
+		t.Fatal("EXPERIMENTS.md's E5 section has no fenced block")
+	}
+	if want := Render([]*core.Table{Table5()}); block != want {
+		t.Errorf("EXPERIMENTS.md E5 is stale; replace its fenced block with:\n%s", want)
+	}
+}
+
+// countLoC counts non-blank, non-comment-only lines over a Go file or all
+// non-test Go files of a directory.
+func countLoC(path string) (int, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	if !info.IsDir() {
+		return countFile(path)
+	}
+	total := 0
+	entries, err := os.ReadDir(path)
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		n, err := countFile(filepath.Join(path, name))
+		if err != nil {
+			return 0, err
+		}
+		total += n
+	}
+	return total, nil
+}
+
+func countFile(path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	n := 0
+	inBlock := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if inBlock {
+			if idx := strings.Index(line, "*/"); idx >= 0 {
+				inBlock = false
+				line = strings.TrimSpace(line[idx+2:])
+			} else {
+				continue
+			}
+		}
+		if line == "" || strings.HasPrefix(line, "//") {
+			continue
+		}
+		if strings.HasPrefix(line, "/*") {
+			if !strings.Contains(line, "*/") {
+				inBlock = true
+			}
+			continue
+		}
+		n++
+	}
+	return n, sc.Err()
 }

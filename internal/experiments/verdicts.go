@@ -108,15 +108,14 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		fmt.Sprintf("%d / %d / %d bytes", meshMax[0].M.DataBytes, meshMax[1].M.DataBytes, meshMax[2].M.DataBytes))
 
 	// V5: programming effort.
-	loc := Table5()
 	locOK := true
 	ev := ""
-	for _, r := range loc.Rows {
-		mp, sh, sa := atoiSafe(r[1]), atoiSafe(r[2]), atoiSafe(r[3])
+	for _, r := range table5 {
+		mp, sh, sa := r.lines[0], r.lines[1], r.lines[2]
 		if sa > mp || sa > sh {
 			locOK = false
 		}
-		ev += fmt.Sprintf("%s:%d/%d/%d ", r[0][:4], mp, sh, sa)
+		ev += fmt.Sprintf("%s:%d/%d/%d ", r.label[:4], mp, sh, sa)
 	}
 	add("V5", "LoC: CC-SAS smallest in every component", locOK, ev)
 
@@ -162,17 +161,6 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 			midP, cgMidMP.M.PhaseFraction(sim.PhaseSync), maxP, cgMaxMP.M.PhaseFraction(sim.PhaseSync)))
 
 	return t
-}
-
-func atoiSafe(s string) int {
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return -1
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
 }
 
 func parseRatio(s string) float64 {

@@ -37,17 +37,6 @@ func BenchmarkAllreduce8(b *testing.B) {
 	})
 }
 
-func BenchmarkBarrier8(b *testing.B) {
-	w, g := world(8)
-	b.ResetTimer()
-	g.Run(func(p *sim.Proc) {
-		r := w.Rank(p)
-		for i := 0; i < b.N; i++ {
-			r.Barrier()
-		}
-	})
-}
-
 func BenchmarkAlltoallv8(b *testing.B) {
 	w, g := world(8)
 	b.ResetTimer()

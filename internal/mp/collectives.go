@@ -9,95 +9,30 @@ type Number interface {
 	~int | ~int32 | ~int64 | ~uint64 | ~float64
 }
 
-// Op selects the combining operator of a reduction.
+// Op names a reduction's combining operator. The programs only sum, so
+// OpSum is the one operator; the argument keeps a reduction reading the same
+// under every model.
 type Op int
 
-// Reduction operators.
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-)
+// OpSum adds.
+const OpSum Op = 0
 
-func combine[T Number](op Op, a, b T) T {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	}
-	panic("mp: unknown op")
-}
-
-// Allreduce combines vals elementwise across all ranks (in rank order, so
-// floating-point results are deterministic) and returns the combined vector
-// on every rank.
-func Allreduce[T Number](r *Rank, vals []T, op Op) []T {
+// Allreduce1 sums v across all ranks in rank order, so floating-point
+// results are deterministic, and returns the sum on every rank.
+func Allreduce1[T Number](r *Rank, v T, _ Op) T {
 	r.P.Collectives++
-	cp := make([]T, len(vals))
-	copy(cp, vals)
-	res := r.W.reducer.DoAs(r.P, r.ID(), cp, func(all []any) any {
-		out := make([]T, len(cp))
-		first := true
-		for _, v := range all {
-			vs := v.([]T)
-			if first {
-				copy(out, vs)
-				first = false
-				continue
-			}
-			for i := range out {
-				out[i] = combine(op, out[i], vs[i])
-			}
+	res := r.W.reducer.DoAs(r.P, r.ID(), v, func(all []any) any {
+		sum := all[0].(T)
+		for _, x := range all[1:] {
+			sum += x.(T)
 		}
-		return out
-	}).([]T)
+		return sum
+	}).(T)
 	// Per-rank data cost beyond the synchronization: log-stage copies.
-	bytes := byteLen(vals)
+	bytes := byteLen([]T{v})
 	stages := r.W.M.LogStages(r.Size())
 	r.P.Advance(sim.Time(stages) * sim.Time(bytes) * r.W.M.Cfg.MPPerByteNS)
 	r.P.BytesSent += uint64(bytes * stages)
-	return res
-}
-
-// Allreduce1 is Allreduce for a single value.
-func Allreduce1[T Number](r *Rank, v T, op Op) T {
-	return Allreduce(r, []T{v}, op)[0]
-}
-
-// Bcast distributes root's data to every rank and returns it. Non-root ranks
-// pass nil (or anything; only root's payload is used).
-func Bcast[T any](r *Rank, root int, data []T) []T {
-	r.P.Collectives++
-	var payload []T
-	if r.ID() == root {
-		payload = make([]T, len(data))
-		copy(payload, data)
-	}
-	res := r.W.reducer.DoAs(r.P, r.ID(), payload, func(all []any) any {
-		for _, v := range all {
-			if vs, ok := v.([]T); ok && vs != nil {
-				return vs
-			}
-		}
-		return []T(nil)
-	}).([]T)
-	bytes := byteLen(res)
-	if r.ID() == root {
-		r.P.Advance(sim.Time(r.W.M.LogStages(r.Size())) * sim.Time(bytes) * r.W.M.Cfg.MPPerByteNS)
-		r.P.BytesSent += uint64(bytes)
-		r.P.MsgsSent++
-	} else {
-		r.P.Advance(sim.Time(bytes) * r.W.M.Cfg.MPPerByteNS)
-	}
 	return res
 }
 
@@ -130,20 +65,6 @@ func Allgatherv[T any](r *Rank, data []T) (all []T, offsets []int) {
 	return res.all, res.offsets[:r.Size()]
 }
 
-// Exscan returns the exclusive prefix sum of per-rank contributions v (rank
-// order) and the global total — MPI_Exscan plus MPI_Allreduce in one step.
-func Exscan(r *Rank, v int) (before, total int) {
-	r.P.Collectives++
-	res := r.W.reducer.DoAs(r.P, r.ID(), v, func(all []any) any {
-		pre := make([]int, len(all)+1)
-		for i, x := range all {
-			pre[i+1] = pre[i] + x.(int)
-		}
-		return pre
-	}).([]int)
-	return res[r.ID()], res[len(res)-1]
-}
-
 // Alltoallv delivers chunks[dst] from every rank to rank dst, using real
 // point-to-point messages (this is how the MP remapping phase moves data).
 // chunks[r.ID()] is kept locally. It returns the received chunks indexed by
@@ -165,14 +86,4 @@ func Alltoallv[T any](r *Rank, chunks [][]T) [][]T {
 		out[src] = Recv[T](r, src, tag)
 	}
 	return out
-}
-
-// Gatherv collects every rank's contribution on root (rank order). Non-root
-// ranks receive nil.
-func Gatherv[T any](r *Rank, root int, data []T) (all []T, offsets []int) {
-	allv, offs := Allgatherv(r, data) // costed as allgather; root-only variant below
-	if r.ID() != root {
-		return nil, nil
-	}
-	return allv, offs
 }

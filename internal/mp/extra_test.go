@@ -44,21 +44,6 @@ func TestManyOutstandingMessages(t *testing.T) {
 	})
 }
 
-func TestBcastEmptyPayload(t *testing.T) {
-	w, g := world(3)
-	g.Run(func(p *sim.Proc) {
-		r := w.Rank(p)
-		got := Bcast(r, 0, []int{})
-		if got == nil || len(got) != 0 {
-			// A nil from non-participants is also acceptable; only length
-			// matters.
-			if len(got) != 0 {
-				t.Errorf("bcast empty wrong: %v", got)
-			}
-		}
-	})
-}
-
 func TestAllgathervSomeEmpty(t *testing.T) {
 	w, g := world(4)
 	g.Run(func(p *sim.Proc) {
@@ -110,17 +95,6 @@ func TestRankAsOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	w.RankAs(g.Proc(0), 2)
-}
-
-func TestExscanZeroContributions(t *testing.T) {
-	w, g := world(3)
-	g.Run(func(p *sim.Proc) {
-		r := w.Rank(p)
-		before, total := Exscan(r, 0)
-		if before != 0 || total != 0 {
-			t.Errorf("zero exscan: %d %d", before, total)
-		}
-	})
 }
 
 func TestMessageCostMonotoneInSize(t *testing.T) {

@@ -1,6 +1,7 @@
 // Package mp is the message-passing (MPI-style) programming-model runtime:
-// two-sided point-to-point communication with tag matching, nonblocking
-// operations, and tree-structured collectives.
+// two-sided point-to-point communication with tag matching, plus the
+// collectives the programs call: a sum allreduce, an allgather and an
+// all-to-all exchange.
 //
 // Semantics follow the MPI subset that the paper's MP codes use:
 //
@@ -78,7 +79,6 @@ func (mb *mailbox) take(p *sim.Proc, src, tag int) *message {
 type World struct {
 	M         *machine.Machine
 	mailboxes []*mailbox
-	barrier   *sim.Barrier
 	reducer   *sim.Reducer
 }
 
@@ -90,9 +90,6 @@ func NewWorld(m *machine.Machine) *World {
 		w.mailboxes[i] = newMailbox()
 	}
 	stages := m.LogStages(n)
-	w.barrier = sim.NewBarrier(n, func(int) sim.Time {
-		return sim.Time(stages) * m.Cfg.MPBarrierHop
-	})
 	w.reducer = sim.NewReducer(n, func(int) sim.Time {
 		return sim.Time(stages) * m.Cfg.MPBarrierHop
 	})
@@ -178,43 +175,6 @@ func Recv[T any](r *Rank, src, tag int) []T {
 	}
 	r.recvCost(m)
 	return data
-}
-
-// Request is a pending nonblocking receive; see Irecv.
-type Request[T any] struct {
-	r        *Rank
-	src, tag int
-	done     bool
-	data     []T
-}
-
-// Irecv posts a nonblocking receive. Matching and clock merging happen at
-// Wait; posting itself is free (descriptor setup is in MPRecvOvNS at Wait).
-func Irecv[T any](r *Rank, src, tag int) *Request[T] {
-	return &Request[T]{r: r, src: src, tag: tag}
-}
-
-// Wait completes the request and returns the payload.
-func (q *Request[T]) Wait() []T {
-	if q.done {
-		return q.data
-	}
-	q.data = Recv[T](q.r, q.src, q.tag)
-	q.done = true
-	return q.data
-}
-
-// SendRecv exchanges data with a partner in one deadlock-free step.
-func SendRecv[T any](r *Rank, dst, sendTag int, data []T, src, recvTag int) []T {
-	Send(r, dst, sendTag, data)
-	return Recv[T](r, src, recvTag)
-}
-
-// Barrier synchronizes all ranks; clocks merge to the maximum entry time plus
-// the tree barrier cost.
-func (r *Rank) Barrier() {
-	r.P.Collectives++
-	r.W.barrier.Wait(r.P)
 }
 
 func byteLen[T any](s []T) int {

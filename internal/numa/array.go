@@ -158,9 +158,6 @@ func Release[T any](a *Array[T]) {
 	a.data = nil
 }
 
-// Len returns the element count.
-func (a *Array[T]) Len() int { return len(a.data) }
-
 // Data exposes the backing slice for bulk computation. Accesses through Data
 // are not costed; pair them with TouchRange, or prefer Load/Store.
 func (a *Array[T]) Data() []T { return a.data }

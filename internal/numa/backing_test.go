@@ -160,7 +160,7 @@ func TestReleaseUnmapsAndDetaches(t *testing.T) {
 	mustBeDead(t, a, p, &ca)
 	mustBeDead(t, s, p, &cs)
 	mustBeDead(t, small, p, &csmall)
-	if a.Len() != 0 || sp.AllocBytes() == 0 {
+	if len(a.Data()) != 0 || sp.AllocBytes() == 0 {
 		t.Fatal("Release must empty the array and leave the model's allocation count alone")
 	}
 	// The space outlives its arrays: the tags are its own mapping.

@@ -141,28 +141,28 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 		}
 		switch rng.Intn(12) {
 		case 0:
-			sum += shA.Load(p, rng.Intn(shA.Len()))
+			sum += shA.Load(p, rng.Intn(len(shA.data)))
 		case 1:
-			shA.Store(p, rng.Intn(shA.Len()), float64(step))
+			shA.Store(p, rng.Intn(len(shA.data)), float64(step))
 		case 2:
-			if i := rng.Intn(shB.Len()); rng.Intn(2) == 0 {
+			if i := rng.Intn(len(shB.data)); rng.Intn(2) == 0 {
 				shB.Store(p, i, int32(step))
 			} else {
 				sum += float64(shB.Load(p, i))
 			}
 		case 3:
-			lo := rng.Intn(shA.Len())
-			hi := lo + rng.Intn(shA.Len()-lo)
+			lo := rng.Intn(len(shA.data))
+			hi := lo + rng.Intn(len(shA.data)-lo)
 			shA.TouchRange(p, lo, hi, rng.Intn(2) == 0)
 		case 4:
-			lo := rng.Intn(shB.Len())
-			shB.TouchRange(p, lo, lo+rng.Intn(shB.Len()-lo), true)
+			lo := rng.Intn(len(shB.data))
+			shB.TouchRange(p, lo, lo+rng.Intn(len(shB.data)-lo), true)
 		case 5:
 			a := priv[p.ID()]
 			if rng.Intn(2) == 0 {
-				a.Store(p, rng.Intn(a.Len()), float64(step))
+				a.Store(p, rng.Intn(len(a.data)), float64(step))
 			} else {
-				sum += a.Load(p, rng.Intn(a.Len()))
+				sum += a.Load(p, rng.Intn(len(a.data)))
 			}
 		case 6:
 			// Cursor load chains: the value-returning Load, and the charge-only
@@ -170,7 +170,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			cu := shA.Cursor(p)
 			n := 1 + rng.Intn(32)
 			for k := 0; k < n; k++ {
-				i := rng.Intn(shA.Len())
+				i := rng.Intn(len(shA.data))
 				if rng.Intn(2) == 0 {
 					sum += cu.Load(i)
 					continue
@@ -186,7 +186,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			cb := shB.Cursor(p)
 			n := 1 + rng.Intn(32)
 			for k := 0; k < n; k++ {
-				if i := rng.Intn(shB.Len()); !cb.TryTouch(i) {
+				if i := rng.Intn(len(shB.data)); !cb.TryTouch(i) {
 					cb.TouchMiss(i)
 				}
 			}
@@ -195,7 +195,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			// Stencil-shaped arm walk: two streams cycling distinct lines.
 			ca := shA.Cursor(p)
 			var up, row Arm
-			base := rng.Intn(shA.Len() - 66)
+			base := rng.Intn(len(shA.data) - 66)
 			for j := 0; j < 32; j++ {
 				sum += ca.LoadArm(&up, base+j)
 				sum += ca.LoadArm(&row, base+32+j)
@@ -205,7 +205,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			// the array to share its set, the arm's line leaves the MRU way
 			// behind the arm's back and is walked again.
 			c := sp.caches[p.ID()]
-			for e := 0; e < shA.Len(); e += 16 {
+			for e := 0; e < len(shA.data); e += 16 {
 				if l, other := ca.line(base), ca.line(e); l != other && setBase(c.setBits, c.setMask, l) == setBase(c.setBits, c.setMask, other) {
 					sum += ca.LoadArm(&up, base) + ca.Load(e) + ca.LoadArm(&up, base)
 					break
@@ -217,7 +217,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			// beforehand so the replay meets freshly written lines.
 			if rng.Intn(2) == 0 {
 				arr := [...]*Array[float64]{shX, shY, shM, shC}[rng.Intn(4)]
-				arr.Store(p, rng.Intn(arr.Len()), float64(step))
+				arr.Store(p, rng.Intn(len(arr.data)), float64(step))
 			}
 			var tr []int32
 			n := 1 + rng.Intn(40)
@@ -225,7 +225,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 				if rng.Intn(3) == 0 {
 					tr = append(tr, int32(^rng.Intn(256)))
 				} else {
-					tr = append(tr, int32(rng.Intn(shX.Len())))
+					tr = append(tr, int32(rng.Intn(len(shX.data))))
 				}
 			}
 			cx, cy, cm, cc := shX.Cursor(p), shY.Cursor(p), shM.Cursor(p), shC.Cursor(p)
@@ -235,10 +235,10 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			cm.Flush()
 			cc.Flush()
 		case 10:
-			if i := rng.Intn(shS.Len()); rng.Intn(2) == 0 {
+			if i := rng.Intn(len(shS.data)); rng.Intn(2) == 0 {
 				sum += shS.Load(p, i)
 			} else {
-				shS.StoreRange(p, i, make([]float64, min(1+rng.Intn(40), shS.Len()-i)))
+				shS.StoreRange(p, i, make([]float64, min(1+rng.Intn(40), len(shS.data)-i)))
 			}
 		case 11:
 			// The batch helpers interleave, per element, reads and writes of
@@ -257,7 +257,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			case 0:
 				AddIdx(p, shX, idx, vals[:len(idx)])
 			case 1:
-				AddGather(p, shA, idx, own, rng.Intn(own.Len()-len(idx)))
+				AddGather(p, shA, idx, own, rng.Intn(len(own.data)-len(idx)))
 			case 2:
 				GatherFields(p, fields, idx, vals)
 				for _, v := range vals {
@@ -453,7 +453,7 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 			for k := rng.Intn(5); k > 0; k-- {
 				w := rng.Intn(5)
 				a := arrays[w]
-				i := rng.Intn(a.Len())
+				i := rng.Intn(len(a.data))
 				if w != 3 && rng.Intn(2) == 0 {
 					i = (centre + rng.Intn(32)) % bodies
 				}
@@ -661,8 +661,8 @@ func storeRangeCase[T any](bulk, useRef bool) traceResult {
 	var res traceResult
 	for step := range 300 {
 		p := g.Proc(rng.Intn(2))
-		lo := rng.Intn(a.Len())
-		vals := make([]T, rng.Intn(min(60, a.Len()-lo)+1))
+		lo := rng.Intn(len(a.data))
+		vals := make([]T, rng.Intn(min(60, len(a.data)-lo)+1))
 		if bulk {
 			a.StoreRange(p, lo, vals)
 		} else {

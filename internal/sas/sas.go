@@ -38,8 +38,8 @@ type World struct {
 func NewWorld(m *machine.Machine, sp *numa.Space) *World {
 	w := &World{M: m, Sp: sp}
 	// Barrier cost depends only on the fixed gang size; hoist it out of the
-	// per-episode closure. (Kept at the same counted line count: Table 5
-	// measures this file, and stdout is byte-frozen — see DESIGN.md §5.4.)
+	// per-episode closure. (Table 5 counts this file: a checked-in table
+	// verified by TestTable5CountsItsSources.)
 	stages := m.LogStages(m.Procs())
 	barrierNS := m.Cfg.SasBarrierBase + sim.Time(stages)*m.Cfg.SasBarrierHop
 	cost := func(int) sim.Time { return barrierNS }
@@ -140,57 +140,27 @@ type Number interface {
 	~int | ~int32 | ~int64 | ~uint64 | ~float64
 }
 
-// Op selects the combining operator of a reduction.
+// Op names a reduction's combining operator. The programs only sum, so
+// OpSum is the one operator; the argument keeps a reduction reading the same
+// under every model.
 type Op int
 
-// Reduction operators.
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-)
+// OpSum adds.
+const OpSum Op = 0
 
-func combine[T Number](op Op, a, b T) T {
-	// Comparisons deliberately keep the original if-based semantics (return a
-	// unless b strictly wins), not the builtin min/max NaN rules.
-	switch {
-	case op == OpSum:
-		return a + b
-	case op == OpMax && b > a, op == OpMin && b < a:
-		return b
-	case op == OpMax, op == OpMin:
-		return a
-	}
-	panic("sas: unknown op")
-}
-
-// Allreduce combines vals elementwise across processors in rank order — the
-// shared-memory reduction tree. Its cost is the synchronization itself; the
-// data passes through shared cache lines.
-func Allreduce[T Number](c *Ctx, vals []T, op Op) []T {
+// Allreduce1 sums v across processors in rank order — the shared-memory
+// reduction tree. Its cost is the synchronization itself; the data passes
+// through shared cache lines.
+func Allreduce1[T Number](c *Ctx, v T, _ Op) T {
 	c.P.Collectives++
-	cp := make([]T, len(vals))
-	copy(cp, vals)
-	return c.W.reducer.Do(c.P, cp, func(all []any) any {
-		out := make([]T, len(cp))
-		first := true
-		for _, v := range all {
-			vs := v.([]T)
-			if first {
-				copy(out, vs)
-				first = false
-				continue
-			}
-			for i := range out {
-				out[i] = combine(op, out[i], vs[i])
-			}
+	return c.W.reducer.Do(c.P, v, func(all []any) any {
+		sum := all[0].(T)
+		for _, x := range all[1:] {
+			sum += x.(T)
 		}
-		return out
-	}).([]T)
+		return sum
+	}).(T)
 }
-
-// Allreduce1 is Allreduce for a single value.
-func Allreduce1[T Number](c *Ctx, v T, op Op) T { return Allreduce(c, []T{v}, op)[0] }
 
 // Exscan returns, for each processor, the exclusive prefix sum of the
 // per-processor contributions v (rank order) together with the global total.

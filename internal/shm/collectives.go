@@ -11,85 +11,29 @@ type Number interface {
 	~int | ~int32 | ~int64 | ~uint64 | ~float64
 }
 
-// Op selects the combining operator of a reduction.
+// Op names a reduction's combining operator. The programs only sum, so
+// OpSum is the one operator; the argument keeps a reduction reading the same
+// under every model.
 type Op int
 
-// Reduction operators (shmem_*_to_all analogues).
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-)
+// OpSum adds (shmem_*_sum_to_all).
+const OpSum Op = 0
 
-func combine[T Number](op Op, a, b T) T {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	}
-	panic("shm: unknown op")
-}
-
-// Allreduce combines vals elementwise across all PEs in PE order and returns
-// the combined vector everywhere (shmem_double_sum_to_all and friends).
-func Allreduce[T Number](pe *PE, vals []T, op Op) []T {
+// Allreduce1 sums v across all PEs in PE order and returns the sum
+// everywhere (shmem_double_sum_to_all for one element).
+func Allreduce1[T Number](pe *PE, v T, _ Op) T {
 	pe.P.Collectives++
-	cp := make([]T, len(vals))
-	copy(cp, vals)
-	res := pe.W.reducer.Do(pe.P, cp, func(all []any) any {
-		out := make([]T, len(cp))
-		first := true
-		for _, v := range all {
-			vs := v.([]T)
-			if first {
-				copy(out, vs)
-				first = false
-				continue
-			}
-			for i := range out {
-				out[i] = combine(op, out[i], vs[i])
-			}
+	res := pe.W.reducer.Do(pe.P, v, func(all []any) any {
+		sum := all[0].(T)
+		for _, x := range all[1:] {
+			sum += x.(T)
 		}
-		return out
-	}).([]T)
-	bytes := len(vals) * 8
+		return sum
+	}).(T)
+	// Per-PE data cost beyond the synchronization: log-stage copies of one
+	// 8-byte element, whatever T is.
 	stages := pe.W.M.LogStages(pe.Size())
-	pe.P.Advance(sim.Time(stages) * sim.Time(bytes) * pe.W.M.Cfg.ShmPerByteNS)
-	return res
-}
-
-// Allreduce1 is Allreduce for a single value.
-func Allreduce1[T Number](pe *PE, v T, op Op) T {
-	return Allreduce(pe, []T{v}, op)[0]
-}
-
-// Broadcast distributes root's data to every PE (shmem_broadcast).
-func Broadcast[T any](pe *PE, root int, data []T) []T {
-	pe.P.Collectives++
-	var payload []T
-	if pe.ID() == root {
-		payload = make([]T, len(data))
-		copy(payload, data)
-	}
-	res := pe.W.reducer.Do(pe.P, payload, func(all []any) any {
-		for _, v := range all {
-			if vs, ok := v.([]T); ok && vs != nil {
-				return vs
-			}
-		}
-		return []T(nil)
-	}).([]T)
-	bytes := len(res) * elemBytes[T]()
-	pe.P.Advance(sim.Time(bytes) * pe.W.M.Cfg.ShmPerByteNS)
+	pe.P.Advance(sim.Time(stages) * 8 * pe.W.M.Cfg.ShmPerByteNS)
 	return res
 }
 
@@ -122,21 +66,6 @@ func Collect[T any](pe *PE, data []T) (all []T, offsets []int) {
 	pe.P.BytesSent += uint64(len(data) * elemBytes[T]()) // own injected bytes
 	pe.P.MsgsSent += uint64(pe.Size() - 1)
 	return res.all, res.offsets[:pe.Size()]
-}
-
-// Exscan returns the exclusive prefix sum of per-PE contributions v (PE
-// order) and the global total; the SHMEM codes use it to assign index ranges
-// deterministically instead of racing on a remote counter.
-func Exscan(pe *PE, v int) (before, total int) {
-	pe.P.Collectives++
-	res := pe.W.reducer.Do(pe.P, v, func(all []any) any {
-		pre := make([]int, len(all)+1)
-		for i, x := range all {
-			pre[i+1] = pre[i] + x.(int)
-		}
-		return pre
-	}).([]int)
-	return res[pe.ID()], res[len(res)-1]
 }
 
 func elemBytes[T any]() int {

@@ -64,18 +64,6 @@ func TestPutIdxEmptyNoCharge(t *testing.T) {
 	})
 }
 
-func TestCollectiveAllocIdenticalHandles(t *testing.T) {
-	w, g, _ := world(3)
-	handles := make([]*Sym[int64], 3)
-	g.Run(func(p *sim.Proc) {
-		pe := w.PE(p)
-		handles[pe.ID()] = Alloc[int64](pe, 32)
-	})
-	if handles[0] != handles[1] || handles[1] != handles[2] {
-		t.Fatal("collective alloc returned distinct handles")
-	}
-}
-
 func TestSelfPutNotLogged(t *testing.T) {
 	w, g, _ := world(2)
 	s := AllocWorld[float64](w, 64)
@@ -96,20 +84,6 @@ func TestSelfPutNotLogged(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestFetchAddSerializesVirtualTime(t *testing.T) {
-	w, g, _ := world(4)
-	s := AllocWorld[int64](w, 1)
-	g.Run(func(p *sim.Proc) {
-		pe := w.PE(p)
-		for i := 0; i < 10; i++ {
-			FetchAdd(pe, s, 0, 0, 1)
-		}
-	})
-	if v := s.LocalOf(0).Data()[0]; v != 40 {
-		t.Fatalf("atomic counter = %d, want 40", v)
-	}
 }
 
 func TestBarrierManyEpochs(t *testing.T) {

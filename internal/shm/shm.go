@@ -1,26 +1,23 @@
 // Package shm is the one-sided (SGI/Cray SHMEM-style) programming-model
-// runtime: a symmetric heap, remote Put/Get, remote atomics, fences, and
-// collectives.
+// runtime: a symmetric heap, remote Put/PutIdx/Get, a completing barrier, and
+// the collectives the programs call (a sum allreduce and a collect).
 //
 // The defining contrast with the mp package is cost structure: a put is a
 // processor-initiated remote store stream with sub-microsecond overhead and
 // no receiver involvement, so fine-grained irregular communication is far
 // cheaper than under two-sided message passing — but the programmer must
-// manage symmetric allocation and explicit completion (fence/barrier), which
+// manage symmetric allocation and explicit completion (the barrier), which
 // shows up in the programming-effort comparison.
 //
 // Completion semantics: data written by Put becomes safely readable by the
-// target after the next Barrier (or after the initiator's Quiet plus an
-// application-level ordering, as in real SHMEM). Target-side cache lines
-// covering put ranges are invalidated at the barrier, so the target's next
-// accesses take (local) misses — the same memory-system behaviour the real
-// machine exhibits.
+// target after the next Barrier. Target-side cache lines covering put ranges
+// are invalidated at the barrier, so the target's next accesses take (local)
+// misses — the same memory-system behaviour the real machine exhibits.
 package shm
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"o2k/internal/machine"
@@ -30,16 +27,14 @@ import (
 
 // World is the shared context of one SHMEM program: machine, memory space,
 // synchronization structures, and the put log for barrier-time invalidation.
+// One scheduler goroutine runs every PE, so the log takes no host lock.
 type World struct {
 	M  *machine.Machine
 	Sp *numa.Space
 
-	barrier *sim.Barrier
-	reducer *sim.Reducer
-
-	mu       sync.Mutex
-	putSpans [][]span   // per target PE: global line spans put this epoch
-	atomMu   sync.Mutex // serializes remote atomics
+	barrier  *sim.Barrier
+	reducer  *sim.Reducer
+	putSpans [][]span // per target PE: global line spans put this epoch
 }
 
 // span is a half-open range [lo, hi) of global line addresses. The put log is
@@ -69,8 +64,6 @@ func NewWorld(m *machine.Machine, sp *numa.Space) *World {
 // processing time. Each target's spans are sorted, merged, and probed once
 // per line of the union — identical evictions to the old per-line log.
 func (w *World) completePuts() []sim.Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var pen []sim.Time
 	for pe, spans := range w.putSpans {
 		if len(spans) == 0 {
@@ -115,14 +108,6 @@ func (w *World) logPut(pe int, lo, hi uint64) {
 	if hi <= lo {
 		return
 	}
-	w.mu.Lock()
-	w.logPutLocked(pe, lo, hi)
-	w.mu.Unlock()
-}
-
-// logPutLocked is logPut's body for callers that batch several ranges under
-// one acquisition of w.mu (see PutIdx).
-func (w *World) logPutLocked(pe int, lo, hi uint64) {
 	sp := w.putSpans[pe]
 	if n := len(sp); n > 0 && lo <= sp[n-1].hi && sp[n-1].lo <= hi {
 		if lo < sp[n-1].lo {
@@ -164,40 +149,11 @@ func (pe *PE) Barrier() {
 	pe.W.barrier.Wait(pe.P)
 }
 
-// Quiet orders the PE's outstanding puts (shmem_quiet). In this conservative
-// model puts are already delivered in program order, so Quiet only charges
-// its completion cost.
-func (pe *PE) Quiet() {
-	prev := pe.P.SetPhase(sim.PhaseSync)
-	pe.P.Advance(pe.W.M.Cfg.ShmFenceNS)
-	pe.P.SetPhase(prev)
-}
-
-// Fence is shmem_fence; same conservative model as Quiet.
-func (pe *PE) Fence() { pe.Quiet() }
-
 // Sym is a symmetric-heap allocation: one block of n elements on every PE,
 // all addressable remotely. The handle is identical on every PE (symmetric
 // addresses), matching SHMEM's programming model.
 type Sym[T any] struct {
-	w     *World
 	parts []*numa.Array[T]
-}
-
-// Alloc collectively allocates a symmetric array of n elements per PE. Every
-// PE must call it at the same point (as with shmalloc).
-func Alloc[T any](pe *PE, n int) *Sym[T] {
-	res := pe.W.reducer.Do(pe.P, nil, func([]any) any {
-		s := &Sym[T]{w: pe.W, parts: make([]*numa.Array[T], pe.Size())}
-		for i := range s.parts {
-			s.parts[i] = numa.NewPrivate[T](pe.W.Sp, i, n)
-		}
-		return s
-	})
-	s := res.(*Sym[T])
-	var z T
-	pe.P.AllocBytes += uint64(n) * uint64(unsafe.Sizeof(z))
-	return s
 }
 
 // AllocWorld allocates a symmetric array outside the SPMD region (the
@@ -205,7 +161,7 @@ func Alloc[T any](pe *PE, n int) *Sym[T] {
 // rely on for setup). Allocation order is the caller's program order, so
 // addresses — and therefore cache behaviour — are deterministic.
 func AllocWorld[T any](w *World, n int) *Sym[T] {
-	s := &Sym[T]{w: w, parts: make([]*numa.Array[T], w.M.Procs())}
+	s := &Sym[T]{parts: make([]*numa.Array[T], w.M.Procs())}
 	for i := range s.parts {
 		s.parts[i] = numa.NewPrivate[T](w.Sp, i, n)
 	}
@@ -225,13 +181,6 @@ func Free[T any](s *Sym[T]) {
 
 // Local returns this PE's own block for costed local access.
 func (s *Sym[T]) Local(pe *PE) *numa.Array[T] { return s.parts[pe.ID()] }
-
-// LocalOf returns PE p's block (for verification and result collection only;
-// model code must use Put/Get for remote blocks).
-func (s *Sym[T]) LocalOf(p int) *numa.Array[T] { return s.parts[p] }
-
-// Len returns the per-PE element count.
-func (s *Sym[T]) Len() int { return s.parts[0].Len() }
 
 // Put copies src into the target PE's block at offset off. The initiator
 // pays overhead + per-byte + wire time; target-side visibility completes at
@@ -289,12 +238,10 @@ func PutIdx[T any](pe *PE, s *Sym[T], target int, idx []int32, vals []T) {
 		data[ix] = vals[i]
 	}
 	if target != pe.ID() {
-		w.mu.Lock()
 		for _, ix := range idx {
 			lo, hi := dst.LineRange(int(ix), int(ix)+1)
-			w.logPutLocked(target, lo, hi)
+			w.logPut(target, lo, hi)
 		}
-		w.mu.Unlock()
 	}
 }
 
@@ -319,26 +266,4 @@ func Get[T any](pe *PE, s *Sym[T], target, off, n int) []T {
 	pe.P.MsgsSent++
 	copy(out, s.parts[target].Data()[off:off+n])
 	return out
-}
-
-// FetchAdd atomically adds delta to element off of the target PE's block and
-// returns the previous value (shmem_fadd). Note: concurrent FetchAdds from
-// different PEs are serialized in host order, so return values are only
-// deterministic when the application imposes an order.
-//
-// Atomics count as messages but not payload bytes: the traffic tables follow
-// the paper in attributing BytesSent to bulk data motion (puts, gets,
-// messages), while an 8-byte atomic is pure latency/occupancy — its cost is
-// the ShmAtomicNS + wire charge below, and adding its operand to BytesSent
-// would double-count it as data volume.
-func FetchAdd(pe *PE, s *Sym[int64], target, off int, delta int64) int64 {
-	w := pe.W
-	pe.P.Advance(w.M.Cfg.ShmAtomicNS + w.M.Wire(8, w.M.Hops(pe.ID(), target)))
-	pe.P.MsgsSent++
-	w.atomMu.Lock()
-	d := s.parts[target].Data()
-	old := d[off]
-	d[off] = old + delta
-	w.atomMu.Unlock()
-	return old
 }

@@ -16,27 +16,26 @@ func world(procs int) (*World, *sim.Group, *machine.Machine) {
 
 func TestSymmetricAlloc(t *testing.T) {
 	w, g, _ := world(4)
-	handles := make([]*Sym[float64], 4)
+	s := AllocWorld[float64](w, 100)
+	blocks := map[*numa.Array[float64]]bool{}
 	g.Run(func(p *sim.Proc) {
-		pe := w.PE(p)
-		handles[pe.ID()] = Alloc[float64](pe, 100)
-	})
-	for i := 1; i < 4; i++ {
-		if handles[i] != handles[0] {
-			t.Fatal("symmetric allocation returned different handles")
+		loc := s.Local(w.PE(p))
+		if len(loc.Data()) != 100 {
+			t.Errorf("PE %d: block of %d elements, want 100", p.ID(), len(loc.Data()))
 		}
-	}
-	if handles[0].Len() != 100 {
-		t.Fatalf("Len = %d", handles[0].Len())
+		blocks[loc] = true
+	})
+	if len(blocks) != 4 {
+		t.Fatalf("4 PEs share %d blocks, want one each", len(blocks))
 	}
 }
 
 func TestPutVisibleAfterBarrier(t *testing.T) {
 	w, g, _ := world(2)
 	var got float64
+	s := AllocWorld[float64](w, 10)
 	g.Run(func(p *sim.Proc) {
 		pe := w.PE(p)
-		s := Alloc[float64](pe, 10)
 		if pe.ID() == 0 {
 			Put(pe, s, 1, 3, []float64{2.5})
 		}
@@ -52,9 +51,9 @@ func TestPutVisibleAfterBarrier(t *testing.T) {
 
 func TestPutInvalidatesTargetCache(t *testing.T) {
 	w, g, m := world(2)
+	s := AllocWorld[float64](w, 64)
 	g.Run(func(p *sim.Proc) {
 		pe := w.PE(p)
-		s := Alloc[float64](pe, 64)
 		if pe.ID() == 1 {
 			s.Local(pe).Load(p, 0) // warm target's cache
 			s.Local(pe).Load(p, 0)
@@ -82,9 +81,9 @@ func TestPutInvalidatesTargetCache(t *testing.T) {
 
 func TestGetRoundTrip(t *testing.T) {
 	w, g, m := world(4)
+	s := AllocWorld[int64](w, 8)
 	g.Run(func(p *sim.Proc) {
 		pe := w.PE(p)
-		s := Alloc[int64](pe, 8)
 		loc := s.Local(pe)
 		for i := 0; i < 8; i++ {
 			loc.Store(p, i, int64(pe.ID()*10+i))
@@ -108,9 +107,9 @@ func TestGetRoundTrip(t *testing.T) {
 func TestGetCostExceedsPutCost(t *testing.T) {
 	w, g, _ := world(4)
 	var putT, getT sim.Time
+	s := AllocWorld[float64](w, 100)
 	g.Run(func(p *sim.Proc) {
 		pe := w.PE(p)
-		s := Alloc[float64](pe, 100)
 		pe.Barrier()
 		if pe.ID() == 0 {
 			t0 := p.Now()
@@ -129,9 +128,9 @@ func TestGetCostExceedsPutCost(t *testing.T) {
 func TestLocalPutSkipsWire(t *testing.T) {
 	w, g, _ := world(2)
 	var selfT, remoteT sim.Time
+	s := AllocWorld[float64](w, 100)
 	g.Run(func(p *sim.Proc) {
 		pe := w.PE(p)
-		s := Alloc[float64](pe, 100)
 		if pe.ID() == 0 {
 			t0 := p.Now()
 			Put(pe, s, 0, 0, make([]float64, 10))
@@ -146,65 +145,10 @@ func TestLocalPutSkipsWire(t *testing.T) {
 	}
 }
 
-func TestFetchAdd(t *testing.T) {
-	w, g, _ := world(4)
-	g.Run(func(p *sim.Proc) {
-		pe := w.PE(p)
-		s := Alloc[int64](pe, 1)
-		pe.Barrier()
-		FetchAdd(pe, s, 0, 0, int64(pe.ID()+1)) // 1+2+3+4
-		pe.Barrier()
-		if v := s.LocalOf(0).Data()[0]; v != 10 {
-			t.Errorf("counter = %d, want 10", v)
-		}
-	})
-}
-
-func TestQuietAndFenceCharge(t *testing.T) {
-	w, g, m := world(2)
-	g.Run(func(p *sim.Proc) {
-		pe := w.PE(p)
-		t0 := p.Now()
-		pe.Quiet()
-		pe.Fence()
-		if p.Now()-t0 != 2*m.Cfg.ShmFenceNS {
-			t.Errorf("fence cost = %v", p.Now()-t0)
-		}
-	})
-}
-
-func TestAllreduceAndExscan(t *testing.T) {
-	w, g, _ := world(4)
-	g.Run(func(p *sim.Proc) {
-		pe := w.PE(p)
-		if s := Allreduce1(pe, float64(pe.ID()), OpSum); s != 6 {
-			t.Errorf("sum = %v", s)
-		}
-		if mx := Allreduce1(pe, pe.ID(), OpMax); mx != 3 {
-			t.Errorf("max = %v", mx)
-		}
-		if mn := Allreduce1(pe, pe.ID()+5, OpMin); mn != 5 {
-			t.Errorf("min = %v", mn)
-		}
-		before, total := Exscan(pe, 2)
-		if before != 2*pe.ID() || total != 8 {
-			t.Errorf("exscan: %d %d", before, total)
-		}
-	})
-}
-
-func TestBroadcastAndCollect(t *testing.T) {
+func TestCollect(t *testing.T) {
 	w, g, _ := world(3)
 	g.Run(func(p *sim.Proc) {
 		pe := w.PE(p)
-		var data []int32
-		if pe.ID() == 1 {
-			data = []int32{11, 22}
-		}
-		got := Broadcast(pe, 1, data)
-		if len(got) != 2 || got[1] != 22 {
-			t.Errorf("broadcast: %v", got)
-		}
 		mine := make([]int32, pe.ID()) // lengths 0,1,2
 		for i := range mine {
 			mine[i] = int32(pe.ID())
@@ -222,9 +166,9 @@ func TestBroadcastAndCollect(t *testing.T) {
 func TestShmDeterministicTiming(t *testing.T) {
 	run := func() sim.Time {
 		w, g, _ := world(8)
+		s := AllocWorld[float64](w, 64)
 		g.Run(func(p *sim.Proc) {
 			pe := w.PE(p)
-			s := Alloc[float64](pe, 64)
 			for iter := 0; iter < 10; iter++ {
 				Put(pe, s, (pe.ID()+1)%8, iter%64, []float64{float64(iter)})
 				pe.Barrier()
@@ -243,9 +187,9 @@ func TestShmDeterministicTiming(t *testing.T) {
 
 func TestEmptyPutGetNoCharge(t *testing.T) {
 	w, g, _ := world(2)
+	s := AllocWorld[float64](w, 4)
 	g.Run(func(p *sim.Proc) {
 		pe := w.PE(p)
-		s := Alloc[float64](pe, 4)
 		t0 := p.Now()
 		Put(pe, s, 1-pe.ID(), 0, nil)
 		if p.Now() != t0 {

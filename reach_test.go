@@ -40,26 +40,10 @@ var unreached = map[string]string{
 	"runner/diskcache.FaultFS":         "fault seam: its Fail*/Flip*/Truncate*/Match knobs and Ops/Links counters",
 	"runner/diskcache.WithFS":          "fault seam: opens a cache over a FaultFS",
 	"runner/diskcache.WithFingerprint": "fault seam: opens a cache as another build, for the version-fence tests",
-	"mesh.DefaultCollision":            "test workload: the two-front stress case of adaptmesh.Workload.Collision, which no experiment selects (ROADMAP item 1d)",
-
-	// The counted runtimes: Table 5's "model runtime" row counts these lines
-	// (TestTable5Frozen), and no program calls them. ROADMAP item 5.
-	"mp.Bcast":        "counted runtime until item 5",
-	"mp.Exscan":       "counted runtime until item 5",
-	"mp.Gatherv":      "counted runtime until item 5",
-	"mp.Irecv":        "counted runtime until item 5",
-	"mp.Request.Wait": "counted runtime until item 5",
-	"mp.SendRecv":     "counted runtime until item 5",
-	"mp.Rank.Barrier": "counted runtime until item 5",
-	"shm.Alloc":       "counted runtime until item 5",
-	"shm.Broadcast":   "counted runtime until item 5",
-	"shm.Exscan":      "counted runtime until item 5",
-	"shm.FetchAdd":    "counted runtime until item 5 (with its atomMu)",
-	"shm.PE.Fence":    "counted runtime until item 5",
-	"shm.Sym":         "counted runtime until item 5: Len, LocalOf",
+	"mesh.DefaultCollision":            "test workload: the two-front stress case of adaptmesh.Workload.Collision, which no experiment selects (ROADMAP item 4(ii))",
 }
 
-const maxUnreached = 25
+const maxUnreached = 12
 
 // TestExportedNamesAreReached pins "no capability without a caller": every
 // exported package-level name and method under internal/ is referenced from a
