@@ -2,6 +2,7 @@ package mp_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"o2k/internal/machine"
@@ -54,6 +55,52 @@ func TestAllreduce1Oracle(t *testing.T) {
 			}
 			if p.BytesSent != uint64(stages*8) {
 				t.Errorf("P=%d rank %d: %d bytes sent, want %d", procs, i, p.BytesSent, stages*8)
+			}
+		}
+	}
+}
+
+// TestSendRecvOracle checks one Send/Recv pair at P = 2 against closed forms
+// written from machine.Config and machine's exported cost functions alone.
+// For n float64s (b = 8n bytes) the sender's clock must advance by
+// MPSendOvNS + b·MPPerByteNS and its BytesSent by b. The receiver's clock must
+// end at the sender's clock plus the wire time, max(Wire(b, Hops(0, 1)),
+// MPMinWireNS), plus MPRecvOvNS + b·MPPerByteNS. This is checked on one node
+// board and across two, for a message under the wire floor and one far over it.
+func TestSendRecvOracle(t *testing.T) {
+	for _, perNode := range []int{2, 1} {
+		for _, n := range []int{1, 1000} {
+			cfg := machine.Default(2)
+			cfg.ProcsPerNode = perNode
+			m := machine.MustNew(cfg)
+			w := mp.NewWorld(m)
+			g := sim.NewGroup(2)
+			data := make([]float64, n)
+			for i := range data {
+				data[i] = term(i)
+			}
+			var got []float64
+			g.Run(func(p *sim.Proc) {
+				if r := w.Rank(p); r.ID() == 0 {
+					mp.Send(r, 1, 7, data)
+				} else {
+					got = mp.Recv[float64](r, 0, 7)
+				}
+			})
+			b := sim.Time(8 * n)
+			send := cfg.MPSendOvNS + b*cfg.MPPerByteNS
+			wire := max(m.Wire(8*n, m.Hops(0, 1)), cfg.MPMinWireNS)
+			recv := send + wire + cfg.MPRecvOvNS + b*cfg.MPPerByteNS
+			s, r := g.Proc(0), g.Proc(1)
+			if s.Now() != send || r.Now() != recv {
+				t.Errorf("%d per node, %d float64s: clocks %v and %v, want %v and %v", perNode, n, s.Now(), r.Now(), send, recv)
+			}
+			if s.BytesSent != uint64(b) || s.MsgsSent != 1 || r.BytesSent != 0 || r.MsgsSent != 0 {
+				t.Errorf("%d per node, %d float64s: sender %d bytes in %d messages, receiver %d in %d; want %d in 1, 0 in 0",
+					perNode, n, s.BytesSent, s.MsgsSent, r.BytesSent, r.MsgsSent, b)
+			}
+			if !slices.Equal(got, data) {
+				t.Errorf("%d per node, %d float64s: received other values than were sent", perNode, n)
 			}
 		}
 	}

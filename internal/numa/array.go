@@ -247,12 +247,19 @@ func (a *Array[T]) lineOf(i int) uint32 {
 
 // --- Costed access ---------------------------------------------------------
 
-func (a *Array[T]) chargeSlow(p *sim.Proc, c *cache, gl uint64, li uint32, write bool) {
+// refProbe is the cache every entry point probes under the reference model:
+// one empty set, so the inlined MRU probe always fails and the access reaches
+// chargeSlowAcc, which charges it through chargeRef and the processor's real
+// cache. No loop needs a reference twin.
+var refProbe = &cache{tags: make([]uint32, cacheWays), setBits: 1}
+
+// probe is the cache processor me's accesses to a probe inline: its own, or
+// refProbe under the reference model.
+func (a *Array[T]) probe(me int) *cache {
 	if refModel {
-		a.chargeRef(p, li, write)
-		return
+		return refProbe
 	}
-	p.Advance(a.chargeSlowAcc(p, c, gl, li, write))
+	return a.caches[me]
 }
 
 // miss is the one place a line enters a cache: it links processor me onto the
@@ -323,10 +330,10 @@ func (a *Array[T]) lines() int {
 // is repeated here (not called) so the hot hit case costs no function call.
 func (a *Array[T]) Load(p *sim.Proc, i int) T {
 	li := a.lineOf(i)
-	c := a.caches[p.ID()]
+	c := a.probe(p.ID())
 	gl := a.baseLine + uint64(li)
-	if refModel || !c.mruHit(gl) {
-		a.chargeSlow(p, c, gl, li, false)
+	if !c.mruHit(gl) {
+		p.Advance(a.chargeSlowAcc(p, c, gl, li, false))
 	} else {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
@@ -335,13 +342,13 @@ func (a *Array[T]) Load(p *sim.Proc, i int) T {
 }
 
 // Store writes element i, charging the access to p; probe as in Load
-// (shared-array stores always drop to chargeSlow for the write record).
+// (shared-array stores always drop to chargeSlowAcc for the write record).
 func (a *Array[T]) Store(p *sim.Proc, i int, v T) {
 	li := a.lineOf(i)
-	c := a.caches[p.ID()]
+	c := a.probe(p.ID())
 	gl := a.baseLine + uint64(li)
-	if a.shared || refModel || !c.mruHit(gl) {
-		a.chargeSlow(p, c, gl, li, true)
+	if a.shared || !c.mruHit(gl) {
+		p.Advance(a.chargeSlowAcc(p, c, gl, li, true))
 	} else {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
@@ -351,41 +358,70 @@ func (a *Array[T]) Store(p *sim.Proc, i int, v T) {
 
 // TouchRange charges a streaming access of elements [lo, hi) — one cache
 // event per distinct line — without moving data.
-//
-// The bulk path probes each line once, accumulates the latency into a single
-// Advance, and records the write-set word-at-a-time; because every access is
-// in the same phase and counters are sums, the result is identical to
-// charging line-by-line (the differential test in ref_test.go checks this
-// against the reference path).
 func (a *Array[T]) TouchRange(p *sim.Proc, lo, hi int, write bool) {
+	a.span(p, lo, hi, write, false)
+}
+
+// span charges the accesses of elements [lo, hi): one per line (TouchRange)
+// or, with perElem, one per element (StoreRange). It probes each line once: a
+// probe leaves its line in the MRU way, so the line's further accesses are
+// hits with no LRU movement, and counting them arithmetically is exact. Within
+// one phase, a single Advance and a word-at-a-time write-set record give the
+// result of charging access by access (ref_test.go checks both forms).
+func (a *Array[T]) span(p *sim.Proc, lo, hi int, write, perElem bool) {
 	if lo >= hi {
 		return
 	}
+	me := p.ID()
+	if perElem && a.elemSize > uint64(a.sp.M.Cfg.LineBytes) {
+		// Oversized elements: per-element charging touches only each element's
+		// first line, so the line walk below would probe lines the element loop
+		// never does. Charge element-at-a-time instead.
+		c := a.probe(me)
+		var lat sim.Time
+		for i := lo; i < hi; i++ {
+			a.chargeAcc(p, c, a.lineOf(i), write, &lat)
+		}
+		p.Advance(lat)
+		return
+	}
+	// With perElem, every line of [l0, l1] holds the first byte of an element.
 	l0, l1 := a.lineOf(lo), a.lineOf(hi-1)
 	if refModel {
-		for li := l0; li <= l1; li++ {
-			a.chargeRef(p, li, write)
+		// The walk installs lines through accessSlow itself, past any probe.
+		if perElem {
+			for i := lo; i < hi; i++ {
+				a.chargeRef(p, a.lineOf(i), write)
+			}
+		} else {
+			for li := l0; li <= l1; li++ {
+				a.chargeRef(p, li, write)
+			}
 		}
 		return
 	}
-	me := p.ID()
 	c := a.caches[me]
 	var lat sim.Time
-	var hits, local uint64
+	var misses, local uint64
 	for li := l0; li <= l1; li++ {
 		if gl := a.baseLine + uint64(li); c.mruHit(gl) || c.accessSlow(gl) {
-			hits++
 			continue
 		}
 		d, near := a.miss(me, li)
 		lat += d
+		misses++
 		if near {
 			local++
 		}
 	}
+	n := uint64(l1-l0) + 1
+	if perElem {
+		n = uint64(hi - lo)
+	}
+	hits := n - misses
 	p.CacheHits += hits
 	p.LocalMisses += local
-	p.RemoteMisses += uint64(l1-l0+1) - hits - local
+	p.RemoteMisses += misses - local
 	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
 	if write && a.shared {
 		a.recordWriteRange(me, l0, l1)

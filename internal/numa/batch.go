@@ -6,11 +6,14 @@ package numa
 // equivalent element-at-a-time loop would — same cache probes, same LRU
 // movement, same write-set records — so the final cache state, counters, and
 // virtual time are identical to the unbatched loop (within one phase, latency
-// and counter sums are order-independent). The differential test in
-// ref_test.go proves every helper against the division-based reference model.
+// and counter sums are order-independent).
 //
-// Under refModel every helper degrades to a chargeRef-per-element loop in the
-// same access order, exactly like Load/Store/TouchRange.
+// Each helper is one loop: an inline MRU probe of the cache Array.probe
+// returns, and chargeSlowAcc — the slow path Load and Store share — for what
+// that probe cannot settle. Under the reference model probe returns refProbe,
+// so every access reaches chargeSlowAcc and is charged by chargeRef in the
+// loop's own order. ref_test.go checks each helper against its element loop
+// and, through the randomized differential, against the reference model.
 
 import (
 	"fmt"
@@ -29,8 +32,13 @@ type Num interface {
 // chargeSlowAcc is the one slow path behind every per-access entry point: the
 // full probe, the miss's directory record, the counters and the write-set
 // record, with the latency returned for the caller to accumulate into a single
-// Advance (chargeSlow charges it at once).
+// Advance. It is where the reference model enters: chargeRef charges the
+// access at once, and nothing is left to accumulate.
 func (a *Array[T]) chargeSlowAcc(p *sim.Proc, c *cache, gl uint64, li uint32, write bool) sim.Time {
+	if refModel {
+		a.chargeRef(p, li, write)
+		return 0
+	}
 	lat := a.cacheHitNS
 	if c.mruHit(gl) || c.accessSlow(gl) {
 		p.CacheHits++
@@ -75,14 +83,7 @@ func (a *Array[T]) GatherIdx(p *sim.Proc, idx []int32, out []T) {
 		return
 	}
 	out = out[:len(idx)]
-	if refModel {
-		for k, ix := range idx {
-			a.chargeRef(p, a.lineOf(int(ix)), false)
-			out[k] = a.data[ix]
-		}
-		return
-	}
-	c := a.caches[p.ID()]
+	c := a.probe(p.ID())
 	var lat sim.Time
 	var hits uint64
 	for k, ix := range idx {
@@ -108,14 +109,7 @@ func (a *Array[T]) ScatterIdx(p *sim.Proc, idx []int32, vals []T) {
 	if len(idx) == 0 {
 		return
 	}
-	if refModel {
-		for k, ix := range idx {
-			a.chargeRef(p, a.lineOf(int(ix)), true)
-			a.data[ix] = vals[k]
-		}
-		return
-	}
-	c := a.caches[p.ID()]
+	c := a.probe(p.ID())
 	var lat sim.Time
 	var hits uint64
 	for k, ix := range idx {
@@ -138,14 +132,7 @@ func (a *Array[T]) FillIdx(p *sim.Proc, idx []int32, v T) {
 	if len(idx) == 0 {
 		return
 	}
-	if refModel {
-		for _, ix := range idx {
-			a.chargeRef(p, a.lineOf(int(ix)), true)
-			a.data[ix] = v
-		}
-		return
-	}
-	c := a.caches[p.ID()]
+	c := a.probe(p.ID())
 	var lat sim.Time
 	var hits uint64
 	for _, ix := range idx {
@@ -169,17 +156,7 @@ func AddIdx[T Num](p *sim.Proc, a *Array[T], idx []int32, vals []T) {
 	if len(idx) != len(vals) {
 		panic(fmt.Sprintf("numa: AddIdx index/value length mismatch (%d vs %d)", len(idx), len(vals)))
 	}
-	if refModel {
-		for k, ix := range idx {
-			li := a.lineOf(int(ix))
-			a.chargeRef(p, li, false)
-			a.chargeRef(p, li, true)
-			a.data[ix] += vals[k]
-		}
-		return
-	}
-	me := p.ID()
-	c := a.caches[me]
+	c := a.probe(p.ID())
 	var lat sim.Time
 	for k, ix := range idx {
 		li := a.lineOf(int(ix))
@@ -198,18 +175,7 @@ func AddGather[T Num](p *sim.Proc, dst *Array[T], idx []int32, src *Array[T], sr
 	if dst.sp != src.sp {
 		panic("numa: AddGather arrays from different spaces")
 	}
-	if refModel {
-		for k, ix := range idx {
-			li := dst.lineOf(int(ix))
-			dst.chargeRef(p, li, false)
-			src.chargeRef(p, src.lineOf(srcOff+k), false)
-			dst.chargeRef(p, li, true)
-			dst.data[ix] += src.data[srcOff+k]
-		}
-		return
-	}
-	me := p.ID()
-	c := dst.caches[me]
+	c := dst.probe(p.ID())
 	var lat sim.Time
 	for k, ix := range idx {
 		li := dst.lineOf(int(ix))
@@ -228,16 +194,7 @@ func PackIdx[T any](p *sim.Proc, dst *Array[T], dstOff int, src *Array[T], idx [
 	if dst.sp != src.sp {
 		panic("numa: PackIdx arrays from different spaces")
 	}
-	if refModel {
-		for k, ix := range idx {
-			src.chargeRef(p, src.lineOf(int(ix)), false)
-			dst.chargeRef(p, dst.lineOf(dstOff+k), true)
-			dst.data[dstOff+k] = src.data[ix]
-		}
-		return
-	}
-	me := p.ID()
-	c := dst.caches[me]
+	c := dst.probe(p.ID())
 	var lat sim.Time
 	for k, ix := range idx {
 		src.chargeAcc(p, c, src.lineOf(int(ix)), false, &lat)
@@ -256,17 +213,7 @@ func GatherFields[T any](p *sim.Proc, srcs []*Array[T], idx []int32, out []T) {
 	if len(out) < nf*len(idx) {
 		panic("numa: GatherFields output too short")
 	}
-	if refModel {
-		for k, ix := range idx {
-			for f, a := range srcs {
-				a.chargeRef(p, a.lineOf(int(ix)), false)
-				out[nf*k+f] = a.data[ix]
-			}
-		}
-		return
-	}
-	me := p.ID()
-	c := srcs[0].caches[me]
+	c := srcs[0].probe(p.ID())
 	var lat sim.Time
 	for k, ix := range idx {
 		i := int(ix)
@@ -285,17 +232,7 @@ func ScatterFields[T any](p *sim.Proc, dsts []*Array[T], idx []int32, vals []T) 
 	if len(vals) < nf*len(idx) {
 		panic("numa: ScatterFields values too short")
 	}
-	if refModel {
-		for k, ix := range idx {
-			for f, a := range dsts {
-				a.chargeRef(p, a.lineOf(int(ix)), true)
-				a.data[ix] = vals[nf*k+f]
-			}
-		}
-		return
-	}
-	me := p.ID()
-	c := dsts[0].caches[me]
+	c := dsts[0].probe(p.ID())
 	var lat sim.Time
 	for k, ix := range idx {
 		i := int(ix)
@@ -315,19 +252,7 @@ func CopyFields[T any](p *sim.Proc, dsts, srcs []*Array[T], idx []int32) {
 	if len(dsts) != len(srcs) {
 		panic(fmt.Sprintf("numa: CopyFields field count mismatch (%d vs %d)", len(dsts), len(srcs)))
 	}
-	if refModel {
-		for _, ix := range idx {
-			for f, s := range srcs {
-				d := dsts[f]
-				s.chargeRef(p, s.lineOf(int(ix)), false)
-				d.chargeRef(p, d.lineOf(int(ix)), true)
-				d.data[ix] = s.data[ix]
-			}
-		}
-		return
-	}
-	me := p.ID()
-	c := dsts[0].caches[me]
+	c := dsts[0].probe(p.ID())
 	var lat sim.Time
 	for _, ix := range idx {
 		i := int(ix)
@@ -347,18 +272,7 @@ func CopyFields[T any](p *sim.Proc, dsts, srcs []*Array[T], idx []int32) {
 // the SHMEM migration unpack loop.
 func UnpackFields[T any](p *sim.Proc, src *Array[T], srcOff int, dsts []*Array[T], idx []int32) {
 	nf := len(dsts)
-	if refModel {
-		for k, ix := range idx {
-			for f, a := range dsts {
-				src.chargeRef(p, src.lineOf(srcOff+nf*k+f), false)
-				a.chargeRef(p, a.lineOf(int(ix)), true)
-				a.data[ix] = src.data[srcOff+nf*k+f]
-			}
-		}
-		return
-	}
-	me := p.ID()
-	c := src.caches[me]
+	c := src.probe(p.ID())
 	var lat sim.Time
 	for k, ix := range idx {
 		i := int(ix)
@@ -373,14 +287,7 @@ func UnpackFields[T any](p *sim.Proc, src *Array[T], srcOff int, dsts []*Array[T
 
 // Store3At writes elements i, i+1, i+2 in order with a single Advance.
 func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
-	if refModel {
-		a.chargeRef(p, a.lineOf(i), true)
-		a.chargeRef(p, a.lineOf(i+1), true)
-		a.chargeRef(p, a.lineOf(i+2), true)
-		a.data[i], a.data[i+1], a.data[i+2] = v0, v1, v2
-		return
-	}
-	c := a.caches[p.ID()]
+	c := a.probe(p.ID())
 	var lat sim.Time
 	a.chargeAcc(p, c, a.lineOf(i), true, &lat)
 	a.chargeAcc(p, c, a.lineOf(i+1), true, &lat)
@@ -390,65 +297,9 @@ func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
 }
 
 // StoreRange copies vals into elements [lo, lo+len(vals)), charging every
-// element like Store with one Advance. Consecutive elements of one line after
-// the first are repeat accesses of the MRU way (the line was just probed), so
-// the span path probes each line once and adds the remaining accesses
-// arithmetically — the TouchRange machinery applied to per-element semantics.
+// element like Store with one Advance: the span walk of TouchRange, counting
+// an access per element.
 func (a *Array[T]) StoreRange(p *sim.Proc, lo int, vals []T) {
-	a.rangeCharge(p, lo, lo+len(vals), true)
+	a.span(p, lo, lo+len(vals), true, true)
 	copy(a.data[lo:lo+len(vals)], vals)
-}
-
-// rangeCharge charges one access per element of [lo, hi) — unlike TouchRange's
-// one per line — by probing each line once and accounting the remaining
-// accesses of that line as MRU repeats (a probe leaves its line in the MRU
-// way, so every subsequent access of the same line is a hit with no LRU
-// movement; charging them arithmetically is exact, not an approximation):
-// every access that is not a line's miss is a hit.
-func (a *Array[T]) rangeCharge(p *sim.Proc, lo, hi int, write bool) {
-	if lo >= hi {
-		return
-	}
-	if refModel {
-		for i := lo; i < hi; i++ {
-			a.chargeRef(p, a.lineOf(i), write)
-		}
-		return
-	}
-	me := p.ID()
-	c := a.caches[me]
-	if a.elemSize > uint64(a.sp.M.Cfg.LineBytes) {
-		// Oversized elements: per-element charging touches only each element's
-		// first line, so the per-line walk below would probe lines the
-		// unbatched loop never does. Charge element-at-a-time instead.
-		var lat sim.Time
-		for i := lo; i < hi; i++ {
-			a.chargeAcc(p, c, a.lineOf(i), write, &lat)
-		}
-		p.Advance(lat)
-		return
-	}
-	// Every line of [l0, l1] holds the first byte of at least one element.
-	l0, l1 := a.lineOf(lo), a.lineOf(hi-1)
-	var lat sim.Time
-	var misses, local uint64
-	for li := l0; li <= l1; li++ {
-		if gl := a.baseLine + uint64(li); c.mruHit(gl) || c.accessSlow(gl) {
-			continue
-		}
-		d, near := a.miss(me, li)
-		lat += d
-		misses++
-		if near {
-			local++
-		}
-	}
-	hits := uint64(hi-lo) - misses
-	p.CacheHits += hits
-	p.LocalMisses += local
-	p.RemoteMisses += misses - local
-	p.Advance(lat + sim.Time(hits)*a.cacheHitNS)
-	if write && a.shared {
-		a.recordWriteRange(me, l0, l1)
-	}
 }

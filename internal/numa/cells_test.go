@@ -44,10 +44,12 @@ func smallCells(t *testing.T, visit func(t *testing.T, cell string, model core.M
 
 // The whole-cell differential: every pinned cell, run as a program through
 // the one app harness, reports the same complete Metrics on the optimized
-// paths — cursors, arms, ReplayLoads, the batch wrappers, the sharer
-// directory — as on the reference model of ref.go, which knows none of them.
-// ref_test.go checks the same equality on seeded traces; this is the check
-// that the applications use the fast paths within what the traces cover.
+// paths — the inline MRU probes of cursors and batch helpers, arms, the span
+// walk, ReplayLines, the sharer directory — as on the reference model of
+// ref.go, which charges every access through chargeRef and merges without a
+// directory. ref_test.go checks the same equality on seeded traces; this is
+// the check that the applications use the fast paths within what the traces
+// cover.
 //
 // The Small n-body cells have 40 leaf lines each, and every one is alone in
 // its cache set. One Default-size cell is the regime they never reach: in

@@ -25,9 +25,9 @@ import "o2k/internal/sim"
 // derive further costed work. Flush is idempotent; an unflushed cursor at a
 // rendezvous would under-report the entry clock and break determinism.
 //
-// Under refModel a cursor probes refProbe, which holds nothing, so every
-// access degrades to chargeRef with an immediate Advance, Flush becomes a
-// no-op and differential traces stay aligned.
+// Under the reference model a cursor probes refProbe like every other entry
+// point (Array.probe), so each access is charged by chargeRef with an
+// immediate Advance and Flush has nothing left to charge.
 type Cursor[T any] struct {
 	a *Array[T]
 	p *sim.Proc
@@ -44,18 +44,10 @@ type Cursor[T any] struct {
 	hits uint64   // MRU hits not yet charged: cacheHitNS apiece at Flush
 }
 
-// refProbe is the cache cursors probe under the reference model: one empty
-// set, so the inlined MRU probe always fails and the access reaches the slow
-// path, which charges through chargeRef and the processor's real cache.
-var refProbe = &cache{tags: make([]uint32, cacheWays), setBits: 1}
-
 // Cursor binds a to p. The returned value is cheap to create per loop; do not
 // share it across procs.
 func (a *Array[T]) Cursor(p *sim.Proc) Cursor[T] {
-	c := a.caches[p.ID()]
-	if refModel {
-		c = refProbe
-	}
+	c := a.probe(p.ID())
 	return Cursor[T]{
 		a: a, p: p, c: c,
 		baseLine: a.baseLine, elemSize: a.elemSize, lineShift: a.lineShift,
@@ -147,12 +139,7 @@ func (cu *Cursor[T]) Store(i int, v T) {
 // reference model, a store to a shared array (it needs its write-set record),
 // a hit in a non-MRU way, a miss.
 func (cu *Cursor[T]) slow(i int, gl uint64, write bool) {
-	a := cu.a
-	if refModel {
-		a.chargeRef(cu.p, a.lineOf(i), write)
-		return
-	}
-	cu.lat += a.chargeSlowAcc(cu.p, cu.c, gl, a.lineOf(i), write)
+	cu.lat += cu.a.chargeSlowAcc(cu.p, cu.c, gl, cu.a.lineOf(i), write)
 }
 
 // Flush charges the accumulated hit count and latency to the processor. Call

@@ -48,3 +48,36 @@ func TestAllreduce1Oracle(t *testing.T) {
 		}
 	}
 }
+
+// TestPutOracle checks one remote Put at P = 2 against closed forms written
+// from machine.Config and machine's exported cost functions alone: for n
+// float64s (b = 8n bytes) the initiator's clock must advance by ShmPutOvNS +
+// b·ShmPerByteNS + Wire(b, Hops(0, 1)) and its BytesSent by b, in one
+// message, and the target's must not move. This is checked on one node board
+// and across two.
+func TestPutOracle(t *testing.T) {
+	for _, perNode := range []int{2, 1} {
+		for _, n := range []int{1, 1000} {
+			cfg := machine.Default(2)
+			cfg.ProcsPerNode = perNode
+			m := machine.MustNew(cfg)
+			w := shm.NewWorld(m, numa.NewSpace(m))
+			s := shm.AllocWorld[float64](w, n)
+			g := sim.NewGroup(2)
+			g.Run(func(p *sim.Proc) {
+				if pe := w.PE(p); pe.ID() == 0 {
+					shm.Put(pe, s, 1, 0, make([]float64, n))
+				}
+			})
+			b := sim.Time(8 * n)
+			want := cfg.ShmPutOvNS + b*cfg.ShmPerByteNS + m.Wire(8*n, m.Hops(0, 1))
+			src, dst := g.Proc(0), g.Proc(1)
+			if src.Now() != want || dst.Now() != 0 {
+				t.Errorf("%d per node, %d float64s: clocks %v and %v, want %v and 0", perNode, n, src.Now(), dst.Now(), want)
+			}
+			if src.BytesSent != uint64(b) || src.MsgsSent != 1 {
+				t.Errorf("%d per node, %d float64s: %d bytes in %d messages, want %d in 1", perNode, n, src.BytesSent, src.MsgsSent, b)
+			}
+		}
+	}
+}
