@@ -108,6 +108,76 @@ func TestMoreProcsThanRows(t *testing.T) {
 	}
 }
 
+// programAccesses is the number of element accesses the program of model
+// issues on np processors, read off the three programs: each processor seeds
+// its rows of both grids, loads four elements and stores one per interior cell
+// of its block in every sweep, moves its edge rows to each neighbour, and
+// loads its block once for the checksum. A block is rows [lo, hi) of the
+// interior rows 1..N; a processor with rows has a neighbour above unless
+// lo = 1 and one below unless hi = N+1.
+func programAccesses(model core.Model, w Workload, np int) uint64 {
+	n, rowLen := w.N, w.N+2
+	total := 0
+	for me := range np {
+		lo, hi := 1+me*n/np, 1+(me+1)*n/np
+		own := hi - lo
+		neighbours := 0
+		if own > 0 {
+			neighbours = b2i(lo > 1) + b2i(hi < n+1)
+		}
+		total += w.Iters*5*n*own + n*own // sweeps, checksum
+		switch model {
+		case core.MP:
+			// Rows lo-1..hi of u and v; per sweep a load of the row sent and a
+			// store of the row received per neighbour.
+			total += 2*(own+2)*rowLen + w.Iters*neighbours*2*rowLen
+		case core.SHMEM:
+			// As MP, but the received row arrives by a put: no store.
+			total += 2*(own+2)*rowLen + w.Iters*neighbours*rowLen
+		case core.SAS:
+			// Each owner its rows; the first and last processor the boundary
+			// rows too. Halo rows arrive through the sweep's own loads.
+			r0, r1 := lo, hi
+			if me == 0 {
+				r0 = 0
+			}
+			if me == np-1 {
+				r1 = n + 2
+			}
+			total += 2 * (r1 - r0) * rowLen
+		}
+	}
+	return uint64(total)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestCellsChargeEveryAccessOnce is an oracle for the walk that charges the
+// stencil: every access a program issues is one cache hit or one miss, so a
+// cell's hits and misses add up to programAccesses, counted without the
+// simulator. At P = 96 on Small, 32 processors own no rows.
+func TestCellsChargeEveryAccessOnce(t *testing.T) {
+	for _, c := range []struct {
+		w     Workload
+		procs []int
+	}{{Small(), []int{1, 4, 16, 96}}, {Default(), []int{4}}} {
+		for _, p := range c.procs {
+			for _, model := range core.AllModels() {
+				met := Run(model, mach(p), c.w)
+				got := met.Counters.CacheHits + met.Counters.LocalMisses + met.Counters.RemoteMisses
+				if want := programAccesses(model, c.w, p); got != want {
+					t.Errorf("N=%d %v P=%d: %d hits and misses, the program issues %d accesses", c.w.N, model, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPhaseAttribution(t *testing.T) {
 	w := Small()
 	met := Run(core.MP, mach(4), w)

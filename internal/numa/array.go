@@ -159,7 +159,8 @@ func Release[T any](a *Array[T]) {
 }
 
 // Data exposes the backing slice for bulk computation. Accesses through Data
-// are not costed; pair them with TouchRange, or prefer Load/Store.
+// are not costed; pair them with TouchRange or ChargeLoop, or prefer
+// Load/Store.
 func (a *Array[T]) Data() []T { return a.data }
 
 // --- Placement -------------------------------------------------------------

@@ -73,11 +73,9 @@ func mustBeDead(t *testing.T, a *Array[float64], p *sim.Proc, bound *Cursor[floa
 	mustPanic(t, "ScatterIdx", func() { a.ScatterIdx(p, idx, out) })
 	mustPanic(t, "StoreRange", func() { a.StoreRange(p, 3, out) })
 	cu := a.Cursor(p)
-	var arm Arm
 	for _, cu := range []*Cursor[float64]{&cu, bound} {
 		mustPanic(t, "Cursor.Load", func() { cu.Load(3) })
 		mustPanic(t, "Cursor.Store", func() { cu.Store(3, 1) })
-		mustPanic(t, "Cursor.LoadArm", func() { cu.LoadArm(&arm, 3) })
 	}
 }
 

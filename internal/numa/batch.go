@@ -215,14 +215,21 @@ func GatherFields[T any](p *sim.Proc, srcs []*Array[T], idx []int32, out []T) {
 	}
 	c := srcs[0].probe(p.ID())
 	var lat sim.Time
+	var hits uint64
 	for k, ix := range idx {
 		i := int(ix)
 		for f, a := range srcs {
-			a.chargeAcc(p, c, a.lineOf(i), false, &lat)
+			li := a.lineOf(i)
+			if gl := a.baseLine + uint64(li); c.mruHit(gl) {
+				hits++
+			} else {
+				lat += a.chargeSlowAcc(p, c, gl, li, false)
+			}
 			out[nf*k+f] = a.data[i]
 		}
 	}
-	p.Advance(lat)
+	p.CacheHits += hits
+	p.Advance(lat + sim.Time(hits)*srcs[0].cacheHitNS)
 }
 
 // ScatterFields is the receive side of GatherFields: vals[len(dsts)*k+f] is
@@ -234,14 +241,21 @@ func ScatterFields[T any](p *sim.Proc, dsts []*Array[T], idx []int32, vals []T) 
 	}
 	c := dsts[0].probe(p.ID())
 	var lat sim.Time
+	var hits uint64
 	for k, ix := range idx {
 		i := int(ix)
 		for f, a := range dsts {
-			a.chargeAcc(p, c, a.lineOf(i), true, &lat)
+			li := a.lineOf(i)
+			if gl := a.baseLine + uint64(li); !a.shared && c.mruHit(gl) {
+				hits++
+			} else {
+				lat += a.chargeSlowAcc(p, c, gl, li, true)
+			}
 			a.data[i] = vals[nf*k+f]
 		}
 	}
-	p.Advance(lat)
+	p.CacheHits += hits
+	p.Advance(lat + sim.Time(hits)*dsts[0].cacheHitNS)
 }
 
 // CopyFields copies element idx[k] of srcs[f] into element idx[k] of dsts[f]
@@ -254,16 +268,28 @@ func CopyFields[T any](p *sim.Proc, dsts, srcs []*Array[T], idx []int32) {
 	}
 	c := dsts[0].probe(p.ID())
 	var lat sim.Time
+	var hits uint64
 	for _, ix := range idx {
 		i := int(ix)
 		for f, s := range srcs {
 			d := dsts[f]
-			s.chargeAcc(p, c, s.lineOf(i), false, &lat)
-			d.chargeAcc(p, c, d.lineOf(i), true, &lat)
+			sl := s.lineOf(i)
+			if gl := s.baseLine + uint64(sl); c.mruHit(gl) {
+				hits++
+			} else {
+				lat += s.chargeSlowAcc(p, c, gl, sl, false)
+			}
+			dl := d.lineOf(i)
+			if gl := d.baseLine + uint64(dl); !d.shared && c.mruHit(gl) {
+				hits++
+			} else {
+				lat += d.chargeSlowAcc(p, c, gl, dl, true)
+			}
 			d.data[i] = s.data[i]
 		}
 	}
-	p.Advance(lat)
+	p.CacheHits += hits
+	p.Advance(lat + sim.Time(hits)*dsts[0].cacheHitNS)
 }
 
 // UnpackFields is ScatterFields reading from a costed staging array instead of
@@ -274,15 +300,28 @@ func UnpackFields[T any](p *sim.Proc, src *Array[T], srcOff int, dsts []*Array[T
 	nf := len(dsts)
 	c := src.probe(p.ID())
 	var lat sim.Time
+	var hits uint64
 	for k, ix := range idx {
 		i := int(ix)
 		for f, a := range dsts {
-			src.chargeAcc(p, c, src.lineOf(srcOff+nf*k+f), false, &lat)
-			a.chargeAcc(p, c, a.lineOf(i), true, &lat)
-			a.data[i] = src.data[srcOff+nf*k+f]
+			si := srcOff + nf*k + f
+			sl := src.lineOf(si)
+			if gl := src.baseLine + uint64(sl); c.mruHit(gl) {
+				hits++
+			} else {
+				lat += src.chargeSlowAcc(p, c, gl, sl, false)
+			}
+			al := a.lineOf(i)
+			if gl := a.baseLine + uint64(al); !a.shared && c.mruHit(gl) {
+				hits++
+			} else {
+				lat += a.chargeSlowAcc(p, c, gl, al, true)
+			}
+			a.data[i] = src.data[si]
 		}
 	}
-	p.Advance(lat)
+	p.CacheHits += hits
+	p.Advance(lat + sim.Time(hits)*src.cacheHitNS)
 }
 
 // Store3At writes elements i, i+1, i+2 in order with a single Advance.

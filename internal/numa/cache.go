@@ -48,11 +48,8 @@ type cache struct {
 	cohEvicts uint64 // lines invalidated by coherence since last reset
 
 	// gen counts tag mutations (LRU shuffles, installs, invalidations,
-	// flushes). While it is unchanged no tag has moved, so a line seen in the
-	// MRU way of its set at generation g is provably still there, and a repeat
-	// access may be charged as a hit without re-probing (and without the LRU
-	// reorder a real probe would do, because an MRU hit performs none). Arm is
-	// the one memo built on it.
+	// flushes). No charging code reads it: it is how the replay tests tell the
+	// loads that reorder a set from the misses (ref_test.go, bench_test.go).
 	gen uint64
 
 	// pin is the replay's pin table (replay.go), nil until a replay binds one.

@@ -96,34 +96,6 @@ func (cu *Cursor[T]) TouchMiss(i int) {
 	}
 }
 
-// Arm is a per-access-stream line memo for LoadArm: it remembers the last
-// line the stream verified present (in the MRU way of its set) and the cache
-// generation at that moment. While the generation is unchanged no tag in the
-// cache has moved — installs, LRU reorders, invalidation evictions, and
-// flushes all bump it — so the line is provably still MRU and a repeat
-// access charges as a hit without the set hash and tag probe. It pays where a
-// loop walks a few lines element by element (the up/down/row arms of a
-// 5-point stencil: sixteen accesses to a line for one probe).
-type Arm struct {
-	line uint64 // global line address + 1 (0 = never set)
-	gen  uint64
-}
-
-// LoadArm reads element i like Load, consulting and maintaining arm as a line
-// memo. Charging is identical to Load: an arm hit is exactly the probe-hit
-// outcome it shortcuts (same hit count and latency). The arm is bypassed
-// under the reference model, where the generation of refProbe never moves.
-func (cu *Cursor[T]) LoadArm(arm *Arm, i int) T {
-	gl := cu.line(i)
-	if arm.line == gl+1 && arm.gen == cu.c.gen && !refModel {
-		cu.hits++
-		return cu.a.data[i]
-	}
-	v := cu.Load(i)
-	arm.line, arm.gen = gl+1, cu.c.gen
-	return v
-}
-
 // Store writes element i through the cursor; identical charging to
 // Array.Store with the Advance deferred to Flush.
 func (cu *Cursor[T]) Store(i int, v T) {

@@ -12,14 +12,12 @@ import (
 // refModelSites are the functions that may test refModel besides ref.go: the
 // cache selector every probing entry point goes through, the one slow path,
 // the span walk and the replay (both install lines through accessSlow
-// themselves, past any probe), the arm memo (it charges a hit with no probe
-// at all), and the coherence merge's dispatch.
+// themselves, past any probe), and the coherence merge's dispatch.
 var refModelSites = map[string]bool{
 	"probe":         true,
 	"chargeSlowAcc": true,
 	"span":          true,
 	"ReplayLines":   true,
-	"LoadArm":       true,
 	"mergeEpoch":    true,
 }
 

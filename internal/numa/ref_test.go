@@ -198,26 +198,18 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			}
 			cb.Flush()
 		case 8:
-			// Stencil-shaped arm walk: two streams cycling distinct lines.
-			ca := shA.Cursor(p)
-			var up, row Arm
-			base := rng.Intn(len(shA.data) - 66)
-			for j := 0; j < 32; j++ {
-				sum += ca.LoadArm(&up, base+j)
-				sum += ca.LoadArm(&row, base+32+j)
-				sum += ca.LoadArm(&row, base+32+j+1)
-			}
-			// A stale arm: where the cache is small enough for another line of
-			// the array to share its set, the arm's line leaves the MRU way
-			// behind the arm's back and is walked again.
-			c := sp.caches[p.ID()]
-			for e := 0; e < len(shA.data); e += 16 {
-				if l, other := ca.line(base), ca.line(e); l != other && setBase(c.setBits, c.setMask, l) == setBase(c.setBits, c.setMask, other) {
-					sum += ca.LoadArm(&up, base) + ca.Load(e) + ca.LoadArm(&up, base)
-					break
-				}
-			}
+			// A stencil-shaped walk: three load streams of shA, two of them on
+			// one line (j-1, j+1), and a store stream to a shared or a private
+			// array.
+			dst := [...]*Array[float64]{shS, priv[p.ID()]}[rng.Intn(2)]
+			ca, cd := shA.Cursor(p), dst.Cursor(p)
+			n := 1 + rng.Intn(64)
+			row := 1 + rng.Intn(len(shA.data)-n-2)
+			ChargeLoop(0, n, Stream[float64]{C: &ca, Off: rng.Intn(len(shA.data) - n)},
+				Stream[float64]{C: &ca, Off: row - 1}, Stream[float64]{C: &ca, Off: row + 1},
+				Stream[float64]{C: &cd, Off: rng.Intn(len(dst.data) - n), Write: true})
 			ca.Flush()
+			cd.Flush()
 		case 9:
 			// Batched trace replay over the quartet, with an occasional store
 			// beforehand so the replay meets freshly written lines.
@@ -329,7 +321,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 
 // TestFastPathMatchesReference is the differential test for the optimized
 // cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
-// cursor chains (Load, TryTouch/TouchMiss, LoadArm), every batch helper of
+// cursor chains (Load, TryTouch/TouchMiss, ChargeLoop), every batch helper of
 // batch.go on shared and private arrays, the batched
 // trace replay (ReplayLoads), and the directory-driven
 // coherence merge must be observationally identical to the straightforward
@@ -434,11 +426,11 @@ func sameSetsAs[T any](sp *Space, like *Array[T]) {
 // runReplayCase drives walk-shaped traces through ReplayLoads on a quartet of
 // arrays of element type T. One set of cursors replays several traces, and
 // between the replays comes everything that must take a pin off: per-access
-// Load/Store on the quartet's arrays, the same (and TryTouch, LoadArm with
-// arms that outlive the replays) through the unflushed cursors, stores through
-// them to shared arrays, loads and stores on a fifth array whose lines fall in
-// the sets of x's, and coherence merges that invalidate what other processors
-// wrote. TestMain audits the pins after every replay.
+// Load/Store on the quartet's arrays, the same (and TryTouch, ChargeLoop
+// walks) through the unflushed cursors, stores through them to shared arrays,
+// loads and stores on a fifth array whose lines fall in the sets of x's, and
+// coherence merges that invalidate what other processors wrote. TestMain
+// audits the pins after every replay.
 func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, val func(int) T) (traceResult, replayRegime) {
 	t.Helper()
 	refModel = useRef
@@ -480,8 +472,7 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 			p = g.Proc(rng.Intn(procs))
 		}
 		// Per-access traffic on the five arrays, through the arrays and, when
-		// there are any, through the quartet's cursors and their arms.
-		var arms [4]Arm
+		// there are any, through the quartet's cursors.
 		access := func(cu []*Cursor[T]) {
 			for k := rng.Intn(5); k > 0; k-- {
 				w := rng.Intn(5)
@@ -504,7 +495,7 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 				case 3:
 					cu[w].Store(i, val(step))
 				case 4:
-					cu[w].LoadArm(&arms[w], i)
+					ChargeLoop(0, min(1+rng.Intn(20), len(a.data)-i), Stream[T]{C: cu[w], Off: i})
 				default:
 					if !cu[w].TryTouch(i) {
 						cu[w].TouchMiss(i)
@@ -613,40 +604,6 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 	check(rc, func(seed int64, useRef bool) (traceResult, replayRegime) {
 		return runReplayCase(t, rc, seed, useRef, func(i int) wide { return wide{float64(i)} })
 	})
-}
-
-// A replay that only reorders — every load a hit, two of them in non-MRU ways —
-// moves tags, so it must move the cache generation: the Arm armed before it
-// is stale after it. One set of four ways holding the quartet's four lines.
-func TestReplayReorderStalesArms(t *testing.T) {
-	run := func(useRef bool) traceResult {
-		refModel = useRef
-		defer func() { refModel = false }()
-		cfg := machine.Default(1)
-		cfg.CacheBytes = cacheWays * cfg.LineBytes
-		sp := NewSpace(machine.MustNew(cfg))
-		g := sim.NewGroup(1)
-		p := g.Proc(0)
-		var cu [4]Cursor[float64]
-		for i := range cu {
-			cu[i] = NewPrivate[float64](sp, 0, 16).Cursor(p)
-		}
-		replay := func(tr ...int32) { ReplayLoads(tr, &cu[0], &cu[1], &cu[2], &cu[3]) }
-		var arm Arm
-		replay(0, ^0)          // four misses; LRU order cells, m, y, x
-		cu[0].LoadArm(&arm, 0) // x, cells, m, y — and the arm says so
-		replay(0)              // x in the MRU way; y, then m, come up from the last: m, y, x, cells
-		cu[0].LoadArm(&arm, 1) // the same line of x, now in way 2: x, m, y, cells
-		for i := range cu {
-			cu[i].Flush()
-		}
-		var res traceResult
-		res.snapshot(sp, g)
-		return res
-	}
-	if d := run(false).diff(run(true)); d != "" {
-		t.Fatalf("an arm survived a replay that reordered its set: fast path and reference differ in %s", d)
-	}
 }
 
 // With the cells array also a leaf array a line has two symbols, which the pin

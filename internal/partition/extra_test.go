@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +77,91 @@ func TestRCBSinglePoint(t *testing.T) {
 	part := RCB([]float64{0.5}, []float64{0.5}, []float64{1}, 4)
 	if part[0] < 0 || part[0] >= 4 {
 		t.Fatalf("single point part %d", part[0])
+	}
+}
+
+// rcbSortPerLevel is RCB as it was written before it sorted each axis once:
+// every level sorts its subset along the chosen axis. RCB must equal it.
+func rcbSortPerLevel(xs, ys, w []float64, nparts int) []int32 {
+	out := make([]int32, len(xs))
+	idx := make([]int32, len(xs))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	var rec func(idx []int32, base, nparts int)
+	rec = func(idx []int32, base, nparts int) {
+		if nparts == 1 {
+			for _, i := range idx {
+				out[i] = int32(base)
+			}
+			return
+		}
+		if len(idx) == 0 {
+			return
+		}
+		minX, maxX, minY, maxY := xs[idx[0]], xs[idx[0]], ys[idx[0]], ys[idx[0]]
+		for _, i := range idx {
+			minX, maxX = min(minX, xs[i]), max(maxX, xs[i])
+			minY, maxY = min(minY, ys[i]), max(maxY, ys[i])
+		}
+		coord := xs
+		if maxY-minY > maxX-minX {
+			coord = ys
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			if ca, cb := coord[idx[a]], coord[idx[b]]; ca != cb {
+				return ca < cb
+			}
+			return idx[a] < idx[b]
+		})
+		left, right := nparts/2, nparts-nparts/2
+		var total float64
+		for _, i := range idx {
+			total += w[i]
+		}
+		target := total * float64(left) / float64(nparts)
+		cum, cut := 0.0, 0
+		for cut < len(idx)-1 {
+			cum += w[idx[cut]]
+			cut++
+			if cum >= target {
+				break
+			}
+		}
+		cut = max(cut, 1)
+		if left > 0 && cut > len(idx)-right && len(idx) >= nparts {
+			cut = len(idx) - right
+		}
+		rec(idx[:cut], base, left)
+		rec(idx[cut:], base+left, right)
+	}
+	rec(idx, 0, nparts)
+	return out
+}
+
+// TestRCBMatchesSortPerLevel checks RCB against rcbSortPerLevel on random
+// inputs: coordinates drawn from a few values (ties on both axes, duplicate
+// points, half the time bounding boxes as wide as they are tall), zero
+// weights among them, part counts that are not powers of two and part counts
+// above the number of points.
+func TestRCBMatchesSortPerLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := range 300 {
+		n := rng.Intn(200)
+		grid := 1 + rng.Intn(12)
+		yScale := []float64{0.37, 1 / float64(grid)}[trial%2]
+		xs, ys, w := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(grid)) / float64(grid)
+			ys[i] = float64(rng.Intn(grid)) * yScale
+			if rng.Intn(4) > 0 {
+				w[i] = float64(rng.Intn(5))
+			}
+		}
+		nparts := 1 + rng.Intn(max(2*n, 8))
+		if got, want := RCB(xs, ys, w, nparts), rcbSortPerLevel(xs, ys, w, nparts); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, nparts=%d): RCB %v, sort per level %v", trial, n, nparts, got, want)
+		}
 	}
 }
 
