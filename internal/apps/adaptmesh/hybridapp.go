@@ -142,7 +142,6 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 	if leader {
 		r = world.RankAs(p, node)
 	}
-	opNS := mach.Cfg.OpNS
 
 	// --- mark: the node's triangles split across its lanes.
 	chargeOps(p, mach, sim.PhaseMark, solver.MarkOps*(pl.MarkWork[node]/nodeP+1))
@@ -244,17 +243,7 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 	eb := laneSlice(pl.EdgeB[node], lane, nodeP)
 	for it := 0; it < w.SolveIters; it++ {
 		acc.FillIdx(p, pl.Clear[node], 0)
-		cu := u.Cursor(p)
-		ca := acc.Cursor(p)
-		for j := range ea {
-			a, b := int(ea[j]), int(eb[j])
-			f := solver.Flux(cu.Load(a), cu.Load(b))
-			ca.Store(a, ca.Load(a)+f)
-			ca.Store(b, ca.Load(b)-f)
-		}
-		cu.Flush()
-		ca.Flush()
-		p.Advance(sim.Time(len(ea)*solver.FluxOps) * opNS)
+		edgeFlux(p, mach, u, acc, ea, eb)
 		bar.Wait(p)
 		if leader {
 			// Combine the lanes' partials into the leader's accumulator, in
@@ -289,16 +278,7 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 			p.SetPhase(phc)
 		}
 		bar.Wait(p)
-		owned := laneSlice(dec.OwnedVerts[node], lane, nodeP)
-		cu = u.Cursor(p)
-		cla := leaderAcc.Cursor(p)
-		for _, v := range owned {
-			i := int(v)
-			cu.Store(i, solver.Update(cu.Load(i), cla.Load(i), pl.Deg[v]))
-		}
-		cu.Flush()
-		cla.Flush()
-		p.Advance(sim.Time(len(owned)*solver.UpdateOps) * opNS)
+		vertexUpdate(p, mach, u, leaderAcc, laneSlice(dec.OwnedVerts[node], lane, nodeP), pl.Deg)
 		bar.Wait(p)
 		if leader {
 			mpGhostExchange(r, pl, u, &scratch)

@@ -163,21 +163,9 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 	// --- solve: edge-based sweeps with owner-accumulation exchanges.
 	p.SetPhase(sim.PhaseCompute)
 	mpGhostExchange(r, pl, u, &scratch)
-	opNS := mach.Cfg.OpNS
-	ea, eb := pl.EdgeA[me], pl.EdgeB[me]
 	for it := 0; it < w.SolveIters; it++ {
 		acc.FillIdx(p, pl.Clear[me], 0)
-		cu := u.Cursor(p)
-		ca := acc.Cursor(p)
-		for j := range ea {
-			a, b := int(ea[j]), int(eb[j])
-			f := solver.Flux(cu.Load(a), cu.Load(b))
-			ca.Store(a, ca.Load(a)+f)
-			ca.Store(b, ca.Load(b)-f)
-		}
-		cu.Flush()
-		ca.Flush()
-		p.Advance(sim.Time(len(ea)*solver.FluxOps) * opNS)
+		edgeFlux(p, mach, u, acc, pl.EdgeA[me], pl.EdgeB[me])
 		// Partial sums to vertex owners.
 		phc := p.SetPhase(sim.PhaseComm)
 		for q := 0; q < r.Size(); q++ {
@@ -197,16 +185,7 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 			numa.AddIdx(p, acc, lst, mp.Recv[float64](r, q, tagPartial))
 		}
 		p.SetPhase(phc)
-		owned := dec.OwnedVerts[me]
-		cu = u.Cursor(p)
-		ca = acc.Cursor(p)
-		for _, v := range owned {
-			i := int(v)
-			cu.Store(i, solver.Update(cu.Load(i), ca.Load(i), pl.Deg[v]))
-		}
-		cu.Flush()
-		ca.Flush()
-		p.Advance(sim.Time(len(owned)*solver.UpdateOps) * opNS)
+		vertexUpdate(p, mach, u, acc, dec.OwnedVerts[me], pl.Deg)
 		mpGhostExchange(r, pl, u, &scratch)
 	}
 

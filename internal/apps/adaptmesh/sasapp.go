@@ -195,21 +195,9 @@ func sasCycle(c *sas.Ctx, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 
 	// --- solve
 	p.SetPhase(sim.PhaseCompute)
-	opNS := mach.Cfg.OpNS
-	ea, eb := pl.EdgeA[me], pl.EdgeB[me]
 	for it := 0; it < w.SolveIters; it++ {
 		acc.FillIdx(p, pl.Clear[me], 0)
-		cu := u.Cursor(p)
-		ca := acc.Cursor(p)
-		for j := range ea {
-			a, b := int(ea[j]), int(eb[j])
-			f := solver.Flux(cu.Load(a), cu.Load(b))
-			ca.Store(a, ca.Load(a)+f)
-			ca.Store(b, ca.Load(b)-f)
-		}
-		cu.Flush()
-		ca.Flush()
-		p.Advance(sim.Time(len(ea)*solver.FluxOps) * opNS)
+		edgeFlux(p, mach, u, acc, pl.EdgeA[me], pl.EdgeB[me])
 		// Publish partial sums for foreign-owned vertices.
 		for q := 0; q < c.Size(); q++ {
 			numa.PackIdx(p, contrib, lay.off[me][q], acc, dec.Border[me][q])
@@ -218,16 +206,7 @@ func sasCycle(c *sas.Ctx, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		for q := 0; q < c.Size(); q++ {
 			numa.AddGather(p, acc, dec.Border[q][me], contrib, lay.off[q][me])
 		}
-		owned := dec.OwnedVerts[me]
-		cu = u.Cursor(p)
-		ca = acc.Cursor(p)
-		for _, v := range owned {
-			i := int(v)
-			cu.Store(i, solver.Update(cu.Load(i), ca.Load(i), pl.Deg[v]))
-		}
-		cu.Flush()
-		ca.Flush()
-		p.Advance(sim.Time(len(owned)*solver.UpdateOps) * opNS)
+		vertexUpdate(p, mach, u, acc, dec.OwnedVerts[me], pl.Deg)
 		c.Barrier()
 	}
 

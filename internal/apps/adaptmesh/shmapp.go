@@ -204,21 +204,9 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 	p.SetPhase(sim.PhaseCompute)
 	shmGhostPush(pe, pl, u, uL, &scratch)
 	pe.Barrier()
-	opNS := mach.Cfg.OpNS
-	ea, eb := pl.EdgeA[me], pl.EdgeB[me]
 	for it := 0; it < w.SolveIters; it++ {
 		accL.FillIdx(p, pl.Clear[me], 0)
-		cu := uL.Cursor(p)
-		ca := accL.Cursor(p)
-		for j := range ea {
-			a, b := int(ea[j]), int(eb[j])
-			f := solver.Flux(cu.Load(a), cu.Load(b))
-			ca.Store(a, ca.Load(a)+f)
-			ca.Store(b, ca.Load(b)-f)
-		}
-		cu.Flush()
-		ca.Flush()
-		p.Advance(sim.Time(len(ea)*solver.FluxOps) * opNS)
+		edgeFlux(p, mach, uL, accL, pl.EdgeA[me], pl.EdgeB[me])
 		// Push partial sums into the owners' contribution blocks.
 		phc := p.SetPhase(sim.PhaseComm)
 		for q := 0; q < pe.Size(); q++ {
@@ -236,16 +224,7 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		for q := 0; q < pe.Size(); q++ {
 			numa.AddGather(p, accL, dec.Border[q][me], contribL, lay.offIn[me][q])
 		}
-		owned := dec.OwnedVerts[me]
-		cu = uL.Cursor(p)
-		ca = accL.Cursor(p)
-		for _, v := range owned {
-			i := int(v)
-			cu.Store(i, solver.Update(cu.Load(i), ca.Load(i), pl.Deg[v]))
-		}
-		cu.Flush()
-		ca.Flush()
-		p.Advance(sim.Time(len(owned)*solver.UpdateOps) * opNS)
+		vertexUpdate(p, mach, uL, accL, dec.OwnedVerts[me], pl.Deg)
 		shmGhostPush(pe, pl, u, uL, &scratch)
 		pe.Barrier()
 	}

@@ -25,7 +25,7 @@ var table5 = []locRow{
 	{"adaptive mesh app", [3]string{
 		"internal/apps/adaptmesh/mpapp.go",
 		"internal/apps/adaptmesh/shmapp.go",
-		"internal/apps/adaptmesh/sasapp.go"}, [3]int{219, 254, 204}},
+		"internal/apps/adaptmesh/sasapp.go"}, [3]int{198, 233, 183}},
 	{"n-body app", [3]string{
 		"internal/apps/barnes/mpapp.go",
 		"internal/apps/barnes/shmapp.go",

@@ -247,42 +247,6 @@ func benchSparseCycle(b *testing.B, n int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*procs), "ns/array")
 }
 
-// BenchmarkChargeLoop charges one row of the stencil sweep (a Default row of
-// 384 cells) with the walk, in ns per cell: four loads of the source — up,
-// down, and the left and right neighbours, which share a line — and a store to
-// the destination. row: the 4 MB cache, every line alone in its set after the
-// first pass, so the walk counts whole runs between line boundaries.
-// same-set: the destination placed where each of its lines falls in the set of
-// the same line of the source, so the store's line and the neighbours' take
-// turns in the MRU way and two of the five accesses of every cell reorder the
-// set.
-func BenchmarkChargeLoop(b *testing.B) {
-	b.Run("row", func(b *testing.B) { benchChargeLoop(b, false) })
-	b.Run("same-set", func(b *testing.B) { benchChargeLoop(b, true) })
-}
-
-func benchChargeLoop(b *testing.B, sameSet bool) {
-	const n, rowLen = 384, 386
-	sp, _ := space(1)
-	p := sim.NewGroup(1).Proc(0)
-	src := NewPrivate[float64](sp, 0, 3*rowLen)
-	if sameSet {
-		sameSetsAs(sp, src)
-	}
-	dst := NewPrivate[float64](sp, 0, 3*rowLen)
-	cs, cd := src.Cursor(p), dst.Cursor(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ChargeLoop(1, n+1, Stream[float64]{C: &cs}, Stream[float64]{C: &cs, Off: 2 * rowLen},
-			Stream[float64]{C: &cs, Off: rowLen - 1}, Stream[float64]{C: &cs, Off: rowLen + 1},
-			Stream[float64]{C: &cd, Off: rowLen, Write: true})
-	}
-	b.StopTimer()
-	cs.Flush()
-	cd.Flush()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cell")
-}
-
 // BenchmarkMergeEpochWide is the merge at scale: 64 caches with disjoint
 // per-proc write blocks nobody else has read, so every written line's sharer
 // list names the writer alone and no cache is probed.

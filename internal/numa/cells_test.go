@@ -44,35 +44,36 @@ func smallCells(t *testing.T, visit func(t *testing.T, cell string, model core.M
 
 // The whole-cell differential: every pinned cell, run as a program through
 // the one app harness, reports the same complete Metrics on the optimized
-// paths — the inline MRU probes of cursors and batch helpers, arms, the span
-// walk, ReplayLines, the sharer directory — as on the reference model of
-// ref.go, which charges every access through chargeRef and merges without a
-// directory. ref_test.go checks the same equality on seeded traces; this is
-// the check that the applications use the fast paths within what the traces
-// cover.
+// paths — the inline MRU probes of cursors and batch helpers, ChargeLoop's
+// walk and footprint rule, the span walk, ReplayLines, the sharer directory —
+// as on the reference model of ref.go, which charges every access through
+// chargeRef and merges without a directory. ref_test.go checks the same
+// equality on seeded traces; this is the check that the applications use the
+// fast paths within what the traces cover.
 //
-// The Small n-body cells have 40 leaf lines each, and every one is alone in
-// its cache set. One Default-size cell is the regime they never reach: in
-// n-body SHMEM P=16 a quarter of the replayed entries are pinned and a third
-// hit a non-MRU way (3.4 M of 10.8 M).
+// The Small cells stay in a regime two Default-size cells leave. The Small
+// n-body cells have 40 leaf lines each, and every one is alone in its cache
+// set; in n-body SHMEM P=16 a quarter of the replayed entries are pinned and a
+// third hit a non-MRU way (3.4 M of 10.8 M). In mesh CC-SAS P=16 the solve's
+// footprint rule meets, at every sweep, the ghost lines the barrier's merge
+// invalidated, and misses them remotely, and declines the sweeps whose lines
+// share a set.
 func TestWholeCellsMatchReference(t *testing.T) {
-	const large = "nbody/SHMEM/P=16 at Default size"
+	large := []struct {
+		app   string
+		model core.Model
+	}{{"nbody", core.SHMEM}, {"mesh", core.SAS}}
 	cells := func(t *testing.T, visit func(t *testing.T, cell string, m core.Metrics)) {
 		smallCells(t, func(t *testing.T, cell string, _ core.Model, _ int, m core.Metrics) { visit(t, cell, m) })
-		t.Run(large, func(t *testing.T) {
-			if testing.Short() {
-				t.Skip("a full-size cell on the reference model; skipped with -short")
-			}
-			app, err := experiments.LookupApp("nbody")
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := app.Cell(context.Background(), runner.New(1), core.SHMEM, 16, experiments.DefaultOpts())
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			visit(t, large, res.M)
-		})
+		for _, c := range large {
+			cell := fmt.Sprintf("%s/%v/P=16 at Default size", c.app, c.model)
+			t.Run(cell, func(t *testing.T) {
+				if testing.Short() {
+					t.Skip("a full-size cell on the reference model; skipped with -short")
+				}
+				visit(t, cell, defaultCell(t, c.app, c.model, 16))
+			})
+		}
 	}
 	fast := map[string]core.Metrics{}
 	cells(t, func(_ *testing.T, cell string, m core.Metrics) { fast[cell] = m })
@@ -82,6 +83,42 @@ func TestWholeCellsMatchReference(t *testing.T) {
 			t.Errorf("the fast path and the reference model disagree:\nfast %+v\n ref %+v", got, ref)
 		}
 	})
+}
+
+// defaultCell runs app's cell under model on procs processors at Default size
+// on a fresh engine.
+func defaultCell(t *testing.T, app string, model core.Model, procs int) core.Metrics {
+	t.Helper()
+	a, err := experiments.LookupApp(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := a.Cell(context.Background(), runner.New(1), model, procs, experiments.DefaultOpts())
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return res.M
+}
+
+// The mesh solve's sweeps are charged by ChargeLoop's footprint rule, not
+// access by access, when their lines sit in distinct cache sets — most of the
+// time at Default size, ghost lines and all. At P = 16 every flux sweep and
+// vertex update of MP and SHMEM takes the rule and CC-SAS declines a few; the
+// floor is 85 % for each model.
+func TestMeshSolveTakesTheFootprintRule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full-size cells; skipped with -short")
+	}
+	for _, model := range []core.Model{core.MP, core.SHMEM, core.SAS} {
+		t.Run(model.String(), func(t *testing.T) {
+			calls, rule := numa.CountFootprints(t)
+			defaultCell(t, "mesh", model, 16)
+			t.Logf("the footprint rule charged %d of %d solve sweeps", rule.Load(), calls.Load())
+			if calls.Load() == 0 || rule.Load()*100 < calls.Load()*85 {
+				t.Errorf("the footprint rule charged %d of %d solve sweeps, want at least 85 %%", rule.Load(), calls.Load())
+			}
+		})
+	}
 }
 
 // Every application reads its run out through the one harness, so every cell

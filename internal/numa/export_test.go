@@ -22,6 +22,19 @@ func SetRefModel(t testing.TB) {
 	t.Cleanup(func() { refModel = false })
 }
 
+// CountFootprints counts, for the rest of the test, the ChargeLoop calls with
+// an index stream and those of them the footprint rule charged.
+func CountFootprints(t testing.TB) (calls, rule *atomic.Int64) {
+	tally := new([2]atomic.Int64)
+	footprintTally = tally
+	t.Cleanup(func() { footprintTally = nil })
+	return &tally[0], &tally[1]
+}
+
+// SameSetsAs skips address space until an array as long as like, allocated in
+// sp next, falls line for line in the cache sets of like.
+func SameSetsAs[T any](sp *Space, like *Array[T]) { sameSetsAs(sp, like) }
+
 // LiveMappings is the number of mappings numa has made and not yet returned,
 // over all spaces.
 func LiveMappings() int64 { return liveMaps.Load() }

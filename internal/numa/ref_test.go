@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"o2k/internal/machine"
@@ -29,6 +30,9 @@ type traceResult struct {
 	Checksum float64    // data written through the arrays (model-independent)
 	Writes   [][]uint32 // write-sets, where a test logs them
 	Data     any        // array contents, where a test snapshots them
+	// Rule is not compared: ChargeLoop's calls with an index stream and those
+	// the footprint rule charged, where a test counts them.
+	Rule [2]int64
 }
 
 // mergeEpoch resolves coherence at a synchronization point and charges the
@@ -145,7 +149,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 		if rng.Intn(16) == 0 {
 			p.SetPhase(phases[rng.Intn(len(phases))])
 		}
-		switch rng.Intn(12) {
+		switch rng.Intn(13) {
 		case 0:
 			sum += shA.Load(p, rng.Intn(len(shA.data)))
 		case 1:
@@ -293,6 +297,25 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			case 10:
 				tgt.Store3At(p, rng.Intn(len(tgt.data)-2), float64(step), 1, 2)
 			}
+		case 12:
+			// A flux-shaped ChargeLoop over index lists: per edge (a, b) loads of
+			// shA at both ends, then a load and a store of an accumulator at
+			// a and at b, the accumulator shared or private. The ends come
+			// from one window, so the lists share lines; whether the
+			// footprint sits in distinct sets depends on the cache.
+			acc := [...]*Array[float64]{shS, priv[p.ID()]}[rng.Intn(2)]
+			n, w := 1+rng.Intn(64), 1+rng.Intn(96)
+			base := rng.Intn(len(acc.data) - w)
+			ea, eb := make([]int32, n), make([]int32, n)
+			for j := range ea {
+				ea[j], eb[j] = int32(base+rng.Intn(w)), int32(base+rng.Intn(w))
+			}
+			cu, ca := shA.Cursor(p), acc.Cursor(p)
+			ChargeLoop(0, n, Stream[float64]{C: &cu, Idx: ea}, Stream[float64]{C: &cu, Idx: eb},
+				Stream[float64]{C: &ca, Idx: ea}, Stream[float64]{C: &ca, Idx: ea, Write: true},
+				Stream[float64]{C: &ca, Idx: eb}, Stream[float64]{C: &ca, Idx: eb, Write: true})
+			cu.Flush()
+			ca.Flush()
 		}
 		// Periodic synchronization point; two of them also end a cycle (the
 		// buffer is released with records on its lists and a successor takes
@@ -321,8 +344,9 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 
 // TestFastPathMatchesReference is the differential test for the optimized
 // cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
-// cursor chains (Load, TryTouch/TouchMiss, ChargeLoop), every batch helper of
-// batch.go on shared and private arrays, the batched
+// cursor chains (Load, TryTouch/TouchMiss, ChargeLoop over contiguous and
+// index streams: the walk, the footprint rule, the element loop), every batch
+// helper of batch.go on shared and private arrays, the batched
 // trace replay (ReplayLoads), and the directory-driven
 // coherence merge must be observationally identical to the straightforward
 // reference implementations in ref.go — same virtual clocks, same per-phase
@@ -334,12 +358,15 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 // silently dropped by LRU and installed again between merges, under lists
 // that still name — or no longer name — their cache.
 func TestFastPathMatchesReference(t *testing.T) {
+	tally := new([2]atomic.Int64)
 	for _, tc := range []traceCfg{
 		{name: "default", procs: 8, steps: 4000},
 		{name: "tiny-caches", procs: 72, cacheBytes: 4096, steps: 12000},
 	} {
 		for _, seed := range []int64{1, 2, 42, 20260805} {
+			footprintTally = tally
 			fast := runTrace(t, tc, seed, false)
+			footprintTally = nil
 			ref := runTrace(t, tc, seed, true)
 			if d := fast.diff(ref); d != "" {
 				t.Fatalf("%s seed %d: fast path diverged from reference in %s", tc.name, seed, d)
@@ -353,6 +380,13 @@ func TestFastPathMatchesReference(t *testing.T) {
 				t.Errorf("%s seed %d: no coherence eviction", tc.name, seed)
 			}
 		}
+	}
+	// Both paths of an index call ran: in the default caches every footprint
+	// sits in distinct sets, in the tiny ones most collide.
+	calls, rule := tally[0].Load(), tally[1].Load()
+	t.Logf("the footprint rule charged %d of %d index calls", rule, calls)
+	if rule == 0 || rule == calls {
+		t.Errorf("the footprint rule charged %d of %d index calls, want some but not all", rule, calls)
 	}
 }
 

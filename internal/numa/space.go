@@ -42,6 +42,18 @@ type Space struct {
 	dir     []sharer
 	dirFree int32
 
+	// Scratch for ChargeLoop's footprint rule (chargeFootprint), on the one
+	// scheduler thread as dir is: a stamp per array-local line (an epoch<<16
+	// and, in the second pass, the arrays that accessed and stored the line),
+	// the epoch of the last pass that found a footprint line in each cache
+	// set, the lists' logs of first reaches, and the call's log of accesses
+	// to charge.
+	fpLines  []uint64
+	fpSets   []uint64
+	fpReach  []uint64
+	fpEpoch  uint64
+	fpEvents []fpEvent
+
 	allocBytes atomic.Uint64
 }
 

@@ -1,12 +1,17 @@
 package numa
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Stream is one access stream of ChargeLoop: at step j it loads element Off+j
-// of the array C is bound to, or stores it when Write is set.
+// of the array C is bound to — element Off+Idx[j] when Idx is set — or stores
+// it when Write is set.
 type Stream[T any] struct {
 	C     *Cursor[T]
 	Off   int
+	Idx   []int32
 	Write bool
 }
 
@@ -28,7 +33,8 @@ type walkStream[T any] struct {
 }
 
 // ChargeLoop charges, for each j in [lo, hi) and each stream in order, the
-// access of element Off+j exactly as the element loop
+// access of element Off+j (Off+Idx[j] for an index stream) exactly as the
+// element loop
 //
 //	for j := lo; j < hi; j++ {
 //		for _, s := range streams {
@@ -44,22 +50,28 @@ type walkStream[T any] struct {
 // without moving data: the caller computes over Data(). Hits and latency
 // accumulate in the cursors, which the caller flushes as usual.
 //
-// It probes only where a stream enters a new line and counts everything else.
-// A stream is ok while its line is known to sit in the MRU way of its set: an
-// access to that line is then an MRU hit, which moves nothing. A load or a
-// private store whose inline probe hits becomes ok. Every other access goes to
-// chargeSlowAcc — among them a shared store's first access to a line, which
-// records the line in the write-set, so that its later accesses are hits that
-// record nothing new. chargeSlowAcc is the only writer of tags inside a call
-// and writes only the set it names, so afterwards every stream in that set on
-// another line stops being ok, and the stream itself is ok if a probe finds
-// its line on top. Between two steps at which some stream may change line, a
-// run in which every stream is ok is counted whole.
+// A call of index streams is charged by the footprint rule (chargeFootprint)
+// when the lines it touches sit in pairwise distinct cache sets. Any other
+// call with an index stream takes the element loop itself (chargeEach), and a
+// call of contiguous streams is walked.
+//
+// The walk probes only where a stream enters a new line and counts everything
+// else. A stream is ok while its line is known to sit in the MRU way of its
+// set: an access to that line is then an MRU hit, which moves nothing. A load
+// or a private store whose inline probe hits becomes ok. Every other access
+// goes to chargeSlowAcc — among them a shared store's first access to a line,
+// which records the line in the write-set, so that its later accesses are hits
+// that record nothing new. chargeSlowAcc is the only writer of tags inside a
+// call and writes only the set it names, so afterwards every stream in that
+// set on another line stops being ok, and the stream itself is ok if a probe
+// finds its line on top. Between two steps at which some stream may change
+// line, a run in which every stream is ok is counted whole.
 //
 // Under the reference model every cursor probes refProbe, so no stream is
-// ever ok and every access reaches chargeSlowAcc, which charges it by
-// chargeRef. Elements that do not divide a line, or streams of spaces with
-// different line sizes, take the same loop without counting runs.
+// ever ok, the footprint rule never applies, and every access reaches
+// chargeSlowAcc, which charges it by chargeRef. Elements that do not divide a
+// line, or streams of spaces with different line sizes, take the same loop
+// without counting runs.
 func ChargeLoop[T any](lo, hi int, streams ...Stream[T]) {
 	if lo >= hi || len(streams) == 0 {
 		return
@@ -67,6 +79,22 @@ func ChargeLoop[T any](lo, hi int, streams ...Stream[T]) {
 	var buf [8]walkStream[T]
 	if len(streams) > len(buf) {
 		panic("numa: ChargeLoop of more than 8 streams")
+	}
+	for _, s := range streams {
+		if s.Idx == nil {
+			continue
+		}
+		took := chargeFootprint(lo, hi, streams)
+		if t := footprintTally; t != nil {
+			t[0].Add(1)
+			if took {
+				t[1].Add(1)
+			}
+		}
+		if !took {
+			chargeEach(lo, hi, streams)
+		}
+		return
 	}
 	c0 := streams[0].C
 	perLine := uint64(1) << (c0.lineShift & 63) / c0.elemSize
@@ -129,4 +157,253 @@ func ChargeLoop[T any](lo, hi int, streams ...Stream[T]) {
 	for _, s := range st {
 		s.C.hits += s.hits + run
 	}
+}
+
+// chargeEach is the element loop of ChargeLoop's doc comment, access by access
+// with the inline probe of Cursor.Load and Cursor.Store: what charges a call
+// with an index stream that the footprint rule declines. (The walk would
+// serve, but the index branch in its step loop cost the stencil's contiguous
+// walk 15 %.)
+func chargeEach[T any](lo, hi int, streams []Stream[T]) {
+	for j := lo; j < hi; j++ {
+		for k := range streams {
+			s := &streams[k]
+			cu, e := s.C, s.Off+j
+			if s.Idx != nil {
+				e = s.Off + int(s.Idx[j])
+			}
+			if gl := cu.line(e); !(s.Write && cu.shared) && mruAt(cu.c.tags, cu.setBits, cu.setMask, gl) {
+				cu.hits++
+			} else {
+				cu.slow(e, gl, s.Write)
+			}
+		}
+	}
+}
+
+// footprintTally, when set, counts ChargeLoop's calls with an index stream
+// ([0]) and those of them the footprint rule charged ([1]). Like refModel it
+// is for tests only (export_test.go) and changes only while nothing runs.
+var footprintTally *[2]atomic.Int64
+
+// fpEvent is one access the footprint rule must charge: stream k's first
+// access of array-local line li, or, with record, the first store of a
+// shared-store stream to a line an earlier access of its array touched.
+type fpEvent struct {
+	li     uint32
+	k      uint8
+	record bool
+}
+
+// fpList is one distinct element list of a call: streams with the same Off and
+// the same Idx access the same elements at every step.
+type fpList struct {
+	off int
+	idx []int32
+}
+
+// fpFirst is a stream that can add to the footprint when its list reaches a
+// new line: the first stream of its array on its list, and the first shared
+// store among them. Every other stream meets the line after one of these.
+type fpFirst struct {
+	k, list, arr uint8
+}
+
+// chargeFootprint is ChargeLoop's footprint rule. It applies when every
+// stream is an index stream, they all probe one cache of more than one set,
+// and the distinct lines they touch in [lo, hi) sit in pairwise distinct sets
+// of it; it then charges the call and reports true, and otherwise changes
+// nothing and reports false.
+//
+// The rule is exact. Inside a call only chargeSlowAcc writes tags, and only in
+// the set of the line it charges; with every line of the footprint alone in
+// its set, an access to one of them never moves another. A line's first
+// access is therefore its only access that can find it outside the MRU way,
+// and each later access is an MRU hit that moves nothing. So the rule charges
+// every first access as the element loop does — counted if the line sits in
+// the MRU way (a load or a private store), else chargeSlowAcc — and counts
+// every other access as an MRU hit. A shared store reaches chargeSlowAcc on
+// every access in the element loop, but only its first store to a line in an
+// epoch records anything, so the rule records each line a shared-store stream
+// writes once. First accesses and first stores are charged in element-loop
+// order, so the write-sets and the sharer arena come out as the element loop
+// leaves them.
+//
+// Two passes find the footprint, over a stamp per array-local line
+// (Space.fpLines). The first (markReach) scans each distinct element list
+// once and logs the steps at which the list reaches a line it has not reached
+// before (Space.fpReach); at every other step each stream meets a line that
+// an earlier step brought to it through its list, and has nothing to charge.
+// The second merges the lists' logs into step order and, at each logged step,
+// visits the streams that can add something (fpFirst) in stream order,
+// stamping per line the arrays that accessed it and those that stored it
+// through a shared-store stream: each new (array, line) pair stamps its set
+// (Space.fpSets) and is logged, and a second pair in one set ends the rule.
+// The log (Space.fpEvents) is then charged in order.
+//
+// The reference model's refProbe has one set, so under it the rule never
+// applies, and chargeEach sends every access to chargeSlowAcc.
+func chargeFootprint[T any](lo, hi int, streams []Stream[T]) bool {
+	c0 := streams[0].C
+	c := c0.c
+	if c.setMask == 0 {
+		return false
+	}
+	var (
+		lists      [8]fpList
+		firsts     [8]fpFirst
+		bases      [8]uint64 // base line per array
+		sstore     [8]bool
+		nl, na, nf int
+		lines      int    // array-local lines the stamp must cover
+		seen, wrt  uint64 // bit 8*list+array: a stream, a shared store met
+	)
+	for k := range streams {
+		s := &streams[k]
+		cu := s.C
+		if cu.c != c || s.Idx == nil {
+			return false
+		}
+		a := 0
+		for a < na && bases[a] != cu.baseLine {
+			a++
+		}
+		if a == na {
+			bases[a], na = cu.baseLine, na+1
+			lines = max(lines, cu.a.lines())
+		}
+		l := 0
+		for l < nl && !(lists[l].off == s.Off && &lists[l].idx[0] == &s.Idx[0]) {
+			l++
+		}
+		if l == nl {
+			lists[l], nl = fpList{s.Off, s.Idx}, nl+1
+		}
+		sstore[k] = s.Write && cu.shared
+		switch pair := uint64(1) << (8*l + a); {
+		case seen&pair == 0:
+			firsts[nf], nf = fpFirst{uint8(k), uint8(l), uint8(a)}, nf+1
+			seen |= pair
+			if sstore[k] {
+				wrt |= pair
+			}
+		case sstore[k] && wrt&pair == 0:
+			firsts[nf], nf = fpFirst{uint8(k), uint8(l), uint8(a)}, nf+1
+			wrt |= pair
+		}
+	}
+	sp := c0.a.sp
+	if len(sp.fpLines) < lines {
+		sp.fpLines = make([]uint64, lines)
+	}
+	if sets := int(c.setMask + 1); len(sp.fpSets) < sets {
+		sp.fpSets = make([]uint64, sets)
+	}
+	stamps, es, shift := sp.fpLines, c0.elemSize, c0.lineShift&63
+	// Pass 1: list l stamps the lines it reaches with an epoch of its own and
+	// logs each first reach as step<<32 | line, in reach[from[l]:from[l+1]];
+	// a list reaches at most min(hi-lo, lines) lines.
+	if need := nl * min(hi-lo, lines); len(sp.fpReach) < need {
+		sp.fpReach = make([]uint64, need)
+	}
+	var from [9]int
+	reach := sp.fpReach
+	for l, ls := range lists[:nl] {
+		sp.fpEpoch++
+		from[l+1] = from[l] + markReach(reach[from[l]:], ls, lo, hi, es, shift, stamps, sp.fpEpoch<<16)
+	}
+	// Pass 2: a line's stamp holds the arrays that accessed it and, shifted by
+	// 8, those that stored it through a shared-store stream.
+	sp.fpEpoch++
+	ep, setStamps := sp.fpEpoch, sp.fpSets
+	events := sp.fpEvents[:0]
+	pos := from
+	var lis [8]uint32
+	for {
+		// The next step at which some list reaches a new line, and the lists
+		// that do.
+		step := ^uint64(0)
+		for l := range nl {
+			if pos[l] < from[l+1] {
+				step = min(step, reach[pos[l]]>>32)
+			}
+		}
+		if step == ^uint64(0) {
+			break
+		}
+		fresh := 0
+		for l := range nl {
+			if r := pos[l]; r < from[l+1] && reach[r]>>32 == step {
+				lis[l], fresh, pos[l] = uint32(reach[r]), fresh|1<<l, r+1
+			}
+		}
+		for _, f := range firsts[:nf] {
+			if fresh>>f.list&1 == 0 {
+				continue
+			}
+			li := lis[f.list]
+			var m uint64
+			if v := stamps[li]; v>>16 == ep {
+				m = v & 0xffff
+			}
+			var ev fpEvent
+			switch bit := uint64(1) << f.arr; {
+			case m&bit == 0:
+				set := setBase(c0.setBits, c0.setMask, bases[f.arr]+uint64(li)) / cacheWays
+				if setStamps[set] == ep {
+					sp.fpEvents = events
+					return false
+				}
+				setStamps[set] = ep
+				m |= bit
+				if sstore[f.k] {
+					m |= bit << 8
+				}
+				ev = fpEvent{li: li, k: f.k}
+			case sstore[f.k] && m&(bit<<8) == 0:
+				m |= bit << 8
+				ev = fpEvent{li: li, k: f.k, record: true}
+			default:
+				continue
+			}
+			events = append(events, ev)
+			stamps[li] = ep<<16 | m
+		}
+	}
+	sp.fpEvents = events
+	n := uint64(hi - lo)
+	for _, s := range streams {
+		s.C.hits += n
+	}
+	me := c0.p.ID()
+	for _, ev := range events {
+		s := &streams[ev.k]
+		cu := s.C
+		gl := cu.baseLine + uint64(ev.li)
+		switch {
+		case ev.record:
+			cu.a.recordWrite(me, ev.li)
+		case !sstore[ev.k] && c.tags[setBase(cu.setBits, cu.setMask, gl)] == uint32(gl)+1:
+		default:
+			cu.hits--
+			cu.lat += cu.a.chargeSlowAcc(cu.p, c, gl, ev.li, s.Write)
+		}
+	}
+	return true
+}
+
+// markReach stamps with tag every line list ls reaches in steps [lo, hi) and
+// writes to reach, as (j-lo)<<32 | line, each step j at which it reaches a
+// line it has not reached before; it returns how many it wrote. It is pass 1
+// of chargeFootprint, apart so that its loop keeps its operands in registers.
+func markReach(reach []uint64, ls fpList, lo, hi int, es uint64, shift uint, stamps []uint64, tag uint64) int {
+	n := 0
+	for j, x := range ls.idx[lo:hi] {
+		if li := uint64(ls.off+int(x)) * es >> (shift & 63); stamps[li] != tag {
+			stamps[li] = tag
+			reach[n] = uint64(j)<<32 | li
+			n++
+		}
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"o2k/internal/machine"
@@ -19,12 +20,13 @@ type walkEnv[T any] struct {
 }
 
 // walkSpec is one stream of a call: the processor whose cursor charges it,
-// the array, the offset, and whether it stores.
+// the array, the offset, whether it stores, and its index list, if it has one.
 type walkSpec[T any] struct {
 	p     *sim.Proc
 	a     *Array[T]
 	off   int
 	write bool
+	idx   []int32
 }
 
 // walkCase draws the streams of one call of n steps on processor p; every
@@ -33,6 +35,17 @@ type walkCase[T any] func(e *walkEnv[T], p *sim.Proc, rng *rand.Rand, n int) []w
 
 // walkOff is a random offset with room for n elements after it.
 func walkOff(rng *rand.Rand, n int) int { return rng.Intn(helperLen - n) }
+
+// walkIdx is an index list of n elements drawn, repeats allowed, from a window
+// of 1 to 160 elements (up to eleven lines) at base.
+func walkIdx(rng *rand.Rand, n, base int) []int32 {
+	w := 1 + rng.Intn(min(160, helperLen-base))
+	idx := make([]int32, n)
+	for j := range idx {
+		idx[j] = int32(base + rng.Intn(w))
+	}
+	return idx
+}
 
 // walkCall charges the streams of specs over steps [lo, hi): with ChargeLoop
 // when walk, otherwise by the Cursor.Load/Store loop ChargeLoop's doc comment
@@ -47,7 +60,7 @@ func walkCall[T any](specs []walkSpec[T], lo, hi int, walk bool) {
 			cu := s.a.Cursor(s.p)
 			i, cursors = len(cursors), append(cursors, &cu)
 		}
-		streams[k] = Stream[T]{C: cursors[i], Off: s.off, Write: s.write}
+		streams[k] = Stream[T]{C: cursors[i], Off: s.off, Idx: s.idx, Write: s.write}
 	}
 	if walk {
 		ChargeLoop(lo, hi, streams...)
@@ -55,10 +68,14 @@ func walkCall[T any](specs []walkSpec[T], lo, hi int, walk bool) {
 		var zero T
 		for j := lo; j < hi; j++ {
 			for _, s := range streams {
+				e := s.Off + j
+				if s.Idx != nil {
+					e = s.Off + int(s.Idx[j])
+				}
 				if s.Write {
-					s.C.Store(s.Off+j, zero)
+					s.C.Store(e, zero)
 				} else {
-					s.C.Load(s.Off + j)
+					s.C.Load(e)
 				}
 			}
 		}
@@ -70,13 +87,17 @@ func walkCall[T any](specs []walkSpec[T], lo, hi int, walk bool) {
 
 // runWalkCase makes 200 seeded steps of call on four processors (two nodes)
 // with caches of cacheBytes. Each step makes a few warm loads, a call of 1 to
-// 64 steps, and half the time a coherence merge and the same call again; every
-// 25 steps end with a merge. It returns what is observable: the write-sets
-// before every merge, and the sharer list of every line of the shared arrays
-// as Data.
+// 64 steps, and half the time a coherence merge and the same call again, a
+// quarter of the time the same call again in the same epoch; every 25 steps
+// end with a merge. It returns what is observable: the write-sets before every
+// merge, and the sharer list of every line of the shared arrays as Data; and,
+// in Rule, how many ChargeLoop calls with an index stream it made and how many
+// of them the footprint rule charged.
 func runWalkCase[T any](call walkCase[T], cacheBytes int, walk, useRef bool) traceResult {
 	refModel = useRef
-	defer func() { refModel = false }()
+	tally := new([2]atomic.Int64)
+	footprintTally = tally
+	defer func() { refModel, footprintTally = false, nil }()
 	const procs = 4
 	cfg := machine.Default(procs)
 	cfg.CacheBytes = cacheBytes
@@ -113,8 +134,11 @@ func runWalkCase[T any](call walkCase[T], cacheBytes int, walk, useRef bool) tra
 		n := 1 + rng.Intn(64)
 		specs := call(e, p, rng, lo+n)
 		walkCall(specs, lo, lo+n, walk)
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(4) {
+		case 0, 1:
 			merge()
+			walkCall(specs, lo, lo+n, walk)
+		case 2:
 			walkCall(specs, lo, lo+n, walk)
 		}
 		if step%25 == 24 {
@@ -130,6 +154,7 @@ func runWalkCase[T any](call walkCase[T], cacheBytes int, walk, useRef bool) tra
 	}
 	res.Data = sharers
 	res.snapshot(sp, e.g)
+	res.Rule = [2]int64{tally[0].Load(), tally[1].Load()}
 	return res
 }
 
@@ -137,62 +162,118 @@ func runWalkCase[T any](call walkCase[T], cacheBytes int, walk, useRef bool) tra
 // charges like, in the style of TestHelpersMatchElementLoops: on the fast path
 // and on the reference model, ChargeLoop leaves the clocks, per-phase times,
 // counters, write-sets, merge penalties, evictions, cache tags and sharer
-// lists of its element loop. The cases: one to five streams, two of them on
-// one line as the stencil's j-1 and j+1 are; offsets anywhere in a line;
-// caches of four sets and of one, where streams evict each other mid-run; two
-// streams whose lines share every set; streams of two processors, and
-// 24-byte elements, which take the loop without runs. Every call is half the
-// time repeated after a coherence merge, so a shared store meets lines it
-// wrote and that the merge took off its write-set.
+// lists of its element loop. The contiguous cases: one to five streams, two of
+// them on one line as the stencil's j-1 and j+1 are; offsets anywhere in a
+// line; caches of four sets and of one, where streams evict each other
+// mid-run; two streams whose lines share every set; streams of two
+// processors, and 24-byte elements, which take the loop without runs. Every
+// call is half the time repeated after a coherence merge, so a shared store
+// meets lines it wrote and that the merge took off its write-set, and a
+// quarter of the time repeated in the same epoch, where they are still on it.
+//
+// The index cases run the mesh's loops and their neighbours in a cache of 64
+// sets: the flux's six streams over two lists drawn with repeats from one
+// window, so that the lists share lines; the vertex update, whose store to a
+// shared field records its lines. Their footprints sometimes sit in distinct
+// sets, so the footprint rule charges the call, and sometimes not, so the
+// element loop (chargeEach) does; the lines the rule charges meet the warm
+// loads' misses and hits in non-MRU ways first. Four more never take the
+// rule: index streams beside a contiguous one, arrays whose lines share every
+// set, a 1-set cache, and streams of two processors.
 func TestChargeLoopMatchesElementLoop(t *testing.T) {
 	type f64 = walkEnv[float64]
 	type S = walkSpec[float64]
 	stencil := func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
 		src, dst := e.tgt(p, rng), e.tgt(p, rng)
 		up, row, down := walkOff(rng, n), 1+rng.Intn(helperLen-n-2), walkOff(rng, n)
-		return []S{{p, src, up, false}, {p, src, down, false}, {p, src, row - 1, false}, {p, src, row + 1, false},
-			{p, dst, walkOff(rng, n), true}}
+		return []S{{p, src, up, false, nil}, {p, src, down, false, nil}, {p, src, row - 1, false, nil}, {p, src, row + 1, false, nil},
+			{p, dst, walkOff(rng, n), true, nil}}
 	}
+	// flux is the mesh's edge loop on u and acc: per edge (a, b) the loads
+	// u[a] u[b] acc[a], the store acc[a], the load acc[b], the store acc[b].
+	flux := func(p *sim.Proc, u, acc *Array[float64], ea, eb []int32) []S {
+		return []S{{p, u, 0, false, ea}, {p, u, 0, false, eb}, {p, acc, 0, false, ea}, {p, acc, 0, true, ea},
+			{p, acc, 0, false, eb}, {p, acc, 0, true, eb}}
+	}
+	fluxCase := func(u, acc func(e *f64, p *sim.Proc, rng *rand.Rand) *Array[float64]) walkCase[float64] {
+		return func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+			base := rng.Intn(helperLen - 32)
+			return flux(p, u(e, p, rng), acc(e, p, rng), walkIdx(rng, n, base), walkIdx(rng, n, base))
+		}
+	}
+	tgt := func(e *f64, p *sim.Proc, rng *rand.Rand) *Array[float64] { return e.tgt(p, rng) }
+	const sets64 = 64 * cacheWays * 128
+	// rule: whether the footprint rule must charge some of the calls with an
+	// index stream ("some": some, but not all), or none.
 	cases := []struct {
 		name  string
 		cache int // bytes; 0 = four sets of four 128-byte lines
+		rule  string
 		call  walkCase[float64]
 	}{
-		{"1 stream", 0, func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
-			return []S{{p, e.tgt(p, rng), walkOff(rng, n), rng.Intn(2) == 0}}
+		{"1 stream", 0, "", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+			return []S{{p, e.tgt(p, rng), walkOff(rng, n), rng.Intn(2) == 0, nil}}
 		}},
-		{"2 streams on one line", 0, func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+		{"2 streams on one line", 0, "", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
 			a, o := e.tgt(p, rng), rng.Intn(helperLen-n-2)
-			return []S{{p, a, o, false}, {p, a, o + 2, false}}
+			return []S{{p, a, o, false, nil}, {p, a, o + 2, false, nil}}
 		}},
-		{"3 streams, a store beside a load", 0, func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+		{"3 streams, a store beside a load", 0, "", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
 			a, o := e.tgt(p, rng), rng.Intn(helperLen-n-1)
-			return []S{{p, a, o, false}, {p, e.tgt(p, rng), walkOff(rng, n), false}, {p, a, o + 1, true}}
+			return []S{{p, a, o, false, nil}, {p, e.tgt(p, rng), walkOff(rng, n), false, nil}, {p, a, o + 1, true, nil}}
 		}},
-		{"4 streams", 0, func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+		{"4 streams", 0, "", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
 			specs := make([]S, 4)
 			for k := range specs {
-				specs[k] = S{p, e.tgt(p, rng), walkOff(rng, n), rng.Intn(3) == 0}
+				specs[k] = S{p, e.tgt(p, rng), walkOff(rng, n), rng.Intn(3) == 0, nil}
 			}
 			return specs
 		}},
-		{"5 streams: a stencil row", 0, stencil},
-		{"5 streams: a stencil row in a 1-set cache", cacheWays * 128, stencil},
-		{"2 streams in one set", 0, func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+		{"5 streams: a stencil row", 0, "", stencil},
+		{"5 streams: a stencil row in a 1-set cache", cacheWays * 128, "", stencil},
+		{"2 streams in one set", 0, "", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
 			o := walkOff(rng, n)
-			return []S{{p, e.sh[0], o, rng.Intn(2) == 0}, {p, e.sh[1], o, rng.Intn(2) == 0}}
+			return []S{{p, e.sh[0], o, rng.Intn(2) == 0, nil}, {p, e.sh[1], o, rng.Intn(2) == 0, nil}}
 		}},
-		{"2 processors", 0, func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+		{"2 processors", 0, "", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
 			q := e.g.Proc((p.ID() + 1 + rng.Intn(3)) % 4)
 			o := walkOff(rng, n)
-			return []S{{p, e.sh[0], o, false}, {q, e.sh[0], o, false}, {p, e.sh[1], walkOff(rng, n), true}}
+			return []S{{p, e.sh[0], o, false, nil}, {q, e.sh[0], o, false, nil}, {p, e.sh[1], walkOff(rng, n), true, nil}}
+		}},
+		{"index: the edge flux", sets64, "some", fluxCase(tgt, tgt)},
+		{"index: the vertex update of a shared field", sets64, "some", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+			u, acc, owned := e.sh[rng.Intn(2)], e.tgt(p, rng), walkIdx(rng, n, rng.Intn(helperLen-32))
+			return []S{{p, u, 0, false, owned}, {p, acc, 0, false, owned}, {p, u, 0, true, owned}}
+		}},
+		{"index: beside a contiguous stream", sets64, "none", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+			a := e.tgt(p, rng)
+			return []S{{p, a, 0, false, walkIdx(rng, n, rng.Intn(helperLen-32))}, {p, e.tgt(p, rng), walkOff(rng, n), rng.Intn(2) == 0, nil},
+				{p, a, 0, rng.Intn(2) == 0, walkIdx(rng, n, rng.Intn(helperLen-32))}}
+		}},
+		{"index: the edge flux on arrays in one set", sets64, "none", fluxCase(
+			func(e *f64, _ *sim.Proc, _ *rand.Rand) *Array[float64] { return e.sh[0] },
+			func(e *f64, _ *sim.Proc, _ *rand.Rand) *Array[float64] { return e.sh[1] })},
+		{"index: the edge flux in a 1-set cache", cacheWays * 128, "none", fluxCase(tgt, tgt)},
+		{"index: 2 processors", sets64, "none", func(e *f64, p *sim.Proc, rng *rand.Rand, n int) []S {
+			q, owned := e.g.Proc((p.ID()+1+rng.Intn(3))%4), walkIdx(rng, n, rng.Intn(helperLen-32))
+			return []S{{p, e.sh[0], 0, false, owned}, {q, e.sh[0], 0, false, owned}, {p, e.sh[1], 0, true, owned}}
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			checkWalk(t, func(walk, useRef bool) traceResult {
+			res := checkWalk(t, func(walk, useRef bool) traceResult {
 				return runWalkCase(c.call, cmp.Or(c.cache, 16*128), walk, useRef)
 			})
+			calls, rule := res.Rule[0], res.Rule[1]
+			t.Logf("the footprint rule charged %d of %d calls with an index stream", rule, calls)
+			switch {
+			case c.rule == "" && calls != 0, c.rule != "" && calls == 0:
+				t.Errorf("%d calls with an index stream", calls)
+			case c.rule == "some" && (rule == 0 || rule == calls):
+				t.Errorf("the footprint rule charged %d of %d calls, want some but not all", rule, calls)
+			case c.rule == "none" && rule != 0:
+				t.Errorf("the footprint rule charged %d of %d calls, want none", rule, calls)
+			}
 		})
 	}
 	t.Run("24-byte elements", func(t *testing.T) {
@@ -200,7 +281,7 @@ func TestChargeLoopMatchesElementLoop(t *testing.T) {
 		checkWalk(t, func(walk, useRef bool) traceResult {
 			return runWalkCase(func(e *walkEnv[w24], p *sim.Proc, rng *rand.Rand, n int) []walkSpec[w24] {
 				a, o := e.tgt(p, rng), rng.Intn(helperLen-n-1)
-				return []walkSpec[w24]{{p, a, o, false}, {p, a, o + 1, rng.Intn(2) == 0}, {p, e.tgt(p, rng), walkOff(rng, n), true}}
+				return []walkSpec[w24]{{p, a, o, false, nil}, {p, a, o + 1, rng.Intn(2) == 0, nil}, {p, e.tgt(p, rng), walkOff(rng, n), true, nil}}
 			}, 16*128, walk, useRef)
 		})
 	})
@@ -208,13 +289,13 @@ func TestChargeLoopMatchesElementLoop(t *testing.T) {
 
 // checkWalk compares the walk with its element loop on each model, and the two
 // models' element loops in everything but the sharer lists, which only the
-// fast path keeps.
-func checkWalk(t *testing.T, run func(walk, useRef bool) traceResult) {
+// fast path keeps. It returns the walk's run on the fast path.
+func checkWalk(t *testing.T, run func(walk, useRef bool) traceResult) traceResult {
 	t.Helper()
-	loops := map[bool]traceResult{}
+	loops, walks := map[bool]traceResult{}, map[bool]traceResult{}
 	for _, useRef := range []bool{false, true} {
-		loops[useRef] = run(false, useRef)
-		if d := run(true, useRef).diff(loops[useRef]); d != "" {
+		loops[useRef], walks[useRef] = run(false, useRef), run(true, useRef)
+		if d := walks[useRef].diff(loops[useRef]); d != "" {
 			t.Errorf("refModel=%v: the walk differs from its element loop in %s", useRef, d)
 		}
 	}
@@ -232,4 +313,5 @@ func checkWalk(t *testing.T, run func(walk, useRef bool) traceResult) {
 	if c.CacheHits == 0 || c.LocalMisses == 0 || c.RemoteMisses == 0 {
 		t.Errorf("want hits, local and remote misses, got %+v", c)
 	}
+	return walks[false]
 }
