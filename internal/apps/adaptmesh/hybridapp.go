@@ -180,15 +180,7 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 		return scratch[:n]
 	}
 	if prev == nil {
-		lst := laneSlice(dec.OwnedVerts[node], lane, nodeP)
-		vals := buf(nf * len(lst))
-		for i, v := range lst {
-			vals[nf*i] = w.initialField(pl.M.VX[v], pl.M.VY[v])
-			for k := range aux {
-				vals[nf*i+1+k] = auxInit(k, pl.M.VX[v], pl.M.VY[v])
-			}
-		}
-		numa.ScatterFields(p, fields, lst, vals)
+		seedFields(p, w, pl, fields, laneSlice(dec.OwnedVerts[node], lane, nodeP))
 		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(dec.OwnedVerts[node])/nodeP)
 	} else {
 		oldFields := make([]*numa.Array[float64], 0, nf)
@@ -213,20 +205,7 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 			}
 		}
 		bar.Wait(p) // migrated values visible node-wide before interpolation
-		cu := u.Cursor(p)
-		read := func(x int32) float64 { return cu.Load(int(x)) }
-		for _, v := range laneSlice(pl.InterpOwned[node], lane, nodeP) {
-			cu.Store(int(v), pl.InterpValue(v, read))
-		}
-		cu.Flush()
-		for _, ax := range aux {
-			cax := ax.Cursor(p)
-			readAux := func(x int32) float64 { return cax.Load(int(x)) }
-			for _, v := range laneSlice(pl.InterpOwned[node], lane, nodeP) {
-				cax.Store(int(v), pl.InterpValue(v, readAux))
-			}
-			cax.Flush()
-		}
+		interpolate(p, pl, fields, laneSlice(pl.InterpOwned[node], lane, nodeP))
 		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(pl.InterpOwned[node])/nodeP)
 	}
 	p.SetPhase(ph)
@@ -289,23 +268,7 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 	// Checksum: node sums by the leader, combined across nodes in rank order.
 	var cs float64
 	if leader {
-		s := 0.0
-		cu := u.Cursor(p)
-		cax := make([]numa.Cursor[float64], len(aux))
-		for k, ax := range aux {
-			cax[k] = ax.Cursor(p)
-		}
-		for _, v := range dec.OwnedVerts[node] {
-			s += cu.Load(int(v))
-			for k := range cax {
-				s += cax[k].Load(int(v))
-			}
-		}
-		cu.Flush()
-		for k := range cax {
-			cax[k].Flush()
-		}
-		cs = mp.Allreduce1(r, s, mp.OpSum)
+		cs = mp.Allreduce1(r, ownedSum(p, fields, dec.OwnedVerts[node]), mp.OpSum)
 	}
 	bar.Wait(p)
 	return cs

@@ -112,16 +112,8 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 		return scratch[:n]
 	}
 	if prev == nil {
-		lst := dec.OwnedVerts[me]
-		vals := buf(nf * len(lst))
-		for i, v := range lst {
-			vals[nf*i] = w.initialField(pl.M.VX[v], pl.M.VY[v])
-			for k := range aux {
-				vals[nf*i+1+k] = auxInit(k, pl.M.VX[v], pl.M.VY[v])
-			}
-		}
-		numa.ScatterFields(p, fields, lst, vals)
-		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(lst))
+		seedFields(p, w, pl, fields, dec.OwnedVerts[me])
+		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(dec.OwnedVerts[me]))
 	} else {
 		oldFields := make([]*numa.Array[float64], 0, nf)
 		oldFields = append(append(oldFields, uOldArr[me]), auxOldArr[me]...)
@@ -142,20 +134,7 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 			}
 			numa.ScatterFields(p, fields, lst, mp.Recv[float64](r, src, tagMig))
 		}
-		cu := u.Cursor(p)
-		read := func(x int32) float64 { return cu.Load(int(x)) }
-		for _, v := range pl.InterpOwned[me] {
-			cu.Store(int(v), pl.InterpValue(v, read))
-		}
-		cu.Flush()
-		for _, ax := range aux {
-			cax := ax.Cursor(p)
-			readAux := func(x int32) float64 { return cax.Load(int(x)) }
-			for _, v := range pl.InterpOwned[me] {
-				cax.Store(int(v), pl.InterpValue(v, readAux))
-			}
-			cax.Flush()
-		}
+		interpolate(p, pl, fields, pl.InterpOwned[me])
 		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(pl.InterpOwned[me]))
 	}
 	p.SetPhase(ph)
@@ -191,23 +170,7 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 
 	// Deterministic digest: per-rank owned sums (solved + auxiliary state)
 	// combined in rank order.
-	s := 0.0
-	cu := u.Cursor(p)
-	cax := make([]numa.Cursor[float64], len(aux))
-	for k, ax := range aux {
-		cax[k] = ax.Cursor(p)
-	}
-	for _, v := range dec.OwnedVerts[me] {
-		s += cu.Load(int(v))
-		for k := range cax {
-			s += cax[k].Load(int(v))
-		}
-	}
-	cu.Flush()
-	for k := range cax {
-		cax[k].Flush()
-	}
-	return mp.Allreduce1(r, s, mp.OpSum)
+	return mp.Allreduce1(r, ownedSum(p, fields, dec.OwnedVerts[me]), mp.OpSum)
 }
 
 // mpGhostExchange sends each neighbour the updated values of the vertices I

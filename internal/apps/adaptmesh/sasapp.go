@@ -161,33 +161,12 @@ func sasCycle(c *sas.Ctx, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 	fields := make([]*numa.Array[float64], 0, nf)
 	fields = append(append(fields, u), aux...)
 	if prev == nil {
-		lst := dec.OwnedVerts[me]
-		vals := make([]float64, nf*len(lst))
-		for i, v := range lst {
-			vals[nf*i] = w.initialField(pl.M.VX[v], pl.M.VY[v])
-			for k := range aux {
-				vals[nf*i+1+k] = auxInit(k, pl.M.VX[v], pl.M.VY[v])
-			}
-		}
-		numa.ScatterFields(p, fields, lst, vals)
-		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(lst))
+		seedFields(p, w, pl, fields, dec.OwnedVerts[me])
+		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(dec.OwnedVerts[me]))
 	} else {
 		// Nothing migrates: old values (solved and auxiliary) are already in
 		// the shared arrays; only the new vertices need interpolation.
-		cu := u.Cursor(p)
-		read := func(x int32) float64 { return cu.Load(int(x)) }
-		for _, v := range pl.InterpOwned[me] {
-			cu.Store(int(v), pl.InterpValue(v, read))
-		}
-		cu.Flush()
-		for _, ax := range aux {
-			cax := ax.Cursor(p)
-			readAux := func(x int32) float64 { return cax.Load(int(x)) }
-			for _, v := range pl.InterpOwned[me] {
-				cax.Store(int(v), pl.InterpValue(v, readAux))
-			}
-			cax.Flush()
-		}
+		interpolate(p, pl, fields, pl.InterpOwned[me])
 		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(pl.InterpOwned[me]))
 	}
 	p.SetPhase(ph)
@@ -210,21 +189,5 @@ func sasCycle(c *sas.Ctx, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		c.Barrier()
 	}
 
-	s := 0.0
-	cu := u.Cursor(p)
-	cax := make([]numa.Cursor[float64], len(aux))
-	for k, ax := range aux {
-		cax[k] = ax.Cursor(p)
-	}
-	for _, v := range dec.OwnedVerts[me] {
-		s += cu.Load(int(v))
-		for k := range cax {
-			s += cax[k].Load(int(v))
-		}
-	}
-	cu.Flush()
-	for k := range cax {
-		cax[k].Flush()
-	}
-	return sas.Allreduce1(c, s, sas.OpSum)
+	return sas.Allreduce1(c, ownedSum(p, fields, dec.OwnedVerts[me]), sas.OpSum)
 }

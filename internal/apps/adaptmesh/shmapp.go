@@ -149,16 +149,8 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		return scratch[:n]
 	}
 	if prev == nil {
-		lst := dec.OwnedVerts[me]
-		vals := buf(nf * len(lst))
-		for i, v := range lst {
-			vals[nf*i] = w.initialField(pl.M.VX[v], pl.M.VY[v])
-			for k := range auxL {
-				vals[nf*i+1+k] = auxInit(k, pl.M.VX[v], pl.M.VY[v])
-			}
-		}
-		numa.ScatterFields(p, fields, lst, vals)
-		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(lst))
+		seedFields(p, w, pl, fields, dec.OwnedVerts[me])
+		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(dec.OwnedVerts[me]))
 		pe.Barrier()
 	} else {
 		oldFields := make([]*numa.Array[float64], 0, nf)
@@ -182,20 +174,7 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 			lst := pl.MoveSend[src][me]
 			numa.UnpackFields(p, migL, nf*lay.offMig[me][src], fields, lst)
 		}
-		cu := uL.Cursor(p)
-		read := func(x int32) float64 { return cu.Load(int(x)) }
-		for _, v := range pl.InterpOwned[me] {
-			cu.Store(int(v), pl.InterpValue(v, read))
-		}
-		cu.Flush()
-		for k := range auxL {
-			cax := auxL[k].Cursor(p)
-			readAux := func(x int32) float64 { return cax.Load(int(x)) }
-			for _, v := range pl.InterpOwned[me] {
-				cax.Store(int(v), pl.InterpValue(v, readAux))
-			}
-			cax.Flush()
-		}
+		interpolate(p, pl, fields, pl.InterpOwned[me])
 		chargeOps(p, mach, sim.PhaseRemap, solver.InterpOps*nf*len(pl.InterpOwned[me]))
 	}
 	p.SetPhase(ph)
@@ -229,23 +208,7 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		pe.Barrier()
 	}
 
-	s := 0.0
-	cu := uL.Cursor(p)
-	cax := make([]numa.Cursor[float64], len(auxL))
-	for k := range auxL {
-		cax[k] = auxL[k].Cursor(p)
-	}
-	for _, v := range dec.OwnedVerts[me] {
-		s += cu.Load(int(v))
-		for k := range cax {
-			s += cax[k].Load(int(v))
-		}
-	}
-	cu.Flush()
-	for k := range cax {
-		cax[k].Flush()
-	}
-	return shm.Allreduce1(pe, s, shm.OpSum)
+	return shm.Allreduce1(pe, ownedSum(p, fields, dec.OwnedVerts[me]), shm.OpSum)
 }
 
 // shmGhostPush writes my owned vertices' updated values straight into each

@@ -96,7 +96,6 @@ func mpStep(r *mp.Rank, mach *machine.Machine, w Workload, pl *StepPlan,
 
 	me := r.ID()
 	p := r.P
-	opNS := mach.Cfg.OpNS
 
 	// --- tree: replicated build — every rank inserts every body and stores
 	// every cell's centre of mass (one span store: same ascending element
@@ -112,44 +111,13 @@ func mpStep(r *mp.Rank, mach *machine.Machine, w Workload, pl *StepPlan,
 	// --- force: replay the plan's precomputed traversal trace, charging each
 	// load against this rank's private copies.
 	p.SetPhase(sim.PhaseCompute)
-	cx, cy, cm := s.x.Cursor(p), s.y.Cursor(p), s.m.Cursor(p)
-	ccl := cells.Cursor(p)
 	own := pl.OwnedBodies[me]
-	wp := pl.Walk.Ensure()
-	interTot := 0
-	for _, i := range own {
-		j := int(i)
-		if !cx.TryTouch(j) {
-			cx.TouchMiss(j)
-		}
-		if !cy.TryTouch(j) {
-			cy.TouchMiss(j)
-		}
-		replayWalk(wp, j, &cx, &cy, &cm, &ccl)
-		interTot += pl.Inter[j]
-	}
-	cm.Flush()
-	ccl.Flush()
-	p.Advance(sim.Time(interTot*forceOps) * opNS)
+	wp := force(p, mach, pl, own, s.x, s.y, s.m, cells)
 
 	// --- update owned bodies (leapfrog).
-	cvx, cvy := s.vx.Cursor(p), s.vy.Cursor(p)
-	for _, i := range own {
-		j := int(i)
-		vx := cvx.Load(j) + wp.AX[j]*nbody.DT
-		vy := cvy.Load(j) + wp.AY[j]*nbody.DT
-		cvx.Store(j, vx)
-		cvy.Store(j, vy)
-		cx.Store(j, cx.Load(j)+vx*nbody.DT)
-		cy.Store(j, cy.Load(j)+vy*nbody.DT)
-	}
-	p.Advance(sim.Time(len(own)*updateOps) * opNS)
+	leapfrog(p, mach, wp, own, s.x, s.y, s.vx, s.vy)
 
 	// --- exchange: allgather updated body state; unpack foreign entries.
-	cx.Flush()
-	cy.Flush()
-	cvx.Flush()
-	cvy.Flush()
 	phC := p.SetPhase(sim.PhaseComm)
 	fields := []*numa.Array[float64]{s.x, s.y, s.vx, s.vy}
 	vals := make([]float64, 4*len(own))
@@ -163,11 +131,5 @@ func mpStep(r *mp.Rank, mach *machine.Machine, w Workload, pl *StepPlan,
 	}
 	p.SetPhase(phC)
 
-	sum := 0.0
-	for _, i := range own {
-		sum += cx.Load(int(i)) + 2*cy.Load(int(i))
-	}
-	cx.Flush()
-	cy.Flush()
-	return mp.Allreduce1(r, sum, mp.OpSum)
+	return mp.Allreduce1(r, ownSum(p, own, s.x, s.y), mp.OpSum)
 }

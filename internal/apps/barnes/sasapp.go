@@ -77,7 +77,6 @@ func sasStep(c *sas.Ctx, mach *machine.Machine, w Workload, pl *StepPlan,
 
 	me := c.ID()
 	p := c.P
-	opNS := mach.Cfg.OpNS
 	t := pl.Tree
 
 	// --- tree: parallel build — each processor does 1/P of the insertion
@@ -95,58 +94,18 @@ func sasStep(c *sas.Ctx, mach *machine.Machine, w Workload, pl *StepPlan,
 	// --- partition
 	chargePartitionStep(p, mach, w, c.Size())
 
-	// --- force: read bodies and cells straight out of shared memory, through
-	// cursors so the whole tree walk charges one Advance per body list. The
+	// --- force: read bodies and cells straight out of shared memory. The
 	// traversal itself is replayed from the plan's precomputed trace.
 	p.SetPhase(sim.PhaseCompute)
-	cx, cy, cm := s.x.Cursor(p), s.y.Cursor(p), s.m.Cursor(p)
-	ccl := cells.Cursor(p)
 	own := pl.OwnedBodies[me]
-	wp := pl.Walk.Ensure()
-	interTot := 0
-	for _, i := range own {
-		j := int(i)
-		if !cx.TryTouch(j) {
-			cx.TouchMiss(j)
-		}
-		if !cy.TryTouch(j) {
-			cy.TouchMiss(j)
-		}
-		replayWalk(wp, j, &cx, &cy, &cm, &ccl)
-		interTot += pl.Inter[j]
-	}
-	cx.Flush()
-	cy.Flush()
-	cm.Flush()
-	ccl.Flush()
-	p.Advance(sim.Time(interTot*forceOps) * opNS)
+	wp := force(p, mach, pl, own, s.x, s.y, s.m, cells)
 	// Everyone must finish reading positions before owners overwrite them.
 	c.Barrier()
 
 	// --- update owned bodies in place; the closing barrier publishes the
 	// new positions (and invalidates stale cached copies elsewhere).
-	cvx, cvy := s.vx.Cursor(p), s.vy.Cursor(p)
-	for _, i := range own {
-		j := int(i)
-		nvx := cvx.Load(j) + wp.AX[j]*nbody.DT
-		nvy := cvy.Load(j) + wp.AY[j]*nbody.DT
-		cvx.Store(j, nvx)
-		cvy.Store(j, nvy)
-		cx.Store(j, cx.Load(j)+nvx*nbody.DT)
-		cy.Store(j, cy.Load(j)+nvy*nbody.DT)
-	}
-	cvx.Flush()
-	cvy.Flush()
-	cx.Flush()
-	cy.Flush()
-	p.Advance(sim.Time(len(own)*updateOps) * opNS)
+	leapfrog(p, mach, wp, own, s.x, s.y, s.vx, s.vy)
 	c.Barrier()
 
-	sum := 0.0
-	for _, i := range own {
-		sum += cx.Load(int(i)) + 2*cy.Load(int(i))
-	}
-	cx.Flush()
-	cy.Flush()
-	return sas.Allreduce1(c, sum, sas.OpSum)
+	return sas.Allreduce1(c, ownSum(p, own, s.x, s.y), sas.OpSum)
 }

@@ -69,7 +69,6 @@ func shmStep(pe *shm.PE, mach *machine.Machine, w Workload, pl *StepPlan,
 
 	me := pe.ID()
 	p := pe.P
-	opNS := mach.Cfg.OpNS
 	x, y := s.x.Local(pe), s.y.Local(pe)
 	vx, vy, m := s.vx.Local(pe), s.vy.Local(pe), s.m.Local(pe)
 	cl := cells.Local(pe)
@@ -87,42 +86,11 @@ func shmStep(pe *shm.PE, mach *machine.Machine, w Workload, pl *StepPlan,
 	// --- force: replay the plan's precomputed traversal trace against the
 	// local symmetric blocks.
 	p.SetPhase(sim.PhaseCompute)
-	cx, cy, cm := x.Cursor(p), y.Cursor(p), m.Cursor(p)
-	ccl := cl.Cursor(p)
 	own := pl.OwnedBodies[me]
-	wp := pl.Walk.Ensure()
-	interTot := 0
-	for _, i := range own {
-		j := int(i)
-		if !cx.TryTouch(j) {
-			cx.TouchMiss(j)
-		}
-		if !cy.TryTouch(j) {
-			cy.TouchMiss(j)
-		}
-		replayWalk(wp, j, &cx, &cy, &cm, &ccl)
-		interTot += pl.Inter[j]
-	}
-	cm.Flush()
-	ccl.Flush()
-	p.Advance(sim.Time(interTot*forceOps) * opNS)
+	wp := force(p, mach, pl, own, x, y, m, cl)
 
 	// --- update owned bodies.
-	cvx, cvy := vx.Cursor(p), vy.Cursor(p)
-	for _, i := range own {
-		j := int(i)
-		nvx := cvx.Load(j) + wp.AX[j]*nbody.DT
-		nvy := cvy.Load(j) + wp.AY[j]*nbody.DT
-		cvx.Store(j, nvx)
-		cvy.Store(j, nvy)
-		cx.Store(j, cx.Load(j)+nvx*nbody.DT)
-		cy.Store(j, cy.Load(j)+nvy*nbody.DT)
-	}
-	p.Advance(sim.Time(len(own)*updateOps) * opNS)
-	cx.Flush()
-	cy.Flush()
-	cvx.Flush()
-	cvy.Flush()
+	leapfrog(p, mach, wp, own, x, y, vx, vy)
 
 	// --- exchange: one-sided collect of the updated state; unpack foreign.
 	phC := p.SetPhase(sim.PhaseComm)
@@ -139,11 +107,5 @@ func shmStep(pe *shm.PE, mach *machine.Machine, w Workload, pl *StepPlan,
 	p.SetPhase(phC)
 	pe.Barrier()
 
-	sum := 0.0
-	for _, i := range own {
-		sum += cx.Load(int(i)) + 2*cy.Load(int(i))
-	}
-	cx.Flush()
-	cy.Flush()
-	return shm.Allreduce1(pe, sum, shm.OpSum)
+	return shm.Allreduce1(pe, ownSum(p, own, x, y), shm.OpSum)
 }

@@ -48,15 +48,7 @@ func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,
 
 	// Init: x = 0, r = p = b over owned vertices.
 	pc.SetPhase(sim.PhaseCompute)
-	part := 0.0
-	for _, vid := range dec.OwnedVerts[me] {
-		b := pl.B[vid]
-		rv.Store(pc, int(vid), b)
-		pv.Store(pc, int(vid), b)
-		x.Store(pc, int(vid), 0)
-		part += b * b
-		chargeOps(pc, mach, dotOps)
-	}
+	part := initVecs(pc, mach, pl, me, x, rv, pv)
 	rho := mp.Allreduce1(r, part, mp.OpSum)
 
 	for it := 0; it < w.Iters; it++ {
@@ -86,15 +78,7 @@ func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,
 		pc.SetPhase(phc)
 
 		// Matvec: q = A p via owned edges plus partial exchange.
-		for _, vid := range pl.Clear[me] {
-			q.Store(pc, int(vid), 0)
-		}
-		for _, e := range dec.OwnedEdges[me] {
-			a, b := pl.M.Edges[e][0], pl.M.Edges[e][1]
-			q.Store(pc, int(a), q.Load(pc, int(a))-pv.Load(pc, int(b)))
-			q.Store(pc, int(b), q.Load(pc, int(b))-pv.Load(pc, int(a)))
-			chargeOps(pc, mach, matvecOps)
-		}
+		matvec(pc, mach, pl, me, pv, q)
 		phc = pc.SetPhase(sim.PhaseComm)
 		for dst := 0; dst < r.Size(); dst++ {
 			lst := dec.Border[me][dst]
@@ -118,35 +102,16 @@ func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,
 			}
 		}
 		pc.SetPhase(phc)
-		pq := 0.0
-		for _, vid := range dec.OwnedVerts[me] {
-			qa := q.Load(pc, int(vid)) + pl.Diag(w, vid)*pv.Load(pc, int(vid))
-			q.Store(pc, int(vid), qa)
-			pq += pv.Load(pc, int(vid)) * qa
-			chargeOps(pc, mach, diagOps+dotOps)
-		}
+		pq := diagDot(pc, mach, w, pl, me, pv, q)
 		alpha := rho / mp.Allreduce1(r, pq, mp.OpSum)
 
-		rr := 0.0
-		for _, vid := range dec.OwnedVerts[me] {
-			x.Store(pc, int(vid), x.Load(pc, int(vid))+alpha*pv.Load(pc, int(vid)))
-			nr := rv.Load(pc, int(vid)) - alpha*q.Load(pc, int(vid))
-			rv.Store(pc, int(vid), nr)
-			rr += nr * nr
-			chargeOps(pc, mach, 2*axpyOps+dotOps)
-		}
+		rr := updateXR(pc, mach, pl, me, alpha, x, rv, pv, q)
 		rho2 := mp.Allreduce1(r, rr, mp.OpSum)
 		beta := rho2 / rho
 		rho = rho2
-		for _, vid := range dec.OwnedVerts[me] {
-			pv.Store(pc, int(vid), rv.Load(pc, int(vid))+beta*pv.Load(pc, int(vid)))
-			chargeOps(pc, mach, axpyOps)
-		}
+		updateP(pc, mach, pl, me, beta, rv, pv)
 	}
 
-	s := 0.0
-	for _, vid := range dec.OwnedVerts[me] {
-		s += x.Load(pc, int(vid))
-	}
+	s := sumX(pc, pl, me, x)
 	return mp.Allreduce1(r, s, mp.OpSum), rho
 }

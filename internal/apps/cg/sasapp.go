@@ -77,29 +77,13 @@ func sasCG(c *sas.Ctx, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 	dec := pl.Dec
 
 	pc.SetPhase(sim.PhaseCompute)
-	part := 0.0
-	for _, vid := range dec.OwnedVerts[me] {
-		b := pl.B[vid]
-		rv.Store(pc, int(vid), b)
-		pv.Store(pc, int(vid), b)
-		x.Store(pc, int(vid), 0)
-		part += b * b
-		chargeOps(pc, mach, dotOps)
-	}
+	part := initVecs(pc, mach, pl, me, x, rv, pv)
 	rho := sas.Allreduce1(c, part, sas.OpSum)
 	c.Barrier() // publish the initial direction
 
 	for it := 0; it < w.Iters; it++ {
 		// Matvec straight off the shared direction vector.
-		for _, vid := range pl.Clear[me] {
-			q.Store(pc, int(vid), 0)
-		}
-		for _, e := range dec.OwnedEdges[me] {
-			a, b := pl.M.Edges[e][0], pl.M.Edges[e][1]
-			q.Store(pc, int(a), q.Load(pc, int(a))-pv.Load(pc, int(b)))
-			q.Store(pc, int(b), q.Load(pc, int(b))-pv.Load(pc, int(a)))
-			chargeOps(pc, mach, matvecOps)
-		}
+		matvec(pc, mach, pl, me, pv, q)
 		for dst := 0; dst < c.Size(); dst++ {
 			lst := dec.Border[me][dst]
 			off := offIn[me][dst]
@@ -115,38 +99,19 @@ func sasCG(c *sas.Ctx, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 				q.Store(pc, int(vid), q.Load(pc, int(vid))+contrib.Load(pc, off+i))
 			}
 		}
-		pq := 0.0
-		for _, vid := range dec.OwnedVerts[me] {
-			qa := q.Load(pc, int(vid)) + pl.Diag(w, vid)*pv.Load(pc, int(vid))
-			q.Store(pc, int(vid), qa)
-			pq += pv.Load(pc, int(vid)) * qa
-			chargeOps(pc, mach, diagOps+dotOps)
-		}
+		pq := diagDot(pc, mach, w, pl, me, pv, q)
 		alpha := rho / sas.Allreduce1(c, pq, sas.OpSum)
 
-		rr := 0.0
-		for _, vid := range dec.OwnedVerts[me] {
-			x.Store(pc, int(vid), x.Load(pc, int(vid))+alpha*pv.Load(pc, int(vid)))
-			nr := rv.Load(pc, int(vid)) - alpha*q.Load(pc, int(vid))
-			rv.Store(pc, int(vid), nr)
-			rr += nr * nr
-			chargeOps(pc, mach, 2*axpyOps+dotOps)
-		}
+		rr := updateXR(pc, mach, pl, me, alpha, x, rv, pv, q)
 		rho2 := sas.Allreduce1(c, rr, sas.OpSum)
 		beta := rho2 / rho
 		rho = rho2
 		// Everyone has finished reading the old direction (the matvec is
 		// behind two reductions), so owners may overwrite it in place.
-		for _, vid := range dec.OwnedVerts[me] {
-			pv.Store(pc, int(vid), rv.Load(pc, int(vid))+beta*pv.Load(pc, int(vid)))
-			chargeOps(pc, mach, axpyOps)
-		}
+		updateP(pc, mach, pl, me, beta, rv, pv)
 		c.Barrier() // publish the new direction
 	}
 
-	s := 0.0
-	for _, vid := range dec.OwnedVerts[me] {
-		s += x.Load(pc, int(vid))
-	}
+	s := sumX(pc, pl, me, x)
 	return sas.Allreduce1(c, s, sas.OpSum), rho
 }

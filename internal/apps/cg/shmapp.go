@@ -58,15 +58,7 @@ func shmCG(pe *shm.PE, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 	contribL := contrib.Local(pe)
 
 	pc.SetPhase(sim.PhaseCompute)
-	part := 0.0
-	for _, vid := range dec.OwnedVerts[me] {
-		b := pl.B[vid]
-		rv.Store(pc, int(vid), b)
-		pv.Store(pc, int(vid), b)
-		x.Store(pc, int(vid), 0)
-		part += b * b
-		chargeOps(pc, mach, dotOps)
-	}
+	part := initVecs(pc, mach, pl, me, x, rv, pv)
 	rho := shm.Allreduce1(pe, part, shm.OpSum)
 
 	for it := 0; it < w.Iters; it++ {
@@ -87,15 +79,7 @@ func shmCG(pe *shm.PE, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 		pe.Barrier()
 
 		// Matvec.
-		for _, vid := range pl.Clear[me] {
-			q.Store(pc, int(vid), 0)
-		}
-		for _, e := range dec.OwnedEdges[me] {
-			a, b := pl.M.Edges[e][0], pl.M.Edges[e][1]
-			q.Store(pc, int(a), q.Load(pc, int(a))-pv.Load(pc, int(b)))
-			q.Store(pc, int(b), q.Load(pc, int(b))-pv.Load(pc, int(a)))
-			chargeOps(pc, mach, matvecOps)
-		}
+		matvec(pc, mach, pl, me, pv, q)
 		phc = pc.SetPhase(sim.PhaseComm)
 		for dst := 0; dst < pe.Size(); dst++ {
 			lst := dec.Border[me][dst]
@@ -117,35 +101,16 @@ func shmCG(pe *shm.PE, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 				q.Store(pc, int(vid), q.Load(pc, int(vid))+contribL.Load(pc, off+i))
 			}
 		}
-		pq := 0.0
-		for _, vid := range dec.OwnedVerts[me] {
-			qa := q.Load(pc, int(vid)) + pl.Diag(w, vid)*pv.Load(pc, int(vid))
-			q.Store(pc, int(vid), qa)
-			pq += pv.Load(pc, int(vid)) * qa
-			chargeOps(pc, mach, diagOps+dotOps)
-		}
+		pq := diagDot(pc, mach, w, pl, me, pv, q)
 		alpha := rho / shm.Allreduce1(pe, pq, shm.OpSum)
 
-		rr := 0.0
-		for _, vid := range dec.OwnedVerts[me] {
-			x.Store(pc, int(vid), x.Load(pc, int(vid))+alpha*pv.Load(pc, int(vid)))
-			nr := rv.Load(pc, int(vid)) - alpha*q.Load(pc, int(vid))
-			rv.Store(pc, int(vid), nr)
-			rr += nr * nr
-			chargeOps(pc, mach, 2*axpyOps+dotOps)
-		}
+		rr := updateXR(pc, mach, pl, me, alpha, x, rv, pv, q)
 		rho2 := shm.Allreduce1(pe, rr, shm.OpSum)
 		beta := rho2 / rho
 		rho = rho2
-		for _, vid := range dec.OwnedVerts[me] {
-			pv.Store(pc, int(vid), rv.Load(pc, int(vid))+beta*pv.Load(pc, int(vid)))
-			chargeOps(pc, mach, axpyOps)
-		}
+		updateP(pc, mach, pl, me, beta, rv, pv)
 	}
 
-	s := 0.0
-	for _, vid := range dec.OwnedVerts[me] {
-		s += x.Load(pc, int(vid))
-	}
+	s := sumX(pc, pl, me, x)
 	return shm.Allreduce1(pe, s, shm.OpSum), rho
 }

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,9 +45,68 @@ func TestTable5CountsItsSources(t *testing.T) {
 	}
 }
 
+// TestKernelsServeEveryModel checks that each app's kernels.go — the loops
+// its models share, which Table 5 does not count — holds nothing but such
+// loops: every top-level function there is called from each of the three
+// files table5 counts for the app. A helper only some models call belongs in
+// their files, where Table 5 counts it.
+func TestKernelsServeEveryModel(t *testing.T) {
+	fset := token.NewFileSet()
+	calls := func(path string) map[string]bool {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		called := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if id, ok := c.Fun.(*ast.Ident); ok {
+					called[id.Name] = true
+				}
+			}
+			return true
+		})
+		return called
+	}
+	apps := 0
+	for _, r := range table5 {
+		if !strings.HasSuffix(r.files[0], ".go") {
+			continue // the runtime row counts directories, not an app's files
+		}
+		apps++
+		path := filepath.Join(moduleRoot, filepath.Dir(r.files[0]), "kernels.go")
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", r.label, err)
+		}
+		var kernels []string
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				kernels = append(kernels, fd.Name.Name)
+			}
+		}
+		if len(kernels) == 0 {
+			t.Errorf("%s: %s declares no function", r.label, path)
+		}
+		for _, rel := range r.files {
+			called := calls(filepath.Join(moduleRoot, rel))
+			for _, k := range kernels {
+				if !called[k] {
+					t.Errorf("%s: kernels.go declares %s, which %s does not call; "+
+						"a helper not every model calls belongs in the model files", r.label, k, rel)
+				}
+			}
+		}
+	}
+	if apps == 0 {
+		t.Error("table5 has no app rows")
+	}
+}
+
 // TestExperimentsE5IsTable5 checks that EXPERIMENTS.md quotes the table the
 // binary prints: the fenced block under the E5 heading equals the rendered
-// Table 5.
+// Table 5, and the V5 line of the verdict summary carries the evidence V5
+// reads off it.
 func TestExperimentsE5IsTable5(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join(moduleRoot, "EXPERIMENTS.md"))
 	if err != nil {
@@ -63,6 +125,18 @@ func TestExperimentsE5IsTable5(t *testing.T) {
 	}
 	if want := Render([]*core.Table{Table5()}); block != want {
 		t.Errorf("EXPERIMENTS.md E5 is stale; replace its fenced block with:\n%s", want)
+	}
+	_, ev := table5Verdict()
+	ev = strings.TrimSpace(ev)
+	v5 := ""
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "V5 ") {
+			v5 = line
+			break
+		}
+	}
+	if !strings.Contains(v5, ev) {
+		t.Errorf("EXPERIMENTS.md's V5 verdict line is stale:\n%s\nits evidence should read:\n%s", v5, ev)
 	}
 }
 

@@ -108,16 +108,8 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		fmt.Sprintf("%d / %d / %d bytes", meshMax[0].M.DataBytes, meshMax[1].M.DataBytes, meshMax[2].M.DataBytes))
 
 	// V5: programming effort.
-	locOK := true
-	ev := ""
-	for _, r := range table5 {
-		mp, sh, sa := r.lines[0], r.lines[1], r.lines[2]
-		if sa > mp || sa > sh {
-			locOK = false
-		}
-		ev += fmt.Sprintf("%s:%d/%d/%d ", r.label[:4], mp, sh, sa)
-	}
-	add("V5", "LoC: CC-SAS smallest in every component", locOK, ev)
+	locOK, locEv := table5Verdict()
+	add("V5", "LoC: CC-SAS smallest in every component", locOK, locEv)
 
 	// V6: NUMA-ratio crossover.
 	first := parseRatio(fig7.Rows[0][4])
