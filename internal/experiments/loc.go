@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"o2k/internal/core"
 	"o2k/internal/runner"
@@ -47,14 +48,15 @@ var table5 = []locRow{
 // in every row, and the evidence string its verdict line prints.
 func table5Verdict() (ok bool, evidence string) {
 	ok = true
+	var rows []string
 	for _, r := range table5 {
 		mp, sh, sa := r.lines[0], r.lines[1], r.lines[2]
 		if sa > mp || sa > sh {
 			ok = false
 		}
-		evidence += fmt.Sprintf("%s:%d/%d/%d ", r.label[:4], mp, sh, sa)
+		rows = append(rows, fmt.Sprintf("%s:%d/%d/%d", r.label[:4], mp, sh, sa))
 	}
-	return ok, evidence
+	return ok, strings.Join(rows, " ")
 }
 
 // buildTable5 adapts Table5 to the registry's Build signature; it measures
