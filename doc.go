@@ -9,6 +9,6 @@
 // and a harness that regenerates the study's tables and figures.
 //
 // Start with README.md, DESIGN.md (system inventory and experiment index),
-// and examples/quickstart. The root bench_test.go regenerates every table
-// and figure; cmd/o2kbench does the same from the command line.
+// and examples/quickstart. cmd/o2kbench regenerates every table and figure;
+// internal/experiments/testdata/digests.txt pins their bytes (TestDigests).
 package o2k

@@ -13,62 +13,56 @@ import (
 	"o2k/internal/runner"
 )
 
-// digestsFile is the byte manifest of o2kbench's stdout: one line per
-// (command, output section), three tab-separated fields — the command in its
-// CLI form, the section's key, and the first 16 hex digits of the SHA-256 of
-// the section's bytes. A section is one `## ` block of the output, keyed by
-// its title. The verdict table is split further: its title and header are
-// one section, keyed by the title, and each verdict row is its own, keyed by
-// its id; its rule line is not hashed, since it only restates the widest
-// row's width. Every other byte of every pinned command is.
-//
-// The file is the declaration of moved bytes: a change that moves none
-// leaves it alone, and one that moves some on purpose carries their lines
-// in its diff. Pinning one more command is adding one line for it; the test
-// then fails and prints the file with all of its sections.
+// digestsFile is the byte manifest of o2kbench's stdout, one line per
+// (command, output section): the command in its CLI form, the section's key
+// and the first 16 hex digits of the SHA-256 of its bytes, tab-separated. A
+// section is one `## ` block, keyed by its title, except that the verdict
+// table is split into its title and header (keyed by the title) and one
+// section per row (keyed by its id); its rule line only restates the widest
+// row's width and is not hashed. A change that moves bytes on purpose
+// carries their lines in this file's diff. To pin one more command, add a
+// line for it: the test then prints all of its sections.
 const digestsFile = "testdata/digests.txt"
 
-// largeP is where a quick sweep joins the large legs: at 256 processors one
-// space's cache tags alone are 32 MB of mappings.
-const largeP = 256
-
-// TestDigests renders every command digestsFile names the way o2kbench
-// prints it (RunOnCtx, then Render) and checks each section's digest.
-// Commands of one scale share an engine, so a cell two of them need is
-// computed once. The large legs — full scale, and quick sweeps reaching
-// largeP — are skipped under -short and under the race detector, which
-// multiplies their time and memory; their lines are then carried over
-// unchecked. The full-scale leg also checks that EXPERIMENTS.md quotes
-// what those commands print.
+// TestDigests renders every command of digestsFile as o2kbench prints it
+// (RunOnCtx, then Render), commands of one scale on one engine, and checks
+// each section's digest. The large legs — full scale, and quick sweeps that
+// reach 256 processors — run unless -short or -race, whose cost they
+// multiply; the full-scale leg also checks what EXPERIMENTS.md quotes.
 func TestDigests(t *testing.T) {
 	data, err := os.ReadFile(digestsFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cmds []string               // distinct commands, in file order
-	pinned := map[string][]string{} // command -> its lines
-	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-		cmd, _, ok := strings.Cut(line, "\t")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", digestsFile, line)
-		}
-		if _, seen := pinned[cmd]; !seen {
+	pinned := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var cmds []string           // distinct commands, in file order
+	of := map[string][]string{} // command -> its lines
+	for _, line := range pinned {
+		cmd, _, _ := strings.Cut(line, "\t")
+		if of[cmd] == nil {
 			cmds = append(cmds, cmd)
 		}
-		pinned[cmd] = append(pinned[cmd], line)
+		of[cmd] = append(of[cmd], line)
 	}
 
-	runLarge := !testing.Short() && !raceEnabled
 	engines := map[bool]*runner.Engine{} // by Request.Quick
 	var got, fullOuts []string
 	for _, cmd := range cmds {
-		req, o, err := parseCommand(cmd)
-		if err != nil {
-			t.Fatalf("%s: %q: %v", digestsFile, cmd, err)
+		var req Request
+		fs := flag.NewFlagSet("o2kbench", flag.ContinueOnError)
+		fs.StringVar(&req.Exp, "exp", "all", "")
+		fs.BoolVar(&req.Quick, "quick", false, "")
+		fs.StringVar(&req.Procs, "procs", "", "")
+		if err := fs.Parse(strings.Fields(cmd)); err != nil || fs.NArg() > 0 {
+			t.Fatalf("%s: bad command %q: %v", digestsFile, cmd, err)
 		}
-		if (!req.Quick || slices.Max(o.Procs) >= largeP) && !runLarge {
+		o, err := req.Opts()
+		if err != nil {
+			t.Fatalf("%s: %v", cmd, err)
+		}
+		if (!req.Quick || slices.Max(o.Procs) >= 256) && (testing.Short() || raceEnabled) {
 			t.Logf("skipped with -short or -race: %s", cmd)
-			got = append(got, pinned[cmd]...)
+			got = append(got, of[cmd]...)
 			continue
 		}
 		if engines[req.Quick] == nil {
@@ -89,71 +83,57 @@ func TestDigests(t *testing.T) {
 	}
 
 	if replacement := strings.Join(got, "\n") + "\n"; replacement != string(data) {
-		id := func(line string) string { return line[:strings.LastIndexByte(line, '\t')] }
-		was, is := map[string]string{}, map[string]bool{} // by command and key
-		for _, cmd := range cmds {
-			for _, line := range pinned[cmd] {
-				was[id(line)] = line
-			}
-		}
 		var moved []string
-		for _, line := range got {
-			if is[id(line)] = true; was[id(line)] != line {
-				moved = append(moved, strings.ReplaceAll(id(line), "\t", " | "))
+		for _, line := range pinned {
+			if !slices.Contains(got, line) {
+				moved = append(moved, "- "+line)
 			}
 		}
-		for _, cmd := range cmds {
-			for _, line := range pinned[cmd] {
-				if !is[id(line)] {
-					moved = append(moved, strings.ReplaceAll(id(line), "\t", " | ")+" (gone)")
-				}
+		for _, line := range got {
+			if !slices.Contains(pinned, line) {
+				moved = append(moved, "+ "+line)
 			}
 		}
 		fmt.Printf("%s, replacement:\n%s", digestsFile, replacement)
-		t.Errorf("%d section(s) moved:\n%s\nIf the move is intended, replace %s with the text printed above.",
-			len(moved), strings.Join(moved, "\n"), digestsFile)
+		t.Errorf("sections moved (- pinned, + now):\n%s\nIf that is intended, replace %s with the text printed above.",
+			strings.Join(moved, "\n"), digestsFile)
 	}
-	_ = fullOuts
-}
 
-// parseCommand reads a manifest command with o2kbench's own flag names and
-// defaults into the request it makes.
-func parseCommand(cmd string) (Request, Opts, error) {
-	var req Request
-	fs := flag.NewFlagSet("o2kbench", flag.ContinueOnError)
-	fs.StringVar(&req.Exp, "exp", "all", "")
-	fs.BoolVar(&req.Quick, "quick", false, "")
-	fs.StringVar(&req.Procs, "procs", "", "")
-	if err := fs.Parse(strings.Fields(cmd)); err != nil {
-		return req, Opts{}, err
+	if len(fullOuts) > 0 {
+		doc, err := os.ReadFile(moduleRoot + "/EXPERIMENTS.md")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := strings.Split(string(doc), "```\n") // fenced blocks at odd indices
+		for i := 1; i < len(blocks); i += 2 {
+			if !slices.ContainsFunc(fullOuts, func(out string) bool {
+				return strings.Contains("\n"+out, "\n"+blocks[i])
+			}) {
+				t.Errorf("EXPERIMENTS.md quotes a block that no full-scale command in %s prints:\n%s",
+					digestsFile, blocks[i])
+			}
+		}
 	}
-	if fs.NArg() > 0 {
-		return req, Opts{}, fmt.Errorf("unexpected arguments %q", fs.Args())
-	}
-	o, err := req.Opts()
-	return req, o, err
 }
 
 type section struct{ key, body string }
 
-// sections splits one command's stdout into the manifest's sections. A
+// sections splits one command's stdout into the manifest's sections. The
 // blank line between two tables belongs to the section above it.
 func sections(out string) []section {
 	var ss []section
-	verdicts, n := false, 0 // in the verdict table; lines seen of its block
+	verdicts, n := false, 0 // in the verdict table; lines of its block so far
 	for _, line := range strings.SplitAfter(out, "\n") {
 		n++
 		switch {
-		case line == "":
-			// SplitAfter's empty tail
+		case line == "": // SplitAfter's empty tail
 		case strings.HasPrefix(line, "## "):
 			title := strings.TrimSuffix(line[len("## "):], "\n")
 			verdicts, n = strings.HasPrefix(title, "Verdicts "), 0
 			ss = append(ss, section{title, line})
 		case len(ss) == 0:
 			ss = append(ss, section{"(untitled)", line})
-		case verdicts && n == 2:
-			// the rule under the header
+		case verdicts && n == 2: // the rule under the header
 		case verdicts && n > 2 && line != "\n":
 			ss = append(ss, section{strings.Fields(line)[0], line})
 		default:
@@ -161,30 +141,4 @@ func sections(out string) []section {
 		}
 	}
 	return ss
-}
-
-// checkExperimentsQuotes requires every fenced block of EXPERIMENTS.md to
-// appear verbatim, as whole lines, in the output of a full-scale command.
-func checkExperimentsQuotes(t *testing.T, outs []string) {
-	doc, err := os.ReadFile(moduleRoot + "/EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	heading, block, in := "", "", false
-	for _, line := range strings.SplitAfter(string(doc), "\n") {
-		switch {
-		case strings.HasPrefix(line, "```"):
-			if in && !slices.ContainsFunc(outs, func(out string) bool {
-				return strings.Contains("\n"+out, "\n"+block)
-			}) {
-				t.Errorf("EXPERIMENTS.md's block under %q is printed by no full-scale command in %s:\n%s",
-					heading, digestsFile, block)
-			}
-			in, block = !in, ""
-		case in:
-			block += line
-		case strings.HasPrefix(line, "## "):
-			heading = strings.TrimSpace(line)
-		}
-	}
 }

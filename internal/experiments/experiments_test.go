@@ -22,26 +22,6 @@ func runOne(t *testing.T, name string, o Opts) *core.Table {
 	return tables[0]
 }
 
-func TestAllExperimentsQuick(t *testing.T) {
-	tables := RunAllCtx(bg, runner.New(0), QuickOpts())
-	if len(tables) != 14 {
-		t.Fatalf("expected 14 experiment tables, got %d", len(tables))
-	}
-	for _, tb := range tables {
-		if tb.Title == "" || len(tb.Header) == 0 || len(tb.Rows) == 0 {
-			t.Fatalf("table %q is incomplete", tb.Title)
-		}
-		for _, r := range tb.Rows {
-			if len(r) != len(tb.Header) {
-				t.Fatalf("table %q: row width %d != header %d", tb.Title, len(r), len(tb.Header))
-			}
-		}
-		if len(tb.String()) == 0 {
-			t.Fatalf("table %q renders empty", tb.Title)
-		}
-	}
-}
-
 func TestFig2SpeedupIncreases(t *testing.T) {
 	o := QuickOpts()
 	tb := runOne(t, "mesh-speedup", o)
@@ -57,28 +37,6 @@ func TestFig2SpeedupIncreases(t *testing.T) {
 	// First row is the P=1 baseline: speedups exactly 1.
 	if tb.Rows[0][4] != "1.000" {
 		t.Fatalf("baseline speedup not 1: %v", tb.Rows[0])
-	}
-}
-
-func TestTable5LoCOrdering(t *testing.T) {
-	tb := Table5()
-	for _, r := range tb.Rows {
-		mp, err1 := strconv.Atoi(r[1])
-		sh, err2 := strconv.Atoi(r[2])
-		sa, err3 := strconv.Atoi(r[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			t.Fatalf("LoC row unparseable: %v", r)
-		}
-		if mp <= 0 || sh <= 0 || sa <= 0 {
-			t.Fatalf("LoC counting failed: %v", r)
-		}
-		if !strings.Contains(r[0], "runtime") {
-			// Application code: CC-SAS must be the shortest (the paper's
-			// programming-effort finding).
-			if !(sa <= sh && sa <= mp) {
-				t.Errorf("%s: CC-SAS LoC (%d) not smallest (mp=%d shm=%d)", r[0], sa, mp, sh)
-			}
-		}
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"o2k/internal/core"
 )
 
 // moduleRoot is the module root relative to this package's directory, where
@@ -21,11 +19,11 @@ const moduleRoot = "../.."
 // compares the counts with the checked-in literal. The binary prints the
 // literal, so it needs no source tree at run time; this test is what keeps
 // the literal true. A counted-file edit fails here with the row to paste,
-// and — since Table 5 is part of the quick suite — moves goldenQuickSHA256
-// in the same commit.
+// and pasting it moves Table 5 and V5 in testdata/digests.txt (TestDigests),
+// which the same commit updates.
 //
 // The counts also carry the paper's Table 5 point: CC-SAS needs the least
-// code in every application row (TestTable5LoCOrdering).
+// code in every row (V5, pinned by TestDigests).
 func TestTable5CountsItsSources(t *testing.T) {
 	for _, r := range table5 {
 		var got [3]int
@@ -39,7 +37,7 @@ func TestTable5CountsItsSources(t *testing.T) {
 		if got != r.lines {
 			t.Errorf("Table 5 %q is stale: the literal says %v, the sources count %v.\n"+
 				"Paste [3]int{%d, %d, %d} into its row of table5 in loc.go and update "+
-				"goldenQuickSHA256 in golden_test.go in the same commit.",
+				"its Table 5 and V5 lines in testdata/digests.txt (TestDigests prints them) in the same commit.",
 				r.label, r.lines, got, got[0], got[1], got[2])
 		}
 	}
@@ -100,43 +98,6 @@ func TestKernelsServeEveryModel(t *testing.T) {
 	}
 	if apps == 0 {
 		t.Error("table5 has no app rows")
-	}
-}
-
-// TestExperimentsE5IsTable5 checks that EXPERIMENTS.md quotes the table the
-// binary prints: the fenced block under the E5 heading equals the rendered
-// Table 5, and the V5 line of the verdict summary carries the evidence V5
-// reads off it.
-func TestExperimentsE5IsTable5(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join(moduleRoot, "EXPERIMENTS.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sec, ok := strings.Cut(string(doc), "\n## E5 ")
-	if !ok {
-		t.Fatal("EXPERIMENTS.md has no E5 section")
-	}
-	_, block, ok := strings.Cut(sec, "\n```\n")
-	if ok {
-		block, _, ok = strings.Cut(block, "```\n")
-	}
-	if !ok {
-		t.Fatal("EXPERIMENTS.md's E5 section has no fenced block")
-	}
-	if want := Render([]*core.Table{Table5()}); block != want {
-		t.Errorf("EXPERIMENTS.md E5 is stale; replace its fenced block with:\n%s", want)
-	}
-	_, ev := table5Verdict()
-	ev = strings.TrimSpace(ev)
-	v5 := ""
-	for _, line := range strings.Split(string(doc), "\n") {
-		if strings.HasPrefix(line, "V5 ") {
-			v5 = line
-			break
-		}
-	}
-	if !strings.Contains(v5, ev) {
-		t.Errorf("EXPERIMENTS.md's V5 verdict line is stale:\n%s\nits evidence should read:\n%s", v5, ev)
 	}
 }
 

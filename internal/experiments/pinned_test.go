@@ -22,9 +22,9 @@ import (
 // change to sim, numa or a model runtime that moves one simulated number
 // names the cell and the field here.
 //
-// After an INTENTIONAL model change (one that also updates
-// goldenQuickSHA256), delete the file and run the test once: it records the
-// new cells and fails, and passes from the next run on.
+// After an INTENTIONAL model change (one that also moves lines of
+// testdata/digests.txt), delete the file and run the test once: it records
+// the new cells and fails, and passes from the next run on.
 const smallCellsFile = "testdata/small_cells.json"
 
 func TestSmallCellsPinned(t *testing.T) {
