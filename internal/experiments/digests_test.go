@@ -76,10 +76,7 @@ func TestDigests(t *testing.T) {
 		if !req.Quick {
 			fullOuts = append(fullOuts, out)
 		}
-		for _, s := range sections(out) {
-			sum := sha256.Sum256([]byte(s.body))
-			got = append(got, cmd+"\t"+s.key+"\t"+hex.EncodeToString(sum[:8]))
-		}
+		got = append(got, digestLines(cmd, out)...)
 	}
 
 	if replacement := strings.Join(got, "\n") + "\n"; replacement != string(data) {
@@ -114,6 +111,37 @@ func TestDigests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGoldenQuickOutput checks `o2kbench -quick -exp all` against its lines
+// of digestsFile on an engine of its own, under -short and -race too.
+func TestGoldenQuickOutput(t *testing.T) {
+	const cmd = "-quick -exp all"
+	data, err := os.ReadFile(digestsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, cmd+"\t") {
+			want = append(want, line)
+		}
+	}
+	got := digestLines(cmd, Render(RunAllCtx(bg, runner.New(0), QuickOpts())))
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("quick suite sections moved:\npinned:\n%s\nnow:\n%s",
+			strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+}
+
+// digestLines is cmd's lines of digestsFile for its stdout out.
+func digestLines(cmd, out string) []string {
+	var lines []string
+	for _, s := range sections(out) {
+		sum := sha256.Sum256([]byte(s.body))
+		lines = append(lines, cmd+"\t"+s.key+"\t"+hex.EncodeToString(sum[:8]))
+	}
+	return lines
 }
 
 type section struct{ key, body string }

@@ -22,6 +22,25 @@ func runOne(t *testing.T, name string, o Opts) *core.Table {
 	return tables[0]
 }
 
+// TestAllExperimentsQuick checks that the quick suite renders its 14 tables
+// complete: a title, a header, rows as wide as it, and no FAILED entry.
+func TestAllExperimentsQuick(t *testing.T) {
+	tables := RunAllCtx(bg, runner.New(0), QuickOpts())
+	if len(tables) != 14 {
+		t.Fatalf("quick suite rendered %d tables, want 14", len(tables))
+	}
+	for _, tb := range tables {
+		if tb.Title == "" || len(tb.Header) == 0 || len(tb.Rows) == 0 {
+			t.Errorf("incomplete table %q: %d columns, %d rows", tb.Title, len(tb.Header), len(tb.Rows))
+		}
+		for _, r := range tb.Rows {
+			if len(r) != len(tb.Header) || strings.Contains(strings.Join(r, " "), "FAILED") {
+				t.Errorf("%s: row %q", tb.Title, r)
+			}
+		}
+	}
+}
+
 func TestFig2SpeedupIncreases(t *testing.T) {
 	o := QuickOpts()
 	tb := runOne(t, "mesh-speedup", o)

@@ -43,6 +43,30 @@ func TestTable5CountsItsSources(t *testing.T) {
 	}
 }
 
+// TestExperimentsE5IsTable5 checks what EXPERIMENTS.md quotes of Table 5
+// without a full-scale run, so under -short and -race too: the E5 block is
+// the table the binary prints, and V5's line passes with table5Verdict's
+// evidence.
+func TestExperimentsE5IsTable5(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(moduleRoot, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if block := "```\n" + Table5().String() + "```\n"; !strings.Contains(string(doc), block) {
+		t.Errorf("EXPERIMENTS.md has no E5 block reading\n%s", block)
+	}
+	ok, evidence := table5Verdict()
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "V5 ") {
+			if !ok || !strings.Contains(line, " PASS ") || !strings.HasSuffix(line, "  "+evidence) {
+				t.Errorf("EXPERIMENTS.md's V5 line %q, want PASS with evidence %q (verdict %v)", line, evidence, ok)
+			}
+			return
+		}
+	}
+	t.Error("EXPERIMENTS.md has no V5 line")
+}
+
 // TestKernelsServeEveryModel checks that each app's kernels.go — the loops
 // its models share, which Table 5 does not count — holds nothing but such
 // loops: every top-level function there is called from each of the three
