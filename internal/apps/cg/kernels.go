@@ -7,9 +7,11 @@ package cg
 // the same in every model, and what a model makes a programmer write — the
 // ghost refresh, the partial-sum exchange, the reductions — is around them.
 //
-// Each kernel binds one cursor per array for its loop and flushes them before
-// it returns; by the Cursor contract it charges exactly what the same loop of
-// Array.Load/Store charges, in the order the loop names its accesses.
+// Each kernel charges its accesses with one numa.ChargeLoop of index streams
+// over a plan list (matvec with two) and computes over Data(), as the mesh's
+// solve kernels do. The call charges exactly the element loop of
+// Cursor.Load/Store whose order each kernel's comment names, per element of the
+// list: a store is written ←. It then flushes the cursors before it returns.
 
 import (
 	"o2k/internal/machine"
@@ -18,16 +20,19 @@ import (
 )
 
 // initVecs sets x = 0 and r = p = b over the vertices me owns and returns
-// its share of b·b.
+// its share of b·b. Per vertex: r← p← x←.
 func initVecs(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, x, rv, pv *numa.Array[float64]) float64 {
 	owned := pl.Dec.OwnedVerts[me]
 	cr, cp, cx := rv.Cursor(pc), pv.Cursor(pc), x.Cursor(pc)
+	numa.ChargeLoop(0, len(owned),
+		numa.Stream[float64]{C: &cr, Idx: owned, Write: true},
+		numa.Stream[float64]{C: &cp, Idx: owned, Write: true},
+		numa.Stream[float64]{C: &cx, Idx: owned, Write: true})
+	dr, dp, dx := rv.Data(), pv.Data(), x.Data()
 	part := 0.0
 	for _, vid := range owned {
 		b := pl.B[vid]
-		cr.Store(int(vid), b)
-		cp.Store(int(vid), b)
-		cx.Store(int(vid), 0)
+		dr[vid], dp[vid], dx[vid] = b, b, 0
 		part += b * b
 	}
 	cr.Flush()
@@ -39,34 +44,49 @@ func initVecs(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, x, rv, pv *
 
 // matvec computes me's edge half of q = A p: it clears q over me's clear list
 // and subtracts p across each edge me owns. The partial sums of border
-// vertices still have to reach their owners.
+// vertices still have to reach their owners. Per vertex of the clear list: q←;
+// then per edge (a, b): q[a] p[b] q[a]← q[b] p[a] q[b]←.
 func matvec(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, pv, q *numa.Array[float64]) {
-	edges := pl.Dec.OwnedEdges[me]
+	clr, ea, eb := pl.Clear[me], pl.EdgeA[me], pl.EdgeB[me]
 	cp, cq := pv.Cursor(pc), q.Cursor(pc)
-	for _, vid := range pl.Clear[me] {
-		cq.Store(int(vid), 0)
+	numa.ChargeLoop(0, len(clr), numa.Stream[float64]{C: &cq, Idx: clr, Write: true})
+	numa.ChargeLoop(0, len(ea),
+		numa.Stream[float64]{C: &cq, Idx: ea},
+		numa.Stream[float64]{C: &cp, Idx: eb},
+		numa.Stream[float64]{C: &cq, Idx: ea, Write: true},
+		numa.Stream[float64]{C: &cq, Idx: eb},
+		numa.Stream[float64]{C: &cp, Idx: ea},
+		numa.Stream[float64]{C: &cq, Idx: eb, Write: true})
+	dp, dq := pv.Data(), q.Data()
+	for _, vid := range clr {
+		dq[vid] = 0
 	}
-	for _, e := range edges {
-		a, b := int(pl.M.Edges[e][0]), int(pl.M.Edges[e][1])
-		cq.Store(a, cq.Load(a)-cp.Load(b))
-		cq.Store(b, cq.Load(b)-cp.Load(a))
+	for j, a := range ea {
+		b := eb[j]
+		dq[a] = dq[a] - dp[b]
+		dq[b] = dq[b] - dp[a]
 	}
 	cp.Flush()
 	cq.Flush()
-	chargeOps(pc, mach, len(edges)*matvecOps)
+	chargeOps(pc, mach, len(ea)*matvecOps)
 }
 
 // diagDot adds the diagonal term to q over the vertices me owns and returns
-// its share of p·q.
+// its share of p·q. Per vertex: q p q← p.
 func diagDot(pc *sim.Proc, mach *machine.Machine, w Workload, pl *Plan, me int, pv, q *numa.Array[float64]) float64 {
 	owned := pl.Dec.OwnedVerts[me]
 	cp, cq := pv.Cursor(pc), q.Cursor(pc)
+	numa.ChargeLoop(0, len(owned),
+		numa.Stream[float64]{C: &cq, Idx: owned},
+		numa.Stream[float64]{C: &cp, Idx: owned},
+		numa.Stream[float64]{C: &cq, Idx: owned, Write: true},
+		numa.Stream[float64]{C: &cp, Idx: owned})
+	dp, dq := pv.Data(), q.Data()
 	pq := 0.0
 	for _, vid := range owned {
-		i := int(vid)
-		qa := cq.Load(i) + pl.Diag(w, vid)*cp.Load(i)
-		cq.Store(i, qa)
-		pq += cp.Load(i) * qa
+		qa := dq[vid] + pl.Diag(w, vid)*dp[vid]
+		dq[vid] = qa
+		pq += dp[vid] * qa
 	}
 	cp.Flush()
 	cq.Flush()
@@ -75,16 +95,23 @@ func diagDot(pc *sim.Proc, mach *machine.Machine, w Workload, pl *Plan, me int, 
 }
 
 // updateXR sets x += alpha·p and r -= alpha·q over the vertices me owns and
-// returns its share of r·r.
+// returns its share of r·r. Per vertex: x p x← r q r←.
 func updateXR(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, alpha float64, x, rv, pv, q *numa.Array[float64]) float64 {
 	owned := pl.Dec.OwnedVerts[me]
 	cx, cr, cp, cq := x.Cursor(pc), rv.Cursor(pc), pv.Cursor(pc), q.Cursor(pc)
+	numa.ChargeLoop(0, len(owned),
+		numa.Stream[float64]{C: &cx, Idx: owned},
+		numa.Stream[float64]{C: &cp, Idx: owned},
+		numa.Stream[float64]{C: &cx, Idx: owned, Write: true},
+		numa.Stream[float64]{C: &cr, Idx: owned},
+		numa.Stream[float64]{C: &cq, Idx: owned},
+		numa.Stream[float64]{C: &cr, Idx: owned, Write: true})
+	dx, dr, dp, dq := x.Data(), rv.Data(), pv.Data(), q.Data()
 	rr := 0.0
 	for _, vid := range owned {
-		i := int(vid)
-		cx.Store(i, cx.Load(i)+alpha*cp.Load(i))
-		nr := cr.Load(i) - alpha*cq.Load(i)
-		cr.Store(i, nr)
+		dx[vid] = dx[vid] + alpha*dp[vid]
+		nr := dr[vid] - alpha*dq[vid]
+		dr[vid] = nr
 		rr += nr * nr
 	}
 	cx.Flush()
@@ -95,13 +122,17 @@ func updateXR(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, alpha float
 	return rr
 }
 
-// updateP sets p = r + beta·p over the vertices me owns.
+// updateP sets p = r + beta·p over the vertices me owns. Per vertex: r p p←.
 func updateP(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, beta float64, rv, pv *numa.Array[float64]) {
 	owned := pl.Dec.OwnedVerts[me]
 	cr, cp := rv.Cursor(pc), pv.Cursor(pc)
+	numa.ChargeLoop(0, len(owned),
+		numa.Stream[float64]{C: &cr, Idx: owned},
+		numa.Stream[float64]{C: &cp, Idx: owned},
+		numa.Stream[float64]{C: &cp, Idx: owned, Write: true})
+	dr, dp := rv.Data(), pv.Data()
 	for _, vid := range owned {
-		i := int(vid)
-		cp.Store(i, cr.Load(i)+beta*cp.Load(i))
+		dp[vid] = dr[vid] + beta*dp[vid]
 	}
 	cr.Flush()
 	cp.Flush()
@@ -109,12 +140,15 @@ func updateP(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, beta float64
 }
 
 // sumX returns the sum of x over the vertices me owns: its share of the
-// solution digest.
+// solution digest. Per vertex: x.
 func sumX(pc *sim.Proc, pl *Plan, me int, x *numa.Array[float64]) float64 {
+	owned := pl.Dec.OwnedVerts[me]
 	cx := x.Cursor(pc)
+	numa.ChargeLoop(0, len(owned), numa.Stream[float64]{C: &cx, Idx: owned})
+	dx := x.Data()
 	s := 0.0
-	for _, vid := range pl.Dec.OwnedVerts[me] {
-		s += cx.Load(int(vid))
+	for _, vid := range owned {
+		s += dx[vid]
 	}
 	cx.Flush()
 	return s

@@ -19,6 +19,7 @@ package cg
 
 import (
 	"fmt"
+	"slices"
 
 	"o2k/internal/mesh"
 	"o2k/internal/partition"
@@ -61,6 +62,11 @@ type Plan struct {
 	NV    int
 	Clear [][]int32 // per proc: owned + touched vertices, ascending
 	B     []float64 // right-hand side by global vertex ID (zero if unused)
+
+	// EdgeA/EdgeB[p] are the endpoint vertex IDs of p's owned edges,
+	// index-aligned with Dec.OwnedEdges[p]: the matvec's index lists, as in
+	// adaptmesh. Derived, not encoded.
+	EdgeA, EdgeB [][]int32
 }
 
 // BuildPlan constructs the mesh, partitions it, and precomputes the
@@ -106,14 +112,20 @@ func planFromDecomp(w Workload, m *mesh.Mesh, dec *partition.Decomp) *Plan {
 		Deg: solver.Degrees(m),
 		NV:  m.NumVertsTotal(),
 	}
-	// Clear lists (owned + edge-touched), as in adaptmesh.
+	// Clear lists (owned + edge-touched) and edge endpoints, as in adaptmesh.
 	mark := make([]int32, p.NV)
 	for i := range mark {
 		mark[i] = -1
 	}
 	p.Clear = make([][]int32, nprocs)
+	p.EdgeA = make([][]int32, nprocs)
+	p.EdgeB = make([][]int32, nprocs)
 	for q := 0; q < nprocs; q++ {
+		ea := make([]int32, 0, len(dec.OwnedEdges[q]))
+		eb := make([]int32, 0, len(dec.OwnedEdges[q]))
 		for _, e := range dec.OwnedEdges[q] {
+			ea = append(ea, m.Edges[e][0])
+			eb = append(eb, m.Edges[e][1])
 			for _, v := range m.Edges[e] {
 				if mark[v] != int32(q) {
 					mark[v] = int32(q)
@@ -121,13 +133,14 @@ func planFromDecomp(w Workload, m *mesh.Mesh, dec *partition.Decomp) *Plan {
 				}
 			}
 		}
+		p.EdgeA[q], p.EdgeB[q] = ea, eb
 		for _, v := range dec.OwnedVerts[q] {
 			if mark[v] != int32(q) {
 				mark[v] = int32(q)
 				p.Clear[q] = append(p.Clear[q], v)
 			}
 		}
-		sortAsc(p.Clear[q])
+		slices.Sort(p.Clear[q])
 	}
 	// Right-hand side: the moving-front bump (anything nonzero and smooth).
 	front := mesh.DefaultFront(w.MaxLevel)
@@ -179,18 +192,6 @@ func DecodePlan(data []byte, w Workload, m *mesh.Mesh, nprocs int) (*Plan, error
 		return nil, err
 	}
 	return planFromDecomp(w, m, dec), nil
-}
-
-func sortAsc(s []int32) {
-	for i := 1; i < len(s); i++ {
-		x := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > x {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = x
-	}
 }
 
 // Diag returns the diagonal entry of A at vertex v.

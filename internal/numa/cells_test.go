@@ -45,7 +45,8 @@ func smallCells(t *testing.T, visit func(t *testing.T, cell string, model core.M
 // The whole-cell differential: every pinned cell, run as a program through
 // the one app harness, reports the same complete Metrics on the optimized
 // paths — the inline MRU probes of cursors and batch helpers, ChargeLoop's
-// walk and footprint rule, the span walk, ReplayLines, the sharer directory —
+// walk, footprint rule and footprint memo (every answer of which is audited),
+// the span walk, ReplayLines, the sharer directory —
 // as on the reference model of ref.go, which charges every access through
 // chargeRef and merges without a directory. ref_test.go checks the same
 // equality on seeded traces; this is the check that the applications use the
@@ -75,6 +76,7 @@ func TestWholeCellsMatchReference(t *testing.T) {
 			})
 		}
 	}
+	numa.AuditFootprints(t)
 	fast := map[string]core.Metrics{}
 	cells(t, func(_ *testing.T, cell string, m core.Metrics) { fast[cell] = m })
 	numa.SetRefModel(t)
@@ -100,24 +102,33 @@ func defaultCell(t *testing.T, app string, model core.Model, procs int) core.Met
 	return res.M
 }
 
-// The mesh solve's sweeps are charged by ChargeLoop's footprint rule, not
-// access by access, when their lines sit in distinct cache sets — most of the
-// time at Default size, ghost lines and all. At P = 16 every flux sweep and
-// vertex update of MP and SHMEM takes the rule and CC-SAS declines a few; the
-// floor is 85 % for each model.
+// The mesh solve's sweeps and cg's kernels are charged by ChargeLoop's
+// footprint rule, not access by access, when their lines sit in distinct cache
+// sets — most of the time at Default size, ghost lines and all. At P = 16
+// every flux sweep and vertex update of mesh MP and SHMEM takes the rule and
+// CC-SAS declines a few; in cg the rest have at most four lines in a set. The
+// floor is 85 % for each app and model. Each call repeats one before it (a
+// solve sweep, a CG iteration), so the memo answers every call but the first
+// of each key.
 func TestMeshSolveTakesTheFootprintRule(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full-size cells; skipped with -short")
+		t.Skip("six full-size cells; skipped with -short")
 	}
-	for _, model := range []core.Model{core.MP, core.SHMEM, core.SAS} {
-		t.Run(model.String(), func(t *testing.T) {
-			calls, rule := numa.CountFootprints(t)
-			defaultCell(t, "mesh", model, 16)
-			t.Logf("the footprint rule charged %d of %d solve sweeps", rule.Load(), calls.Load())
-			if calls.Load() == 0 || rule.Load()*100 < calls.Load()*85 {
-				t.Errorf("the footprint rule charged %d of %d solve sweeps, want at least 85 %%", rule.Load(), calls.Load())
-			}
-		})
+	for _, app := range []struct{ name, prefix string }{{"mesh", ""}, {"cg", "cg/"}} {
+		for _, model := range []core.Model{core.MP, core.SHMEM, core.SAS} {
+			t.Run(app.prefix+model.String(), func(t *testing.T) {
+				fc := numa.CountFootprints(t)
+				defaultCell(t, app.name, model, 16)
+				calls, rule, hits, keys := fc.Calls.Load(), fc.Rule.Load(), fc.Hits.Load(), fc.Keys()
+				t.Logf("the footprint rule charged %d of %d index calls; the memo answered %d over %d keys", rule, calls, hits, keys)
+				if calls == 0 || rule*100 < calls*85 {
+					t.Errorf("the footprint rule charged %d of %d index calls, want at least 85 %%", rule, calls)
+				}
+				if hits != calls-keys {
+					t.Errorf("the memo answered %d of %d calls over %d keys, want %d", hits, calls, keys, calls-keys)
+				}
+			})
+		}
 	}
 }
 

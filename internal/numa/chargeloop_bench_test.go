@@ -21,21 +21,25 @@ import (
 // turns in the MRU way and two of the five accesses of every cell reorder the
 // set.
 //
-// edges and edges-conflict charge the mesh's edge flux — per edge (a, b) the
-// loads u[a] u[b] acc[a], the store acc[a], the load acc[b] and the store
-// acc[b], six index streams over two lists — over processor 0's edges of the
-// last cycle of a Default-size plan for 16 processors, in ns per access.
+// edges, edges-miss and edges-conflict charge the mesh's edge flux — per edge
+// (a, b) the loads u[a] u[b] acc[a], the store acc[a], the load acc[b] and the
+// store acc[b], six index streams over two lists — over processor 0's edges of
+// the last cycle of a Default-size plan for 16 processors, in ns per access.
 // edges: the 4 MB cache, where the lines of u and acc the edges touch sit in
-// distinct sets, so the footprint rule charges each call. edges-conflict: acc
-// placed where each of its lines falls in the set of the same line of u, so
-// the rule declines every call and the element loop (chargeEach) charges it.
+// distinct sets, so the footprint rule charges each call, and the memo answers
+// every call after the first. edges-miss: the same with the memo emptied
+// before every call, which pays findFootprint's two passes each time.
+// edges-conflict: acc placed where each of its lines falls in the set of the
+// same line of u, so the rule declines every call and the element loop
+// (chargeEach) charges it.
 func BenchmarkChargeLoop(b *testing.B) {
 	b.Run("row", func(b *testing.B) { benchChargeLoop(b, false) })
 	b.Run("same-set", func(b *testing.B) { benchChargeLoop(b, true) })
 	pls := adaptmesh.BuildPlans(adaptmesh.Default(), 16)
 	pl := pls[len(pls)-1]
-	b.Run("edges", func(b *testing.B) { benchEdges(b, pl, false) })
-	b.Run("edges-conflict", func(b *testing.B) { benchEdges(b, pl, true) })
+	b.Run("edges", func(b *testing.B) { benchEdges(b, pl, false, false) })
+	b.Run("edges-miss", func(b *testing.B) { benchEdges(b, pl, false, true) })
+	b.Run("edges-conflict", func(b *testing.B) { benchEdges(b, pl, true, false) })
 }
 
 func benchChargeLoop(b *testing.B, sameSet bool) {
@@ -60,7 +64,7 @@ func benchChargeLoop(b *testing.B, sameSet bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cell")
 }
 
-func benchEdges(b *testing.B, pl *adaptmesh.CyclePlan, conflict bool) {
+func benchEdges(b *testing.B, pl *adaptmesh.CyclePlan, conflict, miss bool) {
 	sp := numa.NewSpace(machine.MustNew(machine.Default(16)))
 	p := sim.NewGroup(16).Proc(0)
 	u := numa.NewPrivate[float64](sp, 0, pl.NV)
@@ -77,18 +81,24 @@ func benchEdges(b *testing.B, pl *adaptmesh.CyclePlan, conflict bool) {
 			numa.Stream[float64]{C: &ca, Idx: eb}, numa.Stream[float64]{C: &ca, Idx: eb, Write: true})
 	}
 	flux() // the misses: every later call hits
-	calls, rule := numa.CountFootprints(b)
+	fc := numa.CountFootprints(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if miss {
+			numa.ForgetFootprints(sp)
+		}
 		flux()
 	}
 	b.StopTimer()
-	want := calls.Load()
+	want := fc.Calls.Load()
 	if conflict {
 		want = 0
 	}
-	if rule.Load() != want {
-		b.Errorf("the footprint rule charged %d of %d calls, want %d", rule.Load(), calls.Load(), want)
+	if fc.Rule.Load() != want {
+		b.Errorf("the footprint rule charged %d of %d calls, want %d", fc.Rule.Load(), fc.Calls.Load(), want)
+	}
+	if hits := fc.Hits.Load(); miss && hits != 0 || !miss && hits != fc.Calls.Load() {
+		b.Errorf("the memo answered %d of %d calls", hits, fc.Calls.Load())
 	}
 	cu.Flush()
 	ca.Flush()

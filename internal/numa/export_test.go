@@ -2,6 +2,8 @@ package numa
 
 import (
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,13 +24,79 @@ func SetRefModel(t testing.TB) {
 	t.Cleanup(func() { refModel = false })
 }
 
+// FootprintCounts is what CountFootprints counts of ChargeLoop's calls with
+// an index stream: all of them, those the footprint rule charged, those the
+// memo answered, and the distinct memo keys among them.
+type FootprintCounts struct {
+	Calls, Rule, Hits atomic.Int64
+
+	mu   sync.Mutex
+	keys map[fpKey]bool
+}
+
+// Keys is the number of distinct memo keys the counted calls had.
+func (fc *FootprintCounts) Keys() int64 {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return int64(len(fc.keys))
+}
+
+func (fc *FootprintCounts) tally(key fpKey, hit, took bool) {
+	fc.Calls.Add(1)
+	if took {
+		fc.Rule.Add(1)
+	}
+	if hit {
+		fc.Hits.Add(1)
+	}
+	fc.mu.Lock()
+	fc.keys[key] = true
+	fc.mu.Unlock()
+}
+
+// countFootprints starts counting and returns the counts and the function
+// that stops.
+func countFootprints() (*FootprintCounts, func()) {
+	fc := &FootprintCounts{keys: map[fpKey]bool{}}
+	footprintTally = fc.tally
+	return fc, func() { footprintTally = nil }
+}
+
 // CountFootprints counts, for the rest of the test, the ChargeLoop calls with
-// an index stream and those of them the footprint rule charged.
-func CountFootprints(t testing.TB) (calls, rule *atomic.Int64) {
-	tally := new([2]atomic.Int64)
-	footprintTally = tally
-	t.Cleanup(func() { footprintTally = nil })
-	return &tally[0], &tally[1]
+// an index stream.
+func CountFootprints(t testing.TB) *FootprintCounts {
+	fc, stop := countFootprints()
+	t.Cleanup(stop)
+	return fc
+}
+
+// AuditFootprints finds anew, for the rest of the test, the footprint of every
+// ChargeLoop call the memo answers, and fails the test if the decision or the
+// events differ from the remembered ones. It returns how many calls it
+// audited.
+func AuditFootprints(t testing.TB) *atomic.Int64 {
+	audits := auditFootprints(func(memo, fresh footprint) {
+		t.Errorf("the memo remembers the footprint %+v, the call has %+v", memo, fresh)
+	})
+	t.Cleanup(func() { footprintAudit = nil })
+	return audits
+}
+
+// ForgetFootprints empties sp's footprint memo, so that its next ChargeLoop
+// call of index streams finds its footprint anew.
+func ForgetFootprints(sp *Space) { clear(sp.fpMemo) }
+
+// auditFootprints hands every remembered footprint that differs from the one
+// found anew to differ, and counts the audited calls.
+func auditFootprints(differ func(memo, fresh footprint)) *atomic.Int64 {
+	audits := new(atomic.Int64)
+	footprintAudit = func(memo, fresh footprint) {
+		audits.Add(1)
+		if memo.took != fresh.took || !slices.Equal(memo.events, fresh.events) {
+			differ(memo, fresh)
+		}
+	}
+	return audits
 }
 
 // SameSetsAs skips address space until an array as long as like, allocated in

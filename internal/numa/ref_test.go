@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"o2k/internal/machine"
@@ -143,6 +142,13 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 	phases := []sim.Phase{sim.PhaseCompute, sim.PhaseMark, sim.PhaseRemap}
 	res := traceResult{}
 	sum := 0.0
+	// The index lists of the flux calls so far, each with the end of the
+	// window its elements were drawn from.
+	type fluxList struct {
+		ea, eb []int32
+		end    int
+	}
+	var fluxLists []fluxList
 
 	for step := 0; step < tc.steps; step++ {
 		p := g.Proc(rng.Intn(procs))
@@ -302,16 +308,24 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			// shA at both ends, then a load and a store of an accumulator at
 			// a and at b, the accumulator shared or private. The ends come
 			// from one window, so the lists share lines; whether the
-			// footprint sits in distinct sets depends on the cache.
+			// footprint sits in distinct sets depends on the cache. A third of
+			// the calls take the lists of an earlier one that fit the
+			// accumulator, so that the footprint memo answers some calls.
 			acc := [...]*Array[float64]{shS, priv[p.ID()]}[rng.Intn(2)]
-			n, w := 1+rng.Intn(64), 1+rng.Intn(96)
-			base := rng.Intn(len(acc.data) - w)
-			ea, eb := make([]int32, n), make([]int32, n)
-			for j := range ea {
-				ea[j], eb[j] = int32(base+rng.Intn(w)), int32(base+rng.Intn(w))
+			var ea, eb []int32
+			if k := rng.Intn(3 * max(1, len(fluxLists))); k < len(fluxLists) && fluxLists[k].end <= len(acc.data) {
+				ea, eb = fluxLists[k].ea, fluxLists[k].eb
+			} else {
+				n, w := 1+rng.Intn(64), 1+rng.Intn(96)
+				base := rng.Intn(len(acc.data) - w)
+				ea, eb = make([]int32, n), make([]int32, n)
+				for j := range ea {
+					ea[j], eb[j] = int32(base+rng.Intn(w)), int32(base+rng.Intn(w))
+				}
+				fluxLists = append(fluxLists, fluxList{ea, eb, base + w})
 			}
 			cu, ca := shA.Cursor(p), acc.Cursor(p)
-			ChargeLoop(0, n, Stream[float64]{C: &cu, Idx: ea}, Stream[float64]{C: &cu, Idx: eb},
+			ChargeLoop(0, len(ea), Stream[float64]{C: &cu, Idx: ea}, Stream[float64]{C: &cu, Idx: eb},
 				Stream[float64]{C: &ca, Idx: ea}, Stream[float64]{C: &ca, Idx: ea, Write: true},
 				Stream[float64]{C: &ca, Idx: eb}, Stream[float64]{C: &ca, Idx: eb, Write: true})
 			cu.Flush()
@@ -358,13 +372,14 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 // silently dropped by LRU and installed again between merges, under lists
 // that still name — or no longer name — their cache.
 func TestFastPathMatchesReference(t *testing.T) {
-	tally := new([2]atomic.Int64)
+	fc := &FootprintCounts{keys: map[fpKey]bool{}}
+	audits := AuditFootprints(t)
 	for _, tc := range []traceCfg{
 		{name: "default", procs: 8, steps: 4000},
 		{name: "tiny-caches", procs: 72, cacheBytes: 4096, steps: 12000},
 	} {
 		for _, seed := range []int64{1, 2, 42, 20260805} {
-			footprintTally = tally
+			footprintTally = fc.tally
 			fast := runTrace(t, tc, seed, false)
 			footprintTally = nil
 			ref := runTrace(t, tc, seed, true)
@@ -382,11 +397,15 @@ func TestFastPathMatchesReference(t *testing.T) {
 		}
 	}
 	// Both paths of an index call ran: in the default caches every footprint
-	// sits in distinct sets, in the tiny ones most collide.
-	calls, rule := tally[0].Load(), tally[1].Load()
-	t.Logf("the footprint rule charged %d of %d index calls", rule, calls)
+	// sits in distinct sets, in the tiny ones most collide. The memo answered
+	// some calls on both models, and the audit found each answer right.
+	calls, rule := fc.Calls.Load(), fc.Rule.Load()
+	t.Logf("the footprint rule charged %d of %d index calls; the memo answered %d on the fast path, %d in all", rule, calls, fc.Hits.Load(), audits.Load())
 	if rule == 0 || rule == calls {
 		t.Errorf("the footprint rule charged %d of %d index calls, want some but not all", rule, calls)
+	}
+	if fc.Hits.Load() == 0 || audits.Load() == fc.Hits.Load() {
+		t.Errorf("the memo answered %d calls on the fast path, %d in all; want some on each model", fc.Hits.Load(), audits.Load())
 	}
 }
 

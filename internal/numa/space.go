@@ -47,12 +47,14 @@ type Space struct {
 	// and, in the second pass, the arrays that accessed and stored the line),
 	// the epoch of the last pass that found a footprint line in each cache
 	// set, the lists' logs of first reaches, and the call's log of accesses
-	// to charge.
+	// to charge. fpMemo remembers the footprint of every distinct call
+	// (chargeIndexed), on the same thread.
 	fpLines  []uint64
 	fpSets   []uint64
 	fpReach  []uint64
 	fpEpoch  uint64
 	fpEvents []fpEvent
+	fpMemo   map[fpKey]footprint
 
 	allocBytes atomic.Uint64
 }
@@ -100,6 +102,7 @@ func (s *Space) Close() {
 		// and a replay no pin to count by instead of probing.
 		c.tags, c.pin = nil, nil
 	}
+	s.fpMemo = nil
 	s.maps.closeAll()
 }
 

@@ -2,12 +2,18 @@ package numa
 
 import (
 	"math/bits"
-	"sync/atomic"
+	"slices"
+	"unsafe"
 )
 
 // Stream is one access stream of ChargeLoop: at step j it loads element Off+j
 // of the array C is bound to — element Off+Idx[j] when Idx is set — or stores
 // it when Write is set.
+//
+// An index list must not be modified after it is passed: the Space remembers
+// the footprint of each call by the list's identity (its first element's
+// address and its length), not by its contents, for as long as the Space
+// lives. Plan lists, built once and only read, are what every caller passes.
 type Stream[T any] struct {
 	C     *Cursor[T]
 	Off   int
@@ -53,7 +59,9 @@ type walkStream[T any] struct {
 // A call of index streams is charged by the footprint rule (chargeFootprint)
 // when the lines it touches sit in pairwise distinct cache sets. Any other
 // call with an index stream takes the element loop itself (chargeEach), and a
-// call of contiguous streams is walked.
+// call of contiguous streams is walked. The rule's decision and the accesses
+// it charges are found once per distinct call and remembered on the Space
+// (chargeIndexed).
 //
 // The walk probes only where a stream enters a new line and counts everything
 // else. A stream is ok while its line is known to sit in the MRU way of its
@@ -81,20 +89,10 @@ func ChargeLoop[T any](lo, hi int, streams ...Stream[T]) {
 		panic("numa: ChargeLoop of more than 8 streams")
 	}
 	for _, s := range streams {
-		if s.Idx == nil {
-			continue
+		if s.Idx != nil {
+			chargeIndexed(lo, hi, streams)
+			return
 		}
-		took := chargeFootprint(lo, hi, streams)
-		if t := footprintTally; t != nil {
-			t[0].Add(1)
-			if took {
-				t[1].Add(1)
-			}
-		}
-		if !took {
-			chargeEach(lo, hi, streams)
-		}
-		return
 	}
 	c0 := streams[0].C
 	perLine := uint64(1) << (c0.lineShift & 63) / c0.elemSize
@@ -181,10 +179,85 @@ func chargeEach[T any](lo, hi int, streams []Stream[T]) {
 	}
 }
 
-// footprintTally, when set, counts ChargeLoop's calls with an index stream
-// ([0]) and those of them the footprint rule charged ([1]). Like refModel it
-// is for tests only (export_test.go) and changes only while nothing runs.
-var footprintTally *[2]atomic.Int64
+// chargeIndexed charges a ChargeLoop call with an index stream: by the
+// footprint rule if it applies, else by the element loop. Whether it applies,
+// and which accesses it must charge, is found by findFootprint once per
+// distinct call and remembered in Space.fpMemo under the call's fpKey; a
+// later call with the same key charges the remembered footprint against the
+// current tags. That is exact because findFootprint reads only what the key
+// names — the index lists' contents (hence the contract on Stream), the
+// arrays' layout, the cache's geometry, the streams' flags — and never a tag
+// or a clock.
+func chargeIndexed[T any](lo, hi int, streams []Stream[T]) {
+	key := fpKey{lo: lo, hi: hi}
+	for k, s := range streams {
+		cu := s.C
+		key.streams[k] = fpKeyStream{idx: unsafe.SliceData(s.Idx), n: len(s.Idx), off: s.Off, base: cu.baseLine, c: cu.c}
+		if s.Write {
+			key.streams[k].write = 1
+		}
+	}
+	sp := streams[0].C.a.sp
+	fp, hit := sp.fpMemo[key]
+	switch {
+	case !hit:
+		fp = findFootprint(lo, hi, streams)
+		fp.events = slices.Clone(fp.events)
+		if sp.fpMemo == nil {
+			sp.fpMemo = make(map[fpKey]footprint)
+		}
+		sp.fpMemo[key] = fp
+	case footprintAudit != nil:
+		footprintAudit(fp, findFootprint(lo, hi, streams))
+	}
+	if footprintTally != nil {
+		footprintTally(key, hit, fp.took)
+	}
+	if fp.took {
+		chargeFootprint(lo, hi, streams, fp.events)
+	} else {
+		chargeEach(lo, hi, streams)
+	}
+}
+
+// fpKey is everything the footprint of a ChargeLoop call depends on: its
+// steps and, per stream in order, the identity of its index list, its offset,
+// whether it stores, its array (by base line: address ranges are never
+// reused within a Space) and its cursor's cache. The cache is per stream, so
+// a call whose streams probe two caches never shares an entry with one whose
+// streams all probe one. The list's address keeps the list alive, so it
+// cannot name another list while the entry lives.
+type fpKey struct {
+	lo, hi  int
+	streams [8]fpKeyStream
+}
+
+// fpKeyStream is one stream of an fpKey, in whole words: without padding the
+// map hashes and compares the key as one block of memory.
+type fpKeyStream struct {
+	idx    *int32
+	n, off int
+	base   uint64
+	c      *cache
+	write  uint64 // 1 for a store
+}
+
+// footprint is what findFootprint finds for a call: whether the rule applies
+// and, if it does, the accesses it must charge, in order.
+type footprint struct {
+	took   bool
+	events []fpEvent
+}
+
+// footprintTally, when set, sees every ChargeLoop call with an index stream:
+// its key, whether the memo answered it, and whether the footprint rule
+// charged it. footprintAudit, when set, sees every footprint the memo answers
+// beside the one findFootprint finds for the call anew. Like refModel they
+// are for tests only (export_test.go) and change only while nothing runs.
+var (
+	footprintTally func(key fpKey, hit, took bool)
+	footprintAudit func(memo, fresh footprint)
+)
 
 // fpEvent is one access the footprint rule must charge: stream k's first
 // access of array-local line li, or, with record, the first store of a
@@ -209,11 +282,11 @@ type fpFirst struct {
 	k, list, arr uint8
 }
 
-// chargeFootprint is ChargeLoop's footprint rule. It applies when every
+// chargeFootprint is ChargeLoop's footprint rule: it charges the call whose
+// footprint findFootprint found to be events. The rule applies when every
 // stream is an index stream, they all probe one cache of more than one set,
 // and the distinct lines they touch in [lo, hi) sit in pairwise distinct sets
-// of it; it then charges the call and reports true, and otherwise changes
-// nothing and reports false.
+// of it.
 //
 // The rule is exact. Inside a call only chargeSlowAcc writes tags, and only in
 // the set of the line it charges; with every line of the footprint alone in
@@ -228,6 +301,33 @@ type fpFirst struct {
 // writes once. First accesses and first stores are charged in element-loop
 // order, so the write-sets and the sharer arena come out as the element loop
 // leaves them.
+func chargeFootprint[T any](lo, hi int, streams []Stream[T], events []fpEvent) {
+	n := uint64(hi - lo)
+	for _, s := range streams {
+		s.C.hits += n
+	}
+	c0 := streams[0].C
+	c, me := c0.c, c0.p.ID()
+	for _, ev := range events {
+		s := &streams[ev.k]
+		cu := s.C
+		gl := cu.baseLine + uint64(ev.li)
+		switch {
+		case ev.record:
+			cu.a.recordWrite(me, ev.li)
+		case !(s.Write && cu.shared) && c.tags[setBase(cu.setBits, cu.setMask, gl)] == uint32(gl)+1:
+		default:
+			cu.hits--
+			cu.lat += cu.a.chargeSlowAcc(cu.p, c, gl, ev.li, s.Write)
+		}
+	}
+}
+
+// findFootprint decides whether the footprint rule applies to a call and, if
+// it does, returns the accesses chargeFootprint must charge: each line's first
+// access per array, and each shared-store stream's first store to it, in
+// element-loop order. It reads no tag and changes nothing but its scratch; the
+// events it returns are that scratch, good until its next call.
 //
 // Two passes find the footprint, over a stamp per array-local line
 // (Space.fpLines). The first (markReach) scans each distinct element list
@@ -239,15 +339,15 @@ type fpFirst struct {
 // stamping per line the arrays that accessed it and those that stored it
 // through a shared-store stream: each new (array, line) pair stamps its set
 // (Space.fpSets) and is logged, and a second pair in one set ends the rule.
-// The log (Space.fpEvents) is then charged in order.
+// The log (Space.fpEvents) is the footprint.
 //
 // The reference model's refProbe has one set, so under it the rule never
 // applies, and chargeEach sends every access to chargeSlowAcc.
-func chargeFootprint[T any](lo, hi int, streams []Stream[T]) bool {
+func findFootprint[T any](lo, hi int, streams []Stream[T]) footprint {
 	c0 := streams[0].C
 	c := c0.c
 	if c.setMask == 0 {
-		return false
+		return footprint{}
 	}
 	var (
 		lists      [8]fpList
@@ -262,7 +362,7 @@ func chargeFootprint[T any](lo, hi int, streams []Stream[T]) bool {
 		s := &streams[k]
 		cu := s.C
 		if cu.c != c || s.Idx == nil {
-			return false
+			return footprint{}
 		}
 		a := 0
 		for a < na && bases[a] != cu.baseLine {
@@ -352,7 +452,7 @@ func chargeFootprint[T any](lo, hi int, streams []Stream[T]) bool {
 				set := setBase(c0.setBits, c0.setMask, bases[f.arr]+uint64(li)) / cacheWays
 				if setStamps[set] == ep {
 					sp.fpEvents = events
-					return false
+					return footprint{}
 				}
 				setStamps[set] = ep
 				m |= bit
@@ -371,25 +471,7 @@ func chargeFootprint[T any](lo, hi int, streams []Stream[T]) bool {
 		}
 	}
 	sp.fpEvents = events
-	n := uint64(hi - lo)
-	for _, s := range streams {
-		s.C.hits += n
-	}
-	me := c0.p.ID()
-	for _, ev := range events {
-		s := &streams[ev.k]
-		cu := s.C
-		gl := cu.baseLine + uint64(ev.li)
-		switch {
-		case ev.record:
-			cu.a.recordWrite(me, ev.li)
-		case !sstore[ev.k] && c.tags[setBase(cu.setBits, cu.setMask, gl)] == uint32(gl)+1:
-		default:
-			cu.hits--
-			cu.lat += cu.a.chargeSlowAcc(cu.p, c, gl, ev.li, s.Write)
-		}
-	}
-	return true
+	return footprint{true, events}
 }
 
 // markReach stamps with tag every line list ls reaches in steps [lo, hi) and

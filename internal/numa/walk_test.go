@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"o2k/internal/machine"
@@ -95,9 +94,8 @@ func walkCall[T any](specs []walkSpec[T], lo, hi int, walk bool) {
 // of them the footprint rule charged.
 func runWalkCase[T any](call walkCase[T], cacheBytes int, walk, useRef bool) traceResult {
 	refModel = useRef
-	tally := new([2]atomic.Int64)
-	footprintTally = tally
-	defer func() { refModel, footprintTally = false, nil }()
+	fc, stop := countFootprints()
+	defer func() { refModel = false; stop() }()
 	const procs = 4
 	cfg := machine.Default(procs)
 	cfg.CacheBytes = cacheBytes
@@ -154,7 +152,7 @@ func runWalkCase[T any](call walkCase[T], cacheBytes int, walk, useRef bool) tra
 	}
 	res.Data = sharers
 	res.snapshot(sp, e.g)
-	res.Rule = [2]int64{tally[0].Load(), tally[1].Load()}
+	res.Rule = [2]int64{fc.Calls.Load(), fc.Rule.Load()}
 	return res
 }
 
@@ -179,7 +177,9 @@ func runWalkCase[T any](call walkCase[T], cacheBytes int, walk, useRef bool) tra
 // element loop (chargeEach) does; the lines the rule charges meet the warm
 // loads' misses and hits in non-MRU ways first. Four more never take the
 // rule: index streams beside a contiguous one, arrays whose lines share every
-// set, a 1-set cache, and streams of two processors.
+// set, a 1-set cache, and streams of two processors. Every call the footprint
+// memo answers — the repeated ones — is audited: its footprint is found anew
+// and must be the remembered one.
 func TestChargeLoopMatchesElementLoop(t *testing.T) {
 	type f64 = walkEnv[float64]
 	type S = walkSpec[float64]
@@ -261,14 +261,17 @@ func TestChargeLoopMatchesElementLoop(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			audits := AuditFootprints(t)
 			res := checkWalk(t, func(walk, useRef bool) traceResult {
 				return runWalkCase(c.call, cmp.Or(c.cache, 16*128), walk, useRef)
 			})
 			calls, rule := res.Rule[0], res.Rule[1]
-			t.Logf("the footprint rule charged %d of %d calls with an index stream", rule, calls)
+			t.Logf("the footprint rule charged %d of %d calls with an index stream; the memo answered %d", rule, calls, audits.Load())
 			switch {
 			case c.rule == "" && calls != 0, c.rule != "" && calls == 0:
 				t.Errorf("%d calls with an index stream", calls)
+			case c.rule != "" && audits.Load() == 0:
+				t.Error("the memo answered no call")
 			case c.rule == "some" && (rule == 0 || rule == calls):
 				t.Errorf("the footprint rule charged %d of %d calls, want some but not all", rule, calls)
 			case c.rule == "none" && rule != 0:
@@ -314,4 +317,76 @@ func checkWalk(t *testing.T, run func(walk, useRef bool) traceResult) traceResul
 		t.Errorf("want hits, local and remote misses, got %+v", c)
 	}
 	return walks[false]
+}
+
+// TestFootprintMemo scripts the footprint memo's keys on one space with a
+// cache of 64 sets. A repeated call is answered by the memo; the same list on
+// another array, through another processor's cache, over another [lo, hi), at
+// another offset or loaded where it was stored is a call of its own, and so is the 2-processor shape beside the one-cache
+// call of the same lists. A declined call stays declined. Every answer is
+// audited, and a list modified in place between two calls — what the contract
+// on Stream forbids — is what the audit catches.
+func TestFootprintMemo(t *testing.T) {
+	const procs = 4
+	cfg := machine.Default(procs)
+	cfg.CacheBytes = 64 * cacheWays * 128
+	sp := NewSpace(machine.MustNew(cfg))
+	g := sim.NewGroup(procs)
+	sh0 := NewShared[float64](sp, helperLen)
+	sameSetsAs(sp, sh0)
+	sh1 := NewShared[float64](sp, helperLen) // line for line in the sets of sh0
+	p, q := g.Proc(0), g.Proc(1)
+	owned := make([]int32, 48)
+	for j := range owned {
+		owned[j] = int32(100 + (j*7)%64) // four lines, in four sets
+	}
+	type S = walkSpec[float64]
+	update := func(p *sim.Proc, a *Array[float64], idx []int32) []S {
+		return []S{{p, a, 0, false, idx}, {p, a, 0, true, idx}}
+	}
+	var hit, took bool
+	footprintTally = func(_ fpKey, h, tk bool) { hit, took = h, tk }
+	defer func() { footprintTally = nil }()
+	differ := 0
+	auditFootprints(func(memo, fresh footprint) { differ++ })
+	defer func() { footprintAudit = nil }()
+	steps := []struct {
+		name      string
+		specs     []S
+		lo, hi    int
+		hit, took bool
+	}{
+		{"a first call", update(p, sh0, owned), 0, 48, false, true},
+		{"the same call again", update(p, sh0, owned), 0, 48, true, true},
+		{"the list on another array", update(p, sh1, owned), 0, 48, false, true},
+		{"through another processor's cache", update(q, sh0, owned), 0, 48, false, true},
+		{"over another [lo, hi)", update(p, sh0, owned), 8, 48, false, true},
+		{"at another offset", []S{{p, sh0, 16, false, owned}, {p, sh0, 16, true, owned}}, 0, 48, false, true},
+		{"loading where it stored", []S{{p, sh0, 0, false, owned}, {p, sh0, 0, false, owned}}, 0, 48, false, true},
+		{"the first call once more", update(p, sh0, owned), 0, 48, true, true},
+		{"one cache", []S{{p, sh0, 0, false, owned}, {p, sh0, 0, false, owned}, {p, sh0, 0, true, owned}}, 0, 48, false, true},
+		{"2 processors", []S{{p, sh0, 0, false, owned}, {q, sh0, 0, false, owned}, {p, sh0, 0, true, owned}}, 0, 48, false, false},
+		{"2 processors again", []S{{p, sh0, 0, false, owned}, {q, sh0, 0, false, owned}, {p, sh0, 0, true, owned}}, 0, 48, true, false},
+		{"one cache again", []S{{p, sh0, 0, false, owned}, {p, sh0, 0, false, owned}, {p, sh0, 0, true, owned}}, 0, 48, true, true},
+		{"two arrays in the same sets", []S{{p, sh0, 0, false, owned}, {p, sh1, 0, true, owned}}, 0, 48, false, false},
+		{"declined again", []S{{p, sh0, 0, false, owned}, {p, sh1, 0, true, owned}}, 0, 48, true, false},
+	}
+	for _, s := range steps {
+		walkCall(s.specs, s.lo, s.hi, true)
+		if hit != s.hit || took != s.took {
+			t.Errorf("%s: memo hit %v, rule %v; want %v, %v", s.name, hit, took, s.hit, s.took)
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("the audit found %d remembered footprints wrong", differ)
+	}
+	// The contract's negative test: a list that changes in place keeps its key,
+	// so the memo answers with the footprint of what it was.
+	moved := slices.Clone(owned)
+	walkCall(update(p, sh0, moved), 0, 48, true)
+	moved[5] = helperLen - 1 // a line the list did not reach
+	walkCall(update(p, sh0, moved), 0, 48, true)
+	if !hit || differ != 1 {
+		t.Errorf("a list modified in place: memo hit %v, the audit found %d differences; want a hit and 1", hit, differ)
+	}
 }
