@@ -18,25 +18,23 @@ import (
 	"o2k/internal/sim"
 )
 
-// force charges the force evaluation of the bodies of own against the body
-// arrays x, y, m and the cell array cells: per body, the loads of its own
-// position, then its tree walk replayed from the plan's stream. It returns
-// the walk plan, whose accelerations the update reads.
+// force charges the force evaluation of the bodies of own (the plan's list
+// for p) against the body arrays x, y, m and the cell array cells: per body,
+// the loads of its own position, then its tree walk. It charges them as one
+// load footprint (StepPlan.forceLoads) and, where that does not apply, body by
+// body. It returns the walk plan, whose accelerations the update reads.
 func force(p *sim.Proc, mach *machine.Machine, pl *StepPlan, own []int32, x, y, m, cells *numa.Array[float64]) *WalkPlan {
 	cx, cy, cm := x.Cursor(p), y.Cursor(p), m.Cursor(p)
 	ccl := cells.Cursor(p)
 	wp := pl.Walk.Ensure()
+	if fp := pl.forceLoads(p.ID(), wp); fp == nil || !numa.ChargeLoads(fp, &cx, &cy, &cm, &ccl) {
+		for _, i := range own {
+			chargeBody(wp, int(i), &cx, &cy, &cm, &ccl)
+		}
+	}
 	interTot := 0
 	for _, i := range own {
-		j := int(i)
-		if !cx.TryTouch(j) {
-			cx.TouchMiss(j)
-		}
-		if !cy.TryTouch(j) {
-			cy.TouchMiss(j)
-		}
-		replayWalk(wp, j, &cx, &cy, &cm, &ccl)
-		interTot += pl.Inter[j]
+		interTot += pl.Inter[i]
 	}
 	cx.Flush()
 	cy.Flush()

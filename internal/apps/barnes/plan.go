@@ -19,7 +19,10 @@
 package barnes
 
 import (
+	"sync"
+
 	"o2k/internal/nbody"
+	"o2k/internal/numa"
 )
 
 // Workload parameterizes one experiment instance.
@@ -51,6 +54,35 @@ type StepPlan struct {
 	TotalInter  int
 	MaxProcWork int       // largest per-proc interaction total (imbalance measure)
 	Walk        *WalkPlan // lazy force-walk oracle, shared across processor counts
+
+	loads []procLoads // per processor: its force phase's load footprint
+}
+
+// procLoads holds one processor's force-phase load footprint, built on the
+// first force phase that asks for it — every model at this processor count
+// charges the same one — and never serialized.
+type procLoads struct {
+	once sync.Once
+	fp   *numa.LoadFootprint
+}
+
+// forceLoads returns the load footprint of processor me's force phase: each
+// of its bodies' symbols in wp's stream, one body after another; nil where wp
+// compiled no stream.
+func (pl *StepPlan) forceLoads(me int, wp *WalkPlan) *numa.LoadFootprint {
+	if wp.lineBytes == 0 {
+		return nil
+	}
+	fl := &pl.loads[me]
+	fl.once.Do(func() {
+		own := pl.OwnedBodies[me]
+		segs := make([][]uint16, len(own))
+		for k, i := range own {
+			segs[k] = wp.syms[wp.off[i]:wp.off[i+1]]
+		}
+		fl.fp = numa.NewLoadFootprint(wp.lineBytes, segs...)
+	})
+	return fl.fp
 }
 
 // BuildPlans runs the reference simulation and captures per-step plans for

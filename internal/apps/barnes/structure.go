@@ -99,6 +99,7 @@ func (st *Structure) Plans(nprocs int) []*StepPlan {
 			OwnedBodies: make([][]int32, nprocs),
 			Inter:       ss.Inter,
 			Walk:        ss.Walk,
+			loads:       make([]procLoads, nprocs),
 		}
 		work := make([]int, nprocs)
 		for i := 0; i < st.N; i++ {

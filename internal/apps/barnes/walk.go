@@ -2,16 +2,15 @@ package barnes
 
 import "o2k/internal/numa"
 
-// replayWalk charges body i's force-walk loads from the precomputed stream —
-// the exact access sequence the cursor walker (walk_test.go) would issue,
-// with the traversal logic and physics paid once in WalkPlan.build instead of
-// once per model per processor count. Where the stream does not apply (another
-// line size than it was compiled for, the reference model) the body's visits
-// are walked again and replayed entry by entry.
-func replayWalk(wp *WalkPlan, i int, cx, cy, cm, ccl *numa.Cursor[float64]) {
-	if wp.lineBytes != 0 && numa.ReplayLines(wp.syms[wp.off[i]:wp.off[i+1]], wp.lineBytes, cx, cy, cm, ccl) {
-		return
-	}
+// chargeBody charges body i's force loads one by one: its own x[i] and y[i],
+// then its tree walk, walked again for its entries — the exact access
+// sequence the cursor walker (walk_test.go) issues. It is what a force phase
+// charges where its load footprint does not apply (another line size than the
+// stream was compiled for, the reference model, a cache set the footprint
+// over-fills).
+func chargeBody(wp *WalkPlan, i int, cx, cy, cm, ccl *numa.Cursor[float64]) {
+	cx.Load(i)
+	cy.Load(i)
 	entries, _, _, _ := wp.walk(i, nil)
 	numa.ReplayLoads(entries, cx, cy, cm, ccl)
 }

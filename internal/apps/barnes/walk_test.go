@@ -2,18 +2,22 @@ package barnes
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/nbody"
 	"o2k/internal/numa"
+	"o2k/internal/shm"
 	"o2k/internal/sim"
 )
 
 // walkAccel runs the Barnes-Hut traversal against cursor-based readers:
 // arithmetic and traversal order are nbody.Accel's, every load is a costed
 // Cursor.Load. The production force loops replay the precomputed trace
-// instead (replayWalk); this walker is the differential reference that pins
+// instead (force); this walker is the differential reference that pins
 // the trace — visit sequence, accelerations, charges — to the real traversal.
 func walkAccel(t *nbody.Tree, self int32, bx, by, theta float64,
 	cx, cy, cm, ccl *numa.Cursor[float64]) (ax, ay float64, inter int) {
@@ -113,8 +117,9 @@ func walkFixture(t *testing.T, lineBytes int, ss *StepStructure, m []float64,
 // must equal the cursor walker's bit-for-bit, and the replayed charge
 // sequence must cost exactly what the walker's loads cost — same virtual
 // time, same hit counts — on identically laid-out spaces. On 128-byte lines
-// the replay runs the compiled stream; on 64-byte lines, for which no stream
-// is compiled, it walks each body again and replays the entries.
+// the replay charges the compiled stream's load footprint; on 64-byte lines,
+// for which no stream is compiled, it walks each body again and replays the
+// entries.
 func TestWalkPlanMatchesCursorWalker(t *testing.T) {
 	w := Small()
 	st := BuildStructure(w)
@@ -147,16 +152,17 @@ func TestWalkPlanMatchesCursorWalker(t *testing.T) {
 				}
 			}
 
-			// Replay: charge-only path over the recorded walk.
+			// Replay: the force phase's charge over the recorded walk, every
+			// body on one processor — the footprint of the whole stream, and
+			// body by body where it does not apply.
 			tR, hR := walkFixture(t, lineBytes, ss, m, func(p *sim.Proc, cx, cy, cm, ccl *numa.Cursor[float64]) {
-				for i := 0; i < w.N; i++ {
-					if !cx.TryTouch(i) {
-						cx.TouchMiss(i)
+				fp := numa.NewLoadFootprint(wp.lineBytes, wp.syms)
+				if took := numa.ChargeLoads(fp, cx, cy, cm, ccl); took != (lineBytes == wp.lineBytes) {
+					t.Fatalf("%d-byte lines: the footprint took the charge: %v", lineBytes, took)
+				} else if !took {
+					for i := 0; i < w.N; i++ {
+						chargeBody(wp, i, cx, cy, cm, ccl)
 					}
-					if !cy.TryTouch(i) {
-						cy.TouchMiss(i)
-					}
-					replayWalk(wp, i, cx, cy, cm, ccl)
 				}
 			})
 			if tR != tW || hR != hW {
@@ -164,4 +170,78 @@ func TestWalkPlanMatchesCursorWalker(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Two models on one plan set at once: the per-processor footprints each
+// force phase builds on first use are built once, under a sync.Once per
+// processor, and both runs report what they report one after the other
+// (run it with -race).
+func TestModelsShareForceFootprints(t *testing.T) {
+	w := Small()
+	mach := machine.MustNew(machine.Default(8))
+	plans := BuildPlans(w, 8)
+	var got [2]core.Metrics
+	var wg sync.WaitGroup
+	for k, model := range []core.Model{core.MP, core.SHMEM} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k] = RunWithPlans(model, mach, w, plans)
+		}()
+	}
+	wg.Wait()
+	fresh := BuildPlans(w, 8)
+	for k, model := range []core.Model{core.MP, core.SHMEM} {
+		if want := RunWithPlans(model, mach, w, fresh); !reflect.DeepEqual(got[k], want) {
+			t.Errorf("%v on a shared plan set: %+v, alone: %+v", model, got[k], want)
+		}
+	}
+	for _, pl := range plans {
+		for q := range pl.loads {
+			if pl.loads[q].fp == nil {
+				t.Fatalf("step %d: no footprint for processor %d", pl.Step, q)
+			}
+		}
+	}
+}
+
+// BenchmarkForceFootprint prices the two halves of a force phase's charge at
+// Default size, P = 64, for processor 0 in step 0: build records its load
+// footprint from the step's stream; charge charges it through cursors on the
+// SHMEM layout, whose symmetric x, y and m blocks put their lines in shared
+// cache sets, on a warm cache.
+func BenchmarkForceFootprint(b *testing.B) {
+	w := Default()
+	pl := BuildPlans(w, 64)[0]
+	wp := pl.Walk.Ensure()
+	own := pl.OwnedBodies[0]
+	b.Run("build", func(b *testing.B) {
+		segs := make([][]uint16, len(own))
+		for k, i := range own {
+			segs[k] = wp.syms[wp.off[i]:wp.off[i+1]]
+		}
+		for range b.N {
+			numa.NewLoadFootprint(wp.lineBytes, segs...)
+		}
+	})
+	b.Run("charge", func(b *testing.B) {
+		mach := machine.MustNew(machine.Default(64))
+		world := shm.NewWorld(mach, numa.NewSpace(mach))
+		var arrs [5]*shm.Sym[float64] // x, y, vx, vy, m, allocated as runSHMEM does
+		for k := range arrs {
+			arrs[k] = shm.AllocWorld[float64](world, w.N)
+		}
+		cells := shm.AllocWorld[float64](world, 3*pl.Tree.NumCells())
+		p := sim.NewGroup(64).Proc(0)
+		pe := world.PE(p)
+		cx, cy, cm := arrs[0].Local(pe).Cursor(p), arrs[1].Local(pe).Cursor(p), arrs[4].Local(pe).Cursor(p)
+		ccl := cells.Local(pe).Cursor(p)
+		fp := pl.forceLoads(0, wp)
+		b.ResetTimer()
+		for range b.N {
+			if !numa.ChargeLoads(fp, &cx, &cy, &cm, &ccl) {
+				b.Fatal("the footprint rule declined the force phase")
+			}
+		}
+	})
 }

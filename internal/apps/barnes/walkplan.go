@@ -13,16 +13,17 @@ import (
 // the same tree over the same body positions in the same order — only the
 // *memory charging* of the loads differs between them — so the traversal and
 // the physics are computed once per structure step and every model (at every
-// processor count) replays just the charges. See replayWalk.
+// processor count) replays just the charges. See force.
 //
-// The visits are held as a line-symbol stream: syms[off[i]:off[i+1]] names,
-// for body i's visits in stack order, the cache lines their loads touch — a
-// leaf-body interaction loads x, y, m of the body; an internal-cell visit,
-// opened or accepted alike (the walk reads a cell's centre of mass before
-// deciding), loads the cell's three words. Symbols, and the entries they are
-// compiled from, are defined in one place, numa's replay.go. They are compiled
-// for lines of lineBytes, the line size of every machine preset; anywhere
-// else a replay walks the tree again for its entries (replayWalk).
+// The loads are held as a line-symbol stream: syms[off[i]:off[i+1]] names the
+// cache lines body i's force evaluation loads — its own x and y, then its
+// visits in stack order: a leaf-body interaction loads x, y, m of the body; an
+// internal-cell visit, opened or accepted alike (the walk reads a cell's
+// centre of mass before deciding), loads the cell's three words. Symbols, and
+// the entries they are compiled from, are defined in one place, numa's
+// replay.go. They are compiled for lines of lineBytes, the line size of every
+// machine preset; anywhere else a force phase walks the tree again for its
+// entries (chargeBody).
 //
 // Built by the structure build, which takes the step's accelerations and
 // interaction counts from it, or — a structure decoded from the disk tier
@@ -67,7 +68,7 @@ func (wp *WalkPlan) walk(i int, entries []int32) ([]int32, float64, float64, int
 	return entries, ax, ay, inter
 }
 
-// build walks the tree for every body, keeping the accelerations, the visits
+// build walks the tree for every body, keeping the accelerations, the loads
 // as line symbols and, when inter is not nil, the interaction counts.
 func (wp *WalkPlan) build(inter []int) {
 	n := len(wp.x)
@@ -91,7 +92,7 @@ func (wp *WalkPlan) build(inter []int) {
 		}
 		if lineBytes != 0 {
 			var ok bool
-			if syms, ok = numa.CompileLoads[float64](syms, lineBytes, entries); !ok {
+			if syms, ok = numa.CompileLoads[float64](syms, lineBytes, i, entries); !ok {
 				syms, lineBytes = nil, 0
 			}
 		}

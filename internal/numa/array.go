@@ -184,21 +184,7 @@ func (a *Array[T]) PlaceBlock() {
 // PlaceByElem homes each page on ownerOf(first element in the page). This is
 // the deterministic stand-in for first-touch placement: pass the same owner
 // function the application uses to initialize the array.
-func (a *Array[T]) PlaceByElem(ownerOf func(elem int) int) {
-	pb := uint64(a.sp.M.Cfg.PageBytes)
-	for pg := range a.pageHome {
-		elem := int(uint64(pg) * pb / a.elemSize)
-		if elem >= len(a.data) {
-			elem = len(a.data) - 1
-		}
-		if elem < 0 {
-			elem = 0
-		}
-		o := ownerOf(elem)
-		a.checkProc(o)
-		a.pageHome[pg] = int32(o)
-	}
-}
+func (a *Array[T]) PlaceByElem(ownerOf func(elem int) int) { a.RehomeByElem(ownerOf) }
 
 // RehomeByElem re-places every page like PlaceByElem and returns how many
 // pages actually changed home — the input to a page-migration cost model.
@@ -207,14 +193,7 @@ func (a *Array[T]) PlaceByElem(ownerOf func(elem int) int) {
 func (a *Array[T]) RehomeByElem(ownerOf func(elem int) int) (moved int) {
 	pb := uint64(a.sp.M.Cfg.PageBytes)
 	for pg := range a.pageHome {
-		elem := int(uint64(pg) * pb / a.elemSize)
-		if elem >= len(a.data) {
-			elem = len(a.data) - 1
-		}
-		if elem < 0 {
-			elem = 0
-		}
-		o := ownerOf(elem)
+		o := ownerOf(max(min(int(uint64(pg)*pb/a.elemSize), len(a.data)-1), 0))
 		a.checkProc(o)
 		if a.pageHome[pg] != int32(o) {
 			a.pageHome[pg] = int32(o)

@@ -199,7 +199,6 @@ func TestCloseUnmapsAndDetaches(t *testing.T) {
 	}
 	mustPanic(t, "Load of a heap-backed array", func() { heap.Load(p, 3) })
 	mustPanic(t, "Cursor.Load of a heap-backed array", func() { cheap.Load(3) })
-	mustPanic(t, "Cursor.TryTouch", func() { cheap.TryTouch(3) })
 	mustPanic(t, "ReplayLoads", func() { ReplayLoads([]int32{3, ^1}, &cheap, &cheap, &cheap, &cheap) })
 	mustPanic(t, "TouchRange", func() { heap.TouchRange(p, 0, 16, false) })
 	mustPanic(t, "MergeEpoch", func() { sp.MergeEpoch() })

@@ -76,18 +76,19 @@ func BenchmarkTouchRange(b *testing.B) {
 }
 
 // BenchmarkReplayLoads charges a walk-shaped trace (a cell read followed by
-// a burst of leaf loads, repeated) through the four-cursor batched replay —
-// the barnes force phase's hot loop — in its four regimes. hit: the 4 MB
-// cache, every line alone in its set, every symbol pinned after its first
-// visit (the P = 1 cells). conflict: a two-set cache in which the x, y and m
-// lines of a leaf share a set (arrays are page-aligned), so nearly every load
-// finds its line in a non-MRU way and reorders the set. symmetric: the 4 MB
-// cache again, with y and m placed where every line of theirs falls in the set
-// of the same line of x — cells pin, every leaf entry is three hits in a
-// non-MRU way: what the symmetric blocks of the SHMEM cells do from P = 16 up,
-// half the replay time of the suite. pinned-after-miss: as hit, with every
-// line of the quartet invalidated before each pass, so each symbol is missed
-// once, pinned by that probe and counted from then on (the CC-SAS cells).
+// a burst of leaf loads, repeated) through ReplayLoads — compile, load
+// footprint, charge — in four regimes, named by what the load-by-load chain
+// meets in them (the regime check below runs the chain). hit: the 4 MB cache,
+// every line alone in its set, every load after a line's first an MRU hit
+// (the P = 1 cells). conflict: a two-set cache in which the x, y and m lines
+// of a leaf share a set (arrays are page-aligned), so nearly every load finds
+// its line in a non-MRU way; seven lines in two sets of four, which the
+// footprint takes. symmetric: the 4 MB cache again,
+// with y and m placed where every line of theirs falls in the set of the same
+// line of x, so every leaf entry is three hits in a non-MRU way: what the
+// symmetric blocks of the SHMEM cells do from P = 16 up. pinned-after-miss:
+// as hit, with every line of the quartet invalidated before each pass, so
+// each line is missed once (the CC-SAS cells).
 func BenchmarkReplayLoads(b *testing.B) {
 	walk := func(c, j int) int { return (c*11 + j*3) % 4096 }
 	for _, regime := range []string{"hit", "symmetric", "pinned-after-miss"} {
@@ -137,10 +138,20 @@ func benchReplayLoads(b *testing.B, regime string, cfg machine.Config, cells int
 		ReplayLoads(tr, &cx, &cy, &cm, &cc)
 	}
 	b.StopTimer()
-	// Every tag movement is a miss, an invalidation or a hit in a non-MRU way.
+	// The regime: one more pass, load by load. Every tag movement is a miss, an
+	// invalidation or a hit in a non-MRU way.
 	c := sp.caches[0]
-	if way := c.gen - p.LocalMisses - p.RemoteMisses - c.cohEvicts; (symmetric || regime == "conflict") != (way*2 > uint64(b.N*3*len(tr))) {
-		b.Errorf("%d of %d loads hit a non-MRU way", way, b.N*3*len(tr))
+	if cold {
+		for _, a := range []*Array[float64]{x, y, m, cl} {
+			sp.InvalidateSpan(0, a.baseLine, a.baseLine+uint64(a.lines()))
+		}
+	}
+	moved := c.gen - p.LocalMisses - p.RemoteMisses - c.cohEvicts
+	for _, e := range tr {
+		touchEntry(e, &cx, &cy, &cm, &cc)
+	}
+	if way := c.gen - p.LocalMisses - p.RemoteMisses - c.cohEvicts - moved; (symmetric || regime == "conflict") != (way*2 > uint64(3*len(tr))) {
+		b.Errorf("%d of %d loads hit a non-MRU way", way, 3*len(tr))
 	}
 	cx.Flush()
 	cy.Flush()

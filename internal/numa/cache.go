@@ -15,6 +15,8 @@
 // actively shared data.
 package numa
 
+import mbits "math/bits"
+
 // cacheWays is the set associativity. The R10000's secondary cache was
 // 2-way; we use 4-way LRU so that the simulator's page-aligned allocation
 // pattern does not manufacture conflict pathologies the real (physically
@@ -51,31 +53,15 @@ type cache struct {
 	// flushes). No charging code reads it: it is how the replay tests tell the
 	// loads that reorder a set from the misses (ref_test.go, bench_test.go).
 	gen uint64
-
-	// pin is the replay's pin table (replay.go), nil until a replay binds one.
-	// Both writers of tags below unpin the set they write.
-	pin *pinTable
 }
 
 // newCache returns the geometry of a cache of cacheBytes in lines of
 // lineBytes; its tags are the caller's to supply, c.slots() of them, zeroed.
 func newCache(cacheBytes, lineBytes int) *cache {
-	sets := cacheBytes / lineBytes / cacheWays
-	if sets < 1 {
-		sets = 1
-	}
-	// Round down to a power of two for masking.
-	for sets&(sets-1) != 0 {
-		sets &= sets - 1
-	}
-	bits := uint(0)
-	for 1<<bits < sets {
-		bits++
-	}
-	if bits == 0 {
-		bits = 1 // avoid zero shifts when there is a single set
-	}
-	return &cache{setMask: uint64(sets - 1), setBits: bits}
+	// The sets are rounded down to a power of two for masking, at least one;
+	// setBits is at least 1, so that no shift is by zero.
+	bits := mbits.Len(uint(max(cacheBytes/lineBytes/cacheWays, 1))) - 1
+	return &cache{setMask: 1<<bits - 1, setBits: uint(max(bits, 1))}
 }
 
 // slots is the length of the tag array: cacheWays per set.
@@ -96,7 +82,7 @@ func setBase(setBits uint, setMask, line uint64) uint64 {
 
 // mruAt reports whether line occupies the MRU way of its set — the whole probe
 // of the hot paths: one bounds check and one load. It takes the cache's tags
-// and geometry apart so that a loop hot enough for it to show (ReplayLines, a
+// and geometry apart so that a loop hot enough for it to show (ChargeLoop, a
 // Cursor) can hold the two scalars where it runs instead of reloading them
 // through c on every probe. Must stay inlinable.
 func mruAt(tags []uint32, setBits uint, setMask, line uint64) bool {
@@ -118,10 +104,7 @@ func (c *cache) access(line uint64) bool {
 // generic copy() in a loop paid a runtime call per probe.
 func (c *cache) accessSlow(line uint64) bool {
 	c.gen++ // every path below reorders or installs tags
-	set, base := c.set(line)
-	if c.pin != nil {
-		c.pin.unpin(base)
-	}
+	set := c.set(line)
 	t := uint32(line) + 1
 	hit := true
 	switch t {
@@ -141,34 +124,19 @@ func (c *cache) accessSlow(line uint64) bool {
 	return hit
 }
 
-// set returns the cacheWays-long tag slice of line's set and its offset in tags.
-func (c *cache) set(line uint64) ([]uint32, uint64) {
+// set returns the cacheWays-long tag slice of line's set.
+func (c *cache) set(line uint64) []uint32 {
 	base := setBase(c.setBits, c.setMask, line)
-	return c.tags[base : base+cacheWays : base+cacheWays], base
-}
-
-// present reports whether line is cached, without touching LRU state.
-func (c *cache) present(line uint64) bool {
-	set, _ := c.set(line)
-	t := uint32(line) + 1
-	for w := 0; w < cacheWays; w++ {
-		if set[w] == t {
-			return true
-		}
-	}
-	return false
+	return c.tags[base : base+cacheWays : base+cacheWays]
 }
 
 // invalidate drops line if present, counting a coherence eviction; it
 // reports whether the line was actually evicted.
 func (c *cache) invalidate(line uint64) bool {
-	set, base := c.set(line)
+	set := c.set(line)
 	t := uint32(line) + 1
 	for w := 0; w < cacheWays; w++ {
 		if set[w] == t {
-			if c.pin != nil {
-				c.pin.unpin(base)
-			}
 			// Compact the remaining ways forward.
 			copy(set[w:cacheWays-1], set[w+1:cacheWays])
 			set[cacheWays-1] = 0

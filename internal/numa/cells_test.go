@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"o2k/internal/apps/barnes"
 	"o2k/internal/core"
 	"o2k/internal/experiments"
 	"o2k/internal/numa"
@@ -46,19 +47,21 @@ func smallCells(t *testing.T, visit func(t *testing.T, cell string, model core.M
 // the one app harness, reports the same complete Metrics on the optimized
 // paths — the inline MRU probes of cursors and batch helpers, ChargeLoop's
 // walk, footprint rule and footprint memo (every answer of which is audited),
-// the span walk, ReplayLines, the sharer directory —
-// as on the reference model of ref.go, which charges every access through
-// chargeRef and merges without a directory. ref_test.go checks the same
-// equality on seeded traces; this is the check that the applications use the
-// fast paths within what the traces cover.
+// the span walk, the n-body force phases' load footprints (every charge of
+// which is audited), the sharer directory — as on the reference model of
+// ref.go, which charges every access through chargeRef and merges without a
+// directory. ref_test.go checks the same equality on seeded traces; this is
+// the check that the applications use the fast paths within what the traces
+// cover.
 //
 // The Small cells stay in a regime two Default-size cells leave. The Small
 // n-body cells have 40 leaf lines each, and every one is alone in its cache
-// set; in n-body SHMEM P=16 a quarter of the replayed entries are pinned and a
-// third hit a non-MRU way (3.4 M of 10.8 M). In mesh CC-SAS P=16 the solve's
-// footprint rule meets, at every sweep, the ghost lines the barrier's merge
-// invalidated, and misses them remotely, and declines the sweeps whose lines
-// share a set.
+// set; in n-body SHMEM P=16 the symmetric blocks put the x, y and m lines of a
+// leaf in one set, two or three lines of a force phase share a set in every
+// phase, and a third of the loads hit a non-MRU way. In mesh CC-SAS P=16 the
+// solve's footprint rule meets, at every sweep, the ghost lines the barrier's
+// merge invalidated, and misses them remotely, and declines the sweeps whose
+// lines share a set.
 func TestWholeCellsMatchReference(t *testing.T) {
 	large := []struct {
 		app   string
@@ -129,6 +132,25 @@ func TestMeshSolveTakesTheFootprintRule(t *testing.T) {
 				}
 			})
 		}
+	}
+	// Each n-body force phase is one ChargeLoads call per processor and step,
+	// and at Default size the rule takes every one: no cache set receives more
+	// than cacheWays of a phase's lines. The histogram is how full the fullest
+	// set of each phase is.
+	for _, model := range []core.Model{core.MP, core.SHMEM, core.SAS} {
+		t.Run("nbody/"+model.String(), func(t *testing.T) {
+			lc := numa.CountLoadCharges(t)
+			defaultCell(t, "nbody", model, 16)
+			calls, rule := lc.Calls.Load(), lc.Rule.Load()
+			var fullest []int64
+			for n := range lc.Fullest {
+				fullest = append(fullest, lc.Fullest[n].Load())
+			}
+			t.Logf("the rule charged %d of %d force phases; phases by lines in their fullest set (0–7): %v", rule, calls, fullest)
+			if want := int64(16 * barnes.Default().Steps); calls != want || rule != calls {
+				t.Errorf("the rule charged %d of %d force phases, want all of %d", rule, calls, want)
+			}
+		})
 	}
 }
 

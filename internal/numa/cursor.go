@@ -71,31 +71,6 @@ func (cu *Cursor[T]) Load(i int) T {
 	return cu.a.data[i]
 }
 
-// TryTouch charges a load of element i iff its line sits in the MRU way of its
-// set, without materializing the value — the replay loops (precomputed
-// traversal traces) need only the charge. Returns whether it charged; on false
-// it changes nothing and the caller completes with TouchMiss(i): the inlined
-// half of one probe, TouchMiss the whole. It spells the probe out, as Load and
-// Store do: a helper method between it and mruAt costs a generic method its
-// place under the inliner's budget (83 against 80).
-func (cu *Cursor[T]) TryTouch(i int) bool {
-	if mruAt(cu.c.tags, cu.setBits, cu.setMask, cu.line(i)) {
-		cu.hits++
-		return true
-	}
-	return false
-}
-
-// TouchMiss completes a charge whose TryTouch returned false; identical
-// charging to Load without returning the element. On its own it charges any
-// load correctly, an MRU hit included (ReplayLoads' touchEntry relies on
-// that).
-func (cu *Cursor[T]) TouchMiss(i int) {
-	if !cu.TryTouch(i) {
-		cu.slow(i, cu.line(i), false)
-	}
-}
-
 // Store writes element i through the cursor; identical charging to
 // Array.Store with the Advance deferred to Flush.
 func (cu *Cursor[T]) Store(i int, v T) {

@@ -13,7 +13,8 @@ import (
 // TestMain audits the tag store at the end of every MergeEpoch any test of
 // this package runs, and the sharer directory with it on the optimized path —
 // the spaces applications create internally included (adaptmesh_test.go,
-// suite_test.go).
+// suite_test.go) — and every load footprint charge against its loads charged
+// one by one.
 func TestMain(m *testing.M) {
 	afterMerge = func(sp *Space) {
 		if err := checkTags(sp); err != nil {
@@ -27,58 +28,62 @@ func TestMain(m *testing.M) {
 		}
 		directoryAudits.Add(1)
 	}
-	afterReplay = func(c *cache) {
-		if err := checkPins(c); err != nil {
-			panic(err)
-		}
-		pinAudits.Add(1)
-	}
+	loadsAudit = auditLoads
 	os.Exit(m.Run())
 }
 
-// checkPins is the structural audit of a cache's pin table, run after every
-// replay of every test of this package: a pinned symbol has each of its lines
-// in the MRU way of its set now, and each of those sets names that line's
-// symbol as what a write to it unpins.
-func checkPins(c *cache) error {
-	pt := c.pin
-	if pt == nil {
-		return nil
+// auditLoads is TestMain's audit of every load footprint charge of every test
+// of this package: it runs the charge, puts the cache and the processor's
+// counters back as they were, charges the footprint's stream load by load
+// from there, and panics unless both leave the same tags and, once the
+// cursors are flushed, the same counters and clock. (A hit the chain finds
+// outside the MRU way reaches the processor through the slow path, one the
+// rule counts through a cursor.) The tags are left as the chain leaves them,
+// the counters as the rule does.
+func auditLoads(fp *LoadFootprint, c *cache, p *sim.Proc, charge func() (uint64, sim.Time), chain func(keys []uint32) (uint64, sim.Time)) {
+	flushed := func(hits uint64, lat sim.Time) (sim.Counters, sim.Time) {
+		ctr := p.Counters
+		ctr.CacheHits += hits
+		return ctr, p.Now() + lat + sim.Time(hits)*c.sp.M.Cfg.CacheHitNS
 	}
-	for s, state := range pt.st {
-		if !state {
-			continue
-		}
-		// Each line of the symbol, and the leaf or one-line cell symbol its set
-		// must be marked with.
-		lo, cell := uint64(s>>2), s&^3|symCell
-		var lines []uint64
-		var owners []int
-		switch s & 3 {
-		case symLeaf:
-			lines, owners = []uint64{pt.base[0] + lo, pt.base[1] + lo, pt.base[2] + lo}, []int{s, s, s}
-		case symCell:
-			lines, owners = []uint64{pt.base[3] + lo}, []int{cell}
-		case symStraddle:
-			lines, owners = []uint64{pt.base[3] + lo, pt.base[3] + lo + 1}, []int{cell, cell + 4}
-		default:
-			return fmt.Errorf("symbol %#x of no kind is pinned", s)
-		}
-		for i, line := range lines {
-			set := (line ^ line>>c.setBits ^ line>>(2*c.setBits)) & c.setMask
-			if c.tags[set*cacheWays] != uint32(line)+1 {
-				return fmt.Errorf("symbol %#x pinned, line %d not in the MRU way of set %d: %v", s, line, set, c.tags[set*cacheWays:(set+1)*cacheWays])
-			}
-			if got := int(pt.setSym[set]) - 1; got != owners[i] {
-				return fmt.Errorf("symbol %#x pinned, set %d of its line %d is marked %#x", s, set, line, got)
-			}
+	tags, counters := slices.Clone(c.tags), p.Counters
+	ruleCounters, ruleNow := flushed(charge())
+	ruleTags, rule := slices.Clone(c.tags), p.Counters
+	copy(c.tags, tags)
+	p.Counters = counters
+	defer func() { p.Counters = rule }() // the counters that go with the charged cursors
+	var keys []uint32
+	for _, seg := range fp.src {
+		for _, s := range seg {
+			keys = chainLoads(keys, s)
 		}
 	}
-	return nil
+	chainCounters, chainNow := flushed(chain(keys))
+	if !slices.Equal(c.tags, ruleTags) || chainCounters != ruleCounters || chainNow != ruleNow {
+		panic(fmt.Sprintf("a load footprint charged counters %+v up to %v; its loads one by one %+v up to %v; same tags: %v",
+			ruleCounters, ruleNow, chainCounters, chainNow, slices.Equal(c.tags, ruleTags)))
+	}
+	loadAudits.Add(1)
 }
 
-// pinAudits counts the replays TestMain's hook has audited.
-var pinAudits atomic.Int64
+// chainLoads appends to keys the loads of symbol s, one key line<<2|array per
+// load, in the order its entry makes them (the symbol format is replay.go's).
+func chainLoads(keys []uint32, s uint16) []uint32 {
+	lo := uint32(s >> 2)
+	x, y, m, cell, next := lo<<2, lo<<2|1, lo<<2|2, lo<<2|3, (lo+1)<<2|3
+	switch s & 3 {
+	case symLeaf:
+		return append(keys, x, y, m)
+	case symCell:
+		return append(keys, cell, cell, cell)
+	case symStraddle:
+		return append(keys, cell, next, next) // the middle word hits its line wherever it falls
+	}
+	return append(keys, x, y)
+}
+
+// loadAudits counts the footprint charges TestMain's hook has audited.
+var loadAudits atomic.Int64
 
 // checkTags is the structural audit of the tag store: every cache has
 // cacheWays tags per set; in every set the valid tags are a prefix of the ways
@@ -112,11 +117,12 @@ func checkTags(sp *Space) error {
 	return nil
 }
 
-// unaudited takes the audits off the merges and replays a benchmark times.
+// unaudited takes the audits off the merges and footprint charges a
+// benchmark times.
 func unaudited(b *testing.B) {
-	merge, replay := afterMerge, afterReplay
-	afterMerge, afterReplay = nil, nil
-	b.Cleanup(func() { afterMerge, afterReplay = merge, replay })
+	merge, loads := afterMerge, loadsAudit
+	afterMerge, loadsAudit = nil, nil
+	b.Cleanup(func() { afterMerge, loadsAudit = merge, loads })
 }
 
 // directoryAudits counts the merges TestMain's hook has audited.

@@ -99,6 +99,29 @@ func auditFootprints(differ func(memo, fresh footprint)) *atomic.Int64 {
 	return audits
 }
 
+// LoadCounts is what CountLoadCharges counts of the ChargeLoads calls that
+// pass the geometry checks: all of them, those the rule took, and per n how
+// many found at most n lines in every cache set and exactly n in some (n ≤ 7).
+type LoadCounts struct {
+	Calls, Rule atomic.Int64
+	Fullest     [8]atomic.Int64
+}
+
+// CountLoadCharges counts, for the rest of the test, the load footprint
+// charges.
+func CountLoadCharges(t testing.TB) *LoadCounts {
+	lc := new(LoadCounts)
+	loadsTally = func(took bool, fullest int) {
+		lc.Calls.Add(1)
+		if took {
+			lc.Rule.Add(1)
+		}
+		lc.Fullest[fullest].Add(1)
+	}
+	t.Cleanup(func() { loadsTally = nil })
+	return lc
+}
+
 // SameSetsAs skips address space until an array as long as like, allocated in
 // sp next, falls line for line in the cache sets of like.
 func SameSetsAs[T any](sp *Space, like *Array[T]) { sameSetsAs(sp, like) }

@@ -28,7 +28,6 @@ func placeInterleave[T any](a *Array[T]) {
 // cache that holds nothing — the stale record LRU replacement also leaves.
 func flush(c *cache) {
 	c.gen++
-	c.pin = nil // a third writer of tags: the pins go with them
 	clear(c.tags)
 	c.cohEvicts = 0
 }
@@ -45,6 +44,18 @@ func phaseTimes(p *sim.Proc) (out [sim.NumPhases]sim.Time) {
 		out[ph] = p.PhaseTime(sim.Phase(ph))
 	}
 	return out
+}
+
+// present reports whether line is cached, without touching LRU state.
+func (c *cache) present(line uint64) bool {
+	set := c.set(line)
+	t := uint32(line) + 1
+	for w := 0; w < cacheWays; w++ {
+		if set[w] == t {
+			return true
+		}
+	}
+	return false
 }
 
 func heapCache(cacheBytes, lineBytes int) *cache {

@@ -11,13 +11,13 @@ import (
 
 // refModelSites are the functions that may test refModel besides ref.go: the
 // cache selector every probing entry point goes through, the one slow path,
-// the span walk and the replay (both install lines through accessSlow
-// themselves, past any probe), and the coherence merge's dispatch.
+// the span walk (it installs lines through accessSlow itself, past any probe),
+// and the coherence merge's dispatch. ChargeLoads needs no test of its own:
+// its cursors probe refProbe, whose one set it declines.
 var refModelSites = map[string]bool{
 	"probe":         true,
 	"chargeSlowAcc": true,
 	"span":          true,
-	"ReplayLines":   true,
 	"mergeEpoch":    true,
 }
 

@@ -181,30 +181,19 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 				sum += a.Load(p, rng.Intn(len(a.data)))
 			}
 		case 6:
-			// Cursor load chains: the value-returning Load, and the charge-only
-			// TryTouch/TouchMiss pair reading the element directly.
+			// Cursor load chains.
 			cu := shA.Cursor(p)
 			n := 1 + rng.Intn(32)
 			for k := 0; k < n; k++ {
-				i := rng.Intn(len(shA.data))
-				if rng.Intn(2) == 0 {
-					sum += cu.Load(i)
-					continue
-				}
-				if !cu.TryTouch(i) {
-					cu.TouchMiss(i)
-				}
-				sum += shA.Data()[i]
+				sum += cu.Load(rng.Intn(len(shA.data)))
 			}
 			cu.Flush()
 		case 7:
-			// Charge-only touch chain (the replay building block).
+			// A cursor load chain on elements of another size.
 			cb := shB.Cursor(p)
 			n := 1 + rng.Intn(32)
 			for k := 0; k < n; k++ {
-				if i := rng.Intn(len(shB.data)); !cb.TryTouch(i) {
-					cb.TouchMiss(i)
-				}
+				sum += float64(cb.Load(rng.Intn(len(shB.data))))
 			}
 			cb.Flush()
 		case 8:
@@ -358,7 +347,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 
 // TestFastPathMatchesReference is the differential test for the optimized
 // cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
-// cursor chains (Load, TryTouch/TouchMiss, ChargeLoop over contiguous and
+// cursor chains (Load, ChargeLoop over contiguous and
 // index streams: the walk, the footprint rule, the element loop), every batch
 // helper of batch.go on shared and private arrays, the batched
 // trace replay (ReplayLoads), and the directory-driven
@@ -448,12 +437,14 @@ type replayCase struct {
 	window      int  // leaf loads come from this many consecutive bodies (0 = 48)
 	private     bool // private arrays, one processor (the MP/SHMEM replicas)
 	mixed       bool // by bound to another processor: the per-access fallback
-	wantReorder bool // the non-MRU-hit path must take a large share of loads
+	wantReorder bool // hits in a non-MRU way must take a large share of loads
 }
 
 // replayRegime counts, on the optimized path, how the replayed loads split.
 // Every tag movement of a replay is a miss or a hit in a non-MRU way that
-// reorders its set; everything else is an MRU hit, probed or pinned.
+// reorders its set; everything else is an MRU hit. TestMain's audit leaves
+// the tags, gen included, as the loads charged one by one leave them, so the
+// count is the chain's also where the footprint rule charged.
 type replayRegime struct {
 	loads, reorder, straddle uint64
 }
@@ -478,12 +469,12 @@ func sameSetsAs[T any](sp *Space, like *Array[T]) {
 
 // runReplayCase drives walk-shaped traces through ReplayLoads on a quartet of
 // arrays of element type T. One set of cursors replays several traces, and
-// between the replays comes everything that must take a pin off: per-access
-// Load/Store on the quartet's arrays, the same (and TryTouch, ChargeLoop
-// walks) through the unflushed cursors, stores through them to shared arrays,
-// loads and stores on a fifth array whose lines fall in the sets of x's, and
-// coherence merges that invalidate what other processors wrote. TestMain
-// audits the pins after every replay.
+// between the replays comes everything that moves their lines: per-access
+// Load/Store on the quartet's arrays, the same (and ChargeLoop walks) through
+// the unflushed cursors, stores through them to shared arrays, loads and
+// stores on a fifth array whose lines fall in the sets of x's, and coherence
+// merges that invalidate what other processors wrote. TestMain audits every
+// footprint charge against the same loads charged one by one.
 func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, val func(int) T) (traceResult, replayRegime) {
 	t.Helper()
 	refModel = useRef
@@ -543,16 +534,12 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 					a.Load(p, i)
 				case 1:
 					a.Store(p, i, val(step))
-				case 2:
-					cu[w].Load(i)
 				case 3:
 					cu[w].Store(i, val(step))
 				case 4:
 					ChargeLoop(0, min(1+rng.Intn(20), len(a.data)-i), Stream[T]{C: cu[w], Off: i})
 				default:
-					if !cu[w].TryTouch(i) {
-						cu[w].TouchMiss(i)
-					}
+					cu[w].Load(i)
 				}
 			}
 		}
@@ -605,14 +592,15 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 	return res, reg
 }
 
-// TestReplayLoadsMatchesReference is the differential test of the memo-free
-// replay loop (DESIGN.md §5.9) against ref.go, regime by regime: cells that
-// straddle a line at two line sizes, elements wider than half a line (a cell
-// then spans three lines), caches so small that the x/y/m lines of a leaf
-// alias into one set and most loads reorder a non-MRU way, private and shared
-// arrays, and cursors on two caches (the per-access fallback). Clocks,
-// counters, evictions, merge penalties and the final tags of every cache must
-// all be identical.
+// TestReplayLoadsMatchesReference is the differential test of the trace
+// replay and its load footprint (DESIGN.md §5.9) against ref.go, regime by
+// regime: cells that straddle a line at two line sizes, elements wider than
+// half a line (a cell then spans three lines), caches so small that the x/y/m
+// lines of a leaf alias into one set and most loads reorder a non-MRU way,
+// private and shared arrays, cursors on two caches (the per-access fallback),
+// and a cache set that receives exactly cacheWays lines of a trace or one
+// more. Clocks, counters, evictions, merge penalties and the final tags of
+// every cache must all be identical.
 func TestReplayLoadsMatchesReference(t *testing.T) {
 	type wide [12]float64 // 96 bytes: wider than half a 128-byte line
 	cases := []replayCase{
@@ -624,9 +612,8 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 		{name: "alias-1set", cache: 512, window: 6, private: true, wantReorder: true},
 		{name: "alias-2sets", cache: 1024, window: 6, wantReorder: true},
 		{name: "alias-line64", line: 64, cache: 1024, window: 4, private: true, wantReorder: true},
-		// A few more sets: the three lines of a leaf sit in different sets, so
-		// entries are counted whole and same-line runs take the prevLo
-		// shortcut, while cell and neighbour lines keep evicting them.
+		// A few more sets: the three lines of a leaf sit in different sets,
+		// while cell and neighbour lines keep evicting them.
 		{name: "small-cache", cache: 4096, window: 24},
 		{name: "small-cache-line64", line: 64, cache: 4096, window: 24, private: true},
 		{name: "mixed-caches", mixed: true},
@@ -657,10 +644,73 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 	check(rc, func(seed int64, useRef bool) (traceResult, replayRegime) {
 		return runReplayCase(t, rc, seed, useRef, func(i int) wide { return wide{float64(i)} })
 	})
+
+	// The rule at its edge, in a cache of two sets. The arrays are
+	// page-aligned, so line lo of each falls in the set of the parity of lo's
+	// low three bits: lines 0 and 3 in one set, 1 and 2 in the other. "ways":
+	// leaf 0 (line 0 of x, y, m) and cell 0 (cells line 0) put exactly
+	// cacheWays lines in the first set, leaf 16 and the straddling cell 5
+	// (cells lines 0 and 1) as many in the second, and the repeats load both
+	// sets' lines last in another order than first: the charge takes the
+	// trace and must reorder. "ways+1": cell 16 (cells line 3) is a fifth line
+	// in the first set, and the charge declines to the chain.
+	for _, edge := range []struct {
+		name    string
+		trace   []int32
+		fullest int
+	}{
+		{"ways", []int32{0, ^0, 16, ^5, 0, 16}, cacheWays},
+		{"ways+1", []int32{0, ^0, ^16, 0}, cacheWays + 1},
+	} {
+		var fullest []int
+		loadsTally = func(took bool, n int) { fullest = append(fullest, n) }
+		audits := loadAudits.Load()
+		fast := runEdgeCase(edge.trace, false)
+		loadsTally = nil
+		if d := fast.diff(runEdgeCase(edge.trace, true)); d != "" {
+			t.Errorf("%s: replay diverged from reference in %s", edge.name, d)
+		}
+		if len(fullest) != 2 || fullest[0] != edge.fullest || fullest[1] != edge.fullest {
+			t.Errorf("%s: the charges found %v lines in their fullest set, want %d twice", edge.name, fullest, edge.fullest)
+		}
+		if audited, took := loadAudits.Load()-audits, edge.fullest <= cacheWays; (audited == 2) != took {
+			t.Errorf("%s: the rule charged %d of 2 replays", edge.name, audited)
+		}
+	}
 }
 
-// With the cells array also a leaf array a line has two symbols, which the pin
-// table cannot hold: the replay must fall back to charging entry by entry.
+// runEdgeCase replays trace twice on one processor with a cache of two sets,
+// with loads before and between the replays that leave lines of the trace's
+// sets resident, in another order, and evict some.
+func runEdgeCase(trace []int32, useRef bool) traceResult {
+	refModel = useRef
+	defer func() { refModel = false }()
+	cfg := machine.Default(1)
+	cfg.CacheBytes = 2 * cacheWays * cfg.LineBytes
+	sp := NewSpace(machine.MustNew(cfg))
+	g := sim.NewGroup(1)
+	p := g.Proc(0)
+	x, y, m := NewPrivate[float64](sp, 0, 64), NewPrivate[float64](sp, 0, 64), NewPrivate[float64](sp, 0, 64)
+	cl := NewPrivate[float64](sp, 0, 3*32)
+	m.Load(p, 0)
+	cl.Load(p, 48)
+	x.Load(p, 16)
+	cx, cy, cm, cc := x.Cursor(p), y.Cursor(p), m.Cursor(p), cl.Cursor(p)
+	for _, between := range []func(){func() { cl.Load(p, 50); y.Load(p, 31) }, func() {}} {
+		ReplayLoads(trace, &cx, &cy, &cm, &cc)
+		for _, cu := range []*Cursor[float64]{&cx, &cy, &cm, &cc} {
+			cu.Flush()
+		}
+		between()
+	}
+	var res traceResult
+	res.snapshot(sp, g)
+	return res
+}
+
+// With the cells array also a leaf array a line has two keys, which the load
+// footprint cannot tell apart: the replay must fall back to charging entry by
+// entry.
 // Leaf 0 and cell 0 share line 0 of the one array; a load on a second array
 // placed in its sets takes the line off the MRU way between two replays.
 func TestReplayWithCellsAlsoALeafArray(t *testing.T) {

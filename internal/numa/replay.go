@@ -3,34 +3,44 @@ package numa
 import (
 	"math/bits"
 	"slices"
+	"sync"
 	"unsafe"
+
+	"o2k/internal/sim"
 )
 
 // A tree-walk load trace comes in two forms, both defined here and nowhere
 // else. Entries ([]int32) name elements: e >= 0 loads element e of bx, by, bm
 // (in that order); e < 0 loads elements 3c, 3c+1, 3c+2 of cells for c = ^e.
-// Line symbols ([]uint16, CompileLoads) name what a cache sees of an entry at
-// one element and line size, lo<<2|kind: a leaf loads line lo of each of bx,
-// by, bm; a cell triple sits on line lo of cells; a straddling one spans lo
-// and lo+1 (its middle word shares a line with a neighbour, so it is an MRU
-// hit wherever it falls).
+// Line symbols ([]uint16, CompileLoads) name lines, lo<<2|kind: a leaf loads
+// line lo of each of bx, by, bm; a cell triple sits on line lo of cells; a
+// straddling one spans lo and lo+1 (its middle word is an MRU hit wherever it
+// falls); a body's own position loads line lo of bx, then of by.
 const (
 	symLeaf = iota
 	symCell
 	symStraddle
+	symOwn
 
 	maxSymLine = 1<<14 - 1 // line offsets a symbol can name: sym+1 fits a uint16
 )
 
-// CompileLoads appends to dst the line symbols of the entries of trace, for
-// elements of type T in lines of lineBytes. It reports false, and appends
-// nothing, when an entry has none (a cell triple wider than two lines, a line
-// offset past the symbol range): replay the entries themselves (ReplayLoads).
-func CompileLoads[T any](dst []uint16, lineBytes int, trace []int32) ([]uint16, bool) {
+// CompileLoads appends to dst the line symbols of a body's force loads, for
+// elements of type T in lines of lineBytes: the body's own position (none when
+// body < 0), then the entries of trace. It reports false, and appends nothing,
+// when a load has no symbol (a cell triple wider than two lines, a line offset
+// past the symbol range): replay the entries themselves (ReplayLoads).
+func CompileLoads[T any](dst []uint16, lineBytes, body int, trace []int32) ([]uint16, bool) {
 	es, shift := elemBytes[T](), uint(bits.TrailingZeros(uint(lineBytes)))&63
 	n := len(dst)
+	if lo := uint64(body) * es >> shift; body >= 0 {
+		if lo >= maxSymLine {
+			return dst, false
+		}
+		dst = append(dst, uint16(lo<<2|symOwn))
+	}
 	dst = slices.Grow(dst, len(trace))
-	out := dst[n : n+len(trace)]
+	out := dst[len(dst) : len(dst)+len(trace)]
 	for i, e := range trace {
 		var lo, kind uint64
 		if e >= 0 {
@@ -41,11 +51,11 @@ func CompileLoads[T any](dst []uint16, lineBytes int, trace []int32) ([]uint16, 
 			kind = symCell + ((c3+2)*es>>shift - lo)
 		}
 		if kind > symStraddle || lo >= maxSymLine {
-			return dst, false
+			return dst[:n], false
 		}
 		out[i] = uint16(lo<<2 | kind)
 	}
-	return dst[:n+len(trace)], true
+	return dst[:len(dst)+len(trace)], true
 }
 
 // elemBytes is the simulated size of a T (a zero-size type occupies a byte).
@@ -54,165 +64,215 @@ func elemBytes[T any]() uint64 {
 	return max(uint64(unsafe.Sizeof(z)), 1)
 }
 
-// ReplayLoads charges the load sequence of a tree-walk trace, given as
-// entries, through four cursors. Cache state, counters and the flushed totals
-// of the four cursors together are exactly those of the per-access TouchMiss
-// chain (touchEntry) over the same trace; flush all four before any
-// rendezvous as usual.
+// ReplayLoads charges the loads of a tree-walk trace, given as entries,
+// through four cursors exactly as the per-access chain (touchEntry) does: by
+// the trace's load footprint where ChargeLoads takes it, else by the chain.
 func ReplayLoads[T any](trace []int32, bx, by, bm, cells *Cursor[T]) {
-	var buf [512]uint16
 	lineBytes := 1 << bx.lineShift
-	for len(trace) > 0 {
-		part := trace[:min(len(trace), len(buf))]
-		trace = trace[len(part):]
-		syms, ok := CompileLoads[T](buf[:0], lineBytes, part)
-		if !ok || !ReplayLines(syms, lineBytes, bx, by, bm, cells) {
-			for _, e := range part {
-				touchEntry(e, bx, by, bm, cells)
-			}
-		}
+	if syms, ok := CompileLoads[T](nil, lineBytes, -1, trace); ok && ChargeLoads(NewLoadFootprint(lineBytes, syms), bx, by, bm, cells) {
+		return
+	}
+	for _, e := range trace {
+		touchEntry(e, bx, by, bm, cells)
 	}
 }
 
 // touchEntry charges one trace entry load by load, each through its own
 // cursor: the per-access chain the replay is defined by.
 func touchEntry[T any](e int32, bx, by, bm, cells *Cursor[T]) {
-	if e >= 0 {
-		j := int(e)
-		bx.TouchMiss(j)
-		by.TouchMiss(j)
-		bm.TouchMiss(j)
-		return
+	i, d := int(e), 0 // a leaf: element i of each array
+	if e < 0 {
+		bx, by, bm, i, d = cells, cells, cells, int(^e)*3, 1 // a cell: three words
 	}
-	c3 := int(^e) * 3
-	cells.TouchMiss(c3)
-	cells.TouchMiss(c3 + 1)
-	cells.TouchMiss(c3 + 2)
+	bx.Load(i)
+	by.Load(i + d)
+	bm.Load(i + 2*d)
 }
 
-// pinTable is what lets the replay count an entry without probing for it
-// (DESIGN.md §5.9 "One probe"). Sets are independent: a line seen in the MRU
-// way of its set stays there until some tag of that set is written. st[sym]
-// says every line of sym was seen there and none of their sets was written
-// since. The replay's own probe pins; the table is kept exact by the only two
-// writers of tags, accessSlow and invalidate, which unpin the set they touch.
-type pinTable struct {
-	base [4]uint64 // base lines of the bound quartet: bx, by, bm, cells
-	st   []bool    // per symbol: pinned
-	// setSym is, per set, 1 + the leaf or one-line cell symbol of the line a pin
-	// last found in its MRU way (0: none yet): what a write to the set unpins.
-	setSym []uint16
+// LoadFootprint is what charging a stream of line symbols needs of it,
+// whatever arrays it is charged against: its lines, as keys line<<2|array
+// (0–3: bx, by, bm, cells) in the order of their first loads and of their
+// last, and its number of loads.
+type LoadFootprint struct {
+	lineBytes   int
+	first, last []uint32
+	loads       uint64
+	src         [][]uint16 // the stream itself, kept only for loadsAudit
 }
 
-// hold makes sym, the leaf or one-line cell symbol of line, what a write to
-// line's set unpins.
-func (pt *pinTable) hold(c *cache, line uint64, sym int) {
-	pt.setSym[setBase(c.setBits, c.setMask, line)/cacheWays] = uint16(sym + 1)
+// footprintScratch is NewLoadFootprint's scratch, indexed by symbol and by
+// line key, all zero between two builds.
+type footprintScratch struct {
+	count [1 << 16]uint32  // per symbol: how often the stream names it
+	seen  [1<<16 + 8]uint8 // per line key: met going forward, not yet going back
 }
 
-// unpin takes the pins off the set whose tags start at base: the symbol of
-// its line and, for cell line lo, the straddles (lo, lo+1) and (lo-1, lo).
-func (pt *pinTable) unpin(base uint64) {
-	s := int(pt.setSym[base/cacheWays]) - 1
-	if s < 0 {
-		return
+var footprintScratches = sync.Pool{New: func() any { return new(footprintScratch) }}
+
+// NewLoadFootprint records the symbol stream segs, one segment after another,
+// compiled by CompileLoads for lines of lineBytes. A pass forward counts each
+// symbol and looks at its lines the first time only; a pass back finds the
+// last loads as the first loads of the reversed stream, reversed.
+func NewLoadFootprint(lineBytes int, segs ...[]uint16) *LoadFootprint {
+	fp := &LoadFootprint{lineBytes: lineBytes}
+	if loadsAudit != nil {
+		fp.src = segs
 	}
-	pt.st[s] = false
-	if s&3 == symCell {
-		pt.st[s+1], pt.st[max(s-3, symCell)] = false, false
+	sc := footprintScratches.Get().(*footprintScratch)
+	for _, seg := range segs {
+		for _, s := range seg {
+			if sc.count[s]++; sc.count[s] > 1 {
+				continue
+			}
+			keys, n := symLines(s)
+			for _, k := range keys[:n] {
+				if sc.seen[k] == 0 {
+					sc.seen[k] = 1
+					fp.first = append(fp.first, k)
+				}
+			}
+		}
 	}
+	for i := len(segs) - 1; i >= 0; i-- {
+		seg := segs[i]
+		for j := len(seg) - 1; j >= 0; j-- {
+			s := seg[j]
+			c := sc.count[s]
+			if c == 0 {
+				continue
+			}
+			sc.count[s] = 0
+			fp.loads += uint64(c) * (3 - uint64(s&3)/3) // an own symbol loads two words
+			keys, n := symLines(s)
+			for t := n - 1; t >= 0; t-- {
+				if k := keys[t]; sc.seen[k] != 0 {
+					sc.seen[k] = 0
+					fp.last = append(fp.last, k)
+				}
+			}
+		}
+	}
+	slices.Reverse(fp.last)
+	footprintScratches.Put(sc)
+	return fp
 }
 
-// ReplayLines is ReplayLoads over the line symbols CompileLoads made of the
-// trace for lines of lineBytes. It reports false, having charged nothing,
-// where the caller must replay the entries instead: on another line size, for
-// cursors on different caches, when cells is also one of the leaf arrays (a
-// line would have two symbols), and under the reference model.
+// symLines returns the lines symbol s loads, as keys in the order it loads
+// them.
+func symLines(s uint16) ([3]uint32, int) {
+	k := uint32(s) &^ 3 // line lo of array 0
+	switch s & 3 {
+	case symLeaf:
+		return [3]uint32{k, k | 1, k | 2}, 3
+	case symCell:
+		return [3]uint32{k | 3}, 1
+	case symStraddle:
+		return [3]uint32{k | 3, (k + 4) | 3}, 2
+	}
+	return [3]uint32{k, k | 1}, 2
+}
+
+// ChargeLoads charges the loads of fp's stream through bx, by, bm and cells
+// exactly as charging them one by one would (touchEntry): same tags, directory
+// records, counters and flushed totals. It reports false, having charged
+// nothing, on another line size than fp's, under the reference model (refProbe
+// has one set), for cursors on two caches or two on one array, and when a
+// cache set receives more than cacheWays of fp's lines.
 //
-// The loop asks one question per entry — is its symbol pinned? — and counts
-// it. Any other entry probes its lines: all in the MRU way is still a count
-// and no state change, and pins the symbol; otherwise each load goes through
-// loadLine.
-func ReplayLines[T any](syms []uint16, lineBytes int, bx, by, bm, cells *Cursor[T]) bool {
-	c, quartet := bx.c, [4]uint64{bx.baseLine, by.baseLine, bm.baseLine, cells.baseLine}
-	if lineBytes != 1<<bx.lineShift || refModel || by.c != c || bm.c != c || cells.c != c || slices.Contains(quartet[:3], quartet[3]) {
+// Inside the call only its loads write tags, each in its own set (invalidations
+// wait for the epoch merge), and a hit costs cacheHitNS in any way; so each set
+// evolves on its own. In a set that receives at most cacheWays lines, the lines
+// touched so far sit above its other residents in recency order, none evicted
+// before its last load. So a line's first load finds the set as the chain
+// does and is charged as the chain charges it (loadKey), every other load is
+// a hit, and the touched lines end on top in the order of their last loads.
+func ChargeLoads[T any](fp *LoadFootprint, bx, by, bm, cells *Cursor[T]) bool {
+	cus := [4]*Cursor[T]{bx, by, bm, cells}
+	c := bx.c
+	var base [4]uint64
+	for k, cu := range cus {
+		if cu.c != c || slices.Contains(base[:k], cu.baseLine) {
+			return false
+		}
+		base[k] = cu.baseLine
+	}
+	if fp.lineBytes != 1<<bx.lineShift || c.setMask == 0 {
 		return false
 	}
-	if c.pin == nil {
-		c.pin = &pinTable{setSym: make([]uint16, c.setMask+1)}
+	sp := bx.a.sp
+	if sets := int(c.setMask + 1); len(sp.fpSets) < sets {
+		sp.fpSets = make([]uint64, sets)
 	}
-	pt := c.pin
-	if pt.base != quartet { // other arrays: nothing of theirs is pinned
-		pt.base = quartet
-		n := 4 * (min(max(bx.a.lines(), by.a.lines(), bm.a.lines(), cells.a.lines()), maxSymLine) + 1)
-		pt.st = slices.Grow(pt.st[:0], n)[:n]
-		clear(pt.st)
-		clear(pt.setSym)
+	sp.fpEpoch++
+	fullest := uint64(0)
+	for _, k := range fp.first {
+		fullest = max(fullest, sp.occupy(setBase(c.setBits, c.setMask, base[k&3]+uint64(k>>2))/cacheWays, sp.fpEpoch))
 	}
-	// The tags are c's for the length of this call only (a cursor keeps no slice).
-	st, tags, setBits, setMask := pt.st, c.tags, bx.setBits, bx.setMask
-	var fast, hits uint64 // entries counted whole; hits of the loads of the others
-	for _, sym := range syms {
-		s := int(sym)
-		if s < len(st) && st[s] {
-			fast++
-			continue
-		}
-		lo, cell := uint64(s>>2), s&^3|symCell // cell: the one-line cell symbol of line lo
-		gx, gy, gm, gc := quartet[0]+lo, quartet[1]+lo, quartet[2]+lo, quartet[3]+lo
-		pin := s < len(st)-4 // the table covers the symbols of lines lo and lo+1
-		switch s & 3 {
-		case symLeaf:
-			if !mruAt(tags, setBits, setMask, gx) || !mruAt(tags, setBits, setMask, gy) || !mruAt(tags, setBits, setMask, gm) {
-				hits += loadLine(bx, gx, lo) + loadLine(by, gy, lo) + loadLine(bm, gm, lo)
-				continue
-			}
-			if pin {
-				pt.hold(c, gx, s)
-				pt.hold(c, gy, s)
-				pt.hold(c, gm, s)
-			}
-		case symCell:
-			if !mruAt(tags, setBits, setMask, gc) {
-				hits += loadLine(cells, gc, lo) + 2
-				continue
-			}
-			if pin {
-				pt.hold(c, gc, cell)
-			}
-		default:
-			if !mruAt(tags, setBits, setMask, gc) || !mruAt(tags, setBits, setMask, gc+1) {
-				hits += loadLine(cells, gc, lo) + loadLine(cells, gc+1, lo+1) + 1
-				continue
-			}
-			if pin {
-				pt.hold(c, gc, cell)
-				pt.hold(c, gc+1, cell+4)
-			}
-		}
-		fast++
-		if pin {
-			st[s] = true
-		}
+	took := fullest <= cacheWays
+	if loadsTally != nil {
+		loadsTally(took, int(fullest))
 	}
-	bx.hits += 3*fast + hits
-	if afterReplay != nil {
-		afterReplay(c)
+	if !took {
+		return false
 	}
+	if loadsAudit != nil && fp.src != nil {
+		pre := [4]Cursor[T]{*bx, *by, *bm, *cells}
+		chained := [4]*Cursor[T]{&pre[0], &pre[1], &pre[2], &pre[3]}
+		loadsAudit(fp, c, bx.p, func() (uint64, sim.Time) {
+			chargeFootprintLoads(fp, cus)
+			return cursorSums(cus)
+		}, func(keys []uint32) (uint64, sim.Time) {
+			for _, k := range keys {
+				loadKey(chained, k)
+			}
+			return cursorSums(chained)
+		})
+		return true
+	}
+	chargeFootprintLoads(fp, cus)
 	return true
 }
 
-// loadLine charges a load of cu's array-local line li, global line gl: a hit,
-// reordered by the code that reorders everywhere else, is 1 for the caller to
-// count; a miss is 0, with its directory record, counters and latency charged.
-func loadLine[T any](cu *Cursor[T], gl, li uint64) uint64 {
-	if c := cu.c; c.mruHit(gl) || c.accessSlow(gl) {
-		return 1
+// chargeFootprintLoads charges fp through cursors ChargeLoads has admitted.
+func chargeFootprintLoads[T any](fp *LoadFootprint, cus [4]*Cursor[T]) {
+	for _, k := range fp.first {
+		loadKey(cus, k)
 	}
-	cu.lat += cu.a.missAcc(cu.p, uint32(li))
-	return 0
+	cus[0].hits += fp.loads - uint64(len(fp.first))
+	c := cus[0].c
+	for _, k := range fp.last {
+		if gl := cus[k&3].baseLine + uint64(k>>2); !c.mruHit(gl) {
+			c.accessSlow(gl)
+		}
+	}
 }
 
-// afterReplay, when set, sees the cache after every ReplayLines that ran: for
-// tests only, like afterMerge (dir_test.go audits the pins).
-var afterReplay func(*cache)
+// loadKey charges one load of line key through its cursor, as a cursor's
+// probe does: an MRU hit counted, anything else the slow path.
+func loadKey[T any](cus [4]*Cursor[T], key uint32) {
+	cu := cus[key&3]
+	if gl := cu.baseLine + uint64(key>>2); mruAt(cu.c.tags, cu.setBits, cu.setMask, gl) {
+		cu.hits++
+	} else {
+		cu.lat += cu.a.chargeSlowAcc(cu.p, cu.c, gl, key>>2, false)
+	}
+}
+
+// cursorSums is the hits and latency the cursors hold, not yet flushed.
+func cursorSums[T any](cus [4]*Cursor[T]) (hits uint64, lat sim.Time) {
+	for _, cu := range cus {
+		hits, lat = hits+cu.hits, lat+cu.lat
+	}
+	return hits, lat
+}
+
+// loadsTally, when set, sees every ChargeLoads call past the geometry checks:
+// whether the rule took it and the most lines it found in one set (up to 7).
+// loadsAudit, when set, gets every charge the rule takes of a footprint built
+// while it was set, as two functions that return the cursors' unflushed sums:
+// the charge, and the chain of keys, one load each through copies of the
+// cursors as the charge found them (dir_test.go). For tests only.
+var (
+	loadsTally func(took bool, fullest int)
+	loadsAudit func(fp *LoadFootprint, c *cache, p *sim.Proc, charge func() (uint64, sim.Time), chain func(keys []uint32) (uint64, sim.Time))
+)

@@ -42,12 +42,12 @@ type Space struct {
 	dir     []sharer
 	dirFree int32
 
-	// Scratch for ChargeLoop's footprint rule (chargeFootprint), on the one
-	// scheduler thread as dir is: a stamp per array-local line (an epoch<<16
-	// and, in the second pass, the arrays that accessed and stored the line),
-	// the epoch of the last pass that found a footprint line in each cache
-	// set, the lists' logs of first reaches, and the call's log of accesses
-	// to charge. fpMemo remembers the footprint of every distinct call
+	// Scratch for ChargeLoop's footprint rule (chargeFootprint) and
+	// ChargeLoads, on the one scheduler thread as dir is: a stamp per
+	// array-local line (an epoch<<16 and, in the second pass, the arrays that
+	// accessed and stored the line), per cache set the lines a pass put there
+	// (occupy), the lists' logs of first reaches, and the call's log of
+	// accesses to charge. fpMemo remembers the footprint of every distinct call
 	// (chargeIndexed), on the same thread.
 	fpLines  []uint64
 	fpSets   []uint64
@@ -98,9 +98,8 @@ func NewSpace(m *machine.Machine) *Space {
 // space nobody closes is cleaned up when the collector finds it unreachable.
 func (s *Space) Close() {
 	for _, c := range s.caches {
-		// Before the pages go: a probe after Close finds no slice, not a hole,
-		// and a replay no pin to count by instead of probing.
-		c.tags, c.pin = nil, nil
+		// Before the pages go: a probe after Close finds no slice, not a hole.
+		c.tags = nil
 	}
 	s.fpMemo = nil
 	s.maps.closeAll()

@@ -338,7 +338,7 @@ func chargeFootprint[T any](lo, hi int, streams []Stream[T], events []fpEvent) {
 // visits the streams that can add something (fpFirst) in stream order,
 // stamping per line the arrays that accessed it and those that stored it
 // through a shared-store stream: each new (array, line) pair stamps its set
-// (Space.fpSets) and is logged, and a second pair in one set ends the rule.
+// (Space.occupy) and is logged, and a second pair in one set ends the rule.
 // The log (Space.fpEvents) is the footprint.
 //
 // The reference model's refProbe has one set, so under it the rule never
@@ -415,7 +415,7 @@ func findFootprint[T any](lo, hi int, streams []Stream[T]) footprint {
 	// Pass 2: a line's stamp holds the arrays that accessed it and, shifted by
 	// 8, those that stored it through a shared-store stream.
 	sp.fpEpoch++
-	ep, setStamps := sp.fpEpoch, sp.fpSets
+	ep := sp.fpEpoch
 	events := sp.fpEvents[:0]
 	pos := from
 	var lis [8]uint32
@@ -449,12 +449,10 @@ func findFootprint[T any](lo, hi int, streams []Stream[T]) footprint {
 			var ev fpEvent
 			switch bit := uint64(1) << f.arr; {
 			case m&bit == 0:
-				set := setBase(c0.setBits, c0.setMask, bases[f.arr]+uint64(li)) / cacheWays
-				if setStamps[set] == ep {
+				if sp.occupy(setBase(c0.setBits, c0.setMask, bases[f.arr]+uint64(li))/cacheWays, ep) > 1 {
 					sp.fpEvents = events
 					return footprint{}
 				}
-				setStamps[set] = ep
 				m |= bit
 				if sstore[f.k] {
 					m |= bit << 8
@@ -487,5 +485,17 @@ func markReach(reach []uint64, ls fpList, lo, hi int, es uint64, shift uint, sta
 			n++
 		}
 	}
+	return n
+}
+
+// occupy counts a line into cache set set for the pass of epoch ep and
+// returns how many the pass has put there, up to 7: fpSets holds, per set,
+// ep<<3 | that count for the last pass that put a line there.
+func (sp *Space) occupy(set, ep uint64) uint64 {
+	n := uint64(1)
+	if v := sp.fpSets[set]; v>>3 == ep {
+		n = min(v&7+1, 7)
+	}
+	sp.fpSets[set] = ep<<3 | n
 	return n
 }
