@@ -5,8 +5,9 @@ package stencil
 // (static row blocks); only the halo-row movement differs per model. Table 5
 // does not count this file: every model calls each of its kernels.
 //
-// Each helper charges its accesses with one numa.ChargeLoop and computes over
-// Data(). The walk charges exactly the element loop of Cursor.Load/Store it
+// Each helper charges its accesses with one numa.ChargeLoop of contiguous
+// streams and computes over Data(), as the mesh's solve kernels do with index
+// streams. The call charges exactly the element loop of Cursor.Load/Store it
 // names: for seed, per element of rows [r0, r1), the store to u then to v;
 // for sweep, per interior cell (i, j), the loads of (i-1, j), (i+1, j),
 // (i, j-1), (i, j+1) from src, then the store of (i, j) to dst; for ownSum,

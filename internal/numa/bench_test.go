@@ -46,7 +46,7 @@ func BenchmarkStoreSharedTracked(b *testing.B) {
 }
 
 func BenchmarkMergeEpoch(b *testing.B) {
-	unaudited(b)
+	Unaudited(b)
 	sp, _ := space(8)
 	g := sim.NewGroup(8)
 	a := NewShared[float64](sp, 1<<14)
@@ -103,7 +103,7 @@ func BenchmarkReplayLoads(b *testing.B) {
 }
 
 func benchReplayLoads(b *testing.B, regime string, cfg machine.Config, cells int, leaf func(c, j int) int) {
-	unaudited(b)
+	Unaudited(b)
 	symmetric, cold := regime == "symmetric", regime == "pinned-after-miss"
 	sp := NewSpace(machine.MustNew(cfg))
 	g := sim.NewGroup(1)
@@ -262,7 +262,7 @@ func benchSparseCycle(b *testing.B, n int) {
 // per-proc write blocks nobody else has read, so every written line's sharer
 // list names the writer alone and no cache is probed.
 func BenchmarkMergeEpochWide(b *testing.B) {
-	unaudited(b)
+	Unaudited(b)
 	const procs = 64
 	sp, _ := space(procs)
 	g := sim.NewGroup(procs)
@@ -286,7 +286,7 @@ func BenchmarkMergeEpochWide(b *testing.B) {
 // boundary lines, so the written lines' sharer lists are two or three records
 // long and every merge evicts the neighbours' copies.
 func BenchmarkMergeEpochHalo(b *testing.B) {
-	unaudited(b)
+	Unaudited(b)
 	for _, procs := range []int{64, 512} {
 		b.Run(fmt.Sprintf("P%d", procs), func(b *testing.B) {
 			const block, halo = 1024, 64 // elements: 64 lines per block, 4 shared with each neighbour

@@ -45,10 +45,10 @@ func smallCells(t *testing.T, visit func(t *testing.T, cell string, model core.M
 
 // The whole-cell differential: every pinned cell, run as a program through
 // the one app harness, reports the same complete Metrics on the optimized
-// paths — the inline MRU probes of cursors and batch helpers, ChargeLoop's
-// walk, footprint rule and footprint memo (every answer of which is audited),
-// the span walk, the n-body force phases' load footprints (every charge of
-// which is audited), the sharer directory — as on the reference model of
+// paths — the inline MRU probes of cursors and batch helpers, the footprint
+// rule of ChargeLoop and of the n-body force phases' ChargeLoads, the
+// footprint memo (every answer of which is audited), the span walk, the
+// sharer directory — as on the reference model of
 // ref.go, which charges every access through chargeRef and merges without a
 // directory. ref_test.go checks the same equality on seeded traces; this is
 // the check that the applications use the fast paths within what the traces
@@ -60,8 +60,8 @@ func smallCells(t *testing.T, visit func(t *testing.T, cell string, model core.M
 // leaf in one set, two or three lines of a force phase share a set in every
 // phase, and a third of the loads hit a non-MRU way. In mesh CC-SAS P=16 the
 // solve's footprint rule meets, at every sweep, the ghost lines the barrier's
-// merge invalidated, and misses them remotely, and declines the sweeps whose
-// lines share a set.
+// merge invalidated, and misses them remotely, and charges sweeps whose lines
+// share a set, moving them to MRU by last access.
 func TestWholeCellsMatchReference(t *testing.T) {
 	large := []struct {
 		app   string
@@ -105,27 +105,27 @@ func defaultCell(t *testing.T, app string, model core.Model, procs int) core.Met
 	return res.M
 }
 
-// The mesh solve's sweeps and cg's kernels are charged by ChargeLoop's
-// footprint rule, not access by access, when their lines sit in distinct cache
-// sets — most of the time at Default size, ghost lines and all. At P = 16
-// every flux sweep and vertex update of mesh MP and SHMEM takes the rule and
-// CC-SAS declines a few; in cg the rest have at most four lines in a set. The
-// floor is 85 % for each app and model. Each call repeats one before it (a
-// solve sweep, a CG iteration), so the memo answers every call but the first
-// of each key.
-func TestMeshSolveTakesTheFootprintRule(t *testing.T) {
+// Every ChargeLoop call of the mesh solve's sweeps, cg's kernels and the
+// stencil's seed, sweep and sum is charged by the footprint rule, not access by
+// access, at Default size and P = 16 under all three models: no cache set
+// receives more than cacheWays of a call's lines, ghost lines and all. Each
+// call repeats one before it (a solve sweep, a CG or Jacobi iteration), so the
+// memo answers every call but the first of each key. The histogram is how full
+// the fullest set of each call is.
+func TestCellsTakeTheFootprintRule(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six full-size cells; skipped with -short")
+		t.Skip("twelve full-size cells; skipped with -short")
 	}
-	for _, app := range []struct{ name, prefix string }{{"mesh", ""}, {"cg", "cg/"}} {
+	for _, app := range []struct{ name, prefix string }{{"mesh", ""}, {"cg", "cg/"}, {"stencil", "stencil/"}} {
 		for _, model := range []core.Model{core.MP, core.SHMEM, core.SAS} {
 			t.Run(app.prefix+model.String(), func(t *testing.T) {
 				fc := numa.CountFootprints(t)
 				defaultCell(t, app.name, model, 16)
 				calls, rule, hits, keys := fc.Calls.Load(), fc.Rule.Load(), fc.Hits.Load(), fc.Keys()
-				t.Logf("the footprint rule charged %d of %d index calls; the memo answered %d over %d keys", rule, calls, hits, keys)
-				if calls == 0 || rule*100 < calls*85 {
-					t.Errorf("the footprint rule charged %d of %d index calls, want at least 85 %%", rule, calls)
+				t.Logf("the footprint rule charged %d of %d calls; the memo answered %d over %d keys; calls by lines in their fullest set (0–7): %v",
+					rule, calls, hits, keys, fc.Histogram())
+				if calls == 0 || rule != calls {
+					t.Errorf("the footprint rule charged %d of %d calls, want all", rule, calls)
 				}
 				if hits != calls-keys {
 					t.Errorf("the memo answered %d of %d calls over %d keys, want %d", hits, calls, keys, calls-keys)
@@ -135,18 +135,13 @@ func TestMeshSolveTakesTheFootprintRule(t *testing.T) {
 	}
 	// Each n-body force phase is one ChargeLoads call per processor and step,
 	// and at Default size the rule takes every one: no cache set receives more
-	// than cacheWays of a phase's lines. The histogram is how full the fullest
-	// set of each phase is.
+	// than cacheWays of a phase's lines.
 	for _, model := range []core.Model{core.MP, core.SHMEM, core.SAS} {
 		t.Run("nbody/"+model.String(), func(t *testing.T) {
-			lc := numa.CountLoadCharges(t)
+			fc := numa.CountFootprints(t)
 			defaultCell(t, "nbody", model, 16)
-			calls, rule := lc.Calls.Load(), lc.Rule.Load()
-			var fullest []int64
-			for n := range lc.Fullest {
-				fullest = append(fullest, lc.Fullest[n].Load())
-			}
-			t.Logf("the rule charged %d of %d force phases; phases by lines in their fullest set (0–7): %v", rule, calls, fullest)
+			calls, rule := fc.Calls.Load(), fc.Rule.Load()
+			t.Logf("the rule charged %d of %d force phases; phases by lines in their fullest set (0–7): %v", rule, calls, fc.Histogram())
 			if want := int64(16 * barnes.Default().Steps); calls != want || rule != calls {
 				t.Errorf("the rule charged %d of %d force phases, want all of %d", rule, calls, want)
 			}

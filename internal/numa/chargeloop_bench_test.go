@@ -9,30 +9,33 @@ import (
 	"o2k/internal/sim"
 )
 
-// BenchmarkChargeLoop prices ChargeLoop on the two loops that call it.
+// BenchmarkChargeLoop prices ChargeLoop on the three loops that call it.
 //
 // row and same-set charge one row of the stencil sweep (a Default row of 384
-// cells) with the walk, in ns per cell: four loads of the source — up, down,
-// and the left and right neighbours, which share a line — and a store to the
-// destination. row: the 4 MB cache, every line alone in its set after the
-// first pass, so the walk counts whole runs between line boundaries.
-// same-set: the destination placed where each of its lines falls in the set of
-// the same line of the source, so the store's line and the neighbours' take
-// turns in the MRU way and two of the five accesses of every cell reorder the
-// set.
+// cells), in ns per cell: four loads of the source — up, down, and the left
+// and right neighbours, which share a line — and a store to the destination.
+// row: the 4 MB cache, every line alone in its set. same-set: the destination
+// placed where each of its lines falls in the set of the same line of the
+// source, so that the sets the rule charges are crowded and it moves their
+// lines to MRU by last access. Both take the footprint rule, and the memo
+// answers every call after the first.
 //
 // edges, edges-miss and edges-conflict charge the mesh's edge flux — per edge
 // (a, b) the loads u[a] u[b] acc[a], the store acc[a], the load acc[b] and the
 // store acc[b], six index streams over two lists — over processor 0's edges of
 // the last cycle of a Default-size plan for 16 processors, in ns per access.
 // edges: the 4 MB cache, where the lines of u and acc the edges touch sit in
-// distinct sets, so the footprint rule charges each call, and the memo answers
-// every call after the first. edges-miss: the same with the memo emptied
-// before every call, which pays findFootprint's two passes each time.
-// edges-conflict: acc placed where each of its lines falls in the set of the
-// same line of u, so the rule declines every call and the element loop
-// (chargeEach) charges it.
+// distinct sets, and the memo answers every call after the first. edges-miss:
+// the same with the memo emptied before every call, which pays findFootprint's
+// passes each time. edges-conflict: acc placed where each of its lines falls
+// in the set of the same line of u, so that each set receives two lines, which
+// the rule takes too.
+//
+// decline prices the element loop (chargeEach) the rule falls back to: a row
+// of loads from each of cacheWays+1 arrays whose lines share every set, in ns
+// per access.
 func BenchmarkChargeLoop(b *testing.B) {
+	numa.Unaudited(b)
 	b.Run("row", func(b *testing.B) { benchChargeLoop(b, false) })
 	b.Run("same-set", func(b *testing.B) { benchChargeLoop(b, true) })
 	pls := adaptmesh.BuildPlans(adaptmesh.Default(), 16)
@@ -40,6 +43,7 @@ func BenchmarkChargeLoop(b *testing.B) {
 	b.Run("edges", func(b *testing.B) { benchEdges(b, pl, false, false) })
 	b.Run("edges-miss", func(b *testing.B) { benchEdges(b, pl, false, true) })
 	b.Run("edges-conflict", func(b *testing.B) { benchEdges(b, pl, true, false) })
+	b.Run("decline", benchDecline)
 }
 
 func benchChargeLoop(b *testing.B, sameSet bool) {
@@ -90,12 +94,8 @@ func benchEdges(b *testing.B, pl *adaptmesh.CyclePlan, conflict, miss bool) {
 		flux()
 	}
 	b.StopTimer()
-	want := fc.Calls.Load()
-	if conflict {
-		want = 0
-	}
-	if fc.Rule.Load() != want {
-		b.Errorf("the footprint rule charged %d of %d calls, want %d", fc.Rule.Load(), fc.Calls.Load(), want)
+	if fc.Rule.Load() != fc.Calls.Load() {
+		b.Errorf("the footprint rule charged %d of %d calls, want all", fc.Rule.Load(), fc.Calls.Load())
 	}
 	if hits := fc.Hits.Load(); miss && hits != 0 || !miss && hits != fc.Calls.Load() {
 		b.Errorf("the memo answered %d of %d calls", hits, fc.Calls.Load())
@@ -103,4 +103,34 @@ func benchEdges(b *testing.B, pl *adaptmesh.CyclePlan, conflict, miss bool) {
 	cu.Flush()
 	ca.Flush()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*6*len(ea)), "ns/access")
+}
+
+func benchDecline(b *testing.B) {
+	const n, ways = 384, 4 // cacheWays
+	sp := numa.NewSpace(machine.MustNew(machine.Default(1)))
+	p := sim.NewGroup(1).Proc(0)
+	var cursors [ways + 1]numa.Cursor[float64]
+	var streams [ways + 1]numa.Stream[float64]
+	var prev *numa.Array[float64]
+	for k := range cursors {
+		if prev != nil {
+			numa.SameSetsAs(sp, prev)
+		}
+		prev = numa.NewPrivate[float64](sp, 0, n)
+		cursors[k] = prev.Cursor(p)
+		streams[k] = numa.Stream[float64]{C: &cursors[k]}
+	}
+	fc := numa.CountFootprints(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		numa.ChargeLoop(0, n, streams[:]...)
+	}
+	b.StopTimer()
+	if fc.Rule.Load() != 0 {
+		b.Errorf("the footprint rule charged %d of %d calls, want none", fc.Rule.Load(), fc.Calls.Load())
+	}
+	for k := range cursors {
+		cursors[k].Flush()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(streams)*n), "ns/access")
 }

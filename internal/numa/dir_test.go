@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 // TestMain audits the tag store at the end of every MergeEpoch any test of
 // this package runs, and the sharer directory with it on the optimized path —
 // the spaces applications create internally included (adaptmesh_test.go,
-// suite_test.go) — and every load footprint charge against its loads charged
-// one by one.
+// suite_test.go) — and every footprint charge, of ChargeLoop and of
+// ChargeLoads, against its accesses charged one by one.
 func TestMain(m *testing.M) {
 	afterMerge = func(sp *Space) {
 		if err := checkTags(sp); err != nil {
@@ -28,62 +29,78 @@ func TestMain(m *testing.M) {
 		}
 		directoryAudits.Add(1)
 	}
-	loadsAudit = auditLoads
+	chargeAudit = auditFootprintCharge
 	os.Exit(m.Run())
 }
 
-// auditLoads is TestMain's audit of every load footprint charge of every test
-// of this package: it runs the charge, puts the cache and the processor's
-// counters back as they were, charges the footprint's stream load by load
-// from there, and panics unless both leave the same tags and, once the
-// cursors are flushed, the same counters and clock. (A hit the chain finds
-// outside the MRU way reaches the processor through the slow path, one the
-// rule counts through a cursor.) The tags are left as the chain leaves them,
-// the counters as the rule does.
-func auditLoads(fp *LoadFootprint, c *cache, p *sim.Proc, charge func() (uint64, sim.Time), chain func(keys []uint32) (uint64, sim.Time)) {
+// auditFootprintCharge is TestMain's audit of every footprint charge of every
+// test of this package: it runs the charge, puts the cache and the
+// processor's counters back as they were, charges the same accesses one by
+// one from there, and panics unless both leave the same tags and, once the
+// cursors are flushed, the same counters and clock. (A hit the element loop
+// finds outside the MRU way reaches the processor through the slow path, one
+// the rule counts through a cursor.) The tags are left as the element loop
+// leaves them, the counters as the rule does.
+func auditFootprintCharge(c *cache, p *sim.Proc, charge, each func() (uint64, sim.Time)) {
 	flushed := func(hits uint64, lat sim.Time) (sim.Counters, sim.Time) {
 		ctr := p.Counters
 		ctr.CacheHits += hits
 		return ctr, p.Now() + lat + sim.Time(hits)*c.sp.M.Cfg.CacheHitNS
 	}
-	tags, counters := slices.Clone(c.tags), p.Counters
+	tags, ruleTags := tagCopies.Get().(*[]uint32), tagCopies.Get().(*[]uint32)
+	defer tagCopies.Put(tags)
+	defer tagCopies.Put(ruleTags)
+	*tags = copyTags(*tags, c.tags)
+	counters := p.Counters
 	ruleCounters, ruleNow := flushed(charge())
-	ruleTags, rule := slices.Clone(c.tags), p.Counters
-	copy(c.tags, tags)
+	*ruleTags = copyTags(*ruleTags, c.tags)
+	rule := p.Counters
+	copyTags(c.tags, *tags)
 	p.Counters = counters
 	defer func() { p.Counters = rule }() // the counters that go with the charged cursors
-	var keys []uint32
-	for _, seg := range fp.src {
-		for _, s := range seg {
-			keys = chainLoads(keys, s)
+	eachCounters, eachNow := flushed(each())
+	if same := sameTags(c.tags, *ruleTags); !same || eachCounters != ruleCounters || eachNow != ruleNow {
+		panic(fmt.Sprintf("a footprint charged counters %+v up to %v; its accesses one by one %+v up to %v; same tags: %v",
+			ruleCounters, ruleNow, eachCounters, eachNow, same))
+	}
+	chargeAudits.Add(1)
+}
+
+// chargeAudits counts the footprint charges TestMain's hook has audited.
+var chargeAudits atomic.Int64
+
+// tagCopies holds the audit's copies of a cache's tags between audits: a
+// Default cache's tags are 128 KB, and a full-size cell makes thousands of
+// charges.
+var tagCopies = sync.Pool{New: func() any { return new([]uint32) }}
+
+// copyTags copies src into dst, grown to its length, and returns dst.
+// copyTags and sameTags are the audit's passes over a whole tag array, out of
+// the race detector's sight: instrumented, they would cost four 128 KB range
+// checks per charge and most of the package's -race run, while the charges
+// they bracket, on the charging processor's own thread, stay instrumented.
+//
+//go:norace
+func copyTags(dst, src []uint32) []uint32 {
+	dst = slices.Grow(dst[:0], len(src))[:len(src)]
+	copy(dst, src)
+	return dst
+}
+
+// sameTags reports whether a and b hold the same tags.
+//
+//go:norace
+func sameTags(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
-	chainCounters, chainNow := flushed(chain(keys))
-	if !slices.Equal(c.tags, ruleTags) || chainCounters != ruleCounters || chainNow != ruleNow {
-		panic(fmt.Sprintf("a load footprint charged counters %+v up to %v; its loads one by one %+v up to %v; same tags: %v",
-			ruleCounters, ruleNow, chainCounters, chainNow, slices.Equal(c.tags, ruleTags)))
-	}
-	loadAudits.Add(1)
+	return true
 }
-
-// chainLoads appends to keys the loads of symbol s, one key line<<2|array per
-// load, in the order its entry makes them (the symbol format is replay.go's).
-func chainLoads(keys []uint32, s uint16) []uint32 {
-	lo := uint32(s >> 2)
-	x, y, m, cell, next := lo<<2, lo<<2|1, lo<<2|2, lo<<2|3, (lo+1)<<2|3
-	switch s & 3 {
-	case symLeaf:
-		return append(keys, x, y, m)
-	case symCell:
-		return append(keys, cell, cell, cell)
-	case symStraddle:
-		return append(keys, cell, next, next) // the middle word hits its line wherever it falls
-	}
-	return append(keys, x, y)
-}
-
-// loadAudits counts the footprint charges TestMain's hook has audited.
-var loadAudits atomic.Int64
 
 // checkTags is the structural audit of the tag store: every cache has
 // cacheWays tags per set; in every set the valid tags are a prefix of the ways
@@ -117,12 +134,12 @@ func checkTags(sp *Space) error {
 	return nil
 }
 
-// unaudited takes the audits off the merges and footprint charges a
+// Unaudited takes the audits off the merges and footprint charges a
 // benchmark times.
-func unaudited(b *testing.B) {
-	merge, loads := afterMerge, loadsAudit
-	afterMerge, loadsAudit = nil, nil
-	b.Cleanup(func() { afterMerge, loadsAudit = merge, loads })
+func Unaudited(b *testing.B) {
+	merge, charges := afterMerge, chargeAudit
+	afterMerge, chargeAudit = nil, nil
+	b.Cleanup(func() { afterMerge, chargeAudit = merge, charges })
 }
 
 // directoryAudits counts the merges TestMain's hook has audited.

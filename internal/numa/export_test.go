@@ -24,11 +24,15 @@ func SetRefModel(t testing.TB) {
 	t.Cleanup(func() { refModel = false })
 }
 
-// FootprintCounts is what CountFootprints counts of ChargeLoop's calls with
-// an index stream: all of them, those the footprint rule charged, those the
-// memo answered, and the distinct memo keys among them.
+// FootprintCounts is what CountFootprints counts of the footprint rule's
+// decisions — every ChargeLoop call and every ChargeLoads call past its
+// geometry checks: all of them, those the rule charged, those the memo
+// answered, per n how many found at most n lines in every cache set and
+// exactly n in some (n ≤ 7; 0 for a ChargeLoop call whose streams probe two
+// caches or refProbe), and the distinct memo keys among the ChargeLoop calls.
 type FootprintCounts struct {
 	Calls, Rule, Hits atomic.Int64
+	Fullest           [8]atomic.Int64
 
 	mu   sync.Mutex
 	keys map[fpKey]bool
@@ -41,17 +45,29 @@ func (fc *FootprintCounts) Keys() int64 {
 	return int64(len(fc.keys))
 }
 
-func (fc *FootprintCounts) tally(key fpKey, hit, took bool) {
+// Histogram is Fullest as plain numbers.
+func (fc *FootprintCounts) Histogram() []int64 {
+	h := make([]int64, len(fc.Fullest))
+	for n := range fc.Fullest {
+		h[n] = fc.Fullest[n].Load()
+	}
+	return h
+}
+
+func (fc *FootprintCounts) tally(key fpKey, hit bool, fp footprint) {
 	fc.Calls.Add(1)
-	if took {
+	if fp.took {
 		fc.Rule.Add(1)
 	}
 	if hit {
 		fc.Hits.Add(1)
 	}
-	fc.mu.Lock()
-	fc.keys[key] = true
-	fc.mu.Unlock()
+	fc.Fullest[fp.fullest].Add(1)
+	if key != (fpKey{}) { // a ChargeLoads call has no key
+		fc.mu.Lock()
+		fc.keys[key] = true
+		fc.mu.Unlock()
+	}
 }
 
 // countFootprints starts counting and returns the counts and the function
@@ -62,8 +78,8 @@ func countFootprints() (*FootprintCounts, func()) {
 	return fc, func() { footprintTally = nil }
 }
 
-// CountFootprints counts, for the rest of the test, the ChargeLoop calls with
-// an index stream.
+// CountFootprints counts, for the rest of the test, the footprint rule's
+// decisions.
 func CountFootprints(t testing.TB) *FootprintCounts {
 	fc, stop := countFootprints()
 	t.Cleanup(stop)
@@ -71,55 +87,32 @@ func CountFootprints(t testing.TB) *FootprintCounts {
 }
 
 // AuditFootprints finds anew, for the rest of the test, the footprint of every
-// ChargeLoop call the memo answers, and fails the test if the decision or the
-// events differ from the remembered ones. It returns how many calls it
-// audited.
+// ChargeLoop call the memo answers, and fails the test if the decision, the
+// fullest set, the events or the last list differ from the remembered ones.
+// It returns how many calls it audited.
 func AuditFootprints(t testing.TB) *atomic.Int64 {
 	audits := auditFootprints(func(memo, fresh footprint) {
 		t.Errorf("the memo remembers the footprint %+v, the call has %+v", memo, fresh)
 	})
-	t.Cleanup(func() { footprintAudit = nil })
+	t.Cleanup(func() { memoAudit = nil })
 	return audits
 }
 
 // ForgetFootprints empties sp's footprint memo, so that its next ChargeLoop
-// call of index streams finds its footprint anew.
+// call finds its footprint anew.
 func ForgetFootprints(sp *Space) { clear(sp.fpMemo) }
 
 // auditFootprints hands every remembered footprint that differs from the one
 // found anew to differ, and counts the audited calls.
 func auditFootprints(differ func(memo, fresh footprint)) *atomic.Int64 {
 	audits := new(atomic.Int64)
-	footprintAudit = func(memo, fresh footprint) {
+	memoAudit = func(memo, fresh footprint) {
 		audits.Add(1)
-		if memo.took != fresh.took || !slices.Equal(memo.events, fresh.events) {
+		if memo.took != fresh.took || memo.fullest != fresh.fullest || !slices.Equal(memo.events, fresh.events) || !slices.Equal(memo.last, fresh.last) {
 			differ(memo, fresh)
 		}
 	}
 	return audits
-}
-
-// LoadCounts is what CountLoadCharges counts of the ChargeLoads calls that
-// pass the geometry checks: all of them, those the rule took, and per n how
-// many found at most n lines in every cache set and exactly n in some (n ≤ 7).
-type LoadCounts struct {
-	Calls, Rule atomic.Int64
-	Fullest     [8]atomic.Int64
-}
-
-// CountLoadCharges counts, for the rest of the test, the load footprint
-// charges.
-func CountLoadCharges(t testing.TB) *LoadCounts {
-	lc := new(LoadCounts)
-	loadsTally = func(took bool, fullest int) {
-		lc.Calls.Add(1)
-		if took {
-			lc.Rule.Add(1)
-		}
-		lc.Fullest[fullest].Add(1)
-	}
-	t.Cleanup(func() { loadsTally = nil })
-	return lc
 }
 
 // SameSetsAs skips address space until an array as long as like, allocated in

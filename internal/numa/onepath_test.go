@@ -12,8 +12,9 @@ import (
 // refModelSites are the functions that may test refModel besides ref.go: the
 // cache selector every probing entry point goes through, the one slow path,
 // the span walk (it installs lines through accessSlow itself, past any probe),
-// and the coherence merge's dispatch. ChargeLoads needs no test of its own:
-// its cursors probe refProbe, whose one set it declines.
+// and the coherence merge's dispatch. The footprint rule needs no test of its
+// own: ChargeLoop's and ChargeLoads' cursors probe refProbe, whose one set it
+// declines, and a declined ChargeLoop call takes the cursors' element loop.
 var refModelSites = map[string]bool{
 	"probe":         true,
 	"chargeSlowAcc": true,

@@ -29,9 +29,10 @@ type traceResult struct {
 	Checksum float64    // data written through the arrays (model-independent)
 	Writes   [][]uint32 // write-sets, where a test logs them
 	Data     any        // array contents, where a test snapshots them
-	// Rule is not compared: ChargeLoop's calls with an index stream and those
-	// the footprint rule charged, where a test counts them.
-	Rule [2]int64
+	// Rule is not compared: ChargeLoop's calls, those the footprint rule
+	// charged, and those it charged with its lines last accessed in another
+	// order than first, where a test counts them.
+	Rule [3]int64
 }
 
 // mergeEpoch resolves coherence at a synchronization point and charges the
@@ -197,7 +198,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 			}
 			cb.Flush()
 		case 8:
-			// A stencil-shaped walk: three load streams of shA, two of them on
+			// A stencil-shaped ChargeLoop: three load streams of shA, two of them on
 			// one line (j-1, j+1), and a store stream to a shared or a private
 			// array.
 			dst := [...]*Array[float64]{shS, priv[p.ID()]}[rng.Intn(2)]
@@ -348,7 +349,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 // TestFastPathMatchesReference is the differential test for the optimized
 // cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
 // cursor chains (Load, ChargeLoop over contiguous and
-// index streams: the walk, the footprint rule, the element loop), every batch
+// index streams: the footprint rule, the element loop), every batch
 // helper of batch.go on shared and private arrays, the batched
 // trace replay (ReplayLoads), and the directory-driven
 // coherence merge must be observationally identical to the straightforward
@@ -385,13 +386,15 @@ func TestFastPathMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	// Both paths of an index call ran: in the default caches every footprint
-	// sits in distinct sets, in the tiny ones most collide. The memo answered
-	// some calls on both models, and the audit found each answer right.
+	// Both paths of a ChargeLoop call ran: in the default caches no set
+	// receives more than cacheWays of a call's lines, in the tiny ones some
+	// do. The memo answered some calls on both models, and the audit found
+	// each answer right.
 	calls, rule := fc.Calls.Load(), fc.Rule.Load()
-	t.Logf("the footprint rule charged %d of %d index calls; the memo answered %d on the fast path, %d in all", rule, calls, fc.Hits.Load(), audits.Load())
+	t.Logf("the footprint rule charged %d of %d calls; the memo answered %d on the fast path, %d in all; calls by lines in their fullest set (0–7): %v",
+		rule, calls, fc.Hits.Load(), audits.Load(), fc.Histogram())
 	if rule == 0 || rule == calls {
-		t.Errorf("the footprint rule charged %d of %d index calls, want some but not all", rule, calls)
+		t.Errorf("the footprint rule charged %d of %d calls, want some but not all", rule, calls)
 	}
 	if fc.Hits.Load() == 0 || audits.Load() == fc.Hits.Load() {
 		t.Errorf("the memo answered %d calls on the fast path, %d in all; want some on each model", fc.Hits.Load(), audits.Load())
@@ -470,7 +473,7 @@ func sameSetsAs[T any](sp *Space, like *Array[T]) {
 // runReplayCase drives walk-shaped traces through ReplayLoads on a quartet of
 // arrays of element type T. One set of cursors replays several traces, and
 // between the replays comes everything that moves their lines: per-access
-// Load/Store on the quartet's arrays, the same (and ChargeLoop walks) through
+// Load/Store on the quartet's arrays, the same (and ChargeLoop calls) through
 // the unflushed cursors, stores through them to shared arrays, loads and
 // stores on a fifth array whose lines fall in the sets of x's, and coherence
 // merges that invalidate what other processors wrote. TestMain audits every
@@ -663,17 +666,17 @@ func TestReplayLoadsMatchesReference(t *testing.T) {
 		{"ways+1", []int32{0, ^0, ^16, 0}, cacheWays + 1},
 	} {
 		var fullest []int
-		loadsTally = func(took bool, n int) { fullest = append(fullest, n) }
-		audits := loadAudits.Load()
+		footprintTally = func(_ fpKey, _ bool, fp footprint) { fullest = append(fullest, int(fp.fullest)) }
+		audits := chargeAudits.Load()
 		fast := runEdgeCase(edge.trace, false)
-		loadsTally = nil
+		footprintTally = nil
 		if d := fast.diff(runEdgeCase(edge.trace, true)); d != "" {
 			t.Errorf("%s: replay diverged from reference in %s", edge.name, d)
 		}
 		if len(fullest) != 2 || fullest[0] != edge.fullest || fullest[1] != edge.fullest {
 			t.Errorf("%s: the charges found %v lines in their fullest set, want %d twice", edge.name, fullest, edge.fullest)
 		}
-		if audited, took := loadAudits.Load()-audits, edge.fullest <= cacheWays; (audited == 2) != took {
+		if audited, took := chargeAudits.Load()-audits, edge.fullest <= cacheWays; (audited == 2) != took {
 			t.Errorf("%s: the rule charged %d of 2 replays", edge.name, audited)
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"unsafe"
-
-	"o2k/internal/sim"
 )
 
 // A tree-walk load trace comes in two forms, both defined here and nowhere
@@ -90,18 +88,18 @@ func touchEntry[T any](e int32, bx, by, bm, cells *Cursor[T]) {
 }
 
 // LoadFootprint is what charging a stream of line symbols needs of it,
-// whatever arrays it is charged against: its lines, as keys line<<2|array
-// (0–3: bx, by, bm, cells) in the order of their first loads and of their
-// last, and its number of loads.
+// whatever arrays it is charged against: its lines, as events naming line li
+// of array k (0–3: bx, by, bm, cells), in the order of their first loads and of
+// their last, and its number of loads per array.
 type LoadFootprint struct {
 	lineBytes   int
-	first, last []uint32
-	loads       uint64
-	src         [][]uint16 // the stream itself, kept only for loadsAudit
+	first, last []fpEvent
+	loads       [4]uint64
+	src         [][]uint16 // the stream itself, kept only for chargeAudit
 }
 
 // footprintScratch is NewLoadFootprint's scratch, indexed by symbol and by
-// line key, all zero between two builds.
+// line key line<<2|array, all zero between two builds.
 type footprintScratch struct {
 	count [1 << 16]uint32  // per symbol: how often the stream names it
 	seen  [1<<16 + 8]uint8 // per line key: met going forward, not yet going back
@@ -115,7 +113,7 @@ var footprintScratches = sync.Pool{New: func() any { return new(footprintScratch
 // last loads as the first loads of the reversed stream, reversed.
 func NewLoadFootprint(lineBytes int, segs ...[]uint16) *LoadFootprint {
 	fp := &LoadFootprint{lineBytes: lineBytes}
-	if loadsAudit != nil {
+	if chargeAudit != nil {
 		fp.src = segs
 	}
 	sc := footprintScratches.Get().(*footprintScratch)
@@ -124,11 +122,11 @@ func NewLoadFootprint(lineBytes int, segs ...[]uint16) *LoadFootprint {
 			if sc.count[s]++; sc.count[s] > 1 {
 				continue
 			}
-			keys, n := symLines(s)
+			keys, n := symLoads(s)
 			for _, k := range keys[:n] {
 				if sc.seen[k] == 0 {
 					sc.seen[k] = 1
-					fp.first = append(fp.first, k)
+					fp.first = append(fp.first, fpEvent{li: k >> 2, k: uint8(k & 3)})
 				}
 			}
 		}
@@ -142,12 +140,13 @@ func NewLoadFootprint(lineBytes int, segs ...[]uint16) *LoadFootprint {
 				continue
 			}
 			sc.count[s] = 0
-			fp.loads += uint64(c) * (3 - uint64(s&3)/3) // an own symbol loads two words
-			keys, n := symLines(s)
+			keys, n := symLoads(s)
 			for t := n - 1; t >= 0; t-- {
-				if k := keys[t]; sc.seen[k] != 0 {
+				k := keys[t]
+				fp.loads[k&3] += uint64(c)
+				if sc.seen[k] != 0 {
 					sc.seen[k] = 0
-					fp.last = append(fp.last, k)
+					fp.last = append(fp.last, fpEvent{li: k >> 2, k: uint8(k & 3)})
 				}
 			}
 		}
@@ -157,17 +156,18 @@ func NewLoadFootprint(lineBytes int, segs ...[]uint16) *LoadFootprint {
 	return fp
 }
 
-// symLines returns the lines symbol s loads, as keys in the order it loads
-// them.
-func symLines(s uint16) ([3]uint32, int) {
+// symLoads returns the loads of symbol s, as line keys line<<2|array in the
+// order the per-access chain makes them. (A straddling triple's middle word
+// hits its line wherever it falls: it is counted on the second line.)
+func symLoads(s uint16) ([3]uint32, int) {
 	k := uint32(s) &^ 3 // line lo of array 0
 	switch s & 3 {
 	case symLeaf:
 		return [3]uint32{k, k | 1, k | 2}, 3
 	case symCell:
-		return [3]uint32{k | 3}, 1
+		return [3]uint32{k | 3, k | 3, k | 3}, 3
 	case symStraddle:
-		return [3]uint32{k | 3, (k + 4) | 3}, 2
+		return [3]uint32{k | 3, (k + 4) | 3, (k + 4) | 3}, 3
 	}
 	return [3]uint32{k, k | 1}, 2
 }
@@ -177,102 +177,50 @@ func symLines(s uint16) ([3]uint32, int) {
 // records, counters and flushed totals. It reports false, having charged
 // nothing, on another line size than fp's, under the reference model (refProbe
 // has one set), for cursors on two caches or two on one array, and when a
-// cache set receives more than cacheWays of fp's lines.
-//
-// Inside the call only its loads write tags, each in its own set (invalidations
-// wait for the epoch merge), and a hit costs cacheHitNS in any way; so each set
-// evolves on its own. In a set that receives at most cacheWays lines, the lines
-// touched so far sit above its other residents in recency order, none evicted
-// before its last load. So a line's first load finds the set as the chain
-// does and is charged as the chain charges it (loadKey), every other load is
-// a hit, and the touched lines end on top in the order of their last loads.
+// cache set receives more than cacheWays of fp's lines. It is ChargeLoop's
+// footprint rule (chargeFootprint) over load streams, one per array, whose
+// footprint is fp's: each line's first load, then the lines by last load.
 func ChargeLoads[T any](fp *LoadFootprint, bx, by, bm, cells *Cursor[T]) bool {
-	cus := [4]*Cursor[T]{bx, by, bm, cells}
+	streams := [4]Stream[T]{{C: bx}, {C: by}, {C: bm}, {C: cells}}
 	c := bx.c
-	var base [4]uint64
-	for k, cu := range cus {
-		if cu.c != c || slices.Contains(base[:k], cu.baseLine) {
+	var bases [4]uint64
+	for k, s := range streams {
+		if s.C.c != c || slices.Contains(bases[:k], s.C.baseLine) {
 			return false
 		}
-		base[k] = cu.baseLine
+		bases[k] = s.C.baseLine
 	}
 	if fp.lineBytes != 1<<bx.lineShift || c.setMask == 0 {
 		return false
 	}
-	sp := bx.a.sp
-	if sets := int(c.setMask + 1); len(sp.fpSets) < sets {
-		sp.fpSets = make([]uint64, sets)
+	occ := bx.a.sp.occupancy(c, bases[:], fp.first)
+	if footprintTally != nil {
+		footprintTally(fpKey{}, false, occ)
 	}
-	sp.fpEpoch++
-	fullest := uint64(0)
-	for _, k := range fp.first {
-		fullest = max(fullest, sp.occupy(setBase(c.setBits, c.setMask, base[k&3]+uint64(k>>2))/cacheWays, sp.fpEpoch))
+	charge := func(ss []Stream[T]) {
+		for k, s := range ss {
+			s.C.hits += fp.loads[k]
+		}
+		chargeFootprint(ss, fp.first, fp.last)
 	}
-	took := fullest <= cacheWays
-	if loadsTally != nil {
-		loadsTally(took, int(fullest))
-	}
-	if !took {
+	switch {
+	case !occ.took:
 		return false
-	}
-	if loadsAudit != nil && fp.src != nil {
-		pre := [4]Cursor[T]{*bx, *by, *bm, *cells}
-		chained := [4]*Cursor[T]{&pre[0], &pre[1], &pre[2], &pre[3]}
-		loadsAudit(fp, c, bx.p, func() (uint64, sim.Time) {
-			chargeFootprintLoads(fp, cus)
-			return cursorSums(cus)
-		}, func(keys []uint32) (uint64, sim.Time) {
-			for _, k := range keys {
-				loadKey(chained, k)
+	case chargeAudit != nil && fp.src != nil:
+		auditCharge(streams[:], charge, func(ss []Stream[T]) {
+			es := elemBytes[T]()
+			for _, seg := range fp.src {
+				for _, s := range seg {
+					keys, n := symLoads(s)
+					for _, k := range keys[:n] {
+						// The first element that starts in the line.
+						ss[k&3].C.Load(int((uint64(k>>2)<<bx.lineShift + es - 1) / es))
+					}
+				}
 			}
-			return cursorSums(chained)
 		})
-		return true
+	default:
+		charge(streams[:])
 	}
-	chargeFootprintLoads(fp, cus)
 	return true
 }
-
-// chargeFootprintLoads charges fp through cursors ChargeLoads has admitted.
-func chargeFootprintLoads[T any](fp *LoadFootprint, cus [4]*Cursor[T]) {
-	for _, k := range fp.first {
-		loadKey(cus, k)
-	}
-	cus[0].hits += fp.loads - uint64(len(fp.first))
-	c := cus[0].c
-	for _, k := range fp.last {
-		if gl := cus[k&3].baseLine + uint64(k>>2); !c.mruHit(gl) {
-			c.accessSlow(gl)
-		}
-	}
-}
-
-// loadKey charges one load of line key through its cursor, as a cursor's
-// probe does: an MRU hit counted, anything else the slow path.
-func loadKey[T any](cus [4]*Cursor[T], key uint32) {
-	cu := cus[key&3]
-	if gl := cu.baseLine + uint64(key>>2); mruAt(cu.c.tags, cu.setBits, cu.setMask, gl) {
-		cu.hits++
-	} else {
-		cu.lat += cu.a.chargeSlowAcc(cu.p, cu.c, gl, key>>2, false)
-	}
-}
-
-// cursorSums is the hits and latency the cursors hold, not yet flushed.
-func cursorSums[T any](cus [4]*Cursor[T]) (hits uint64, lat sim.Time) {
-	for _, cu := range cus {
-		hits, lat = hits+cu.hits, lat+cu.lat
-	}
-	return hits, lat
-}
-
-// loadsTally, when set, sees every ChargeLoads call past the geometry checks:
-// whether the rule took it and the most lines it found in one set (up to 7).
-// loadsAudit, when set, gets every charge the rule takes of a footprint built
-// while it was set, as two functions that return the cursors' unflushed sums:
-// the charge, and the chain of keys, one load each through copies of the
-// cursors as the charge found them (dir_test.go). For tests only.
-var (
-	loadsTally func(took bool, fullest int)
-	loadsAudit func(fp *LoadFootprint, c *cache, p *sim.Proc, charge func() (uint64, sim.Time), chain func(keys []uint32) (uint64, sim.Time))
-)

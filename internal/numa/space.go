@@ -42,18 +42,19 @@ type Space struct {
 	dir     []sharer
 	dirFree int32
 
-	// Scratch for ChargeLoop's footprint rule (chargeFootprint) and
-	// ChargeLoads, on the one scheduler thread as dir is: a stamp per
-	// array-local line (an epoch<<16 and, in the second pass, the arrays that
-	// accessed and stored the line), per cache set the lines a pass put there
-	// (occupy), the lists' logs of first reaches, and the call's log of
-	// accesses to charge. fpMemo remembers the footprint of every distinct call
-	// (chargeIndexed), on the same thread.
+	// Scratch for the footprint rule (findFootprint, occupancy), on the one
+	// scheduler thread as dir is: a stamp per array-local line (an epoch<<16
+	// and, in the merging passes, the arrays that accessed and stored the
+	// line), per cache set the lines a count put there, the lists' logs of
+	// first reaches, and the call's logs of accesses to charge and of lines to
+	// move to MRU. fpMemo remembers the footprint of every distinct ChargeLoop
+	// call, on the same thread.
 	fpLines  []uint64
 	fpSets   []uint64
 	fpReach  []uint64
 	fpEpoch  uint64
 	fpEvents []fpEvent
+	fpLast   []fpEvent
 	fpMemo   map[fpKey]footprint
 
 	allocBytes atomic.Uint64
