@@ -225,20 +225,6 @@ func TestNoRemapMovesMore(t *testing.T) {
 	}
 }
 
-func TestStaticMeshFreezes(t *testing.T) {
-	w := Small()
-	w.StaticMesh = true
-	plans := BuildPlans(w, 2)
-	for i := 1; i < len(plans); i++ {
-		if plans[i].M.NumTris() != plans[0].M.NumTris() {
-			t.Fatalf("static mesh changed size at cycle %d", i)
-		}
-		if plans[i].Stats.Refined != 0 {
-			t.Fatalf("static mesh refined at cycle %d", i)
-		}
-	}
-}
-
 func TestMetricsExtras(t *testing.T) {
 	w := Small()
 	met := RunWithPlans(core.SAS, mach(4), w, BuildPlans(w, 4))

@@ -80,7 +80,7 @@ func seedFields(p *sim.Proc, w Workload, pl *CyclePlan, fields []*numa.Array[flo
 	vals := make([]float64, nf*len(lst))
 	for i, v := range lst {
 		x, y := pl.M.VX[v], pl.M.VY[v]
-		vals[nf*i] = w.initialField(x, y)
+		vals[nf*i] = w.Front.InitialField(x, y)
 		for k := 1; k < nf; k++ {
 			vals[nf*i+k] = auxInit(k-1, x, y)
 		}

@@ -15,13 +15,11 @@ import (
 // front and — crucially for the cross-model comparison — shared verbatim by
 // all three implementations.
 type CyclePlan struct {
-	Step  int
 	M     *mesh.Mesh
 	Dec   *partition.Decomp
 	Deg   []int32 // per global vertex ID, edge degree in this snapshot
 	NV    int     // vertex-ID space size after this cycle's adaptation
-	Stats mesh.AdaptStats
-	Green int // green closure triangles in the snapshot
+	Green int     // green closure triangles in the snapshot
 
 	// MidA/MidB alias the forest's parent arrays (length NV).
 	MidA, MidB []int32
@@ -132,9 +130,7 @@ func (st *Structure) planCycle(cycle int, dec *partition.Decomp, remap partition
 	m := sc.M
 	nv := m.NumVertsTotal()
 	p := &CyclePlan{
-		Step:  cycle,
 		M:     m,
-		Stats: sc.Stats,
 		NV:    nv,
 		MidA:  st.MidA[:nv],
 		MidB:  st.MidB[:nv],

@@ -26,7 +26,7 @@ func ReferenceChecksumWithPlans(w Workload, plans []*CyclePlan) float64 {
 	for ci, pl := range plans {
 		if ci == 0 {
 			for _, v := range pl.Dec.OwnedVerts[0] {
-				u[v] = w.initialField(pl.M.VX[v], pl.M.VY[v])
+				u[v] = w.Front.InitialField(pl.M.VX[v], pl.M.VY[v])
 				for k := range aux {
 					aux[k][v] = auxInit(k, pl.M.VX[v], pl.M.VY[v])
 				}

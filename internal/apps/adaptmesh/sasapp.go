@@ -104,9 +104,9 @@ func runSAS(mach *machine.Machine, w Workload, plans []*CyclePlan, g *sim.Group)
 				}
 				return 0
 			}
-			moved := u.RehomeByElem(owner)
+			moved := u.PlaceByElem(owner)
 			for _, ax := range aux {
-				moved += ax.RehomeByElem(owner)
+				moved += ax.PlaceByElem(owner)
 			}
 			migPenalty = sim.Time(moved) * mach.Cfg.PageMigrateNS / sim.Time(nprocs)
 		}

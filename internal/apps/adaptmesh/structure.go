@@ -47,11 +47,7 @@ func BuildStructure(w Workload) *Structure {
 	f := mesh.NewUnitSquare(w.GridN, w.MaxLevel)
 	st := &Structure{BaseTris: f.BaseTris()}
 	for c := 0; c < w.Cycles; c++ {
-		step := c
-		if w.StaticMesh {
-			step = 0
-		}
-		stats := f.Adapt(w.indicatorAt(step))
+		stats := f.Adapt(w.Front.At(c))
 		st.Cycles = append(st.Cycles, StructCycle{M: f.Snapshot(), Stats: stats})
 	}
 	st.VX, st.VY = f.VX, f.VY
@@ -62,42 +58,26 @@ func BuildStructure(w Workload) *Structure {
 // appendFront writes the workload's front parameters as a self-describing
 // cross-check inside the structure payload.
 func appendFront(pw *planio.Writer, w Workload) {
-	if w.Collision != nil {
-		pw.Word("collision")
-		pw.End()
-		w.Collision.AppendTo(pw)
-	} else {
-		pw.Word("front")
-		pw.End()
-		w.Front.AppendTo(pw)
-	}
+	pw.Word("front")
+	pw.End()
+	w.Front.AppendTo(pw)
 }
 
 // checkFront verifies the decoded payload's front matches the workload the
 // cache key claimed — a defence against entries stored under a wrong key.
 func checkFront(s *planio.Scanner, w Workload) error {
-	switch kind := s.Word(); kind {
-	case "collision":
-		c, err := mesh.DecodeCollidingFrontsFrom(s)
-		if err != nil {
-			return err
-		}
-		if w.Collision == nil || *w.Collision != c {
-			return fmt.Errorf("adaptmesh: structure entry is for a different collision workload")
-		}
-	case "front":
-		f, err := mesh.DecodeMovingFrontFrom(s)
-		if err != nil {
-			return err
-		}
-		if w.Collision != nil || w.Front != f {
-			return fmt.Errorf("adaptmesh: structure entry is for a different front workload")
-		}
-	default:
+	if kind := s.Word(); kind != "front" {
 		if err := s.Err(); err != nil {
 			return err
 		}
 		return fmt.Errorf("adaptmesh: bad front kind %q", kind)
+	}
+	f, err := mesh.DecodeMovingFrontFrom(s)
+	if err != nil {
+		return err
+	}
+	if w.Front != f {
+		return fmt.Errorf("adaptmesh: structure entry is for a different front workload")
 	}
 	return s.Err()
 }

@@ -28,12 +28,7 @@ type Workload struct {
 	Cycles     int              // adaptation cycles
 	SolveIters int              // relaxation sweeps per cycle
 	Front      mesh.MovingFront // the moving feature driving adaptation
-
-	// Collision, when set, replaces Front with a two-front colliding
-	// workload — the stress variant whose refined regions merge mid-run.
-	Collision  *mesh.CollidingFronts
-	NoRemap    bool // disable PLUM remapping (load-balance ablation)
-	StaticMesh bool // freeze the mesh after cycle 0 (adaptivity ablation)
+	NoRemap    bool             // disable PLUM remapping (load-balance ablation)
 
 	// AuxFields is the number of passive per-vertex state fields carried
 	// alongside the solved field (coordinates of the physical state a real
@@ -74,22 +69,6 @@ func Small() Workload {
 		AuxFields:  2,
 		Front:      mesh.DefaultFront(2),
 	}
-}
-
-// indicatorAt returns the refinement indicator for the given cycle.
-func (w Workload) indicatorAt(step int) mesh.Indicator {
-	if w.Collision != nil {
-		return w.Collision.At(step)
-	}
-	return w.Front.At(step)
-}
-
-// initialField returns the cycle-0 field value at a vertex.
-func (w Workload) initialField(x, y float64) float64 {
-	if w.Collision != nil {
-		return w.Collision.InitialField(x, y)
-	}
-	return w.Front.InitialField(x, y)
 }
 
 // auxInit is the cycle-0 value of auxiliary field k at (x, y). It is linear

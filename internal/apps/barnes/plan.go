@@ -46,7 +46,6 @@ func Small() Workload {
 // StepPlan is the structural oracle for one time step, derived from the
 // deterministic reference simulation that every model reproduces exactly.
 type StepPlan struct {
-	Step        int
 	Tree        *nbody.Tree // structure + reference centre-of-mass values
 	Owner       []int32     // per body, this step's cost-zones owner
 	OwnedBodies [][]int32   // per proc, ascending body indices

@@ -90,10 +90,9 @@ func (st *Structure) Plans(nprocs int) []*StepPlan {
 		cost[i] = 1
 	}
 	plans := make([]*StepPlan, 0, len(st.Steps))
-	for s, ss := range st.Steps {
+	for _, ss := range st.Steps {
 		owner := nbody.CostZonesOrdered(ss.mortonOrder(), cost, nprocs)
 		pl := &StepPlan{
-			Step:        s,
 			Tree:        ss.Tree,
 			Owner:       owner,
 			OwnedBodies: make([][]int32, nprocs),

@@ -196,10 +196,10 @@ func TestModelsShareForceFootprints(t *testing.T) {
 			t.Errorf("%v on a shared plan set: %+v, alone: %+v", model, got[k], want)
 		}
 	}
-	for _, pl := range plans {
+	for s, pl := range plans {
 		for q := range pl.loads {
 			if pl.loads[q].fp == nil {
-				t.Fatalf("step %d: no footprint for processor %d", pl.Step, q)
+				t.Fatalf("step %d: no footprint for processor %d", s, q)
 			}
 		}
 	}

@@ -120,8 +120,8 @@ func planCodec[T any](enc func(T) []byte, dec func([]byte) (T, error)) *runner.C
 // meshStructWorkload strips every workload field the adaptation sequence
 // does not read — the run-time knobs (solver depth, auxiliary field count,
 // the CC-SAS page-migration toggle) and NoRemap, which only affects the
-// per-P partitioning. What remains — grid, refinement depth, cycles, fronts,
-// StaticMesh — is exactly what changes the structure.
+// per-P partitioning. What remains — grid, refinement depth, cycles, front —
+// is exactly what changes the structure.
 func meshStructWorkload(w adaptmesh.Workload) adaptmesh.Workload {
 	w = meshPlanWorkload(w)
 	w.NoRemap = false
@@ -131,8 +131,8 @@ func meshStructWorkload(w adaptmesh.Workload) adaptmesh.Workload {
 // meshPlanWorkload strips the workload fields that BuildPlans does not read
 // (solver depth, auxiliary field count, the CC-SAS page-migration knob), so
 // ablation variants that differ only in those knobs share one plan cell.
-// Structural fields — grid, refinement depth, cycles, fronts, StaticMesh,
-// NoRemap — stay, because they change the plans.
+// Structural fields — grid, refinement depth, cycles, front, NoRemap — stay,
+// because they change the plans.
 func meshPlanWorkload(w adaptmesh.Workload) adaptmesh.Workload {
 	w.SolveIters = 0
 	w.AuxFields = 0

@@ -3,12 +3,14 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/runner"
+	"o2k/internal/sim"
 )
 
 // poisonMeshMP pre-fails the mesh MP run cell at the given processor count
@@ -173,6 +175,45 @@ func TestTable1EmptyPlansDegradeToFailedRows(t *testing.T) {
 	if r := rows["conjugate gradient"]; strings.Contains(r[1], "FAILED") {
 		t.Fatalf("cg row degraded: %v", r)
 	}
+}
+
+// panicOnProc is the simulated processor body's frame the failed cell's
+// stack must name.
+func panicOnProc(p *sim.Proc) { panic(fmt.Sprintf("proc %d: simulated body bug", p.ID())) }
+
+// A simulated processor's panic fails its cell, and the cell's report carries
+// the stack the body panicked on, not that of the scheduler which re-raised
+// it on the cell's goroutine. The table shows only the failure's label.
+func TestProcPanicReportsTheBodysStack(t *testing.T) {
+	o := QuickOpts()
+	maxP := o.Procs[len(o.Procs)-1]
+	e := runner.New(1)
+	key := core.CellKey("mesh/run", core.MP, machine.Default(maxP), o.MeshW)
+	e.Do(key, "panicking mesh MP", func(context.Context) (any, error) {
+		sim.NewGroup(maxP).Run(func(p *sim.Proc) {
+			if p.ID() == 1 {
+				panicOnProc(p)
+			}
+		})
+		return nil, nil
+	})
+	tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, want := Render(tabs), "FAILED(panic: sim: proc 1 panicked: proc 1: simulated body bug)"; !strings.Contains(out, want) {
+		t.Fatalf("no %s in:\n%s", want, out)
+	}
+	for _, c := range e.Report().Cells {
+		if c.Key != key {
+			continue
+		}
+		if !strings.Contains(c.Stack, "experiments.panicOnProc") {
+			t.Fatalf("the failed cell's stack does not name the panicking body:\n%s", c.Stack)
+		}
+		return
+	}
+	t.Fatal("the panicked cell is not in the report")
 }
 
 func TestBuildSafeRecoversBuilderPanic(t *testing.T) {

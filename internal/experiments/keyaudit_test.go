@@ -8,14 +8,12 @@ package experiments
 // the decision to share cache entries across a knob must be deliberate.
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/barnes"
 	"o2k/internal/apps/cg"
-	"o2k/internal/mesh"
 )
 
 // mutant is one single-field mutation of a workload struct.
@@ -120,24 +118,12 @@ func auditKey(t *testing.T, name string, base any, key func(reflect.Value) strin
 }
 
 func TestPlanCacheKeysAuditEveryWorkloadField(t *testing.T) {
-	// Mesh workload in both shapes: single front, and with the colliding
-	// two-front variant set so the audit recurses into Collision's fields.
-	meshBases := []adaptmesh.Workload{adaptmesh.Small()}
-	{
-		w := adaptmesh.Small()
-		c := mesh.DefaultCollision(2)
-		w.Collision = &c
-		meshBases = append(meshBases, w)
-	}
-
-	for i, base := range meshBases {
-		auditKey(t, fmt.Sprintf("mesh/structure base%d", i), base,
-			func(v reflect.Value) string { return meshStructKey(v.Interface().(adaptmesh.Workload)) },
-			map[string]bool{"SolveIters": true, "AuxFields": true, "SasPageMigrate": true, "NoRemap": true})
-		auditKey(t, fmt.Sprintf("mesh/plans base%d", i), base,
-			func(v reflect.Value) string { return meshPlanKey(v.Interface().(adaptmesh.Workload), 4) },
-			map[string]bool{"SolveIters": true, "AuxFields": true, "SasPageMigrate": true})
-	}
+	auditKey(t, "mesh/structure", adaptmesh.Small(),
+		func(v reflect.Value) string { return meshStructKey(v.Interface().(adaptmesh.Workload)) },
+		map[string]bool{"SolveIters": true, "AuxFields": true, "SasPageMigrate": true, "NoRemap": true})
+	auditKey(t, "mesh/plans", adaptmesh.Small(),
+		func(v reflect.Value) string { return meshPlanKey(v.Interface().(adaptmesh.Workload), 4) },
+		map[string]bool{"SolveIters": true, "AuxFields": true, "SasPageMigrate": true})
 
 	auditKey(t, "nbody/structure", barnes.Small(),
 		func(v reflect.Value) string { return nbodyStructKey(v.Interface().(barnes.Workload)) },

@@ -54,8 +54,6 @@ type Config struct {
 	ShmPutOvNS    sim.Time // initiator overhead of a put
 	ShmGetOvNS    sim.Time // initiator overhead of a get (round trip setup)
 	ShmPerByteNS  sim.Time // per-byte cost on top of wire
-	ShmAtomicNS   sim.Time // remote atomic op (fetch-add, cswap) round trip
-	ShmFenceNS    sim.Time // fence/quiet completion cost
 	ShmBarrierHop sim.Time // per-tree-stage cost of a SHMEM barrier
 
 	// Shared address space (CC-SAS) synchronization.
@@ -101,8 +99,6 @@ func Default(procs int) Config {
 		ShmPutOvNS:    700,
 		ShmGetOvNS:    1100,
 		ShmPerByteNS:  4, // ~250 MB/s effective for block transfers
-		ShmAtomicNS:   1300,
-		ShmFenceNS:    600,
 		ShmBarrierHop: 1500,
 
 		SasLockNS:      900,

@@ -30,7 +30,6 @@ func T3E(procs int) Config {
 	c.ShmPutOvNS = 250 // E-register puts were famously cheap
 	c.ShmGetOvNS = 400
 	c.ShmPerByteNS = 2
-	c.ShmAtomicNS = 600
 	c.ShmBarrierHop = 400 // hardware barrier network
 
 	// CC-SAS on a T3E is emulated and slow: model it as very expensive
@@ -94,7 +93,6 @@ func ClusterOfSMPs(procs int) Config {
 	c.ShmPutOvNS = 5000 // one-sided emulated over the NIC
 	c.ShmGetOvNS = 7000
 	c.ShmPerByteNS = 9
-	c.ShmAtomicNS = 9000
 	c.ShmBarrierHop = 12000
 	c.SasLockNS = 6000
 	c.SasBarrierHop = 8000

@@ -183,31 +183,3 @@ func DecodeMovingFrontFrom(s *planio.Scanner) (MovingFront, error) {
 	w.DY = s.Float()
 	return w, s.Err()
 }
-
-// AppendTo writes the colliding-front pair.
-func (c CollidingFronts) AppendTo(pw *planio.Writer) {
-	pw.Word("o2kfronts")
-	pw.Int(1)
-	pw.Int(c.MaxLevel)
-	pw.End()
-	c.A.AppendTo(pw)
-	c.B.AppendTo(pw)
-}
-
-// DecodeCollidingFrontsFrom reads a colliding-front pair.
-func DecodeCollidingFrontsFrom(s *planio.Scanner) (CollidingFronts, error) {
-	var c CollidingFronts
-	s.Expect("o2kfronts")
-	if v := s.Int(); s.Err() == nil && v != 1 {
-		return c, fmt.Errorf("mesh: unsupported fronts version %d", v)
-	}
-	c.MaxLevel = s.IntRange(0, 30)
-	var err error
-	if c.A, err = DecodeMovingFrontFrom(s); err != nil {
-		return c, err
-	}
-	if c.B, err = DecodeMovingFrontFrom(s); err != nil {
-		return c, err
-	}
-	return c, s.Err()
-}

@@ -58,18 +58,6 @@ func TestFrontCodecsRoundTrip(t *testing.T) {
 	if got != front {
 		t.Fatalf("front round trip: %+v != %+v", got, front)
 	}
-
-	col := DefaultCollision(3)
-	var pw2 planio.Writer
-	col.AppendTo(&pw2)
-	s2 := planio.NewScanner(pw2.Bytes())
-	got2, err := DecodeCollidingFrontsFrom(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 != col {
-		t.Fatalf("collision round trip: %+v != %+v", got2, col)
-	}
 }
 
 // flipSample yields ~n corrupted copies of data, each with one bit flipped,

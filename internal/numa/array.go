@@ -183,14 +183,11 @@ func (a *Array[T]) PlaceBlock() {
 
 // PlaceByElem homes each page on ownerOf(first element in the page). This is
 // the deterministic stand-in for first-touch placement: pass the same owner
-// function the application uses to initialize the array.
-func (a *Array[T]) PlaceByElem(ownerOf func(elem int) int) { a.RehomeByElem(ownerOf) }
-
-// RehomeByElem re-places every page like PlaceByElem and returns how many
-// pages actually changed home — the input to a page-migration cost model.
-// It must only be called while no processor is accessing the array (between
-// SPMD regions or at a rendezvous).
-func (a *Array[T]) RehomeByElem(ownerOf func(elem int) int) (moved int) {
+// function the application uses to initialize the array. It returns how many
+// pages changed home — the input to a page-migration cost model — and must
+// only be called while no processor is accessing the array (between SPMD
+// regions or at a rendezvous).
+func (a *Array[T]) PlaceByElem(ownerOf func(elem int) int) (moved int) {
 	pb := uint64(a.sp.M.Cfg.PageBytes)
 	for pg := range a.pageHome {
 		o := ownerOf(max(min(int(uint64(pg)*pb/a.elemSize), len(a.data)-1), 0))

@@ -12,12 +12,12 @@ func TestRehomeByElem(t *testing.T) {
 	sp, _ := space(4)
 	a := NewShared[float64](sp, 8192) // 4 pages at 16KB/8B
 	a.PlaceUniform(0)
-	moved := a.RehomeByElem(func(e int) int { return (e / 2048) % 4 })
+	moved := a.PlaceByElem(func(e int) int { return (e / 2048) % 4 })
 	if moved != 3 { // page 0 stays on proc 0
 		t.Fatalf("moved %d pages, want 3", moved)
 	}
 	// Re-homing to the same layout moves nothing.
-	if again := a.RehomeByElem(func(e int) int { return (e / 2048) % 4 }); again != 0 {
+	if again := a.PlaceByElem(func(e int) int { return (e / 2048) % 4 }); again != 0 {
 		t.Fatalf("idempotent rehome moved %d", again)
 	}
 	for pg := 0; pg < 4; pg++ {

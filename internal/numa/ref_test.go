@@ -134,7 +134,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 	shS := NewShared[float64](sp, 1500)
 	shS.PlaceBlock()
 	if tc.place != nil {
-		for _, a := range []interface{ PlaceByElem(func(int) int) }{shA, shB, shX, shY, shM, shC, shS} {
+		for _, a := range []interface{ PlaceByElem(func(int) int) int }{shA, shB, shX, shY, shM, shC, shS} {
 			a.PlaceByElem(tc.place)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 )
 
 // PanicError is the cached error of a cell whose compute panicked. The owner
@@ -13,7 +14,24 @@ import (
 type PanicError struct {
 	Cell   string // the cell's human-readable label
 	Reason any    // the recovered panic value
-	Stack  []byte // stack of the computing goroutine at panic time
+	Stack  []byte // stack of the panicking code (CellStat.Stack reports it)
+}
+
+// stackCarrier is a panic value that carries the stack it was raised on: a
+// *sim.ProcPanic, a processor body's panic the scheduler re-raised.
+type stackCarrier interface{ PanicStack() []byte }
+
+// panicError wraps the panic value r recovered from cell label's code. A
+// stackCarrier gives its own stack; any other value gets the recover site's,
+// which still holds the panicking frames.
+func panicError(label string, r any) *PanicError {
+	pe := &PanicError{Cell: label, Reason: r}
+	if s, ok := r.(stackCarrier); ok {
+		pe.Stack = s.PanicStack()
+	} else {
+		pe.Stack = debug.Stack()
+	}
+	return pe
 }
 
 func (e *PanicError) Error() string {

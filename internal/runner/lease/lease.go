@@ -105,12 +105,11 @@ type record struct {
 // harness's lease-owner audit is built on these: acquire/renew/release/lost
 // events from every worker, merged and checked for overlapping holds.
 type Event struct {
-	Kind  string    `json:"ev"` // acquire | steal | renew | release | lost
-	Key   string    `json:"key"`
-	Owner string    `json:"owner"`
-	Seq   int64     `json:"seq"`
-	T     time.Time `json:"-"`
-	TNano int64     `json:"t"` // T as unix nanos, for the JSONL audit stream
+	Kind  string `json:"ev"` // acquire | steal | renew | release | lost
+	Key   string `json:"key"`
+	Owner string `json:"owner"`
+	Seq   int64  `json:"seq"`
+	TNano int64  `json:"t"` // wall time as unix nanos, for the JSONL audit stream
 }
 
 // Config parameterizes a Manager. Dir is required; everything else has a
@@ -241,8 +240,7 @@ func (m *Manager) emit(kind, key string, seq int64) {
 	if m.cfg.Hook == nil {
 		return
 	}
-	now := time.Now()
-	m.cfg.Hook(Event{Kind: kind, Key: key, Owner: m.cfg.Owner, Seq: seq, T: now, TNano: now.UnixNano()})
+	m.cfg.Hook(Event{Kind: kind, Key: key, Owner: m.cfg.Owner, Seq: seq, TNano: time.Now().UnixNano()})
 }
 
 func (m *Manager) note(counter *int64) {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -21,6 +22,7 @@ type CellStat struct {
 	InFlight bool          `json:"in_flight,omitempty"` // still computing at snapshot time
 	FromDisk bool          `json:"from_disk,omitempty"` // served from the persistent cache
 	Kind     string        `json:"kind,omitempty"`      // codec classification ("metrics", "plan", "characteristics")
+	Stack    string        `json:"stack,omitempty"`     // the panicking code's stack, when the failure is a panic
 }
 
 // Report is the engine's execution summary: how many cell requests the
@@ -86,6 +88,10 @@ func (e *Engine) Report() *Report {
 			}
 			if c.err != nil {
 				s.Err = c.err.Error()
+				var pe *PanicError
+				if errors.As(c.err, &pe) {
+					s.Stack = string(pe.Stack)
+				}
 				r.Failures++
 			}
 		default:

@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -389,7 +388,7 @@ func (e *Engine) run(c *cell, rh Hook, prepare Prepare) (val any, err error) {
 func (e *Engine) prepare(ctx context.Context, rh Hook, label string, stage Prepare) (compute Compute, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Cell: label, Reason: r, Stack: debug.Stack()}
+			err = panicError(label, r)
 		}
 		if err != nil {
 			err = &prepareError{err: err}
@@ -432,7 +431,7 @@ func (e *Engine) attempt(ctx context.Context, label string, compute Compute) (va
 		defer func() { <-e.sem }()
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- outcome{err: &PanicError{Cell: label, Reason: r, Stack: debug.Stack()}, held: time.Since(start)}
+				ch <- outcome{err: panicError(label, r), held: time.Since(start)}
 			}
 		}()
 		v, err := compute(ctx)

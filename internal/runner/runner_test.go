@@ -146,6 +146,28 @@ func TestPanickingCellDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// A panicking compute's stack reaches the report, where it names the frame
+// that panicked; the failure's label and a plain failure's record stay as
+// they were.
+func TestPanicStackReachesReport(t *testing.T) {
+	e := New(1)
+	_, err := e.Do("bad", "bad cell", func(context.Context) (any, error) { panic("boom") })
+	if got := FailLabel(err); got != "FAILED(panic: boom)" {
+		t.Fatalf("FailLabel = %q", got)
+	}
+	e.Do("plain", "plain failure", func(context.Context) (any, error) { return nil, errors.New("plain") })
+	stacks := map[string]string{}
+	for _, c := range e.Report().Cells {
+		stacks[c.Key] = c.Stack
+	}
+	if !strings.Contains(stacks["bad"], "TestPanicStackReachesReport") {
+		t.Fatalf("the panicked cell's stack does not name the panicking function:\n%s", stacks["bad"])
+	}
+	if stacks["plain"] != "" {
+		t.Fatalf("a plain failure reports a stack:\n%s", stacks["plain"])
+	}
+}
+
 func TestCellError(t *testing.T) {
 	e := New(1)
 	sentinel := errors.New("compute says no")

@@ -201,6 +201,10 @@ type ProcPanic struct {
 	Stack []byte // the body's stack at panic time
 }
 
+// PanicStack returns the body's stack at panic time: where the bug is, which
+// the stack of whoever recovers the re-raised panic does not show.
+func (e *ProcPanic) PanicStack() []byte { return e.Stack }
+
 func (e *ProcPanic) Error() string {
 	return fmt.Sprintf("sim: proc %d panicked: %v", e.Rank, e.Value)
 }

@@ -3,6 +3,7 @@ package o2k_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -12,8 +13,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -40,10 +43,9 @@ var unreached = map[string]string{
 	"runner/diskcache.FaultFS":         "fault seam: its Fail*/Flip*/Truncate*/Match knobs and Ops/Links counters",
 	"runner/diskcache.WithFS":          "fault seam: opens a cache over a FaultFS",
 	"runner/diskcache.WithFingerprint": "fault seam: opens a cache as another build, for the version-fence tests",
-	"mesh.DefaultCollision":            "test workload: the two-front stress case of adaptmesh.Workload.Collision, which no experiment selects (ROADMAP item 4(ii))",
 }
 
-const maxUnreached = 12
+const maxUnreached = 11
 
 // TestExportedNamesAreReached pins "no capability without a caller": every
 // exported package-level name and method under internal/ is referenced from a
@@ -61,13 +63,7 @@ func TestExportedNamesAreReached(t *testing.T) {
 	if len(unreached) > maxUnreached {
 		t.Fatalf("the unreached list has %d entries, at most %d may stay", len(unreached), maxUnreached)
 	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go tool on PATH")
-	}
-	w := newWorld(t)
-	for _, dir := range []string{".", "bench"} {
-		w.load(t, dir)
-	}
+	w := loadedWorld(t)
 
 	used := map[types.Object]bool{}
 	for id, obj := range w.info.Uses {
@@ -140,6 +136,169 @@ func TestExportedNamesAreReached(t *testing.T) {
 	}
 }
 
+// liveExempt is the allow-list of TestFieldsAreLive, each entry with the
+// reason it stays. An entry pkg.Type is an untagged JSON payload: encoding/json
+// reads every field of it, so none needs a reader in the code. An entry
+// pkg.Type.Field is a field that breaks a rule. The list is capped, and an
+// entry that excuses nothing fails the test.
+var liveExempt = map[string]string{
+	"core.Metrics":             "encoded: the cache payload and the GET /v1/cells body, written by encoding/json without tags",
+	"runner/lease.Config.Seed": "test seam: tests pin the backoff and poll jitter; 0 derives one per process",
+	"server.Config.Hook":       "test seam: tests chain their own observer onto the daemon's engine events",
+}
+
+const maxLiveExempt = 3
+
+// knobTypes are the structs a run is configured through: besides being read,
+// every field of one must be set by a non-test file, or it is a switch that
+// nothing can turn.
+var knobTypes = []string{
+	"machine.Config", "mesh.MovingFront",
+	"apps/adaptmesh.Workload", "apps/barnes.Workload", "apps/cg.Workload", "apps/stencil.Workload",
+	"experiments.Opts", "experiments.Request",
+	"runner.Policy", "server.Config", "runner/lease.Config",
+}
+
+// TestFieldsAreLive is TestExportedNamesAreReached for struct fields, which a
+// name rule cannot see: a cost parameter nothing charges, or a switch nothing
+// sets, compiles and type-checks forever. Two rules, over the non-test files
+// of both modules:
+//
+//  1. Every exported field of an exported struct under internal/ is read: a
+//     selector that is not the target of an assignment or ++/--, &x.f, or a
+//     json tag other than "-" (encoding/json reads the field).
+//  2. Every field of a knob type is also set: an assignment, a
+//     composite-literal key (or a positional literal), or &x.f.
+//
+// Fields of generic types are counted on their declaration.
+func TestFieldsAreLive(t *testing.T) {
+	if len(liveExempt) > maxLiveExempt {
+		t.Fatalf("the field allow-list has %d entries, at most %d may stay", len(liveExempt), maxLiveExempt)
+	}
+	w := loadedWorld(t)
+	read, set := w.fieldUses()
+
+	structs := map[string]*types.Named{}
+	for _, p := range w.checked {
+		short, internal := strings.CutPrefix(p.Path(), "o2k/internal/")
+		if !internal {
+			continue
+		}
+		for _, n := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok {
+				if _, ok := named.Underlying().(*types.Struct); ok {
+					structs[short+"."+n] = named
+				}
+			}
+		}
+	}
+	knobs := map[string]bool{}
+	for _, name := range knobTypes {
+		if structs[name] == nil {
+			t.Errorf("knob type %s is not an exported struct under internal/", name)
+		}
+		knobs[name] = true
+	}
+
+	matched := map[string]bool{}
+	var dead []string
+	for typeName, named := range structs {
+		st := named.Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			name := typeName + "." + f.Name()
+			var why []string
+			if f.Exported() && !read[f] && !jsonTagged(st.Tag(i)) {
+				if liveExempt[typeName] != "" {
+					matched[typeName] = true
+				} else {
+					why = append(why, "read")
+				}
+			}
+			if knobs[typeName] && !set[f] {
+				why = append(why, "set")
+			}
+			switch {
+			case len(why) == 0:
+			case liveExempt[name] != "":
+				matched[name] = true
+			default:
+				dead = append(dead, name+": never "+strings.Join(why, " or ")+" by a non-test file of either module")
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Error(d)
+	}
+	for name := range liveExempt {
+		if !matched[name] {
+			t.Errorf("%s is on the field allow-list but excuses nothing (or is gone): drop the entry", name)
+		}
+	}
+}
+
+// jsonTagged reports whether a field's tag names it for encoding/json.
+func jsonTagged(tag string) bool {
+	v, ok := reflect.StructTag(tag).Lookup("json")
+	name, _, _ := strings.Cut(v, ",")
+	return ok && name != "-"
+}
+
+// fieldUses walks every checked non-test file and returns the struct fields
+// it reads and those it sets, each on its declaration (Origin).
+func (w *world) fieldUses() (read, set map[*types.Var]bool) {
+	read, set = map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, f := range w.files {
+		targets := map[ast.Expr]bool{} // a statement is visited before its operands
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					targets[ast.Unparen(lhs)] = true
+				}
+			case *ast.IncDecStmt:
+				targets[ast.Unparen(n.X)] = true
+			case *ast.SelectorExpr:
+				if sel := w.info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
+					v := sel.Obj().(*types.Var)
+					if targets[n] {
+						set[v.Origin()] = true
+					} else {
+						read[v.Origin()] = true
+					}
+				}
+			case *ast.UnaryExpr:
+				if x, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+					if v, ok := w.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+						set[v.Origin()] = true
+					}
+				}
+			case *ast.CompositeLit:
+				st, ok := w.info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if v, ok := w.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							set[v.Origin()] = true
+						}
+					} else {
+						set[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return read, set
+}
+
 // world is both modules type-checked into one universe of objects: module
 // packages from source, in dependency order, so a use in one package and the
 // declaration in another are the same types.Object.
@@ -149,14 +308,46 @@ type world struct {
 	exports    map[string]string         // std import path → export data file
 	bySource   map[string]*types.Package // module packages checked so far
 	checked    []*types.Package
+	files      []*ast.File // the non-test files of every checked package
 	recvIdents map[*ast.Ident]bool
 	imp        types.Importer
 }
 
-func newWorld(t *testing.T) *world {
+var (
+	worldOnce sync.Once
+	theWorld  *world
+	worldErr  error
+)
+
+// loadedWorld type-checks both modules once per test binary; every test that
+// asks shares the result.
+func loadedWorld(t *testing.T) *world {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	worldOnce.Do(func() {
+		w := newWorld()
+		for _, dir := range []string{".", "bench"} {
+			if worldErr = w.load(dir); worldErr != nil {
+				return
+			}
+		}
+		theWorld = w
+	})
+	if worldErr != nil {
+		t.Fatal(worldErr)
+	}
+	return theWorld
+}
+
+func newWorld() *world {
 	w := &world{
-		fset:       token.NewFileSet(),
-		info:       &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 		exports:    map[string]string{},
 		bySource:   map[string]*types.Package{},
 		recvIdents: map[*ast.Ident]bool{},
@@ -183,13 +374,13 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // load type-checks every package of the module rooted at dir, non-test files
 // only. `go list -deps` lists a package after its dependencies.
-func (w *world) load(t *testing.T, dir string) {
+func (w *world) load(dir string) error {
 	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard", "./...")
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list in %s: %v", dir, err)
+		return fmt.Errorf("go list in %s: %v", dir, err)
 	}
 	for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
 		var p struct {
@@ -198,9 +389,9 @@ func (w *world) load(t *testing.T, dir string) {
 			Standard                bool
 		}
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return nil
 		} else if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if p.Standard {
 			w.exports[p.ImportPath] = p.Export
@@ -213,7 +404,7 @@ func (w *world) load(t *testing.T, dir string) {
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(w.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
 			files = append(files, f)
 			for _, d := range f.Decls {
@@ -229,10 +420,11 @@ func (w *world) load(t *testing.T, dir string) {
 		}
 		pkg, err := (&types.Config{Importer: w.imp}).Check(p.ImportPath, w.fset, files, w.info)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			return fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		w.bySource[p.ImportPath] = pkg
 		w.checked = append(w.checked, pkg)
+		w.files = append(w.files, files...)
 	}
 }
 
