@@ -187,20 +187,14 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 		oldFields = append(append(oldFields, uOldArr[node]), auxOldArr[node]...)
 		numa.CopyFields(p, fields, oldFields, laneSlice(pl.LocalKeep[node], lane, nodeP))
 		if leader {
-			for dst := 0; dst < world.Size(); dst++ {
+			for _, dst := range pl.MoveTo[node] {
 				lst := pl.MoveSend[node][dst]
-				if len(lst) == 0 {
-					continue
-				}
 				vals := buf(nf * len(lst))
 				numa.GatherFields(p, oldFields, lst, vals)
 				mp.Send(r, dst, tagMig, vals)
 			}
-			for src := 0; src < world.Size(); src++ {
+			for _, src := range pl.MoveFrom[node] {
 				lst := pl.MoveSend[src][node]
-				if len(lst) == 0 {
-					continue
-				}
 				numa.ScatterFields(p, fields, lst, mp.Recv[float64](r, src, tagMig))
 			}
 		}
@@ -238,20 +232,14 @@ func hybridCycle(p *sim.Proc, mach *machine.Machine, world *mp.World, w Workload
 				coth.Flush()
 			}
 			phc := p.SetPhase(sim.PhaseComm)
-			for q := 0; q < world.Size(); q++ {
+			for _, q := range dec.Touches[node] {
 				lst := dec.Border[node][q]
-				if len(lst) == 0 {
-					continue
-				}
 				vals := buf(len(lst))
 				acc.GatherIdx(p, lst, vals)
 				mp.Send(r, q, tagPartial, vals)
 			}
-			for q := 0; q < world.Size(); q++ {
+			for _, q := range dec.TouchedBy[node] {
 				lst := dec.Border[q][node]
-				if len(lst) == 0 {
-					continue
-				}
 				numa.AddIdx(p, acc, lst, mp.Recv[float64](r, q, tagPartial))
 			}
 			p.SetPhase(phc)

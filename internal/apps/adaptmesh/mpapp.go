@@ -118,7 +118,7 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 		oldFields := make([]*numa.Array[float64], 0, nf)
 		oldFields = append(append(oldFields, uOldArr[me]), auxOldArr[me]...)
 		numa.CopyFields(p, fields, oldFields, pl.LocalKeep[me])
-		for dst := 0; dst < r.Size(); dst++ {
+		for _, dst := range pl.MoveTo[me] {
 			lst := pl.MoveSend[me][dst]
 			if len(lst) == 0 {
 				continue
@@ -127,7 +127,7 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 			numa.GatherFields(p, oldFields, lst, vals)
 			mp.Send(r, dst, tagMig, vals)
 		}
-		for src := 0; src < r.Size(); src++ {
+		for _, src := range pl.MoveFrom[me] {
 			lst := pl.MoveSend[src][me]
 			if len(lst) == 0 {
 				continue
@@ -147,7 +147,7 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 		edgeFlux(p, mach, u, acc, pl.EdgeA[me], pl.EdgeB[me])
 		// Partial sums to vertex owners.
 		phc := p.SetPhase(sim.PhaseComm)
-		for q := 0; q < r.Size(); q++ {
+		for _, q := range dec.Touches[me] {
 			lst := dec.Border[me][q]
 			if len(lst) == 0 {
 				continue
@@ -156,7 +156,7 @@ func mpCycle(r *mp.Rank, mach *machine.Machine, w Workload, pl, prev *CyclePlan,
 			acc.GatherIdx(p, lst, vals)
 			mp.Send(r, q, tagPartial, vals)
 		}
-		for q := 0; q < r.Size(); q++ {
+		for _, q := range dec.TouchedBy[me] {
 			lst := dec.Border[q][me]
 			if len(lst) == 0 {
 				continue
@@ -182,7 +182,7 @@ func mpGhostExchange(r *mp.Rank, pl *CyclePlan, u *numa.Array[float64], scratch 
 	p := r.P
 	dec := pl.Dec
 	defer p.SetPhase(p.SetPhase(sim.PhaseComm))
-	for q := 0; q < r.Size(); q++ {
+	for _, q := range dec.TouchedBy[me] {
 		lst := dec.Border[q][me] // q touches these; I own them
 		if len(lst) == 0 {
 			continue
@@ -194,7 +194,7 @@ func mpGhostExchange(r *mp.Rank, pl *CyclePlan, u *numa.Array[float64], scratch 
 		u.GatherIdx(p, lst, vals)
 		mp.Send(r, q, tagGhost, vals)
 	}
-	for q := 0; q < r.Size(); q++ {
+	for _, q := range dec.Touches[me] {
 		lst := dec.Border[me][q] // I touch these; q owns them
 		if len(lst) == 0 {
 			continue

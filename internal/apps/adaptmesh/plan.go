@@ -34,6 +34,11 @@ type CyclePlan struct {
 	// ones.
 	MoveSend [][][]int32
 
+	// MoveTo[p] and MoveFrom[p] list, ascending, the q with a non-empty
+	// MoveSend[p][q] and MoveSend[q][p]: the processors a migration loop
+	// sends to and receives from.
+	MoveTo, MoveFrom [][]int
+
 	// LocalKeep[p] lists vertex IDs whose values stay on p across the cycle.
 	LocalKeep [][]int32
 
@@ -208,12 +213,15 @@ func (p *CyclePlan) expandLeaves(v int32, out []int32) []int32 {
 	return p.expandLeaves(b, out)
 }
 
-// buildMigration fills MoveSend, LocalKeep and InterpOwned.
+// buildMigration fills MoveSend, MoveTo, MoveFrom, LocalKeep and
+// InterpOwned.
 func (p *CyclePlan) buildMigration(nprocs int) {
 	p.MoveSend = make([][][]int32, nprocs)
 	for s := range p.MoveSend {
 		p.MoveSend[s] = make([][]int32, nprocs)
 	}
+	p.MoveTo = make([][]int, nprocs)
+	p.MoveFrom = make([][]int, nprocs)
 	p.LocalKeep = make([][]int32, nprocs)
 	p.InterpOwned = make([][]int32, nprocs)
 	if p.PrevOwner == nil {
@@ -261,7 +269,12 @@ func (p *CyclePlan) buildMigration(nprocs int) {
 	for s := 0; s < nprocs; s++ {
 		sortAsc(p.LocalKeep[s])
 		for d := 0; d < nprocs; d++ {
+			if len(p.MoveSend[s][d]) == 0 {
+				continue
+			}
 			sortAsc(p.MoveSend[s][d])
+			p.MoveTo[s] = append(p.MoveTo[s], d)
+			p.MoveFrom[d] = append(p.MoveFrom[d], s)
 		}
 		// OwnedVerts is ascending already, so InterpOwned is too.
 	}

@@ -1,16 +1,30 @@
 package adaptmesh
 
 import (
+	"slices"
 	"testing"
 )
 
 // Every owned vertex of a cycle must be seeded by exactly one mechanism:
 // kept locally, received from a previous owner, or interpolated. This is
 // the invariant that makes the remap phase correct in all three models.
+// The migration loops range over MoveTo and MoveFrom, so those must be
+// exactly the non-empty rows and columns of MoveSend, on built and on
+// decoded plans alike.
 func TestMigrationCoversEveryOwnedVertex(t *testing.T) {
 	w := Small()
+	st := BuildStructure(w)
 	for _, nprocs := range []int{2, 4, 7} {
-		plans := BuildPlans(w, nprocs)
+		plans := st.Plans(nprocs, w.NoRemap)
+		decoded, err := st.DecodePlans(EncodePlans(plans, nprocs), nprocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range [][]*CyclePlan{plans, decoded} {
+			for ci, pl := range seq {
+				checkMovePeers(t, pl, nprocs, ci)
+			}
+		}
 		for ci := 1; ci < len(plans); ci++ {
 			pl := plans[ci]
 			// source[v]: how many mechanisms deliver v's value to its owner.
@@ -42,6 +56,27 @@ func TestMigrationCoversEveryOwnedVertex(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkMovePeers fails t unless pl's MoveTo and MoveFrom list, ascending,
+// the non-empty rows and columns of MoveSend.
+func checkMovePeers(t *testing.T, pl *CyclePlan, nprocs, ci int) {
+	t.Helper()
+	for p := 0; p < nprocs; p++ {
+		var to, from []int
+		for q := 0; q < nprocs; q++ {
+			if len(pl.MoveSend[p][q]) > 0 {
+				to = append(to, q)
+			}
+			if len(pl.MoveSend[q][p]) > 0 {
+				from = append(from, q)
+			}
+		}
+		if !slices.Equal(pl.MoveTo[p], to) || !slices.Equal(pl.MoveFrom[p], from) {
+			t.Fatalf("nprocs=%d cycle %d proc %d: MoveTo %v MoveFrom %v, MoveSend pattern %v %v",
+				nprocs, ci, p, pl.MoveTo[p], pl.MoveFrom[p], to, from)
 		}
 	}
 }

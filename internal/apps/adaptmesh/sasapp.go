@@ -178,11 +178,11 @@ func sasCycle(c *sas.Ctx, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		acc.FillIdx(p, pl.Clear[me], 0)
 		edgeFlux(p, mach, u, acc, pl.EdgeA[me], pl.EdgeB[me])
 		// Publish partial sums for foreign-owned vertices.
-		for q := 0; q < c.Size(); q++ {
+		for _, q := range dec.Touches[me] {
 			numa.PackIdx(p, contrib, lay.off[me][q], acc, dec.Border[me][q])
 		}
 		c.Barrier()
-		for q := 0; q < c.Size(); q++ {
+		for _, q := range dec.TouchedBy[me] {
 			numa.AddGather(p, acc, dec.Border[q][me], contrib, lay.off[q][me])
 		}
 		vertexUpdate(p, mach, u, acc, dec.OwnedVerts[me], pl.Deg)

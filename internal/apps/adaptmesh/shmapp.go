@@ -159,7 +159,7 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 			oldFields = append(oldFields, auxOld[k].Local(pe))
 		}
 		numa.CopyFields(p, fields, oldFields, pl.LocalKeep[me])
-		for dst := 0; dst < pe.Size(); dst++ {
+		for _, dst := range pl.MoveTo[me] {
 			lst := pl.MoveSend[me][dst]
 			if len(lst) == 0 {
 				continue
@@ -170,7 +170,7 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		}
 		pe.Barrier()
 		migL := mig.Local(pe)
-		for src := 0; src < pe.Size(); src++ {
+		for _, src := range pl.MoveFrom[me] {
 			lst := pl.MoveSend[src][me]
 			numa.UnpackFields(p, migL, nf*lay.offMig[me][src], fields, lst)
 		}
@@ -188,7 +188,7 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		edgeFlux(p, mach, uL, accL, pl.EdgeA[me], pl.EdgeB[me])
 		// Push partial sums into the owners' contribution blocks.
 		phc := p.SetPhase(sim.PhaseComm)
-		for q := 0; q < pe.Size(); q++ {
+		for _, q := range dec.Touches[me] {
 			lst := dec.Border[me][q]
 			if len(lst) == 0 {
 				continue
@@ -200,7 +200,7 @@ func shmCycle(pe *shm.PE, mach *machine.Machine, w Workload, pl, prev *CyclePlan
 		p.SetPhase(phc)
 		pe.Barrier()
 		contribL := contrib.Local(pe)
-		for q := 0; q < pe.Size(); q++ {
+		for _, q := range dec.TouchedBy[me] {
 			numa.AddGather(p, accL, dec.Border[q][me], contribL, lay.offIn[me][q])
 		}
 		vertexUpdate(p, mach, uL, accL, dec.OwnedVerts[me], pl.Deg)
@@ -220,7 +220,7 @@ func shmGhostPush(pe *shm.PE, pl *CyclePlan, u *shm.Sym[float64], uL *numa.Array
 	p := pe.P
 	dec := pl.Dec
 	defer p.SetPhase(p.SetPhase(sim.PhaseComm))
-	for q := 0; q < pe.Size(); q++ {
+	for _, q := range dec.TouchedBy[me] {
 		lst := dec.Border[q][me]
 		if len(lst) == 0 {
 			continue

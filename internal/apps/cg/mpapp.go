@@ -54,7 +54,7 @@ func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,
 	for it := 0; it < w.Iters; it++ {
 		// Refresh ghost copies of the search direction.
 		phc := pc.SetPhase(sim.PhaseComm)
-		for dst := 0; dst < r.Size(); dst++ {
+		for _, dst := range dec.TouchedBy[me] {
 			lst := dec.Border[dst][me]
 			if len(lst) == 0 {
 				continue
@@ -65,7 +65,7 @@ func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,
 			}
 			mp.Send(r, dst, tagGhost, vals)
 		}
-		for src := 0; src < r.Size(); src++ {
+		for _, src := range dec.Touches[me] {
 			lst := dec.Border[me][src]
 			if len(lst) == 0 {
 				continue
@@ -80,7 +80,7 @@ func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,
 		// Matvec: q = A p via owned edges plus partial exchange.
 		matvec(pc, mach, pl, me, pv, q)
 		phc = pc.SetPhase(sim.PhaseComm)
-		for dst := 0; dst < r.Size(); dst++ {
+		for _, dst := range dec.Touches[me] {
 			lst := dec.Border[me][dst]
 			if len(lst) == 0 {
 				continue
@@ -91,7 +91,7 @@ func mpCG(r *mp.Rank, mach *machine.Machine, w Workload, pl *Plan,
 			}
 			mp.Send(r, dst, tagPartial, vals)
 		}
-		for src := 0; src < r.Size(); src++ {
+		for _, src := range dec.TouchedBy[me] {
 			lst := dec.Border[src][me]
 			if len(lst) == 0 {
 				continue

@@ -84,7 +84,7 @@ func sasCG(c *sas.Ctx, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 	for it := 0; it < w.Iters; it++ {
 		// Matvec straight off the shared direction vector.
 		matvec(pc, mach, pl, me, pv, q)
-		for dst := 0; dst < c.Size(); dst++ {
+		for _, dst := range dec.Touches[me] {
 			lst := dec.Border[me][dst]
 			off := offIn[me][dst]
 			for i, vid := range lst {
@@ -92,7 +92,7 @@ func sasCG(c *sas.Ctx, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 			}
 		}
 		c.Barrier()
-		for src := 0; src < c.Size(); src++ {
+		for _, src := range dec.TouchedBy[me] {
 			lst := dec.Border[src][me]
 			off := offIn[src][me]
 			for i, vid := range lst {

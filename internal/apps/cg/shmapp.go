@@ -64,7 +64,7 @@ func shmCG(pe *shm.PE, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 	for it := 0; it < w.Iters; it++ {
 		// Push my owned direction values into the neighbours' copies.
 		phc := pc.SetPhase(sim.PhaseComm)
-		for dst := 0; dst < pe.Size(); dst++ {
+		for _, dst := range dec.TouchedBy[me] {
 			lst := dec.Border[dst][me]
 			if len(lst) == 0 {
 				continue
@@ -81,7 +81,7 @@ func shmCG(pe *shm.PE, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 		// Matvec.
 		matvec(pc, mach, pl, me, pv, q)
 		phc = pc.SetPhase(sim.PhaseComm)
-		for dst := 0; dst < pe.Size(); dst++ {
+		for _, dst := range dec.Touches[me] {
 			lst := dec.Border[me][dst]
 			if len(lst) == 0 {
 				continue
@@ -94,7 +94,7 @@ func shmCG(pe *shm.PE, mach *machine.Machine, w Workload, pl *Plan, offIn [][]in
 		}
 		pc.SetPhase(phc)
 		pe.Barrier()
-		for src := 0; src < pe.Size(); src++ {
+		for _, src := range dec.TouchedBy[me] {
 			lst := dec.Border[src][me]
 			off := offIn[me][src]
 			for i, vid := range lst {

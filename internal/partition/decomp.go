@@ -37,6 +37,13 @@ type Decomp struct {
 	// flow q→p over the same lists.
 	Border [][][]int32
 
+	// Touches[p] lists, ascending, the q with a non-empty Border[p][q]: the
+	// owners p sends partial sums to and receives ghost values from.
+	// TouchedBy[p] lists, ascending, the q with a non-empty Border[q][p]: the
+	// processors p receives partial sums from and sends ghost values to. An
+	// exchange loop ranges over these instead of all P processors.
+	Touches, TouchedBy [][]int
+
 	EdgeCut int // edges whose adjacent triangles have different owners
 }
 
@@ -87,28 +94,37 @@ func NewDecomp(m *mesh.Mesh, triOwner []int32, nparts int) *Decomp {
 		}
 	}
 
-	// Border lists: vertices my edges touch that someone else owns.
-	seen := make([][]bool, nparts) // seen[p][v] — lazily allocated bitsets
+	// Border lists: vertices my edges touch that someone else owns. Walking
+	// each processor's edges in turn (ascending, as the global edge order
+	// visits them) lets one stamp per vertex, 1+p, mark what p has listed.
+	seen := make([]int32, nv)
 	d.Border = make([][][]int32, nparts)
 	for p := 0; p < nparts; p++ {
 		d.Border[p] = make([][]int32, nparts)
-		seen[p] = make([]bool, nv)
-	}
-	for e := 0; e < ne; e++ {
-		p := d.EdgeOwner[e]
-		for _, v := range d.M.Edges[e] {
-			q := d.VertOwner[v]
-			if q != p && !seen[p][v] {
-				seen[p][v] = true
-				d.Border[p][q] = append(d.Border[p][q], v)
+		stamp := int32(1 + p)
+		for _, e := range d.OwnedEdges[p] {
+			for _, v := range d.M.Edges[e] {
+				if q := d.VertOwner[v]; q != int32(p) && seen[v] != stamp {
+					seen[v] = stamp
+					d.Border[p][q] = append(d.Border[p][q], v)
+				}
 			}
 		}
 	}
 	// Edge iteration is in ascending edge order, and Edges store (min,max)
-	// pairs, but border vertices must be ascending per (p,q) list: sort.
+	// pairs, but border vertices must be ascending per (p,q) list: sort. The
+	// same pass records the non-empty lists as peer lists; ascending p and q
+	// keep both ascending.
+	d.Touches = make([][]int, nparts)
+	d.TouchedBy = make([][]int, nparts)
 	for p := 0; p < nparts; p++ {
 		for q := 0; q < nparts; q++ {
+			if len(d.Border[p][q]) == 0 {
+				continue
+			}
 			sortInt32s(d.Border[p][q])
+			d.Touches[p] = append(d.Touches[p], q)
+			d.TouchedBy[q] = append(d.TouchedBy[q], p)
 		}
 	}
 	return d
