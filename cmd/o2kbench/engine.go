@@ -78,7 +78,7 @@ func (f *engineFlags) build(ctx context.Context, shard, shards int) *runner.Engi
 }
 
 // leaseAuditEnv, when set to a path prefix, makes every lease-protocol event
-// of this process append to <prefix>.<pid>.jsonl. The chaos harness merges
+// of this process append to <prefix>.<pid>.jsonl. The fleet tests merge
 // these streams into the lease-owner audit (no two overlapping holds per
 // cell); it is an env var rather than a flag so that it reaches every
 // process of a fleet without riding the worker argv.
@@ -87,7 +87,7 @@ const leaseAuditEnv = "O2K_LEASE_AUDIT"
 // leaseAuditHook wires the lease manager's protocol events to the JSONL
 // audit stream named by O2K_LEASE_AUDIT (nil hook when unset). Each process
 // appends to its own <prefix>.<pid>.jsonl, so SIGKILL can at worst truncate
-// the final line of one file; the chaos test merges and tolerates that.
+// the final line of one file; the fleet tests merge and tolerate that.
 func leaseAuditHook() func(lease.Event) {
 	prefix := os.Getenv(leaseAuditEnv)
 	if prefix == "" {

@@ -5,7 +5,7 @@
 //	o2kbench [-exp name] [-quick] [-procs 1,2,4|preset] [-format text|json] [-list] [-version]
 //	         [-jobs N] [-timeout d] [-runreport[=text|json]]
 //	         [-cache dir] [-cache-verify] [-cache-clear]
-//	         [-workers N] [-worker-restarts N] [-chaos-kill d] [-leases]
+//	         [-workers N] [-leases]
 //	         [-trace f] [-trace-exp name] [-trace-ascii] [-phasereport]
 //	         [-cpuprofile f] [-memprofile f]
 //	o2kbench serve [-addr :8080] [-cache dir] [-leases] [-inflight N] [-queue N] ...
@@ -53,11 +53,10 @@
 // -workers N (DESIGN.md §5.10) shards the sweep across N forked worker
 // subprocesses that coordinate through per-cell lease files in the -cache
 // directory (required): each cell is computed by exactly one live worker,
-// crashed workers are respawned from a -worker-restarts budget and their
-// in-flight cells reclaimed through lease stealing, and the parent merges by
-// a final in-process pass over the warm cache — so stdout is byte-identical
-// to a single-process run even if every worker dies. -chaos-kill d is the
-// built-in chaos harness: it SIGKILLs a random live worker every d.
+// a killed worker's in-flight cells are reclaimed by the others through
+// lease stealing, and the parent merges by a final in-process pass over the
+// warm cache — so stdout is byte-identical to a single-process run even if
+// every worker dies.
 // SIGINT/SIGTERM on the parent drain the fleet (SIGTERM, then SIGKILL after
 // a deadline) before the parent itself exits. -leases joins the same
 // coordination from independently-launched processes sharing one cache.
@@ -199,7 +198,7 @@ var flagGroups = []struct {
 		"jobs", "timeout", "runreport",
 		"cache", "cache-verify", "cache-clear"}},
 	{"Multi-process sweeps", []string{
-		"workers", "worker-restarts", "chaos-kill", "worker", "leases"}},
+		"workers", "worker", "leases"}},
 	{"Observability and profiling", []string{
 		"trace", "trace-exp", "trace-ascii", "phasereport",
 		"cpuprofile", "memprofile"}},
@@ -391,8 +390,6 @@ func run() int {
 	cacheVerify := flag.Bool("cache-verify", false, "with -cache: validate every entry, evict bad ones, sweep orphaned temp and\nstale lease files, and exit (1 if any entries were bad)")
 	cacheClear := flag.Bool("cache-clear", false, "with -cache: remove every entry and exit")
 	workers := flag.Int("workers", 0, "run the sweep as this many worker subprocesses sharing -cache (requires -cache);\nthe parent merges by a final in-process pass over the warm cache")
-	workerRestarts := flag.Int("worker-restarts", 32, "with -workers: total respawn budget for workers that die to a signal")
-	chaosKill := flag.Duration("chaos-kill", 0, "with -workers: SIGKILL a random live worker this often (chaos harness; 0 = off)")
 	workerSpec := flag.String("worker", "", "run as worker i/N of a fleet (set by -workers; requires -cache): enables\nleases with shard bias i of N")
 	list := flag.Bool("list", false, "list every experiment name, its aliases, and its description")
 	version := flag.Bool("version", false, "print the build identity and cache version fence, then exit")
@@ -458,8 +455,8 @@ func run() int {
 		}
 	}
 	switch {
-	case *workers < 0 || *workerRestarts < 0 || *chaosKill < 0:
-		return usageErr(errors.New("-workers, -worker-restarts, and -chaos-kill must be >= 0"))
+	case *workers < 0:
+		return usageErr(errors.New("-workers must be >= 0"))
 	case *workers > 1 && *workerSpec != "":
 		return usageErr(errors.New("-workers (orchestrate) and -worker (be a worker) are mutually exclusive"))
 	case (*workers > 1 || *workerSpec != "" || ef.leases) && ef.cache == "":
@@ -495,14 +492,12 @@ func run() int {
 		// Orchestrator mode (DESIGN.md §5.10): fork the fleet, let it populate
 		// the shared cache under lease coordination, then fall through to the
 		// normal in-process run below — against the now-warm cache, that run
-		// IS the merge, and it recomputes whatever a crashed fleet left
+		// IS the merge, and it recomputes whatever a killed worker left
 		// missing. Orchestration failures are therefore only warnings.
 		// A worker is this same command line with -worker i/N in place of
 		// -workers: the request and the engine flags render themselves.
 		if err := orchestrate(ctx, orchCfg{
-			workers:   *workers,
-			restarts:  *workerRestarts,
-			chaosKill: *chaosKill,
+			workers: *workers,
 			args: append([]string{"-exp=" + req.Exp, "-quick=" + strconv.FormatBool(req.Quick), "-procs=" + req.Procs},
 				ef.argv()...),
 		}); err != nil {

@@ -1,10 +1,10 @@
 package main
 
 // Subprocess tests for the multi-process sweep surface (DESIGN.md §5.10):
-// flag validation, and the chaos acceptance run — a worker fleet under a
-// continuous kill loop must still produce stdout byte-identical to a
-// single-process run, leave a verifiable cache, and never hold one cell's
-// lease from two live owners at once.
+// flag validation, a worker fleet that loses a worker to SIGKILL — it must
+// still produce stdout byte-identical to a single-process run, leave a
+// verifiable cache, and never hold one cell's lease from two live owners at
+// once — and a fleet drained by SIGTERM on its parent.
 
 import (
 	"bytes"
@@ -12,32 +12,89 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
-// o2kbenchEnv is o2kbench with extra environment entries (KEY=VALUE).
-func o2kbenchEnv(t *testing.T, args string, extraEnv ...string) (stdout, stderr string, code int) {
+// fleetRun is an o2kbench process started with the lease audit on.
+type fleetRun struct {
+	cmd       *exec.Cmd
+	out, errb bytes.Buffer
+	done      chan struct{} // closed once the process has exited
+}
+
+// startFleet starts o2kbench with args, its lease audit streaming to
+// <audit>.<pid>.jsonl. Cleanup SIGTERMs a run the test left behind, so its
+// parent drains any workers it forked.
+func startFleet(t *testing.T, args, audit string) *fleetRun {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(append(os.Environ(), extraEnv...), mainArgsEnv+"="+args)
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err = cmd.Run()
-	switch e := err.(type) {
-	case nil:
-	case *exec.ExitError:
-		code = e.ExitCode()
-	default:
-		t.Fatalf("running %q: %v", args, err)
+	r := &fleetRun{cmd: exec.Command(exe), done: make(chan struct{})}
+	r.cmd.Env = append(os.Environ(), leaseAuditEnv+"="+audit, mainArgsEnv+"="+args)
+	r.cmd.Stdout, r.cmd.Stderr = &r.out, &r.errb
+	if err := r.cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	return out.String(), errb.String(), code
+	go func() { r.cmd.Wait(); close(r.done) }()
+	t.Cleanup(func() {
+		r.cmd.Process.Signal(syscall.SIGTERM)
+		<-r.done
+	})
+	return r
+}
+
+// wait returns the run's exit code once it has exited.
+func (r *fleetRun) wait() int {
+	<-r.done
+	return r.cmd.ProcessState.ExitCode()
+}
+
+// poll calls found every few milliseconds until it reports true, failing the
+// test if the run exits first or a deadline passes.
+func (r *fleetRun) poll(t *testing.T, what string, found func() bool) {
+	t.Helper()
+	deadline := time.After(60 * time.Second)
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for !found() {
+		select {
+		case <-r.done:
+			t.Fatalf("run exited before %s (stderr: %s)", what, r.errb.String())
+		case <-deadline:
+			t.Fatalf("no %s within 60s", what)
+		case <-tick.C:
+		}
+	}
+}
+
+// auditPIDs maps the pid of every process with an audit file under prefix to
+// whether that file holds an acquire event yet.
+func auditPIDs(t *testing.T, prefix string) map[int]bool {
+	t.Helper()
+	files, err := filepath.Glob(prefix + ".*.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := map[int]bool{}
+	for _, f := range files {
+		pid, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(f, prefix+"."), ".jsonl"))
+		if err != nil {
+			t.Fatalf("audit file %s: %v", f, err)
+		}
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids[pid] = bytes.Contains(data, []byte(`"ev":"acquire"`))
+	}
+	return pids
 }
 
 func TestCLIWorkersValidation(t *testing.T) {
@@ -143,45 +200,51 @@ func readAuditSessions(t *testing.T, prefix string) []auditSession {
 	return sessions
 }
 
-// TestCLIChaosWorkers is the acceptance run: a 4-worker sweep under a kill
-// loop respawns at least one worker, produces byte-identical stdout, verifies
-// clean, and the lease audit shows no cell ever held by two live owners at
-// once. The respawn budget bounds the unlucky case in which no worker
-// outlives the kill cadence long enough to finish: 64 respawns x 100 ms is
-// under 7 s before the slots give up and the parent's merge pass computes
-// what is missing (a budget of 1024 made that case 103 s).
-func TestCLIChaosWorkers(t *testing.T) {
+// TestCLIFleetWorkerKilled is the crash-tolerance acceptance run: a
+// 2-worker quick sweep loses a worker to SIGKILL once it holds its first
+// lease, yet exits 0 with stdout byte-identical to a single-process run,
+// verifies clean, and the lease audit shows no cell ever held by two live
+// owners at once. The dead worker is not replaced: its peer steals its
+// leases once they go stale, and the parent's merge pass computes whatever
+// is still missing.
+func TestCLIFleetWorkerKilled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	refDir, chaosDir := t.TempDir(), t.TempDir()
 	suite := "-quick -exp all "
-
-	refOut, stderr, code := o2kbench(t, suite+"-cache "+refDir)
+	refOut, stderr, code := o2kbench(t, suite)
 	if code != 0 {
 		t.Fatalf("reference run exited %d (stderr: %s)", code, stderr)
 	}
 
-	audit := filepath.Join(chaosDir, "audit")
-	chaosOut, stderr, code := o2kbenchEnv(t,
-		suite+"-cache "+chaosDir+" -workers 4 -chaos-kill 100ms -worker-restarts 64",
-		leaseAuditEnv+"="+audit)
-	if code != 0 {
-		t.Fatalf("chaos run exited %d (stderr: %s)", code, stderr)
+	dir := t.TempDir()
+	audit := filepath.Join(dir, "audit")
+	fleet := startFleet(t, suite+"-cache "+dir+" -workers 2", audit)
+	victim := 0
+	fleet.poll(t, "worker acquire in the lease audit", func() bool {
+		for pid, acquired := range auditPIDs(t, audit) {
+			if acquired {
+				victim = pid
+				return true
+			}
+		}
+		return false
+	})
+	if err := syscall.Kill(victim, syscall.SIGKILL); err != nil {
+		t.Fatalf("killing worker %d: %v", victim, err)
 	}
-	if chaosOut != refOut {
-		t.Fatalf("chaos-run stdout differs from the single-process run:\n--- ref ---\n%s\n--- chaos ---\n%s", refOut, chaosOut)
+	if code := fleet.wait(); code != 0 {
+		t.Fatalf("fleet run exited %d (stderr: %s)", code, fleet.errb.String())
 	}
-	m := regexp.MustCompile(`(\d+) respawn\(s\) used`).FindStringSubmatch(stderr)
-	if m == nil {
-		t.Fatalf("no fleet summary on stderr:\n%s", stderr)
+	if out := fleet.out.String(); out != refOut {
+		t.Fatalf("fleet stdout differs from the single-process run:\n--- ref ---\n%s\n--- fleet ---\n%s", refOut, out)
 	}
-	if m[1] == "0" {
-		t.Fatalf("the kill loop cost no worker its life — nothing was tested:\n%s", stderr)
+	if !strings.Contains(fleet.errb.String(), " 1 killed") {
+		t.Fatalf("fleet summary does not report the killed worker:\n%s", fleet.errb.String())
 	}
 
-	if _, stderr, code := o2kbench(t, "-cache "+chaosDir+" -cache-verify"); code != 0 {
-		t.Fatalf("-cache-verify after the chaos run exited %d (stderr: %s)", code, stderr)
+	if _, stderr, code := o2kbench(t, "-cache "+dir+" -cache-verify"); code != 0 {
+		t.Fatalf("-cache-verify after the kill exited %d (stderr: %s)", code, stderr)
 	}
 
 	// Lease-owner audit: for every cell, live hold intervals from different
@@ -203,5 +266,40 @@ func TestCLIChaosWorkers(t *testing.T) {
 					key, prev.owner, prev.start, prev.end, cur.owner, cur.start, cur.end)
 			}
 		}
+	}
+}
+
+// TestCLIFleetDrainOnSIGTERM is the fleet's shutdown path: SIGTERM on the
+// parent of a full-scale 2-worker sweep drains both workers, renders the
+// unfinished cells FAILED(cancelled), exits 1 with no worker left alive, and
+// leaves a cache that verifies clean.
+func TestCLIFleetDrainOnSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	audit := filepath.Join(dir, "audit")
+	fleet := startFleet(t, "-exp all -cache "+dir+" -workers 2", audit)
+	var workers map[int]bool
+	fleet.poll(t, "audit files from both workers", func() bool {
+		workers = auditPIDs(t, audit)
+		return len(workers) == 2
+	})
+	if err := fleet.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := fleet.wait(); code != 1 {
+		t.Fatalf("drained fleet exited %d, want 1 (stderr: %s)", code, fleet.errb.String())
+	}
+	if !strings.Contains(fleet.out.String(), "FAILED(cancelled") {
+		t.Fatalf("drained fleet rendered no cancelled cell:\n%s", fleet.out.String())
+	}
+	for pid := range workers {
+		if syscall.Kill(pid, 0) == nil {
+			t.Errorf("worker %d outlived its drained parent", pid)
+		}
+	}
+	if _, stderr, code := o2kbench(t, "-cache "+dir+" -cache-verify"); code != 0 {
+		t.Fatalf("-cache-verify after the drain exited %d (stderr: %s)", code, stderr)
 	}
 }

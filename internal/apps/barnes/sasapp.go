@@ -86,7 +86,7 @@ func sasStep(c *sas.Ctx, mach *machine.Machine, w Workload, pl *StepPlan,
 	lo, hi := c.Range(t.NumCells())
 	for cc := lo; cc < hi; cc++ {
 		cell := &t.Cells[cc]
-		cells.Store3At(p, 3*cc, cell.CX, cell.CY, cell.CM)
+		cells.StoreRange(p, 3*cc, []float64{cell.CX, cell.CY, cell.CM})
 	}
 	p.SetPhase(phT)
 	c.Barrier()

@@ -324,17 +324,6 @@ func UnpackFields[T any](p *sim.Proc, src *Array[T], srcOff int, dsts []*Array[T
 	p.Advance(lat + sim.Time(hits)*src.cacheHitNS)
 }
 
-// Store3At writes elements i, i+1, i+2 in order with a single Advance.
-func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
-	c := a.probe(p.ID())
-	var lat sim.Time
-	a.chargeAcc(p, c, a.lineOf(i), true, &lat)
-	a.chargeAcc(p, c, a.lineOf(i+1), true, &lat)
-	a.chargeAcc(p, c, a.lineOf(i+2), true, &lat)
-	p.Advance(lat)
-	a.data[i], a.data[i+1], a.data[i+2] = v0, v1, v2
-}
-
 // StoreRange copies vals into elements [lo, lo+len(vals)), charging every
 // element like Store with one Advance: the span walk of TouchRange, counting
 // an access per element.

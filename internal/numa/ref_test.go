@@ -291,7 +291,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 				}
 				UnpackFields(p, own, rng.Intn(len(own.data)-len(dsts)*len(idx)), dsts, idx)
 			case 10:
-				tgt.Store3At(p, rng.Intn(len(tgt.data)-2), float64(step), 1, 2)
+				tgt.StoreRange(p, rng.Intn(len(tgt.data)-2), []float64{float64(step), 1, 2})
 			}
 		case 12:
 			// A flux-shaped ChargeLoop over index lists: per edge (a, b) loads of
@@ -999,20 +999,6 @@ func TestHelpersMatchElementLoops(t *testing.T) {
 				for f, a := range dsts {
 					a.Store(p, int(i), src.Load(p, off+len(dsts)*k+f))
 				}
-			}
-		}},
-		{"Store3At", func(e *f64, p *sim.Proc, rng *rand.Rand, bulk bool) {
-			// Three calls, so that some straddle a line.
-			a := e.tgt(p, rng)
-			for range 3 {
-				i, v := rng.Intn(helperLen-2), float64(rng.Intn(1000))
-				if bulk {
-					a.Store3At(p, i, v, v+1, v+2)
-					continue
-				}
-				a.Store(p, i, v)
-				a.Store(p, i+1, v+1)
-				a.Store(p, i+2, v+2)
 			}
 		}},
 		{"StoreRange/8-byte elements", storeRangeCall[float64]},

@@ -57,8 +57,7 @@ import (
 // Defaults for Config's tuning knobs. Heartbeat and Stale trade reclaim
 // latency against steal safety: a SIGKILLed owner's cells come back after
 // ~Stale, while a live owner would have to pause for the whole Stale window
-// (120 missed heartbeat opportunities… well, Stale/Heartbeat of them) to be
-// stolen from.
+// (Stale/Heartbeat = 20 missed heartbeats) to be stolen from.
 const (
 	DefaultHeartbeat = 100 * time.Millisecond
 	DefaultStale     = 2 * time.Second
