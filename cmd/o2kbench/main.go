@@ -11,7 +11,7 @@
 //	o2kbench serve [-addr :8080] [-cache dir] [-leases] [-inflight N] [-queue N] ...
 //
 // `o2kbench serve` runs the engine as a long-running HTTP daemon
-// (internal/server, DESIGN.md §5.11): POST /v1/experiments streams per-cell
+// (internal/server, DESIGN.md §5.10): POST /v1/experiments streams per-cell
 // NDJSON and finishes with the CLI's exact stdout bytes, GET /v1/cells/...
 // answers single-cell queries, and /v1/report, /v1/cache, /healthz, and
 // /metrics expose the run telemetry. See serve.go for its flag set.
@@ -26,9 +26,9 @@
 // -procs takes either an explicit comma-separated list or a named preset
 // (paper, scale128, scale256, scale1024) for sweeps past the paper's
 // 64-processor ceiling; a simulated gang of any size runs on one host thread
-// (DESIGN.md §5.7).
+// (DESIGN.md §5.1).
 //
-// The trace flags are the observability subsystem (DESIGN.md §5.6): they
+// The trace flags are the observability subsystem (DESIGN.md §5.11): they
 // re-run one application cell with phase-timeline recording enabled —
 // -trace-exp selects it ("mesh", "nbody", "stencil", "cg", or "hybrid",
 // models narrowed like "mesh/mp"; hybrid is single-model) at
@@ -41,7 +41,7 @@
 // re-simulation outside the memoized engine, stdout of the experiment
 // tables is byte-identical whether or not any trace flag is given.
 //
-// -cache DIR attaches a persistent, crash-safe cell cache (DESIGN.md §5.5):
+// -cache DIR attaches a persistent, crash-safe cell cache (DESIGN.md §5.8):
 // completed metrics cells are stored content-addressed under DIR and served
 // to later invocations, making repeat runs near-instant. The cache is
 // strictly an accelerator — any failure (unreadable directory, corrupt or
@@ -50,7 +50,7 @@
 // never depend on cache state. -cache-verify scans and evicts bad entries,
 // -cache-clear empties the cache; both exit without running experiments.
 //
-// -workers N (DESIGN.md §5.10) shards the sweep across N forked worker
+// -workers N (DESIGN.md §5.9) shards the sweep across N forked worker
 // subprocesses that coordinate through per-cell lease files in the -cache
 // directory (required): each cell is computed by exactly one live worker,
 // a killed worker's in-flight cells are reclaimed by the others through
@@ -64,12 +64,12 @@
 // -timeout is the one bound on a cell: a wall-clock deadline on its whole
 // computation, so a cell that is merely slow renders FAILED(timeout). A
 // deadlocked simulation needs no bound — the scheduler proves the deadlock
-// the moment no simulated processor can run (DESIGN.md §5.7) and the cell
+// the moment no simulated processor can run (DESIGN.md §5.1) and the cell
 // renders FAILED(panic: … stalled …) at once.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the inputs to
-// the hot-path work recorded in DESIGN.md §5.4); profiles go to separate
-// files and never touch stdout.
+// the measurements in NOTEBOOK.md); profiles go to separate files and never
+// touch stdout.
 //
 // Experiments are resolved through the experiments registry: every
 // experiment answers to its semantic name (mesh-speedup) and its paper
@@ -83,7 +83,7 @@
 // plus phase aggregates when tracing ran). stdout carries only the tables
 // and stays byte-identical at any -jobs value.
 //
-// Failure semantics (DESIGN.md §5.3): a cell that panics, exceeds the
+// Failure semantics (DESIGN.md §5.7): a cell that panics, exceeds the
 // -timeout deadline, or is cancelled (SIGINT/SIGTERM) becomes a
 // FAILED(<reason>) table entry; the run continues and every healthy entry
 // keeps its exact bytes. Exit status: 0 all cells succeeded, 1 at least
@@ -472,7 +472,7 @@ func run() int {
 		return cacheMaintenance(ef.cache, *cacheClear, *cacheVerify)
 	}
 
-	// Tracing (DESIGN.md §5.6) re-runs one cell with phase recording on, so
+	// Tracing (DESIGN.md §5.11) re-runs one cell with phase recording on, so
 	// the memoized/cached path — and the bytes it produces — stay untouched.
 	// Validate the target before paying for the experiment suite.
 	tracing := *traceFile != "" || *traceASCII || *phaseReport
@@ -489,7 +489,7 @@ func run() int {
 	defer stop()
 
 	if *workers > 1 {
-		// Orchestrator mode (DESIGN.md §5.10): fork the fleet, let it populate
+		// Orchestrator mode (DESIGN.md §5.9): fork the fleet, let it populate
 		// the shared cache under lease coordination, then fall through to the
 		// normal in-process run below — against the now-warm cache, that run
 		// IS the merge, and it recomputes whatever a killed worker left

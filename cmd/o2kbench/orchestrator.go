@@ -1,6 +1,6 @@
 package main
 
-// The -workers orchestrator (DESIGN.md §5.10): shard a sweep across forked
+// The -workers orchestrator (DESIGN.md §5.9): shard a sweep across forked
 // worker subprocesses that cooperate through the cache directory's lease
 // layer, and leave the parent to render the merged result.
 //

@@ -1,7 +1,7 @@
 package main
 
 // The serve subcommand: `o2kbench serve -addr :8080` runs the experiment
-// engine as a long-running HTTP daemon (internal/server, DESIGN.md §5.11)
+// engine as a long-running HTTP daemon (internal/server, DESIGN.md §5.10)
 // instead of a one-shot table regeneration. Its engine comes from the same
 // engineFlags wiring as the CLI's (engine.go), so a daemon and a `-workers`
 // fleet sharing one -cache directory coordinate through the same lease files.

@@ -1,6 +1,6 @@
 package main
 
-// Subprocess tests for the multi-process sweep surface (DESIGN.md §5.10):
+// Subprocess tests for the multi-process sweep surface (DESIGN.md §5.9):
 // flag validation, a worker fleet that loses a worker to SIGKILL — it must
 // still produce stdout byte-identical to a single-process run, leave a
 // verifiable cache, and never hold one cell's lease from two live owners at

@@ -18,7 +18,7 @@ import (
 	"o2k/internal/runner/diskcache"
 )
 
-// The suite-level guarantees of the persistent cell cache (DESIGN.md §5.5):
+// The suite-level guarantees of the persistent cell cache (DESIGN.md §5.8):
 // a warm cache makes `-exp all` serve its metrics cells from disk with
 // byte-identical output at any -jobs value without touching the plan tier,
 // a partially warm one loads exactly what missed, and every injected fault —

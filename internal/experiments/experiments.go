@@ -1,5 +1,5 @@
 // Package experiments regenerates every (reconstructed) table and figure of
-// the evaluation — see DESIGN.md §5 for the experiment index and
+// the evaluation — see DESIGN.md §5.6 for the experiment index and
 // EXPERIMENTS.md for recorded results.
 //
 // Experiments are declared as Specs in one index (the literal below;
@@ -14,7 +14,7 @@
 // Request every front end — CLI flags, worker argv, POST body — reduces to
 // (registry.go). The engine underneath is generic.
 //
-// Cells carry errors (DESIGN.md §5.3): a cell that panicked, timed out, or
+// Cells carry errors (DESIGN.md §5.7): a cell that panicked, timed out, or
 // was cancelled renders as a FAILED(<reason>) table entry via the fmt*
 // helpers below, and the rest of the table — and the rest of the run — is
 // unaffected. Because failed cells only ever replace their own entries, the
@@ -24,6 +24,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/barnes"
@@ -119,7 +120,9 @@ func fmtU(r runner.Res, f func(core.Metrics) uint64) string {
 }
 
 // The experiment index, in paper order: the one literal every front end's
-// name resolves against.
+// name resolves against. init indexes it once; a spec without a name, title
+// or builder, a duplicate name or alias, or the reserved "all" panics, because
+// a broken table of contents should stop the program.
 func init() {
 	for _, s := range []Spec{
 		{Name: "workloads", Aliases: []string{"table1"},
@@ -154,7 +157,20 @@ func init() {
 			Title: "the study's falsifiable predictions, checked", Build: buildVerdicts,
 			Standalone: true},
 	} {
-		Register(s)
+		if s.Name == "" || s.Title == "" || s.Build == nil {
+			panic(fmt.Sprintf("experiments: incomplete spec %+v", s))
+		}
+		for _, n := range append([]string{s.Name}, s.Aliases...) {
+			n = strings.ToLower(n)
+			if n == "all" {
+				panic(`experiments: "all" is reserved`)
+			}
+			if _, dup := byName[n]; dup {
+				panic(fmt.Sprintf("experiments: duplicate experiment name %q", n))
+			}
+			byName[n] = len(registry)
+		}
+		registry = append(registry, s)
 	}
 }
 

@@ -24,7 +24,7 @@ type Spec struct {
 	// through e so unique cells are computed once and shared. ctx scopes the
 	// request: the CLI passes its signal context, the experiment server a
 	// per-HTTP-request context (cancelling it aborts only this request's
-	// uncommitted cells — DESIGN.md §5.11).
+	// uncommitted cells — DESIGN.md §5.7).
 	Build func(ctx context.Context, e *runner.Engine, o Opts) *core.Table
 	// Standalone experiments (the verdict checker) are excluded from "all".
 	Standalone bool
@@ -37,30 +37,6 @@ var (
 	registry []Spec
 	byName   = make(map[string]int)
 )
-
-// Register appends a spec to the index, from an init function only. Name,
-// Title, and Build are required; names and aliases are case-insensitive and
-// must be unique across the index. It panics on a bad spec: a broken table
-// of contents should stop the program. The product's one caller is the init
-// of experiments.go, over its literal; what keeps it exported is
-// internal/server's tests, which add a Standalone experiment whose cell
-// blocks on a gate.
-func Register(s Spec) {
-	if s.Name == "" || s.Title == "" || s.Build == nil {
-		panic(fmt.Sprintf("experiments: incomplete spec %+v", s))
-	}
-	for _, n := range append([]string{s.Name}, s.Aliases...) {
-		n = strings.ToLower(n)
-		if n == "all" {
-			panic(`experiments: "all" is reserved`)
-		}
-		if _, dup := byName[n]; dup {
-			panic(fmt.Sprintf("experiments: duplicate experiment name %q", n))
-		}
-		byName[n] = len(registry)
-	}
-	registry = append(registry, s)
-}
 
 // List returns every spec in index (paper) order.
 func List() []Spec { return append([]Spec(nil), registry...) }

@@ -38,7 +38,7 @@ type Array[T any] struct {
 	pageHome []int32 // home processor per page
 	shared   bool
 
-	// Hot-path caches, filled once in newArray (DESIGN.md §5.4). charge runs
+	// Hot-path caches, filled once in newArray (DESIGN.md §5.2). charge runs
 	// for every simulated access — millions per experiment — so the shifts
 	// replace the lineOf/pageOf divisions (LineBytes and PageBytes are
 	// validated powers of two) and the machine tables replace the per-miss
@@ -57,7 +57,7 @@ type Array[T any] struct {
 	writeLines [][]uint32 // per proc: line indices written this epoch
 	writeBits  [][]uint64 // per proc: dedup bitmap over line indices
 
-	// Sharer directory (shared arrays only; DESIGN.md §5.9): per line, the
+	// Sharer directory (shared arrays only; DESIGN.md §5.2): per line, the
 	// 1-based index of the first record of its sharer list in the space's arena
 	// (0 = no sharer; allocated by the first miss). Every miss that installs a
 	// line of this array in a cache links that cache's record (miss).

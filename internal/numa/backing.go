@@ -9,7 +9,7 @@ import (
 	"weak"
 )
 
-// Host backing for simulated arrays (DESIGN.md §5.4 "Host backing"). Only
+// Host backing for simulated arrays (DESIGN.md §5.2 "Host backing"). Only
 // host storage is decided here: simulated addresses, AllocBytes and every
 // charge are the same whichever way an array is backed.
 
@@ -17,7 +17,7 @@ import (
 // instead of a heap slice: BenchmarkPrivateSparseCycle reads 5.7 / 9.7 / 12 µs
 // per mapped array of 8 / 32 / 128 KB against 4.4 / 6.9 / 19 µs for make, and
 // end to end 16–64 KB read the same wall while 128 KB gives back half the
-// memory saved (DESIGN.md §5.4). A variable only so that tests can move it.
+// memory saved (DESIGN.md §5.2). A variable only so that tests can move it.
 var mapMinBytes uintptr = 32 << 10
 
 // mapBytes is the OS call, a variable so that a test can make it fail.
@@ -88,7 +88,7 @@ func allocData[T any](a *Array[T], n int) []T {
 // threads): on mapped tags a `-quick -exp all` pass read 12-22 % more wall,
 // on heap tags the parent's. From there up the tags are what a processor
 // could address, not what it touches, and the mapping is what keeps a
-// P = 1024 sweep at 200 MB (DESIGN.md §5.4 "Cache tags"). A variable only so
+// P = 1024 sweep at 200 MB (DESIGN.md §5.2 "Cache tags"). A variable only so
 // that tests can move it.
 var tagMapMinBytes = 16 << 20
 

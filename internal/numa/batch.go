@@ -1,6 +1,6 @@
 package numa
 
-// Batched costed access (DESIGN.md §5.9). The entry points here charge a
+// Batched costed access (DESIGN.md §5.2). The entry points here charge a
 // whole sequence of element accesses with one Advance instead of one per
 // element. Each helper performs its accesses in exactly the order the
 // equivalent element-at-a-time loop would — same cache probes, same LRU

@@ -347,7 +347,7 @@ func runTrace(t *testing.T, tc traceCfg, seed int64, useRef bool) traceResult {
 }
 
 // TestFastPathMatchesReference is the differential test for the optimized
-// cost model (DESIGN.md §5.4): the shift/table fast paths in array.go, the
+// cost model (DESIGN.md §5.2): the shift/table fast paths in array.go, the
 // cursor chains (Load, ChargeLoop over contiguous and
 // index streams: the footprint rule, the element loop), every batch
 // helper of batch.go on shared and private arrays, the batched
@@ -596,7 +596,7 @@ func runReplayCase[T any](t *testing.T, rc replayCase, seed int64, useRef bool, 
 }
 
 // TestReplayLoadsMatchesReference is the differential test of the trace
-// replay and its load footprint (DESIGN.md §5.9) against ref.go, regime by
+// replay and its load footprint (DESIGN.md §5.2) against ref.go, regime by
 // regime: cells that straddle a line at two line sizes, elements wider than
 // half a line (a cell then spans three lines), caches so small that the x/y/m
 // lines of a leaf alias into one set and most loads reorder a non-MRU way,

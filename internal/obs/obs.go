@@ -21,5 +21,5 @@
 // The subsystem is strictly additive: nothing in sim, runner, or the
 // experiments imports obs, and with tracing disabled (no hook attached, no
 // EnableTrace) no code in this package runs at all — the invariant behind
-// the byte-identity guarantee on `o2kbench -exp all` (DESIGN.md §5.6).
+// the byte-identity guarantee on `o2kbench -exp all` (DESIGN.md §5.11).
 package obs

@@ -1,6 +1,6 @@
 package runner
 
-// Per-request cancellation semantics (DESIGN.md §5.11): a requester leaving
+// Per-request cancellation semantics (DESIGN.md §5.7): a requester leaving
 // an in-flight cell drops its reference; the last reference leaving aborts
 // the compute and retires the cell, so the next request recomputes from
 // scratch — while a cell any other live request still wants survives its

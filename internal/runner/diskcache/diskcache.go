@@ -4,7 +4,7 @@
 // invocation and CI verdict job that points at the same directory.
 //
 // The store is built around one invariant — a broken cache may slow a run
-// down, but it can never change the run's bytes or fail it (DESIGN.md §5.5).
+// down, but it can never change the run's bytes or fail it (DESIGN.md §5.8).
 // Three mechanisms enforce it:
 //
 //   - atomic commits: an entry is written to a temp file in the same

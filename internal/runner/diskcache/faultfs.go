@@ -9,7 +9,7 @@ import (
 )
 
 // FaultFS wraps an FS and injects failures on demand. It is the test rig
-// behind the cache's graceful-degradation guarantees (DESIGN.md §5.5):
+// behind the cache's graceful-degradation guarantees (DESIGN.md §5.8):
 // every knob models one real-world failure, and the cache must treat all of
 // them as misses — never as fatal errors, never as trusted data.
 //

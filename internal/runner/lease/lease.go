@@ -1,5 +1,5 @@
 // Package lease is the cross-process single-flight layer of the persistent
-// cell cache (DESIGN.md §5.10): per-cell lease files in the cache directory
+// cell cache (DESIGN.md §5.9): per-cell lease files in the cache directory
 // that let N worker processes sharing one cache agree on who computes each
 // cell, while surviving any of those workers dying — even by SIGKILL — at
 // any instant.
@@ -358,7 +358,7 @@ func (m *Manager) take(key, path string, steal bool) (*Lease, Status) {
 		// Post-steal verification: give a zombie owner whose clobbering
 		// renewal raced our steal one heartbeat to surface, and yield if it
 		// did. This shrinks the double-hold window to a pause landing inside
-		// a microsecond-scale syscall gap (see DESIGN.md §5.10's failure
+		// a microsecond-scale syscall gap (see DESIGN.md §5.9's failure
 		// matrix); determinism and last-rename-wins make even that window
 		// harmless to correctness.
 		time.Sleep(m.cfg.Heartbeat)
@@ -406,7 +406,7 @@ func (m *Manager) tmpPath(path string) string {
 // foreign-shard key, wait out a Grace window (starting at first sight) to
 // give the preferred worker time to claim it. Returns true while deferring.
 func (m *Manager) deferToShardOwner(key string) bool {
-	if m.cfg.Shards <= 1 || ShardOf(key, m.cfg.Shards) == m.cfg.Shard || m.cfg.Grace <= 0 {
+	if m.cfg.Shards <= 1 || shardOf(key, m.cfg.Shards) == m.cfg.Shard || m.cfg.Grace <= 0 {
 		return false
 	}
 	now := time.Now()
@@ -420,10 +420,9 @@ func (m *Manager) deferToShardOwner(key string) bool {
 	return now.Sub(start) < m.cfg.Grace
 }
 
-// ShardOf maps a cell key to one of n shards (FNV-1a over the key bytes).
-// Exported so the orchestrator and tests agree with the manager on the
-// partition.
-func ShardOf(key string, n int) int {
+// shardOf maps a cell key to one of n shards (FNV-1a over the key bytes): the
+// shard whose manager claims a free lease on the key without deferring.
+func shardOf(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}

@@ -193,14 +193,14 @@ func TestInvalidKeyDegrades(t *testing.T) {
 }
 
 func TestShardOf(t *testing.T) {
-	if ShardOf(key("x"), 1) != 0 || ShardOf(key("x"), 0) != 0 {
+	if shardOf(key("x"), 1) != 0 || shardOf(key("x"), 0) != 0 {
 		t.Fatal("degenerate shard counts must map to 0")
 	}
 	counts := make([]int, 4)
 	for i := 0; i < 256; i++ {
-		s := ShardOf(key(fmt.Sprintf("cell-%d", i)), 4)
+		s := shardOf(key(fmt.Sprintf("cell-%d", i)), 4)
 		if s < 0 || s >= 4 {
-			t.Fatalf("ShardOf out of range: %d", s)
+			t.Fatalf("shardOf out of range: %d", s)
 		}
 		counts[s]++
 	}
@@ -220,7 +220,7 @@ func TestShardDeferenceThenCover(t *testing.T) {
 	var k string
 	for i := 0; ; i++ {
 		k = key(fmt.Sprintf("foreign-%d", i))
-		if ShardOf(k, 2) != cfg.Shard {
+		if shardOf(k, 2) != cfg.Shard {
 			break
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the engine's bridge to the cross-process single-flight layer
-// (internal/runner/lease, DESIGN.md §5.10). The in-memory memo map and the
+// (internal/runner/lease, DESIGN.md §5.9). The in-memory memo map and the
 // single-flight slot already guarantee each cell is computed once *per
 // process*; with a lease manager attached, the owner path of DoCached
 // extends that to once *per cache directory*: before computing a

@@ -27,9 +27,9 @@
 //
 // A cell's dependencies are a stage of the cell (Cell.Prepare), run only where
 // the cell itself has to be computed: a cell that is known, in memory or on
-// disk, is served without touching anything below it (DESIGN.md §5.2).
+// disk, is served without touching anything below it (DESIGN.md §5.7).
 //
-// Cells carry errors, not just values (DESIGN.md §5.3): a compute that
+// Cells carry errors, not just values (DESIGN.md §5.7): a compute that
 // panics, times out, or fails is published as the cell's error and served to
 // every requester, so one wedged cell degrades one table entry instead of
 // deadlocking the run. The engine is cancellable as a whole (NewWithPolicy's
@@ -52,7 +52,7 @@ import (
 
 // ErrCellAborted is the cancellation cause a cell's compute context carries
 // when every requester waiting on the cell has gone away before it completed
-// (per-request cancellation, DESIGN.md §5.11). It wraps context.Canceled, so
+// (per-request cancellation, DESIGN.md §5.7). It wraps context.Canceled, so
 // an aborted outcome is never persisted to the disk cache; the engine also
 // retires the cell from the memo map (and so from the report), so the next
 // request of the same key recomputes from scratch as if the cell had never

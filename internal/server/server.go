@@ -1,5 +1,5 @@
 // Package server is the long-running experiment-serving daemon behind
-// `o2kbench serve` (DESIGN.md §5.11): an HTTP/JSON front end over the same
+// `o2kbench serve` (DESIGN.md §5.10): an HTTP/JSON front end over the same
 // engine, registry, disk cache, and lease machinery the one-shot CLI uses.
 // It knows no application and parses no model name: a POST body is an
 // experiments.Request, and a cell URL is resolved against the application

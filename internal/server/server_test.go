@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -26,77 +27,66 @@ import (
 	"o2k/internal/runner/lease"
 )
 
-// The test-block experiment: one Standalone registry entry (so "all" and
-// the golden bytes never see it) whose single cell blocks on a package-level
-// gate. Tests reset the gate per engine; the cell key is constant, which is
-// fine because every test uses a fresh engine.
-var (
-	blockMu      sync.Mutex
-	blockGate    chan struct{}
-	blockStarted chan struct{}
-	blockCount   int
-)
+// smallExp is the request the in-flight tests keep in flight: a real quick
+// experiment of five cells (the cg mesh, its P = 2 plan and three run cells).
+const smallExp = `{"exp":"cg","quick":true,"procs":"2"}`
 
-// resetBlock arms the test-block cell with a fresh gate and returns it with
-// the compute-started signal channel.
-func resetBlock() (gate chan struct{}, started chan struct{}) {
-	blockMu.Lock()
-	defer blockMu.Unlock()
-	blockGate = make(chan struct{})
-	blockStarted = make(chan struct{}, 64)
-	blockCount = 0
-	return blockGate, blockStarted
-}
-
-// openBlock replaces the gate with an already-open one, so the next compute
-// finishes immediately.
-func openBlock() {
-	ch := make(chan struct{})
-	close(ch)
-	blockMu.Lock()
-	blockGate = ch
-	blockMu.Unlock()
-}
-
-func blockComputes() int {
-	blockMu.Lock()
-	defer blockMu.Unlock()
-	return blockCount
-}
-
-func init() {
-	experiments.Register(experiments.Spec{
-		Name:       "test-block",
-		Title:      "server-test cell that blocks on a gate",
-		Standalone: true,
-		Build: func(ctx context.Context, e *runner.Engine, o experiments.Opts) *core.Table {
-			blockMu.Lock()
-			gate, started := blockGate, blockStarted
-			blockMu.Unlock()
-			v, err := e.DoCell(ctx, runner.Cell{Key: "test-block-cell", Label: "test-block", Prepare: runner.Ready(func(cctx context.Context) (any, error) {
-				blockMu.Lock()
-				blockCount++
-				blockMu.Unlock()
-				select {
-				case started <- struct{}{}:
-				default:
-				}
-				select {
-				case <-gate:
-					return "ok", nil
-				case <-cctx.Done():
-					return nil, context.Cause(cctx)
-				}
+// holdSlot takes the one worker slot of eng, a runner.New(1) engine, with a
+// cell whose compute waits until release is called (at the latest when the
+// test ends). Until then every cell a request asks for stays in flight,
+// waiting for the slot. Call it after New, which hooks the engine.
+func holdSlot(t *testing.T, eng *runner.Engine) (release func()) {
+	t.Helper()
+	gate, held, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.DoCell(context.Background(), runner.Cell{Key: "slot-holder", Label: "slot holder",
+			Prepare: runner.Ready(func(context.Context) (any, error) {
+				close(held)
+				<-gate
+				return nil, nil
 			})})
-			tb := &core.Table{Title: "test-block", Header: []string{"result"}}
-			if err != nil {
-				tb.AddRow("FAILED(" + err.Error() + ")")
-			} else {
-				tb.AddRow(v.(string))
-			}
-			return tb
-		},
-	})
+	}()
+	select {
+	case <-held:
+	case <-done:
+		t.Fatal("the slot holder returned without holding the slot")
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate); <-done }) }
+	t.Cleanup(release)
+	return release
+}
+
+// computes tallies an engine's compute events per cell key, those that
+// succeeded and those that failed; its hook goes in Config.Hook.
+type computes struct {
+	mu         sync.Mutex
+	ok, failed map[string]int
+}
+
+func newComputes() *computes {
+	return &computes{ok: map[string]int{}, failed: map[string]int{}}
+}
+
+func (c *computes) hook(ev runner.Event) {
+	if ev.Kind != runner.EventCompute {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ev.Err == "" {
+		c.ok[ev.Key]++
+	} else {
+		c.failed[ev.Key]++
+	}
+}
+
+// counts returns copies of the two tallies.
+func (c *computes) counts() (ok, failed map[string]int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.ok), maps.Clone(c.failed)
 }
 
 // newTestServer stands up a Server over a fresh engine behind httptest.
@@ -198,8 +188,9 @@ func TestExperimentsStreamMatchesCLIBytes(t *testing.T) {
 }
 
 func TestConcurrentIdenticalSubmissionsComputeOnce(t *testing.T) {
-	gate, started := resetBlock()
-	ts, _, eng := newTestServer(t, Config{MaxInflight: 16})
+	cc := newComputes()
+	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1), MaxInflight: 16, Hook: cc.hook})
+	release := holdSlot(t, eng)
 
 	const n = 8
 	type resp struct {
@@ -209,25 +200,24 @@ func TestConcurrentIdenticalSubmissionsComputeOnce(t *testing.T) {
 	results := make(chan resp, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			code, _, res := postExperiment(t, ts.URL, `{"exp":"test-block"}`)
+			code, _, res := postExperiment(t, ts.URL, smallExp)
 			results <- resp{code, res}
 		}()
 	}
-	<-started
 	// All other submissions must be waiting on the one in-flight compute.
 	waitCond(t, "7 deduplicated requests", func() bool {
 		for _, c := range eng.Report().Cells {
-			if c.Label == "test-block" && c.Dedups >= n-1 {
+			if c.Dedups >= n-1 {
 				return true
 			}
 		}
 		return false
 	})
-	close(gate)
+	release()
 	var first string
 	for i := 0; i < n; i++ {
 		r := <-results
-		if r.code != http.StatusOK || r.res.Exit != 0 || !strings.Contains(r.res.Output, "ok") {
+		if r.code != http.StatusOK || r.res.Exit != 0 || !strings.Contains(r.res.Output, "Figure 14") {
 			t.Fatalf("client %d: code=%d res=%+v", i, r.code, r.res)
 		}
 		if first == "" {
@@ -236,20 +226,27 @@ func TestConcurrentIdenticalSubmissionsComputeOnce(t *testing.T) {
 			t.Fatalf("clients received different bytes")
 		}
 	}
-	if got := blockComputes(); got != 1 {
-		t.Fatalf("%d identical submissions ran the compute %d times, want exactly 1", n, got)
+	ok, failed := cc.counts()
+	if len(failed) != 0 || len(ok) != eng.Report().Unique {
+		t.Fatalf("computes: %v succeeded and %v failed for %d unique cells", ok, failed, eng.Report().Unique)
+	}
+	for key, k := range ok {
+		if k != 1 {
+			t.Fatalf("%d identical submissions ran cell %s %d times, want exactly 1", n, key, k)
+		}
 	}
 }
 
 func TestClientDisconnectAbortsOnlyItsCells(t *testing.T) {
-	_, started := resetBlock()
-	ts, _, eng := newTestServer(t, Config{})
+	cc := newComputes()
+	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1), Hook: cc.hook})
+	release := holdSlot(t, eng)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/experiments",
-			strings.NewReader(`{"exp":"test-block"}`))
+			strings.NewReader(smallExp))
 		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
 			_, err = io.Copy(io.Discard, resp.Body)
@@ -257,25 +254,32 @@ func TestClientDisconnectAbortsOnlyItsCells(t *testing.T) {
 		}
 		done <- err
 	}()
-	<-started
+	waitCond(t, "the request's cells in flight", func() bool { return eng.Report().Unique > 1 })
 
-	// Mid-stream disconnect: the request's only cell loses its last
-	// reference, is aborted, and retired from the engine.
+	// Mid-stream disconnect: the request's cells lose their last reference,
+	// are aborted, and retired from the engine; the slot holder is left.
 	cancel()
 	<-done
-	waitCond(t, "aborted cell retirement", func() bool { return eng.Report().Unique == 0 })
+	waitCond(t, "aborted cell retirement", func() bool { return eng.Report().Unique == 1 })
+	ok, aborted := cc.counts()
+	if len(ok) != 0 || len(aborted) == 0 {
+		t.Fatalf("computes before the slot is free: %v succeeded, %v aborted; want only aborts, at least one", ok, aborted)
+	}
 
-	// The key recomputes for the next client as if it had never been asked.
-	openBlock()
-	code, _, res := postExperiment(t, ts.URL, `{"exp":"test-block"}`)
-	if code != http.StatusOK || res.Exit != 0 || !strings.Contains(res.Output, "ok") {
+	// The keys recompute for the next client as if they had never been asked.
+	release()
+	code, _, res := postExperiment(t, ts.URL, smallExp)
+	if code != http.StatusOK || res.Exit != 0 || !strings.Contains(res.Output, "Figure 14") {
 		t.Fatalf("post-disconnect request: code=%d res=%+v", code, res)
 	}
-	if got := blockComputes(); got != 2 {
-		t.Fatalf("compute ran %d times, want 2 (aborted attempt + recompute)", got)
+	ok, _ = cc.counts()
+	for key := range aborted {
+		if ok[key] != 1 {
+			t.Fatalf("aborted cell %s recomputed %d times, want 1 (aborted attempt + recompute)", key, ok[key])
+		}
 	}
-	if rep := eng.Report(); rep.Unique != 1 || rep.Failures != 0 {
-		t.Fatalf("engine report after recompute: unique=%d failures=%d", rep.Unique, rep.Failures)
+	if rep := eng.Report(); rep.Unique != len(ok) || rep.Failures != 0 {
+		t.Fatalf("engine report after recompute: unique=%d failures=%d, %d cells computed", rep.Unique, rep.Failures, len(ok))
 	}
 }
 
@@ -291,16 +295,16 @@ func scrapeMetrics(t *testing.T, url string) string {
 }
 
 func TestAdmissionQueueOverflowAnswers429(t *testing.T) {
-	gate, started := resetBlock()
-	ts, _, _ := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 1})
+	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1), MaxInflight: 1, MaxQueue: 1})
+	release := holdSlot(t, eng)
 
 	results := make(chan int, 2)
 	post := func() {
-		code, _, _ := postExperiment(t, ts.URL, `{"exp":"test-block"}`)
+		code, _, _ := postExperiment(t, ts.URL, smallExp)
 		results <- code
 	}
-	go post() // request A: takes the run slot, blocks on the gate
-	<-started
+	go post() // request A: takes the run slot; its cells wait for the held engine slot
+	waitCond(t, "request A's cells in flight", func() bool { return eng.Report().Unique > 1 })
 	go post() // request B: waits in the queue
 	waitCond(t, "one queued request", func() bool {
 		return strings.Contains(scrapeMetrics(t, ts.URL), "o2k_requests_pending 2")
@@ -308,7 +312,7 @@ func TestAdmissionQueueOverflowAnswers429(t *testing.T) {
 
 	// Request C: beyond inflight+queue — refused, fast.
 	resp, err := http.Post(ts.URL+"/v1/experiments", "application/json",
-		strings.NewReader(`{"exp":"test-block"}`))
+		strings.NewReader(smallExp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +322,7 @@ func TestAdmissionQueueOverflowAnswers429(t *testing.T) {
 		t.Fatalf("overflow request got %d (%s), want 429", resp.StatusCode, body)
 	}
 
-	close(gate)
+	release()
 	for i := 0; i < 2; i++ {
 		if code := <-results; code != http.StatusOK {
 			t.Fatalf("admitted request %d finished with %d", i, code)
@@ -338,7 +342,7 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	if resp, _ := http.Get(ts.URL + "/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz after drain: %d, want 503", resp.StatusCode)
 	}
-	code, _, res := postExperiment(t, ts.URL, `{"exp":"test-block"}`)
+	code, _, res := postExperiment(t, ts.URL, smallExp)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("POST after drain: code=%d res=%+v, want 503", code, res)
 	}
@@ -402,16 +406,15 @@ func TestCellEndpointSourcesAndValidation(t *testing.T) {
 	// Validation comes before admission: with the only run slot taken and the
 	// queue full, an invalid cell is still answered 4xx at once — never 429,
 	// never parked — and takes no queue position.
-	gate, started := resetBlock()
-	ts, _, _ = newTestServer(t, Config{MaxInflight: 1, MaxQueue: 1})
+	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1), MaxInflight: 1, MaxQueue: 1})
+	release := holdSlot(t, eng)
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			code, _, _ := postExperiment(t, ts.URL, `{"exp":"test-block"}`)
+			code, _, _ := postExperiment(t, ts.URL, smallExp)
 			done <- code
 		}()
 	}
-	<-started
 	waitCond(t, "a saturated admission queue", func() bool {
 		return strings.Contains(scrapeMetrics(t, ts.URL), "o2k_requests_pending 2")
 	})
@@ -426,7 +429,7 @@ func TestCellEndpointSourcesAndValidation(t *testing.T) {
 	if m := scrapeMetrics(t, ts.URL); !strings.Contains(m, "o2k_requests_pending 2") {
 		t.Errorf("invalid cells took queue positions:\n%s", m)
 	}
-	close(gate)
+	release()
 	for i := 0; i < 2; i++ {
 		if code := <-done; code != http.StatusOK {
 			t.Errorf("admitted request finished with %d", code)

@@ -38,7 +38,7 @@ type World struct {
 }
 
 // span is a half-open range [lo, hi) of global line addresses. The put log is
-// span-based (DESIGN.md §5.9): adjacent puts coalesce at log time and the
+// span-based (DESIGN.md §5.3): adjacent puts coalesce at log time and the
 // remainder merges at the barrier. Invalidation is idempotent — each present
 // line evicts exactly once however often it was put — so replacing the old
 // per-line multiset log with the span union leaves eviction counts, and

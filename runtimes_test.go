@@ -17,8 +17,8 @@ import (
 // imports no sync at all. internal/mp and internal/sas keep exactly one
 // sync.Mutex each — the mailbox's and the Lock's — and only because
 // sim.Cond.Wait takes a sync.Locker to release while the processor waits.
-// bench/kernels.go calls that signature, so it stays until ROADMAP item 5
-// makes Cond.Wait lock-free; then these two go too.
+// bench/kernels.go calls that signature, so it stays until the ROADMAP item
+// "Ledger round 2" makes Cond.Wait lock-free; then these two go too.
 func TestRuntimesTakeNoHostLocks(t *testing.T) {
 	for pkg, want := range map[string]int{"mp": 1, "shm": 0, "sas": 1} {
 		dir := filepath.Join("internal", pkg)
