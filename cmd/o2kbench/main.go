@@ -53,10 +53,10 @@
 // -workers N (DESIGN.md §5.9) shards the sweep across N forked worker
 // subprocesses that coordinate through per-cell lease files in the -cache
 // directory (required): each cell is computed by exactly one live worker,
-// a killed worker's in-flight cells are reclaimed by the others through
-// lease stealing, and the parent merges by a final in-process pass over the
-// warm cache — so stdout is byte-identical to a single-process run even if
-// every worker dies.
+// a killed worker's in-flight cells are taken over by the others (the kernel
+// drops a dead process's lease locks), and the parent merges by a final
+// in-process pass over the warm cache — so stdout is byte-identical to a
+// single-process run even if every worker dies.
 // SIGINT/SIGTERM on the parent drain the fleet (SIGTERM, then SIGKILL after
 // a deadline) before the parent itself exits. -leases joins the same
 // coordination from independently-launched processes sharing one cache.
@@ -274,16 +274,13 @@ func cacheMaintenance(dir string, clear, verify bool) int {
 	}
 	fmt.Fprintf(os.Stderr, "o2kbench: verified %d cache entries: %d bad (%d stale), bad entries evicted; swept %d orphaned tmp file(s)\n",
 		st.Checked, st.Bad, st.Stale, st.Tmp)
-	// Leases are sidecars, not entries: stale ones (dead workers') are swept
-	// on the lease subsystem's own judgement, and live ones never affect the
-	// exit status — only bad entries do.
-	if st.Leases > 0 {
-		ls, lerr := lease.Sweep(dir, nil, 0)
-		if lerr != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", lerr)
-		} else {
-			fmt.Fprintf(os.Stderr, "o2kbench: swept %d stale lease(s), %d live lease(s) left\n", ls.Swept, ls.Live)
-		}
+	// Lease files are sidecars, not entries: the ones no process holds (dead
+	// or drained workers') are swept, and live ones never affect the exit
+	// status — only bad entries do.
+	if ls, err := lease.Sweep(dir); err != nil {
+		fmt.Fprintln(os.Stderr, "o2kbench:", err)
+	} else {
+		fmt.Fprintf(os.Stderr, "o2kbench: swept %d leftover lease file(s), %d live lease(s) left\n", ls.Swept, ls.Live)
 	}
 	if st.Bad > 0 {
 		return 1
@@ -387,7 +384,7 @@ func run() int {
 	ef.register(flag.CommandLine)
 	var runreport runReportFlag
 	flag.Var(&runreport, "runreport", "print the cell cache/timing report to stderr; =text or =json forces the\nformat, bare follows -format")
-	cacheVerify := flag.Bool("cache-verify", false, "with -cache: validate every entry, evict bad ones, sweep orphaned temp and\nstale lease files, and exit (1 if any entries were bad)")
+	cacheVerify := flag.Bool("cache-verify", false, "with -cache: validate every entry, evict bad ones, sweep orphaned temp and\nleftover lease files, and exit (1 if any entries were bad)")
 	cacheClear := flag.Bool("cache-clear", false, "with -cache: remove every entry and exit")
 	workers := flag.Int("workers", 0, "run the sweep as this many worker subprocesses sharing -cache (requires -cache);\nthe parent merges by a final in-process pass over the warm cache")
 	workerSpec := flag.String("worker", "", "run as worker i/N of a fleet (set by -workers; requires -cache): enables\nleases with shard bias i of N")

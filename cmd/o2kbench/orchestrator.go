@@ -85,8 +85,8 @@ func orchestrate(ctx context.Context, cfg orchCfg) error {
 }
 
 // runSlot starts worker slot once and waits for it. A worker that dies is
-// not replaced: lease stealing hands its in-flight cells to the rest of the
-// fleet, and the parent's merge pass computes whatever is still missing.
+// not replaced: its lease locks die with it, so the rest of the fleet takes
+// over its in-flight cells, and the parent's merge pass computes whatever is still missing.
 func (o *orchestrator) runSlot(slot int) {
 	args := append([]string{fmt.Sprintf("-worker=%d/%d", slot, o.cfg.workers)}, o.cfg.args...)
 	cmd := exec.Command(o.exe, args...)

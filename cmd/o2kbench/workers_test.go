@@ -138,7 +138,8 @@ type auditSession struct {
 
 // readAuditSessions merges every audit file under prefix into per-key hold
 // intervals. A SIGKILLed worker's file may end mid-line; such tails are
-// skipped, and its unclosed sessions end at its last observed event.
+// skipped. Its unclosed sessions end where they start: the kernel dropped
+// its locks at an instant the stream does not record.
 func readAuditSessions(t *testing.T, prefix string) []auditSession {
 	t.Helper()
 	files, err := filepath.Glob(prefix + ".*.jsonl")
@@ -175,27 +176,21 @@ func readAuditSessions(t *testing.T, prefix string) []auditSession {
 	for _, e := range events {
 		id := e.Key + "|" + e.Owner
 		switch e.Kind {
-		case "acquire", "steal":
+		case "acquire":
 			if s, ok := open[id]; ok {
 				sessions = append(sessions, *s)
 			}
 			open[id] = &auditSession{key: e.Key, owner: e.Owner, start: e.T, end: e.T}
-		case "renew":
-			if s, ok := open[id]; ok && e.T > s.end {
-				s.end = e.T
-			}
-		case "release", "lost":
+		case "release":
 			if s, ok := open[id]; ok {
-				if e.T > s.end {
-					s.end = e.T
-				}
+				s.end = e.T
 				sessions = append(sessions, *s)
 				delete(open, id)
 			}
 		}
 	}
 	for _, s := range open {
-		sessions = append(sessions, *s) // killed mid-hold: ends at last event
+		sessions = append(sessions, *s) // killed mid-hold: ends at its acquire
 	}
 	return sessions
 }
@@ -204,9 +199,9 @@ func readAuditSessions(t *testing.T, prefix string) []auditSession {
 // 2-worker quick sweep loses a worker to SIGKILL once it holds its first
 // lease, yet exits 0 with stdout byte-identical to a single-process run,
 // verifies clean, and the lease audit shows no cell ever held by two live
-// owners at once. The dead worker is not replaced: its peer steals its
-// leases once they go stale, and the parent's merge pass computes whatever
-// is still missing.
+// owners at once. The dead worker is not replaced: its locks die with it, so
+// its peer takes its cells on the next poll, and the parent's merge pass
+// computes whatever is still missing.
 func TestCLIFleetWorkerKilled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -272,7 +267,8 @@ func TestCLIFleetWorkerKilled(t *testing.T) {
 // TestCLIFleetDrainOnSIGTERM is the fleet's shutdown path: SIGTERM on the
 // parent of a full-scale 2-worker sweep drains both workers, renders the
 // unfinished cells FAILED(cancelled), exits 1 with no worker left alive, and
-// leaves a cache that verifies clean.
+// leaves a cache that verifies clean with no live lease: a drained worker's
+// exit drops its locks, so -cache-verify sweeps every leftover lease file.
 func TestCLIFleetDrainOnSIGTERM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -299,7 +295,11 @@ func TestCLIFleetDrainOnSIGTERM(t *testing.T) {
 			t.Errorf("worker %d outlived its drained parent", pid)
 		}
 	}
-	if _, stderr, code := o2kbench(t, "-cache "+dir+" -cache-verify"); code != 0 {
+	_, stderr, code := o2kbench(t, "-cache "+dir+" -cache-verify")
+	if code != 0 {
 		t.Fatalf("-cache-verify after the drain exited %d (stderr: %s)", code, stderr)
+	}
+	if !strings.Contains(stderr, " 0 live lease(s) left") {
+		t.Fatalf("-cache-verify after the drain left a live lease (stderr: %s)", stderr)
 	}
 }

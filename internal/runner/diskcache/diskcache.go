@@ -323,7 +323,6 @@ type VerifyStats struct {
 	Bad     int // entries that failed validation (and were removed)
 	Stale   int // of Bad, entries rejected only by the version fence
 	Tmp     int // orphaned temp files swept (interrupted or killed commits)
-	Leases  int // lease sidecar files seen (left for lease.Sweep to judge)
 }
 
 // Verify scans every entry under the cache root, validates each against the
@@ -331,9 +330,9 @@ type VerifyStats struct {
 // offline counterpart of Get's on-contact eviction, behind `o2kbench
 // -cache-verify`. Orphaned temp files from interrupted or SIGKILLed commits
 // are swept and counted (they were never entries). Lease sidecar files are
-// counted but never touched here: whether a lease is stale is the lease
-// subsystem's call (lease.Sweep), and removing a live one would break a
-// running worker's mutual exclusion. The scan itself is read-only on valid
+// never touched here: whether one is held is the lease subsystem's call
+// (lease.Sweep), and removing a held one would break a running worker's
+// mutual exclusion. The scan itself is read-only on valid
 // entries.
 func (c *Cache) Verify() (VerifyStats, error) {
 	var st VerifyStats
@@ -345,7 +344,6 @@ func (c *Cache) Verify() (VerifyStats, error) {
 			}
 			return
 		case fileLease:
-			st.Leases++
 			return
 		}
 		st.Checked++

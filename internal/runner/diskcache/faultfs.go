@@ -23,13 +23,13 @@ type FaultFS struct {
 	readErr   error // returned by every ReadFile
 	writeErr  error // returned by every WriteFile
 	renameErr error // returned by every Rename
-	linkErr   error // returned by every Link
+	lockErr   error // returned by every Lock
 
 	truncateAt int    // keep only the first N bytes of written files (-1 = off)
 	flipBitAt  int    // XOR bit 0 of byte N (clamped) of every file read (-1 = off)
 	match      string // restrict injected faults to paths containing this ("" = all)
 
-	reads, writes, renames, links int64
+	reads, writes, renames, locks int64
 }
 
 // NewFaultFS returns a FaultFS over inner (OSFS if nil) with no faults armed.
@@ -50,10 +50,10 @@ func (f *FaultFS) FailWrites(err error) { f.mu.Lock(); f.writeErr = err; f.mu.Un
 // case: the temp file is written but never becomes the entry.
 func (f *FaultFS) FailRenames(err error) { f.mu.Lock(); f.renameErr = err; f.mu.Unlock() }
 
-// FailLinks arms (or disarms) an error on every Link — the lost-acquisition
-// case: a lease's exclusive-create step fails (e.g. a filesystem without
-// hard links), which the lease layer must degrade to computing anyway.
-func (f *FaultFS) FailLinks(err error) { f.mu.Lock(); f.linkErr = err; f.mu.Unlock() }
+// FailLocks arms (or disarms) an error on every Lock — the lost-acquisition
+// case: a lease's lock cannot be taken (e.g. a platform without flock),
+// which the lease layer must degrade to computing anyway.
+func (f *FaultFS) FailLocks(err error) { f.mu.Lock(); f.lockErr = err; f.mu.Unlock() }
 
 // MatchPath restricts every armed fault to paths containing substr — e.g.
 // ".lease" faults only the lease files while cache entries stay healthy.
@@ -80,11 +80,11 @@ func (f *FaultFS) Ops() (reads, writes, renames int64) {
 	return f.reads, f.writes, f.renames
 }
 
-// Links reports how many Link calls reached the FaultFS.
-func (f *FaultFS) Links() int64 {
+// Locks reports how many Lock calls reached the FaultFS.
+func (f *FaultFS) Locks() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.links
+	return f.locks
 }
 
 func (f *FaultFS) inner() FS {
@@ -152,18 +152,18 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	return f.inner().Rename(oldpath, newpath)
 }
 
-func (f *FaultFS) Link(oldpath, newpath string) error {
+func (f *FaultFS) Lock(name string) (func(), error) {
 	f.mu.Lock()
-	f.links++
-	lerr := f.linkErr
-	if !f.matches(newpath) {
+	f.locks++
+	lerr := f.lockErr
+	if !f.matches(name) {
 		lerr = nil
 	}
 	f.mu.Unlock()
 	if lerr != nil {
-		return lerr
+		return nil, lerr
 	}
-	return f.inner().Link(oldpath, newpath)
+	return f.inner().Lock(name)
 }
 
 func (f *FaultFS) Remove(name string) error { return f.inner().Remove(name) }

@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 )
@@ -17,12 +18,16 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	ReadDir(name string) ([]fs.DirEntry, error)
-	// Link hard-links oldpath to newpath, failing with fs.ErrExist if
-	// newpath already exists. It is the one primitive POSIX offers for
-	// atomic create-exclusive across processes, and the lease subsystem's
-	// acquisition step (internal/runner/lease) is built on it.
-	Link(oldpath, newpath string) error
+	// Lock creates name if needed and takes an exclusive, non-blocking lock
+	// on it, held until unlock is called or the holding process exits. It
+	// fails with ErrLocked while another open of the file holds the lock, or
+	// when the file it locked is no longer the one name names. The lease
+	// subsystem (internal/runner/lease) is built on it.
+	Lock(name string) (unlock func(), err error)
 }
+
+// ErrLocked is Lock's answer when another holder has the lock.
+var ErrLocked = errors.New("diskcache: locked by another holder")
 
 // OSFS is the passthrough FS backed by the os package.
 type OSFS struct{}
@@ -35,4 +40,3 @@ func (OSFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 func (OSFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
 func (OSFS) Remove(name string) error                   { return os.Remove(name) }
 func (OSFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-func (OSFS) Link(oldpath, newpath string) error         { return os.Link(oldpath, newpath) }

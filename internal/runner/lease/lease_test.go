@@ -1,7 +1,6 @@
 package lease
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -21,25 +20,10 @@ func key(s string) string {
 	return fmt.Sprintf("%032x", h)
 }
 
-// fastCfg returns a Config tuned so steals happen in tens of milliseconds
-// instead of seconds. Grace: -1 disables shard deference (Config normalizes
-// negatives to zero).
-func fastCfg(dir, owner string) Config {
-	return Config{
-		Dir:       dir,
-		Owner:     owner,
-		Heartbeat: 5 * time.Millisecond,
-		Stale:     50 * time.Millisecond,
-		Poll:      5 * time.Millisecond,
-		Grace:     -1,
-		Seed:      1,
-	}
-}
-
 func TestAcquireConflictRelease(t *testing.T) {
 	dir := t.TempDir()
-	a := New(fastCfg(dir, "host:1:aaaaaaaa"))
-	b := New(fastCfg(dir, "host:2:bbbbbbbb"))
+	a := New(Config{Dir: dir})
+	b := New(Config{Dir: dir})
 	k := key("conflict")
 
 	la, st := a.Acquire(k)
@@ -50,8 +34,8 @@ func TestAcquireConflictRelease(t *testing.T) {
 		t.Fatalf("acquire of a held lease = %v, want Busy", st)
 	}
 	la.Release()
-	if la.lost { // Release has stopped the heartbeat, the only other writer
-		t.Fatal("uncontested lease reports Lost")
+	if _, err := os.Stat(la.path); !os.IsNotExist(err) {
+		t.Fatalf("released lease file still exists (stat: %v)", err)
 	}
 	lb, st := b.Acquire(k)
 	if st != Acquired {
@@ -59,134 +43,89 @@ func TestAcquireConflictRelease(t *testing.T) {
 	}
 	lb.Release()
 
-	as, bs := a.Stats(), b.Stats()
-	if as.Acquired != 1 || as.Released != 1 || as.Stolen != 0 {
-		t.Fatalf("owner stats = %+v", as)
+	if s := a.Stats(); s != (Stats{Acquired: 1, Released: 1}) {
+		t.Fatalf("owner stats = %+v", s)
 	}
-	if bs.Busy != 1 || bs.Acquired != 1 || bs.Stolen != 0 {
-		t.Fatalf("waiter stats = %+v", bs)
+	if s := b.Stats(); s != (Stats{Acquired: 1, Busy: 1, Released: 1}) {
+		t.Fatalf("waiter stats = %+v", s)
 	}
 }
 
-// writeDeadLease plants a lease file as a SIGKILLed foreign worker would
-// leave it: a valid record that will never heartbeat again.
-func writeDeadLease(t *testing.T, dir, k string, hb time.Time) {
+// plant writes data as k's lease file, the way a worker leaves it when it
+// dies between creating the file and unlinking it.
+func plant(t *testing.T, dir, k string, data []byte) string {
 	t.Helper()
-	rec := record{Key: k, Owner: "otherhost:99:deadbeef", Seq: 7, HB: hb.UnixNano()}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := diskcache.SidecarPath(dir, k, ".lease")
 	if err := os.MkdirAll(dir+"/"+k[:2], 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
 }
 
-func TestStealFromDeadOwner(t *testing.T) {
-	dir := t.TempDir()
-	k := key("orphaned")
-	writeDeadLease(t, dir, k, time.Now())
-
-	m := New(fastCfg(dir, "host:3:cccccccc"))
-	deadline := time.Now().Add(10 * time.Second)
-	sawBusy := false
-	for {
+// A lease file nobody holds a lock on is free, whatever it holds: its owner
+// died (the kernel closed its descriptor, dropping the lock) or it is junk.
+// Either way the first Acquire takes it, with no Busy and no waiting.
+func TestDeadOwnerFreesLeaseAtOnce(t *testing.T) {
+	t.Run("killed-holder", func(t *testing.T) {
+		dir := t.TempDir()
+		k := key("orphaned")
+		dead, _ := New(Config{Dir: dir}).Acquire(k)
+		if dead == nil {
+			t.Fatal("first holder could not acquire")
+		}
+		dead.unlock() // what SIGKILL does: the descriptor closes, no Release
+		m := New(Config{Dir: dir})
 		l, st := m.Acquire(k)
-		switch st {
-		case Acquired:
-			if !sawBusy {
-				t.Fatal("stole a fresh lease without ever observing it as Busy")
-			}
-			if s := m.Stats(); s.Stolen != 1 {
-				t.Fatalf("stats = %+v, want exactly one steal", s)
-			}
-			l.Release()
-			return
-		case Busy:
-			sawBusy = true
-		default:
-			t.Fatalf("acquire of an orphaned lease degraded: %v", st)
+		if st != Acquired {
+			t.Fatalf("acquire after the holder died = %v, want Acquired", st)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("dead owner's lease never became stealable")
+		l.Release()
+	})
+	t.Run("junk", func(t *testing.T) {
+		dir := t.TempDir()
+		k := key("corrupt")
+		plant(t, dir, k, []byte("not a lease record"))
+		m := New(Config{Dir: dir})
+		l, st := m.Acquire(k)
+		if st != Acquired {
+			t.Fatalf("acquire over a junk lease file = %v, want Acquired", st)
 		}
-		time.Sleep(m.PollInterval())
-	}
-}
-
-func TestCorruptLeaseReplaced(t *testing.T) {
-	dir := t.TempDir()
-	k := key("corrupt")
-	path := diskcache.SidecarPath(dir, k, ".lease")
-	if err := os.MkdirAll(dir+"/"+k[:2], 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte("not a lease record"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := New(fastCfg(dir, "host:4:dddddddd"))
-	l, st := m.Acquire(k)
-	if st != Acquired {
-		t.Fatalf("acquire over a corrupt lease = %v, want Acquired (replace garbage)", st)
-	}
-	l.Release()
+		l.Release()
+		if s := m.Stats(); s.Busy != 0 {
+			t.Fatalf("stats = %+v, want no Busy", s)
+		}
+	})
 }
 
 func TestLeasePathFaultsDegrade(t *testing.T) {
-	boom := errors.New("injected")
 	cases := []struct {
 		name string
-		arm  func(f *diskcache.FaultFS)
+		err  error
 	}{
-		{"read", func(f *diskcache.FaultFS) { f.FailReads(boom) }},
-		{"write", func(f *diskcache.FaultFS) { f.FailWrites(boom) }},
-		{"link", func(f *diskcache.FaultFS) { f.FailLinks(boom) }},
+		{"lock", errors.New("injected")},
+		{"unsupported", errors.ErrUnsupported}, // a platform without flock
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ffs := diskcache.NewFaultFS(nil)
 			ffs.MatchPath(".lease")
-			tc.arm(ffs)
-			cfg := fastCfg(t.TempDir(), "host:5:eeeeeeee")
-			cfg.FS = ffs
-			m := New(cfg)
+			ffs.FailLocks(tc.err)
+			m := New(Config{Dir: t.TempDir(), FS: ffs})
 			if l, st := m.Acquire(key("faulted-" + tc.name)); st != Degraded || l != nil {
 				t.Fatalf("acquire under %s fault = %v, want Degraded (compute anyway)", tc.name, st)
 			}
-			if s := m.Stats(); s.Degraded != 1 {
-				t.Fatalf("stats = %+v, want one Degraded", s)
+			if s := m.Stats(); s.Degraded != 1 || ffs.Locks() != 1 {
+				t.Fatalf("stats = %+v after %d lock(s), want one Degraded after one", s, ffs.Locks())
 			}
 		})
 	}
 }
 
-func TestRenewRenameFaultTolerated(t *testing.T) {
-	ffs := diskcache.NewFaultFS(nil)
-	ffs.MatchPath(".lease")
-	cfg := fastCfg(t.TempDir(), "host:6:ffffffff")
-	cfg.FS = ffs
-	m := New(cfg)
-	l, st := m.Acquire(key("renew-faulted"))
-	if st != Acquired {
-		t.Fatalf("acquire = %v", st)
-	}
-	// Renewals now lose every rename; the lease must keep working (it just
-	// stops aging forward, drifting toward stealable — the designed decay).
-	ffs.FailRenames(errors.New("injected"))
-	time.Sleep(10 * cfg.Heartbeat)
-	ffs.FailRenames(nil)
-	l.Release()
-	if s := m.Stats(); s.Released != 1 || s.Lost != 0 {
-		t.Fatalf("stats = %+v, want a clean release despite renew faults", s)
-	}
-}
-
 func TestInvalidKeyDegrades(t *testing.T) {
-	m := New(fastCfg(t.TempDir(), "host:7:00000001"))
+	m := New(Config{Dir: t.TempDir()})
 	if _, st := m.Acquire("../../evil"); st != Degraded {
 		t.Fatalf("acquire of invalid key = %v, want Degraded", st)
 	}
@@ -212,10 +151,7 @@ func TestShardOf(t *testing.T) {
 }
 
 func TestShardDeferenceThenCover(t *testing.T) {
-	dir := t.TempDir()
-	cfg := fastCfg(dir, "host:8:00000002")
-	cfg.Shards = 2
-	cfg.Grace = 40 * time.Millisecond
+	cfg := Config{Dir: t.TempDir(), Shards: 2}
 	// Pick a key owned by the *other* shard.
 	var k string
 	for i := 0; ; i++ {
@@ -228,7 +164,7 @@ func TestShardDeferenceThenCover(t *testing.T) {
 	if _, st := m.Acquire(k); st != Busy {
 		t.Fatalf("first acquire of a free foreign-shard key = %v, want Busy (deference)", st)
 	}
-	time.Sleep(cfg.Grace + 10*time.Millisecond)
+	time.Sleep(Grace + 10*time.Millisecond)
 	l, st := m.Acquire(k)
 	if st != Acquired {
 		t.Fatalf("acquire after the grace window = %v, want Acquired (cover the dead peer)", st)
@@ -238,28 +174,28 @@ func TestShardDeferenceThenCover(t *testing.T) {
 
 func TestSweep(t *testing.T) {
 	dir := t.TempDir()
-	kStale, kLive, kJunk := key("stale"), key("live"), key("junk")
-	writeDeadLease(t, dir, kStale, time.Now().Add(-time.Minute))
-	writeDeadLease(t, dir, kLive, time.Now())
-	junkPath := diskcache.SidecarPath(dir, kJunk, ".lease")
-	if err := os.MkdirAll(dir+"/"+kJunk[:2], 0o755); err != nil {
-		t.Fatal(err)
+	held, _ := New(Config{Dir: dir}).Acquire(key("held"))
+	dead, _ := New(Config{Dir: dir}).Acquire(key("dead"))
+	if held == nil || dead == nil {
+		t.Fatal("could not set up the held and dead leases")
 	}
-	if err := os.WriteFile(junkPath, []byte("???"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dead.unlock()
+	junk := plant(t, dir, key("junk"), []byte("???"))
 
-	st, err := Sweep(dir, nil, 2*time.Second)
+	st, err := Sweep(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Swept != 2 || st.Live != 1 {
-		t.Fatalf("sweep = %+v, want 2 swept (stale + junk), 1 live", st)
+		t.Fatalf("sweep = %+v, want 2 swept (dead + junk), 1 live", st)
 	}
-	if _, err := os.Stat(diskcache.SidecarPath(dir, kStale, ".lease")); !os.IsNotExist(err) {
-		t.Fatal("stale lease survived the sweep")
+	for _, path := range []string{dead.path, junk} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("unheld lease file %s survived the sweep", path)
+		}
 	}
-	if _, err := os.Stat(diskcache.SidecarPath(dir, kLive, ".lease")); err != nil {
-		t.Fatal("live lease was swept")
+	if _, err := os.Stat(held.path); err != nil {
+		t.Fatal("held lease was swept")
 	}
+	held.Release()
 }

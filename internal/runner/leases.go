@@ -16,11 +16,11 @@ import (
 // cache-missed cell, the owner takes the cell's lease, and requesters in
 // other processes wait on the committed entry instead of re-simulating.
 //
-// The layering keeps PR 4's invariant intact: leases gate only *who
-// computes*, never *what is served*. Every lease failure degrades to
-// computing without exclusion, and a waiter whose foreign owner dies
-// re-acquires through the manager's steal path — so a SIGKILLed worker's
-// cells are reclaimed after the stale deadline, never orphaned.
+// Leases gate only *who computes*, never *what is served*. Every lease
+// failure degrades to computing without exclusion, and a waiter whose
+// foreign owner dies takes the lease on its next poll, because the kernel
+// drops a dead process's locks — so a SIGKILLed worker's cells are never
+// orphaned.
 
 // SetLeases attaches a cross-process lease manager. It must be called
 // before the first Do, after SetCache (leases without a shared cache have
@@ -50,21 +50,20 @@ func (e *Engine) computeShared(c *cell, rh Hook, codec *Codec, prepare Prepare) 
 			}
 			// The lease is held across the cell's Prepare stage as well as its
 			// compute: the dependency graph is a DAG (run → plan → structure),
-			// so nested acquisitions cannot cycle, and the heartbeat covers
-			// the hold. Commit the outcome before releasing: a waiter that
-			// sees the lease vanish must find the entry (or conclude the
-			// outcome was environmental and compute it itself).
+			// so nested acquisitions cannot cycle. Commit the outcome before
+			// releasing: a waiter that takes the lease next must find the
+			// entry (or conclude the outcome was environmental and compute
+			// it itself).
 			val, err = e.run(c, rh, prepare)
 			e.diskStore(key, codec, val, err)
 			l.Release()
 			return val, err, false
 
 		case lease.Busy:
-			// A live foreign owner is computing. Poll for its entry with
-			// jittered backoff; Acquire's observation clock promotes the
-			// owner to stale — and us to the steal path — if it dies.
+			// A live foreign owner is computing. Poll for its entry; if the
+			// owner dies, its lock dies with it and the next Acquire wins.
 			select {
-			case <-time.After(e.leases.PollInterval()):
+			case <-time.After(lease.Poll):
 			case <-ctx.Done():
 				return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), false
 			}
@@ -74,9 +73,9 @@ func (e *Engine) computeShared(c *cell, rh Hook, codec *Codec, prepare Prepare) 
 
 		default: // lease.Degraded
 			// The lease machinery is unusable for this key (I/O error, no
-			// hard links, corrupt-and-unremovable lease). Compute without
-			// exclusion: worst case is duplicated work, and last-rename-wins
-			// on identical bytes keeps the cache coherent.
+			// flock on this platform). Compute without exclusion: worst case
+			// is duplicated work, and last-rename-wins on identical bytes
+			// keeps the cache coherent.
 			val, err = e.run(c, rh, prepare)
 			e.diskStore(key, codec, val, err)
 			return val, err, false

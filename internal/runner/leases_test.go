@@ -15,18 +15,10 @@ import (
 
 // leasedEngine builds an engine whose disk cache and lease manager share dir,
 // as one worker process of a fleet would.
-func leasedEngine(t *testing.T, dir, owner string) *Engine {
+func leasedEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
 	e := cachedEngine(t, dir)
-	e.SetLeases(lease.New(lease.Config{
-		Dir:       dir,
-		Owner:     owner,
-		Heartbeat: 5 * time.Millisecond,
-		Stale:     200 * time.Millisecond,
-		Poll:      5 * time.Millisecond,
-		Grace:     -1,
-		Seed:      1,
-	}))
+	e.SetLeases(lease.New(lease.Config{Dir: dir}))
 	return e
 }
 
@@ -43,8 +35,8 @@ func TestLeaseCrossEngineSingleFlight(t *testing.T) {
 		return 7, nil
 	}
 
-	e1 := leasedEngine(t, dir, "host:1:aaaaaaaa")
-	e2 := leasedEngine(t, dir, "host:2:bbbbbbbb")
+	e1 := leasedEngine(t, dir)
+	e2 := leasedEngine(t, dir)
 
 	var wg sync.WaitGroup
 	vals := make([]any, 2)
@@ -79,19 +71,17 @@ func TestLeaseCrossEngineSingleFlight(t *testing.T) {
 }
 
 // TestLeaseFaultsStillComputeCells pins the degradation invariant one level
-// up: with every lease-file operation failing, DoCached still computes and
-// returns the value — leases are an economy, never a correctness gate.
+// up: with every lease lock failing, DoCached still computes and returns the
+// value — leases are an economy, never a correctness gate.
 func TestLeaseFaultsStillComputeCells(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("injected")
 	ffs := diskcache.NewFaultFS(nil)
 	ffs.MatchPath(".lease")
-	ffs.FailReads(boom)
-	ffs.FailWrites(boom)
-	ffs.FailLinks(boom)
+	ffs.FailLocks(boom)
 
 	e := cachedEngine(t, dir)
-	e.SetLeases(lease.New(lease.Config{Dir: dir, FS: ffs, Seed: 1}))
+	e.SetLeases(lease.New(lease.Config{Dir: dir, FS: ffs}))
 	v, err := e.DoCached(core.CellKey("test/degraded", 1), "cell", testCodec,
 		func(context.Context) (any, error) { return 11, nil })
 	if err != nil || v.(int) != 11 {

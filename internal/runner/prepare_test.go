@@ -62,8 +62,8 @@ func TestPrepareRunsOnlyOnOwnedMiss(t *testing.T) {
 func TestPrepareSkippedOnForeignLeaseAdoption(t *testing.T) {
 	dir := t.TempDir()
 	key := core.CellKey("test/prepare-adopt", 1)
-	e1 := leasedEngine(t, dir, "host:1:aaaaaaaa")
-	e2 := leasedEngine(t, dir, "host:2:bbbbbbbb")
+	e1 := leasedEngine(t, dir)
+	e2 := leasedEngine(t, dir)
 
 	var ownerPrepares, adopterPrepares atomic.Int32
 	holding, gate := make(chan struct{}), make(chan struct{})

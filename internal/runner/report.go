@@ -151,8 +151,7 @@ func (r *Report) Table() *core.Table {
 		}
 	}
 	if r.Lease != nil {
-		summary("leases", fmt.Sprintf("acquired=%d stolen=%d lost=%d degraded=%d",
-			r.Lease.Acquired, r.Lease.Stolen, r.Lease.Lost, r.Lease.Degraded))
+		summary("leases", fmt.Sprintf("acquired=%d degraded=%d", r.Lease.Acquired, r.Lease.Degraded))
 	}
 	if r.Failures > 0 {
 		summary("failed cells", fmt.Sprintf("%d", r.Failures))
