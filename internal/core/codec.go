@@ -7,18 +7,19 @@ import (
 	"fmt"
 )
 
-// Stable JSON codec for Metrics, the payload type of the persistent cell
-// cache (internal/runner/diskcache). The encoding must be lossless — a
-// decoded Metrics renders the exact bytes in every table the original
-// would — and that holds because every field is exported and every value
-// round-trips exactly through encoding/json: integers (including the uint64
-// traffic counters) are emitted as full-precision decimals, and float64s use
-// Go's shortest-exact formatting, which parses back to the identical bit
-// pattern. The codec tests pin this with a CellKey(Metrics) equality check.
+// Stable JSON codec for Metrics: the `metrics` body of `GET /v1/cells` and
+// the documents of the pinned-metrics test. (The persistent cell cache stores
+// the binary metrics record of record.go instead.) The encoding must be
+// lossless — a decoded Metrics renders the exact bytes in every table the
+// original would — and that holds because every field is exported and every
+// value round-trips exactly through encoding/json: integers (including the
+// uint64 traffic counters) are emitted as full-precision decimals, and
+// float64s use Go's shortest-exact formatting, which parses back to the
+// identical bit pattern. The codec tests pin this with a CellKey(Metrics)
+// equality check.
 
-// EncodeMetrics serializes m for the persistent cell cache. It fails only
-// on non-finite floats (which the deterministic simulator never produces);
-// the caller treats a failure as "do not cache".
+// EncodeMetrics serializes m as JSON. It fails only on non-finite floats
+// (which the deterministic simulator never produces).
 func EncodeMetrics(m Metrics) ([]byte, error) {
 	return json.Marshal(m)
 }
@@ -38,9 +39,9 @@ func DecodeStrict(data []byte, v any) error {
 	return nil
 }
 
-// DecodeMetrics is the strict inverse of EncodeMetrics (DecodeStrict), so an
-// entry written by a different Metrics schema that slipped past the cache's
-// version fence is rejected (and recomputed).
+// DecodeMetrics is the strict inverse of EncodeMetrics (DecodeStrict), so a
+// document written by a different Metrics schema is rejected instead of
+// being half-read.
 func DecodeMetrics(data []byte) (Metrics, error) {
 	var m Metrics
 	if err := DecodeStrict(data, &m); err != nil {

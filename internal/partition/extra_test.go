@@ -80,6 +80,23 @@ func TestRCBSinglePoint(t *testing.T) {
 	}
 }
 
+// One part needs no cut: every point is in part 0, whatever the points.
+func TestRCBOnePartIsAllZeros(t *testing.T) {
+	xs, ys, w := uniformPoints(500, 7)
+	part := RCB(xs, ys, w, 1)
+	if len(part) != len(xs) {
+		t.Fatalf("%d parts for %d points", len(part), len(xs))
+	}
+	for i, q := range part {
+		if q != 0 {
+			t.Fatalf("point %d in part %d, want 0", i, q)
+		}
+	}
+	if want := rcbSortPerLevel(xs, ys, w, 1); !slices.Equal(part, want) {
+		t.Fatal("RCB at one part differs from the per-level reference")
+	}
+}
+
 // rcbSortPerLevel is RCB as it was written before it sorted each axis once:
 // every level sorts its subset along the chosen axis. RCB must equal it.
 func rcbSortPerLevel(xs, ys, w []float64, nparts int) []int32 {

@@ -28,6 +28,9 @@ func RCB(xs, ys, w []float64, nparts int) []int32 {
 		panic("partition: coordinate/weight length mismatch")
 	}
 	n := len(xs)
+	if nparts == 1 {
+		return make([]int32, n) // one part: no cut, so no sort
+	}
 	r := rcb{xs: xs, ys: ys, w: w, byX: sortedBy(xs), byY: sortedBy(ys),
 		out: make([]int32, n), inLeft: make([]bool, n), tmp: make([]int32, n)}
 	r.split(0, n, 0, nparts)

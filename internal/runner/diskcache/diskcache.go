@@ -29,7 +29,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -45,37 +44,65 @@ import (
 // payload encoding changes incompatibly; old entries then read as stale and
 // are recomputed.
 //
-// v2 split the entry into a one-line JSON header followed by the raw payload
-// bytes. Plan-tier payloads run to megabytes; embedding them inside the
-// header's JSON (as v1 did) forced several full JSON scans per warm read,
-// which dominated warm-run time. The header/payload split reads an entry
-// with one parse of a tiny header plus one checksum pass over the payload,
-// and frees payloads from being valid JSON at all.
-const Schema = "o2k-cellcache/v2"
+// v2 split the entry into a one-line header followed by the raw payload
+// bytes, so a warm read is one parse of a tiny header plus one checksum pass
+// over the payload, and payloads need not be text at all. v3 keeps that
+// split and writes the header as four space-separated fields instead of a
+// JSON object, so neither Get nor Put goes through encoding/json.
+const Schema = "o2k-cellcache/v3"
 
 // header is the first line of an entry file: integrity and identity metadata
-// for the payload bytes that follow the newline. json.Marshal never emits a
-// raw newline, so the first '\n' in the file is always the separator.
+// for the payload bytes that follow the newline, written as
+//
+//	<schema> <fence> <key> <sum>\n
+//
+// where sum is the SHA-256 hex of the payload. No field contains a space or
+// a newline (the schema is a constant, the others are hex), so the first
+// '\n' in the file is always the separator.
 type header struct {
-	Schema string `json:"schema"`
-	Fence  string `json:"fence"`
-	Key    string `json:"key"`
-	Sum    string `json:"sum"` // SHA-256 hex of the payload bytes
+	Schema, Fence, Key, Sum string
 }
 
-// parseEntry splits an entry file into its decoded header and the payload
-// bytes (aliasing data, not copying). Any malformation is an error.
+// legacySchema stands in for the schema of an entry whose header is a JSON
+// object: one written by a v1 or v2 binary. It never equals Schema, so such
+// an entry is stale, not corrupt.
+const legacySchema = "json"
+
+// appendEntry appends h's header line and payload to dst, in the layout
+// parseEntry reads.
+func appendEntry(dst []byte, h header, payload []byte) []byte {
+	for i, f := range [...]string{h.Schema, h.Fence, h.Key, h.Sum} {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, f...)
+	}
+	dst = append(dst, '\n')
+	return append(dst, payload...)
+}
+
+// parseEntry splits an entry file into its header and the payload bytes
+// (aliasing data, not copying). A header line that is a JSON object yields
+// legacySchema; any other line that is not four non-empty space-separated
+// fields is an error.
 func parseEntry(data []byte) (h header, payload []byte, err error) {
-	i := bytes.IndexByte(data, '\n')
-	if i < 0 {
+	line, payload, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
 		return h, nil, errors.New("diskcache: entry has no header line")
 	}
-	dec := json.NewDecoder(bytes.NewReader(data[:i]))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&h); err != nil {
-		return h, nil, err
+	if len(line) > 0 && line[0] == '{' {
+		return header{Schema: legacySchema}, payload, nil
 	}
-	return h, data[i+1:], nil
+	f := bytes.Split(line, []byte{' '})
+	if len(f) != 4 {
+		return h, nil, errors.New("diskcache: header is not four fields")
+	}
+	for _, x := range f {
+		if len(x) == 0 {
+			return h, nil, errors.New("diskcache: header has an empty field")
+		}
+	}
+	return header{Schema: string(f[0]), Fence: string(f[1]), Key: string(f[2]), Sum: string(f[3])}, payload, nil
 }
 
 // Counters is a snapshot of the cache's degradation telemetry. Every Get
@@ -260,7 +287,7 @@ func (c *Cache) Invalidate(key string) {
 	c.evict(key)
 }
 
-// Put atomically commits payload as key's entry: marshal the checksummed
+// Put atomically commits payload as key's entry: format the checksummed
 // header, write header + '\n' + payload to a temp file in the entry's shard
 // directory, and rename it into place. On any error the entry is untouched,
 // the temp file is removed best-effort, and PutErrs is bumped — a failed Put
@@ -271,20 +298,8 @@ func (c *Cache) Put(key string, payload []byte) error {
 		return fmt.Errorf("diskcache: malformed key %q", key)
 	}
 	sum := sha256.Sum256(payload)
-	hdr, err := json.Marshal(header{
-		Schema: Schema,
-		Fence:  c.fence,
-		Key:    key,
-		Sum:    hex.EncodeToString(sum[:]),
-	})
-	if err != nil {
-		c.putErrs.Add(1)
-		return fmt.Errorf("diskcache: encode %s: %w", key, err)
-	}
-	data := make([]byte, 0, len(hdr)+1+len(payload))
-	data = append(data, hdr...)
-	data = append(data, '\n')
-	data = append(data, payload...)
+	h := header{Schema: Schema, Fence: c.fence, Key: key, Sum: hex.EncodeToString(sum[:])}
+	data := appendEntry(nil, h, payload)
 	dst := c.path(key)
 	if err := c.fs.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		c.putErrs.Add(1)
@@ -353,14 +368,19 @@ func (c *Cache) Verify() (VerifyStats, error) {
 			c.fs.Remove(path)
 			return
 		}
+		// The same classification as Get: fence skew is stale, any other
+		// failure corrupt.
 		h, payload, perr := parseEntry(data)
 		switch {
-		case perr != nil, h.Key != key, !sumOK(h, payload):
+		case perr != nil:
 			st.Bad++
 			c.fs.Remove(path)
 		case h.Schema != Schema, h.Fence != c.fence:
 			st.Bad++
 			st.Stale++
+			c.fs.Remove(path)
+		case h.Key != key, !sumOK(h, payload):
+			st.Bad++
 			c.fs.Remove(path)
 		}
 	})

@@ -1,6 +1,8 @@
 package diskcache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -183,6 +185,72 @@ func TestVersionSkewEvicts(t *testing.T) {
 	}
 	if n, _ := c2.Len(); n != 0 {
 		t.Fatalf("stale entry still on disk (%d entries)", n)
+	}
+}
+
+// An entry written before v3 has a JSON header line. A cache directory
+// filled by such a binary must read as stale (a version change, recomputed
+// and rewritten), not as corrupt: nothing in it is damaged.
+func TestJSONHeaderEntriesAreStale(t *testing.T) {
+	c := open(t)
+	k := key("cell-a")
+	payload := []byte(`{"Model":0}`)
+	sum := sha256.Sum256(payload)
+	line := fmt.Sprintf(`{"schema":"o2k-cellcache/v2","fence":%q,"key":%q,"sum":%q}`, c.Fence(), k, hex.EncodeToString(sum[:]))
+	plant := func() string {
+		p := filepath.Join(c.Dir(), k[:2], k+".cell")
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, append([]byte(line+"\n"), payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := plant()
+	if _, ok := c.Get(k); ok {
+		t.Fatal("a v2 entry was served")
+	}
+	cn := c.Counters()
+	if cn.Stale != 1 || cn.Misses != 1 || cn.Evicted != 1 || cn.Corrupt != 0 {
+		t.Fatalf("counters = %+v, want stale=miss=evicted=1, corrupt=0", cn)
+	}
+	if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("stale entry not evicted")
+	}
+
+	plant()
+	st, err := c.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Checked != 1 || st.Bad != 1 || st.Stale != 1 {
+		t.Fatalf("verify = %+v, want checked=bad=stale=1", st)
+	}
+}
+
+// The v3 header is four space-separated fields; parseEntry reads exactly
+// what appendEntry writes and rejects any other line that is not JSON.
+func TestEntryHeaderRoundtrip(t *testing.T) {
+	h := header{Schema: Schema, Fence: "0123456789abcdef", Key: key("cell-a"), Sum: strings.Repeat("f", 64)}
+	payload := []byte("payload\nwith a newline")
+	data := appendEntry(nil, h, payload)
+	got, gotPayload, err := parseEntry(data)
+	if err != nil || got != h || string(gotPayload) != string(payload) {
+		t.Fatalf("parseEntry = %+v, %q, %v; want %+v, %q", got, gotPayload, err, h, payload)
+	}
+	for _, bad := range []string{
+		"",
+		"no newline",
+		"three fields only\n",
+		"five fields is one too many\n",
+		"a  b c\n",
+		" a b c\n",
+		"a b c \n",
+	} {
+		if _, _, err := parseEntry([]byte(bad)); err == nil {
+			t.Errorf("parseEntry accepted %q", bad)
+		}
 	}
 }
 

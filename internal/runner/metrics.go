@@ -18,9 +18,9 @@ type Res struct {
 // Failed reports whether the cell produced an error instead of metrics.
 func (r Res) Failed() bool { return r.Err != nil }
 
-// MetricsCodec persists metrics run cells in the on-disk cache: the strict
-// lossless JSON codec from core (see core/codec.go for why the round-trip
-// is exact).
+// MetricsCodec persists metrics run cells in the on-disk cache as core's
+// binary metrics record (core/record.go): lossless, canonical, and decoded
+// without reflection on a warm run.
 var MetricsCodec = &Codec{
 	Kind: "metrics",
 	Encode: func(v any) ([]byte, error) {
@@ -28,7 +28,7 @@ var MetricsCodec = &Codec{
 		if !ok {
 			return nil, fmt.Errorf("runner: metrics cell holds %T", v)
 		}
-		return core.EncodeMetrics(m)
+		return core.EncodeMetricsRecord(m)
 	},
-	Decode: func(data []byte) (any, error) { return core.DecodeMetrics(data) },
+	Decode: func(data []byte) (any, error) { return core.DecodeMetricsRecord(data) },
 }

@@ -371,8 +371,8 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	if res.Err != nil {
 		resp.Err, code = res.Err.Error(), http.StatusInternalServerError
 	} else if data, err := core.EncodeMetrics(res.M); err == nil {
-		// The strict lossless codec from core — the same bytes the disk cache
-		// stores — so a client round-trips exactly what the engine computed.
+		// The strict lossless JSON codec from core (core.DecodeMetrics reads
+		// it back), so a client round-trips exactly what the engine computed.
 		resp.Metrics = data
 	}
 	w.Header().Set("Content-Type", "application/json")
