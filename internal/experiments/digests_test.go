@@ -113,8 +113,17 @@ func TestDigests(t *testing.T) {
 	}
 }
 
+// quickKeySet is the first 16 hex digits of the SHA-256 of the quick
+// suite's cell keys (core.CellKey), sorted, one per line. Keys are published
+// (the run report, GET /v1/cells) and name every disk-cache entry, so a
+// change in how they are derived silently resets every cache. A deliberate
+// key change updates this constant, as it updates digestsFile for moved
+// bytes.
+const quickKeySet = "0cbb359be085dd26"
+
 // TestGoldenQuickOutput checks `o2kbench -quick -exp all` against its lines
-// of digestsFile on an engine of its own, under -short and -race too.
+// of digestsFile, and its cell keys against quickKeySet, on an engine of its
+// own, under -short and -race too.
 func TestGoldenQuickOutput(t *testing.T) {
 	const cmd = "-quick -exp all"
 	data, err := os.ReadFile(digestsFile)
@@ -127,10 +136,20 @@ func TestGoldenQuickOutput(t *testing.T) {
 			want = append(want, line)
 		}
 	}
-	got := digestLines(cmd, Render(RunAllCtx(bg, runner.New(0), QuickOpts())))
+	eng := runner.New(0)
+	got := digestLines(cmd, Render(RunAllCtx(bg, eng, QuickOpts())))
 	if len(want) == 0 || !slices.Equal(got, want) {
 		t.Errorf("quick suite sections moved:\npinned:\n%s\nnow:\n%s",
 			strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+	var keys []string
+	for _, c := range eng.Report().Cells {
+		keys = append(keys, c.Key)
+	}
+	slices.Sort(keys)
+	sum := sha256.Sum256([]byte(strings.Join(keys, "\n") + "\n"))
+	if got := hex.EncodeToString(sum[:8]); got != quickKeySet {
+		t.Errorf("the quick suite's %d cell keys moved: key set %s, pinned %s", len(keys), got, quickKeySet)
 	}
 }
 

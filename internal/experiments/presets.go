@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"o2k/internal/machine"
 )
 
 // Processor-count scaling presets for o2kbench's -procs flag. The paper's
@@ -48,12 +50,23 @@ func ParseProcs(s string) ([]int, error) {
 	}
 	var ps []int
 	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad processor count %q (counts are positive integers; presets: %s)",
-				f, strings.Join(ProcsPresetNames(), ", "))
+		v, err := ParseProcCount(f)
+		if err != nil {
+			return nil, fmt.Errorf("%v; presets: %s", err, strings.Join(ProcsPresetNames(), ", "))
 		}
 		ps = append(ps, v)
 	}
 	return ps, nil
+}
+
+// ParseProcCount parses one processor count, which must lie in
+// [1, machine.MaxProcs]: a larger gang would only be refused by
+// machine.MustNew after its plans were built. ParseProcs and the server's
+// cell endpoint both screen their counts here, before any work is admitted.
+func ParseProcCount(s string) (int, error) {
+	v, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil || v < 1 || v > machine.MaxProcs {
+		return 0, fmt.Errorf("bad processor count %q (counts are integers from 1 to %d)", s, machine.MaxProcs)
+	}
+	return v, nil
 }

@@ -82,8 +82,8 @@ func persistable(err error) bool {
 }
 
 // SetCache attaches a persistent cache to the engine. It must be called
-// before the first Do; a nil cache (the default) keeps the engine
-// memory-only. Cells opt in per call site by passing a Codec to DoCached.
+// before the first request (DoCell); a nil cache (the default) keeps the
+// engine memory-only. Cells opt in one by one by setting Cell.Codec.
 func (e *Engine) SetCache(c *diskcache.Cache) { e.cache = c }
 
 // Cache returns the attached persistent cache, or nil.

@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -321,9 +320,9 @@ func cellSource(k runner.EventKind) string {
 
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	appName, modelName := r.PathValue("app"), r.PathValue("model")
-	procs, err := strconv.Atoi(r.PathValue("procs"))
-	if err != nil || procs < 1 {
-		jsonError(w, http.StatusBadRequest, "bad processor count %q", r.PathValue("procs"))
+	procs, err := experiments.ParseProcCount(r.PathValue("procs"))
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Validate against the app table before admission: a request that can

@@ -384,6 +384,7 @@ func TestCellEndpointSourcesAndValidation(t *testing.T) {
 		"/v1/cells/nope/mp/4":        http.StatusNotFound,
 		"/v1/cells/stencil/openmp/2": http.StatusBadRequest,
 		"/v1/cells/stencil/mp/zero":  http.StatusBadRequest,
+		"/v1/cells/stencil/mp/1025":  http.StatusBadRequest,
 		"/v1/cells/mesh/mp+sas/2":    http.StatusBadRequest,
 		"/v1/cells/hybrid/mp/4":      http.StatusBadRequest,
 	}
