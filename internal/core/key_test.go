@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
+	"net"
 	"testing"
+	"time"
 
 	"o2k/internal/sim"
 )
@@ -31,11 +34,20 @@ func TestCellKeyStableAndDiscriminating(t *testing.T) {
 	}
 }
 
-// Whatever encoding/json cannot encode, at the top level or nested, panics
-// rather than being left out of the key.
 func TestCellKeyRejectsUnhashable(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CellKey accepted a func component")
+		}
+	}()
+	CellKey(func() {})
+}
+
+// Whatever encoding/json cannot encode, at the top level or nested, panics
+// rather than being left out of the key; what it can encode, including
+// embedded structs, renaming tags and custom marshalers, is keyed.
+func TestCellKeyRejectsWhatItCannotWrite(t *testing.T) {
 	for name, part := range map[string]any{
-		"func":           func() {},
 		"chan":           make(chan int),
 		"complex":        complex(1, 2),
 		"NaN":            math.NaN(),
@@ -51,6 +63,27 @@ func TestCellKeyRejectsUnhashable(t *testing.T) {
 			}()
 			CellKey(part)
 		}()
+	}
+
+	type embedded struct{ A int }
+	type withEmbedded struct{ embedded }
+	type renamed struct {
+		A int `json:"a"`
+	}
+	for name, part := range map[string]any{
+		"embedded struct":  withEmbedded{embedded{1}},
+		"renaming tag":     renamed{1},
+		"json.Number":      json.Number("1"),
+		"custom marshaler": time.Date(2000, 1, 2, 3, 4, 5, 0, time.UTC),
+		"TextMarshaler":    net.IP{127, 0, 0, 1},
+	} {
+		want, err := json.Marshal(part)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := CellKey(part); got != CellKey(json.RawMessage(want)) {
+			t.Errorf("%s: key %s is not the key of its JSON text %s", name, got, want)
+		}
 	}
 }
 
