@@ -493,11 +493,9 @@ func run() int {
 		// missing. Orchestration failures are therefore only warnings.
 		// A worker is this same command line with -worker i/N in place of
 		// -workers: the request and the engine flags render themselves.
-		if err := orchestrate(ctx, orchCfg{
-			workers: *workers,
-			args: append([]string{"-exp=" + req.Exp, "-quick=" + strconv.FormatBool(req.Quick), "-procs=" + req.Procs},
-				ef.argv()...),
-		}); err != nil {
+		if err := orchestrate(ctx, *workers,
+			append([]string{"-exp=" + req.Exp, "-quick=" + strconv.FormatBool(req.Quick), "-procs=" + req.Procs},
+				ef.argv()...)); err != nil {
 			fmt.Fprintln(os.Stderr, "o2kbench:", err, "— degrading to a single-process run")
 		}
 	}

@@ -18,12 +18,9 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -32,117 +29,55 @@ import (
 // to finish their in-flight cells before escalating to SIGKILL.
 const drainTimeout = 20 * time.Second
 
-// orchCfg parameterizes one worker fleet.
-type orchCfg struct {
-	workers int      // fleet size (>= 2)
-	args    []string // the fleet's common argv; slot i runs -worker=i/workers before it
-}
-
-// orchestrator tracks the live fleet so the signal-drain loop can address it.
-type orchestrator struct {
-	cfg orchCfg
-	exe string
-
-	mu   sync.Mutex
-	live map[int]*os.Process // by worker slot
-
-	exited atomic.Int64 // workers that exited by themselves (any exit code)
-	killed atomic.Int64 // workers that died to a signal
-}
-
-// orchestrate runs the fleet to completion (or cancellation) and returns an
-// error only when not a single worker could be started — every lesser
-// failure is absorbed, because the parent's merge pass recomputes whatever
-// the fleet did not finish.
-func orchestrate(ctx context.Context, cfg orchCfg) error {
+// orchestrate runs a fleet of workers, slot i running args after
+// -worker=i/workers, to completion and returns an error only when not a
+// single worker could be started — every lesser failure is absorbed, because
+// the parent's merge pass recomputes whatever the fleet did not finish. A
+// worker that dies is not replaced: its lease locks die with it, so the rest
+// of the fleet takes over its in-flight cells.
+//
+// The parent's shutdown reaches the fleet through ctx: cancelling it sends
+// every live worker a SIGTERM — their own NotifyContext converts it into
+// drained FAILED(cancelled) cells and a prompt exit — and a straggler still
+// alive drainTimeout later is SIGKILLed, so the parent never hangs on a
+// wedged child.
+func orchestrate(ctx context.Context, workers int, args []string) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("workers: %w", err)
 	}
-	o := &orchestrator{cfg: cfg, exe: exe, live: make(map[int]*os.Process)}
-
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.workers; i++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			o.runSlot(slot)
-		}(i)
+	var fleet []*exec.Cmd
+	for slot := range workers {
+		argv := append([]string{fmt.Sprintf("-worker=%d/%d", slot, workers)}, args...)
+		cmd := exec.CommandContext(ctx, exe, argv...)
+		cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
+		cmd.WaitDelay = drainTimeout
+		// The env mirror lets the test binary's TestMain run the same argv
+		// through run(); the real binary parses argv and ignores it.
+		cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(argv, " "))
+		cmd.Stderr = os.Stderr // Stdout stays nil: the parent's merge pass renders the tables
+		if err := cmd.Start(); err != nil {
+			fmt.Fprintf(os.Stderr, "o2kbench: worker %d failed to start: %v\n", slot, err)
+			continue
+		}
+		fleet = append(fleet, cmd)
+	}
+	if len(fleet) == 0 {
+		return fmt.Errorf("workers: none of %d workers could be started", workers)
 	}
 
-	// The signal drain stops when every slot has settled.
-	fleetDone := make(chan struct{})
-	go func() { wg.Wait(); close(fleetDone) }()
-	go o.drainLoop(ctx, fleetDone)
-	<-fleetDone
-
-	if o.exited.Load()+o.killed.Load() == 0 {
-		return fmt.Errorf("workers: none of %d workers could be started", cfg.workers)
+	// Waiting in slot order delays no drain: Start gave each command its own
+	// watcher of ctx, which sends the SIGTERM and, WaitDelay later, the
+	// SIGKILL. Wait's error only restates the exit classified below.
+	exited, killed := 0, 0
+	for _, cmd := range fleet {
+		cmd.Wait()
+		if cmd.ProcessState.ExitCode() < 0 { // died to a signal
+			killed++
+		} else {
+			exited++
+		}
 	}
-	fmt.Fprintf(os.Stderr, "o2kbench: %d worker(s): %d exited, %d killed\n",
-		cfg.workers, o.exited.Load(), o.killed.Load())
+	fmt.Fprintf(os.Stderr, "o2kbench: %d worker(s): %d exited, %d killed\n", workers, exited, killed)
 	return nil
-}
-
-// runSlot starts worker slot once and waits for it. A worker that dies is
-// not replaced: its lease locks die with it, so the rest of the fleet takes
-// over its in-flight cells, and the parent's merge pass computes whatever is still missing.
-func (o *orchestrator) runSlot(slot int) {
-	args := append([]string{fmt.Sprintf("-worker=%d/%d", slot, o.cfg.workers)}, o.cfg.args...)
-	cmd := exec.Command(o.exe, args...)
-	// The env mirror lets the test binary's TestMain run the same argv
-	// through run(); the real binary parses argv and ignores it.
-	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, " "))
-	cmd.Stdout = io.Discard // the parent's merge pass renders the tables
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "o2kbench: worker %d failed to start: %v\n", slot, err)
-		return
-	}
-	o.mu.Lock()
-	o.live[slot] = cmd.Process
-	o.mu.Unlock()
-	cmd.Wait()
-	o.mu.Lock()
-	delete(o.live, slot)
-	o.mu.Unlock()
-
-	if cmd.ProcessState.ExitCode() < 0 { // died to a signal
-		o.killed.Add(1)
-	} else {
-		o.exited.Add(1)
-	}
-}
-
-// signalAll sends sig to every live worker. Errors are ignored: a worker
-// that exited between the snapshot and the signal needs no signalling.
-func (o *orchestrator) signalAll(sig os.Signal) {
-	o.mu.Lock()
-	procs := make([]*os.Process, 0, len(o.live))
-	for _, p := range o.live {
-		procs = append(procs, p)
-	}
-	o.mu.Unlock()
-	for _, p := range procs {
-		p.Signal(sig)
-	}
-}
-
-// drainLoop propagates the parent's shutdown to the fleet: on context
-// cancellation (SIGINT/SIGTERM on the parent) every live worker gets a
-// SIGTERM — their own NotifyContext converts it into drained FAILED(
-// cancelled) cells and a prompt exit — and any straggler still alive after
-// drainTimeout is SIGKILLed so the parent never hangs on a wedged child.
-func (o *orchestrator) drainLoop(ctx context.Context, fleetDone <-chan struct{}) {
-	select {
-	case <-fleetDone:
-		return
-	case <-ctx.Done():
-	}
-	o.signalAll(syscall.SIGTERM)
-	select {
-	case <-fleetDone:
-	case <-time.After(drainTimeout):
-		o.signalAll(syscall.SIGKILL)
-	}
 }

@@ -48,6 +48,10 @@ func runServe(args []string) int {
 	eng := ef.build(context.Background(), 0, 1)
 	srv := server.New(server.Config{Engine: eng, MaxInflight: *inflight, MaxQueue: *queue})
 
+	// The signal handler is in place before the listener exists, so a
+	// SIGTERM that follows an admitted request always drains it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "o2kbench serve:", err)
@@ -61,8 +65,6 @@ func runServe(args []string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, "o2kbench serve:", err)

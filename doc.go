@@ -8,7 +8,7 @@
 // mesh adaptation with a PLUM-style load balancer, and Barnes-Hut N-body),
 // and a harness that regenerates the study's tables and figures.
 //
-// Start with README.md, DESIGN.md (system inventory and experiment index),
-// and examples/quickstart. cmd/o2kbench regenerates every table and figure;
+// Start with README.md and DESIGN.md (system inventory and experiment
+// index). cmd/o2kbench regenerates every table and figure;
 // internal/experiments/testdata/digests.txt pins their bytes (TestDigests).
 package o2k

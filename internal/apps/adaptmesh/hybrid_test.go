@@ -14,7 +14,7 @@ func TestHybridMatchesReference(t *testing.T) {
 	ref := ReferenceChecksum(w)
 	for _, procs := range []int{2, 4, 8, 6} {
 		m := mach(procs)
-		met := RunHybrid(m, w)
+		met := RunHybridWithPlans(m, w, BuildPlans(w, m.Nodes()))
 		if met.Model != core.Hybrid || met.Model.String() != "MP+SAS" {
 			t.Fatal("hybrid metrics mislabelled")
 		}
@@ -60,7 +60,7 @@ func TestHybridVsPureMP(t *testing.T) {
 	w := Default()
 	m := mach(64)
 	pure := RunWithPlans(core.MP, m, w, BuildPlans(w, 64)).Total
-	hyb := RunHybrid(m, w).Total
+	hyb := RunHybridWithPlans(m, w, BuildPlans(w, m.Nodes())).Total
 	if float64(hyb) > 1.15*float64(pure) {
 		t.Fatalf("hybrid (%v) not competitive with pure MP (%v) on Origin", hyb, pure)
 	}
@@ -76,7 +76,8 @@ func TestHybridVsPureMP(t *testing.T) {
 
 func TestHybridPhasesAndMemory(t *testing.T) {
 	w := Small()
-	met := RunHybrid(mach(8), w)
+	m := mach(8)
+	met := RunHybridWithPlans(m, w, BuildPlans(w, m.Nodes()))
 	if met.PhaseMax[sim.PhaseCompute] == 0 || met.PhaseMax[sim.PhaseComm] == 0 {
 		t.Error("hybrid phase attribution missing")
 	}

@@ -25,13 +25,8 @@ import (
 	"o2k/internal/solver"
 )
 
-// RunHybrid executes the workload under the hybrid MP+SAS model on mach
-// (plans are built at node granularity).
-func RunHybrid(mach *machine.Machine, w Workload) core.Metrics {
-	return RunHybridWithPlans(mach, w, BuildPlans(w, mach.Nodes()))
-}
-
-// RunHybridWithPlans is RunHybrid with precomputed node-granularity plans.
+// RunHybridWithPlans executes the workload under the hybrid MP+SAS model on
+// mach over precomputed node-granularity plans (BuildPlans(w, mach.Nodes())).
 func RunHybridWithPlans(mach *machine.Machine, w Workload, plans []*CyclePlan) core.Metrics {
 	met, _ := runHybrid(mach, w, plans, false)
 	return met

@@ -91,15 +91,3 @@ func (pl *StepPlan) forceLoads(me int, wp *WalkPlan) *numa.LoadFootprint {
 func BuildPlans(w Workload, nprocs int) []*StepPlan {
 	return BuildStructure(w).Plans(nprocs)
 }
-
-// ReferenceChecksum returns the digest of the final reference body state.
-func ReferenceChecksum(w Workload) float64 {
-	b := nbody.NewPlummer(w.N, w.Seed)
-	ax := make([]float64, w.N)
-	ay := make([]float64, w.N)
-	inter := make([]int, w.N)
-	for s := 0; s < w.Steps; s++ {
-		nbody.Step(b, nbody.Build(b), w.Theta, ax, ay, inter)
-	}
-	return b.Checksum()
-}

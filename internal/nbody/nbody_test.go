@@ -248,3 +248,12 @@ func TestInterleaveProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Checksum folds positions into a deterministic digest (index order).
+func (b *Bodies) Checksum() float64 {
+	s := 0.0
+	for i := 0; i < b.N(); i++ {
+		s += b.X[i] + 2*b.Y[i]
+	}
+	return s
+}

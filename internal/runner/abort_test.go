@@ -2,8 +2,8 @@ package runner
 
 // Per-request cancellation semantics (DESIGN.md §5.7): a requester leaving
 // an in-flight cell drops its reference; the last reference leaving aborts
-// the compute and retires the cell, so the next request recomputes from
-// scratch — while a cell any other live request still wants survives its
+// the compute and, in the same critical section, retires the cell, so the
+// next request recomputes from scratch — while a cell any other live request still wants survives its
 // first requester's departure untouched.
 
 import (
@@ -53,8 +53,11 @@ func TestRequestCancelAbortsAndRetiresCell(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled owner got %v, want a context.Canceled chain", err)
 	}
-	// The aborted outcome must be withdrawn: no memoized error, no report row.
-	waitFor(t, "cell retirement", func() bool { return e.Report().Unique == 0 })
+	// The aborted outcome is withdrawn by the time the last requester has
+	// left: no memoized error, no report row.
+	if got := e.Report().Unique; got != 0 {
+		t.Fatalf("Unique = %d right after the last requester left, want 0", got)
+	}
 
 	// A fresh request recomputes as if the key had never been asked for.
 	v, err := doCtx(context.Background(), e, "k", func(ctx context.Context) (any, error) {
@@ -69,6 +72,54 @@ func TestRequestCancelAbortsAndRetiresCell(t *testing.T) {
 	}
 	if rep := e.Report(); rep.Unique != 1 || rep.Failures != 0 {
 		t.Fatalf("report after recompute: unique=%d failures=%d, want 1/0", rep.Unique, rep.Failures)
+	}
+}
+
+// TestAbortedKeyDoesNotWaitForItsPublisher: retirement happens when the last
+// requester leaves, not when the aborted publisher returns. The publisher
+// here is stuck in a Prepare that ignores its context, yet the key is free
+// at once and a fresh request computes its own value.
+func TestAbortedKeyDoesNotWaitForItsPublisher(t *testing.T) {
+	e := New(2)
+	gate, started := make(chan struct{}), make(chan struct{})
+	defer close(gate)
+	stuck := func(context.Context) (Compute, error) {
+		close(started)
+		<-gate
+		return func(context.Context) (any, error) { return "stale", nil }, nil
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.DoCell(ctx, Cell{Key: "k", Label: "cell", Prepare: stuck})
+		errc <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled requester got %v, want a context.Canceled chain", err)
+	}
+	if got := e.Report().Unique; got != 0 {
+		t.Fatalf("Unique = %d right after the last requester left, want 0", got)
+	}
+
+	type out struct {
+		v   any
+		err error
+	}
+	res := make(chan out, 1)
+	go func() {
+		v, err := doCtx(context.Background(), e, "k", func(context.Context) (any, error) { return "fresh", nil })
+		res <- out{v, err}
+	}()
+	select {
+	case r := <-res:
+		if r.err != nil || r.v != "fresh" {
+			t.Fatalf("fresh request got v=%v err=%v, want fresh", r.v, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("fresh request of an aborted key waited for the aborted publisher")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 
 	"o2k/internal/runner/diskcache"
 )
@@ -152,37 +151,4 @@ func (e *Engine) diskStore(key string, codec *Codec, val any, cellErr error) {
 	payload = append(payload, prefix...)
 	payload = append(payload, body...)
 	e.cache.Put(key, payload) // counted by the cache on failure
-}
-
-// DiskStats is the persistent-cache section of a Report snapshot.
-type DiskStats struct {
-	Hits     int64 `json:"hits"`      // cells served from disk without simulation
-	Misses   int64 `json:"misses"`    // disk probes that fell through to compute
-	Corrupt  int64 `json:"corrupt"`   // integrity failures detected (and evicted)
-	Stale    int64 `json:"stale"`     // version-fence rejections (and evicted)
-	Evicted  int64 `json:"evicted"`   // entry files removed
-	PutErrs  int64 `json:"put_errs"`  // failed entry commits
-	ReadErrs int64 `json:"read_errs"` // I/O errors on probe
-}
-
-func diskStats(c diskcache.Counters) *DiskStats {
-	return &DiskStats{
-		Hits:     c.Hits,
-		Misses:   c.Misses,
-		Corrupt:  c.Corrupt,
-		Stale:    c.Stale,
-		Evicted:  c.Evicted,
-		PutErrs:  c.PutErrs,
-		ReadErrs: c.ReadErrs,
-	}
-}
-
-// String renders the stats for the -runreport table.
-func (d *DiskStats) String() string {
-	s := fmt.Sprintf("hits=%d misses=%d corrupt=%d stale=%d evicted=%d",
-		d.Hits, d.Misses, d.Corrupt, d.Stale, d.Evicted)
-	if d.PutErrs > 0 || d.ReadErrs > 0 {
-		s += fmt.Sprintf(" put_errs=%d read_errs=%d", d.PutErrs, d.ReadErrs)
-	}
-	return s
 }

@@ -118,6 +118,16 @@ type Counters struct {
 	ReadErrs int64 `json:"read_errs"` // I/O errors on read (distinct from absent)
 }
 
+// String renders the counters for the -runreport table.
+func (c Counters) String() string {
+	s := fmt.Sprintf("hits=%d misses=%d corrupt=%d stale=%d evicted=%d",
+		c.Hits, c.Misses, c.Corrupt, c.Stale, c.Evicted)
+	if c.PutErrs > 0 || c.ReadErrs > 0 {
+		s += fmt.Sprintf(" put_errs=%d read_errs=%d", c.PutErrs, c.ReadErrs)
+	}
+	return s
+}
+
 // Cache is a content-addressed store of cell outcomes under one directory.
 // It is safe for concurrent use by one or more processes sharing the
 // directory: entries are immutable once committed, commits are atomic

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"o2k/internal/core"
+	"o2k/internal/runner/diskcache"
 	"o2k/internal/runner/lease"
 )
 
@@ -30,20 +31,20 @@ type CellStat struct {
 // and where the wall time went. It is host-timing data — print it to stderr
 // (as o2kbench -runreport does) so table output stays byte-stable.
 type Report struct {
-	Jobs         int           `json:"jobs"`
-	Unique       int           `json:"unique_cells"`
-	Requests     int64         `json:"requests"`
-	Hits         int64         `json:"hits"`
-	Dedups       int64         `json:"dedups"`
-	Failures     int           `json:"failures"`        // completed cells that ended in error
-	CellWall     time.Duration `json:"cell_wall_ns"`    // summed owner wall time of all unique cells
-	CellCompute  time.Duration `json:"cell_compute_ns"` // summed slot-held time of all unique cells; at most jobs × the run's wall time
-	DiskHits     int64         `json:"disk_hits"`       // unique cells restored from the persistent cache
-	PlanCells    int           `json:"plan_cells"`      // completed plan-tier cells (structures + plans)
-	PlanDiskHits int64         `json:"plan_disk_hits"`  // plan-tier cells restored from the persistent cache
-	Disk         *DiskStats    `json:"disk,omitempty"`  // persistent-cache telemetry, nil when memory-only
-	Lease        *lease.Stats  `json:"lease,omitempty"` // cross-process single-flight telemetry, nil when solo
-	Cells        []CellStat    `json:"cells"`           // sorted by compute time, then wall time, descending
+	Jobs         int                 `json:"jobs"`
+	Unique       int                 `json:"unique_cells"`
+	Requests     int64               `json:"requests"`
+	Hits         int64               `json:"hits"`
+	Dedups       int64               `json:"dedups"`
+	Failures     int                 `json:"failures"`        // completed cells that ended in error
+	CellWall     time.Duration       `json:"cell_wall_ns"`    // summed owner wall time of all unique cells
+	CellCompute  time.Duration       `json:"cell_compute_ns"` // summed slot-held time of all unique cells; at most jobs × the run's wall time
+	DiskHits     int64               `json:"disk_hits"`       // unique cells restored from the persistent cache
+	PlanCells    int                 `json:"plan_cells"`      // completed plan-tier cells (structures + plans)
+	PlanDiskHits int64               `json:"plan_disk_hits"`  // plan-tier cells restored from the persistent cache
+	Disk         *diskcache.Counters `json:"disk,omitempty"`  // persistent-cache telemetry, nil when memory-only
+	Lease        *lease.Stats        `json:"lease,omitempty"` // cross-process single-flight telemetry, nil when solo
+	Cells        []CellStat          `json:"cells"`           // sorted by compute time, then wall time, descending
 }
 
 // Report snapshots the engine's statistics. It is safe to call while cells
@@ -66,7 +67,8 @@ func (e *Engine) Report() *Report {
 
 	r := &Report{Jobs: e.jobs, Unique: len(cells)}
 	if e.cache != nil {
-		r.Disk = diskStats(e.cache.Counters())
+		cn := e.cache.Counters()
+		r.Disk = &cn
 	}
 	if e.leases != nil {
 		ls := e.leases.Stats()

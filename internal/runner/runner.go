@@ -39,7 +39,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -53,10 +52,10 @@ import (
 // ErrCellAborted is the cancellation cause a cell's compute context carries
 // when every requester waiting on the cell has gone away before it completed
 // (per-request cancellation, DESIGN.md §5.7). It wraps context.Canceled, so
-// an aborted outcome is never persisted to the disk cache; the engine also
-// retires the cell from the memo map (and so from the report), so the next
-// request of the same key recomputes from scratch as if the cell had never
-// been asked for.
+// an aborted outcome is never persisted to the disk cache. The last requester
+// leaving also retires the cell from the memo map (and so from the report) in
+// the same critical section, so the next request of the same key recomputes
+// from scratch as if the cell had never been asked for.
 var ErrCellAborted = fmt.Errorf("every requester left: %w", context.Canceled)
 
 // Policy is the engine's fault-tolerance configuration. The zero value means
@@ -90,13 +89,13 @@ type Engine struct {
 }
 
 // cell is one memoized computation: the single-flight slot, its result or
-// error, and its statistics. val, err, wall, compute, and retired are
-// written only by the owner goroutine before done is closed; readers must
-// observe done first (close(done) is the publication barrier). waiters and
-// completed are guarded by the engine mutex: they implement per-request
-// cancellation — every live requester (the owner included) holds one
-// reference, and the last reference leaving an incomplete cell cancels cctx
-// with ErrCellAborted.
+// error, and its statistics. val, err, wall and compute are written only by
+// the owner goroutine before done is closed; readers must observe done first
+// (close(done) is the publication barrier). waiters and completed are guarded
+// by the engine mutex: they implement per-request cancellation — every live
+// requester (the owner included) holds one reference, and the last reference
+// leaving an incomplete cell cancels cctx with ErrCellAborted and retires the
+// cell from the memo map.
 type cell struct {
 	key      string
 	label    string
@@ -108,7 +107,6 @@ type cell struct {
 	wall     time.Duration // the publisher's wall time: probes, Prepare, the compute and its wait for a worker slot
 	compute  time.Duration // the part of wall the compute held a worker slot
 	fromDisk bool          // outcome restored from the persistent cache
-	retired  bool          // aborted outcome withdrawn from the memo map
 	hits     atomic.Int64  // requests served after completion
 	dedup    atomic.Int64  // requests that waited on the in-flight run
 
@@ -221,11 +219,11 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute Compute) (any
 //   - when the *last* reference leaves a cell that has not completed, the
 //     cell's compute context is cancelled with ErrCellAborted: a client
 //     disconnect aborts only cells no other request still wants;
-//   - an aborted outcome is retired — withdrawn from the memo map and the
-//     report — and never persisted, so the next request of the same key
-//     recomputes as if the cell had never existed. A requester that raced
-//     its registration against the abort observes the retirement and
-//     retries its lookup.
+//   - in the same critical section the aborted cell is retired — withdrawn
+//     from the memo map and the report — so the next request of the same
+//     key recomputes at once, as if the cell had never existed, without
+//     waiting for the aborted compute to return. An aborted outcome is never
+//     persisted. Engine-wide cancellation retires nothing.
 //
 // If ctx carries a request hook (WithRequestHook), every event this request
 // produces — including those of the cells its Prepare resolves — is also
@@ -233,97 +231,84 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute Compute) (any
 func (e *Engine) DoCell(ctx context.Context, req Cell) (any, error) {
 	key, label := req.Key, req.Label
 	rh := requestHook(ctx)
-	for { // one pass serves, waits, or owns; only a retired outcome loops
-		e.mu.Lock()
-		c, found := e.cells[key]
-		if found && c.completed {
-			// Memo hit. A retired cell leaves the map in the critical section
-			// that completes it, so a completed cell found here is never retired.
-			e.mu.Unlock()
-			<-c.done
-			c.hits.Add(1)
-			if e.hooked(rh) {
-				e.fire(rh, Event{Kind: EventMemoHit, Key: key, Label: label, Start: time.Now(), Err: errMsg(c.err)})
-			}
-			return c.val, c.err
-		}
-		if found {
-			c.waiters++
-		} else {
-			c = &cell{key: key, label: label, seq: e.seq, done: make(chan struct{}), waiters: 1}
-			e.seq++
-			if req.Codec != nil {
-				c.kind = req.Codec.Kind
-			}
-			c.cctx, c.abort = context.WithCancelCause(e.ctx)
-			e.cells[key] = c
-		}
+	e.mu.Lock()
+	c, found := e.cells[key]
+	if found && c.completed {
 		e.mu.Unlock()
-
-		var t0 time.Time
-		if found {
-			c.dedup.Add(1)
-			if e.hooked(rh) {
-				t0 = time.Now()
-			}
-		} else {
-			// The creator spawns the detached publisher that computes and
-			// publishes the outcome, then waits exactly like any other
-			// requester — so a creator whose request context is cancelled
-			// unblocks immediately while the compute keeps running for (or is
-			// aborted on behalf of) the remaining references. The publisher
-			// holds no reference of its own; the creator's registration is
-			// what keeps a fresh cell's compute alive.
-			go e.publish(c, rh, req.Codec, req.Prepare)
-		}
-		retired, err := e.await(ctx, c, label)
-		if err != nil {
-			return nil, err
-		}
-		if retired {
-			continue // look the key up again: the retired cell is gone from the map
-		}
-		if found && e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventDedup, Key: key, Label: label, Start: t0, Dur: time.Since(t0), Err: errMsg(c.err)})
+		<-c.done
+		c.hits.Add(1)
+		if e.hooked(rh) {
+			e.fire(rh, Event{Kind: EventMemoHit, Key: key, Label: label, Start: time.Now(), Err: errMsg(c.err)})
 		}
 		return c.val, c.err
 	}
+	if found {
+		c.waiters++
+	} else {
+		c = &cell{key: key, label: label, seq: e.seq, done: make(chan struct{}), waiters: 1}
+		e.seq++
+		if req.Codec != nil {
+			c.kind = req.Codec.Kind
+		}
+		c.cctx, c.abort = context.WithCancelCause(e.ctx)
+		e.cells[key] = c
+	}
+	e.mu.Unlock()
+
+	var t0 time.Time
+	if found {
+		c.dedup.Add(1)
+		if e.hooked(rh) {
+			t0 = time.Now()
+		}
+	} else {
+		// The creator spawns the detached publisher that computes and
+		// publishes the outcome, then waits exactly like any other
+		// requester — so a creator whose request context is cancelled
+		// unblocks immediately while the compute keeps running for (or is
+		// aborted on behalf of) the remaining references. The publisher
+		// holds no reference of its own; the creator's registration is
+		// what keeps a fresh cell's compute alive.
+		go e.publish(c, rh, req.Codec, req.Prepare)
+	}
+	if err := e.await(ctx, c, label); err != nil {
+		return nil, err
+	}
+	if found && e.hooked(rh) {
+		e.fire(rh, Event{Kind: EventDedup, Key: key, Label: label, Start: t0, Dur: time.Since(t0), Err: errMsg(c.err)})
+	}
+	return c.val, c.err
 }
 
 // unregister drops one requester reference from c. The last live requester
-// leaving an incomplete cell aborts its compute.
+// leaving an incomplete cell aborts its compute and, unless the engine itself
+// is cancelled, retires the cell from the memo map: a request that finds the
+// key after this critical section creates a fresh cell, and the aborted
+// compute publishes into a cell nobody can look up any more.
 func (e *Engine) unregister(c *cell) {
 	e.mu.Lock()
 	c.waiters--
 	if c.waiters == 0 && !c.completed {
 		c.abort(ErrCellAborted)
+		if e.ctx.Err() == nil {
+			delete(e.cells, c.key)
+		}
 	}
 	e.mu.Unlock()
 }
 
 // await blocks a registered requester of c until the cell publishes, the
-// request is cancelled, or the engine is. The AfterFunc carries the
-// reference drop for a cancelled request; a request that leaves its wait any
-// other way stops it and drops the reference itself. retired reports a
-// retired outcome observed by a still-live request: the owner aborted after
-// every other requester left and this registration raced the abort, so the
-// caller must ask again.
-func (e *Engine) await(ctx context.Context, c *cell, label string) (retired bool, err error) {
-	stop := context.AfterFunc(ctx, func() { e.unregister(c) })
+// request is cancelled, or the engine is, and then drops the request's
+// reference.
+func (e *Engine) await(ctx context.Context, c *cell, label string) error {
+	defer e.unregister(c)
 	select {
 	case <-c.done:
-		if stop() {
-			e.unregister(c)
-		}
-		return c.retired && ctx.Err() == nil && e.ctx.Err() == nil, nil
+		return nil
 	case <-ctx.Done():
-		// The AfterFunc drops our reference (and possibly aborts the cell).
-		return false, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
+		return fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
 	case <-e.ctx.Done():
-		if stop() {
-			e.unregister(c)
-		}
-		return false, fmt.Errorf("cell %s: %w", label, context.Cause(e.ctx))
+		return fmt.Errorf("cell %s: %w", label, context.Cause(e.ctx))
 	}
 }
 
@@ -346,14 +331,7 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 	}
 	c.wall = time.Since(start)
 
-	// Publish — or retire an aborted outcome so the key can be recomputed.
-	// Engine-wide cancellation is not an abort: those outcomes stay, and
-	// every requester sees the engine's cause as before.
 	e.mu.Lock()
-	if errors.Is(c.err, ErrCellAborted) && e.ctx.Err() == nil {
-		c.retired = true
-		delete(e.cells, c.key)
-	}
 	c.completed = true
 	e.mu.Unlock()
 	close(c.done)

@@ -28,8 +28,7 @@ import (
 // shrink.
 var unreached = map[string]string{
 	// Oracles: sequential references the tests compare the parallel codes to.
-	"apps/stencil.ReferenceChecksum": "oracle: sequential Jacobi digest (adaptmesh's and cg's are printed by examples/, barnes's by examples/nbody)",
-	"nbody.Bodies.Energy":            "oracle: total energy, the conservation check of the integrator tests",
+	"nbody.Bodies.Energy": "oracle: total energy, the conservation check of the integrator tests",
 
 	// Observers: what tests read a result through.
 	"numa.Array.Home":            "observer: page placement as the placement tests see it",
@@ -45,11 +44,11 @@ var unreached = map[string]string{
 	"runner/diskcache.WithFingerprint": "fault seam: opens a cache as another build, for the version-fence tests",
 }
 
-const maxUnreached = 11
+const maxUnreached = 10
 
 // TestExportedNamesAreReached pins "no capability without a caller": every
 // exported package-level name and method under internal/ is referenced from a
-// non-test file of the root module (cmd/ and examples/ included) or of
+// non-test file of the root module (cmd/ included) or of
 // bench/, or is a method of an interface its type implements (fmt.Stringer,
 // error, sort.Interface, diskcache.FS, the errors package's Unwrap — calls
 // through the interface are its callers), or is on the unreached list above.
