@@ -3,8 +3,8 @@ package runner
 // Per-request cancellation semantics (DESIGN.md §5.7): a requester leaving
 // an in-flight cell drops its reference; the last reference leaving aborts
 // the compute and, in the same critical section, retires the cell, so the
-// next request recomputes from scratch — while a cell any other live request still wants survives its
-// first requester's departure untouched.
+// next request recomputes from scratch — while a cell any other live
+// request still wants survives its first requester's departure untouched.
 
 import (
 	"context"
