@@ -332,11 +332,11 @@ func fig7Config(procs int, ratio float64) machine.Config {
 	return cfg
 }
 
+// fig7Procs is the P of Figure 7 and of V6: the largest -procs value, capped at 32.
+func fig7Procs(o Opts) int { return min(o.Procs[len(o.Procs)-1], 32) }
+
 func buildFig7(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
-	procs := o.Procs[len(o.Procs)-1]
-	if procs > 32 {
-		procs = 32
-	}
+	procs := fig7Procs(o)
 	t := &core.Table{
 		Title:  fmt.Sprintf("Figure 7 — Sensitivity to remote:local latency ratio (mesh, P=%d)", procs),
 		Header: []string{"ratio", "MP", "SHMEM", "CC-SAS", "CC-SAS/MP"},

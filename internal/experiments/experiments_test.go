@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -128,7 +130,47 @@ func TestVerdictsAllPassQuick(t *testing.T) {
 			t.Errorf("%s (%s): %s — %s", r[0], r[1], r[2], r[3])
 		}
 	}
-	if len(tb.Rows) < 10 {
-		t.Fatalf("only %d verdicts", len(tb.Rows))
+	if len(tb.Rows) != 1+len(verdicts) {
+		t.Fatalf("%d verdict rows, want V0 and %d verdicts", len(tb.Rows), len(verdicts))
+	}
+	for i, r := range tb.Rows {
+		if want := "V" + strconv.Itoa(i); r[0] != want {
+			t.Errorf("row %d is %s, want %s", i, r[0], want)
+		}
+	}
+}
+
+// DESIGN §5a's expected shapes are the verdict claims, quoted: a claim
+// missing from the list, an extra bullet or a reworded one fails.
+func TestDesignQuotesEveryVerdictClaim(t *testing.T) {
+	data, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(data), "\nExpected shapes")
+	if !ok {
+		t.Fatal("DESIGN.md has no expected-shapes list")
+	}
+	var bullets []string
+	for _, line := range strings.Split(list, "\n")[1:] {
+		if strings.HasPrefix(line, "- ") {
+			bullets = append(bullets, line)
+		} else if len(bullets) > 0 {
+			break
+		}
+	}
+	var want []string
+	for _, v := range verdicts {
+		want = append(want, "- "+v.id+": `"+v.claim+"`")
+	}
+	for _, w := range want {
+		if !slices.Contains(bullets, w) {
+			t.Errorf("DESIGN.md does not quote %s", w)
+		}
+	}
+	for _, b := range bullets {
+		if !slices.Contains(want, b) {
+			t.Errorf("DESIGN.md lists %q, which is no verdict's claim", b)
+		}
 	}
 }

@@ -132,6 +132,38 @@ func TestFailedRunIsByteStableAcrossJobs(t *testing.T) {
 	}
 }
 
+// V0 gates every cell the verdict table requests, not a list kept beside
+// the checks: a failed cell behind Figure 7's first or last ratio (V6's
+// evidence) or behind the mesh characteristics (V8's) fails V0, and the
+// claim it feeds does not pass on the failure's zero-valued metrics.
+func TestVerdictGateCoversEveryEvidenceCell(t *testing.T) {
+	o := QuickOpts()
+	p, maxP := fig7Procs(o), o.Procs[len(o.Procs)-1]
+	for _, tc := range []struct {
+		name, key, claim string
+	}{
+		{"fig7 first ratio", core.CellKey("mesh/run", core.MP, fig7Config(p, fig7Ratios[0]), o.MeshW), "V6"},
+		{"fig7 last ratio", core.CellKey("mesh/run", core.MP, fig7Config(p, fig7Ratios[len(fig7Ratios)-1]), o.MeshW), "V6"},
+		{"mesh characteristics", core.CellKey("mesh/chars", charsSchema, meshPlanKey(o.MeshW, maxP)), "V8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := runner.New(2)
+			e.Do(tc.key, "poisoned", func(context.Context) (any, error) { return nil, errors.New("injected fault") })
+			rows := map[string][]string{}
+			for _, r := range buildVerdicts(bg, e, o).Rows {
+				rows[r[0]] = r
+			}
+			if v0 := rows["V0"]; v0[2] != "FAIL" || !strings.HasPrefix(v0[3], "1 failed cell(s)") ||
+				!strings.Contains(v0[3], "FAILED(injected fault)") {
+				t.Errorf("V0 = %s %q, want FAIL naming the one injected fault", v0[2], v0[3])
+			}
+			if r := rows[tc.claim]; r[2] == "PASS" {
+				t.Errorf("%s passed on a failed evidence cell: %q", tc.claim, r[3])
+			}
+		})
+	}
+}
+
 func TestVerdictsFlagFailedEvidence(t *testing.T) {
 	o := QuickOpts()
 	maxP := o.Procs[len(o.Procs)-1]

@@ -1,7 +1,11 @@
 package runner
 
 import (
+	"cmp"
 	"context"
+	"maps"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -18,7 +22,7 @@ type EventKind uint8
 // The cell lifecycle events the engine reports.
 const (
 	// EventCompute is a cell's compute: a span from the request of a worker
-	// slot to the outcome (queue wait included).
+	// slot to the outcome (queue wait included), or its Prepare's failure.
 	EventCompute EventKind = iota
 	// EventMemoHit is a request served from the in-memory cell map after
 	// the cell completed (instant).
@@ -74,9 +78,37 @@ type reqHookKey struct{}
 // Prepare stage requests, so a request hook sees exactly the cell lifecycle
 // its request caused, with correct attribution, even while other requests
 // share the engine — the seam the experiment server streams per-cell NDJSON
-// from.
+// from. A hook ctx already carries keeps receiving every event: h runs
+// first, then the outer hook.
 func WithRequestHook(ctx context.Context, h Hook) context.Context {
+	if outer := requestHook(ctx); outer != nil {
+		inner := h
+		h = func(ev Event) { inner(ev); outer(ev) }
+	}
 	return context.WithValue(ctx, reqHookKey{}, h)
+}
+
+// TrackFailures returns a context that records every cell failing under it,
+// keyed by cell key since labels repeat, and a function listing those
+// failures by label, then key, an order no schedule changes. The ledger is a
+// request hook: it composes with ctx's and sees failed dependencies too.
+func TrackFailures(ctx context.Context) (context.Context, func() []Event) {
+	var mu sync.Mutex
+	failed := map[string]Event{}
+	ctx = WithRequestHook(ctx, func(ev Event) {
+		if ev.Err != "" {
+			mu.Lock()
+			failed[ev.Key] = ev
+			mu.Unlock()
+		}
+	})
+	return ctx, func() []Event {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.SortedFunc(maps.Values(failed), func(a, b Event) int {
+			return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.Key, b.Key))
+		})
+	}
 }
 
 // requestHook extracts the per-request hook from ctx, nil when absent.

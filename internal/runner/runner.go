@@ -341,17 +341,17 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 // run is the owned-miss path of cell c: prepare the dependencies — holding
 // no worker slot — then execute the compute once, under the cell's compute
 // context (the engine context plus the cell's abort). It returns the outcome
-// and records on c how long the compute held a worker slot.
+// and records on c how long the compute held a worker slot. A failed Prepare
+// stage skips the compute, not the compute event that reports the failure.
 func (e *Engine) run(c *cell, rh Hook, prepare Prepare) (val any, err error) {
 	compute, err := e.prepare(c.cctx, rh, c.label, prepare)
-	if err != nil {
-		return nil, err
-	}
 	var t0 time.Time
 	if e.hooked(rh) {
 		t0 = time.Now()
 	}
-	val, err, c.compute = e.attempt(c.cctx, c.label, compute)
+	if err == nil {
+		val, err, c.compute = e.attempt(c.cctx, c.label, compute)
+	}
 	if e.hooked(rh) {
 		e.fire(rh, Event{Kind: EventCompute, Key: c.key, Label: c.label, Start: t0, Dur: time.Since(t0), Err: errMsg(err)})
 	}

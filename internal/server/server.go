@@ -230,14 +230,13 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 
 	// The per-request hook fires from the builders' goroutines concurrently;
-	// one mutex serializes the stream and guards the failure ledger. After a
-	// disconnect, a cell this request abandoned can still deliver its final
-	// event from the detached publisher goroutine once the handler has
-	// returned — the closed flag keeps those off the dead ResponseWriter.
+	// one mutex serializes the stream. After a disconnect, a cell this
+	// request abandoned can still deliver its final event from the detached
+	// publisher goroutine once the handler has returned — the closed flag
+	// keeps those off the dead ResponseWriter.
 	var (
-		mu      sync.Mutex
-		closed  bool
-		cellErr = make(map[string]string)
+		mu     sync.Mutex
+		closed bool
 	)
 	defer func() {
 		mu.Lock()
@@ -258,36 +257,22 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		}
 		mu.Unlock()
 	}
-	hook := runner.Hook(func(ev runner.Event) {
-		// Every event carries the cell's outcome for this request.
-		mu.Lock()
-		cellErr[ev.Key] = ev.Err
-		mu.Unlock()
+	ctx, failed := runner.TrackFailures(runner.WithRequestHook(r.Context(), func(ev runner.Event) {
 		writeLine(streamLine{
 			Type: "cell", Kind: ev.Kind.String(), Key: ev.Key, Label: ev.Label,
 			Ms: float64(ev.Dur) / 1e6, Err: ev.Err,
 		})
-	})
-
-	ctx := runner.WithRequestHook(r.Context(), hook)
+	}))
 	tables, err := experiments.RunOnCtx(ctx, s.eng, req.Exp, o)
 	if err != nil {
 		writeLine(streamLine{Type: "error", Error: err.Error()})
 		return
 	}
-	failures := 0
-	mu.Lock()
-	for _, e := range cellErr {
-		if e != "" {
-			failures++
-		}
+	result := streamLine{Type: "result", Fails: len(failed()), Output: experiments.Render(tables)}
+	if result.Fails > 0 {
+		result.Exit = 1
 	}
-	mu.Unlock()
-	exit := 0
-	if failures > 0 {
-		exit = 1
-	}
-	writeLine(streamLine{Type: "result", Exit: exit, Fails: failures, Output: experiments.Render(tables)})
+	writeLine(result)
 }
 
 // cellResponse is the GET /v1/cells document.

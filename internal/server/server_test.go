@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -22,6 +23,7 @@ import (
 
 	"o2k/internal/core"
 	"o2k/internal/experiments"
+	"o2k/internal/machine"
 	"o2k/internal/runner"
 	"o2k/internal/runner/diskcache"
 	"o2k/internal/runner/lease"
@@ -184,6 +186,41 @@ func TestExperimentsStreamMatchesCLIBytes(t *testing.T) {
 	want := experiments.Render(experiments.RunAllCtx(context.Background(), runner.New(0), experiments.QuickOpts()))
 	if res.Output != want {
 		t.Fatalf("server output is not byte-identical to the CLI rendering:\nserver %d bytes, cli %d bytes", len(res.Output), len(want))
+	}
+}
+
+// The verdict table counts its failures on a ledger of its own, and the
+// request still streams every cell line through the server's hook. The
+// result's failures count failed cells by key: two poisoned cells that
+// share a label (the Origin and T3E mesh MP runs at one P) count twice.
+func TestVerdictsStreamAndCountFailuresByKey(t *testing.T) {
+	ts, _, eng := newTestServer(t, Config{})
+	o := experiments.QuickOpts()
+	midP := o.Procs[len(o.Procs)/2]
+	poisoned := map[string]bool{}
+	for _, cfg := range []machine.Config{machine.Default(midP), machine.T3E(midP)} {
+		key := core.CellKey("mesh/run", core.MP, cfg, o.MeshW)
+		eng.Do(key, "poisoned", func(context.Context) (any, error) { return nil, errors.New("injected fault") })
+		poisoned[key] = true
+	}
+	code, cells, res := postExperiment(t, ts.URL, `{"exp":"verdicts","quick":true}`)
+	if code != http.StatusOK || res.Type != "result" {
+		t.Fatalf("verdicts: code=%d terminal=%+v", code, res)
+	}
+	if res.Failures != 2 || res.Exit != 1 {
+		t.Fatalf("failures=%d exit=%d, want 2 and 1", res.Failures, res.Exit)
+	}
+	labels := map[string]bool{}
+	for _, c := range cells {
+		if key, _ := c["key"].(string); poisoned[key] {
+			labels[c["label"].(string)] = true
+		}
+	}
+	if want := fmt.Sprintf("mesh MP P=%d", midP); len(labels) != 1 || !labels[want] {
+		t.Fatalf("the poisoned cells streamed under labels %v, want only %q", labels, want)
+	}
+	if !strings.Contains(res.Output, "2 failed cell(s)") {
+		t.Fatalf("V0 does not count both failed cells:\n%s", res.Output)
 	}
 }
 
