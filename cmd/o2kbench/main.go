@@ -86,8 +86,8 @@
 // Failure semantics (DESIGN.md §5.7): a cell that panics, exceeds the
 // -timeout deadline, or is cancelled (SIGINT/SIGTERM) becomes a
 // FAILED(<reason>) table entry; the run continues and every healthy entry
-// keeps its exact bytes. Exit status: 0 all cells succeeded, 1 at least
-// one cell failed (partial output), 2 usage error.
+// keeps its exact bytes. Exit status: 0 every cell the request asked for
+// succeeded, 1 one failed (partial output), 2 usage error.
 package main
 
 import (
@@ -508,7 +508,7 @@ func run() int {
 		collector = &obs.Collector{}
 		eng.SetHook(collector.Hook())
 	}
-	tables, err := experiments.RunOnCtx(ctx, eng, req.Exp, o)
+	tables, failed, err := experiments.RunOnCtx(ctx, eng, req.Exp, o)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -527,7 +527,6 @@ func run() int {
 		return 2
 	}
 
-	report := eng.Report()
 	var phases []obs.RunPhases
 	if tracing {
 		traced, terr := experiments.Trace(*traceExp, o)
@@ -555,14 +554,14 @@ func run() int {
 		}
 	}
 	if mode := runreport.resolve(*format); mode != "" {
-		if err := writeRunReport(mode, report, phases); err != nil {
+		if err := writeRunReport(mode, eng.Report(), phases); err != nil {
 			fmt.Fprintln(os.Stderr, "o2kbench:", err)
 			return 1
 		}
 	}
-	if report.Failures > 0 {
+	if len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "o2kbench: %d cell(s) failed; output is partial (rerun with -runreport for details)\n",
-			report.Failures)
+			len(failed))
 		return 1
 	}
 	return 0

@@ -16,12 +16,12 @@ func TestRegistryResolvesAllNames(t *testing.T) {
 	o := experiments.QuickOpts()
 	o.Procs = []int{1, 2}
 	for _, name := range []string{"table1", "workloads", "loc", "fig2", "mesh-speedup"} {
-		tabs, err := experiments.RunOnCtx(context.Background(), runner.New(0), name, o)
+		tabs, _, err := experiments.RunOnCtx(context.Background(), runner.New(0), name, o)
 		if err != nil || len(tabs) == 0 {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := experiments.RunOnCtx(context.Background(), runner.New(0), "nope", o); err == nil {
+	if _, _, err := experiments.RunOnCtx(context.Background(), runner.New(0), "nope", o); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -57,7 +57,7 @@ func TestParseProcs(t *testing.T) {
 func TestTablesSerializeToJSON(t *testing.T) {
 	o := experiments.QuickOpts()
 	o.Procs = []int{1, 2}
-	tabs, err := experiments.RunOnCtx(context.Background(), runner.New(0), "table1", o)
+	tabs, _, err := experiments.RunOnCtx(context.Background(), runner.New(0), "table1", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCacheMaintenance(t *testing.T) {
 	o.Procs = []int{1, 2}
 	eng := runner.New(1)
 	eng.SetCache(dc)
-	if _, err := experiments.RunOnCtx(context.Background(), eng, "mesh-speedup", o); err != nil {
+	if _, _, err := experiments.RunOnCtx(context.Background(), eng, "mesh-speedup", o); err != nil {
 		t.Fatal(err)
 	}
 	n, err := dc.Len()

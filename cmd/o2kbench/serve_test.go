@@ -14,7 +14,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -52,17 +55,17 @@ func fingerprintLine(t *testing.T, out string) string {
 	return ""
 }
 
-func TestCLIServeDrainOnSIGTERM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test")
-	}
+// serveDaemon starts `o2kbench serve` with args on a port the kernel picks
+// and returns its base URL, the process, and the stderr it has written so
+// far. The daemon is killed at cleanup if the test has not ended it.
+func serveDaemon(t *testing.T, args string) (string, *exec.Cmd, func() string) {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), mainArgsEnv+"=serve -addr 127.0.0.1:0 -cache "+dir)
+	cmd.Env = append(os.Environ(), mainArgsEnv+"=serve -addr 127.0.0.1:0 "+args)
 	stderrPipe, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -70,29 +73,42 @@ func TestCLIServeDrainOnSIGTERM(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
 
+	var (
+		mu   sync.Mutex
+		tail bytes.Buffer
+	)
+	stderr := func() string { mu.Lock(); defer mu.Unlock(); return tail.String() }
 	// The daemon announces its concrete (port-0-assigned) address on stderr.
 	sc := bufio.NewScanner(stderrPipe)
 	var base string
-	var stderrTail bytes.Buffer
-	for sc.Scan() {
-		line := sc.Text()
-		stderrTail.WriteString(line + "\n")
-		if rest, ok := strings.CutPrefix(line, "o2kbench: serving on "); ok {
-			base = rest
-			break
-		}
+	for base == "" && sc.Scan() {
+		mu.Lock()
+		tail.WriteString(sc.Text() + "\n")
+		mu.Unlock()
+		base, _ = strings.CutPrefix(sc.Text(), "o2kbench: serving on ")
 	}
 	if base == "" {
-		t.Fatalf("daemon never announced its address; stderr so far:\n%s", stderrTail.String())
+		t.Fatalf("daemon never announced its address; stderr so far:\n%s", stderr())
 	}
 	// Keep draining stderr so the child never blocks on a full pipe.
 	go func() {
 		for sc.Scan() {
-			stderrTail.WriteString(sc.Text() + "\n")
+			mu.Lock()
+			tail.WriteString(sc.Text() + "\n")
+			mu.Unlock()
 		}
 	}()
+	return base, cmd, stderr
+}
+
+func TestCLIServeDrainOnSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	base, cmd, stderrTail := serveDaemon(t, "-cache "+dir)
 
 	// Submit a quick experiment, then SIGTERM the daemon while the request
 	// is in flight: drain must let it stream to completion and commit its
@@ -130,7 +146,7 @@ func TestCLIServeDrainOnSIGTERM(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if !admitted {
-		t.Fatalf("request never showed up in /metrics; stderr:\n%s", stderrTail.String())
+		t.Fatalf("request never showed up in /metrics; stderr:\n%s", stderrTail())
 	}
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -138,7 +154,7 @@ func TestCLIServeDrainOnSIGTERM(t *testing.T) {
 
 	r := <-done
 	if r.err != nil {
-		t.Fatalf("in-flight request failed across the drain: %v\nstderr:\n%s", r.err, stderrTail.String())
+		t.Fatalf("in-flight request failed across the drain: %v\nstderr:\n%s", r.err, stderrTail())
 	}
 	if r.status != http.StatusOK {
 		t.Fatalf("in-flight request got status %d\nbody:\n%s", r.status, r.body)
@@ -159,7 +175,7 @@ func TestCLIServeDrainOnSIGTERM(t *testing.T) {
 	}
 
 	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exited uncleanly after SIGTERM: %v\nstderr:\n%s", err, stderrTail.String())
+		t.Fatalf("daemon exited uncleanly after SIGTERM: %v\nstderr:\n%s", err, stderrTail())
 	}
 	// Drain committed the request's cells to the shared cache.
 	cells := 0
@@ -170,10 +186,49 @@ func TestCLIServeDrainOnSIGTERM(t *testing.T) {
 		return nil
 	})
 	if cells == 0 {
-		t.Fatalf("no cache entries committed; stderr:\n%s", stderrTail.String())
+		t.Fatalf("no cache entries committed; stderr:\n%s", stderrTail())
 	}
-	if !strings.Contains(stderrTail.String(), "o2kbench: draining") {
-		t.Errorf("stderr never announced the drain:\n%s", stderrTail.String())
+	if !strings.Contains(stderrTail(), "o2kbench: draining") {
+		t.Errorf("stderr never announced the drain:\n%s", stderrTail())
+	}
+}
+
+// The CLI and the daemon count a request's failures by one rule, the failed
+// cells it asked for: a request that fails deterministically exits with the
+// same status and names the same number of failed cells on both.
+func TestCLIAndServeCountTheSameFailedCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	_, stderr, code := o2kbench(t, "-quick -exp regular-control -timeout 1ns")
+	m := regexp.MustCompile(`o2kbench: (\d+) cell\(s\) failed`).FindStringSubmatch(stderr)
+	if code != 1 || m == nil {
+		t.Fatalf("CLI exited %d without a failed-cell count, want 1 (stderr: %s)", code, stderr)
+	}
+	n, _ := strconv.Atoi(m[1])
+
+	base, _, _ := serveDaemon(t, "-timeout 1ns")
+	resp, err := http.Post(base+"/v1/experiments", "application/json",
+		strings.NewReader(`{"exp":"regular-control","quick":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	var res struct {
+		Type     string `json:"type"`
+		Exit     int    `json:"exit"`
+		Failures int    `json:"failures"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil || res.Type != "result" {
+		t.Fatalf("final stream line is no result (%v): %s", err, lines[len(lines)-1])
+	}
+	if res.Exit != code || res.Failures != n {
+		t.Fatalf("daemon: exit %d, %d failed cells; CLI: exit %d, %d failed cells", res.Exit, res.Failures, code, n)
 	}
 }
 

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/barnes"
@@ -51,8 +54,8 @@ import (
 // of every run cell that has to be computed from it, without starting the
 // run; a run cell already in the memo map or on disk is served even if its
 // plan cell would fail. The builders never read a plan themselves: the few
-// numbers Table 1 and the verdicts take from one are small persisted
-// *characteristics* cells that depend on the plans the same lazy way.
+// numbers Table 1 takes from one are small persisted *characteristics* cells
+// that depend on the plans the same lazy way.
 
 // prepareFn is the typed form of runner.Cell.Prepare: resolve the cell's
 // dependencies under ctx, return the work that captures them.
@@ -76,8 +79,42 @@ func after[D, T any](what string, dep func(context.Context) (D, error), compute 
 	}
 }
 
+// Failure is one failed cell a request asked for, with the error it got.
+type Failure struct {
+	Label, Key string
+	Err        error
+}
+
+// ledger holds one request's failed cells by key, since labels repeat. It
+// rides the request's context, nested in the ledger of any request around it.
+type ledger struct {
+	outer  *ledger
+	failed sync.Map // cell key → Failure
+}
+
+type ledgerKey struct{}
+
+// track returns ctx carrying a fresh ledger and a function listing its
+// failures by label, then key, an order no schedule changes.
+func track(ctx context.Context) (context.Context, func() []Failure) {
+	outer, _ := ctx.Value(ledgerKey{}).(*ledger)
+	l := &ledger{outer: outer}
+	return context.WithValue(ctx, ledgerKey{}, l), func() (fs []Failure) {
+		l.failed.Range(func(_, f any) bool { fs = append(fs, f.(Failure)); return true })
+		slices.SortFunc(fs, func(a, b Failure) int {
+			return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.Key, b.Key))
+		})
+		return fs
+	}
+}
+
 // cellOf resolves one cell whose compute cannot fail and asserts the
-// outcome's type; a nil codec keeps the cell memory-only.
+// outcome's type; a nil codec keeps the cell memory-only. It is every
+// builder's one way to request a cell, so it records each failed request in
+// ctx's ledgers. A Prepare stage runs under its cell's own context, which
+// carries no ledger: a failed dependency counts only as the failure of the
+// cell that needed it, and once a request's builders return, nothing can
+// record into its ledger any more.
 func cellOf[T any](ctx context.Context, e *runner.Engine, key, label string, codec *runner.Codec, prepare prepareFn[T]) (T, error) {
 	v, err := e.DoCell(ctx, runner.Cell{Key: key, Label: label, Codec: codec,
 		Prepare: func(ctx context.Context) (runner.Compute, error) {
@@ -88,6 +125,9 @@ func cellOf[T any](ctx context.Context, e *runner.Engine, key, label string, cod
 			return func(context.Context) (any, error) { return compute(), nil }, nil
 		}})
 	if err != nil {
+		for l, _ := ctx.Value(ledgerKey{}).(*ledger); l != nil; l = l.outer {
+			l.failed.Store(key, Failure{Label: label, Key: key, Err: err})
+		}
 		var zero T
 		return zero, err
 	}

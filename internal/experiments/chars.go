@@ -12,15 +12,15 @@ import (
 	"o2k/internal/runner"
 )
 
-// Characteristics cells: the handful of numbers the table builders read off
-// a plan — Table 1's workload sizes and the verdicts' moved-weight sums. Each
-// is keyed on its plan cell's key plus charsSchema, persists as strict JSON
-// (float64s round-trip exactly, see core/codec.go), and names the plans as
-// its dependency, so a warm suite renders those rows from a few hundred bytes
-// and a cold one builds the same plans the run cells share.
+// Characteristics cells: the handful of numbers Table 1 reads off a plan,
+// its workload sizes. Each is keyed on its plan cell's key plus charsSchema,
+// persists as strict JSON (float64s round-trip exactly, see core/codec.go),
+// and names the plans as its dependency, so a warm suite renders those rows
+// from a few hundred bytes and a cold one builds the same plans the run
+// cells share.
 
 // charsSchema retires persisted characteristics when a struct below changes.
-const charsSchema = "o2kchars 1"
+const charsSchema = "o2kchars 2"
 
 // MeshChars summarizes one mesh plan sequence.
 type MeshChars struct {
@@ -28,8 +28,7 @@ type MeshChars struct {
 	Tris      int     // Σ triangles over the cycles
 	Edges     int     // Σ edges over the cycles
 	FinalTris int     // triangles after the last cycle
-	Imbalance float64 // the last cycle's load imbalance before rebalancing
-	MovedW    float64 // Σ Remap.TotalW: weight the remapper moved
+	Imbalance float64 // the last cycle's load imbalance on its (post-remap) decomposition
 }
 
 // NBodyChars summarizes one N-body plan sequence.
@@ -69,7 +68,6 @@ func MeshCharacteristics(ctx context.Context, e *runner.Engine, w adaptmesh.Work
 				for _, pl := range plans {
 					c.Tris += pl.M.NumTris()
 					c.Edges += pl.M.NumEdges()
-					c.MovedW += pl.Remap.TotalW
 				}
 				if len(plans) > 0 {
 					last := plans[len(plans)-1]

@@ -221,7 +221,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 
 	e := runner.New(2)
 	e.SetCache(openCache(t, dir))
-	if _, err := RunOnCtx(bg, e, "machine-sweep", o); err != nil {
+	if _, _, err := RunOnCtx(bg, e, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
 	rep := e.Report()
@@ -254,7 +254,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 	removeEntries(t, dir, rep, func(c runner.CellStat) bool { return c.Kind == "metrics" })
 	e2 := runner.New(2)
 	e2.SetCache(openCache(t, dir))
-	if _, err := RunOnCtx(bg, e2, "machine-sweep", o); err != nil {
+	if _, _, err := RunOnCtx(bg, e2, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
 	if rep2 := e2.Report(); rep2.PlanCells != 2 || rep2.PlanDiskHits != 2 {

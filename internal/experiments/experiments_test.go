@@ -14,7 +14,7 @@ import (
 // runOne builds a single registered experiment through the registry API.
 func runOne(t *testing.T, name string, o Opts) *core.Table {
 	t.Helper()
-	tables, err := RunOnCtx(bg, runner.New(0), name, o)
+	tables, _, err := RunOnCtx(bg, runner.New(0), name, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,9 +37,12 @@ func TestPoisonedPlanFailsTheRunsComputedFromIt(t *testing.T) {
 	e := runner.New(2)
 	poisonMeshPlans(e, o, maxP, errors.New("injected fault"))
 
-	tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
+	tabs, failed, err := RunOnCtx(bg, e, "mesh-speedup", o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(failed) != 3 { // the run cells the table asked for, not their plan cell
+		t.Fatalf("the request lists %d failed cells, want 3: %v", len(failed), failed)
 	}
 	rows := tabs[0].Rows
 	for col, got := range rows[len(rows)-1][1:] {
@@ -57,15 +61,16 @@ func TestPoisonedPlanFailsTheRunsComputedFromIt(t *testing.T) {
 }
 
 // Dependencies are demand-driven: a run cell that is already on disk is
-// served without asking whether its plan cell would still resolve.
+// served without asking whether its plan cell would still resolve, and the
+// request, which asked for run cells only, has no failed cell.
 func TestWarmRunCellIsServedDespitePoisonedPlan(t *testing.T) {
 	o := QuickOpts()
 	maxP := o.Procs[len(o.Procs)-1]
 	dir := t.TempDir()
 	render := func(e *runner.Engine) string {
-		tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
-		if err != nil {
-			t.Fatal(err)
+		tabs, failed, err := RunOnCtx(bg, e, "mesh-speedup", o)
+		if err != nil || len(failed) != 0 {
+			t.Fatalf("err = %v, failed cells %v: want none", err, failed)
 		}
 		return Render(tabs)
 	}
@@ -90,7 +95,7 @@ func TestFailedCellRendersAsFailedEntry(t *testing.T) {
 	e := runner.New(2)
 	poisonMeshMP(e, o, maxP, errors.New("injected fault"))
 
-	tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
+	tabs, _, err := RunOnCtx(bg, e, "mesh-speedup", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,7 @@ func TestFailedRunIsByteStableAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		e := runner.New(jobs)
 		poisonMeshMP(e, o, maxP, errors.New("injected fault"))
-		tabs, err := RunOnCtx(bg, e, "all", o)
+		tabs, _, err := RunOnCtx(bg, e, "all", o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,17 +139,19 @@ func TestFailedRunIsByteStableAcrossJobs(t *testing.T) {
 
 // V0 gates every cell the verdict table requests, not a list kept beside
 // the checks: a failed cell behind Figure 7's first or last ratio (V6's
-// evidence) or behind the mesh characteristics (V8's) fails V0, and the
+// evidence) or behind Figure 8's remap-off MP run (V8's) fails V0, and the
 // claim it feeds does not pass on the failure's zero-valued metrics.
 func TestVerdictGateCoversEveryEvidenceCell(t *testing.T) {
 	o := QuickOpts()
 	p, maxP := fig7Procs(o), o.Procs[len(o.Procs)-1]
+	wOff := o.MeshW
+	wOff.NoRemap = true
 	for _, tc := range []struct {
 		name, key, claim string
 	}{
 		{"fig7 first ratio", core.CellKey("mesh/run", core.MP, fig7Config(p, fig7Ratios[0]), o.MeshW), "V6"},
 		{"fig7 last ratio", core.CellKey("mesh/run", core.MP, fig7Config(p, fig7Ratios[len(fig7Ratios)-1]), o.MeshW), "V6"},
-		{"mesh characteristics", core.CellKey("mesh/chars", charsSchema, meshPlanKey(o.MeshW, maxP)), "V8"},
+		{"mesh remap off", core.CellKey("mesh/run", core.MP, machine.Default(maxP), wOff), "V8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := runner.New(2)
@@ -161,6 +168,88 @@ func TestVerdictGateCoversEveryEvidenceCell(t *testing.T) {
 				t.Errorf("%s passed on a failed evidence cell: %q", tc.claim, r[3])
 			}
 		})
+	}
+}
+
+// On an engine cancelled before the table is built, every cell the table
+// requests fails, whether its wait ends on the cancellation or on an outcome
+// its publisher already published. V0 counts exactly those cells, the same
+// count on every build: the run cells buildVerdicts asks for itself (the
+// report lists each under the metrics codec), none of the plan cells their
+// Prepare stages requested.
+func TestVerdictGateCountsCancelledCellsTheSameEveryBuild(t *testing.T) {
+	o := QuickOpts()
+	var counts []int
+	for range 5 {
+		ctx, cancel := context.WithCancel(bg)
+		cancel()
+		e := runner.NewWithPolicy(ctx, 2, runner.Policy{})
+		v0 := buildVerdicts(bg, e, o).Rows[0]
+		var n int
+		if _, err := fmt.Sscanf(v0[3], "%d failed cell(s)", &n); err != nil || v0[2] != "FAIL" {
+			t.Fatalf("V0 = %s %q on a cancelled engine, want FAIL with a count", v0[2], v0[3])
+		}
+		runs := 0
+		for _, c := range e.Report().Cells {
+			if c.Kind == runner.MetricsCodec.Kind {
+				runs++
+			}
+		}
+		if n != runs {
+			t.Errorf("V0 counts %d failed cells, but the table requested %d run cells", n, runs)
+		}
+		counts = append(counts, n)
+	}
+	if slices.Min(counts) != slices.Max(counts) {
+		t.Fatalf("V0 counted %v on five identical cancelled builds, want one count", counts)
+	}
+}
+
+// The ledger holds one entry per failed cell key a request asked for:
+// labels repeat, so two failed cells under one label are two entries;
+// entries list by label, then key; a failed compute, a cached failure, a
+// Prepare stage failing on its own and a wait the request's cancellation
+// ended are all recorded. A dependency is recorded only as the failure of
+// the cell that requested it, and a nested ledger's entries reach the outer
+// one too.
+func TestLedgerRecordsFailedRequestsByKey(t *testing.T) {
+	e := runner.New(2)
+	outer, failed := track(bg)
+	inner, innerFailed := track(outer)
+	boom := errors.New("boom")
+	ok := func() int { return 1 }
+	fail := func(context.Context) (func() int, error) { return nil, boom }
+	e.Do("k0", "poisoned", func(context.Context) (any, error) { return nil, boom })
+
+	cellOf(outer, e, "k3", "mesh MP P=16", nil, fail)
+	cellOf(outer, e, "k1", "mesh MP P=16", nil, leaf(func() int { panic("bug") }))
+	cellOf(outer, e, "k0", "n-body MP P=16", nil, leaf(ok)) // a cached failure
+	cellOf(outer, e, "k2", "cg MP P=16", nil, leaf(ok))
+	cellOf(outer, e, "k1", "mesh MP P=16", nil, leaf(ok)) // a memo hit of a failed cell: no new entry
+	cellOf(inner, e, "k4", "cg plan P=16", nil, fail)
+	// A run cell whose Prepare requests a failing dependency.
+	cellOf(outer, e, "k5", "cg MP P=8", nil, after("cg plan", func(ctx context.Context) (int, error) {
+		return cellOf(ctx, e, "k6", "cg plan P=8", nil, fail)
+	}, func(int) int { return 1 }))
+	// A wait the request's own cancellation ends: the compute blocks until
+	// the request has left.
+	release := make(chan struct{})
+	cctx, cancel := context.WithCancel(outer)
+	cancel()
+	cellOf(cctx, e, "k7", "stencil MP P=1", nil, leaf(func() int { <-release; return 1 }))
+	close(release)
+
+	keys := func(fs []Failure) (got []string) {
+		for _, f := range fs {
+			got = append(got, f.Key)
+		}
+		return got
+	}
+	if got, want := keys(failed()), []string{"k5", "k4", "k1", "k3", "k0", "k7"}; !slices.Equal(got, want) {
+		t.Fatalf("ledger lists %v, want %v", got, want)
+	}
+	if got, want := keys(innerFailed()), []string{"k4"}; !slices.Equal(got, want) {
+		t.Fatalf("nested ledger lists %v, want %v", got, want)
 	}
 }
 
@@ -229,7 +318,7 @@ func TestProcPanicReportsTheBodysStack(t *testing.T) {
 		})
 		return nil, nil
 	})
-	tabs, err := RunOnCtx(bg, e, "mesh-speedup", o)
+	tabs, _, err := RunOnCtx(bg, e, "mesh-speedup", o)
 	if err != nil {
 		t.Fatal(err)
 	}

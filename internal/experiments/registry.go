@@ -120,20 +120,23 @@ func Render(tables []*core.Table) string {
 	return b.String()
 }
 
-// RunOnCtx runs the named experiment on e and returns its tables. The name
-// "all" produces every non-standalone experiment in index order, built
-// concurrently over the shared cell cache. Builders receive ctx and thread it
-// into every cell request, so cancelling ctx abandons this invocation
-// without disturbing other users of the shared engine.
-func RunOnCtx(ctx context.Context, e *runner.Engine, name string, o Opts) ([]*core.Table, error) {
+// RunOnCtx runs the named experiment on e and returns its tables and the
+// failed cells its builders requested, by label, then key: the one count the
+// CLI's exit status and the server's result report. The name "all" produces
+// every non-standalone experiment in index order, built concurrently over
+// the shared cell cache. Builders receive ctx and thread it into every cell
+// request, so cancelling ctx abandons this invocation without disturbing
+// other users of the shared engine.
+func RunOnCtx(ctx context.Context, e *runner.Engine, name string, o Opts) ([]*core.Table, []Failure, error) {
 	s, all, err := resolve(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	ctx, failed := track(ctx) // listed after the builders return: calls run left to right
 	if all {
-		return RunAllCtx(ctx, e, o), nil
+		return RunAllCtx(ctx, e, o), failed(), nil
 	}
-	return []*core.Table{buildSafe(ctx, s, e, o)}, nil
+	return []*core.Table{buildSafe(ctx, s, e, o)}, failed(), nil
 }
 
 // buildSafe runs one builder with panic recovery: cell failures are already

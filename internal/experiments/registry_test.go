@@ -42,8 +42,8 @@ func TestRegistryIndex(t *testing.T) {
 func TestAliasAndNameProduceSameTable(t *testing.T) {
 	o := QuickOpts()
 	o.Procs = []int{1, 2}
-	byAlias, err1 := RunOnCtx(bg, runner.New(0), "fig2", o)
-	byName, err2 := RunOnCtx(bg, runner.New(0), "mesh-speedup", o)
+	byAlias, _, err1 := RunOnCtx(bg, runner.New(0), "fig2", o)
+	byName, _, err2 := RunOnCtx(bg, runner.New(0), "mesh-speedup", o)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -91,12 +91,12 @@ func TestSecondRunAllCacheHits(t *testing.T) {
 	o := QuickOpts()
 	o.Procs = []int{1, 4}
 	e := runner.New(2)
-	first, err := RunOnCtx(bg, e, "loadbalance", o)
+	first, _, err := RunOnCtx(bg, e, "loadbalance", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := e.Report().Unique
-	second, err := RunOnCtx(bg, e, "loadbalance", o)
+	second, _, err := RunOnCtx(bg, e, "loadbalance", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSecondRunAllCacheHits(t *testing.T) {
 }
 
 func TestRunUnknownName(t *testing.T) {
-	_, err := RunOnCtx(bg, runner.New(0), "nope", QuickOpts())
+	_, _, err := RunOnCtx(bg, runner.New(0), "nope", QuickOpts())
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}

@@ -14,12 +14,10 @@ import (
 
 // evidence is everything the verdict checks read, filled once per table.
 type evidence struct {
-	maxP, midP                         int
-	meshMax, meshMid, nb, nbMid, t3e   [3]runner.Res
-	fig7First, fig7Last                [3]runner.Res // Figure 7's cells at its first and last ratio
-	stMP, stSAS, hyb, cgMaxMP, cgMidMP runner.Res
-	on, off                            MeshChars // PLUM remap on and off
-	onErr, offErr                      error
+	maxP, midP                                  int
+	meshMax, meshMid, nb, nbMid, t3e            [3]runner.Res
+	fig7First, fig7Last                         [3]runner.Res // Figure 7's cells at its first and last ratio
+	stMP, stSAS, hyb, cgMaxMP, cgMidMP, meshOff runner.Res    // meshOff: Figure 8's remap-off MP cell at max P
 }
 
 // verdicts are the study's falsifiable predictions, one claim per row, each
@@ -57,7 +55,8 @@ var verdicts = []struct {
 		return st < gap(ev.meshMax), fmt.Sprintf("stencil %.2f vs mesh %.2f", st, gap(ev.meshMax))
 	}},
 	{"V8", "PLUM remap moves less weight than identity", func(ev *evidence) (bool, string) {
-		return ev.onErr == nil && ev.offErr == nil && ev.on.MovedW <= ev.off.MovedW, fmt.Sprintf("%.0f vs %.0f", ev.on.MovedW, ev.off.MovedW)
+		on, off := ev.meshMax[0].M.Extra["moved_weight"], ev.meshOff.M.Extra["moved_weight"] // Figure 8's MP row
+		return !ev.meshMax[0].Failed() && !ev.meshOff.Failed() && on <= off, fmt.Sprintf("%.0f vs %.0f", on, off)
 	}},
 	{"V9", "on a T3E-like MPP the winner flips to SHMEM", func(ev *evidence) (bool, string) {
 		t := ev.t3e
@@ -95,15 +94,16 @@ func fig7Ratio(r [3]runner.Res) float64 {
 
 // buildVerdicts is the reproduction statement in one table: it fills the
 // evidence in one Engine.Warm (on a shared engine, mostly from cache) and
-// renders V0, then every verdict. V0, the evidence gate, reads the request's
-// failure ledger, so it FAILs whenever any cell the table requested failed;
-// the rows below still render, a failed cell giving zero-valued metrics.
+// renders V0, then every verdict. V0, the evidence gate, reads a failure
+// ledger of the table's own, nested in the request's, so it FAILs whenever
+// any cell the table requested failed; the rows below still render, a failed
+// cell giving zero-valued metrics.
 func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	t := &core.Table{
 		Title:  "Verdicts — the study's falsifiable predictions, checked",
 		Header: []string{"id", "claim", "verdict", "evidence"},
 	}
-	ctx, failed := runner.TrackFailures(ctx)
+	ctx, failed := track(ctx)
 	maxP, midP, fig7P := o.Procs[len(o.Procs)-1], o.Procs[len(o.Procs)/2], fig7Procs(o)
 	ev := &evidence{maxP: maxP, midP: midP}
 	wOff := o.MeshW
@@ -117,8 +117,7 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		func() { ev.fig7Last = MeshModels(ctx, e, fig7Config(fig7P, fig7Ratios[len(fig7Ratios)-1]), o.MeshW) },
 		func() { ev.stMP = Stencil(ctx, e, core.MP, machine.Default(maxP), o.StencilW) },
 		func() { ev.stSAS = Stencil(ctx, e, core.SAS, machine.Default(maxP), o.StencilW) },
-		func() { ev.on, ev.onErr = MeshCharacteristics(ctx, e, o.MeshW, maxP) },
-		func() { ev.off, ev.offErr = MeshCharacteristics(ctx, e, wOff, maxP) },
+		func() { ev.meshOff = Mesh(ctx, e, core.MP, machine.Default(maxP), wOff) },
 		func() { ev.t3e = MeshModels(ctx, e, machine.T3E(midP), o.MeshW) },
 		func() { ev.hyb = MeshHybrid(ctx, e, machine.Default(maxP), o.MeshW) },
 		func() { ev.cgMaxMP = CG(ctx, e, core.MP, machine.Default(maxP), o.CGW) },

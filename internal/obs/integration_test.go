@@ -25,7 +25,7 @@ func buildRealTrace(t *testing.T, target, exp string) (*obs.ChromeTrace, []exper
 	col := &obs.Collector{}
 	eng := runner.New(2)
 	eng.SetHook(col.Hook())
-	if _, err := experiments.RunOnCtx(context.Background(), eng, exp, o); err != nil {
+	if _, _, err := experiments.RunOnCtx(context.Background(), eng, exp, o); err != nil {
 		t.Fatal(err)
 	}
 	if col.Len() == 0 {

@@ -1,11 +1,7 @@
 package runner
 
 import (
-	"cmp"
 	"context"
-	"maps"
-	"slices"
-	"sync"
 	"time"
 )
 
@@ -70,45 +66,14 @@ func (e *Engine) SetHook(h Hook) { e.hook = h }
 // reqHookKey carries a per-request Hook through a context (WithRequestHook).
 type reqHookKey struct{}
 
-// WithRequestHook returns a context that carries h as a per-request event
-// hook. Every event a DoCell call fires for that request — and only that
-// request — is also delivered to h, in addition to the engine-wide SetHook
-// observer. Events fire synchronously in the requester's goroutine or in the
-// publisher it created, and the publisher hands the hook on to the cells its
-// Prepare stage requests, so a request hook sees exactly the cell lifecycle
-// its request caused, with correct attribution, even while other requests
-// share the engine — the seam the experiment server streams per-cell NDJSON
-// from. A hook ctx already carries keeps receiving every event: h runs
-// first, then the outer hook.
+// WithRequestHook returns a context carrying h, in place of any hook ctx
+// carries, as the hook of every DoCell request made under it. h receives
+// exactly the events its request caused, its Prepare stages' nested requests
+// included, alongside the SetHook observer, even while other requests share
+// the engine: the seam the server streams per-cell NDJSON from. Hooks only
+// observe; a publisher may fire after its request has returned.
 func WithRequestHook(ctx context.Context, h Hook) context.Context {
-	if outer := requestHook(ctx); outer != nil {
-		inner := h
-		h = func(ev Event) { inner(ev); outer(ev) }
-	}
 	return context.WithValue(ctx, reqHookKey{}, h)
-}
-
-// TrackFailures returns a context that records every cell failing under it,
-// keyed by cell key since labels repeat, and a function listing those
-// failures by label, then key, an order no schedule changes. The ledger is a
-// request hook: it composes with ctx's and sees failed dependencies too.
-func TrackFailures(ctx context.Context) (context.Context, func() []Event) {
-	var mu sync.Mutex
-	failed := map[string]Event{}
-	ctx = WithRequestHook(ctx, func(ev Event) {
-		if ev.Err != "" {
-			mu.Lock()
-			failed[ev.Key] = ev
-			mu.Unlock()
-		}
-	})
-	return ctx, func() []Event {
-		mu.Lock()
-		defer mu.Unlock()
-		return slices.SortedFunc(maps.Values(failed), func(a, b Event) int {
-			return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.Key, b.Key))
-		})
-	}
 }
 
 // requestHook extracts the per-request hook from ctx, nil when absent.

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,63 +119,6 @@ func TestHookFailure(t *testing.T) {
 	comps := log.byKind(EventCompute)
 	if len(comps) != 1 || comps[0].Err != "boom" || len(log.evs) != 1 {
 		t.Fatalf("events = %+v, want one compute event carrying the failure", log.evs)
-	}
-}
-
-// A request hook set inside another composes with it: the inner and the
-// outer hook both receive every event of the request, the dependency its
-// Prepare requested included.
-func TestNestedRequestHooksBothSeeEveryEvent(t *testing.T) {
-	e := New(2)
-	var prepares atomic.Int32
-	run := dependent(e, "run", &prepares, Cell{Key: "dep", Label: "dep", Prepare: Ready(value(1))})
-	outer, inner := &eventLog{}, &eventLog{}
-	ctx := WithRequestHook(WithRequestHook(context.Background(), outer.hook), inner.hook)
-	for range 2 { // the computes, then a memo hit
-		if _, err := e.DoCell(ctx, run); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []string{"dep compute", "run compute", "run memo-hit"}
-	for name, log := range map[string]*eventLog{"outer": outer, "inner": inner} {
-		var got []string
-		for _, ev := range log.evs {
-			got = append(got, ev.Key+" "+ev.Kind.String())
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("%s hook saw %v, want %v", name, got, want)
-		}
-	}
-}
-
-// The failure ledger holds one entry per failed cell key — labels repeat,
-// so two failed cells under one label are two entries — lists them by
-// label, then key, and leaves the hook it composes with seeing every event.
-func TestTrackFailuresKeysByCellKey(t *testing.T) {
-	e := New(2)
-	outer := &eventLog{}
-	ctx, failed := TrackFailures(WithRequestHook(context.Background(), outer.hook))
-	do := func(key, label string, err error) {
-		e.DoCell(ctx, Cell{Key: key, Label: label, Prepare: Ready(func(context.Context) (any, error) { return 1, err })})
-	}
-	boom := errors.New("boom")
-	do("k3", "mesh MP P=16", boom)
-	do("k1", "mesh MP P=16", boom)
-	do("k0", "n-body MP P=16", boom)
-	do("k2", "cg MP P=16", nil)
-	do("k1", "mesh MP P=16", boom) // a memo hit of a failed cell: no new entry
-	// A Prepare stage that fails on its own, with no failed dependency.
-	e.DoCell(ctx, Cell{Key: "k4", Label: "cg plan", Prepare: func(context.Context) (Compute, error) { return nil, boom }})
-
-	var got []string
-	for _, ev := range failed() {
-		got = append(got, ev.Key)
-	}
-	if want := []string{"k4", "k1", "k3", "k0"}; !slices.Equal(got, want) {
-		t.Fatalf("ledger lists %v, want %v", got, want)
-	}
-	if len(outer.evs) != 6 {
-		t.Fatalf("outer hook saw %d events, want all 6", len(outer.evs))
 	}
 }
 

@@ -224,10 +224,6 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute Compute) (any
 //     key recomputes at once, as if the cell had never existed, without
 //     waiting for the aborted compute to return. An aborted outcome is never
 //     persisted. Engine-wide cancellation retires nothing.
-//
-// If ctx carries a request hook (WithRequestHook), every event this request
-// produces — including those of the cells its Prepare resolves — is also
-// delivered to it.
 func (e *Engine) DoCell(ctx context.Context, req Cell) (any, error) {
 	key, label := req.Key, req.Label
 	rh := requestHook(ctx)
@@ -372,10 +368,7 @@ func (e *Engine) prepare(ctx context.Context, rh Hook, label string, stage Prepa
 			err = &prepareError{err: err}
 		}
 	}()
-	if rh != nil {
-		ctx = WithRequestHook(ctx, rh)
-	}
-	return stage(ctx)
+	return stage(WithRequestHook(ctx, rh))
 }
 
 // attempt runs compute once: acquire a worker slot (or fail on engine

@@ -203,7 +203,7 @@ type streamLine struct {
 	Ms     float64 `json:"ms,omitempty"`     // cell: event span in milliseconds
 	Err    string  `json:"err,omitempty"`    // cell: outcome error
 	Exit   int     `json:"exit"`             // result: the CLI-equivalent exit code
-	Fails  int     `json:"failures"`         // result: distinct failed cells of this request
+	Fails  int     `json:"failures"`         // result: failed cells the request asked for
 	Output string  `json:"output,omitempty"` // result: the CLI's exact stdout bytes
 	Error  string  `json:"error,omitempty"`  // error: what went wrong
 }
@@ -257,18 +257,18 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		}
 		mu.Unlock()
 	}
-	ctx, failed := runner.TrackFailures(runner.WithRequestHook(r.Context(), func(ev runner.Event) {
+	ctx := runner.WithRequestHook(r.Context(), func(ev runner.Event) {
 		writeLine(streamLine{
 			Type: "cell", Kind: ev.Kind.String(), Key: ev.Key, Label: ev.Label,
 			Ms: float64(ev.Dur) / 1e6, Err: ev.Err,
 		})
-	}))
-	tables, err := experiments.RunOnCtx(ctx, s.eng, req.Exp, o)
+	})
+	tables, failed, err := experiments.RunOnCtx(ctx, s.eng, req.Exp, o)
 	if err != nil {
 		writeLine(streamLine{Type: "error", Error: err.Error()})
 		return
 	}
-	result := streamLine{Type: "result", Fails: len(failed()), Output: experiments.Render(tables)}
+	result := streamLine{Type: "result", Fails: len(failed), Output: experiments.Render(tables)}
 	if result.Fails > 0 {
 		result.Exit = 1
 	}
