@@ -22,7 +22,7 @@ func TestMeshCellMatchesDirect(t *testing.T) {
 	cfg := machine.Default(4)
 	direct := adaptmesh.RunWithPlans(core.SAS, machine.MustNew(cfg), w, adaptmesh.BuildPlans(w, 4))
 	cell := Mesh(context.Background(), runner.New(2), core.SAS, cfg, w)
-	if cell.Failed() {
+	if cell.Err != nil {
 		t.Fatalf("cell failed: %v", cell.Err)
 	}
 	if core.CellKey(direct) != core.CellKey(cell.M) {
@@ -44,7 +44,7 @@ func TestCacheCorrectness(t *testing.T) {
 		t.Fatalf("second request simulated %d new cells, want 0", r.Unique-misses)
 	}
 	for i := range first {
-		if first[i].Failed() || second[i].Failed() {
+		if first[i].Err != nil || second[i].Err != nil {
 			t.Fatalf("cell failed: %v / %v", first[i].Err, second[i].Err)
 		}
 		if core.CellKey(first[i].M) != core.CellKey(second[i].M) {

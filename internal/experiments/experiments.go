@@ -15,15 +15,19 @@
 // (registry.go). The engine underneath is generic.
 //
 // Cells carry errors (DESIGN.md §5.7): a cell that panicked, timed out, or
-// was cancelled renders as a FAILED(<reason>) table entry via the fmt*
-// helpers below, and the rest of the table — and the rest of the run — is
+// was cancelled reads as FAILED(<reason>) in every entry read off it, by the
+// one rule below, and the rest of the table — and the rest of the run — is
 // unaffected. Because failed cells only ever replace their own entries, the
 // bytes of all non-failed entries are identical to a fully healthy run.
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 
 	"o2k/internal/apps/adaptmesh"
@@ -68,56 +72,66 @@ func QuickOpts() Opts {
 	}
 }
 
-// Failure-aware cell renderers. Every table entry derived from a metrics
-// cell goes through one of these: a failed cell yields its deterministic
-// FAILED(<reason>) annotation, a healthy cell yields exactly the bytes the
-// pre-failure-semantics code produced.
+// One rule for reading a failed cell. Every table entry and every verdict
+// check reads metrics cells through text and read, and nothing else decides
+// what a failed cell reads as: as text, the first failure's FAILED(<reason>);
+// as a number, NaN, so every comparison with it is false. A healthy entry
+// prints exactly the bytes it always printed.
 
-// fmtT renders a cell's total simulated time.
-func fmtT(r runner.Res) string {
-	if r.Err != nil {
-		return runner.FailLabel(r.Err)
+// text renders an entry read off cells whose errors are errs: the first
+// failure as FAILED(<reason>), else healthy().
+func text(healthy func() string, errs ...error) string {
+	if err := cmp.Or(errs...); err != nil {
+		return runner.FailLabel(err)
 	}
-	return core.FT(r.M.Total)
+	return healthy()
 }
 
-// fmtRatio renders num.Total/den.Total; either side's failure wins.
-func fmtRatio(num, den runner.Res) string {
-	if num.Err != nil {
-		return runner.FailLabel(num.Err)
-	}
-	if den.Err != nil {
-		return runner.FailLabel(den.Err)
-	}
-	return core.F(float64(num.M.Total) / float64(den.M.Total))
+// num is one number read off cells, with the first failure among them.
+type num struct {
+	x    float64 // NaN when err is set
+	err  error
+	show func(float64) string // the table text of a healthy x
 }
 
-// fmtSpeedup renders base.Total/r.Total, the scaling figure-of-merit.
-func fmtSpeedup(r, base runner.Res) string {
-	if r.Err != nil {
-		return runner.FailLabel(r.Err)
+// read is x, a number read off the metrics of cells rs, unless one failed
+// (a failed cell's metrics are zero values).
+func read(show func(float64) string, x float64, rs ...runner.Res) num {
+	for _, r := range rs {
+		if r.Err != nil {
+			return num{math.NaN(), r.Err, show}
+		}
 	}
-	if base.Err != nil {
-		return runner.FailLabel(base.Err)
-	}
-	return core.F(r.M.Speedup(base.M))
+	return num{x, nil, show}
 }
 
-// fmtF renders f(metrics) as a 3-decimal float.
-func fmtF(r runner.Res, f func(core.Metrics) float64) string {
-	if r.Err != nil {
-		return runner.FailLabel(r.Err)
+// per is a/b, carrying the first failure of either side.
+func (a num) per(b num) num { return num{a.x / b.x, cmp.Or(a.err, b.err), core.F} }
+
+// String is n as a table entry.
+func (n num) String() string { return text(func() string { return n.show(n.x) }, n.err) }
+
+// Format prints n by the same rule: %v is the table entry, any other verb
+// formats the number, and a failed n prints FAILED(<reason>) under every verb.
+func (n num) Format(f fmt.State, verb rune) {
+	if verb != 'v' {
+		n.show = func(x float64) string { return fmt.Sprintf(fmt.FormatString(f, verb), x) }
 	}
-	return core.F(f(r.M))
+	io.WriteString(f, n.String())
 }
 
-// fmtU renders f(metrics) as an unsigned count (traffic counters).
-func fmtU(r runner.Res, f func(core.Metrics) uint64) string {
-	if r.Err != nil {
-		return runner.FailLabel(r.Err)
-	}
-	return fmt.Sprintf("%d", f(r.M))
-}
+func asTime(x float64) string  { return core.FT(sim.Time(x)) }
+func asCount(x float64) string { return strconv.FormatInt(int64(x), 10) }
+
+// The numbers the tables and checks read off a cell or a model triple.
+func total(r runner.Res) num     { return read(asTime, float64(r.M.Total), r) }
+func dataBytes(r runner.Res) num { return read(asCount, float64(r.M.DataBytes), r) }
+func moved(r runner.Res) num     { return read(core.F, r.M.Extra["moved_weight"], r) }
+func syncFrac(r runner.Res) num  { return read(core.F, r.M.PhaseFraction(sim.PhaseSync), r) }
+func gap(r [3]runner.Res) num    { return total(r[0]).per(total(r[2])) } // MP:CC-SAS time
+
+// triple reads f off each cell of a model triple.
+func triple(r [3]runner.Res, f func(runner.Res) num) [3]num { return [3]num{f(r[0]), f(r[1]), f(r[2])} }
 
 // The experiment index, in paper order: the one literal every front end's
 // name resolves against. init indexes it once; a spec without a name, title
@@ -188,50 +202,44 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		func() { nc, nbErr = NBodyCharacteristics(ctx, e, o.NBodyW, 1) },
 		func() { cc, cgErr = CGCharacteristics(ctx, e, o.CGW, 1) },
 	)
-	// A zero-cycle/zero-step workload yields an empty plan sequence; render
-	// it as a failure row instead of dividing by zero below.
-	if meshErr == nil && mc.Cycles == 0 {
-		meshErr = fmt.Errorf("empty plan sequence (Cycles=%d)", o.MeshW.Cycles)
+	// A zero-cycle/zero-step workload yields an empty plan sequence; it reads
+	// as a failed cell, and max keeps its averages below defined.
+	if mc.Cycles == 0 {
+		meshErr = cmp.Or(meshErr, fmt.Errorf("empty plan sequence (Cycles=%d)", o.MeshW.Cycles))
 	}
-	if nbErr == nil && nc.Steps == 0 {
-		nbErr = fmt.Errorf("empty plan sequence (Steps=%d)", o.NBodyW.Steps)
+	if nc.Steps == 0 {
+		nbErr = cmp.Or(nbErr, fmt.Errorf("empty plan sequence (Steps=%d)", o.NBodyW.Steps))
 	}
-	if meshErr != nil {
-		t.AddRow("adaptive mesh", runner.FailLabel(meshErr), "", "", "", "")
-	} else {
-		t.AddRow("adaptive mesh",
-			fmt.Sprintf("%d tris (final %d)", mc.Tris/mc.Cycles, mc.FinalTris),
-			fmt.Sprintf("%d edges", mc.Edges/mc.Cycles),
-			fmt.Sprintf("%d cycles", o.MeshW.Cycles),
-			fmt.Sprintf("%d", o.MeshW.SolveIters),
-			core.F(mc.Imbalance))
+	cycles, steps := max(mc.Cycles, 1), max(nc.Steps, 1)
+	// Each application's row describes its characteristics cell, so every
+	// entry of it prints that cell's failure.
+	f := func(err error, format string, a ...any) string {
+		return text(func() string { return fmt.Sprintf(format, a...) }, err)
 	}
-	if nbErr != nil {
-		t.AddRow("barnes-hut n-body", runner.FailLabel(nbErr), "", "", "", "")
-	} else {
-		t.AddRow("barnes-hut n-body",
-			fmt.Sprintf("%d bodies", o.NBodyW.N),
-			fmt.Sprintf("%d interactions/step", nc.Inter/nc.Steps),
-			fmt.Sprintf("%d steps", o.NBodyW.Steps),
-			"1",
-			fmt.Sprintf("theta=%.2f, %d cells", o.NBodyW.Theta, nc.Cells/nc.Steps))
-	}
+	t.AddRow("adaptive mesh",
+		f(meshErr, "%d tris (final %d)", mc.Tris/cycles, mc.FinalTris),
+		f(meshErr, "%d edges", mc.Edges/cycles),
+		f(meshErr, "%d cycles", o.MeshW.Cycles),
+		f(meshErr, "%d", o.MeshW.SolveIters),
+		f(meshErr, "%s", core.F(mc.Imbalance)))
+	t.AddRow("barnes-hut n-body",
+		f(nbErr, "%d bodies", o.NBodyW.N),
+		f(nbErr, "%d interactions/step", nc.Inter/steps),
+		f(nbErr, "%d steps", o.NBodyW.Steps),
+		f(nbErr, "1"),
+		f(nbErr, "theta=%.2f, %d cells", o.NBodyW.Theta, nc.Cells/steps))
 	t.AddRow("jacobi stencil (control)",
 		fmt.Sprintf("%dx%d grid", o.StencilW.N, o.StencilW.N),
 		fmt.Sprintf("%d cells/sweep", o.StencilW.N*o.StencilW.N),
 		"static",
 		fmt.Sprintf("%d", o.StencilW.Iters),
 		"1.000")
-	if cgErr != nil {
-		t.AddRow("conjugate gradient", runner.FailLabel(cgErr), "", "", "", "")
-	} else {
-		t.AddRow("conjugate gradient",
-			fmt.Sprintf("%d tris", cc.Tris),
-			fmt.Sprintf("%d edges (matrix rows %d)", cc.Edges, cc.Rows),
-			"static refined",
-			fmt.Sprintf("%d CG iters", o.CGW.Iters),
-			"2 allreduce/iter")
-	}
+	t.AddRow("conjugate gradient",
+		f(cgErr, "%d tris", cc.Tris),
+		f(cgErr, "%d edges (matrix rows %d)", cc.Edges, cc.Rows),
+		f(cgErr, "static refined"),
+		f(cgErr, "%d CG iters", o.CGW.Iters),
+		f(cgErr, "2 allreduce/iter"))
 	return t
 }
 
@@ -257,9 +265,9 @@ func scalingTable(ctx context.Context, e *runner.Engine, title string, procs []i
 	res := each(e, len(procs), func(i int) [3]runner.Res { return run(procs[i]) })
 	for i, p := range procs {
 		m, base := res[i], res[0]
+		spdup := func(j int) string { return read(core.F, m[j].M.Speedup(base[j].M), m[j], base[j]).String() }
 		t.AddRow(fmt.Sprintf("%d", p),
-			fmtT(m[0]), fmtT(m[1]), fmtT(m[2]),
-			fmtSpeedup(m[0], base[0]), fmtSpeedup(m[1], base[1]), fmtSpeedup(m[2], base[2]))
+			total(m[0]).String(), total(m[1]).String(), total(m[2]).String(), spdup(0), spdup(1), spdup(2))
 	}
 	return t
 }
@@ -271,22 +279,16 @@ func buildFig4(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  fmt.Sprintf("Figure 4 — Adaptive mesh phase breakdown at P=%d", p),
 		Header: []string{"phase", "MP", "SHMEM", "CC-SAS"},
 	}
-	phase := func(r runner.Res, ph sim.Phase) string {
-		if r.Err != nil {
-			return runner.FailLabel(r.Err)
-		}
-		return core.FT(r.M.PhaseMax[ph])
-	}
 	for ph := sim.Phase(0); ph < sim.NumPhases; ph++ {
-		// Failed models contribute zero here, so an all-models failure
-		// collapses the breakdown to the TOTAL row — which carries the
-		// FAILED annotations.
-		if m[0].M.PhaseMax[ph] == 0 && m[1].M.PhaseMax[ph] == 0 && m[2].M.PhaseMax[ph] == 0 {
-			continue
+		row := triple(m, func(r runner.Res) num { return read(asTime, float64(r.M.PhaseMax[ph]), r) })
+		// A phase no model spent time in has no row; a failed model's NaN
+		// counts as none, so an all-models failure collapses the breakdown
+		// to the TOTAL row, which carries the FAILED annotations.
+		if row[0].x > 0 || row[1].x > 0 || row[2].x > 0 {
+			t.AddRow(ph.String(), row[0].String(), row[1].String(), row[2].String())
 		}
-		t.AddRow(ph.String(), phase(m[0], ph), phase(m[1], ph), phase(m[2], ph))
 	}
-	t.AddRow("TOTAL", fmtT(m[0]), fmtT(m[1]), fmtT(m[2]))
+	t.AddRow("TOTAL", total(m[0]).String(), total(m[1]).String(), total(m[2]).String())
 	return t
 }
 
@@ -301,23 +303,13 @@ func buildTable6(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  fmt.Sprintf("Table 6 — Model-visible data memory at P=%d (bytes)", p),
 		Header: []string{"application", "MP", "SHMEM", "CC-SAS", "MP/CC-SAS ratio"},
 	}
-	bytes := func(r runner.Res) string {
-		if r.Err != nil {
-			return runner.FailLabel(r.Err)
-		}
-		return fmt.Sprintf("%d", r.M.DataBytes)
+	for _, app := range []struct {
+		name string
+		r    [3]runner.Res
+	}{{"adaptive mesh", mm}, {"barnes-hut n-body", nb}} {
+		b := triple(app.r, dataBytes)
+		t.AddRow(app.name, b[0].String(), b[1].String(), b[2].String(), b[0].per(b[2]).String())
 	}
-	byteRatio := func(a, b runner.Res) string {
-		if a.Err != nil {
-			return runner.FailLabel(a.Err)
-		}
-		if b.Err != nil {
-			return runner.FailLabel(b.Err)
-		}
-		return core.F(float64(a.M.DataBytes) / float64(b.M.DataBytes))
-	}
-	t.AddRow("adaptive mesh", bytes(mm[0]), bytes(mm[1]), bytes(mm[2]), byteRatio(mm[0], mm[2]))
-	t.AddRow("barnes-hut n-body", bytes(nb[0]), bytes(nb[1]), bytes(nb[2]), byteRatio(nb[0], nb[2]))
 	return t
 }
 
@@ -330,6 +322,14 @@ func fig7Config(procs int, ratio float64) machine.Config {
 	cfg.RemoteMissNS = sim.Time(float64(cfg.LocalMissNS) * ratio)
 	cfg.RemoteHopNS = sim.Time(float64(cfg.RemoteHopNS) * ratio / 1.5)
 	return cfg
+}
+
+// fig7Ratio is Figure 7's CC-SAS/MP entry, rounded to the three decimals the
+// figure prints, so V6 compares what a reader sees.
+func fig7Ratio(mp, sas runner.Res) num {
+	n := total(sas).per(total(mp))
+	n.x, _ = strconv.ParseFloat(core.F(n.x), 64) // "NaN" parses as NaN
+	return n
 }
 
 // fig7Procs is the P of Figure 7 and of V6: the largest -procs value, capped at 32.
@@ -347,7 +347,7 @@ func buildFig7(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	for i, ratio := range fig7Ratios {
 		m := res[i]
 		t.AddRow(fmt.Sprintf("%.1fx", ratio),
-			fmtT(m[0]), fmtT(m[1]), fmtT(m[2]), fmtRatio(m[2], m[0]))
+			total(m[0]).String(), total(m[1]).String(), total(m[2]).String(), fig7Ratio(m[0], m[2]).String())
 	}
 	return t
 }
@@ -365,15 +365,9 @@ func buildFig8(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		func() { on = MeshModels(ctx, e, machine.Default(procs), o.MeshW) },
 		func() { off = MeshModels(ctx, e, machine.Default(procs), wOff) },
 	)
-	moved := func(r runner.Res) string {
-		if r.Err != nil {
-			return runner.FailLabel(r.Err)
-		}
-		return core.F(r.M.Extra["moved_weight"])
-	}
 	for i, model := range core.AllModels() {
 		t.AddRow(model.String(),
-			fmtT(on[i]), fmtT(off[i]), moved(on[i]), moved(off[i]))
+			total(on[i]).String(), total(off[i]).String(), moved(on[i]).String(), moved(off[i]).String())
 	}
 	return t
 }
@@ -389,13 +383,12 @@ func buildTable9(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	})
 	for i, p := range procs {
 		for j, model := range core.AllModels() {
-			r := res[i][j]
-			t.AddRow(fmt.Sprintf("%d", p), model.String(),
-				fmtU(r, func(m core.Metrics) uint64 { return m.Counters.MsgsSent }),
-				fmtU(r, func(m core.Metrics) uint64 { return m.Counters.BytesSent }),
-				fmtU(r, func(m core.Metrics) uint64 { return m.Counters.RemoteMisses }),
-				fmtU(r, func(m core.Metrics) uint64 { return m.Counters.CohMisses }),
-				fmtU(r, func(m core.Metrics) uint64 { return m.Counters.LockOps }))
+			r, row := res[i][j], []string{fmt.Sprintf("%d", p), model.String()}
+			c := r.M.Counters
+			for _, v := range []uint64{c.MsgsSent, c.BytesSent, c.RemoteMisses, c.CohMisses, c.LockOps} {
+				row = append(row, read(asCount, float64(v), r).String())
+			}
+			t.AddRow(row...)
 		}
 	}
 	return t
@@ -430,7 +423,7 @@ func buildFig10(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	for i, p := range procs {
 		r := res[i]
 		t.AddRow(fmt.Sprintf("%d", p),
-			fmtRatio(r.st0, r.st2), fmtRatio(r.me[0], r.me[2]), fmtRatio(r.nb[0], r.nb[2]))
+			total(r.st0).per(total(r.st2)).String(), gap(r.me).String(), gap(r.nb).String())
 	}
 	return t
 }
@@ -459,10 +452,9 @@ func buildFig11(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	}
 	e.Warm(fns...)
 	for i, p := range procs {
-		t.AddRow(fmt.Sprintf("%d", p),
-			fmtT(ft[i]), fmtT(pm[i]),
-			fmtU(ft[i], func(m core.Metrics) uint64 { return m.Counters.RemoteMisses }),
-			fmtU(pm[i], func(m core.Metrics) uint64 { return m.Counters.RemoteMisses }))
+		t.AddRow(fmt.Sprintf("%d", p), total(ft[i]).String(), total(pm[i]).String(),
+			read(asCount, float64(ft[i].M.Counters.RemoteMisses), ft[i]).String(),
+			read(asCount, float64(pm[i].M.Counters.RemoteMisses), pm[i]).String())
 	}
 	return t
 }
@@ -495,17 +487,17 @@ func buildFig12(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	classes := fig12Classes(procs)
 	res := each(e, len(classes), func(i int) [3]runner.Res { return MeshModels(ctx, e, classes[i].cfg, o.MeshW) })
 	for i, cl := range classes {
-		winner := "n/a" // undecidable when any model's cell failed
-		if !res[i][0].Failed() && !res[i][1].Failed() && !res[i][2].Failed() {
+		m := triple(res[i], total)
+		winner := text(func() string {
 			best := 0
-			for j := range res[i] {
-				if res[i][j].M.Total < res[i][best].M.Total {
+			for j := range m {
+				if m[j].x < m[best].x {
 					best = j
 				}
 			}
-			winner = core.AllModels()[best].String()
-		}
-		t.AddRow(cl.name, fmtT(res[i][0]), fmtT(res[i][1]), fmtT(res[i][2]), winner)
+			return core.AllModels()[best].String()
+		}, m[0].err, m[1].err, m[2].err)
+		t.AddRow(cl.name, m[0].String(), m[1].String(), m[2].String(), winner)
 	}
 	return t
 }
@@ -536,7 +528,8 @@ func buildFig13(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	e.Warm(fns...)
 	for i, cl := range classes {
 		r := res[i]
-		t.AddRow(cl.name, fmtT(r.pure), fmtT(r.hyb), fmtT(r.sas), fmtRatio(r.hyb, r.pure))
+		t.AddRow(cl.name, total(r.pure).String(), total(r.hyb).String(), total(r.sas).String(),
+			total(r.hyb).per(total(r.pure)).String())
 	}
 	return t
 }
@@ -547,12 +540,11 @@ func buildFig14(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Header: []string{"P", "MP", "SHMEM", "CC-SAS", "MP sync frac", "CC-SAS sync frac"},
 	}
 	res := each(e, len(o.Procs), func(i int) [3]runner.Res { return CGModels(ctx, e, machine.Default(o.Procs[i]), o.CGW) })
-	syncFrac := func(m core.Metrics) float64 { return m.PhaseFraction(sim.PhaseSync) }
 	for i, p := range o.Procs {
 		met := res[i]
 		t.AddRow(fmt.Sprintf("%d", p),
-			fmtT(met[0]), fmtT(met[1]), fmtT(met[2]),
-			fmtF(met[0], syncFrac), fmtF(met[2], syncFrac))
+			total(met[0]).String(), total(met[1]).String(), total(met[2]).String(),
+			syncFrac(met[0]).String(), syncFrac(met[2]).String())
 	}
 	return t
 }

@@ -15,9 +15,6 @@ type Res struct {
 	Err error
 }
 
-// Failed reports whether the cell produced an error instead of metrics.
-func (r Res) Failed() bool { return r.Err != nil }
-
 // MetricsCodec persists metrics run cells in the on-disk cache as core's
 // binary metrics record (core/record.go): lossless, canonical, and decoded
 // without reflection on a warm run.
