@@ -1,8 +1,6 @@
 package adaptmesh
 
 import (
-	"math"
-
 	"o2k/internal/apps"
 	"o2k/internal/core"
 	"o2k/internal/machine"
@@ -73,33 +71,14 @@ func refineRecords(pl *CyclePlan, nprocs int) []int32 {
 
 // finishMetrics reads the completed run out (apps.Collect) and adds what is
 // the mesh's own: the analytic data memory — nfields is the per-vertex field
-// count (solved field + accumulator + auxiliary state) — and the structural
-// averages over the cycles.
+// count (solved field + accumulator + auxiliary state) — and the weight the
+// remap moved over the cycles.
 func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, plans []*CyclePlan, nfields int, checksum float64) core.Metrics {
-	met := apps.Collect(model, g, sp, checksum)
 	mpB, shB, saB := maxDataMemory(plans, nfields)
-	switch model {
-	case core.MP, core.Hybrid: // the hybrid replicates MP-style, at node granularity
-		met.DataBytes = mpB
-	case core.SHMEM:
-		met.DataBytes = shB
-	case core.SAS:
-		met.DataBytes = saB
-	}
-	var tris, verts, cut, movedW, imb float64
+	met := apps.Collect(model, g, sp, checksum, mpB, shB, saB)
 	for _, pl := range plans {
-		tris += float64(pl.M.NumTris())
-		verts += float64(pl.M.NumVertsUsed())
-		cut += float64(pl.Dec.EdgeCut)
-		movedW += pl.Remap.TotalW
-		imb = math.Max(imb, pl.Imbalance)
+		met.MovedWeight += pl.Remap.TotalW
 	}
-	n := float64(len(plans))
-	met.Extra["avg_tris"] = tris / n
-	met.Extra["avg_verts"] = verts / n
-	met.Extra["avg_edgecut"] = cut / n
-	met.Extra["moved_weight"] = movedW
-	met.Extra["max_imbalance"] = imb
 	return met
 }
 

@@ -2,7 +2,7 @@
 // hybrid) share: creating a run's processor group, dispatching on the
 // programming model, charging abstract operations, and reading a finished run
 // out into core.Metrics. What differs between applications — the data-memory
-// formula and the Extra entries — stays with the application; what a
+// formula, and the mesh's remap weight — stays with the application; what a
 // comparison of traffic must count the same way everywhere lives here once.
 package apps
 
@@ -49,19 +49,20 @@ func ChargeOps(p *sim.Proc, mach *machine.Machine, ph sim.Phase, n int) {
 // Collect reads a completed run out of its group and ends its address space:
 // the fields every application reports the same way, with the coherence
 // evictions the space counted at its merges folded into Counters.CohMisses.
-// The caller adds DataBytes and its Extra entries. sp is closed — the run is
-// over and read out, so the arrays' host memory goes back now instead of when
-// a collection finds the space.
-func Collect(model core.Model, g *sim.Group, sp *numa.Space, checksum float64) core.Metrics {
+// DataBytes is the application's analytic data memory under model: mpB,
+// shB or saB, and mpB for the hybrid, which replicates MP-style at node
+// granularity. sp is closed — the run is over and read out, so the arrays'
+// host memory goes back now instead of when a collection finds the space.
+func Collect(model core.Model, g *sim.Group, sp *numa.Space, checksum float64, mpB, shB, saB int) core.Metrics {
 	met := core.Metrics{
-		Model:    model,
-		Procs:    g.Size(),
-		Total:    g.MaxTime(),
-		PhaseMax: g.MaxPhaseTime(),
-		PhaseAvg: g.AvgPhaseTime(),
-		Counters: g.TotalCounters(),
-		Checksum: checksum,
-		Extra:    map[string]float64{},
+		Model:     model,
+		Procs:     g.Size(),
+		Total:     g.MaxTime(),
+		PhaseMax:  g.MaxPhaseTime(),
+		PhaseAvg:  g.AvgPhaseTime(),
+		Counters:  g.TotalCounters(),
+		DataBytes: [...]int{core.MP: mpB, core.SHMEM: shB, core.SAS: saB, core.Hybrid: mpB}[model],
+		Checksum:  checksum,
 	}
 	for _, ev := range sp.CohEvictions() {
 		met.Counters.CohMisses += ev

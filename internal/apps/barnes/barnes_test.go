@@ -132,14 +132,18 @@ func TestSpeedupAndContrasts(t *testing.T) {
 	}
 }
 
+// TestMetricsExtras checks what the n-body code adds to the metrics every app
+// reports: a data memory that MP replicates on each of its processes and
+// CC-SAS holds once, and no remap weight.
 func TestMetricsExtras(t *testing.T) {
 	w := Small()
-	met := RunWithPlans(core.MP, mach(4), w, BuildPlans(w, 4))
-	if met.Extra["interactions_per_step"] <= 0 || met.Extra["tree_cells"] <= 0 {
-		t.Fatalf("extras missing: %v", met.Extra)
+	plans := BuildPlans(w, 4)
+	met, sas := RunWithPlans(core.MP, mach(4), w, plans), RunWithPlans(core.SAS, mach(4), w, plans)
+	if sas.DataBytes <= 0 || met.DataBytes != 4*sas.DataBytes {
+		t.Fatalf("data bytes MP %d, CC-SAS %d: want one copy per process", met.DataBytes, sas.DataBytes)
 	}
-	if met.Extra["max_imbalance"] < 1 {
-		t.Fatalf("imbalance < 1: %v", met.Extra["max_imbalance"])
+	if met.MovedWeight != 0 {
+		t.Fatalf("moved weight %v without a remap", met.MovedWeight)
 	}
 	if met.Counters.MsgsSent == 0 {
 		t.Error("MP run sent no messages")

@@ -1,6 +1,7 @@
 package barnes
 
 import (
+	"slices"
 	"testing"
 
 	"o2k/internal/core"
@@ -33,7 +34,11 @@ func TestCostZonesBalanceWork(t *testing.T) {
 	plans := BuildPlans(w, 16)
 	for s := 1; s < len(plans); s++ {
 		pl := plans[s]
-		imb := float64(pl.MaxProcWork) * 16 / float64(pl.TotalInter)
+		work := make([]int, 16)
+		for i, p := range pl.Owner {
+			work[p] += pl.Inter[i]
+		}
+		imb := float64(slices.Max(work)) * 16 / float64(pl.TotalInter)
 		if imb > 1.35 {
 			t.Fatalf("step %d: interaction imbalance %.2f", s, imb)
 		}

@@ -51,7 +51,6 @@ type StepPlan struct {
 	OwnedBodies [][]int32   // per proc, ascending body indices
 	Inter       []int       // per body, interactions evaluated this step
 	TotalInter  int
-	MaxProcWork int       // largest per-proc interaction total (imbalance measure)
 	Walk        *WalkPlan // lazy force-walk oracle, shared across processor counts
 
 	loads []procLoads // per processor: its force phase's load footprint

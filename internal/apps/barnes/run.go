@@ -65,32 +65,13 @@ func chargePartitionStep(p *sim.Proc, mach *machine.Machine, w Workload, nprocs 
 }
 
 func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, w Workload, plans []*StepPlan, checksum float64) core.Metrics {
-	met := apps.Collect(model, g, sp, checksum)
-	totalInter, maxCells, imb := 0, 0, 1.0
+	maxCells := 0
 	for _, pl := range plans {
-		totalInter += pl.TotalInter
-		if pl.Tree.NumCells() > maxCells {
-			maxCells = pl.Tree.NumCells()
-		}
-		if pl.TotalInter > 0 {
-			r := float64(pl.MaxProcWork) * float64(g.Size()) / float64(pl.TotalInter)
-			if r > imb {
-				imb = r
-			}
-		}
+		maxCells = max(maxCells, pl.Tree.NumCells())
 	}
 	// Model-visible data memory: the MP and SHMEM codes replicate the body
 	// arrays and the tree's centre-of-mass data on every process; CC-SAS
 	// stores one shared copy.
 	perCopy := (5*w.N + 3*maxCells) * 8
-	switch model {
-	case core.MP, core.SHMEM:
-		met.DataBytes = perCopy * g.Size()
-	case core.SAS:
-		met.DataBytes = perCopy
-	}
-	met.Extra["interactions_per_step"] = float64(totalInter) / float64(len(plans))
-	met.Extra["tree_cells"] = float64(maxCells)
-	met.Extra["max_imbalance"] = imb
-	return met
+	return apps.Collect(model, g, sp, checksum, perCopy*g.Size(), perCopy*g.Size(), perCopy)
 }

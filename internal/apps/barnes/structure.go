@@ -100,17 +100,10 @@ func (st *Structure) Plans(nprocs int) []*StepPlan {
 			Walk:        ss.Walk,
 			loads:       make([]procLoads, nprocs),
 		}
-		work := make([]int, nprocs)
 		for i := 0; i < st.N; i++ {
 			pl.OwnedBodies[owner[i]] = append(pl.OwnedBodies[owner[i]], int32(i))
 			pl.TotalInter += ss.Inter[i]
-			work[owner[i]] += ss.Inter[i]
 			cost[i] = float64(ss.Inter[i])
-		}
-		for _, wk := range work {
-			if wk > pl.MaxProcWork {
-				pl.MaxProcWork = wk
-			}
 		}
 		plans = append(plans, pl)
 	}

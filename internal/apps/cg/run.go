@@ -43,17 +43,9 @@ func chargeOps(pc *sim.Proc, mach *machine.Machine, n int) {
 	pc.Advance(sim.Time(n) * mach.Cfg.OpNS)
 }
 
+// finish reads the completed run out; the final residual rho is folded into
+// the checksum, so the cross-model checks hold it bit for bit too.
 func finish(model core.Model, g *sim.Group, sp *numa.Space, p *Plan, checksum, rho float64) core.Metrics {
-	met := apps.Collect(model, g, sp, checksum)
-	met.Extra["residual"] = rho
 	mpB, shB, saB := p.Dec.DataMemory(5) // x, r, p, q, staging
-	switch model {
-	case core.MP:
-		met.DataBytes = mpB
-	case core.SHMEM:
-		met.DataBytes = shB
-	case core.SAS:
-		met.DataBytes = saB
-	}
-	return met
+	return apps.Collect(model, g, sp, checksum+rho, mpB, shB, saB)
 }

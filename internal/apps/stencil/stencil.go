@@ -105,16 +105,9 @@ func runModel(model core.Model, mach *machine.Machine, w Workload, trace bool) (
 }
 
 func finish(model core.Model, g *sim.Group, sp *numa.Space, checksum float64, w Workload) core.Metrics {
-	met := apps.Collect(model, g, sp, checksum)
+	// Every model holds the owned rows of both grids; MP adds two halo rows
+	// and two message buffers per process, SHMEM two halo rows.
 	row := (w.N + 2) * 8
-	switch model {
-	case core.MP:
-		// Owned rows + two halo rows + two message buffers per process.
-		met.DataBytes = 2*(w.N+2)*row + g.Size()*4*row
-	case core.SHMEM:
-		met.DataBytes = 2*(w.N+2)*row + g.Size()*2*row
-	case core.SAS:
-		met.DataBytes = 2 * (w.N + 2) * row
-	}
-	return met
+	grids := 2 * (w.N + 2) * row
+	return apps.Collect(model, g, sp, checksum, grids+g.Size()*4*row, grids+g.Size()*2*row, grids)
 }

@@ -12,12 +12,12 @@ import (
 // form.
 func sampleMetrics() Metrics {
 	m := Metrics{
-		Model:     SAS,
-		Procs:     64,
-		Total:     sim.Time(1234567890123),
-		DataBytes: 9 << 20,
-		Checksum:  math.Pi * 1e6,
-		Extra:     map[string]float64{"imbalance": 1.0 / 3.0, "remap": 0.1},
+		Model:       SAS,
+		Procs:       64,
+		Total:       sim.Time(1234567890123),
+		DataBytes:   9 << 20,
+		Checksum:    math.Pi * 1e6,
+		MovedWeight: 1.0 / 3.0,
 	}
 	for ph := sim.Phase(0); ph < sim.NumPhases; ph++ {
 		m.PhaseMax[ph] = sim.Time(1e9 + int64(ph)*7919)
@@ -32,7 +32,6 @@ func sampleMetrics() Metrics {
 		MsgsSent:     11,
 		Collectives:  13,
 		LockOps:      17,
-		AllocBytes:   19,
 	}
 	return m
 }
@@ -56,7 +55,7 @@ func TestMetricsCodecRoundtripExact(t *testing.T) {
 	if got.Counters.BytesSent != math.MaxUint64 || got.Counters.CacheHits != 1<<60 {
 		t.Fatalf("uint64 counters lost precision: %+v", got.Counters)
 	}
-	if got.Checksum != m.Checksum || got.Extra["imbalance"] != 1.0/3.0 {
+	if got.Checksum != m.Checksum || got.MovedWeight != 1.0/3.0 {
 		t.Fatalf("float64 fields lost precision: %+v", got)
 	}
 }

@@ -92,7 +92,7 @@ func TestCellKeyRejectsWhatItCannotWrite(t *testing.T) {
 // and a mismatch would indicate nondeterminism in the simulator.
 func TestMetricsFingerprint(t *testing.T) {
 	m := Metrics{Model: SAS, Procs: 8, Total: 123 * sim.Microsecond,
-		DataBytes: 4096, Checksum: 1.25, Extra: map[string]float64{"x": 1}}
+		DataBytes: 4096, Checksum: 1.25, MovedWeight: 1}
 	n := m
 	if CellKey(m) != CellKey(n) {
 		t.Fatal("equal metrics, different fingerprints")

@@ -74,8 +74,8 @@ type Metrics struct {
 	Counters  sim.Counters            // summed over procs
 	DataBytes int                     // model-visible field memory (analytic)
 
-	Checksum float64 // deterministic result digest; equal across models
-	Extra    map[string]float64
+	Checksum    float64 // deterministic result digest; equal across models
+	MovedWeight float64 // weight the PLUM remap moved, summed over cycles; 0 without a remap
 }
 
 // String summarizes the run in one line: model, processors, time, and the

@@ -79,7 +79,8 @@ func QuickOpts() Opts {
 // prints exactly the bytes it always printed.
 
 // text renders an entry read off cells whose errors are errs: the first
-// failure as FAILED(<reason>), else healthy().
+// failure as FAILED(<reason>), else healthy() (which a caller holding a
+// failure may leave nil).
 func text(healthy func() string, errs ...error) string {
 	if err := cmp.Or(errs...); err != nil {
 		return runner.FailLabel(err)
@@ -126,7 +127,7 @@ func asCount(x float64) string { return strconv.FormatInt(int64(x), 10) }
 // The numbers the tables and checks read off a cell or a model triple.
 func total(r runner.Res) num     { return read(asTime, float64(r.M.Total), r) }
 func dataBytes(r runner.Res) num { return read(asCount, float64(r.M.DataBytes), r) }
-func moved(r runner.Res) num     { return read(core.F, r.M.Extra["moved_weight"], r) }
+func moved(r runner.Res) num     { return read(core.F, r.M.MovedWeight, r) }
 func syncFrac(r runner.Res) num  { return read(core.F, r.M.PhaseFraction(sim.PhaseSync), r) }
 func gap(r [3]runner.Res) num    { return total(r[0]).per(total(r[2])) } // MP:CC-SAS time
 

@@ -155,7 +155,7 @@ func TestVerdictGateCoversEveryEvidenceCell(t *testing.T) {
 			e.Do(c.Key, "poisoned", func(context.Context) (any, error) { return nil, errors.New("injected fault") })
 			got := buildVerdicts(bg, e, o).Rows
 			if v0 := got[0]; v0[2] != "FAIL" || !strings.HasPrefix(v0[3], "1 failed cell(s)") ||
-				!strings.Contains(v0[3], "FAILED(injected fault)") {
+				!strings.HasSuffix(v0[3], " FAILED(injected fault)") {
 				t.Errorf("V0 = %s %q, want FAIL naming the one injected fault", v0[2], v0[3])
 			}
 			changed := 0
@@ -192,6 +192,11 @@ func TestVerdictGateCountsCancelledCellsTheSameEveryBuild(t *testing.T) {
 		var n int
 		if _, err := fmt.Sscanf(v0[3], "%d failed cell(s)", &n); err != nil || v0[2] != "FAIL" {
 			t.Fatalf("V0 = %s %q on a cancelled engine, want FAIL with a count", v0[2], v0[3])
+		}
+		// The first failure reads as every entry read off a cancelled cell
+		// does, not as its wrapped error text.
+		if !strings.HasSuffix(v0[3], " FAILED(cancelled)") {
+			t.Errorf("V0 = %q, want its first failure rendered FAILED(cancelled)", v0[3])
 		}
 		runs := 0
 		for _, c := range e.Report().Cells {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"slices"
@@ -14,7 +15,7 @@ import (
 )
 
 // smallCellsFile pins the complete Metrics — total, per-phase critical path
-// and average, every counter, data size, checksum, extras — of every app
+// and average, every counter, data size, checksum, moved weight — of every app
 // under every model it runs at P = 1, 8 and 64 on the Small workloads, one
 // lossless core.EncodeMetrics document per line. It was recorded while sim
 // still had two schedulers, the event scheduler that remains and a gang of
@@ -94,4 +95,67 @@ func diffMetrics(got, want core.Metrics) string {
 		}
 	}
 	return b.String()
+}
+
+// pinnedZero names the numbers of a run that may read 0 in every pinned
+// cell, each with the reason. The list holds at most one entry, and an entry
+// whose number some cell now produces fails the test.
+var pinnedZero = map[string]string{
+	"Counters.LockOps": "no application takes a sas.Lock, so Table 9's lock-ops column is 0 in every row (ROADMAP item 3(f))",
+}
+
+// TestEveryPinnedNumberIsProduced reads the pinned cells, and runs nothing:
+// every number a run reports — each counter, each phase slot of PhaseMax
+// and PhaseAvg, DataBytes, Checksum, MovedWeight — must be nonzero in at
+// least one of them. TestFieldsAreLive sees that a field is read; this sees
+// that something writes it, so a counter nothing increments or a phase
+// nothing charges cannot ride along in every record.
+func TestEveryPinnedNumberIsProduced(t *testing.T) {
+	if len(pinnedZero) > 1 {
+		t.Fatalf("%d numbers are exempt, at most one may be", len(pinnedZero))
+	}
+	data, err := os.ReadFile(smallCellsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned map[string]json.RawMessage
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	produced := map[string]bool{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		default:
+			produced[path] = produced[path] || !v.IsZero()
+		}
+	}
+	for name, doc := range pinned {
+		m, err := core.DecodeMetrics(doc)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", smallCellsFile, name, err)
+		}
+		walk("", reflect.ValueOf(m))
+	}
+	for _, path := range slices.Sorted(maps.Keys(produced)) {
+		switch why := pinnedZero[path]; {
+		case produced[path] && why != "":
+			t.Errorf("%s is produced by a pinned cell now: drop its exemption", path)
+		case !produced[path] && why == "":
+			t.Errorf("%s is 0 in all %d pinned cells: nothing produces it", path, len(pinned))
+		}
+	}
+	for path := range pinnedZero {
+		if _, ok := produced[path]; !ok {
+			t.Errorf("exempt number %s is not a number of core.Metrics", path)
+		}
+	}
 }

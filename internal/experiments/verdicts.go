@@ -117,7 +117,7 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	}
 	ok, gate := true, "all cells ok"
 	if f := failed(); len(f) > 0 {
-		ok, gate = false, fmt.Sprintf("%d failed cell(s), first: %s FAILED(%s)", len(f), f[0].Label, f[0].Err)
+		ok, gate = false, fmt.Sprintf("%d failed cell(s), first: %s %s", len(f), f[0].Label, text(nil, f[0].Err))
 	}
 	add("V0", "every evidence cell computed", ok, gate)
 	for _, v := range verdicts {

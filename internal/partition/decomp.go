@@ -43,8 +43,6 @@ type Decomp struct {
 	// processors p receives partial sums from and sends ghost values to. An
 	// exchange loop ranges over these instead of all P processors.
 	Touches, TouchedBy [][]int
-
-	EdgeCut int // edges whose adjacent triangles have different owners
 }
 
 // NewDecomp builds the decomposition for snapshot m under the given triangle
@@ -60,7 +58,7 @@ func NewDecomp(m *mesh.Mesh, triOwner []int32, nparts int) *Decomp {
 		d.OwnedTris[p] = append(d.OwnedTris[p], int32(t))
 	}
 
-	// Edge ownership and cut.
+	// Edge ownership.
 	ne := m.NumEdges()
 	d.EdgeOwner = make([]int32, ne)
 	d.OwnedEdges = make([][]int32, nparts)
@@ -69,9 +67,6 @@ func NewDecomp(m *mesh.Mesh, triOwner []int32, nparts int) *Decomp {
 		own := triOwner[ts[0]]
 		d.EdgeOwner[e] = own
 		d.OwnedEdges[own] = append(d.OwnedEdges[own], int32(e))
-		if ts[1] >= 0 && triOwner[ts[1]] != own {
-			d.EdgeCut++
-		}
 	}
 
 	// Vertex ownership: lowest-indexed containing triangle wins.

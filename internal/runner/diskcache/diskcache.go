@@ -48,8 +48,10 @@ import (
 // bytes, so a warm read is one parse of a tiny header plus one checksum pass
 // over the payload, and payloads need not be text at all. v3 keeps that
 // split and writes the header as four space-separated fields instead of a
-// JSON object, so neither Get nor Put goes through encoding/json.
-const Schema = "o2k-cellcache/v3"
+// JSON object, so neither Get nor Put goes through encoding/json. v4 is
+// v3's envelope around the fixed-size metrics record (core/record.go), so a
+// v3 entry, whose record may carry a map, reads as stale.
+const Schema = "o2k-cellcache/v4"
 
 // header is the first line of an entry file: integrity and identity metadata
 // for the payload bytes that follow the newline, written as

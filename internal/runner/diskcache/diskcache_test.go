@@ -229,6 +229,29 @@ func TestJSONHeaderEntriesAreStale(t *testing.T) {
 	}
 }
 
+// An entry a v3 binary wrote has the current envelope around a metrics record
+// of another layout. Even under this binary's fence it reads as stale.
+func TestV3EntriesAreStale(t *testing.T) {
+	c := open(t)
+	k := key("cell-a")
+	payload := []byte("record")
+	sum := sha256.Sum256(payload)
+	p := filepath.Join(c.Dir(), k[:2], k+".cell")
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entry := fmt.Sprintf("o2k-cellcache/v3 %s %s %s\n%s", c.Fence(), k, hex.EncodeToString(sum[:]), payload)
+	if err := os.WriteFile(p, []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k); ok {
+		t.Fatal("a v3 entry was served")
+	}
+	if cn := c.Counters(); cn.Stale != 1 || cn.Corrupt != 0 || cn.Evicted != 1 {
+		t.Fatalf("counters = %+v, want stale=evicted=1, corrupt=0", cn)
+	}
+}
+
 // The v3 header is four space-separated fields; parseEntry reads exactly
 // what appendEntry writes and rejects any other line that is not JSON.
 func TestEntryHeaderRoundtrip(t *testing.T) {

@@ -20,15 +20,13 @@ const (
 	PhasePartition              // repartitioning computation
 	PhaseRemap                  // data migration after repartitioning
 	PhaseTree                   // N-body: tree construction
-	// A ninth slot, "other", that no program attributes time to. It stays
-	// because NumPhases is the width of the phase arrays of every persisted
-	// Metrics (disk cache, pinned cells) and of the timeline legend.
-	_
+	// NumPhases is the number of phases: the width of every per-phase array
+	// (a Proc's attribution, a persisted Metrics, the timeline legend).
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
-	"compute", "comm", "sync", "mark", "refine", "partition", "remap", "tree", "other",
+	"compute", "comm", "sync", "mark", "refine", "partition", "remap", "tree",
 }
 
 // String returns the lowercase phase name.
@@ -50,7 +48,6 @@ type Counters struct {
 	MsgsSent     uint64 // point-to-point messages or one-sided transfers
 	Collectives  uint64 // collective operations entered
 	LockOps      uint64 // lock acquisitions
-	AllocBytes   uint64 // model-visible memory allocated by this proc
 }
 
 // Add accumulates other into c.
@@ -63,7 +60,6 @@ func (c *Counters) Add(other *Counters) {
 	c.MsgsSent += other.MsgsSent
 	c.Collectives += other.Collectives
 	c.LockOps += other.LockOps
-	c.AllocBytes += other.AllocBytes
 }
 
 // Proc is one simulated processor: a private virtual clock plus per-phase

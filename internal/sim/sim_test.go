@@ -240,11 +240,11 @@ func TestRunOrderIsVirtualTimeThenRank(t *testing.T) {
 
 func TestCountersAdd(t *testing.T) {
 	a := Counters{CacheHits: 1, LocalMisses: 2, RemoteMisses: 3, CohMisses: 4,
-		BytesSent: 5, MsgsSent: 6, Collectives: 7, LockOps: 8, AllocBytes: 9}
+		BytesSent: 5, MsgsSent: 6, Collectives: 7, LockOps: 8}
 	var b Counters
 	b.Add(&a)
 	b.Add(&a)
-	if b.CacheHits != 2 || b.AllocBytes != 18 || b.MsgsSent != 12 {
+	if b.CacheHits != 2 || b.LockOps != 16 || b.MsgsSent != 12 {
 		t.Fatalf("Add wrong: %+v", b)
 	}
 }

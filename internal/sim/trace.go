@@ -70,7 +70,6 @@ var timelineGlyphs = [NumPhases]rune{
 	'P', // partition
 	'M', // remap
 	'T', // tree
-	'o', // other
 }
 
 // RenderTimeline draws the group's traced virtual timelines as one text row
