@@ -259,6 +259,25 @@ func TestCLIBadTraceTargetFailsFast(t *testing.T) {
 	}
 }
 
+// The traced run's plans are the engine's plan cells, so a plan cell that
+// fails fails the invocation like any other failed cell: exit 1, not 2. Table
+// 5 requests no cell, so here the trace's plans are the only cells asked for.
+func TestCLITraceFailedPlanExitsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	stdout, stderr, code := o2kbench(t, "-quick -exp loc -timeout 1ns -trace-ascii -trace-exp mesh")
+	if code != 1 {
+		t.Fatalf("failed trace plan exited %d, want 1 (stderr: %s)", code, stderr)
+	}
+	if strings.Contains(stdout, "=== ") {
+		t.Fatalf("a timeline was drawn without plans:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "trace mesh: ") || !strings.Contains(stderr, "deadline exceeded") {
+		t.Fatalf("stderr does not name the failed trace: %s", stderr)
+	}
+}
+
 // TestFlagsAndREADMEAgree keeps the documented surface and the binary's the
 // same set: every flag `o2kbench -h` and `o2kbench serve -h` print is named in
 // README.md, and README.md names no o2kbench flag the binary lacks. A README

@@ -37,9 +37,11 @@
 // (-trace-ascii), or a per-phase min/max/mean/imbalance table
 // (-phasereport, stderr). The trace file also carries host-side tracks of
 // this invocation's cell lifecycle (compute / memo-hit / disk-hit / dedup
-// events from the engine's event hook). Because tracing is a deliberate
-// re-simulation outside the memoized engine, stdout of the experiment
-// tables is byte-identical whether or not any trace flag is given.
+// events from the engine's event hook). A traced run takes its plans from
+// the engine's plan cells, like the memoized run it re-simulates, but is
+// itself no cell: stdout of the experiment tables is byte-identical whether
+// or not any trace flag is given, and a failed plan cell fails the
+// invocation (exit 1) like any other failed cell.
 //
 // -cache DIR attaches a persistent, crash-safe cell cache (DESIGN.md §5.8):
 // completed metrics cells are stored content-addressed under DIR and served
@@ -529,9 +531,10 @@ func run() int {
 
 	var phases []obs.RunPhases
 	if tracing {
-		traced, terr := experiments.Trace(*traceExp, o)
+		traced, terr := experiments.Trace(ctx, eng, *traceExp, o)
 		if terr != nil {
-			return usageErr(terr)
+			fmt.Fprintln(os.Stderr, "o2kbench:", terr)
+			return 1
 		}
 		phases = make([]obs.RunPhases, len(traced))
 		for i, tr := range traced {

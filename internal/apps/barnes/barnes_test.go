@@ -11,9 +11,13 @@ import (
 
 func mach(p int) *machine.Machine { return machine.MustNew(machine.Default(p)) }
 
+// buildPlans runs the reference simulation and derives its step plans for
+// nprocs processors in one go.
+func buildPlans(w Workload, nprocs int) []*StepPlan { return BuildStructure(w).Plans(nprocs) }
+
 func TestPlansCoverAllBodies(t *testing.T) {
 	w := Small()
-	plans := BuildPlans(w, 4)
+	plans := buildPlans(w, 4)
 	if len(plans) != w.Steps {
 		t.Fatalf("plan count %d", len(plans))
 	}
@@ -50,7 +54,7 @@ func TestCrossModelChecksumsIdentical(t *testing.T) {
 	w := Small()
 	for _, procs := range []int{1, 3, 8} {
 		m := mach(procs)
-		plans := BuildPlans(w, procs)
+		plans := buildPlans(w, procs)
 		var sums [3]float64
 		for i, model := range core.AllModels() {
 			sums[i] = RunWithPlans(model, m, w, plans).Checksum
@@ -64,7 +68,7 @@ func TestCrossModelChecksumsIdentical(t *testing.T) {
 func TestP1MatchesReferenceExactly(t *testing.T) {
 	w := Small()
 	ref := ReferenceChecksum(w)
-	plans := BuildPlans(w, 1)
+	plans := buildPlans(w, 1)
 	for _, model := range core.AllModels() {
 		got := RunWithPlans(model, mach(1), w, plans).Checksum
 		if got != ref {
@@ -76,7 +80,7 @@ func TestP1MatchesReferenceExactly(t *testing.T) {
 func TestParallelMatchesReferenceApprox(t *testing.T) {
 	w := Small()
 	ref := ReferenceChecksum(w)
-	got := RunWithPlans(core.SAS, mach(8), w, BuildPlans(w, 8)).Checksum
+	got := RunWithPlans(core.SAS, mach(8), w, buildPlans(w, 8)).Checksum
 	if rel := math.Abs(got-ref) / math.Abs(ref); rel > 1e-9 {
 		t.Fatalf("P=8 drift: %v vs %v", got, ref)
 	}
@@ -85,7 +89,7 @@ func TestParallelMatchesReferenceApprox(t *testing.T) {
 func TestDeterministicTiming(t *testing.T) {
 	w := Small()
 	for _, model := range core.AllModels() {
-		plans := BuildPlans(w, 5)
+		plans := buildPlans(w, 5)
 		a := RunWithPlans(model, mach(5), w, plans).Total
 		b := RunWithPlans(model, mach(5), w, plans).Total
 		if a != b {
@@ -96,8 +100,8 @@ func TestDeterministicTiming(t *testing.T) {
 
 func TestSpeedupAndContrasts(t *testing.T) {
 	w := Default()
-	p1Plans := BuildPlans(w, 1)
-	p16Plans := BuildPlans(w, 16)
+	p1Plans := buildPlans(w, 1)
+	p16Plans := buildPlans(w, 16)
 	m1, m16 := mach(1), mach(16)
 	var t1, t16 [3]sim.Time
 	var met16 [3]core.Metrics
@@ -137,7 +141,7 @@ func TestSpeedupAndContrasts(t *testing.T) {
 // CC-SAS holds once, and no remap weight.
 func TestMetricsExtras(t *testing.T) {
 	w := Small()
-	plans := BuildPlans(w, 4)
+	plans := buildPlans(w, 4)
 	met, sas := RunWithPlans(core.MP, mach(4), w, plans), RunWithPlans(core.SAS, mach(4), w, plans)
 	if sas.DataBytes <= 0 || met.DataBytes != 4*sas.DataBytes {
 		t.Fatalf("data bytes MP %d, CC-SAS %d: want one copy per process", met.DataBytes, sas.DataBytes)
@@ -169,7 +173,7 @@ func TestSmallCountersPinned(t *testing.T) {
 		{core.SAS, 8, 3075328, sim.Counters{CacheHits: 1461016, LocalMisses: 1729, RemoteMisses: 5151, CohMisses: 5063, Collectives: 104}},
 	}
 	w := Small()
-	plans := map[int][]*StepPlan{1: BuildPlans(w, 1), 8: BuildPlans(w, 8)}
+	plans := map[int][]*StepPlan{1: buildPlans(w, 1), 8: buildPlans(w, 8)}
 	for _, pin := range pins {
 		met := RunWithPlans(pin.model, mach(pin.procs), w, plans[pin.procs])
 		if met.Total != pin.total || met.Counters != pin.c {

@@ -13,7 +13,7 @@ func TestOwnershipShiftsAcrossSteps(t *testing.T) {
 	// The whole reason this is an "adaptive" application: cost-zones
 	// ownership must actually change as the cluster evolves.
 	w := Default()
-	plans := BuildPlans(w, 8)
+	plans := buildPlans(w, 8)
 	changed := 0
 	for s := 1; s < len(plans); s++ {
 		for i := 0; i < w.N; i++ {
@@ -31,7 +31,7 @@ func TestCostZonesBalanceWork(t *testing.T) {
 	// After the first step, partitions use real interaction counts; the
 	// per-processor work imbalance must be modest.
 	w := Default()
-	plans := BuildPlans(w, 16)
+	plans := buildPlans(w, 16)
 	for s := 1; s < len(plans); s++ {
 		pl := plans[s]
 		work := make([]int, 16)
@@ -50,7 +50,7 @@ func TestBarnesOnSMPAllModelsConverge(t *testing.T) {
 	// closer than on the NUMA machine.
 	w := Small()
 	smp := machine.MustNew(machine.SMP(8))
-	plans := BuildPlans(w, 8)
+	plans := buildPlans(w, 8)
 	var tot [3]sim.Time
 	for i, model := range core.AllModels() {
 		tot[i] = RunWithPlans(model, smp, w, plans).Total
@@ -72,8 +72,8 @@ func TestBarnesOnSMPAllModelsConverge(t *testing.T) {
 
 func TestTreePhaseScalesOnlyForSAS(t *testing.T) {
 	w := Small()
-	p4 := BuildPlans(w, 4)
-	p8 := BuildPlans(w, 8)
+	p4 := buildPlans(w, 4)
+	p8 := buildPlans(w, 8)
 	m4, m8 := mach(4), mach(8)
 	sas4 := RunWithPlans(core.SAS, m4, w, p4).PhaseMax[sim.PhaseTree]
 	sas8 := RunWithPlans(core.SAS, m8, w, p8).PhaseMax[sim.PhaseTree]

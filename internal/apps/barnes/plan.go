@@ -82,11 +82,3 @@ func (pl *StepPlan) forceLoads(me int, wp *WalkPlan) *numa.LoadFootprint {
 	})
 	return fl.fp
 }
-
-// BuildPlans runs the reference simulation and captures per-step plans for
-// nprocs processors. It is the one-shot form of the structure/plan split the
-// runner cache uses: capture the P-independent record once, derive the
-// partitioning for this processor count.
-func BuildPlans(w Workload, nprocs int) []*StepPlan {
-	return BuildStructure(w).Plans(nprocs)
-}

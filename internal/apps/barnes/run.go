@@ -17,7 +17,7 @@ const (
 )
 
 // RunWithPlans executes the workload under the given model with its
-// precomputed step plans (BuildPlans at mach.Procs(); shareable across models).
+// precomputed step plans (BuildStructure(w).Plans at mach.Procs(); shareable across models).
 func RunWithPlans(model core.Model, mach *machine.Machine, w Workload, plans []*StepPlan) core.Metrics {
 	met, _ := runModel(model, mach, w, plans, false)
 	return met

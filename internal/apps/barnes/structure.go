@@ -16,7 +16,7 @@ const StructureSchema = "o2knbstruct/1"
 // the reference simulation's per-step record — body positions at the start
 // of the step (what cost-zones partitioning reads), the quadtree, and the
 // per-body interaction counts the step's force evaluation produced. The
-// force evaluation is by far the dominant cost of BuildPlans; every
+// force evaluation is by far the dominant cost of plan construction; every
 // processor count derives its plans from this one record.
 type Structure struct {
 	N     int

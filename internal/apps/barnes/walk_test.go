@@ -179,7 +179,7 @@ func TestWalkPlanMatchesCursorWalker(t *testing.T) {
 func TestModelsShareForceFootprints(t *testing.T) {
 	w := Small()
 	mach := machine.MustNew(machine.Default(8))
-	plans := BuildPlans(w, 8)
+	plans := buildPlans(w, 8)
 	var got [2]core.Metrics
 	var wg sync.WaitGroup
 	for k, model := range []core.Model{core.MP, core.SHMEM} {
@@ -190,7 +190,7 @@ func TestModelsShareForceFootprints(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	fresh := BuildPlans(w, 8)
+	fresh := buildPlans(w, 8)
 	for k, model := range []core.Model{core.MP, core.SHMEM} {
 		if want := RunWithPlans(model, mach, w, fresh); !reflect.DeepEqual(got[k], want) {
 			t.Errorf("%v on a shared plan set: %+v, alone: %+v", model, got[k], want)
@@ -212,7 +212,7 @@ func TestModelsShareForceFootprints(t *testing.T) {
 // cache sets, on a warm cache.
 func BenchmarkForceFootprint(b *testing.B) {
 	w := Default()
-	pl := BuildPlans(w, 64)[0]
+	pl := buildPlans(w, 64)[0]
 	wp := pl.Walk.Ensure()
 	own := pl.OwnedBodies[0]
 	b.Run("build", func(b *testing.B) {

@@ -11,9 +11,13 @@ import (
 
 func mach(p int) *machine.Machine { return machine.MustNew(machine.Default(p)) }
 
+// buildPlan builds the refined mesh and partitions it for nprocs processors
+// in one go.
+func buildPlan(w Workload, nprocs int) *Plan { return PlanForMesh(w, BuildMesh(w), nprocs) }
+
 func TestReferenceConverges(t *testing.T) {
 	w := Small()
-	pl := BuildPlan(w, 1)
+	pl := buildPlan(w, 1)
 	_, rho := ReferenceSolve(w, pl)
 	// Initial rho is ||b||²; after Iters CG steps on an SPD system the
 	// residual must have dropped by orders of magnitude.
@@ -31,7 +35,7 @@ func TestReferenceConverges(t *testing.T) {
 func TestCrossModelChecksumsIdentical(t *testing.T) {
 	w := Small()
 	for _, procs := range []int{1, 3, 8} {
-		pl := BuildPlan(w, procs)
+		pl := buildPlan(w, procs)
 		m := mach(procs)
 		var sums [3]float64
 		for i, model := range core.AllModels() {
@@ -45,7 +49,7 @@ func TestCrossModelChecksumsIdentical(t *testing.T) {
 
 func TestP1MatchesReferenceExactly(t *testing.T) {
 	w := Small()
-	pl := BuildPlan(w, 1)
+	pl := buildPlan(w, 1)
 	refCS, refRho := ReferenceSolve(w, pl)
 	for _, model := range core.AllModels() {
 		met := RunWithPlan(model, mach(1), w, pl)
@@ -57,10 +61,10 @@ func TestP1MatchesReferenceExactly(t *testing.T) {
 
 func TestParallelMatchesReferenceApprox(t *testing.T) {
 	w := Small()
-	pl1 := BuildPlan(w, 1)
+	pl1 := buildPlan(w, 1)
 	refCS, refRho := ReferenceSolve(w, pl1)
 	refCS += refRho
-	met := RunWithPlan(core.SAS, mach(8), w, BuildPlan(w, 8))
+	met := RunWithPlan(core.SAS, mach(8), w, buildPlan(w, 8))
 	if rel := math.Abs(met.Checksum-refCS) / math.Abs(refCS); rel > 1e-8 {
 		t.Fatalf("P=8 drift %v (%v vs %v)", rel, met.Checksum, refCS)
 	}
@@ -68,7 +72,7 @@ func TestParallelMatchesReferenceApprox(t *testing.T) {
 
 func TestDeterministicTiming(t *testing.T) {
 	w := Small()
-	pl := BuildPlan(w, 4)
+	pl := buildPlan(w, 4)
 	for _, model := range core.AllModels() {
 		a := RunWithPlan(model, mach(4), w, pl).Total
 		b := RunWithPlan(model, mach(4), w, pl).Total
@@ -82,13 +86,13 @@ func TestReductionLatencyDominatesAtScale(t *testing.T) {
 	// CG's signature: as P grows, the two allreduces per iteration become a
 	// large share of MP's time (they cannot shrink with P).
 	w := Default()
-	met64 := RunWithPlan(core.MP, mach(64), w, BuildPlan(w, 64))
+	met64 := RunWithPlan(core.MP, mach(64), w, buildPlan(w, 64))
 	syncFrac := met64.PhaseFraction(sim.PhaseSync)
 	if syncFrac < 0.10 {
 		t.Fatalf("MP CG at P=64 spends only %.0f%% in reductions", 100*syncFrac)
 	}
 	// And CC-SAS's cheaper reduction tree must beat MP overall.
-	sas64 := RunWithPlan(core.SAS, mach(64), w, BuildPlan(w, 64))
+	sas64 := RunWithPlan(core.SAS, mach(64), w, buildPlan(w, 64))
 	if sas64.Total >= met64.Total {
 		t.Fatalf("CC-SAS CG (%v) not ahead of MP (%v) at P=64", sas64.Total, met64.Total)
 	}
@@ -97,8 +101,8 @@ func TestReductionLatencyDominatesAtScale(t *testing.T) {
 func TestSpeedup(t *testing.T) {
 	w := Default()
 	for _, model := range core.AllModels() {
-		t1 := RunWithPlan(model, mach(1), w, BuildPlan(w, 1)).Total
-		t16 := RunWithPlan(model, mach(16), w, BuildPlan(w, 16)).Total
+		t1 := RunWithPlan(model, mach(1), w, buildPlan(w, 1)).Total
+		t16 := RunWithPlan(model, mach(16), w, buildPlan(w, 16)).Total
 		if sp := float64(t1) / float64(t16); sp < 3 {
 			t.Errorf("%v: CG speedup %.2f at P=16", model, sp)
 		}
@@ -107,7 +111,7 @@ func TestSpeedup(t *testing.T) {
 
 func TestMemoryOrdering(t *testing.T) {
 	w := Small()
-	pl := BuildPlan(w, 8)
+	pl := buildPlan(w, 8)
 	m := mach(8)
 	mpB := RunWithPlan(core.MP, m, w, pl).DataBytes
 	saB := RunWithPlan(core.SAS, m, w, pl).DataBytes

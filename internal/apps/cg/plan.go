@@ -69,14 +69,6 @@ type Plan struct {
 	EdgeA, EdgeB [][]int32
 }
 
-// BuildPlan constructs the mesh, partitions it, and precomputes the
-// communication lists for nprocs processors. It is the one-shot convenience
-// over the BuildMesh/PlanForMesh split the plan cache uses, with bit-identical
-// results either way.
-func BuildPlan(w Workload, nprocs int) *Plan {
-	return PlanForMesh(w, BuildMesh(w), nprocs)
-}
-
 // BuildMesh constructs the refined snapshot — the processor-count-independent
 // half of plan construction, shared by every P of a scaling sweep.
 func BuildMesh(w Workload) *mesh.Mesh {

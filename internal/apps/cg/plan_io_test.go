@@ -20,7 +20,7 @@ func TestPlanRoundTripDeepEqual(t *testing.T) {
 		t.Fatal("cg plan round trip is not DeepEqual")
 	}
 	// The one-shot builder agrees with the two-stage path.
-	if !reflect.DeepEqual(BuildPlan(w, 4), p2) {
+	if !reflect.DeepEqual(buildPlan(w, 4), p2) {
 		t.Fatal("BuildPlan and the decoded plan disagree")
 	}
 }

@@ -17,7 +17,7 @@ const (
 )
 
 // RunWithPlan executes the CG workload under the given model with its
-// precomputed plan (BuildPlan at mach.Procs(); shareable across models).
+// precomputed plan (PlanForMesh at mach.Procs(); shareable across models).
 func RunWithPlan(model core.Model, mach *machine.Machine, w Workload, p *Plan) core.Metrics {
 	met, _ := runModel(model, mach, w, p, false)
 	return met

@@ -23,7 +23,7 @@ import (
 func TestMPEqualsSHMEMAtOneProc(t *testing.T) {
 	mach := machine.MustNew(machine.Default(1))
 	mw, bw, cw, sw := adaptmesh.Small(), barnes.Small(), cg.Small(), stencil.Small()
-	mpl, bpl, cpl := adaptmesh.BuildPlans(mw, 1), barnes.BuildPlans(bw, 1), cg.BuildPlan(cw, 1)
+	mpl, bpl, cpl := adaptmesh.BuildPlans(mw, 1), barnes.BuildStructure(bw).Plans(1), cg.PlanForMesh(cw, cg.BuildMesh(cw), 1)
 	apps := []struct {
 		name       string
 		run        func(core.Model) core.Metrics

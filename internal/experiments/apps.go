@@ -26,9 +26,11 @@ type App struct {
 	label  string       // the app's word in run labels ("mesh MP P=8")
 	// run resolves the memoized run cell at cfg with o's workload.
 	run func(ctx context.Context, e *runner.Engine, m core.Model, cfg machine.Config, o Opts) runner.Res
-	// trace prepares a phase-traced re-run on mach: one plan build, then one
-	// traced group per model asked of the returned function.
-	trace func(mach *machine.Machine, o Opts) func(core.Model) *sim.Group
+	// trace prepares a phase-traced re-run on mach: resolve the run's plans
+	// through e — the cells the suite resolves, so a traced run has the
+	// same plans as the memoized one — then one traced group per model
+	// asked of the returned function.
+	trace func(ctx context.Context, e *runner.Engine, mach *machine.Machine, o Opts) (func(core.Model) *sim.Group, error)
 }
 
 // apps is the application table. "hybrid" is the mesh MP+SAS extension: a
@@ -38,40 +40,40 @@ var apps = []App{
 		run: func(ctx context.Context, e *runner.Engine, m core.Model, cfg machine.Config, o Opts) runner.Res {
 			return Mesh(ctx, e, m, cfg, o.MeshW)
 		},
-		trace: func(mach *machine.Machine, o Opts) func(core.Model) *sim.Group {
-			plans := adaptmesh.BuildPlans(o.MeshW, mach.Procs())
-			return func(m core.Model) *sim.Group { return adaptmesh.TraceRun(m, mach, o.MeshW, plans) }
+		trace: func(ctx context.Context, e *runner.Engine, mach *machine.Machine, o Opts) (func(core.Model) *sim.Group, error) {
+			plans, err := MeshPlans(ctx, e, o.MeshW, mach.Procs())
+			return func(m core.Model) *sim.Group { return adaptmesh.TraceRun(m, mach, o.MeshW, plans) }, err
 		}},
 	{name: "nbody", models: core.AllModels(), label: "n-body",
 		run: func(ctx context.Context, e *runner.Engine, m core.Model, cfg machine.Config, o Opts) runner.Res {
 			return NBody(ctx, e, m, cfg, o.NBodyW)
 		},
-		trace: func(mach *machine.Machine, o Opts) func(core.Model) *sim.Group {
-			plans := barnes.BuildPlans(o.NBodyW, mach.Procs())
-			return func(m core.Model) *sim.Group { return barnes.TraceRun(m, mach, o.NBodyW, plans) }
+		trace: func(ctx context.Context, e *runner.Engine, mach *machine.Machine, o Opts) (func(core.Model) *sim.Group, error) {
+			plans, err := NBodyPlans(ctx, e, o.NBodyW, mach.Procs())
+			return func(m core.Model) *sim.Group { return barnes.TraceRun(m, mach, o.NBodyW, plans) }, err
 		}},
 	{name: "stencil", models: core.AllModels(), label: "stencil",
 		run: func(ctx context.Context, e *runner.Engine, m core.Model, cfg machine.Config, o Opts) runner.Res {
 			return Stencil(ctx, e, m, cfg, o.StencilW)
 		},
-		trace: func(mach *machine.Machine, o Opts) func(core.Model) *sim.Group {
-			return func(m core.Model) *sim.Group { return stencil.TraceRun(m, mach, o.StencilW) }
+		trace: func(_ context.Context, _ *runner.Engine, mach *machine.Machine, o Opts) (func(core.Model) *sim.Group, error) {
+			return func(m core.Model) *sim.Group { return stencil.TraceRun(m, mach, o.StencilW) }, nil
 		}},
 	{name: "cg", models: core.AllModels(), label: "cg",
 		run: func(ctx context.Context, e *runner.Engine, m core.Model, cfg machine.Config, o Opts) runner.Res {
 			return CG(ctx, e, m, cfg, o.CGW)
 		},
-		trace: func(mach *machine.Machine, o Opts) func(core.Model) *sim.Group {
-			plan := cg.BuildPlan(o.CGW, mach.Procs())
-			return func(m core.Model) *sim.Group { return cg.TraceRun(m, mach, o.CGW, plan) }
+		trace: func(ctx context.Context, e *runner.Engine, mach *machine.Machine, o Opts) (func(core.Model) *sim.Group, error) {
+			plan, err := CGPlan(ctx, e, o.CGW, mach.Procs())
+			return func(m core.Model) *sim.Group { return cg.TraceRun(m, mach, o.CGW, plan) }, err
 		}},
 	{name: "hybrid", models: []core.Model{core.Hybrid}, label: "mesh",
 		run: func(ctx context.Context, e *runner.Engine, _ core.Model, cfg machine.Config, o Opts) runner.Res {
 			return MeshHybrid(ctx, e, cfg, o.MeshW)
 		},
-		trace: func(mach *machine.Machine, o Opts) func(core.Model) *sim.Group {
-			plans := adaptmesh.BuildPlans(o.MeshW, mach.Nodes())
-			return func(core.Model) *sim.Group { return adaptmesh.TraceHybridWithPlans(mach, o.MeshW, plans) }
+		trace: func(ctx context.Context, e *runner.Engine, mach *machine.Machine, o Opts) (func(core.Model) *sim.Group, error) {
+			plans, err := MeshPlans(ctx, e, o.MeshW, mach.Nodes())
+			return func(core.Model) *sim.Group { return adaptmesh.TraceHybridWithPlans(mach, o.MeshW, plans) }, err
 		}},
 }
 

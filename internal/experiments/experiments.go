@@ -50,10 +50,11 @@ type Opts struct {
 }
 
 // DefaultOpts returns the full-scale configuration: the Origin2000 study's
-// 1..64 processor range.
+// 1..64 processor range, the "paper" preset.
 func DefaultOpts() Opts {
+	procs, _ := ProcsPreset("paper")
 	return Opts{
-		Procs:    []int{1, 2, 4, 8, 16, 32, 64},
+		Procs:    procs,
 		MeshW:    adaptmesh.Default(),
 		NBodyW:   barnes.Default(),
 		StencilW: stencil.Default(),

@@ -3,7 +3,7 @@ package experiments
 // Plan-tier persistence and fault semantics: the structure/plan cells added
 // for millisecond warm runs must round-trip through the disk cache across
 // engine instances, and every way a plan entry can go bad — bit rot, read
-// errors, garbage files, well-framed payloads that fail the plan decoder —
+// errors, garbage files, intact payloads that fail the plan decoder —
 // must degrade to recomputation with identical plans, never surface as a
 // run error.
 
@@ -91,14 +91,14 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 		}
 	})
 
-	// A payload that passes diskcache integrity and outcome framing but fails
-	// the plan decoder must be invalidated and recomputed — this is the path
-	// where a corrupt plan entry could otherwise surface as a run error.
+	// A payload in a well-formed entry that passes diskcache integrity but
+	// fails the plan decoder must be invalidated and recomputed — this is the
+	// path where a corrupt plan entry could otherwise surface as a run error.
 	t.Run("well-framed garbage plan payloads", func(t *testing.T) {
 		dir := t.TempDir()
 		dc := openCache(t, dir)
 		for _, key := range []string{meshStructKey(w), meshPlanKey(w, 4)} {
-			if err := dc.Put(key, []byte("v\nnot a plan at all")); err != nil {
+			if err := dc.Put(key, []byte("not a plan at all")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -132,10 +132,10 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 		refBytes := cg.EncodePlan(refPlan)
 
 		dc := openCache(t, dir)
-		if err := dc.Put(cgMeshKey(cw), []byte("e\n{")); err != nil { // torn error frame
+		if err := dc.Put(cgMeshKey(cw), []byte("{")); err != nil { // not a mesh: a torn JSON object
 			t.Fatal(err)
 		}
-		if err := dc.Put(cgPlanKey(cw, 4), []byte("v\no2kcgplan 1")); err != nil { // truncated plan
+		if err := dc.Put(cgPlanKey(cw, 4), []byte("o2kcgplan 1")); err != nil { // truncated plan
 			t.Fatal(err)
 		}
 		e2 := runner.New(1)
@@ -155,7 +155,7 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 
 // The characteristics cells behind Table 1 persist like any other cell — a
 // warm table is three small disk hits and no plan cell — and their decoder is
-// strict: a well-framed payload of another shape is evicted and recomputed.
+// strict: a payload of another shape is evicted and recomputed.
 func TestCharacteristicsCellsPersistAndRejectForeignPayloads(t *testing.T) {
 	o := QuickOpts()
 	dir := t.TempDir()
@@ -179,7 +179,7 @@ func TestCharacteristicsCellsPersistAndRejectForeignPayloads(t *testing.T) {
 		core.CellKey("mesh/chars", charsSchema, meshPlanKey(o.MeshW, 1)): `{"Cycles":1,"Bogus":2}`,               // unknown field
 		core.CellKey("cg/chars", charsSchema, cgPlanKey(o.CGW, 1)):       `{"Tris":1,"Edges":1,"Rows":1} "more"`, // trailing data
 	} {
-		if err := dc.Put(key, []byte("v\n"+payload)); err != nil {
+		if err := dc.Put(key, []byte(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,21 +1,24 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"o2k/internal/core"
 	"o2k/internal/machine"
+	"o2k/internal/runner"
 	"o2k/internal/sim"
 )
 
 // Phase-timeline tracing (the -trace / -trace-ascii / -phasereport path).
-// A traced run is a deliberate re-simulation outside the cell engine:
+// A traced run is a deliberate re-simulation outside the run cells:
 // EnableTrace changes the host-side cost of a run and keeps live Group
 // state, neither of which belongs in the memoized/cached path whose outputs
-// are byte-identity-guarded. Exactly one plan set and one group per traced
-// model is paid, so tracing costs O(one cell) however large the experiment
-// suite that ran before it.
+// are byte-identity-guarded. Its plans are the engine's plan cells, though —
+// the ones the suite just resolved, or their -cache entries — so a cell has
+// one source of plans, and tracing costs one group per traced model however
+// large the experiment suite that ran before it.
 
 // TracedRun couples one phase-traced application run with its display
 // label ("mesh MP P=8").
@@ -52,8 +55,9 @@ func CheckTraceTarget(name string) error {
 // Trace re-runs the named application with phase-timeline tracing enabled
 // at the largest processor count of o and returns one traced group per
 // selected model, in the app's model order. name is an app of the table,
-// optionally narrowed as e.g. "mesh/mp".
-func Trace(name string, o Opts) ([]TracedRun, error) {
+// optionally narrowed as e.g. "mesh/mp". The plans come from e's plan cells
+// under ctx; a failed plan cell is Trace's error.
+func Trace(ctx context.Context, e *runner.Engine, name string, o Opts) ([]TracedRun, error) {
 	app, models, err := parseTraceTarget(name)
 	if err != nil {
 		return nil, err
@@ -66,7 +70,10 @@ func Trace(name string, o Opts) ([]TracedRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace %s: %w", name, err)
 	}
-	traced := app.trace(mach, o)
+	traced, err := app.trace(ctx, e, mach, o)
+	if err != nil {
+		return nil, fmt.Errorf("trace %s: %w", name, err)
+	}
 	runs := make([]TracedRun, len(models))
 	for i, m := range models {
 		runs[i] = TracedRun{Label: runLabel(app.label, m, procs), Group: traced(m)}

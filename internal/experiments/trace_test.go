@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"o2k/internal/core"
+	"o2k/internal/runner"
 	"o2k/internal/sim"
 )
 
@@ -63,7 +65,7 @@ func TestCheckTraceTargetRejects(t *testing.T) {
 
 func TestTraceUsesLargestProcCount(t *testing.T) {
 	o := QuickOpts() // Procs 1, 4, 16
-	runs, err := Trace("mesh/mp", o)
+	runs, err := Trace(context.Background(), runner.New(1), "mesh/mp", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +81,10 @@ func TestTraceUsesLargestProcCount(t *testing.T) {
 }
 
 func TestTraceErrors(t *testing.T) {
-	if _, err := Trace("bogus", QuickOpts()); err == nil {
+	if _, err := Trace(context.Background(), runner.New(1), "bogus", QuickOpts()); err == nil {
 		t.Error("bogus target accepted")
 	}
-	if _, err := Trace("mesh", Opts{}); err == nil {
+	if _, err := Trace(context.Background(), runner.New(1), "mesh", Opts{}); err == nil {
 		t.Error("empty Procs accepted")
 	}
 }
@@ -93,7 +95,7 @@ func TestTraceErrors(t *testing.T) {
 func TestGoldenASCIITimeline(t *testing.T) {
 	o := QuickOpts()
 	o.Procs = []int{4}
-	runs, err := Trace("mesh/mp", o)
+	runs, err := Trace(context.Background(), runner.New(1), "mesh/mp", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,17 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"o2k/internal/experiments"
 	"o2k/internal/obs"
+	"o2k/internal/runner"
 )
 
 func traceBytes(t *testing.T, target string) (trace []byte, phaseTable string) {
 	t.Helper()
-	traced, err := experiments.Trace(target, experiments.QuickOpts())
+	traced, err := experiments.Trace(context.Background(), runner.New(1), target, experiments.QuickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

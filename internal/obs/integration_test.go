@@ -32,7 +32,7 @@ func buildRealTrace(t *testing.T, target, exp string) (*obs.ChromeTrace, []exper
 		t.Fatalf("experiment %s produced no runner events", exp)
 	}
 
-	traced, err := experiments.Trace(target, o)
+	traced, err := experiments.Trace(context.Background(), eng, target, o)
 	if err != nil {
 		t.Fatal(err)
 	}

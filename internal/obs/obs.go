@@ -16,7 +16,7 @@
 // (and any downstream tooling) gate on. PhaseStat/RunPhases compute the
 // per-phase min/max/mean/imbalance aggregates behind the study's
 // load-balance discussion, rendered by PhaseTable as the `-phasereport`
-// table and embedded in the `-runreport-json` document.
+// table and embedded in the `-runreport=json` document.
 //
 // The subsystem is strictly additive: nothing in sim, runner, or the
 // experiments imports obs, and with tracing disabled (no hook attached, no

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -84,79 +85,62 @@ func TestDiskCacheUncodedCellsStayMemoryOnly(t *testing.T) {
 	}
 }
 
-func TestDiskCachePersistsDeterministicErrors(t *testing.T) {
-	dir := t.TempDir()
-	key := core.CellKey("test/err", 1)
-	computes := 0
-	boom := errors.New("mesh exploded")
-	compute := func(context.Context) (any, error) { computes++; return nil, boom }
-
-	e1 := cachedEngine(t, dir)
-	_, err1 := e1.DoCached(key, "cell", testCodec, compute)
-	e2 := cachedEngine(t, dir)
-	_, err2 := e2.DoCached(key, "cell", testCodec, compute)
-	if computes != 1 {
-		t.Fatalf("computes = %d, want 1 (deterministic error must persist)", computes)
+// No failure reaches the disk, whatever its kind: the simulator is
+// deterministic, so a second engine over the same directory recomputes the
+// cell and renders the very FAILED(…) entry the first one did.
+func TestDiskCacheNeverPersistsFailures(t *testing.T) {
+	cases := []struct {
+		name    string
+		pol     Policy
+		compute func(ctx context.Context, cancel context.CancelCauseFunc) (any, error)
+		want    string
+	}{
+		{"returned error", Policy{},
+			func(context.Context, context.CancelCauseFunc) (any, error) { return nil, errors.New("mesh exploded") },
+			"FAILED(mesh exploded)"},
+		{"panic", Policy{},
+			func(context.Context, context.CancelCauseFunc) (any, error) { panic("blew a gasket") },
+			"FAILED(panic: blew a gasket)"},
+		{"timeout", Policy{CellTimeout: 10 * time.Millisecond},
+			func(ctx context.Context, _ context.CancelCauseFunc) (any, error) { <-ctx.Done(); return nil, ctx.Err() },
+			"FAILED(timeout)"},
+		// A custom cause does not unwrap to context.Canceled. The compute
+		// words its failure as the engine words a cancelled wait, so every
+		// path to the outcome renders alike.
+		{"custom-cause cancel", Policy{},
+			func(ctx context.Context, cancel context.CancelCauseFunc) (any, error) {
+				cancel(errors.New("operator stop"))
+				return nil, fmt.Errorf("cell c: %w", context.Cause(ctx))
+			},
+			"FAILED(cell c: operator stop)"},
 	}
-	var ce *CachedError
-	if !errors.As(err2, &ce) {
-		t.Fatalf("warm error = %T %v, want *CachedError", err2, err2)
-	}
-	if FailLabel(err2) != FailLabel(err1) || FailLabel(err2) != "FAILED(mesh exploded)" {
-		t.Fatalf("warm FailLabel %q != cold %q", FailLabel(err2), FailLabel(err1))
-	}
-	if err2.Error() != boom.Error() {
-		t.Fatalf("warm message %q, want %q", err2.Error(), boom.Error())
-	}
-}
-
-func TestDiskCachePersistsPanics(t *testing.T) {
-	dir := t.TempDir()
-	key := core.CellKey("test/panic", 1)
-	computes := 0
-	compute := func(context.Context) (any, error) { computes++; panic("blew a gasket") }
-
-	e1 := cachedEngine(t, dir)
-	_, err1 := e1.DoCached(key, "cell", testCodec, compute)
-	e2 := cachedEngine(t, dir)
-	_, err2 := e2.DoCached(key, "cell", testCodec, compute)
-	if computes != 1 {
-		t.Fatalf("computes = %d, want 1", computes)
-	}
-	want := "FAILED(panic: blew a gasket)"
-	if FailLabel(err1) != want || FailLabel(err2) != want {
-		t.Fatalf("labels %q / %q, want %q", FailLabel(err1), FailLabel(err2), want)
-	}
-}
-
-func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
-	dir := t.TempDir()
-
-	// Timeout: the outcome depends on the deadline, not the cell.
-	dc, err := diskcache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewWithPolicy(context.Background(), 1, Policy{CellTimeout: 10 * time.Millisecond})
-	e.SetCache(dc)
-	release := make(chan struct{})
-	_, terr := e.DoCached(core.CellKey("test/slow", 1), "slow", testCodec,
-		func(ctx context.Context) (any, error) { <-release; return 1, nil })
-	close(release)
-	if !errors.Is(terr, context.DeadlineExceeded) {
-		t.Fatalf("timeout err = %v", terr)
-	}
-
-	// Cancellation, including a custom cause.
-	ctx, cancel := context.WithCancelCause(context.Background())
-	cancel(errors.New("operator stop"))
-	e2 := NewWithPolicy(ctx, 1, Policy{})
-	e2.SetCache(dc)
-	e2.DoCached(core.CellKey("test/cancelled", 1), "c", testCodec,
-		func(context.Context) (any, error) { return 1, nil })
-
-	if n, _ := dc.Len(); n != 0 {
-		t.Fatalf("%d entries persisted for environmental failures, want 0", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			labels := make([]string, 2)
+			for i := range labels {
+				dc, err := diskcache.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancelCause(context.Background())
+				defer cancel(nil)
+				e := NewWithPolicy(ctx, 1, tc.pol)
+				e.SetCache(dc)
+				_, err = e.DoCached(core.CellKey("test/fails", 1), "c", testCodec,
+					func(cctx context.Context) (any, error) { return tc.compute(cctx, cancel) })
+				labels[i] = FailLabel(err)
+				if r := e.Report(); r.DiskHits != 0 {
+					t.Fatalf("engine %d served the failure from disk", i+1)
+				}
+				if n, _ := dc.Len(); n != 0 {
+					t.Fatalf("engine %d persisted %d entries for a failure, want 0", i+1, n)
+				}
+			}
+			if labels[0] != tc.want || labels[1] != tc.want {
+				t.Fatalf("labels %q / %q, want %q from both engines", labels[0], labels[1], tc.want)
+			}
+		})
 	}
 }
 
@@ -165,7 +149,7 @@ func TestDiskCacheCorruptPayloadRecomputes(t *testing.T) {
 	key := core.CellKey("test/corrupt-payload", 1)
 
 	// Plant an entry whose envelope is valid but whose payload does not
-	// decode as an outcome — damage the checksum cannot see.
+	// decode as the cell's value — damage the checksum cannot see.
 	dc, err := diskcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)

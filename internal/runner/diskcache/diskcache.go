@@ -1,6 +1,6 @@
 // Package diskcache is the crash-safe persistent half of the runner's cell
 // cache: a content-addressed store mapping a cell's core.CellKey to the
-// opaque payload of its completed outcome, shared by every o2kbench
+// opaque payload of its computed value, shared by every o2kbench
 // invocation and CI verdict job that points at the same directory.
 //
 // The store is built around one invariant — a broken cache may slow a run
@@ -50,8 +50,11 @@ import (
 // split and writes the header as four space-separated fields instead of a
 // JSON object, so neither Get nor Put goes through encoding/json. v4 is
 // v3's envelope around the fixed-size metrics record (core/record.go), so a
-// v3 entry, whose record may carry a map, reads as stale.
-const Schema = "o2k-cellcache/v4"
+// v3 entry, whose record may carry a map, reads as stale. v5 drops the
+// outcome frame ("v\n" before a value, "e\n" before a failure): a failure is
+// never stored, so the payload is the codec's bytes verbatim, and a v4 entry
+// reads as stale.
+const Schema = "o2k-cellcache/v5"
 
 // header is the first line of an entry file: integrity and identity metadata
 // for the payload bytes that follow the newline, written as

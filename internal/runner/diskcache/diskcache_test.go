@@ -230,25 +230,30 @@ func TestJSONHeaderEntriesAreStale(t *testing.T) {
 }
 
 // An entry a v3 binary wrote has the current envelope around a metrics record
-// of another layout. Even under this binary's fence it reads as stale.
+// of another layout; a v4 entry frames its payload with an outcome tag. Even
+// under this binary's fence both read as stale.
 func TestV3EntriesAreStale(t *testing.T) {
-	c := open(t)
-	k := key("cell-a")
-	payload := []byte("record")
-	sum := sha256.Sum256(payload)
-	p := filepath.Join(c.Dir(), k[:2], k+".cell")
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	entry := fmt.Sprintf("o2k-cellcache/v3 %s %s %s\n%s", c.Fence(), k, hex.EncodeToString(sum[:]), payload)
-	if err := os.WriteFile(p, []byte(entry), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("a v3 entry was served")
-	}
-	if cn := c.Counters(); cn.Stale != 1 || cn.Corrupt != 0 || cn.Evicted != 1 {
-		t.Fatalf("counters = %+v, want stale=evicted=1, corrupt=0", cn)
+	for schema, payload := range map[string][]byte{
+		"o2k-cellcache/v3": []byte("record"),
+		"o2k-cellcache/v4": append([]byte("v\n"), make([]byte, 240)...),
+	} {
+		c := open(t)
+		k := key("cell-a")
+		sum := sha256.Sum256(payload)
+		p := filepath.Join(c.Dir(), k[:2], k+".cell")
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		entry := fmt.Sprintf("%s %s %s %s\n%s", schema, c.Fence(), k, hex.EncodeToString(sum[:]), payload)
+		if err := os.WriteFile(p, []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("a %s entry was served", schema)
+		}
+		if cn := c.Counters(); cn.Stale != 1 || cn.Corrupt != 0 || cn.Evicted != 1 {
+			t.Fatalf("%s: counters = %+v, want stale=evicted=1, corrupt=0", schema, cn)
+		}
 	}
 }
 

@@ -47,27 +47,11 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// prepareError marks the failure of a cell's Prepare stage. It is transparent
-// — same message, same chain, so FailLabel renders the dependency's failure
-// exactly as the dependency itself would — and exists only so persistable can
-// keep the outcome off the disk: the failed dependency's own entry is the
-// durable record.
-type prepareError struct{ err error }
-
-func (e *prepareError) Error() string { return e.err.Error() }
-func (e *prepareError) Unwrap() error { return e.err }
-
 // FailLabel renders a failed cell for table output: a deterministic, compact
 // FAILED(<reason>) annotation. Non-failed cells render their value; failed
 // cells render this, so the non-failed bytes of a table never depend on
 // which cells failed.
 func FailLabel(err error) string {
-	// A failure restored from the persistent cache replays its original
-	// rendering verbatim, keeping warm-run bytes identical to the cold run.
-	var ce *CachedError
-	if errors.As(err, &ce) {
-		return ce.Label
-	}
 	switch {
 	case err == nil:
 		return ""

@@ -26,8 +26,8 @@ const (
 	// EventDedup is a request that waited on the in-flight owner of its
 	// cell: a span covering the wait.
 	EventDedup
-	// EventDiskHit is a cell restored from the persistent cache: a span
-	// covering the disk load.
+	// EventDiskHit is a cell's value restored from the persistent cache: a
+	// span covering the disk load.
 	EventDiskHit
 )
 

@@ -44,16 +44,16 @@ func (e *Engine) computeShared(c *cell, rh Hook, codec *Codec, prepare Prepare) 
 			// released. Re-probing here makes the cold-cell guarantee exact —
 			// each key is computed once per cache directory, not once per
 			// probe-miss — which the experiment-server fleet test asserts.
-			if v, cerr, ok := e.diskLoad(key, codec); ok {
+			if v, ok := e.diskLoad(key, codec); ok {
 				l.Release()
-				return v, cerr, true
+				return v, nil, true
 			}
 			// The lease is held across the cell's Prepare stage as well as its
 			// compute: the dependency graph is a DAG (run → plan → structure),
 			// so nested acquisitions cannot cycle. Commit the outcome before
 			// releasing: a waiter that takes the lease next must find the
-			// entry (or conclude the outcome was environmental and compute
-			// it itself).
+			// entry, or — the owner failed, and a failure is never stored —
+			// compute the cell itself.
 			val, err = e.run(c, rh, prepare)
 			e.diskStore(key, codec, val, err)
 			l.Release()
@@ -67,8 +67,8 @@ func (e *Engine) computeShared(c *cell, rh Hook, codec *Codec, prepare Prepare) 
 			case <-ctx.Done():
 				return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), false
 			}
-			if v, cerr, ok := e.diskLoad(key, codec); ok {
-				return v, cerr, true
+			if v, ok := e.diskLoad(key, codec); ok {
+				return v, nil, true
 			}
 
 		default: // lease.Degraded

@@ -34,7 +34,8 @@
 // every requester, so one wedged cell degrades one table entry instead of
 // deadlocking the run. The engine is cancellable as a whole (NewWithPolicy's
 // context) and bounds each compute with a per-cell timeout; every failure is
-// final — the simulator is deterministic, so nothing is retried.
+// final — the simulator is deterministic, so nothing is retried — and is
+// memoized in this process only: the disk cache stores values, never failures.
 package runner
 
 import (
@@ -51,11 +52,10 @@ import (
 
 // ErrCellAborted is the cancellation cause a cell's compute context carries
 // when every requester waiting on the cell has gone away before it completed
-// (per-request cancellation, DESIGN.md §5.7). It wraps context.Canceled, so
-// an aborted outcome is never persisted to the disk cache. The last requester
-// leaving also retires the cell from the memo map (and so from the report) in
-// the same critical section, so the next request of the same key recomputes
-// from scratch as if the cell had never been asked for.
+// (per-request cancellation, DESIGN.md §5.7). It wraps context.Canceled. The
+// last requester leaving also retires the cell from the memo map (and so from
+// the report) in the same critical section, so the next request of the same
+// key recomputes from scratch as if the cell had never been asked for.
 var ErrCellAborted = fmt.Errorf("every requester left: %w", context.Canceled)
 
 // Policy is the engine's fault-tolerance configuration. The zero value means
@@ -106,7 +106,7 @@ type cell struct {
 	err      error
 	wall     time.Duration // the publisher's wall time: probes, Prepare, the compute and its wait for a worker slot
 	compute  time.Duration // the part of wall the compute held a worker slot
-	fromDisk bool          // outcome restored from the persistent cache
+	fromDisk bool          // value restored from the persistent cache
 	hits     atomic.Int64  // requests served after completion
 	dedup    atomic.Int64  // requests that waited on the in-flight run
 
@@ -156,7 +156,7 @@ type Compute func(ctx context.Context) (any, error)
 type Cell struct {
 	Key   string // stable content hash (core.CellKey)
 	Label string // human-readable description for reports and events
-	Codec *Codec // persistence of the outcome; nil keeps the cell memory-only
+	Codec *Codec // persistence of the value; nil keeps the cell memory-only
 	// Prepare is the cell's dependency stage: it resolves whatever other
 	// cells the work needs and returns the Compute that captures them. The
 	// engine calls it at most once per owned miss — after the memo map, the
@@ -167,8 +167,8 @@ type Cell struct {
 	// risking the bounded pool, even at -jobs=1. Its context is the cell's
 	// compute context (so the last requester leaving aborts the nested
 	// waits too) carrying the creating request's hook. An error is the
-	// cell's outcome for this engine — memoized, never persisted: the failed
-	// dependency's own entry is the durable record.
+	// cell's outcome for this engine: memoized, and, like every failure,
+	// never persisted.
 	Prepare Prepare
 }
 
@@ -188,7 +188,7 @@ func (e *Engine) Do(key, label string, compute Compute) (any, error) {
 
 // DoCached is Do for cells that also persist across processes: when the
 // engine has a cache (SetCache) and codec is non-nil, the owner consults
-// the disk before computing and writes the outcome back after. Disk is
+// the disk before computing and writes a computed value back after. Disk is
 // strictly a third tier behind the in-memory map and the single-flight
 // slot — a warm entry costs one read, and every disk failure (absent,
 // unreadable, corrupt, stale) silently falls through to compute, so cached
@@ -222,8 +222,8 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute Compute) (any
 //   - in the same critical section the aborted cell is retired — withdrawn
 //     from the memo map and the report — so the next request of the same
 //     key recomputes at once, as if the cell had never existed, without
-//     waiting for the aborted compute to return. An aborted outcome is never
-//     persisted. Engine-wide cancellation retires nothing.
+//     waiting for the aborted compute to return. Engine-wide cancellation
+//     retires nothing.
 func (e *Engine) DoCell(ctx context.Context, req Cell) (any, error) {
 	key, label := req.Key, req.Label
 	rh := requestHook(ctx)
@@ -314,8 +314,8 @@ func (e *Engine) await(ctx context.Context, c *cell, label string) error {
 // abort — done is closed, so no requester can block forever on this key.
 func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 	start := time.Now()
-	if v, cerr, ok := e.diskLoad(c.key, codec); ok {
-		c.val, c.err, c.fromDisk = v, cerr, true
+	if v, ok := e.diskLoad(c.key, codec); ok {
+		c.val, c.fromDisk = v, true
 	} else if e.leases != nil && e.cache != nil && codec != nil {
 		c.val, c.err, c.fromDisk = e.computeShared(c, rh, codec, prepare)
 	} else {
@@ -323,7 +323,7 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 		e.diskStore(c.key, codec, c.val, c.err)
 	}
 	if c.fromDisk && e.hooked(rh) {
-		e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start), Err: errMsg(c.err)})
+		e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start)})
 	}
 	c.wall = time.Since(start)
 
@@ -357,15 +357,11 @@ func (e *Engine) run(c *cell, rh Hook, prepare Prepare) (val any, err error) {
 // prepare runs a cell's dependency stage on the publisher goroutine. The
 // nested requests it makes wait under ctx, so they end with the cell, and
 // carry the creating request's hook, so the dependencies a request caused
-// appear on its event stream. Failures (a panic included) are marked so the
-// outcome is memoized but never persisted.
+// appear on its event stream. A panic becomes the cell's failure.
 func (e *Engine) prepare(ctx context.Context, rh Hook, label string, stage Prepare) (compute Compute, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicError(label, r)
-		}
-		if err != nil {
-			err = &prepareError{err: err}
 		}
 	}()
 	return stage(WithRequestHook(ctx, rh))

@@ -32,7 +32,7 @@ var unreached = map[string]string{
 
 	// Observers: what tests read a result through.
 	"numa.Array.Home":            "observer: page placement as the placement tests see it",
-	"numa.Space.AllocBytes":      "observer: live array bytes (backing tests; AllocBytes = Σ live arrays, an invariant of the ROADMAP item \"Checked mode\")",
+	"numa.Space.AllocBytes":      "observer: allocated array bytes (backing tests; AllocBytes = Σ every array allocated, Release never decrements it; an invariant of the ROADMAP item \"Checked mode\")",
 	"obs.ValidateChrome":         "observer: the trace-schema assertion behind the -trace acceptance tests",
 	"obs.ChromeTrace":            "observer: Pids/Spans/Threads, the queries the track-shape assertions are built on",
 	"runner/diskcache.Cache.Len": "observer: committed entries, for the nothing-was-persisted assertions",
