@@ -85,6 +85,99 @@ func TestDiskCacheUncodedCellsStayMemoryOnly(t *testing.T) {
 	}
 }
 
+// A deterministic error persists across engines by recomputation, not by
+// storage: a second engine over the same directory computes the cell again
+// and returns the compute's own error, so the message, the label and the
+// errors.Is chain all match the first engine's, and nothing is written.
+func TestDiskCachePersistsDeterministicErrors(t *testing.T) {
+	dir := t.TempDir()
+	key := core.CellKey("test/err", 1)
+	computes := 0
+	boom := errors.New("mesh exploded")
+	compute := func(context.Context) (any, error) { computes++; return nil, boom }
+
+	e1 := cachedEngine(t, dir)
+	_, err1 := e1.DoCached(key, "cell", testCodec, compute)
+	e2 := cachedEngine(t, dir)
+	_, err2 := e2.DoCached(key, "cell", testCodec, compute)
+	if computes != 2 {
+		t.Fatalf("computes = %d, want 2 (a failure is recomputed, not restored)", computes)
+	}
+	if !errors.Is(err2, boom) {
+		t.Fatalf("warm error = %T %v, want the compute's own error", err2, err2)
+	}
+	if FailLabel(err2) != FailLabel(err1) || FailLabel(err2) != "FAILED(mesh exploded)" {
+		t.Fatalf("warm FailLabel %q != cold %q", FailLabel(err2), FailLabel(err1))
+	}
+	if err2.Error() != err1.Error() {
+		t.Fatalf("warm message %q, want %q", err2.Error(), err1.Error())
+	}
+	if n, _ := e2.Cache().Len(); n != 0 {
+		t.Fatalf("%d entries on disk for a failed cell, want 0", n)
+	}
+}
+
+// A panic likewise persists only by recomputation: each engine recovers its
+// own *PanicError with the same reason and renders the same label.
+func TestDiskCachePersistsPanics(t *testing.T) {
+	dir := t.TempDir()
+	key := core.CellKey("test/panic", 1)
+	computes := 0
+	compute := func(context.Context) (any, error) { computes++; panic("blew a gasket") }
+
+	e1 := cachedEngine(t, dir)
+	_, err1 := e1.DoCached(key, "cell", testCodec, compute)
+	e2 := cachedEngine(t, dir)
+	_, err2 := e2.DoCached(key, "cell", testCodec, compute)
+	if computes != 2 {
+		t.Fatalf("computes = %d, want 2", computes)
+	}
+	var pe *PanicError
+	if !errors.As(err2, &pe) || pe.Reason != "blew a gasket" {
+		t.Fatalf("warm error = %T %v, want a recovered *PanicError", err2, err2)
+	}
+	want := "FAILED(panic: blew a gasket)"
+	if FailLabel(err1) != want || FailLabel(err2) != want {
+		t.Fatalf("labels %q / %q, want %q", FailLabel(err1), FailLabel(err2), want)
+	}
+	if n, _ := e2.Cache().Len(); n != 0 {
+		t.Fatalf("%d entries on disk for a panicked cell, want 0", n)
+	}
+}
+
+// A timeout whose compute would later succeed, and a cell requested from an
+// engine cancelled before it starts, leave nothing on disk either.
+func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
+	dir := t.TempDir()
+
+	// Timeout: the outcome depends on the deadline, not the cell.
+	dc, err := diskcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewWithPolicy(context.Background(), 1, Policy{CellTimeout: 10 * time.Millisecond})
+	e.SetCache(dc)
+	release := make(chan struct{})
+	_, terr := e.DoCached(core.CellKey("test/slow", 1), "slow", testCodec,
+		func(ctx context.Context) (any, error) { <-release; return 1, nil })
+	close(release)
+	if !errors.Is(terr, context.DeadlineExceeded) {
+		t.Fatalf("timeout err = %v", terr)
+	}
+
+	// Cancellation, including a custom cause.
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(errors.New("operator stop"))
+	e2 := NewWithPolicy(ctx, 1, Policy{})
+	e2.SetCache(dc)
+	e2.DoCached(core.CellKey("test/cancelled", 1), "c", testCodec,
+		func(context.Context) (any, error) { return 1, nil })
+
+	if n, _ := dc.Len(); n != 0 {
+		t.Fatalf("%d entries persisted for environmental failures, want 0", n)
+	}
+}
+
 // No failure reaches the disk, whatever its kind: the simulator is
 // deterministic, so a second engine over the same directory recomputes the
 // cell and renders the very FAILED(…) entry the first one did.
