@@ -292,7 +292,7 @@ func TestFlagsAndREADMEAgree(t *testing.T) {
 	}
 	helpFlag := regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
 	binary := map[string]bool{}
-	for args, want := range map[string]int{"-h": 21, "serve -h": 8} {
+	for args, want := range map[string]int{"-h": 20, "serve -h": 8} {
 		_, stderr, _ := o2kbench(t, args)
 		n := 0
 		for _, m := range helpFlag.FindAllStringSubmatch(stderr, -1) {

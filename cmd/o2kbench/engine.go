@@ -16,7 +16,7 @@ import (
 )
 
 // engineFlags is the one wiring of the cell engine, shared by every front
-// end: the one-shot run, the -worker children the orchestrator forks, and
+// end: the one-shot run, the fleet children the orchestrator forks, and
 // `o2kbench serve` register the same flags, validate them the same way, and
 // build their runner.Engine through build. The fields hold the defaults
 // (all zero) before register and the parsed values after.
@@ -37,7 +37,7 @@ func (f *engineFlags) register(fs *flag.FlagSet) {
 }
 
 // argv renders f back to command-line arguments, one -name=value per
-// registered flag, for -worker children. It walks the same registration the
+// registered flag, for fleet children. It walks the same registration the
 // parent parsed with, so a flag added to register reaches the workers.
 func (f engineFlags) argv() []string {
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
@@ -57,10 +57,9 @@ func (f *engineFlags) validate() error {
 
 // build returns the engine: the cell policy, the persistent cache when
 // -cache is set, and under -leases cross-process lease coordination over the
-// cache directory, biased to shard of shards. A cache that cannot even be
-// opened is a warning, not a failure: the engine runs memory-only with
-// identical output.
-func (f *engineFlags) build(ctx context.Context, shard, shards int) *runner.Engine {
+// cache directory. A cache that cannot even be opened is a warning, not a
+// failure: the engine runs memory-only with identical output.
+func (f *engineFlags) build(ctx context.Context) *runner.Engine {
 	eng := runner.NewWithPolicy(ctx, f.jobs, runner.Policy{CellTimeout: f.timeout})
 	if f.cache == "" {
 		return eng
@@ -72,7 +71,7 @@ func (f *engineFlags) build(ctx context.Context, shard, shards int) *runner.Engi
 	}
 	eng.SetCache(dc)
 	if f.leases {
-		eng.SetLeases(lease.New(lease.Config{Dir: f.cache, Shard: shard, Shards: shards, Hook: leaseAuditHook()}))
+		eng.SetLeases(lease.New(lease.Config{Dir: f.cache, Hook: leaseAuditHook()}))
 	}
 	return eng
 }

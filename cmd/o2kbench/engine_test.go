@@ -8,7 +8,7 @@ import (
 )
 
 // TestEngineFlagsArgvRoundTrip is the worker-argv contract: every engine
-// flag a parent parsed reaches its -worker children. The fleet's argv is
+// flag a parent parsed reaches its fleet children. The fleet's argv is
 // derived from engineFlags.register, so the round trip engineFlags → argv →
 // fresh FlagSet must reproduce the value exactly — and the test itself must
 // cover every field, so a flag added later cannot be dropped silently.

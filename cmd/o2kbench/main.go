@@ -20,7 +20,7 @@
 // selection and output, engine and execution, multi-process sweeps, and
 // observability and profiling. The engine flags (-cache -leases -jobs
 // -timeout) are one engineFlags value (engine.go) that the
-// one-shot run, its -worker children, and serve all register, validate, and
+// one-shot run, its fleet children, and serve all register, validate, and
 // build their engine from.
 //
 // -procs takes either an explicit comma-separated list or a named preset
@@ -52,13 +52,14 @@
 // never depend on cache state. -cache-verify scans and evicts bad entries,
 // -cache-clear empties the cache; both exit without running experiments.
 //
-// -workers N (DESIGN.md §5.9) shards the sweep across N forked worker
-// subprocesses that coordinate through per-cell lease files in the -cache
-// directory (required): each cell is computed by exactly one live worker,
-// a killed worker's in-flight cells are taken over by the others (the kernel
-// drops a dead process's lease locks), and the parent merges by a final
-// in-process pass over the warm cache — so stdout is byte-identical to a
-// single-process run even if every worker dies.
+// -workers N (DESIGN.md §5.9) runs the sweep as N forked worker
+// subprocesses, each this command line plus -leases, that coordinate
+// through per-cell lease locks in the -cache directory (required): each
+// cell is computed by exactly one live worker, a killed worker's in-flight
+// cells are taken over by the others (the kernel drops a dead process's
+// lease locks), and the parent merges by a final in-process pass over the
+// warm cache — so stdout is byte-identical to a single-process run even if
+// every worker dies.
 // SIGINT/SIGTERM on the parent drain the fleet (SIGTERM, then SIGKILL after
 // a deadline) before the parent itself exits. -leases joins the same
 // coordination from independently-launched processes sharing one cache.
@@ -113,7 +114,6 @@ import (
 	"o2k/internal/obs"
 	"o2k/internal/runner"
 	"o2k/internal/runner/diskcache"
-	"o2k/internal/runner/lease"
 	"o2k/internal/sim"
 )
 
@@ -133,21 +133,6 @@ func listTable() *core.Table {
 	}
 	t.AddRow("all", "", "every non-standalone experiment above, in index order")
 	return t
-}
-
-// parseWorkerSpec parses the -worker value "i/N" into (shard, shards).
-func parseWorkerSpec(s string) (shard, shards int, err error) {
-	i, n, ok := strings.Cut(s, "/")
-	if ok {
-		shard, err = strconv.Atoi(i)
-		if err == nil {
-			shards, err = strconv.Atoi(n)
-		}
-	}
-	if !ok || err != nil || shards < 1 || shard < 0 || shard >= shards {
-		return 0, 0, fmt.Errorf("bad -worker %q: want i/N with 0 <= i < N", s)
-	}
-	return shard, shards, nil
 }
 
 // runReportFlag implements -runreport[=text|json]. The bare form means
@@ -200,7 +185,7 @@ var flagGroups = []struct {
 		"jobs", "timeout", "runreport",
 		"cache", "cache-verify", "cache-clear"}},
 	{"Multi-process sweeps", []string{
-		"workers", "worker", "leases"}},
+		"workers", "leases"}},
 	{"Observability and profiling", []string{
 		"trace", "trace-exp", "trace-ascii", "phasereport",
 		"cpuprofile", "memprofile"}},
@@ -274,16 +259,10 @@ func cacheMaintenance(dir string, clear, verify bool) int {
 		fmt.Fprintln(os.Stderr, "o2kbench:", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "o2kbench: verified %d cache entries: %d bad (%d stale), bad entries evicted; swept %d orphaned tmp file(s)\n",
-		st.Checked, st.Bad, st.Stale, st.Tmp)
-	// Lease files are sidecars, not entries: the ones no process holds (dead
-	// or drained workers') are swept, and live ones never affect the exit
-	// status — only bad entries do.
-	if ls, err := lease.Sweep(dir); err != nil {
-		fmt.Fprintln(os.Stderr, "o2kbench:", err)
-	} else {
-		fmt.Fprintf(os.Stderr, "o2kbench: swept %d leftover lease file(s), %d live lease(s) left\n", ls.Swept, ls.Live)
-	}
+	// Live leases are running processes' cells in flight: they never affect
+	// the exit status, only bad entries do.
+	fmt.Fprintf(os.Stderr, "o2kbench: verified %d cache entries: %d bad (%d stale) evicted; swept %d orphaned tmp and %d leftover lease file(s); %d live lease(s) left\n",
+		st.Checked, st.Bad, st.Stale, st.Tmp, st.Leases, st.Live)
 	if st.Bad > 0 {
 		return 1
 	}
@@ -386,10 +365,9 @@ func run() int {
 	ef.register(flag.CommandLine)
 	var runreport runReportFlag
 	flag.Var(&runreport, "runreport", "print the cell cache/timing report to stderr; =text or =json forces the\nformat, bare follows -format")
-	cacheVerify := flag.Bool("cache-verify", false, "with -cache: validate every entry, evict bad ones, sweep orphaned temp and\nleftover lease files, and exit (1 if any entries were bad)")
-	cacheClear := flag.Bool("cache-clear", false, "with -cache: remove every entry and exit")
+	cacheVerify := flag.Bool("cache-verify", false, "with -cache: validate every entry, evict bad ones, sweep orphaned temp and\nunheld lease files, and exit (1 if any entries were bad)")
+	cacheClear := flag.Bool("cache-clear", false, "with -cache: remove every entry and unheld lease file, and exit")
 	workers := flag.Int("workers", 0, "run the sweep as this many worker subprocesses sharing -cache (requires -cache);\nthe parent merges by a final in-process pass over the warm cache")
-	workerSpec := flag.String("worker", "", "run as worker i/N of a fleet (set by -workers; requires -cache): enables\nleases with shard bias i of N")
 	list := flag.Bool("list", false, "list every experiment name, its aliases, and its description")
 	version := flag.Bool("version", false, "print the build identity and cache version fence, then exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
@@ -447,23 +425,14 @@ func run() int {
 		return usageErr(err)
 	}
 
-	shard, shards := 0, 1
-	if *workerSpec != "" {
-		if shard, shards, err = parseWorkerSpec(*workerSpec); err != nil {
-			return usageErr(err)
-		}
-	}
 	switch {
 	case *workers < 0:
 		return usageErr(errors.New("-workers must be >= 0"))
-	case *workers > 1 && *workerSpec != "":
-		return usageErr(errors.New("-workers (orchestrate) and -worker (be a worker) are mutually exclusive"))
-	case (*workers > 1 || *workerSpec != "" || ef.leases) && ef.cache == "":
-		return usageErr(errors.New("-workers/-worker/-leases require -cache DIR (the cache directory is the coordination substrate)"))
+	case (*workers > 1 || ef.leases) && ef.cache == "":
+		return usageErr(errors.New("-workers/-leases require -cache DIR (the cache directory is the coordination substrate)"))
 	case (*cacheVerify || *cacheClear) && ef.cache == "":
 		return usageErr(errors.New("-cache-verify/-cache-clear require -cache DIR"))
 	}
-	ef.leases = ef.leases || *workerSpec != "" // a worker is a leased process
 	if err := ef.validate(); err != nil {
 		return usageErr(err)
 	}
@@ -493,8 +462,9 @@ func run() int {
 		// normal in-process run below — against the now-warm cache, that run
 		// IS the merge, and it recomputes whatever a killed worker left
 		// missing. Orchestration failures are therefore only warnings.
-		// A worker is this same command line with -worker i/N in place of
-		// -workers: the request and the engine flags render themselves.
+		// A worker is this same command line without -workers: the request
+		// and the engine flags render themselves, and orchestrate adds
+		// -leases.
 		if err := orchestrate(ctx, *workers,
 			append([]string{"-exp=" + req.Exp, "-quick=" + strconv.FormatBool(req.Quick), "-procs=" + req.Procs},
 				ef.argv()...)); err != nil {
@@ -502,7 +472,7 @@ func run() int {
 		}
 	}
 
-	eng := ef.build(ctx, shard, shards)
+	eng := ef.build(ctx)
 	var collector *obs.Collector
 	if *traceFile != "" {
 		// The trace file carries host-side tracks of this run's cell

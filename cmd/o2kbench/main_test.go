@@ -47,7 +47,7 @@ func TestParseProcs(t *testing.T) {
 	if err != nil || len(ps) != 3 || ps[2] != 8 {
 		t.Fatalf("ParseProcs: %v %v", ps, err)
 	}
-	for _, bad := range []string{"", "0", "x", "1,,2", "-3", "1,1025"} {
+	for _, bad := range []string{"", "0", "x", "1,,2", "-3", "1,1025", "4,1", "4,4,16"} {
 		if _, err := experiments.ParseProcs(bad); err == nil {
 			t.Fatalf("ParseProcs accepted %q", bad)
 		}

@@ -1,19 +1,19 @@
 package main
 
-// The -workers orchestrator (DESIGN.md §5.9): shard a sweep across forked
-// worker subprocesses that cooperate through the cache directory's lease
-// layer, and leave the parent to render the merged result.
+// The -workers orchestrator (DESIGN.md §5.9): run a sweep as forked worker
+// subprocesses that cooperate through the cache directory's lease layer,
+// and leave the parent to render the merged result.
 //
 // The design exploits the system's own guarantees instead of adding a
-// results channel: every worker runs the same experiment suite with leases
-// on (-worker i/N), so each unique cell is computed by exactly one live
-// worker and committed to the shared cache; when the workers are done — or
-// dead — the parent simply runs the suite in-process against the now-warm
-// cache. That final pass IS the merge: it serves completed cells from disk,
-// computes whatever a killed worker left missing, and by the simulator's
-// determinism produces stdout byte-identical to a single-process run. Total
-// worker failure therefore degrades to exactly the single-process behavior,
-// never to a broken report.
+// results channel: every worker runs the same experiment suite with
+// -leases, so each unique cell is computed by exactly one live worker and
+// committed to the shared cache; when the workers are done — or dead — the
+// parent simply runs the suite in-process against the now-warm cache. That
+// final pass IS the merge: it serves completed cells from disk, computes
+// whatever a killed worker left missing, and by the simulator's determinism
+// produces stdout byte-identical to a single-process run. Total worker
+// failure therefore degrades to exactly the single-process behavior, never
+// to a broken report.
 
 import (
 	"context"
@@ -29,12 +29,12 @@ import (
 // to finish their in-flight cells before escalating to SIGKILL.
 const drainTimeout = 20 * time.Second
 
-// orchestrate runs a fleet of workers, slot i running args after
-// -worker=i/workers, to completion and returns an error only when not a
-// single worker could be started — every lesser failure is absorbed, because
-// the parent's merge pass recomputes whatever the fleet did not finish. A
-// worker that dies is not replaced: its lease locks die with it, so the rest
-// of the fleet takes over its in-flight cells.
+// orchestrate runs a fleet of workers, each running args plus -leases, to
+// completion and returns an error only when not a single worker could be
+// started — every lesser failure is absorbed, because the parent's merge
+// pass recomputes whatever the fleet did not finish. A worker that dies is
+// not replaced: its lease locks die with it, so the rest of the fleet takes
+// over its in-flight cells.
 //
 // The parent's shutdown reaches the fleet through ctx: cancelling it sends
 // every live worker a SIGTERM — their own NotifyContext converts it into
@@ -46,9 +46,9 @@ func orchestrate(ctx context.Context, workers int, args []string) error {
 	if err != nil {
 		return fmt.Errorf("workers: %w", err)
 	}
+	argv := append(args, "-leases")
 	var fleet []*exec.Cmd
 	for slot := range workers {
-		argv := append([]string{fmt.Sprintf("-worker=%d/%d", slot, workers)}, args...)
 		cmd := exec.CommandContext(ctx, exe, argv...)
 		cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
 		cmd.WaitDelay = drainTimeout

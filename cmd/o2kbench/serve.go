@@ -45,7 +45,7 @@ func runServe(args []string) int {
 	// The engine lives on the *process's* context, not the signal context:
 	// a drain must let admitted requests finish and commit their cells, so
 	// shutdown stops the listener, never the engine.
-	eng := ef.build(context.Background(), 0, 1)
+	eng := ef.build(context.Background())
 	srv := server.New(server.Config{Engine: eng, MaxInflight: *inflight, MaxQueue: *queue})
 
 	// The signal handler is in place before the listener exists, so a

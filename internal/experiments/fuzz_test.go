@@ -8,7 +8,8 @@ import (
 
 // A POST /v1/experiments body goes through the same two steps as in
 // server.handleExperiments: decode into a Request, then Opts. Neither may
-// panic, and a request Opts accepts names only positive processor counts.
+// panic, and a request Opts accepts names only positive, strictly increasing
+// processor counts.
 // The seed corpus is testdata/fuzz/FuzzRequestOpts.
 func FuzzRequestOpts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -23,9 +24,12 @@ func FuzzRequestOpts(f *testing.F) {
 		if len(o.Procs) == 0 {
 			t.Fatalf("request %+v resolved to no processor counts", req)
 		}
-		for _, p := range o.Procs {
+		for i, p := range o.Procs {
 			if p < 1 {
 				t.Fatalf("request %+v resolved to processor count %d", req, p)
+			}
+			if i > 0 && p <= o.Procs[i-1] {
+				t.Fatalf("request %+v resolved to processor counts %v, not strictly increasing", req, o.Procs)
 			}
 		}
 	})

@@ -43,7 +43,9 @@ func ProcsPresetNames() []string {
 
 // ParseProcs resolves a -procs style value — a preset name or an explicit
 // comma-separated processor-count list — shared by the CLI flag and the
-// experiment server's request field.
+// experiment server's request field. A list must be strictly increasing:
+// every experiment reads its first count as the speedup base, its middle as
+// "mid P" and its last as "max P".
 func ParseProcs(s string) ([]int, error) {
 	if ps, ok := ProcsPreset(s); ok {
 		return ps, nil
@@ -53,6 +55,9 @@ func ParseProcs(s string) ([]int, error) {
 		v, err := ParseProcCount(f)
 		if err != nil {
 			return nil, fmt.Errorf("%v; presets: %s", err, strings.Join(ProcsPresetNames(), ", "))
+		}
+		if len(ps) > 0 && v <= ps[len(ps)-1] {
+			return nil, fmt.Errorf("processor counts %q must be strictly increasing", s)
 		}
 		ps = append(ps, v)
 	}

@@ -250,35 +250,49 @@ func (c *Cache) Get(key string) (payload []byte, ok bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	h, payload, err := parseEntry(data)
-	if err != nil {
-		c.corruptEvict(key)
-		return nil, false
-	}
-	if h.Schema != Schema || h.Fence != c.fence {
+	payload, state := c.check(key, data)
+	switch state {
+	case entryOK:
+		c.hits.Add(1)
+		return payload, true
+	case entryStale:
 		c.stale.Add(1)
-		c.misses.Add(1)
-		c.evict(key)
-		return nil, false
+	default:
+		c.corrupt.Add(1)
 	}
-	if h.Key != key || !sumOK(h, payload) {
-		c.corruptEvict(key)
-		return nil, false
+	c.misses.Add(1)
+	c.evict(key)
+	return nil, false
+}
+
+// entryState is what an entry file's bytes are worth to this cache.
+type entryState int
+
+const (
+	entryOK      entryState = iota
+	entryStale              // another schema or binary wrote it: the fence rejects it
+	entryCorrupt            // unparseable, misfiled, or failing its checksum
+)
+
+// check classifies data as key's entry file, for Get and Verify alike: fence
+// skew is stale, any other failure corrupt. On entryOK the payload aliases
+// data.
+func (c *Cache) check(key string, data []byte) ([]byte, entryState) {
+	h, payload, err := parseEntry(data)
+	switch {
+	case err != nil:
+		return nil, entryCorrupt
+	case h.Schema != Schema, h.Fence != c.fence:
+		return nil, entryStale
+	case h.Key != key, !sumOK(h, payload):
+		return nil, entryCorrupt
 	}
-	c.hits.Add(1)
-	return payload, true
+	return payload, entryOK
 }
 
 func sumOK(h header, payload []byte) bool {
 	sum := sha256.Sum256(payload)
 	return h.Sum == hex.EncodeToString(sum[:])
-}
-
-// corruptEvict books one integrity failure: corrupt + miss, entry removed.
-func (c *Cache) corruptEvict(key string) {
-	c.corrupt.Add(1)
-	c.misses.Add(1)
-	c.evict(key)
 }
 
 // evict best-effort removes key's entry file.
@@ -353,17 +367,16 @@ type VerifyStats struct {
 	Bad     int // entries that failed validation (and were removed)
 	Stale   int // of Bad, entries rejected only by the version fence
 	Tmp     int // orphaned temp files swept (interrupted or killed commits)
+	Leases  int // lease files no process held, swept
+	Live    int // lease files a running process holds, left in place
 }
 
-// Verify scans every entry under the cache root, validates each against the
-// schema, fence, key, and checksum, and removes the ones that fail — the
-// offline counterpart of Get's on-contact eviction, behind `o2kbench
-// -cache-verify`. Orphaned temp files from interrupted or SIGKILLed commits
-// are swept and counted (they were never entries). Lease sidecar files are
-// never touched here: whether one is held is the lease subsystem's call
-// (lease.Sweep), and removing a held one would break a running worker's
-// mutual exclusion. The scan itself is read-only on valid
-// entries.
+// Verify scans every entry under the cache root, validates each the way Get
+// does, and removes the ones that fail — the offline counterpart of Get's
+// on-contact eviction, behind `o2kbench -cache-verify`. In the same walk it
+// sweeps orphaned temp files from interrupted or SIGKILLed commits (they
+// were never entries) and every lease file no process holds (sweepLease).
+// The scan itself is read-only on valid entries and held leases.
 func (c *Cache) Verify() (VerifyStats, error) {
 	var st VerifyStats
 	err := c.walk(func(path, key string, kind fileKind) {
@@ -374,45 +387,60 @@ func (c *Cache) Verify() (VerifyStats, error) {
 			}
 			return
 		case fileLease:
+			switch err := c.sweepLease(path); {
+			case err == nil:
+				st.Leases++
+			case errors.Is(err, ErrLocked):
+				st.Live++
+			}
 			return
 		}
 		st.Checked++
-		data, err := c.fs.ReadFile(path)
-		if err != nil {
-			st.Bad++
-			c.fs.Remove(path)
-			return
+		state := entryCorrupt
+		if data, err := c.fs.ReadFile(path); err == nil {
+			_, state = c.check(key, data)
 		}
-		// The same classification as Get: fence skew is stale, any other
-		// failure corrupt.
-		h, payload, perr := parseEntry(data)
-		switch {
-		case perr != nil:
+		if state != entryOK {
 			st.Bad++
-			c.fs.Remove(path)
-		case h.Schema != Schema, h.Fence != c.fence:
-			st.Bad++
-			st.Stale++
-			c.fs.Remove(path)
-		case h.Key != key, !sumOK(h, payload):
-			st.Bad++
+			if state == entryStale {
+				st.Stale++
+			}
 			c.fs.Remove(path)
 		}
 	})
 	return st, err
 }
 
-// Clear removes every entry (plus stray temp and lease files) under the
-// cache root and returns how many entry files were deleted.
+// Clear removes every entry, stray temp file and unheld lease file under the
+// cache root and returns how many entry files were deleted. A held lease
+// stays: removing it would let a second process lock a fresh file of the
+// same name while the holder still computes the cell.
 func (c *Cache) Clear() (int, error) {
 	removed := 0
 	err := c.walk(func(path, key string, kind fileKind) {
-		if c.fs.Remove(path) == nil && kind == fileEntry {
+		switch {
+		case kind == fileLease:
+			c.sweepLease(path)
+		case c.fs.Remove(path) == nil && kind == fileEntry:
 			removed++
 			c.evicted.Add(1)
 		}
 	})
 	return removed, err
+}
+
+// sweepLease removes the lease file at path unless a process holds it, in
+// which case it answers ErrLocked: the one rule for deleting a lease file
+// (internal/runner/lease). It takes the lock the way an acquirer does, so it
+// never removes a live holder's file, and removes the file before unlocking
+// it, as a holder's Release does. It reads no timestamps.
+func (c *Cache) sweepLease(path string) error {
+	unlock, err := c.fs.Lock(path)
+	if err != nil {
+		return err
+	}
+	defer unlock()
+	return c.fs.Remove(path)
 }
 
 // Len counts committed entries on disk.

@@ -6,10 +6,11 @@
 //
 // A lease is an exclusive, non-blocking lock (diskcache.FS.Lock, flock(2) on
 // the platforms that have it) on a sidecar file `<key>.lease` next to the
-// cell's entry in the shard layout of internal/runner/diskcache. The kernel
-// drops the lock the moment its holder exits, so whether an owner is alive
-// is the kernel's to know, not a clock's to guess. The file's bytes mean
-// nothing; a file nobody holds a lock on is free to take.
+// cell's entry in the shard layout of internal/runner/diskcache, and nothing
+// else. The kernel drops the lock the moment its holder exits, so whether an
+// owner is alive is the kernel's to know, not a clock's to guess. The file's
+// bytes mean nothing; a file nobody holds a lock on is free to take, and
+// diskcache.Cache.Verify sweeps it.
 //
 // Every failure on the lock path — EPERM, a platform without flock, an I/O
 // error — degrades to Degraded, which callers must treat as "compute
@@ -25,20 +26,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"o2k/internal/runner/diskcache"
 )
 
-const (
-	// Poll is how long a waiter on a Busy lease sleeps before it probes the
-	// cache for the owner's entry and tries the lease again.
-	Poll = 15 * time.Millisecond
-	// Grace is the foreign-shard deference window (Config.Shard).
-	Grace = 150 * time.Millisecond
-)
+// Poll is how long a waiter on a Busy lease sleeps before it probes the
+// cache for the owner's entry and tries the lease again.
+const Poll = 15 * time.Millisecond
 
 // Status is the outcome of an Acquire attempt.
 type Status int
@@ -47,9 +43,9 @@ const (
 	// Acquired: the caller owns the lease and must compute the cell, then
 	// Release.
 	Acquired Status = iota
-	// Busy: a live foreign holder (or a shard-deference grace period) covers
-	// the key; the caller should poll the cache for the owner's committed
-	// entry and re-Acquire if the entry never appears.
+	// Busy: a live process holds the lock; the caller should poll the cache
+	// for the owner's committed entry and re-Acquire if the entry never
+	// appears.
 	Busy
 	// Degraded: the lease machinery failed (I/O error, no flock, …); the
 	// caller must compute anyway, without mutual exclusion.
@@ -80,16 +76,9 @@ type Event struct {
 // Config parameterizes a Manager. Dir is required; everything else has a
 // working default.
 type Config struct {
-	Dir string       // cache directory (diskcache shard layout)
-	FS  diskcache.FS // filesystem seam; default OSFS
-
-	// Shard/Shards bias (never partition) the cell space: an acquirer whose
-	// key hashes to a foreign shard defers to that shard's owner for Grace
-	// before competing, so N workers spread across the space yet any worker
-	// can still cover a dead peer's cells. Shards <= 1 disables deference.
-	Shard, Shards int
-
-	Hook func(Event) // protocol observer; nil = silent
+	Dir  string       // cache directory (diskcache shard layout)
+	FS   diskcache.FS // filesystem seam; default OSFS
+	Hook func(Event)  // protocol observer; nil = silent
 }
 
 // Stats is a snapshot of the manager's protocol counters.
@@ -107,7 +96,6 @@ type Manager struct {
 	owner string // host:pid:token, names this manager in the audit stream
 
 	mu    sync.Mutex
-	grace map[string]time.Time // free-lease shard-deference start times
 	stats Stats
 }
 
@@ -116,7 +104,7 @@ func New(cfg Config) *Manager {
 	if cfg.FS == nil {
 		cfg.FS = diskcache.OSFS{}
 	}
-	return &Manager{cfg: cfg, owner: newOwner(), grace: make(map[string]time.Time)}
+	return &Manager{cfg: cfg, owner: newOwner()}
 }
 
 // newOwner builds a cluster-unique owner id. The random token tells apart
@@ -173,9 +161,6 @@ func (m *Manager) Acquire(key string) (*Lease, Status) {
 	if !diskcache.ValidKey(key) {
 		return nil, m.note(Degraded)
 	}
-	if m.deferToShardOwner(key) {
-		return nil, m.note(Busy)
-	}
 	path := m.path(key)
 	// The cell's shard directory may not exist yet — leases often precede
 	// their entry. A MkdirAll failure surfaces as the Lock error below.
@@ -187,43 +172,8 @@ func (m *Manager) Acquire(key string) (*Lease, Status) {
 	case err != nil:
 		return nil, m.note(Degraded)
 	}
-	m.mu.Lock()
-	delete(m.grace, key)
-	m.mu.Unlock()
 	m.emit("acquire", key)
 	return &Lease{m: m, key: key, path: path, unlock: unlock}, m.note(Acquired)
-}
-
-// deferToShardOwner implements the shard bias: for a foreign-shard key,
-// wait out a Grace window (starting at first sight) to give the preferred
-// worker time to claim it. Returns true while deferring.
-func (m *Manager) deferToShardOwner(key string) bool {
-	if m.cfg.Shards <= 1 || shardOf(key, m.cfg.Shards) == m.cfg.Shard {
-		return false
-	}
-	now := time.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	start, ok := m.grace[key]
-	if !ok {
-		m.grace[key] = now
-		return true
-	}
-	return now.Sub(start) < Grace
-}
-
-// shardOf maps a cell key to one of n shards (FNV-1a over the key bytes): the
-// shard whose manager claims a free lease on the key without deferring.
-func shardOf(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // Lease is a held per-cell lease.
@@ -246,52 +196,4 @@ func (l *Lease) Release() {
 	l.m.mu.Lock()
 	l.m.stats.Released++
 	l.m.mu.Unlock()
-}
-
-// SweepStats summarizes a Sweep pass.
-type SweepStats struct {
-	Live  int // lease files a running process holds, left in place
-	Swept int // leftover lease files removed
-}
-
-// Sweep removes every lease file under dir that no process holds: the files
-// a killed or drained worker left behind (the kernel freed their locks, but
-// not their names). It is the offline janitor behind `o2kbench
-// -cache-verify`, and takes each lock the way Acquire does, so it never
-// removes a live holder's file.
-func Sweep(dir string) (SweepStats, error) {
-	fsys := diskcache.OSFS{}
-	var st SweepStats
-	shards, err := fsys.ReadDir(dir)
-	if err != nil {
-		return st, fmt.Errorf("lease: sweep %s: %w", dir, err)
-	}
-	for _, sh := range shards {
-		if !sh.IsDir() || len(sh.Name()) != 2 {
-			continue
-		}
-		files, err := fsys.ReadDir(filepath.Join(dir, sh.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			key, ok := strings.CutSuffix(f.Name(), ".lease")
-			if f.IsDir() || !ok || !diskcache.ValidKey(key) {
-				continue
-			}
-			path := diskcache.SidecarPath(dir, key, ".lease")
-			unlock, err := fsys.Lock(path)
-			if err != nil {
-				if errors.Is(err, diskcache.ErrLocked) {
-					st.Live++
-				}
-				continue
-			}
-			if fsys.Remove(path) == nil {
-				st.Swept++
-			}
-			unlock()
-		}
-	}
-	return st, nil
 }

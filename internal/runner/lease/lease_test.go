@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"o2k/internal/runner/diskcache"
 )
@@ -129,73 +128,4 @@ func TestInvalidKeyDegrades(t *testing.T) {
 	if _, st := m.Acquire("../../evil"); st != Degraded {
 		t.Fatalf("acquire of invalid key = %v, want Degraded", st)
 	}
-}
-
-func TestShardOf(t *testing.T) {
-	if shardOf(key("x"), 1) != 0 || shardOf(key("x"), 0) != 0 {
-		t.Fatal("degenerate shard counts must map to 0")
-	}
-	counts := make([]int, 4)
-	for i := 0; i < 256; i++ {
-		s := shardOf(key(fmt.Sprintf("cell-%d", i)), 4)
-		if s < 0 || s >= 4 {
-			t.Fatalf("shardOf out of range: %d", s)
-		}
-		counts[s]++
-	}
-	for s, n := range counts {
-		if n == 0 {
-			t.Fatalf("shard %d got none of 256 keys — hash not spreading (%v)", s, counts)
-		}
-	}
-}
-
-func TestShardDeferenceThenCover(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Shards: 2}
-	// Pick a key owned by the *other* shard.
-	var k string
-	for i := 0; ; i++ {
-		k = key(fmt.Sprintf("foreign-%d", i))
-		if shardOf(k, 2) != cfg.Shard {
-			break
-		}
-	}
-	m := New(cfg)
-	if _, st := m.Acquire(k); st != Busy {
-		t.Fatalf("first acquire of a free foreign-shard key = %v, want Busy (deference)", st)
-	}
-	time.Sleep(Grace + 10*time.Millisecond)
-	l, st := m.Acquire(k)
-	if st != Acquired {
-		t.Fatalf("acquire after the grace window = %v, want Acquired (cover the dead peer)", st)
-	}
-	l.Release()
-}
-
-func TestSweep(t *testing.T) {
-	dir := t.TempDir()
-	held, _ := New(Config{Dir: dir}).Acquire(key("held"))
-	dead, _ := New(Config{Dir: dir}).Acquire(key("dead"))
-	if held == nil || dead == nil {
-		t.Fatal("could not set up the held and dead leases")
-	}
-	dead.unlock()
-	junk := plant(t, dir, key("junk"), []byte("???"))
-
-	st, err := Sweep(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Swept != 2 || st.Live != 1 {
-		t.Fatalf("sweep = %+v, want 2 swept (dead + junk), 1 live", st)
-	}
-	for _, path := range []string{dead.path, junk} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("unheld lease file %s survived the sweep", path)
-		}
-	}
-	if _, err := os.Stat(held.path); err != nil {
-		t.Fatal("held lease was swept")
-	}
-	held.Release()
 }

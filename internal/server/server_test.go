@@ -440,6 +440,9 @@ func TestCellEndpointSourcesAndValidation(t *testing.T) {
 	if code != http.StatusBadRequest || doc.Error != wantErr.Error() || !strings.Contains(doc.Error, "mesh-speedup") {
 		t.Errorf("POST unknown experiment: code=%d error=%q, want 400 with %q", code, doc.Error, wantErr)
 	}
+	if code, _, _ := postExperiment(t, ts.URL, `{"exp":"verdicts","quick":true,"procs":"16,4,1"}`); code != http.StatusBadRequest {
+		t.Errorf("POST with processor counts out of order: code=%d, want 400", code)
+	}
 
 	// Validation comes before admission: with the only run slot taken and the
 	// queue full, an invalid cell is still answered 4xx at once — never 429,
@@ -577,18 +580,18 @@ func TestTwoServersSharingCacheComputeEachCellOnce(t *testing.T) {
 			countMu.Unlock()
 		}
 	}
-	mk := func(shard int) *httptest.Server {
+	mk := func() *httptest.Server {
 		dc, err := diskcache.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng := runner.New(4)
 		eng.SetCache(dc)
-		eng.SetLeases(lease.New(lease.Config{Dir: dir, Shard: shard, Shards: 2}))
+		eng.SetLeases(lease.New(lease.Config{Dir: dir}))
 		ts, _, _ := newTestServer(t, Config{Engine: eng, Hook: countHook})
 		return ts
 	}
-	a, b := mk(0), mk(1)
+	a, b := mk(), mk()
 
 	type out struct {
 		code int
