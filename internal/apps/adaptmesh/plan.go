@@ -47,7 +47,8 @@ type CyclePlan struct {
 	InterpOwned [][]int32
 
 	// Clear[p] lists the vertices p must zero in its accumulator each sweep:
-	// everything its edges touch plus everything it owns, ascending.
+	// everything its edges touch plus everything it owns, ascending
+	// (Decomp.SweepLists derives it with EdgeA and EdgeB).
 	Clear [][]int32
 
 	// EdgeA/EdgeB[p] are the endpoint vertex IDs of p's owned edges,
@@ -167,7 +168,7 @@ func (st *Structure) planCycle(cycle int, dec *partition.Decomp, remap partition
 		}
 	}
 	p.buildMigration(nprocs)
-	p.buildClearLists(nprocs)
+	p.Clear, p.EdgeA, p.EdgeB = dec.SweepLists()
 	return p
 }
 
@@ -267,59 +268,17 @@ func (p *CyclePlan) buildMigration(nprocs int) {
 	// Ascending order everywhere: message contents and local copies must be
 	// deterministic and identical across models.
 	for s := 0; s < nprocs; s++ {
-		sortAsc(p.LocalKeep[s])
+		slices.Sort(p.LocalKeep[s])
 		for d := 0; d < nprocs; d++ {
 			if len(p.MoveSend[s][d]) == 0 {
 				continue
 			}
-			sortAsc(p.MoveSend[s][d])
+			slices.Sort(p.MoveSend[s][d])
 			p.MoveTo[s] = append(p.MoveTo[s], d)
 			p.MoveFrom[d] = append(p.MoveFrom[d], s)
 		}
 		// OwnedVerts is ascending already, so InterpOwned is too.
 	}
-}
-
-// buildClearLists computes, per processor, the accumulator entries it uses:
-// endpoints of owned edges plus owned vertices.
-func (p *CyclePlan) buildClearLists(nprocs int) {
-	p.Clear = make([][]int32, nprocs)
-	p.EdgeA = make([][]int32, nprocs)
-	p.EdgeB = make([][]int32, nprocs)
-	mark := make([]int32, p.NV)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for q := 0; q < nprocs; q++ {
-		ne := len(p.Dec.OwnedEdges[q])
-		ea := make([]int32, 0, ne)
-		eb := make([]int32, 0, ne)
-		for _, e := range p.Dec.OwnedEdges[q] {
-			ea = append(ea, p.M.Edges[e][0])
-			eb = append(eb, p.M.Edges[e][1])
-			for _, v := range p.M.Edges[e] {
-				if mark[v] != int32(q) {
-					mark[v] = int32(q)
-					p.Clear[q] = append(p.Clear[q], v)
-				}
-			}
-		}
-		p.EdgeA[q], p.EdgeB[q] = ea, eb
-		for _, v := range p.Dec.OwnedVerts[q] {
-			if mark[v] != int32(q) {
-				mark[v] = int32(q)
-				p.Clear[q] = append(p.Clear[q], v)
-			}
-		}
-		sortAsc(p.Clear[q])
-	}
-}
-
-func sortAsc(s []int32) {
-	// The values are plain int32 IDs (no tie-broken satellite data), so any
-	// sorting algorithm yields identical bytes; slices.Sort avoids the
-	// interface indirection of sort.Slice on the warm-path derivation.
-	slices.Sort(s)
 }
 
 // InterpValue computes the field value of (possibly new) vertex v from the

@@ -19,7 +19,6 @@ package cg
 
 import (
 	"fmt"
-	"slices"
 
 	"o2k/internal/mesh"
 	"o2k/internal/partition"
@@ -64,8 +63,8 @@ type Plan struct {
 	B     []float64 // right-hand side by global vertex ID (zero if unused)
 
 	// EdgeA/EdgeB[p] are the endpoint vertex IDs of p's owned edges,
-	// index-aligned with Dec.OwnedEdges[p]: the matvec's index lists, as in
-	// adaptmesh. Derived, not encoded.
+	// index-aligned with Dec.OwnedEdges[p]: the matvec's index lists
+	// (Decomp.SweepLists, like Clear). Derived, not encoded.
 	EdgeA, EdgeB [][]int32
 }
 
@@ -97,43 +96,13 @@ func PlanForMesh(w Workload, m *mesh.Mesh, nprocs int) *Plan {
 // which is why the plan cache stores just the owner vector and replays this
 // derivation on warm runs.
 func planFromDecomp(w Workload, m *mesh.Mesh, dec *partition.Decomp) *Plan {
-	nprocs := dec.P
 	p := &Plan{
 		M:   m,
 		Dec: dec,
 		Deg: solver.Degrees(m),
 		NV:  m.NumVertsTotal(),
 	}
-	// Clear lists (owned + edge-touched) and edge endpoints, as in adaptmesh.
-	mark := make([]int32, p.NV)
-	for i := range mark {
-		mark[i] = -1
-	}
-	p.Clear = make([][]int32, nprocs)
-	p.EdgeA = make([][]int32, nprocs)
-	p.EdgeB = make([][]int32, nprocs)
-	for q := 0; q < nprocs; q++ {
-		ea := make([]int32, 0, len(dec.OwnedEdges[q]))
-		eb := make([]int32, 0, len(dec.OwnedEdges[q]))
-		for _, e := range dec.OwnedEdges[q] {
-			ea = append(ea, m.Edges[e][0])
-			eb = append(eb, m.Edges[e][1])
-			for _, v := range m.Edges[e] {
-				if mark[v] != int32(q) {
-					mark[v] = int32(q)
-					p.Clear[q] = append(p.Clear[q], v)
-				}
-			}
-		}
-		p.EdgeA[q], p.EdgeB[q] = ea, eb
-		for _, v := range dec.OwnedVerts[q] {
-			if mark[v] != int32(q) {
-				mark[v] = int32(q)
-				p.Clear[q] = append(p.Clear[q], v)
-			}
-		}
-		slices.Sort(p.Clear[q])
-	}
+	p.Clear, p.EdgeA, p.EdgeB = dec.SweepLists()
 	// Right-hand side: the moving-front bump (anything nonzero and smooth).
 	front := mesh.DefaultFront(w.MaxLevel)
 	p.B = make([]float64, p.NV)

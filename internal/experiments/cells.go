@@ -10,22 +10,20 @@ import (
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/barnes"
 	"o2k/internal/apps/cg"
-	"o2k/internal/apps/stencil"
 	"o2k/internal/core"
-	"o2k/internal/machine"
 	"o2k/internal/mesh"
 	"o2k/internal/planio"
 	"o2k/internal/runner"
 )
 
-// The typed cell helpers below are the whole vocabulary the experiments
-// need: one run cell per (application, model, machine config, workload),
-// plus the plan cells the run cells depend on. They are plain functions over
-// a *runner.Engine — the engine itself knows no application. Plans are
+// The cells the experiments are built from: one run cell per (application,
+// model, machine config, workload) — the application table (apps.go) wires
+// each one — plus the plan cells the run cells depend on, defined here with
+// the one request path every cell takes (cellOf). They are plain functions
+// over a *runner.Engine — the engine itself knows no application. Plans are
 // memoized separately because they are shared across the three models at a
 // given processor count (and, for the mesh, across ablation variants that
-// differ only in run-time knobs) — exactly the sharing the serial drivers
-// used to arrange by hand with RunWithPlans.
+// differ only in run-time knobs).
 //
 // Plan construction itself splits into two tiers, both persisted:
 //
@@ -64,19 +62,6 @@ type prepareFn[T any] func(ctx context.Context) (func() T, error)
 // leaf is the prepare stage of a cell with no dependencies.
 func leaf[T any](compute func() T) prepareFn[T] {
 	return func(context.Context) (func() T, error) { return compute, nil }
-}
-
-// after is the prepare stage of a cell with one dependency: resolve dep, then
-// compute from its value. what names the dependency in the cell's failure
-// when dep fails ("mesh plans: …").
-func after[D, T any](what string, dep func(context.Context) (D, error), compute func(D) T) prepareFn[T] {
-	return func(ctx context.Context) (func() T, error) {
-		d, err := dep(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		return func() T { return compute(d) }, nil
-	}
 }
 
 // Failure is one failed cell a request asked for, with the error it got.
@@ -132,17 +117,6 @@ func cellOf[T any](ctx context.Context, e *runner.Engine, key, label string, cod
 		return zero, err
 	}
 	return v.(T), nil
-}
-
-// runCell resolves one metrics run cell, labelled "<app> <model> P=<procs>".
-func runCell(ctx context.Context, e *runner.Engine, app string, model core.Model, procs int, key string, prepare prepareFn[core.Metrics]) runner.Res {
-	m, err := cellOf(ctx, e, key, runLabel(app, model, procs), runner.MetricsCodec, prepare)
-	return runner.Res{M: m, Err: err}
-}
-
-// runLabel is the display label of one run, memoized or traced.
-func runLabel(app string, model core.Model, procs int) string {
-	return fmt.Sprintf("%s %v P=%d", app, model, procs)
 }
 
 // planCodec wraps a plan-tier text serialization (internal/planio format) as
@@ -214,12 +188,13 @@ func cgPlanKey(w cg.Workload, procs int) string {
 	return core.CellKey("cg/plan", cg.PlanSchema, cgStructWorkload(w), procs)
 }
 
-// MeshPlans returns the memoized cycle plans for the mesh workload at the
+// meshPlans returns the memoized cycle plans for the mesh workload at the
 // given processor count. The structure cell — the persisted adaptation
 // history — is resolved first rather than in the plan cell's prepare stage:
 // the plan cell persists only the per-cycle partitioning decisions, and its
 // decoder replays them against the structure, so a disk hit needs it too.
-func MeshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) ([]*adaptmesh.CyclePlan, error) {
+// Either cell's failure is its error, as "mesh plans: …".
+func meshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) ([]*adaptmesh.CyclePlan, error) {
 	sw := meshStructWorkload(w)
 	st, err := cellOf(ctx, e, meshStructKey(w), "mesh structure",
 		planCodec(
@@ -227,84 +202,47 @@ func MeshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, proc
 			func(data []byte) (*adaptmesh.Structure, error) { return adaptmesh.DecodeStructure(data, sw) }),
 		leaf(func() *adaptmesh.Structure { return adaptmesh.BuildStructure(sw) }))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mesh plans: %w", err)
 	}
-	return cellOf(ctx, e, meshPlanKey(w, procs), fmt.Sprintf("mesh plans P=%d", procs),
+	plans, err := cellOf(ctx, e, meshPlanKey(w, procs), fmt.Sprintf("mesh plans P=%d", procs),
 		planCodec(
 			func(plans []*adaptmesh.CyclePlan) []byte { return adaptmesh.EncodePlans(plans, procs) },
 			func(data []byte) ([]*adaptmesh.CyclePlan, error) { return st.DecodePlans(data, procs) }),
 		leaf(func() []*adaptmesh.CyclePlan { return st.Plans(procs, w.NoRemap) }))
+	if err != nil {
+		return nil, fmt.Errorf("mesh plans: %w", err)
+	}
+	return plans, nil
 }
 
-// Mesh runs the adaptive-mesh application under one model on one machine
-// configuration (cfg.Procs is the processor count), memoized.
-func Mesh(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w adaptmesh.Workload) runner.Res {
-	return runCell(ctx, e, "mesh", model, cfg.Procs, core.CellKey("mesh/run", model, cfg, w), after("mesh plans",
-		func(ctx context.Context) ([]*adaptmesh.CyclePlan, error) { return MeshPlans(ctx, e, w, cfg.Procs) },
-		func(plans []*adaptmesh.CyclePlan) core.Metrics {
-			return adaptmesh.RunWithPlans(model, machine.MustNew(cfg), w, plans)
-		}))
-}
-
-// MeshModels runs the mesh application under all three models, in parallel
-// where the pool allows, returning outcomes in core.AllModels order.
-func MeshModels(ctx context.Context, e *runner.Engine, cfg machine.Config, w adaptmesh.Workload) [3]runner.Res {
-	return allModels(e, func(m core.Model) runner.Res { return Mesh(ctx, e, m, cfg, w) })
-}
-
-// MeshHybrid runs the MP+SAS hybrid mesh extension: plans are built at the
-// machine's node count (one MP rank per node board).
-func MeshHybrid(ctx context.Context, e *runner.Engine, cfg machine.Config, w adaptmesh.Workload) runner.Res {
-	return runCell(ctx, e, "mesh", core.Hybrid, cfg.Procs, core.CellKey("mesh/hybrid", cfg, w),
-		func(ctx context.Context) (func() core.Metrics, error) {
-			m, err := machine.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("machine: %w", err)
-			}
-			plans, err := MeshPlans(ctx, e, w, m.Nodes())
-			if err != nil {
-				return nil, fmt.Errorf("mesh plans: %w", err)
-			}
-			return func() core.Metrics { return adaptmesh.RunHybridWithPlans(m, w, plans) }, nil
-		})
-}
-
-// NBodyPlans returns the memoized per-step plans for the N-body workload.
+// nbodyPlans returns the memoized per-step plans for the N-body workload.
 // The structure cell persists the reference-simulation record — the force
 // evaluations that dominate plan construction; the per-P derivation
 // (cost-zones over the captured positions) is cheap relative to it, so the
-// plan cells stay memory-only.
-func NBodyPlans(ctx context.Context, e *runner.Engine, w barnes.Workload, procs int) ([]*barnes.StepPlan, error) {
+// plan cells stay memory-only. Either cell's failure is its error, as
+// "n-body plans: …".
+func nbodyPlans(ctx context.Context, e *runner.Engine, w barnes.Workload, procs int) ([]*barnes.StepPlan, error) {
 	st, err := cellOf(ctx, e, nbodyStructKey(w), "n-body structure",
 		planCodec(barnes.EncodeStructure,
 			func(data []byte) (*barnes.Structure, error) { return barnes.DecodeStructure(data, w) }),
 		leaf(func() *barnes.Structure { return barnes.BuildStructure(w) }))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("n-body plans: %w", err)
 	}
-	return cellOf(ctx, e, nbodyPlanKey(w, procs), fmt.Sprintf("n-body plans P=%d", procs), nil,
+	plans, err := cellOf(ctx, e, nbodyPlanKey(w, procs), fmt.Sprintf("n-body plans P=%d", procs), nil,
 		leaf(func() []*barnes.StepPlan { return st.Plans(procs) }))
+	if err != nil {
+		return nil, fmt.Errorf("n-body plans: %w", err)
+	}
+	return plans, nil
 }
 
-// NBody runs the Barnes-Hut application under one model, memoized.
-func NBody(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w barnes.Workload) runner.Res {
-	return runCell(ctx, e, "n-body", model, cfg.Procs, core.CellKey("nbody/run", model, cfg, w), after("n-body plans",
-		func(ctx context.Context) ([]*barnes.StepPlan, error) { return NBodyPlans(ctx, e, w, cfg.Procs) },
-		func(plans []*barnes.StepPlan) core.Metrics {
-			return barnes.RunWithPlans(model, machine.MustNew(cfg), w, plans)
-		}))
-}
-
-// NBodyModels runs the N-body application under all three models.
-func NBodyModels(ctx context.Context, e *runner.Engine, cfg machine.Config, w barnes.Workload) [3]runner.Res {
-	return allModels(e, func(m core.Model) runner.Res { return NBody(ctx, e, m, cfg, w) })
-}
-
-// CGPlan returns the memoized static plan for the conjugate-gradient run.
+// cgPlan returns the memoized static plan for the conjugate-gradient run.
 // The mesh cell — the persisted refined snapshot, serialized in the mesh
 // global-ID format — is resolved first; the plan cell persists the
-// partitioning decision only.
-func CGPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*cg.Plan, error) {
+// partitioning decision only. Either cell's failure is its error, as
+// "cg plan: …".
+func cgPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*cg.Plan, error) {
 	sw := cgStructWorkload(w)
 	m, err := cellOf(ctx, e, cgMeshKey(w), "cg mesh",
 		planCodec(func(m *mesh.Mesh) []byte {
@@ -314,38 +252,16 @@ func CGPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*c
 		}, mesh.DecodeGlobal),
 		leaf(func() *mesh.Mesh { return cg.BuildMesh(sw) }))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cg plan: %w", err)
 	}
-	return cellOf(ctx, e, cgPlanKey(w, procs), fmt.Sprintf("cg plan P=%d", procs),
+	plan, err := cellOf(ctx, e, cgPlanKey(w, procs), fmt.Sprintf("cg plan P=%d", procs),
 		planCodec(cg.EncodePlan,
 			func(data []byte) (*cg.Plan, error) { return cg.DecodePlan(data, sw, m, procs) }),
 		leaf(func() *cg.Plan { return cg.PlanForMesh(sw, m, procs) }))
-}
-
-// CG runs the conjugate-gradient application under one model, memoized.
-func CG(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w cg.Workload) runner.Res {
-	return runCell(ctx, e, "cg", model, cfg.Procs, core.CellKey("cg/run", model, cfg, w), after("cg plan",
-		func(ctx context.Context) (*cg.Plan, error) { return CGPlan(ctx, e, w, cfg.Procs) },
-		func(plan *cg.Plan) core.Metrics { return cg.RunWithPlan(model, machine.MustNew(cfg), w, plan) }))
-}
-
-// CGModels runs the conjugate-gradient application under all three models.
-func CGModels(ctx context.Context, e *runner.Engine, cfg machine.Config, w cg.Workload) [3]runner.Res {
-	return allModels(e, func(m core.Model) runner.Res { return CG(ctx, e, m, cfg, w) })
-}
-
-// Stencil runs the regular Jacobi control application under one model;
-// it has no plan stage.
-func Stencil(ctx context.Context, e *runner.Engine, model core.Model, cfg machine.Config, w stencil.Workload) runner.Res {
-	return runCell(ctx, e, "stencil", model, cfg.Procs, core.CellKey("stencil/run", model, cfg, w),
-		leaf(func() core.Metrics { return stencil.Run(model, machine.MustNew(cfg), w) }))
-}
-
-// allModels resolves one run cell per model concurrently and returns the
-// outcomes in core.AllModels order.
-func allModels(e *runner.Engine, run func(core.Model) runner.Res) [3]runner.Res {
-	models := core.AllModels()
-	return [3]runner.Res(each(e, len(models), func(i int) runner.Res { return run(models[i]) }))
+	if err != nil {
+		return nil, fmt.Errorf("cg plan: %w", err)
+	}
+	return plan, nil
 }
 
 // each evaluates f(0..n-1) concurrently on e.Warm — the prefetch idiom of the

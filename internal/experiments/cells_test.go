@@ -1,6 +1,6 @@
 package experiments
 
-// The typed cell helpers on a real engine: a cell must equal the direct
+// The cells on a real engine: a run cell must equal the direct
 // application run, repeat requests must be pure cache hits, and plan keys
 // must share or split cells exactly as the workload knobs demand.
 
@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"o2k/internal/apps/adaptmesh"
-	"o2k/internal/apps/barnes"
 	"o2k/internal/core"
 	"o2k/internal/machine"
 	"o2k/internal/runner"
@@ -18,10 +17,10 @@ import (
 // TestMeshCellMatchesDirect pins the cell path to the direct RunWithPlans
 // path: memoization must be semantically invisible.
 func TestMeshCellMatchesDirect(t *testing.T) {
-	w := adaptmesh.Small()
+	o := QuickOpts()
 	cfg := machine.Default(4)
-	direct := adaptmesh.RunWithPlans(core.SAS, machine.MustNew(cfg), w, adaptmesh.BuildPlans(w, 4))
-	cell := Mesh(context.Background(), runner.New(2), core.SAS, cfg, w)
+	direct := adaptmesh.RunWithPlans(core.SAS, machine.MustNew(cfg), o.MeshW, adaptmesh.BuildPlans(o.MeshW, 4))
+	cell := meshApp.cell(context.Background(), runner.New(2), core.SAS, cfg, o)
 	if cell.Err != nil {
 		t.Fatalf("cell failed: %v", cell.Err)
 	}
@@ -34,11 +33,11 @@ func TestMeshCellMatchesDirect(t *testing.T) {
 // hits with identical metrics.
 func TestCacheCorrectness(t *testing.T) {
 	e := runner.New(2)
-	w := barnes.Small()
+	o := QuickOpts()
 	cfg := machine.Default(2)
-	first := NBodyModels(context.Background(), e, cfg, w)
+	first := nbodyApp.cells(context.Background(), e, cfg, o)
 	misses := e.Report().Unique
-	second := NBodyModels(context.Background(), e, cfg, w)
+	second := nbodyApp.cells(context.Background(), e, cfg, o)
 	r := e.Report()
 	if r.Unique != misses {
 		t.Fatalf("second request simulated %d new cells, want 0", r.Unique-misses)
@@ -58,14 +57,14 @@ func TestCacheCorrectness(t *testing.T) {
 func TestMeshPlanKeyNormalization(t *testing.T) {
 	e := runner.New(2)
 	w := adaptmesh.Small()
-	if _, err := MeshPlans(context.Background(), e, w, 2); err != nil {
+	if _, err := meshPlans(context.Background(), e, w, 2); err != nil {
 		t.Fatal(err)
 	}
 	base := e.Report().Unique
 
 	wMig := w
 	wMig.SasPageMigrate = true
-	MeshPlans(context.Background(), e, wMig, 2)
+	meshPlans(context.Background(), e, wMig, 2)
 	if got := e.Report().Unique; got != base {
 		t.Fatalf("SasPageMigrate split the plan cell (%d -> %d unique)", base, got)
 	}
@@ -73,7 +72,7 @@ func TestMeshPlanKeyNormalization(t *testing.T) {
 	// NoRemap changes the plans and must get its own cell.
 	wOff := w
 	wOff.NoRemap = true
-	MeshPlans(context.Background(), e, wOff, 2)
+	meshPlans(context.Background(), e, wOff, 2)
 	if got := e.Report().Unique; got != base+1 {
 		t.Fatalf("NoRemap plan cell not separate (%d -> %d unique)", base, got)
 	}

@@ -22,8 +22,8 @@ import (
 // charsSchema retires persisted characteristics when a struct below changes.
 const charsSchema = "o2kchars 2"
 
-// MeshChars summarizes one mesh plan sequence.
-type MeshChars struct {
+// meshChars summarizes one mesh plan sequence.
+type meshChars struct {
 	Cycles    int     // plans in the sequence
 	Tris      int     // Σ triangles over the cycles
 	Edges     int     // Σ edges over the cycles
@@ -31,15 +31,15 @@ type MeshChars struct {
 	Imbalance float64 // the last cycle's load imbalance on its (post-remap) decomposition
 }
 
-// NBodyChars summarizes one N-body plan sequence.
-type NBodyChars struct {
+// nbodyChars summarizes one N-body plan sequence.
+type nbodyChars struct {
 	Steps int // plans in the sequence
 	Inter int // Σ interactions over the steps
 	Cells int // Σ tree cells over the steps
 }
 
-// CGChars summarizes the conjugate-gradient plan's mesh.
-type CGChars struct {
+// cgChars summarizes the conjugate-gradient plan's mesh.
+type cgChars struct {
 	Tris, Edges, Rows int
 }
 
@@ -58,13 +58,13 @@ func charsCodec[T any]() *runner.Codec {
 	}
 }
 
-// MeshCharacteristics returns the memoized summary of MeshPlans(w, procs).
-func MeshCharacteristics(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) (MeshChars, error) {
-	return cellOf(ctx, e, core.CellKey("mesh/chars", charsSchema, meshPlanKey(w, procs)), fmt.Sprintf("mesh characteristics P=%d", procs), charsCodec[MeshChars](),
-		after("mesh plans",
-			func(ctx context.Context) ([]*adaptmesh.CyclePlan, error) { return MeshPlans(ctx, e, w, procs) },
-			func(plans []*adaptmesh.CyclePlan) MeshChars {
-				c := MeshChars{Cycles: len(plans)}
+// meshCharacteristics returns the memoized summary of meshPlans(w, procs).
+func meshCharacteristics(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) (meshChars, error) {
+	return cellOf(ctx, e, core.CellKey("mesh/chars", charsSchema, meshPlanKey(w, procs)), fmt.Sprintf("mesh characteristics P=%d", procs), charsCodec[meshChars](),
+		func(ctx context.Context) (func() meshChars, error) {
+			plans, err := meshPlans(ctx, e, w, procs)
+			return func() meshChars {
+				c := meshChars{Cycles: len(plans)}
 				for _, pl := range plans {
 					c.Tris += pl.M.NumTris()
 					c.Edges += pl.M.NumEdges()
@@ -74,30 +74,33 @@ func MeshCharacteristics(ctx context.Context, e *runner.Engine, w adaptmesh.Work
 					c.FinalTris, c.Imbalance = last.M.NumTris(), last.Imbalance
 				}
 				return c
-			}))
+			}, err
+		})
 }
 
-// NBodyCharacteristics returns the memoized summary of NBodyPlans(w, procs).
-func NBodyCharacteristics(ctx context.Context, e *runner.Engine, w barnes.Workload, procs int) (NBodyChars, error) {
-	return cellOf(ctx, e, core.CellKey("nbody/chars", charsSchema, nbodyPlanKey(w, procs)), fmt.Sprintf("n-body characteristics P=%d", procs), charsCodec[NBodyChars](),
-		after("n-body plans",
-			func(ctx context.Context) ([]*barnes.StepPlan, error) { return NBodyPlans(ctx, e, w, procs) },
-			func(plans []*barnes.StepPlan) NBodyChars {
-				c := NBodyChars{Steps: len(plans)}
+// nbodyCharacteristics returns the memoized summary of nbodyPlans(w, procs).
+func nbodyCharacteristics(ctx context.Context, e *runner.Engine, w barnes.Workload, procs int) (nbodyChars, error) {
+	return cellOf(ctx, e, core.CellKey("nbody/chars", charsSchema, nbodyPlanKey(w, procs)), fmt.Sprintf("n-body characteristics P=%d", procs), charsCodec[nbodyChars](),
+		func(ctx context.Context) (func() nbodyChars, error) {
+			plans, err := nbodyPlans(ctx, e, w, procs)
+			return func() nbodyChars {
+				c := nbodyChars{Steps: len(plans)}
 				for _, pl := range plans {
 					c.Inter += pl.TotalInter
 					c.Cells += pl.Tree.NumCells()
 				}
 				return c
-			}))
+			}, err
+		})
 }
 
-// CGCharacteristics returns the memoized summary of CGPlan(w, procs).
-func CGCharacteristics(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (CGChars, error) {
-	return cellOf(ctx, e, core.CellKey("cg/chars", charsSchema, cgPlanKey(w, procs)), fmt.Sprintf("cg characteristics P=%d", procs), charsCodec[CGChars](),
-		after("cg plan",
-			func(ctx context.Context) (*cg.Plan, error) { return CGPlan(ctx, e, w, procs) },
-			func(plan *cg.Plan) CGChars {
-				return CGChars{Tris: plan.M.NumTris(), Edges: plan.M.NumEdges(), Rows: plan.M.NumVertsUsed()}
-			}))
+// cgCharacteristics returns the memoized summary of cgPlan(w, procs).
+func cgCharacteristics(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (cgChars, error) {
+	return cellOf(ctx, e, core.CellKey("cg/chars", charsSchema, cgPlanKey(w, procs)), fmt.Sprintf("cg characteristics P=%d", procs), charsCodec[cgChars](),
+		func(ctx context.Context) (func() cgChars, error) {
+			plan, err := cgPlan(ctx, e, w, procs)
+			return func() cgChars {
+				return cgChars{Tris: plan.M.NumTris(), Edges: plan.M.NumEdges(), Rows: plan.M.NumVertsUsed()}
+			}, err
+		})
 }

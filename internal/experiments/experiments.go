@@ -8,11 +8,12 @@
 // verdict checker — simulates each unique (application, model, machine,
 // workload, P) cell exactly once, in parallel on a bounded worker pool.
 //
-// This package is also the one place that knows what a cell is: the typed
-// cell helpers and their keys (cells.go), the application table the cell
-// endpoint and the tracer resolve "app/model" against (apps.go), and the
-// Request every front end — CLI flags, worker argv, POST body — reduces to
-// (registry.go). The engine underneath is generic.
+// This package is also the one place that knows what a cell is: the
+// application table, whose rows define each run cell for the builders, the
+// cell endpoint and the tracer alike (apps.go), the plan and characteristics
+// cells and their keys (cells.go, chars.go), and the Request every front end
+// — CLI flags, worker argv, POST body — reduces to (registry.go). The engine
+// underneath is generic.
 //
 // Cells carry errors (DESIGN.md §5.7): a cell that panicked, timed out, or
 // was cancelled reads as FAILED(<reason>) in every entry read off it, by the
@@ -195,14 +196,14 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  "Table 1 — Application and workload characteristics (reconstructed)",
 		Header: []string{"application", "elements", "edges/interactions", "adapt cycles/steps", "sweeps per cycle", "max imbalance pre-LB"},
 	}
-	var mc MeshChars
-	var nc NBodyChars
-	var cc CGChars
+	var mc meshChars
+	var nc nbodyChars
+	var cc cgChars
 	var meshErr, nbErr, cgErr error
 	e.Warm(
-		func() { mc, meshErr = MeshCharacteristics(ctx, e, o.MeshW, 1) },
-		func() { nc, nbErr = NBodyCharacteristics(ctx, e, o.NBodyW, 1) },
-		func() { cc, cgErr = CGCharacteristics(ctx, e, o.CGW, 1) },
+		func() { mc, meshErr = meshCharacteristics(ctx, e, o.MeshW, 1) },
+		func() { nc, nbErr = nbodyCharacteristics(ctx, e, o.NBodyW, 1) },
+		func() { cc, cgErr = cgCharacteristics(ctx, e, o.CGW, 1) },
 	)
 	// A zero-cycle/zero-step workload yields an empty plan sequence; it reads
 	// as a failed cell, and max keeps its averages below defined.
@@ -247,12 +248,12 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 
 func buildFig2(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	return scalingTable(ctx, e, "Figure 2 — Adaptive mesh: time and speedup vs processors",
-		o.Procs, func(p int) [3]runner.Res { return MeshModels(ctx, e, machine.Default(p), o.MeshW) })
+		o.Procs, func(p int) [3]runner.Res { return meshApp.cells(ctx, e, machine.Default(p), o) })
 }
 
 func buildFig3(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	return scalingTable(ctx, e, "Figure 3 — Barnes-Hut N-body: time and speedup vs processors",
-		o.Procs, func(p int) [3]runner.Res { return NBodyModels(ctx, e, machine.Default(p), o.NBodyW) })
+		o.Procs, func(p int) [3]runner.Res { return nbodyApp.cells(ctx, e, machine.Default(p), o) })
 }
 
 // scalingTable resolves every processor count's cells in parallel, then
@@ -276,7 +277,7 @@ func scalingTable(ctx context.Context, e *runner.Engine, title string, procs []i
 
 func buildFig4(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	p := o.Procs[len(o.Procs)-1]
-	m := MeshModels(ctx, e, machine.Default(p), o.MeshW)
+	m := meshApp.cells(ctx, e, machine.Default(p), o)
 	t := &core.Table{
 		Title:  fmt.Sprintf("Figure 4 — Adaptive mesh phase breakdown at P=%d", p),
 		Header: []string{"phase", "MP", "SHMEM", "CC-SAS"},
@@ -298,8 +299,8 @@ func buildTable6(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	p := o.Procs[len(o.Procs)-1]
 	var mm, nb [3]runner.Res
 	e.Warm(
-		func() { mm = MeshModels(ctx, e, machine.Default(p), o.MeshW) },
-		func() { nb = NBodyModels(ctx, e, machine.Default(p), o.NBodyW) },
+		func() { mm = meshApp.cells(ctx, e, machine.Default(p), o) },
+		func() { nb = nbodyApp.cells(ctx, e, machine.Default(p), o) },
 	)
 	t := &core.Table{
 		Title:  fmt.Sprintf("Table 6 — Model-visible data memory at P=%d (bytes)", p),
@@ -344,7 +345,7 @@ func buildFig7(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Header: []string{"ratio", "MP", "SHMEM", "CC-SAS", "CC-SAS/MP"},
 	}
 	res := each(e, len(fig7Ratios), func(i int) [3]runner.Res {
-		return MeshModels(ctx, e, fig7Config(procs, fig7Ratios[i]), o.MeshW)
+		return meshApp.cells(ctx, e, fig7Config(procs, fig7Ratios[i]), o)
 	})
 	for i, ratio := range fig7Ratios {
 		m := res[i]
@@ -360,12 +361,12 @@ func buildFig8(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  fmt.Sprintf("Figure 8 — PLUM remapping on vs off (mesh, P=%d)", procs),
 		Header: []string{"model", "remap on", "remap off", "moved weight on", "moved weight off"},
 	}
-	wOff := o.MeshW
-	wOff.NoRemap = true
+	oOff := o
+	oOff.MeshW.NoRemap = true
 	var on, off [3]runner.Res
 	e.Warm(
-		func() { on = MeshModels(ctx, e, machine.Default(procs), o.MeshW) },
-		func() { off = MeshModels(ctx, e, machine.Default(procs), wOff) },
+		func() { on = meshApp.cells(ctx, e, machine.Default(procs), o) },
+		func() { off = meshApp.cells(ctx, e, machine.Default(procs), oOff) },
 	)
 	for i, model := range core.AllModels() {
 		t.AddRow(model.String(),
@@ -381,7 +382,7 @@ func buildTable9(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	}
 	procs := []int{o.Procs[len(o.Procs)/2], o.Procs[len(o.Procs)-1]}
 	res := each(e, len(procs), func(i int) [3]runner.Res {
-		return MeshModels(ctx, e, machine.Default(procs[i]), o.MeshW)
+		return meshApp.cells(ctx, e, machine.Default(procs[i]), o)
 	})
 	for i, p := range procs {
 		for j, model := range core.AllModels() {
@@ -415,10 +416,10 @@ func buildFig10(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	var fns []func()
 	for i, p := range procs {
 		fns = append(fns,
-			func() { res[i].st0 = Stencil(ctx, e, core.MP, machine.Default(p), o.StencilW) },
-			func() { res[i].st2 = Stencil(ctx, e, core.SAS, machine.Default(p), o.StencilW) },
-			func() { res[i].me = MeshModels(ctx, e, machine.Default(p), o.MeshW) },
-			func() { res[i].nb = NBodyModels(ctx, e, machine.Default(p), o.NBodyW) },
+			func() { res[i].st0 = stencilApp.cell(ctx, e, core.MP, machine.Default(p), o) },
+			func() { res[i].st2 = stencilApp.cell(ctx, e, core.SAS, machine.Default(p), o) },
+			func() { res[i].me = meshApp.cells(ctx, e, machine.Default(p), o) },
+			func() { res[i].nb = nbodyApp.cells(ctx, e, machine.Default(p), o) },
 		)
 	}
 	e.Warm(fns...)
@@ -435,8 +436,8 @@ func buildFig11(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  "Figure 11 — CC-SAS page migration ablation (adaptive mesh)",
 		Header: []string{"P", "first-touch", "page-migrate", "remote misses FT", "remote misses PM"},
 	}
-	wMig := o.MeshW
-	wMig.SasPageMigrate = true
+	oMig := o
+	oMig.MeshW.SasPageMigrate = true
 	var procs []int
 	for _, p := range o.Procs {
 		if p >= 4 {
@@ -448,8 +449,8 @@ func buildFig11(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	var fns []func()
 	for i, p := range procs {
 		fns = append(fns,
-			func() { ft[i] = Mesh(ctx, e, core.SAS, machine.Default(p), o.MeshW) },
-			func() { pm[i] = Mesh(ctx, e, core.SAS, machine.Default(p), wMig) },
+			func() { ft[i] = meshApp.cell(ctx, e, core.SAS, machine.Default(p), o) },
+			func() { pm[i] = meshApp.cell(ctx, e, core.SAS, machine.Default(p), oMig) },
 		)
 	}
 	e.Warm(fns...)
@@ -487,7 +488,7 @@ func buildFig12(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Header: []string{"machine", "MP", "SHMEM", "CC-SAS", "winner"},
 	}
 	classes := fig12Classes(procs)
-	res := each(e, len(classes), func(i int) [3]runner.Res { return MeshModels(ctx, e, classes[i].cfg, o.MeshW) })
+	res := each(e, len(classes), func(i int) [3]runner.Res { return meshApp.cells(ctx, e, classes[i].cfg, o) })
 	for i, cl := range classes {
 		m := triple(res[i], total)
 		winner := text(func() string {
@@ -522,9 +523,9 @@ func buildFig13(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	var fns []func()
 	for i, cl := range classes {
 		fns = append(fns,
-			func() { res[i].pure = Mesh(ctx, e, core.MP, cl.cfg, o.MeshW) },
-			func() { res[i].sas = Mesh(ctx, e, core.SAS, cl.cfg, o.MeshW) },
-			func() { res[i].hyb = MeshHybrid(ctx, e, cl.cfg, o.MeshW) },
+			func() { res[i].pure = meshApp.cell(ctx, e, core.MP, cl.cfg, o) },
+			func() { res[i].sas = meshApp.cell(ctx, e, core.SAS, cl.cfg, o) },
+			func() { res[i].hyb = hybridApp.cell(ctx, e, core.Hybrid, cl.cfg, o) },
 		)
 	}
 	e.Warm(fns...)
@@ -541,7 +542,7 @@ func buildFig14(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		Title:  "Figure 14 — Conjugate gradient: time vs processors, reduction share",
 		Header: []string{"P", "MP", "SHMEM", "CC-SAS", "MP sync frac", "CC-SAS sync frac"},
 	}
-	res := each(e, len(o.Procs), func(i int) [3]runner.Res { return CGModels(ctx, e, machine.Default(o.Procs[i]), o.CGW) })
+	res := each(e, len(o.Procs), func(i int) [3]runner.Res { return cgApp.cells(ctx, e, machine.Default(o.Procs[i]), o) })
 	for i, p := range o.Procs {
 		met := res[i]
 		t.AddRow(fmt.Sprintf("%d", p),

@@ -237,9 +237,10 @@ func TestLedgerRecordsFailedRequestsByKey(t *testing.T) {
 	cellOf(outer, e, "k1", "mesh MP P=16", nil, leaf(ok)) // a memo hit of a failed cell: no new entry
 	cellOf(inner, e, "k4", "cg plan P=16", nil, fail)
 	// A run cell whose Prepare requests a failing dependency.
-	cellOf(outer, e, "k5", "cg MP P=8", nil, after("cg plan", func(ctx context.Context) (int, error) {
-		return cellOf(ctx, e, "k6", "cg plan P=8", nil, fail)
-	}, func(int) int { return 1 }))
+	cellOf(outer, e, "k5", "cg MP P=8", nil, func(ctx context.Context) (func() int, error) {
+		_, err := cellOf(ctx, e, "k6", "cg plan P=8", nil, fail)
+		return ok, err
+	})
 	// A wait the request's own cancellation ends: the compute blocks until
 	// the request has left.
 	release := make(chan struct{})

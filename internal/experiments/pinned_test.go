@@ -42,8 +42,7 @@ func TestSmallCellsPinned(t *testing.T) {
 	}
 	o, e := QuickOpts(), runner.New(0)
 	var lines []string
-	for i := range apps {
-		a := &apps[i]
+	for _, a := range apps {
 		for _, m := range a.models {
 			t.Run(a.name+"/"+m.String(), func(t *testing.T) {
 				for _, procs := range []int{1, 8, 64} {

@@ -28,9 +28,9 @@ func meshPlanBytes(t *testing.T, w adaptmesh.Workload, procs int, dc *diskcache.
 	if dc != nil {
 		e.SetCache(dc)
 	}
-	plans, err := MeshPlans(context.Background(), e, w, procs)
+	plans, err := meshPlans(context.Background(), e, w, procs)
 	if err != nil {
-		t.Fatalf("MeshPlans: %v", err)
+		t.Fatalf("meshPlans: %v", err)
 	}
 	return adaptmesh.EncodePlans(plans, procs), e.Report()
 }
@@ -125,7 +125,7 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 		dir := t.TempDir()
 		e := runner.New(1)
 		e.SetCache(openCache(t, dir))
-		refPlan, err := CGPlan(context.Background(), e, cw, 4)
+		refPlan, err := cgPlan(context.Background(), e, cw, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 		}
 		e2 := runner.New(1)
 		e2.SetCache(dc)
-		p, err := CGPlan(context.Background(), e2, cw, 4)
+		p, err := cgPlan(context.Background(), e2, cw, 4)
 		if err != nil {
 			t.Fatalf("corrupt cg plan entries surfaced as a run error: %v", err)
 		}

@@ -15,10 +15,11 @@ import (
 // A traced run is a deliberate re-simulation outside the run cells:
 // EnableTrace changes the host-side cost of a run and keeps live Group
 // state, neither of which belongs in the memoized/cached path whose outputs
-// are byte-identity-guarded. Its plans are the engine's plan cells, though —
-// the ones the suite just resolved, or their -cache entries — so a cell has
-// one source of plans, and tracing costs one group per traced model however
-// large the experiment suite that ran before it.
+// are byte-identity-guarded. It is the run cell's own definition, though —
+// its app row's prepare, whose plans are the engine's plan cells (the ones
+// the suite just resolved, or their -cache entries) — so a cell has one
+// definition, and tracing costs one group per traced model however large the
+// experiment suite that ran before it.
 
 // TracedRun couples one phase-traced application run with its display
 // label ("mesh MP P=8").
@@ -55,8 +56,9 @@ func CheckTraceTarget(name string) error {
 // Trace re-runs the named application with phase-timeline tracing enabled
 // at the largest processor count of o and returns one traced group per
 // selected model, in the app's model order. name is an app of the table,
-// optionally narrowed as e.g. "mesh/mp". The plans come from e's plan cells
-// under ctx; a failed plan cell is Trace's error.
+// optionally narrowed as e.g. "mesh/mp". Each run is prepared as its run
+// cell is, its plans from e's plan cells under ctx; a failed plan cell is
+// Trace's error.
 func Trace(ctx context.Context, e *runner.Engine, name string, o Opts) ([]TracedRun, error) {
 	app, models, err := parseTraceTarget(name)
 	if err != nil {
@@ -66,17 +68,17 @@ func Trace(ctx context.Context, e *runner.Engine, name string, o Opts) ([]Traced
 		return nil, fmt.Errorf("trace %s: no processor counts configured", name)
 	}
 	procs := o.Procs[len(o.Procs)-1]
-	mach, err := machine.New(machine.Default(procs))
-	if err != nil {
-		return nil, fmt.Errorf("trace %s: %w", name, err)
-	}
-	traced, err := app.trace(ctx, e, mach, o)
-	if err != nil {
+	cfg := machine.Default(procs)
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("trace %s: %w", name, err)
 	}
 	runs := make([]TracedRun, len(models))
 	for i, m := range models {
-		runs[i] = TracedRun{Label: runLabel(app.label, m, procs), Group: traced(m)}
+		r, err := app.prepare(ctx, e, m, cfg, o)
+		if err != nil {
+			return nil, fmt.Errorf("trace %s: %w", name, err)
+		}
+		runs[i] = TracedRun{Label: runLabel(app.label, m, procs), Group: r.traced()}
 	}
 	return runs, nil
 }

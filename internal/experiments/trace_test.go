@@ -120,3 +120,38 @@ func TestGoldenASCIITimeline(t *testing.T) {
 			golden, got, want)
 	}
 }
+
+// TestTraceIsTheRunCell re-runs every (app, model) of the table traced, as
+// -trace-exp does, and reads the group as apps.Collect reads a run cell's:
+// a traced run is the cell's own definition, so every number matches but
+// CohMisses, to which Collect adds the space's coherence evictions.
+func TestTraceIsTheRunCell(t *testing.T) {
+	o := QuickOpts()
+	o.Procs = []int{4}
+	e := runner.New(2)
+	for _, a := range apps {
+		for _, m := range a.models {
+			name := a.name + "/" + m.String()
+			t.Run(name, func(t *testing.T) {
+				runs, err := Trace(bg, e, name, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := a.Cell(bg, e, m, 4, o)
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				g, want := runs[0].Group, res.M
+				got := want
+				got.Total, got.PhaseMax, got.PhaseAvg, got.Counters = g.MaxTime(), g.MaxPhaseTime(), g.AvgPhaseTime(), g.TotalCounters()
+				if got.Counters.CohMisses > want.Counters.CohMisses {
+					t.Errorf("traced CohMisses %d exceed the cell's %d", got.Counters.CohMisses, want.Counters.CohMisses)
+				}
+				got.Counters.CohMisses = want.Counters.CohMisses
+				if diff := diffMetrics(got, want); diff != "" {
+					t.Errorf("the traced run is not the run cell:%s", diff)
+				}
+			})
+		}
+	}
+}

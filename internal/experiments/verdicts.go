@@ -89,24 +89,24 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	maxP, midP, fig7P := o.Procs[len(o.Procs)-1], o.Procs[len(o.Procs)/2], fig7Procs(o)
 	fig7First, fig7Last := fig7Config(fig7P, fig7Ratios[0]), fig7Config(fig7P, fig7Ratios[len(fig7Ratios)-1])
 	ev := &evidence{maxP: maxP, midP: midP}
-	wOff := o.MeshW
-	wOff.NoRemap = true
+	oOff := o
+	oOff.MeshW.NoRemap = true
 	e.Warm(
-		func() { ev.meshMax = MeshModels(ctx, e, machine.Default(maxP), o.MeshW) },
-		func() { ev.meshMid = MeshModels(ctx, e, machine.Default(midP), o.MeshW) },
-		func() { ev.nb = NBodyModels(ctx, e, machine.Default(maxP), o.NBodyW) },
-		func() { ev.nbMid = NBodyModels(ctx, e, machine.Default(midP), o.NBodyW) },
-		func() { ev.fig7MP[0] = Mesh(ctx, e, core.MP, fig7First, o.MeshW) },
-		func() { ev.fig7SAS[0] = Mesh(ctx, e, core.SAS, fig7First, o.MeshW) },
-		func() { ev.fig7MP[1] = Mesh(ctx, e, core.MP, fig7Last, o.MeshW) },
-		func() { ev.fig7SAS[1] = Mesh(ctx, e, core.SAS, fig7Last, o.MeshW) },
-		func() { ev.stMP = Stencil(ctx, e, core.MP, machine.Default(maxP), o.StencilW) },
-		func() { ev.stSAS = Stencil(ctx, e, core.SAS, machine.Default(maxP), o.StencilW) },
-		func() { ev.meshOff = Mesh(ctx, e, core.MP, machine.Default(maxP), wOff) },
-		func() { ev.t3e = MeshModels(ctx, e, machine.T3E(midP), o.MeshW) },
-		func() { ev.hyb = MeshHybrid(ctx, e, machine.Default(maxP), o.MeshW) },
-		func() { ev.cgMaxMP = CG(ctx, e, core.MP, machine.Default(maxP), o.CGW) },
-		func() { ev.cgMidMP = CG(ctx, e, core.MP, machine.Default(midP), o.CGW) },
+		func() { ev.meshMax = meshApp.cells(ctx, e, machine.Default(maxP), o) },
+		func() { ev.meshMid = meshApp.cells(ctx, e, machine.Default(midP), o) },
+		func() { ev.nb = nbodyApp.cells(ctx, e, machine.Default(maxP), o) },
+		func() { ev.nbMid = nbodyApp.cells(ctx, e, machine.Default(midP), o) },
+		func() { ev.fig7MP[0] = meshApp.cell(ctx, e, core.MP, fig7First, o) },
+		func() { ev.fig7SAS[0] = meshApp.cell(ctx, e, core.SAS, fig7First, o) },
+		func() { ev.fig7MP[1] = meshApp.cell(ctx, e, core.MP, fig7Last, o) },
+		func() { ev.fig7SAS[1] = meshApp.cell(ctx, e, core.SAS, fig7Last, o) },
+		func() { ev.stMP = stencilApp.cell(ctx, e, core.MP, machine.Default(maxP), o) },
+		func() { ev.stSAS = stencilApp.cell(ctx, e, core.SAS, machine.Default(maxP), o) },
+		func() { ev.meshOff = meshApp.cell(ctx, e, core.MP, machine.Default(maxP), oOff) },
+		func() { ev.t3e = meshApp.cells(ctx, e, machine.T3E(midP), o) },
+		func() { ev.hyb = hybridApp.cell(ctx, e, core.Hybrid, machine.Default(maxP), o) },
+		func() { ev.cgMaxMP = cgApp.cell(ctx, e, core.MP, machine.Default(maxP), o) },
+		func() { ev.cgMidMP = cgApp.cell(ctx, e, core.MP, machine.Default(midP), o) },
 	)
 	add := func(id, claim string, ok bool, shown string) {
 		verdict := "PASS"

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"slices"
+
 	"o2k/internal/mesh"
 )
 
@@ -123,6 +125,44 @@ func NewDecomp(m *mesh.Mesh, triOwner []int32, nparts int) *Decomp {
 		}
 	}
 	return d
+}
+
+// SweepLists derives, per processor q, the index lists of an edge sweep over
+// q's owned edges: clear[q], the accumulator entries q zeroes each sweep (the
+// endpoints of its owned edges and its owned vertices, ascending), and
+// edgeA[q]/edgeB[q], the endpoints of its owned edges, index-aligned with
+// OwnedEdges[q] — the structure-of-arrays view that spares the inner loop
+// the double indirection through M.Edges.
+func (d *Decomp) SweepLists() (clear, edgeA, edgeB [][]int32) {
+	clear = make([][]int32, d.P)
+	edgeA = make([][]int32, d.P)
+	edgeB = make([][]int32, d.P)
+	mark := make([]int32, len(d.VertOwner))
+	for i := range mark {
+		mark[i] = -1
+	}
+	for q := range d.P {
+		ne := len(d.OwnedEdges[q])
+		edgeA[q], edgeB[q] = make([]int32, 0, ne), make([]int32, 0, ne)
+		for _, e := range d.OwnedEdges[q] {
+			edgeA[q] = append(edgeA[q], d.M.Edges[e][0])
+			edgeB[q] = append(edgeB[q], d.M.Edges[e][1])
+			for _, v := range d.M.Edges[e] {
+				if mark[v] != int32(q) {
+					mark[v] = int32(q)
+					clear[q] = append(clear[q], v)
+				}
+			}
+		}
+		for _, v := range d.OwnedVerts[q] {
+			if mark[v] != int32(q) {
+				mark[v] = int32(q)
+				clear[q] = append(clear[q], v)
+			}
+		}
+		slices.Sort(clear[q])
+	}
+	return clear, edgeA, edgeB
 }
 
 func sortInt32s(s []int32) {

@@ -264,6 +264,46 @@ func TestDecompBorderConsistency(t *testing.T) {
 	}
 }
 
+// TestSweepLists checks the sweep lists against their definition on a
+// refined mesh: clear[q] is the ascending set of q's owned-edge endpoints
+// and owned vertices, and edgeA[q][j]/edgeB[q][j] are the endpoints of
+// OwnedEdges[q][j].
+func TestSweepLists(t *testing.T) {
+	for _, nparts := range []int{1, 4, 16} {
+		d := buildDecomp(t, 8, 3, nparts)
+		clear, edgeA, edgeB := d.SweepLists()
+		if len(clear) != nparts || len(edgeA) != nparts || len(edgeB) != nparts {
+			t.Fatalf("P=%d: %d/%d/%d lists", nparts, len(clear), len(edgeA), len(edgeB))
+		}
+		for q := range nparts {
+			want := map[int32]bool{}
+			for _, v := range d.OwnedVerts[q] {
+				want[v] = true
+			}
+			if len(edgeA[q]) != len(d.OwnedEdges[q]) || len(edgeB[q]) != len(d.OwnedEdges[q]) {
+				t.Fatalf("P=%d proc %d: %d/%d endpoints for %d edges", nparts, q, len(edgeA[q]), len(edgeB[q]), len(d.OwnedEdges[q]))
+			}
+			for j, e := range d.OwnedEdges[q] {
+				if edgeA[q][j] != d.M.Edges[e][0] || edgeB[q][j] != d.M.Edges[e][1] {
+					t.Fatalf("P=%d proc %d edge %d: endpoints %d,%d, want %v", nparts, q, e, edgeA[q][j], edgeB[q][j], d.M.Edges[e])
+				}
+				want[d.M.Edges[e][0]], want[d.M.Edges[e][1]] = true, true
+			}
+			for j, v := range clear[q] {
+				if j > 0 && v <= clear[q][j-1] {
+					t.Fatalf("P=%d proc %d: clear list not strictly ascending at %d", nparts, q, j)
+				}
+				if !want[v] {
+					t.Fatalf("P=%d proc %d: clear list holds vertex %d, which q neither owns nor touches", nparts, q, v)
+				}
+			}
+			if len(clear[q]) != len(want) {
+				t.Fatalf("P=%d proc %d: clear list has %d vertices, want %d", nparts, q, len(clear[q]), len(want))
+			}
+		}
+	}
+}
+
 // edgeCut counts the edges whose two triangles have different owners.
 func edgeCut(d *Decomp) int {
 	cut := 0

@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -275,6 +276,20 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeLine(result)
 }
 
+// queryBool reads the boolean query parameter name as the CLI reads a
+// boolean flag (strconv.ParseBool); an absent or empty value is false.
+func queryBool(r *http.Request, name string) (bool, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return false, nil
+	}
+	b, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, fmt.Errorf("bad %s value %q (want true or false, as a CLI flag takes it)", name, v)
+	}
+	return b, nil
+}
+
 // cellResponse is the GET /v1/cells document.
 type cellResponse struct {
 	App     string          `json:"app"`
@@ -322,7 +337,11 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	quick := r.URL.Query().Get("quick") == "1" || r.URL.Query().Get("quick") == "true"
+	quick, err := queryBool(r, "quick")
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	o, _ := experiments.Request{Quick: quick}.Opts() // cannot fail: no name, no procs
 
 	release := s.acquire(w, r)
@@ -384,13 +403,18 @@ type cacheResponse struct {
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
+	verify, err := queryBool(r, "verify")
+	if err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	dc := s.eng.Cache()
 	resp := cacheResponse{Enabled: dc != nil}
 	if dc != nil {
 		resp.Dir, resp.Fence = dc.Dir(), dc.Fence()
 		c := dc.Counters()
 		resp.Counters = &c
-		if q := r.URL.Query().Get("verify"); q == "1" || q == "true" {
+		if verify {
 			st, err := dc.Verify()
 			if err != nil {
 				jsonError(w, http.StatusInternalServerError, "cache verify: %v", err)

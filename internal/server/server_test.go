@@ -415,15 +415,24 @@ func TestCellEndpointSourcesAndValidation(t *testing.T) {
 	if code, cr = get("/v1/cells/hybrid/mp+sas/2?quick=1"); code != http.StatusOK || cr.Source != "compute" {
 		t.Fatalf("hybrid cell: code=%d resp=%+v", code, cr)
 	}
+	// The URL reads as the CLI's flags do: app names in any case, like
+	// -trace-exp Mesh/MP, and quick as strconv.ParseBool reads -quick=TRUE.
+	if code, cr = get("/v1/cells/Mesh/MP/2?quick=1"); code != http.StatusOK || !cr.Quick {
+		t.Fatalf("upper-case app: code=%d resp=%+v", code, cr)
+	}
+	if code, cr = get("/v1/cells/stencil/mp/2?quick=TRUE"); code != http.StatusOK || !cr.Quick || cr.Source != "memo" {
+		t.Fatalf("quick=TRUE: code=%d resp=%+v, want the quick cell from memo", code, cr)
+	}
 
 	invalid := map[string]int{
-		"/v1/cells/warp/mp/2":        http.StatusNotFound,
-		"/v1/cells/nope/mp/4":        http.StatusNotFound,
-		"/v1/cells/stencil/openmp/2": http.StatusBadRequest,
-		"/v1/cells/stencil/mp/zero":  http.StatusBadRequest,
-		"/v1/cells/stencil/mp/1025":  http.StatusBadRequest,
-		"/v1/cells/mesh/mp+sas/2":    http.StatusBadRequest,
-		"/v1/cells/hybrid/mp/4":      http.StatusBadRequest,
+		"/v1/cells/warp/mp/2":              http.StatusNotFound,
+		"/v1/cells/nope/mp/4":              http.StatusNotFound,
+		"/v1/cells/stencil/openmp/2":       http.StatusBadRequest,
+		"/v1/cells/stencil/mp/zero":        http.StatusBadRequest,
+		"/v1/cells/stencil/mp/1025":        http.StatusBadRequest,
+		"/v1/cells/mesh/mp+sas/2":          http.StatusBadRequest,
+		"/v1/cells/hybrid/mp/4":            http.StatusBadRequest,
+		"/v1/cells/stencil/mp/2?quick=yes": http.StatusBadRequest,
 	}
 	for path, want := range invalid {
 		if code, _ := get(path); code != want {
@@ -520,6 +529,10 @@ func TestReportCacheAndMetricsEndpoints(t *testing.T) {
 	if cache.Verify.Bad != 0 {
 		t.Fatalf("fresh cache verified bad: %+v", cache.Verify)
 	}
+	if resp, _ = http.Get(ts.URL + "/v1/cache?verify=yes"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("verify=yes: %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
 
 	// A memory-only server reports the cache as disabled.
 	ts2, _, _ := newTestServer(t, Config{})
