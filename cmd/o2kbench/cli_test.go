@@ -243,19 +243,42 @@ func TestParseProcsPresets(t *testing.T) {
 	}
 }
 
+// A bad -trace-exp is refused whether or not a trace flag asks for the
+// traced run.
 func TestCLIBadTraceTargetFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	stdout, stderr, code := o2kbench(t, "-quick -trace-ascii -trace-exp warp")
-	if code != 2 {
-		t.Fatalf("bad -trace-exp exited %d, want 2 (stderr: %s)", code, stderr)
+	for _, args := range []string{"-quick -trace-ascii -trace-exp warp", "-quick -exp loc -trace-exp warp"} {
+		stdout, stderr, code := o2kbench(t, args)
+		if code != 2 {
+			t.Fatalf("%s exited %d, want 2 (stderr: %s)", args, code, stderr)
+		}
+		if stdout != "" {
+			t.Fatalf("%s still produced experiment output:\n%s", args, stdout)
+		}
+		if !strings.Contains(stderr, "unknown trace target") || !strings.Contains(stderr, "mesh, nbody, stencil, cg, hybrid") {
+			t.Fatalf("%s: stderr does not name the accepted apps: %s", args, stderr)
+		}
 	}
-	if stdout != "" {
-		t.Fatalf("bad -trace-exp still produced experiment output:\n%s", stdout)
+}
+
+// A flag value the run cannot honour is a usage error found before any
+// work: exit 2, no output, and no cell computed into the cache.
+func TestCLIUsageErrorsComputeNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
 	}
-	if !strings.Contains(stderr, "unknown trace target") {
-		t.Fatalf("stderr does not explain the rejection: %s", stderr)
+	for _, flag := range []string{"-format yaml", "-trace-exp warp", "-memprofile " + filepath.Join(t.TempDir(), "missing", "m.pprof")} {
+		dir := t.TempDir()
+		stdout, stderr, code := o2kbench(t, "-quick -exp all -cache "+dir+" "+flag)
+		if code != 2 || stdout != "" {
+			t.Fatalf("%s exited %d with %d bytes of output, want 2 and none (stderr: %s)", flag, code, len(stdout), stderr)
+		}
+		cells, _ := filepath.Glob(filepath.Join(dir, "*", "*.cell"))
+		if len(cells) != 0 {
+			t.Fatalf("%s computed %d cells before refusing", flag, len(cells))
+		}
 	}
 }
 

@@ -55,25 +55,22 @@ func (f *engineFlags) validate() error {
 	return nil
 }
 
-// build returns the engine: the cell policy, the persistent cache when
-// -cache is set, and under -leases cross-process lease coordination over the
-// cache directory. A cache that cannot even be opened is a warning, not a
-// failure: the engine runs memory-only with identical output.
+// build opens the engine: the cell timeout, the persistent cache when -cache
+// is set, and under -leases cross-process lease coordination over the cache
+// directory. A cache that cannot even be opened is a warning, not a failure:
+// the engine runs memory-only with identical output.
 func (f *engineFlags) build(ctx context.Context) *runner.Engine {
-	eng := runner.NewWithPolicy(ctx, f.jobs, runner.Policy{CellTimeout: f.timeout})
-	if f.cache == "" {
-		return eng
+	cfg := runner.Config{Jobs: f.jobs, CellTimeout: f.timeout}
+	var err error
+	if f.cache != "" {
+		if cfg.Cache, err = diskcache.Open(f.cache); err != nil {
+			fmt.Fprintln(os.Stderr, "o2kbench: cache disabled:", err)
+		}
 	}
-	dc, err := diskcache.Open(f.cache)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "o2kbench: cache disabled:", err)
-		return eng
+	if f.leases && cfg.Cache != nil {
+		cfg.Leases = lease.New(lease.Config{Dir: f.cache, Hook: leaseAuditHook()})
 	}
-	eng.SetCache(dc)
-	if f.leases {
-		eng.SetLeases(lease.New(lease.Config{Dir: f.cache, Hook: leaseAuditHook()}))
-	}
-	return eng
+	return runner.Open(ctx, cfg)
 }
 
 // leaseAuditEnv, when set to a path prefix, makes every lease-protocol event

@@ -37,11 +37,11 @@
 // (-trace-ascii), or a per-phase min/max/mean/imbalance table
 // (-phasereport, stderr). The trace file also carries host-side tracks of
 // this invocation's cell lifecycle (compute / memo-hit / disk-hit / dedup
-// events from the engine's event hook). A traced run takes its plans from
-// the engine's plan cells, like the memoized run it re-simulates, but is
-// itself no cell: stdout of the experiment tables is byte-identical whether
-// or not any trace flag is given, and a failed plan cell fails the
-// invocation (exit 1) like any other failed cell.
+// events from the hook the run's requests carry). A traced run takes its
+// plans from the engine's plan cells, like the memoized run it
+// re-simulates, but is itself no cell: stdout of the experiment tables is
+// byte-identical whether or not any trace flag is given, and a failed plan
+// cell fails the invocation (exit 1) like any other failed cell.
 //
 // -cache DIR attaches a persistent, crash-safe cell cache (DESIGN.md §5.8):
 // completed metrics cells are stored content-addressed under DIR and served
@@ -72,7 +72,8 @@
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the inputs to
 // the measurements in NOTEBOOK.md); profiles go to separate files and never
-// touch stdout.
+// touch stdout. Both files are created before the run, so an unwritable path
+// is a usage error.
 //
 // Experiments are resolved through the experiments registry: every
 // experiment answers to its semantic name (mesh-speedup) and its paper
@@ -90,7 +91,8 @@
 // -timeout deadline, or is cancelled (SIGINT/SIGTERM) becomes a
 // FAILED(<reason>) table entry; the run continues and every healthy entry
 // keeps its exact bytes. Exit status: 0 every cell the request asked for
-// succeeded, 1 one failed (partial output), 2 usage error.
+// succeeded, 1 one failed (partial output), 2 usage error (found before any
+// cell is computed).
 package main
 
 import (
@@ -383,6 +385,40 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "o2kbench:", err)
 		return 2
 	}
+	if *version {
+		printVersion()
+		return 0
+	}
+	if *list {
+		fmt.Print(listTable().String())
+		return 0
+	}
+
+	// Every usage error is found before any work: a command that exits 2
+	// computes no cell, writes no cache entry and starts no profile.
+	o, err := req.Opts()
+	if err != nil {
+		return usageErr(err)
+	}
+	if *format != "text" && *format != "json" {
+		return usageErr(fmt.Errorf("unknown format %q (want text or json)", *format))
+	}
+	// The trace target (DESIGN.md §5.11) is checked even with no trace flag.
+	if err := experiments.CheckTraceTarget(*traceExp); err != nil {
+		return usageErr(err)
+	}
+	switch {
+	case *workers < 0:
+		return usageErr(errors.New("-workers must be >= 0"))
+	case (*workers > 1 || ef.leases) && ef.cache == "":
+		return usageErr(errors.New("-workers/-leases require -cache DIR (the cache directory is the coordination substrate)"))
+	case (*cacheVerify || *cacheClear) && ef.cache == "":
+		return usageErr(errors.New("-cache-verify/-cache-clear require -cache DIR"))
+	}
+	if err := ef.validate(); err != nil {
+		return usageErr(err)
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -397,57 +433,20 @@ func run() int {
 		}()
 	}
 	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "o2kbench:", err)
-				return
-			}
-			defer f.Close()
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			return usageErr(err)
+		}
+		defer func() { // the heap profile is written at exit
 			runtime.GC() // report live allocations, not transient garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := errors.Join(pprof.WriteHeapProfile(f), f.Close()); err != nil {
 				fmt.Fprintln(os.Stderr, "o2kbench:", err)
 			}
 		}()
 	}
 
-	if *version {
-		printVersion()
-		return 0
-	}
-	if *list {
-		fmt.Print(listTable().String())
-		return 0
-	}
-
-	o, err := req.Opts()
-	if err != nil {
-		return usageErr(err)
-	}
-
-	switch {
-	case *workers < 0:
-		return usageErr(errors.New("-workers must be >= 0"))
-	case (*workers > 1 || ef.leases) && ef.cache == "":
-		return usageErr(errors.New("-workers/-leases require -cache DIR (the cache directory is the coordination substrate)"))
-	case (*cacheVerify || *cacheClear) && ef.cache == "":
-		return usageErr(errors.New("-cache-verify/-cache-clear require -cache DIR"))
-	}
-	if err := ef.validate(); err != nil {
-		return usageErr(err)
-	}
 	if *cacheVerify || *cacheClear {
 		return cacheMaintenance(ef.cache, *cacheClear, *cacheVerify)
-	}
-
-	// Tracing (DESIGN.md §5.11) re-runs one cell with phase recording on, so
-	// the memoized/cached path — and the bytes it produces — stay untouched.
-	// Validate the target before paying for the experiment suite.
-	tracing := *traceFile != "" || *traceASCII || *phaseReport
-	if tracing {
-		if err := experiments.CheckTraceTarget(*traceExp); err != nil {
-			return usageErr(err)
-		}
 	}
 
 	// SIGINT/SIGTERM cancel the engine: blocked cell requesters unblock with
@@ -476,31 +475,28 @@ func run() int {
 	var collector *obs.Collector
 	if *traceFile != "" {
 		// The trace file carries host-side tracks of this run's cell
-		// lifecycle alongside the simulated timelines.
+		// lifecycle alongside the simulated timelines: every request of the
+		// run, the traced re-run's included, reports to the collector.
 		collector = &obs.Collector{}
-		eng.SetHook(collector.Hook())
+		ctx = runner.WithRequestHook(ctx, collector.Hook())
 	}
 	tables, failed, err := experiments.RunOnCtx(ctx, eng, req.Exp, o)
 	if err != nil {
 		return usageErr(err)
 	}
-	switch *format {
-	case "json":
+	if *format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(tables); err != nil {
 			fmt.Fprintln(os.Stderr, "o2kbench:", err)
 			return 1
 		}
-	case "text":
+	} else {
 		fmt.Print(experiments.Render(tables))
-	default:
-		fmt.Fprintf(os.Stderr, "o2kbench: unknown format %q\n", *format)
-		return 2
 	}
 
 	var phases []obs.RunPhases
-	if tracing {
+	if *traceFile != "" || *traceASCII || *phaseReport {
 		traced, terr := experiments.Trace(ctx, eng, *traceExp, o)
 		if terr != nil {
 			fmt.Fprintln(os.Stderr, "o2kbench:", terr)

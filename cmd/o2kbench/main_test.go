@@ -9,7 +9,6 @@ import (
 
 	"o2k/internal/experiments"
 	"o2k/internal/runner"
-	"o2k/internal/runner/diskcache"
 )
 
 func TestRegistryResolvesAllNames(t *testing.T) {
@@ -83,14 +82,10 @@ func TestCacheMaintenance(t *testing.T) {
 
 	// Populate the cache by running a small experiment through an engine
 	// wired exactly the way run() wires it.
-	dc, err := diskcache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := experiments.QuickOpts()
 	o.Procs = []int{1, 2}
-	eng := runner.New(1)
-	eng.SetCache(dc)
+	eng := (&engineFlags{cache: dir, jobs: 1}).build(context.Background())
+	dc := eng.Cache()
 	if _, _, err := experiments.RunOnCtx(context.Background(), eng, "mesh-speedup", o); err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,7 @@ import (
 func runAllCached(t *testing.T, jobs int, dc *diskcache.Cache) (string, *runner.Report) {
 	t.Helper()
 	o := QuickOpts()
-	e := runner.New(jobs)
-	if dc != nil {
-		e.SetCache(dc)
-	}
+	e := runner.Open(bg, runner.Config{Jobs: jobs, Cache: dc})
 	out := Render(RunAllCtx(bg, e, o))
 	return out, e.Report()
 }
@@ -219,8 +216,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 	o := QuickOpts()
 	dir := t.TempDir()
 
-	e := runner.New(2)
-	e.SetCache(openCache(t, dir))
+	e := runner.Open(bg, runner.Config{Jobs: 2, Cache: openCache(t, dir)})
 	if _, _, err := RunOnCtx(bg, e, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +248,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 	// A second sweep whose run cells all miss (their entries removed) still
 	// needs exactly those two plan cells, and serves both from disk.
 	removeEntries(t, dir, rep, func(c runner.CellStat) bool { return c.Kind == "metrics" })
-	e2 := runner.New(2)
-	e2.SetCache(openCache(t, dir))
+	e2 := runner.Open(bg, runner.Config{Jobs: 2, Cache: openCache(t, dir)})
 	if _, _, err := RunOnCtx(bg, e2, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +322,7 @@ func runSweepChild(dir string) {
 		fmt.Fprintln(os.Stderr, "sweep child:", err)
 		os.Exit(1)
 	}
-	e := runner.New(1)
-	e.SetCache(dc)
-	RunAllCtx(bg, e, QuickOpts())
+	RunAllCtx(bg, runner.Open(bg, runner.Config{Jobs: 1, Cache: dc}), QuickOpts())
 	os.Exit(0)
 }
 

@@ -74,12 +74,9 @@ func TestWarmRunCellIsServedDespitePoisonedPlan(t *testing.T) {
 		}
 		return Render(tabs)
 	}
-	fill := runner.New(2)
-	fill.SetCache(openCache(t, dir))
-	ref := render(fill)
+	ref := render(runner.Open(bg, runner.Config{Jobs: 2, Cache: openCache(t, dir)}))
 
-	e := runner.New(2)
-	e.SetCache(openCache(t, dir))
+	e := runner.Open(bg, runner.Config{Jobs: 2, Cache: openCache(t, dir)})
 	poisonMeshPlans(e, o, maxP, errors.New("injected fault"))
 	if got := render(e); got != ref {
 		t.Fatalf("warm run cells were not served past a poisoned plan cell:\n%s", got)
@@ -187,7 +184,7 @@ func TestVerdictGateCountsCancelledCellsTheSameEveryBuild(t *testing.T) {
 	for range 5 {
 		ctx, cancel := context.WithCancel(bg)
 		cancel()
-		e := runner.NewWithPolicy(ctx, 2, runner.Policy{})
+		e := runner.Open(ctx, runner.Config{Jobs: 2})
 		v0 := buildVerdicts(bg, e, o).Rows[0]
 		var n int
 		if _, err := fmt.Sscanf(v0[3], "%d failed cell(s)", &n); err != nil || v0[2] != "FAIL" {

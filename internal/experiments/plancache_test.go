@@ -24,10 +24,7 @@ import (
 // returns their canonical serialization plus the engine's report.
 func meshPlanBytes(t *testing.T, w adaptmesh.Workload, procs int, dc *diskcache.Cache) ([]byte, *runner.Report) {
 	t.Helper()
-	e := runner.New(1)
-	if dc != nil {
-		e.SetCache(dc)
-	}
+	e := runner.Open(context.Background(), runner.Config{Jobs: 1, Cache: dc})
 	plans, err := meshPlans(context.Background(), e, w, procs)
 	if err != nil {
 		t.Fatalf("meshPlans: %v", err)
@@ -123,8 +120,7 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 	t.Run("truncated and mis-framed cg plan entries", func(t *testing.T) {
 		cw := cg.Small()
 		dir := t.TempDir()
-		e := runner.New(1)
-		e.SetCache(openCache(t, dir))
+		e := runner.Open(context.Background(), runner.Config{Jobs: 1, Cache: openCache(t, dir)})
 		refPlan, err := cgPlan(context.Background(), e, cw, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -138,8 +134,7 @@ func TestPlanTierFaultsDegradeToRecompute(t *testing.T) {
 		if err := dc.Put(cgPlanKey(cw, 4), []byte("o2kcgplan 1")); err != nil { // truncated plan
 			t.Fatal(err)
 		}
-		e2 := runner.New(1)
-		e2.SetCache(dc)
+		e2 := runner.Open(context.Background(), runner.Config{Jobs: 1, Cache: dc})
 		p, err := cgPlan(context.Background(), e2, cw, 4)
 		if err != nil {
 			t.Fatalf("corrupt cg plan entries surfaced as a run error: %v", err)
@@ -160,8 +155,7 @@ func TestCharacteristicsCellsPersistAndRejectForeignPayloads(t *testing.T) {
 	o := QuickOpts()
 	dir := t.TempDir()
 	table1 := func(dc *diskcache.Cache) (string, *runner.Report) {
-		e := runner.New(2)
-		e.SetCache(dc)
+		e := runner.Open(context.Background(), runner.Config{Jobs: 2, Cache: dc})
 		return buildTable1(context.Background(), e, o).String(), e.Report()
 	}
 	ref, _ := table1(openCache(t, dir))

@@ -4,7 +4,7 @@ package obs_test
 // n-body run must produce a Chrome trace-event file that validates against
 // the schema (asserted here, not by hand) and carries at least one track
 // per simulated processor, plus host-side runner-cell spans collected from
-// a live engine via the hook seam.
+// a live engine through the run's request hook, as the CLI collects them.
 
 import (
 	"bytes"
@@ -20,19 +20,19 @@ func buildRealTrace(t *testing.T, target, exp string) (*obs.ChromeTrace, []exper
 	t.Helper()
 	o := experiments.QuickOpts()
 
-	// A real engine run, with the collector attached, supplies the
+	// A real engine run, with the collector on its context, supplies the
 	// host-side cell events.
 	col := &obs.Collector{}
 	eng := runner.New(2)
-	eng.SetHook(col.Hook())
-	if _, _, err := experiments.RunOnCtx(context.Background(), eng, exp, o); err != nil {
+	ctx := runner.WithRequestHook(context.Background(), col.Hook())
+	if _, _, err := experiments.RunOnCtx(ctx, eng, exp, o); err != nil {
 		t.Fatal(err)
 	}
 	if col.Len() == 0 {
 		t.Fatalf("experiment %s produced no runner events", exp)
 	}
 
-	traced, err := experiments.Trace(context.Background(), eng, target, o)
+	traced, err := experiments.Trace(ctx, eng, target, o)
 	if err != nil {
 		t.Fatal(err)
 	}

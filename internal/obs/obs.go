@@ -8,8 +8,8 @@
 //     per traced application run, one thread per simulated processor, one
 //     complete event per phase segment; and
 //   - host tracks carry *wall* time — the runner's cell spans (compute,
-//     disk-hit, dedup waits) and instants (memo hits, retries), collected
-//     through the engine's event hook and packed into non-overlapping lanes.
+//     disk-hit, dedup waits) and instants (memo hits), collected through
+//     the run's request hook and packed into non-overlapping lanes.
 //
 // The Builder assembles both into Chrome trace-event JSON loadable in
 // Perfetto or chrome://tracing; ValidateChrome is the schema check the tests

@@ -16,7 +16,9 @@ type Collector struct {
 	events []runner.Event
 }
 
-// Hook returns the function to pass to runner.Engine.SetHook.
+// Hook returns the hook that collects a run's events. Put it on the run's
+// context with runner.WithRequestHook: every request made under that
+// context, and every cell those requests create, reports to it.
 func (c *Collector) Hook() runner.Hook {
 	return func(ev runner.Event) {
 		c.mu.Lock()

@@ -184,7 +184,7 @@ func TestSecondWaiterKeepsCellAliveWhenFirstLeaves(t *testing.T) {
 
 func TestEngineCancelOutcomesAreNotRetired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	e := NewWithPolicy(ctx, 2, Policy{})
+	e := Open(ctx, Config{Jobs: 2})
 	started := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {

@@ -32,12 +32,7 @@ type Codec struct {
 	Decode func(data []byte) (any, error)
 }
 
-// SetCache attaches a persistent cache to the engine. It must be called
-// before the first request (DoCell); a nil cache (the default) keeps the
-// engine memory-only. Cells opt in one by one by setting Cell.Codec.
-func (e *Engine) SetCache(c *diskcache.Cache) { e.cache = c }
-
-// Cache returns the attached persistent cache, or nil.
+// Cache returns the engine's persistent cache (Config.Cache), or nil.
 func (e *Engine) Cache() *diskcache.Cache { return e.cache }
 
 // diskLoad tries to satisfy key from the persistent cache. ok is false on

@@ -24,15 +24,18 @@ var testCodec = &Codec{
 	},
 }
 
-func cachedEngine(t *testing.T, dir string, opts ...diskcache.Option) *Engine {
+func openCache(t *testing.T, dir string, opts ...diskcache.Option) *diskcache.Cache {
 	t.Helper()
 	dc, err := diskcache.Open(dir, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(2)
-	e.SetCache(dc)
-	return e
+	return dc
+}
+
+func cachedEngine(t *testing.T, dir string, opts ...diskcache.Option) *Engine {
+	t.Helper()
+	return Open(context.Background(), Config{Jobs: 2, Cache: openCache(t, dir, opts...)})
 }
 
 func TestDiskCachePersistsAcrossEngines(t *testing.T) {
@@ -155,8 +158,7 @@ func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewWithPolicy(context.Background(), 1, Policy{CellTimeout: 10 * time.Millisecond})
-	e.SetCache(dc)
+	e := Open(context.Background(), Config{Jobs: 1, CellTimeout: 10 * time.Millisecond, Cache: dc})
 	release := make(chan struct{})
 	_, terr := e.DoCached(core.CellKey("test/slow", 1), "slow", testCodec,
 		func(ctx context.Context) (any, error) { <-release; return 1, nil })
@@ -168,8 +170,7 @@ func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
 	// Cancellation, including a custom cause.
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errors.New("operator stop"))
-	e2 := NewWithPolicy(ctx, 1, Policy{})
-	e2.SetCache(dc)
+	e2 := Open(ctx, Config{Jobs: 1, Cache: dc})
 	e2.DoCached(core.CellKey("test/cancelled", 1), "c", testCodec,
 		func(context.Context) (any, error) { return 1, nil })
 
@@ -184,23 +185,23 @@ func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
 func TestDiskCacheNeverPersistsFailures(t *testing.T) {
 	cases := []struct {
 		name    string
-		pol     Policy
+		timeout time.Duration
 		compute func(ctx context.Context, cancel context.CancelCauseFunc) (any, error)
 		want    string
 	}{
-		{"returned error", Policy{},
+		{"returned error", 0,
 			func(context.Context, context.CancelCauseFunc) (any, error) { return nil, errors.New("mesh exploded") },
 			"FAILED(mesh exploded)"},
-		{"panic", Policy{},
+		{"panic", 0,
 			func(context.Context, context.CancelCauseFunc) (any, error) { panic("blew a gasket") },
 			"FAILED(panic: blew a gasket)"},
-		{"timeout", Policy{CellTimeout: 10 * time.Millisecond},
+		{"timeout", 10 * time.Millisecond,
 			func(ctx context.Context, _ context.CancelCauseFunc) (any, error) { <-ctx.Done(); return nil, ctx.Err() },
 			"FAILED(timeout)"},
 		// A custom cause does not unwrap to context.Canceled. The compute
 		// words its failure as the engine words a cancelled wait, so every
 		// path to the outcome renders alike.
-		{"custom-cause cancel", Policy{},
+		{"custom-cause cancel", 0,
 			func(ctx context.Context, cancel context.CancelCauseFunc) (any, error) {
 				cancel(errors.New("operator stop"))
 				return nil, fmt.Errorf("cell c: %w", context.Cause(ctx))
@@ -218,8 +219,7 @@ func TestDiskCacheNeverPersistsFailures(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancelCause(context.Background())
 				defer cancel(nil)
-				e := NewWithPolicy(ctx, 1, tc.pol)
-				e.SetCache(dc)
+				e := Open(ctx, Config{Jobs: 1, CellTimeout: tc.timeout, Cache: dc})
 				_, err = e.DoCached(core.CellKey("test/fails", 1), "c", testCodec,
 					func(cctx context.Context) (any, error) { return tc.compute(cctx, cancel) })
 				labels[i] = FailLabel(err)

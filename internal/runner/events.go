@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// The engine's observability seam. The tracing subsystem (internal/obs)
-// subscribes to cell lifecycle events through a Hook; the dependency points
-// only one way — obs imports runner, never the reverse — so the engine stays
-// free of any exporter concern. With no hook attached the only cost on the
-// request path is one nil check per event site: time.Now is never called and
-// no Event is ever constructed.
+// The engine's observability seam. Every observer — the tracing subsystem's
+// collector (internal/obs), the server's /metrics counters and its NDJSON
+// streams — subscribes to cell lifecycle events through a request's Hook
+// (WithRequestHook); the dependency points only one way — obs imports
+// runner, never the reverse — so the engine stays free of any exporter
+// concern. With no hook the only cost on the request path is one nil check
+// per event site: time.Now is never called and no Event is ever constructed.
 
 // EventKind classifies one cell lifecycle event.
 type EventKind uint8
@@ -58,9 +59,10 @@ type Event struct {
 // expensive belongs behind a buffer.
 type Hook func(Event)
 
-// SetHook attaches an event hook to the engine. Like SetCache it must be
-// called before the first Do; a nil hook (the default) keeps the engine
-// silent and adds zero overhead to the request path.
+// SetHook attaches an engine-wide event hook, which sees every event
+// alongside the request hooks. It must be called before the first request.
+// It is the benchmarks' seam (the hooked memo-hit row) and the tests'
+// oracle; the program observes the engine through request hooks only.
 func (e *Engine) SetHook(h Hook) { e.hook = h }
 
 // reqHookKey carries a per-request Hook through a context (WithRequestHook).
@@ -69,9 +71,12 @@ type reqHookKey struct{}
 // WithRequestHook returns a context carrying h, in place of any hook ctx
 // carries, as the hook of every DoCell request made under it. h receives
 // exactly the events its request caused, its Prepare stages' nested requests
-// included, alongside the SetHook observer, even while other requests share
-// the engine: the seam the server streams per-cell NDJSON from. Hooks only
-// observe; a publisher may fire after its request has returned.
+// included, even while other requests share the engine. Every event fires
+// with some request's hook: the creator's for compute, disk-hit and the
+// nested cells of Prepare, the requester's for memo-hit and dedup. So a
+// hook on every request sees every event once: the seam the server's
+// /metrics and NDJSON streams and the CLI's -trace collector read. Hooks
+// only observe; a publisher may fire after its request has returned.
 func WithRequestHook(ctx context.Context, h Hook) context.Context {
 	return context.WithValue(ctx, reqHookKey{}, h)
 }

@@ -11,7 +11,7 @@ import (
 // This file is the engine's bridge to the cross-process single-flight layer
 // (internal/runner/lease, DESIGN.md §5.9). The in-memory memo map and the
 // single-flight slot already guarantee each cell is computed once *per
-// process*; with a lease manager attached, the owner path of DoCell
+// process*; with a lease manager (Config.Leases), the owner path of DoCell
 // extends that to once *per cache directory*: before computing a
 // cache-missed cell, the owner takes the cell's lease, and requesters in
 // other processes wait on the committed entry instead of re-simulating.
@@ -21,12 +21,6 @@ import (
 // foreign owner dies takes the lease on its next poll, because the kernel
 // drops a dead process's locks — so a SIGKILLed worker's cells are never
 // orphaned.
-
-// SetLeases attaches a cross-process lease manager. It must be called
-// before the first request (DoCell), after SetCache (leases without a
-// shared cache have nothing to coordinate and are ignored). A nil manager
-// (the default) keeps single-flight process-local.
-func (e *Engine) SetLeases(m *lease.Manager) { e.leases = m }
 
 // computeShared is the owner path of DoCell when a lease manager is
 // attached and the disk probe missed: coordinate with other processes over

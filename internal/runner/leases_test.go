@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,9 +18,7 @@ import (
 // as one worker process of a fleet would.
 func leasedEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
-	e := cachedEngine(t, dir)
-	e.SetLeases(lease.New(lease.Config{Dir: dir}))
-	return e
+	return Open(context.Background(), Config{Jobs: 2, Cache: openCache(t, dir), Leases: lease.New(lease.Config{Dir: dir})})
 }
 
 // TestLeaseCrossEngineSingleFlight is the in-process model of two worker
@@ -80,8 +79,7 @@ func TestLeaseFaultsStillComputeCells(t *testing.T) {
 	ffs.MatchPath(".lease")
 	ffs.FailLocks(boom)
 
-	e := cachedEngine(t, dir)
-	e.SetLeases(lease.New(lease.Config{Dir: dir, FS: ffs}))
+	e := Open(context.Background(), Config{Jobs: 2, Cache: openCache(t, dir), Leases: lease.New(lease.Config{Dir: dir, FS: ffs})})
 	v, err := e.DoCached(core.CellKey("test/degraded", 1), "cell", testCodec,
 		func(context.Context) (any, error) { return 11, nil })
 	if err != nil || v.(int) != 11 {
@@ -99,5 +97,23 @@ func TestLeaseFaultsStillComputeCells(t *testing.T) {
 	}
 	if recomputed {
 		t.Fatal("degraded compute did not commit its entry")
+	}
+}
+
+// Leases without a cache have nothing to coordinate: Open drops them, so a
+// memory-only engine takes no lease and reports none.
+func TestLeasesWithoutCacheAreIgnored(t *testing.T) {
+	dir := t.TempDir()
+	e := Open(context.Background(), Config{Jobs: 1, Leases: lease.New(lease.Config{Dir: dir})})
+	v, err := e.DoCell(context.Background(), Cell{Key: core.CellKey("test/solo", 1), Label: "cell", Codec: testCodec,
+		Prepare: Ready(func(context.Context) (any, error) { return 5, nil })})
+	if err != nil || v.(int) != 5 {
+		t.Fatalf("got %v, %v; want 5", v, err)
+	}
+	if rep := e.Report(); rep.Lease != nil {
+		t.Fatalf("a memory-only engine reports leases: %+v", rep.Lease)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("a memory-only engine left %d files in the lease directory", len(files))
 	}
 }

@@ -32,10 +32,10 @@
 // Cells carry errors, not just values (DESIGN.md §5.7): a compute that
 // panics, times out, or fails is published as the cell's error and served to
 // every requester, so one wedged cell degrades one table entry instead of
-// deadlocking the run. The engine is cancellable as a whole (NewWithPolicy's
-// context) and bounds each compute with a per-cell timeout; every failure is
-// final — the simulator is deterministic, so nothing is retried — and is
-// memoized in this process only: the disk cache stores values, never failures.
+// deadlocking the run. The engine is cancellable as a whole (Open's context)
+// and bounds each compute with a per-cell timeout; every failure is final —
+// the simulator is deterministic, so nothing is retried — and is memoized in
+// this process only: the disk cache stores values, never failures.
 package runner
 
 import (
@@ -58,30 +58,42 @@ import (
 // key recomputes from scratch as if the cell had never been asked for.
 var ErrCellAborted = fmt.Errorf("every requester left: %w", context.Canceled)
 
-// Policy is the engine's fault-tolerance configuration. The zero value means
-// no per-cell timeout.
-type Policy struct {
+// Config assembles an Engine. The zero value is a memory-only engine with
+// GOMAXPROCS worker slots and no per-cell deadline.
+type Config struct {
+	// Jobs is the worker pool's size, the concurrent cell computes; <= 0
+	// selects GOMAXPROCS.
+	Jobs int
 	// CellTimeout bounds a cell's compute; 0 means no bound. On expiry the
 	// cell's requesters get context.DeadlineExceeded while the compute
 	// goroutine keeps its worker slot until it actually returns (a
 	// simulation always does: its scheduler turns a deadlock into a
 	// *sim.StallError panic at once), so the pool is never oversubscribed.
 	CellTimeout time.Duration
+	// Cache persists cell values across processes; nil keeps the engine
+	// memory-only. Cells opt in one by one by setting Cell.Codec.
+	Cache *diskcache.Cache
+	// Leases coordinates computes with the other processes sharing Cache
+	// (cross-process single-flight); nil keeps single-flight process-local.
+	// Leases without a cache have nothing to coordinate and are ignored.
+	Leases *lease.Manager
 }
 
 // Engine memoizes simulation cells and bounds their concurrent execution.
-// The zero value is not usable; use New or NewWithPolicy. An Engine is safe
-// for concurrent use and is meant to be shared by every experiment of one
-// invocation — sharing is where the cross-experiment cache hits come from.
+// The zero value is not usable; use Open. An Engine is safe for concurrent
+// use and is meant to be shared by every experiment of one invocation —
+// sharing is where the cross-experiment cache hits come from. It is
+// observed through its requests (WithRequestHook); the engine-wide SetHook
+// is the benchmarks' seam.
 type Engine struct {
-	jobs int
-	sem  chan struct{}
-	pol  Policy
-	ctx  context.Context
+	jobs    int
+	sem     chan struct{}
+	timeout time.Duration // Config.CellTimeout
+	ctx     context.Context
 
 	cache  *diskcache.Cache // persistent cell cache, nil when memory-only
-	leases *lease.Manager   // cross-process single-flight, nil when solo
-	hook   Hook             // cell lifecycle observer, nil when silent
+	leases *lease.Manager   // cross-process single-flight, nil when solo or memory-only
+	hook   Hook             // engine-wide observer, nil when silent
 
 	mu    sync.Mutex
 	cells map[string]*cell
@@ -116,32 +128,32 @@ type cell struct {
 	completed bool                    // outcome published (engine mutex)
 }
 
-// New returns an Engine whose worker pool admits jobs concurrent cell
-// executions; jobs <= 0 selects GOMAXPROCS. The engine has a zero Policy
-// and a background context — use NewWithPolicy for a cell timeout or
-// engine-wide cancellation.
-func New(jobs int) *Engine {
-	return NewWithPolicy(context.Background(), jobs, Policy{})
-}
-
-// NewWithPolicy is New with fault-tolerance configuration: cancelling ctx
-// aborts every pending and future cell request — blocked requesters unblock
-// with ctx's cause, in-flight computes run to completion but publish the
-// cancellation — and pol sets the per-cell timeout.
-func NewWithPolicy(ctx context.Context, jobs int, pol Policy) *Engine {
+// Open returns the engine cfg describes. Cancelling ctx aborts every pending
+// and future cell request: blocked requesters unblock with ctx's cause, and
+// in-flight computes run to completion but publish the cancellation.
+func Open(ctx context.Context, cfg Config) *Engine {
+	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	e := &Engine{
+		jobs:    jobs,
+		sem:     make(chan struct{}, jobs),
+		timeout: cfg.CellTimeout,
+		ctx:     ctx,
+		cache:   cfg.Cache,
+		cells:   make(map[string]*cell),
 	}
-	return &Engine{
-		jobs:  jobs,
-		sem:   make(chan struct{}, jobs),
-		pol:   pol,
-		ctx:   ctx,
-		cells: make(map[string]*cell),
+	if cfg.Cache != nil {
+		e.leases = cfg.Leases
 	}
+	return e
+}
+
+// New is Open for a memory-only engine of jobs worker slots that lives as
+// long as the process.
+func New(jobs int) *Engine {
+	return Open(context.Background(), Config{Jobs: jobs})
 }
 
 // Compute is a cell's work once its dependencies are resolved. It receives a
@@ -183,11 +195,11 @@ func Ready(compute Compute) Prepare {
 // Do returns the memoized result of compute under key, running it at most
 // once per Engine: DoCell for a memory-only cell with no dependencies.
 func (e *Engine) Do(key, label string, compute Compute) (any, error) {
-	return e.DoCached(key, label, nil, compute)
+	return e.DoCell(context.Background(), Cell{Key: key, Label: label, Prepare: Ready(compute)})
 }
 
 // DoCached is Do for cells that also persist across processes: when the
-// engine has a cache (SetCache) and codec is non-nil, the owner consults
+// engine has a cache (Config.Cache) and codec is non-nil, the owner consults
 // the disk before computing and writes a computed value back after. Disk is
 // strictly a third tier behind the in-memory map and the single-flight
 // slot — a warm entry costs one read, and every disk failure (absent,
@@ -200,8 +212,8 @@ func (e *Engine) DoCached(key, label string, codec *Codec, compute Compute) (any
 // DoCell is the engine's one request entry. It returns the memoized outcome
 // of the cell, producing it at most once per Engine. The first requester
 // becomes the owner: a detached publisher tries the disk, then prepares the
-// dependencies, acquires a worker slot, computes (within the Policy's
-// timeout) and publishes; concurrent requesters of the same key
+// dependencies, acquires a worker slot, computes (within Config.CellTimeout)
+// and publishes; concurrent requesters of the same key
 // block on that one execution (single-flight), and later requesters get the
 // cached outcome immediately. Failures are outcomes too: a panic, timeout,
 // or returned error — of Prepare or of the compute — is published as the
@@ -316,7 +328,7 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, prepare Prepare) {
 	start := time.Now()
 	if v, ok := e.diskLoad(c.key, codec); ok {
 		c.val, c.fromDisk = v, true
-	} else if e.leases != nil && e.cache != nil && codec != nil {
+	} else if e.leases != nil && codec != nil {
 		c.val, c.err, c.fromDisk = e.computeShared(c, rh, codec, prepare)
 	} else {
 		c.val, c.err = e.run(c, rh, prepare)
@@ -383,8 +395,8 @@ func (e *Engine) attempt(ctx context.Context, label string, compute Compute) (va
 	start := time.Now()
 
 	cancel := context.CancelFunc(func() {})
-	if e.pol.CellTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, e.pol.CellTimeout)
+	if e.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, e.timeout)
 	}
 	defer cancel()
 

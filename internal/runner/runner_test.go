@@ -187,7 +187,7 @@ func TestCellError(t *testing.T) {
 }
 
 func TestCellTimeout(t *testing.T) {
-	e := NewWithPolicy(context.Background(), 2, Policy{CellTimeout: 20 * time.Millisecond})
+	e := Open(context.Background(), Config{Jobs: 2, CellTimeout: 20 * time.Millisecond})
 	release := make(chan struct{})
 	defer close(release)
 	start := time.Now()
@@ -209,7 +209,7 @@ func TestCellTimeout(t *testing.T) {
 func TestEngineCancelUnblocksWaiters(t *testing.T) {
 	cause := errors.New("operator abort")
 	ctx, cancel := context.WithCancelCause(context.Background())
-	e := NewWithPolicy(ctx, 1, Policy{})
+	e := Open(ctx, Config{Jobs: 1})
 	gate, holding := make(chan struct{}), make(chan struct{})
 	defer close(gate)
 	go e.Do("held", "held", func(context.Context) (any, error) { close(holding); <-gate; return 1, nil })

@@ -12,9 +12,11 @@ import (
 )
 
 // Metrics is the server's telemetry: cell lifecycle counters fed from the
-// engine's SetHook seam (so the hot path carries no new instrumentation —
-// the hook call sites the tracing subsystem already pays for are the whole
-// cost), plus HTTP admission counters maintained by the handler layer.
+// hook of each request the handlers make (runner.WithRequestHook, so the
+// hot path carries no new instrumentation — the hook call sites the tracing
+// subsystem already pays for are the whole cost, and every event the
+// daemon's requests cause is counted once), plus HTTP admission counters
+// maintained by the handler layer.
 // All counters are monotonic; gauges (queue depth, inflight) are computed at
 // scrape time from the admission state.
 type Metrics struct {
@@ -40,21 +42,17 @@ func newMetrics() *Metrics {
 	return &Metrics{codes: make(map[int]int64)}
 }
 
-// Hook returns the engine hook feeding the cell counters. It is installed
-// engine-wide by New, so the counters cover every request of the daemon's
-// lifetime, including cells other observers (per-request NDJSON streams)
-// also saw.
-func (m *Metrics) Hook() runner.Hook {
-	return func(ev runner.Event) {
-		k := int(ev.Kind)
-		if k >= len(m.events) {
-			return
-		}
-		m.events[k].Add(1)
-		m.eventNS[k].Add(int64(ev.Dur))
-		if ev.Kind == runner.EventCompute && ev.Err != "" {
-			m.computeErrs.Add(1)
-		}
+// observeCell counts one cell event; every request hook the handlers
+// install calls it.
+func (m *Metrics) observeCell(ev runner.Event) {
+	k := int(ev.Kind)
+	if k >= len(m.events) {
+		return
+	}
+	m.events[k].Add(1)
+	m.eventNS[k].Add(int64(ev.Dur))
+	if ev.Kind == runner.EventCompute && ev.Err != "" {
+		m.computeErrs.Add(1)
 	}
 }
 
@@ -71,7 +69,7 @@ func (m *Metrics) write(w io.Writer, queued, inflight int, draining bool) {
 	fmt.Fprintf(w, "# TYPE o2k_build_info gauge\n")
 	fmt.Fprintf(w, "o2k_build_info{fingerprint=%q,schema=%q} 1\n", diskcache.Fingerprint(), diskcache.Schema)
 
-	fmt.Fprintf(w, "# HELP o2k_cell_events_total Cell lifecycle events by kind (engine hook seam).\n")
+	fmt.Fprintf(w, "# HELP o2k_cell_events_total Cell lifecycle events the requests caused, by kind.\n")
 	fmt.Fprintf(w, "# TYPE o2k_cell_events_total counter\n")
 	for k := range m.events {
 		fmt.Fprintf(w, "o2k_cell_events_total{kind=%q} %d\n", runner.EventKind(k), m.events[k].Load())

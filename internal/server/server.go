@@ -59,13 +59,11 @@ type Config struct {
 	// MaxQueue bounds requests waiting for a run slot (default 16); beyond
 	// MaxInflight+MaxQueue, admission answers 429.
 	MaxQueue int
-	// Hook, when set, also receives every engine event (the metrics hook is
-	// installed regardless; tests chain their own observers here).
-	Hook runner.Hook
 }
 
-// Server is the HTTP handler. Create it with New; it installs the metrics
-// hook on the engine, so construct it before the engine's first cell.
+// Server is the HTTP handler. Create it with New. It observes the engine
+// through the hook of each request it makes, so /metrics counts the cells
+// the daemon's requests asked for.
 type Server struct {
 	eng      *runner.Engine
 	slots    chan struct{}
@@ -76,8 +74,7 @@ type Server struct {
 	mux      *http.ServeMux
 }
 
-// New returns a Server over cfg.Engine. It attaches the metrics hook (and
-// cfg.Hook) via the engine's SetHook seam.
+// New returns a Server over cfg.Engine.
 func New(cfg Config) *Server {
 	inflight := cfg.MaxInflight
 	if inflight <= 0 {
@@ -94,14 +91,6 @@ func New(cfg Config) *Server {
 		met:   newMetrics(),
 		mux:   http.NewServeMux(),
 	}
-	mh := s.met.Hook()
-	extra := cfg.Hook
-	s.eng.SetHook(func(ev runner.Event) {
-		mh(ev)
-		if extra != nil {
-			extra(ev)
-		}
-	})
 	s.mux.HandleFunc("POST /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("GET /v1/cells/{app}/{model}/{procs}", s.handleCell)
 	s.mux.HandleFunc("GET /v1/report", s.handleReport)
@@ -233,8 +222,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	// The per-request hook fires from the builders' goroutines concurrently;
 	// one mutex serializes the stream. After a disconnect, a cell this
 	// request abandoned can still deliver its final event from the detached
-	// publisher goroutine once the handler has returned — the closed flag
-	// keeps those off the dead ResponseWriter.
+	// publisher goroutine once the handler has returned — /metrics still
+	// counts it, and the closed flag keeps it off the dead ResponseWriter.
 	var (
 		mu     sync.Mutex
 		closed bool
@@ -259,6 +248,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		mu.Unlock()
 	}
 	ctx := runner.WithRequestHook(r.Context(), func(ev runner.Event) {
+		s.met.observeCell(ev)
 		writeLine(streamLine{
 			Type: "cell", Kind: ev.Kind.String(), Key: ev.Key, Label: ev.Label,
 			Ms: float64(ev.Dur) / 1e6, Err: ev.Err,
@@ -358,6 +348,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		seen bool
 	)
 	ctx := runner.WithRequestHook(r.Context(), func(ev runner.Event) {
+		s.met.observeCell(ev)
 		mu.Lock()
 		last, seen = ev, true
 		mu.Unlock()

@@ -36,7 +36,8 @@ const smallExp = `{"exp":"cg","quick":true,"procs":"2"}`
 // holdSlot takes the one worker slot of eng, a runner.New(1) engine, with a
 // cell whose compute waits until release is called (at the latest when the
 // test ends). Until then every cell a request asks for stays in flight,
-// waiting for the slot. Call it after New, which hooks the engine.
+// waiting for the slot. Call it after any SetHook: a hook goes on before the
+// engine's first request.
 func holdSlot(t *testing.T, eng *runner.Engine) (release func()) {
 	t.Helper()
 	gate, held, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -61,7 +62,7 @@ func holdSlot(t *testing.T, eng *runner.Engine) (release func()) {
 }
 
 // computes tallies an engine's compute events per cell key, those that
-// succeeded and those that failed; its hook goes in Config.Hook.
+// succeeded and those that failed; its hook goes on the engine (SetHook).
 type computes struct {
 	mu         sync.Mutex
 	ok, failed map[string]int
@@ -226,7 +227,8 @@ func TestVerdictsStreamAndCountFailuresByKey(t *testing.T) {
 
 func TestConcurrentIdenticalSubmissionsComputeOnce(t *testing.T) {
 	cc := newComputes()
-	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1), MaxInflight: 16, Hook: cc.hook})
+	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1), MaxInflight: 16})
+	eng.SetHook(cc.hook)
 	release := holdSlot(t, eng)
 
 	const n = 8
@@ -276,7 +278,8 @@ func TestConcurrentIdenticalSubmissionsComputeOnce(t *testing.T) {
 
 func TestClientDisconnectAbortsOnlyItsCells(t *testing.T) {
 	cc := newComputes()
-	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1), Hook: cc.hook})
+	ts, _, eng := newTestServer(t, Config{Engine: runner.New(1)})
+	eng.SetHook(cc.hook)
 	release := holdSlot(t, eng)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -493,9 +496,7 @@ func TestReportCacheAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := runner.New(0)
-	eng.SetCache(dc)
-	ts, _, _ := newTestServer(t, Config{Engine: eng})
+	ts, _, _ := newTestServer(t, Config{Engine: runner.Open(context.Background(), runner.Config{Cache: dc})})
 
 	// Populate one cell so every surface has something to show.
 	if resp, _ := http.Get(ts.URL + "/v1/cells/stencil/sas/2?quick=1"); resp.StatusCode != http.StatusOK {
@@ -577,6 +578,158 @@ func TestMetricsCoverEveryEventKind(t *testing.T) {
 	}
 }
 
+// tally is an engine-wide oracle for /metrics: it counts an engine's events
+// by kind, and its failed computes, through SetHook. The slot holder's cell
+// is no request's, so /metrics never sees it and the tally skips it.
+type tally struct {
+	mu     sync.Mutex
+	kinds  [numEventKinds]int
+	failed int
+}
+
+func (tl *tally) hook(ev runner.Event) {
+	if ev.Key == "slot-holder" {
+		return
+	}
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	tl.kinds[ev.Kind]++
+	if ev.Kind == runner.EventCompute && ev.Err != "" {
+		tl.failed++
+	}
+}
+
+// mismatch returns the first /metrics line of the tally that url's /metrics
+// lacks, "" when it has them all.
+func (tl *tally) mismatch(t *testing.T, url string) string {
+	tl.mu.Lock()
+	lines := []string{fmt.Sprintf("o2k_cell_compute_failures_total %d", tl.failed)}
+	for k, n := range tl.kinds {
+		lines = append(lines, fmt.Sprintf("o2k_cell_events_total{kind=%q} %d", runner.EventKind(k), n))
+	}
+	tl.mu.Unlock()
+	m := scrapeMetrics(t, url)
+	for _, l := range lines {
+		if !strings.Contains(m, l+"\n") {
+			return l
+		}
+	}
+	return ""
+}
+
+// /metrics counts from each request's own hook, so every event a request
+// causes is counted exactly once: a compute with its nested plan cells, a
+// dedup, a memo hit, a disk hit, and the aborted computes of a client that
+// left, which fire after its handler has returned.
+func TestMetricsCountEachEventOnce(t *testing.T) {
+	dir := t.TempDir()
+	open := func(cached bool) (*httptest.Server, *runner.Engine, *tally) {
+		cfg := runner.Config{Jobs: 1}
+		if cached {
+			dc, err := diskcache.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Cache = dc
+		}
+		eng := runner.Open(context.Background(), cfg)
+		tl := new(tally)
+		eng.SetHook(tl.hook)
+		ts, _, _ := newTestServer(t, Config{Engine: eng, MaxInflight: 8})
+		return ts, eng, tl
+	}
+	get := func(url string) error {
+		resp, err := http.Get(url)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("GET %s: %d", url, resp.StatusCode)
+		}
+		return nil
+	}
+	check := func(url string, tl *tally, after string) {
+		t.Helper()
+		if l := tl.mismatch(t, url); l != "" {
+			t.Fatalf("after %s, /metrics lacks the tally's %q:\n%s", after, l, scrapeMetrics(t, url))
+		}
+	}
+
+	a, engA, tlA := open(true)
+	if err := get(a.URL + "/v1/cells/stencil/mp/2?quick=1"); err != nil {
+		t.Fatal(err)
+	}
+	check(a.URL, tlA, "a cold GET")
+
+	release := holdSlot(t, engA)
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- get(a.URL + "/v1/cells/stencil/sas/2?quick=1") }()
+	}
+	waitCond(t, "a deduplicated GET", func() bool {
+		for _, c := range engA.Report().Cells {
+			if c.Dedups > 0 {
+				return true
+			}
+		}
+		return false
+	})
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(a.URL, tlA, "two concurrent identical cold GETs")
+
+	if err := get(a.URL + "/v1/cells/stencil/sas/2?quick=1"); err != nil {
+		t.Fatal(err)
+	}
+	check(a.URL, tlA, "a warm GET")
+	for _, k := range []runner.EventKind{runner.EventCompute, runner.EventDedup, runner.EventMemoHit} {
+		if tlA.kinds[k] == 0 {
+			t.Errorf("the first daemon saw no %s event", k)
+		}
+	}
+
+	b, _, tlB := open(true)
+	if err := get(b.URL + "/v1/cells/stencil/mp/2?quick=1"); err != nil {
+		t.Fatal(err)
+	}
+	check(b.URL, tlB, "a disk hit")
+	if tlB.kinds[runner.EventDiskHit] != 1 {
+		t.Fatalf("the second daemon saw %d disk hits, want 1", tlB.kinds[runner.EventDiskHit])
+	}
+
+	// A client that leaves before its cells publish. The one slot stays
+	// held, so each of its cells can only be aborted, and fires its failed
+	// compute after the handler has returned. The daemon is memory-only: a
+	// compute that outlives the test writes nothing to the test's directory.
+	c, engC, tlC := open(false)
+	holdSlot(t, engC)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req, _ := http.NewRequestWithContext(ctx, "POST", c.URL+"/v1/experiments", strings.NewReader(smallExp))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	waitCond(t, "the POST's cells in flight", func() bool { return engC.Report().Unique > 1 })
+	cancel()
+	<-done
+	waitCond(t, "every aborted compute counted once", func() bool {
+		tlC.mu.Lock()
+		failed := tlC.failed
+		tlC.mu.Unlock()
+		return failed > 0 && engC.Report().Unique == 1 && tlC.mismatch(t, c.URL) == ""
+	})
+}
+
 func TestTwoServersSharingCacheComputeEachCellOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick experiment on two engines")
@@ -598,10 +751,9 @@ func TestTwoServersSharingCacheComputeEachCellOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := runner.New(4)
-		eng.SetCache(dc)
-		eng.SetLeases(lease.New(lease.Config{Dir: dir}))
-		ts, _, _ := newTestServer(t, Config{Engine: eng, Hook: countHook})
+		eng := runner.Open(context.Background(), runner.Config{Jobs: 4, Cache: dc, Leases: lease.New(lease.Config{Dir: dir})})
+		eng.SetHook(countHook)
+		ts, _, _ := newTestServer(t, Config{Engine: eng})
 		return ts
 	}
 	a, b := mk(), mk()
