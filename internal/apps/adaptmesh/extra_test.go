@@ -76,11 +76,11 @@ func TestCheckpointableMetrics(t *testing.T) {
 		t.Fatal("metrics incomplete")
 	}
 	var phaseSum sim.Time
-	for _, ph := range met.PhaseAvg {
+	for _, ph := range met.PhaseMax {
 		phaseSum += ph
 	}
 	if phaseSum == 0 {
-		t.Fatal("phase averages empty")
+		t.Fatal("phase maxima empty")
 	}
 	if met.Counters.BytesSent == 0 {
 		t.Fatal("SHMEM run moved no bytes?")

@@ -15,11 +15,10 @@ import (
 // front and — crucially for the cross-model comparison — shared verbatim by
 // all three implementations.
 type CyclePlan struct {
-	M     *mesh.Mesh
-	Dec   *partition.Decomp
-	Deg   []int32 // per global vertex ID, edge degree in this snapshot
-	NV    int     // vertex-ID space size after this cycle's adaptation
-	Green int     // green closure triangles in the snapshot
+	M   *mesh.Mesh
+	Dec *partition.Decomp
+	Deg []int32 // per global vertex ID, edge degree in this snapshot
+	NV  int     // vertex-ID space size after this cycle's adaptation
 
 	// MidA/MidB alias the forest's parent arrays (length NV).
 	MidA, MidB []int32
@@ -109,7 +108,7 @@ func (st *Structure) Plans(nprocs int, noRemap bool) []*CyclePlan {
 				oldOwner[t] = st.ancestorOwner(prev, m.Tris[t][0])
 			}
 			if noRemap {
-				remap = partition.MigrationStats(oldOwner, part, wt, assign, nprocs)
+				remap = partition.MigrationStats(oldOwner, part, wt, assign)
 			} else {
 				assign, remap = partition.Remap(oldOwner, part, wt, nprocs)
 			}
@@ -142,11 +141,6 @@ func (st *Structure) planCycle(cycle int, dec *partition.Decomp, remap partition
 		MidB:  st.MidB[:nv],
 		Remap: remap,
 	}
-	for _, g := range m.Green {
-		if g {
-			p.Green++
-		}
-	}
 	p.Dec = dec
 	p.Deg = solver.Degrees(m)
 	wt := make([]float64, len(dec.TriOwner))
@@ -158,7 +152,13 @@ func (st *Structure) planCycle(cycle int, dec *partition.Decomp, remap partition
 	if prev != nil {
 		p.PrevOwner = prev.Dec.VertOwner
 	}
-	p.Changes = 4*sc.Stats.Refined + 4*sc.Stats.Coarsened + p.Green
+	green := 0 // green closure triangles in the snapshot
+	for _, g := range m.Green {
+		if g {
+			green++
+		}
+	}
+	p.Changes = 4*sc.Stats.Refined + 4*sc.Stats.Coarsened + green
 	p.MarkWork = make([]int, nprocs)
 	for q := 0; q < nprocs; q++ {
 		if prev != nil {

@@ -86,9 +86,9 @@ func checkFront(s *planio.Scanner, w Workload) error {
 //
 //	o2kmeshstruct 1 <BaseTris> <cycles> <nvFinal>
 //	<front cross-check>
-//	<x> <y> <midA> <midB>      (nvFinal lines)
+//	<x> <y> <midA> <midB>        (nvFinal lines)
 //	cycle <NV> <Refined> <Coarsened> <Passes> <nt>
-//	<triangle table>           (per cycle, mesh v2 rows)
+//	<a> <b> <c> <level> <green>  (per cycle, nt lines: mesh.AppendTris)
 func EncodeStructure(st *Structure, w Workload) []byte {
 	var pw planio.Writer
 	pw.Word("o2kmeshstruct")
@@ -183,7 +183,7 @@ func DecodeStructure(data []byte, w Workload) (*Structure, error) {
 // cycle's full plan is deterministically derived from.
 //
 //	o2kmeshplan 1 <P> <cycles>
-//	<decomp> <TotalW> <MaxOutW> <MaxInW> <Retained>   (per cycle)
+//	<decomp> <TotalW>   (per cycle)
 func EncodePlans(plans []*CyclePlan, nprocs int) []byte {
 	var pw planio.Writer
 	pw.Word("o2kmeshplan")
@@ -194,9 +194,6 @@ func EncodePlans(plans []*CyclePlan, nprocs int) []byte {
 	for _, p := range plans {
 		p.Dec.AppendTo(&pw)
 		pw.Float(p.Remap.TotalW)
-		pw.Float(p.Remap.MaxOutW)
-		pw.Float(p.Remap.MaxInW)
-		pw.Float(p.Remap.Retained)
 		pw.End()
 	}
 	return pw.Bytes()
@@ -233,11 +230,7 @@ func (st *Structure) DecodePlans(data []byte, nprocs int) ([]*CyclePlan, error) 
 		if dec.P != nprocs {
 			return nil, fmt.Errorf("adaptmesh: cycle %d decomp is for P=%d, want P=%d", c, dec.P, nprocs)
 		}
-		var remap partition.RemapStats
-		remap.TotalW = s.Float()
-		remap.MaxOutW = s.Float()
-		remap.MaxInW = s.Float()
-		remap.Retained = s.Float()
+		remap := partition.RemapStats{TotalW: s.Float()}
 		if err := s.Err(); err != nil {
 			return nil, err
 		}

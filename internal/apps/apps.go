@@ -59,7 +59,6 @@ func Collect(model core.Model, g *sim.Group, sp *numa.Space, checksum float64, m
 		Procs:     g.Size(),
 		Total:     g.MaxTime(),
 		PhaseMax:  g.MaxPhaseTime(),
-		PhaseAvg:  g.AvgPhaseTime(),
 		Counters:  g.TotalCounters(),
 		DataBytes: [...]int{core.MP: mpB, core.SHMEM: shB, core.SAS: saB, core.Hybrid: mpB}[model],
 		Checksum:  checksum,

@@ -21,7 +21,6 @@ func sampleMetrics() Metrics {
 	}
 	for ph := sim.Phase(0); ph < sim.NumPhases; ph++ {
 		m.PhaseMax[ph] = sim.Time(1e9 + int64(ph)*7919)
-		m.PhaseAvg[ph] = sim.Time(9e8 + int64(ph)*104729)
 	}
 	m.Counters = sim.Counters{
 		CacheHits:    1 << 60, // beyond float64's exact-integer range

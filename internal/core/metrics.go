@@ -70,7 +70,6 @@ type Metrics struct {
 
 	Total     sim.Time                // simulated wall-clock (max over procs)
 	PhaseMax  [sim.NumPhases]sim.Time // per-phase critical path
-	PhaseAvg  [sim.NumPhases]sim.Time // per-phase average over procs
 	Counters  sim.Counters            // summed over procs
 	DataBytes int                     // model-visible field memory (analytic)
 

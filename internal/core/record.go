@@ -17,7 +17,7 @@ import (
 // exactly one record:
 //
 //	Model, Procs, Total             int64 ×3
-//	PhaseMax, PhaseAvg              int64 × sim.NumPhases each
+//	PhaseMax                        int64 × sim.NumPhases
 //	Counters                        uint64 × 8, in declaration order
 //	DataBytes                       int64
 //	Checksum, MovedWeight           float64 bits ×2
@@ -25,8 +25,8 @@ import (
 // The record is fenced to one build by the cache's binary fingerprint, so
 // it carries no version of its own.
 
-// recordSize is the size of every record: 30 words.
-const recordSize = 8 * (3 + 2*int(sim.NumPhases) + 8 + 3)
+// recordSize is the size of every record: 22 words.
+const recordSize = 8 * (3 + int(sim.NumPhases) + 8 + 3)
 
 // EncodeMetricsRecord serializes m as a metrics record. Like EncodeMetrics it
 // fails only on non-finite floats, which the caller treats as "do not
@@ -41,9 +41,6 @@ func EncodeMetricsRecord(m Metrics) ([]byte, error) {
 	b = le.AppendUint64(b, uint64(m.Procs))
 	b = le.AppendUint64(b, uint64(m.Total))
 	for _, t := range m.PhaseMax {
-		b = le.AppendUint64(b, uint64(t))
-	}
-	for _, t := range m.PhaseAvg {
 		b = le.AppendUint64(b, uint64(t))
 	}
 	c := &m.Counters
@@ -76,9 +73,6 @@ func DecodeMetricsRecord(data []byte) (Metrics, error) {
 	m.Total = sim.Time(word())
 	for i := range m.PhaseMax {
 		m.PhaseMax[i] = sim.Time(word())
-	}
-	for i := range m.PhaseAvg {
-		m.PhaseAvg[i] = sim.Time(word())
 	}
 	c := &m.Counters
 	for _, n := range [...]*uint64{&c.CacheHits, &c.LocalMisses, &c.RemoteMisses, &c.CohMisses,

@@ -14,8 +14,8 @@ func TestMetricsRecordRoundtripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec) != 240 {
-		t.Fatalf("record is %d bytes, want 30 words", len(rec))
+	if len(rec) != 176 {
+		t.Fatalf("record is %d bytes, want 22 words", len(rec))
 	}
 	got, err := DecodeMetricsRecord(rec)
 	if err != nil {

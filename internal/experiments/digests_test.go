@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"o2k/internal/core"
 	"o2k/internal/runner"
 )
 
@@ -28,7 +29,8 @@ const digestsFile = "testdata/digests.txt"
 // (RunOnCtx, then Render), commands of one scale on one engine, and checks
 // each section's digest. The large legs — full scale, and quick sweeps that
 // reach 256 processors — run unless -short or -race, whose cost they
-// multiply; the full-scale leg also checks what EXPERIMENTS.md quotes.
+// multiply; the full-scale leg also checks what EXPERIMENTS.md quotes, and
+// the full-scale suite's columns (checkConstantColumns).
 func TestDigests(t *testing.T) {
 	data, err := os.ReadFile(digestsFile)
 	if err != nil {
@@ -75,6 +77,9 @@ func TestDigests(t *testing.T) {
 		out := Render(tables)
 		if !req.Quick {
 			fullOuts = append(fullOuts, out)
+			if req.Exp == "all" {
+				checkConstantColumns(t, tables)
+			}
 		}
 		got = append(got, digestLines(cmd, out)...)
 	}
@@ -109,6 +114,52 @@ func TestDigests(t *testing.T) {
 				t.Errorf("EXPERIMENTS.md quotes a block that no full-scale command in %s prints:\n%s",
 					digestsFile, blocks[i])
 			}
+		}
+	}
+}
+
+// constantColumns is the allow-list of checkConstantColumns: columns of the
+// full-scale suite that print the same entry in every row, keyed "<table
+// title> | <column header>", each with the reason it stays. The list is
+// capped at its size when the check landed, and an entry that excuses
+// nothing fails, so it can only shrink.
+var constantColumns = map[string]string{
+	"Figure 7 — Sensitivity to remote:local latency ratio (mesh, P=32) | MP":    "the ratio scales only the coherence-miss costs CC-SAS pays; MP's messages do not see it",
+	"Figure 7 — Sensitivity to remote:local latency ratio (mesh, P=32) | SHMEM": "as MP: puts and gets do not see the miss-cost ratio",
+	"Figure 8 — PLUM remapping on vs off (mesh, P=64) | moved weight on":        "every model runs the same partition, so the remap moves the same weight under each",
+	"Figure 8 — PLUM remapping on vs off (mesh, P=64) | moved weight off":       "as moved weight on, without the remap",
+	"Table 9 — Traffic statistics (mesh application) | lock ops":                "no application takes a sas.Lock, so every row reads 0 (ROADMAP item 3(f))",
+}
+
+const maxConstantColumns = 5
+
+// checkConstantColumns fails on a column that prints the same entry in every
+// row of a table of two or more rows, unless constantColumns lists it: a
+// printed number that cannot vary says nothing about what the table compares.
+func checkConstantColumns(t *testing.T, tables []*core.Table) {
+	t.Helper()
+	if len(constantColumns) > maxConstantColumns {
+		t.Fatalf("the constant-column list has %d entries, at most %d may stay", len(constantColumns), maxConstantColumns)
+	}
+	matched := map[string]bool{}
+	for _, tb := range tables {
+		if len(tb.Rows) < 2 {
+			continue
+		}
+		for i, h := range tb.Header {
+			if slices.ContainsFunc(tb.Rows, func(r []string) bool { return len(r) <= i || r[i] != tb.Rows[0][i] }) {
+				continue // the first row is checked first, so Rows[0][i] exists below
+			}
+			name := tb.Title + " | " + h
+			if constantColumns[name] == "" {
+				t.Errorf("%s: all %d rows print %q; make it vary or list it with its reason", name, len(tb.Rows), tb.Rows[0][i])
+			}
+			matched[name] = true
+		}
+	}
+	for name := range constantColumns {
+		if !matched[name] {
+			t.Errorf("%s is on the constant-column list but varies (or is gone): drop the entry", name)
 		}
 	}
 }

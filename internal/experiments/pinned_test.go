@@ -14,8 +14,8 @@ import (
 	"o2k/internal/runner"
 )
 
-// smallCellsFile pins the complete Metrics — total, per-phase critical path
-// and average, every counter, data size, checksum, moved weight — of every app
+// smallCellsFile pins the complete Metrics — total, per-phase critical path,
+// every counter, data size, checksum, moved weight — of every app
 // under every model it runs at P = 1, 8 and 64 on the Small workloads, one
 // lossless core.EncodeMetrics document per line. It was recorded while sim
 // still had two schedulers, the event scheduler that remains and a gang of
@@ -104,8 +104,8 @@ var pinnedZero = map[string]string{
 }
 
 // TestEveryPinnedNumberIsProduced reads the pinned cells, and runs nothing:
-// every number a run reports — each counter, each phase slot of PhaseMax
-// and PhaseAvg, DataBytes, Checksum, MovedWeight — must be nonzero in at
+// every number a run reports — each counter, each phase slot of PhaseMax,
+// DataBytes, Checksum, MovedWeight — must be nonzero in at
 // least one of them. TestFieldsAreLive sees that a field is read; this sees
 // that something writes it, so a counter nothing increments or a phase
 // nothing charges cannot ride along in every record.

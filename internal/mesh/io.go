@@ -7,13 +7,13 @@ package mesh
 //	verts <nv>
 //	<x> <y>                         (nv lines, all global IDs, holes included)
 //	tris <m>
-//	<a> <b> <c> <level> <green> <leaf>
+//	<a> <b> <c> <level> <green>
 //
 // The format preserves the *global* vertex-ID space: a snapshot's IDs must
 // keep indexing the forest-wide field arrays (MidA/MidB parent chains,
 // per-vertex degrees, solver fields), so holes — vertices the snapshot does
-// not use — are kept in place. With the Leaf column a decoded snapshot is
-// reflect.DeepEqual to the encoded one.
+// not use — are kept in place, and a decoded snapshot is reflect.DeepEqual
+// to the encoded one.
 //
 // Floats use shortest-round-trip formatting (bit-exact). Decoding is total:
 // any malformed or out-of-range token returns an error, never panics — the
@@ -63,8 +63,8 @@ func DecodeVerts(s *planio.Scanner, n int) (vx, vy []float64, err error) {
 	return vx, vy, nil
 }
 
-// AppendTris writes the triangle table of m: "<a> <b> <c> <level> <green>
-// <leaf>" per triangle, with global vertex IDs.
+// AppendTris writes the triangle table of m: "<a> <b> <c> <level> <green>"
+// per triangle, with global vertex IDs.
 func (m *Mesh) AppendTris(pw *planio.Writer) {
 	for t, tv := range m.Tris {
 		pw.Int(int(tv[0]))
@@ -76,7 +76,6 @@ func (m *Mesh) AppendTris(pw *planio.Writer) {
 			g = 1
 		}
 		pw.Int(g)
-		pw.Int(int(m.Leaf[t]))
 		pw.End()
 	}
 }
@@ -103,7 +102,6 @@ func DecodeTris(s *planio.Scanner, nt int, vx, vy []float64) (m *Mesh, err error
 		Tris:  make([][3]int32, nt),
 		Level: make([]int8, nt),
 		Green: make([]bool, nt),
-		Leaf:  make([]int32, nt),
 	}
 	for t := 0; t < nt; t++ {
 		m.Tris[t][0] = int32(s.IntRange(0, nv-1))
@@ -111,7 +109,6 @@ func DecodeTris(s *planio.Scanner, nt int, vx, vy []float64) (m *Mesh, err error
 		m.Tris[t][2] = int32(s.IntRange(0, nv-1))
 		m.Level[t] = int8(s.IntRange(-128, 127))
 		m.Green[t] = s.IntRange(0, 1) != 0
-		m.Leaf[t] = int32(s.IntRange(-1, 1<<30))
 	}
 	if err := s.Err(); err != nil {
 		return nil, err

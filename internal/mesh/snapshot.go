@@ -12,7 +12,6 @@ type Mesh struct {
 	Tris   [][3]int32 // conforming triangles
 	Level  []int8     // refinement level of the source leaf, per triangle
 	Green  []bool     // true if the triangle is a green closure
-	Leaf   []int32    // source forest-leaf index, per triangle
 
 	Edges    [][2]int32 // unique undirected edges (a < b)
 	EdgeTris [][2]int32 // the one or two triangles on each edge (-1 if boundary)
@@ -29,14 +28,13 @@ func (f *Forest) Snapshot() *Mesh {
 	f.rebuildCornerUse()
 	m := &Mesh{VX: f.VX, VY: f.VY}
 
-	emit := func(a, b, c int32, lvl int8, green bool, leaf int32) {
+	emit := func(a, b, c int32, lvl int8, green bool) {
 		m.Tris = append(m.Tris, [3]int32{a, b, c})
 		m.Level = append(m.Level, lvl)
 		m.Green = append(m.Green, green)
-		m.Leaf = append(m.Leaf, leaf)
 	}
 
-	for t := int32(0); t < int32(len(f.tris)); t++ {
+	for t := range f.tris {
 		tr := &f.tris[t]
 		if !tr.isLeaf() {
 			continue
@@ -54,7 +52,7 @@ func (f *Forest) Snapshot() *Mesh {
 		lvl := tr.level
 		switch n {
 		case 0:
-			emit(v0, v1, v2, lvl, false, t)
+			emit(v0, v1, v2, lvl, false)
 		case 1:
 			// Rotate so the hanging edge is (v0,v1) with midpoint m0.
 			switch {
@@ -63,8 +61,8 @@ func (f *Forest) Snapshot() *Mesh {
 			case m2 != nilIdx:
 				v0, v1, v2, m0 = v2, v0, v1, m2
 			}
-			emit(v0, m0, v2, lvl, true, t)
-			emit(m0, v1, v2, lvl, true, t)
+			emit(v0, m0, v2, lvl, true)
+			emit(m0, v1, v2, lvl, true)
 		case 2:
 			// Rotate so the unsplit edge is (v2,v0): hanging on (v0,v1) and
 			// (v1,v2) with midpoints m0, m1.
@@ -74,14 +72,14 @@ func (f *Forest) Snapshot() *Mesh {
 			case m1 == nilIdx: // hanging on e2,e0
 				v0, v1, v2, m0, m1 = v2, v0, v1, m2, m0
 			}
-			emit(m0, v1, m1, lvl, true, t)
-			emit(v0, m0, m1, lvl, true, t)
-			emit(v0, m1, v2, lvl, true, t)
+			emit(m0, v1, m1, lvl, true)
+			emit(v0, m0, m1, lvl, true)
+			emit(v0, m1, v2, lvl, true)
 		case 3:
-			emit(v0, m0, m2, lvl, true, t)
-			emit(m0, v1, m1, lvl, true, t)
-			emit(m2, m1, v2, lvl, true, t)
-			emit(m0, m1, m2, lvl, true, t)
+			emit(v0, m0, m2, lvl, true)
+			emit(m0, v1, m1, lvl, true)
+			emit(m2, m1, v2, lvl, true)
+			emit(m0, m1, m2, lvl, true)
 		}
 	}
 	m.buildEdges()

@@ -7,12 +7,12 @@ import (
 )
 
 // Quadtree serialization for the persistent plan cache. The tree is stored
-// cell-for-cell (geometry, children, centre of mass, leaf payload), so a
+// cell-for-cell (size, children, centre of mass, leaf payload), so a
 // decoded tree is reflect.DeepEqual to the encoded one — including the
 // leaf/internal distinction, which is Bodies being non-nil:
 //
 //	o2knbtree 1 <ncells> <root>
-//	<X0> <Y0> <Size> <c0> <c1> <c2> <c3> <NBody> <CX> <CY> <CM> <nb> [bodies]
+//	<Size> <c0> <c1> <c2> <c3> <NBody> <CX> <CY> <CM> <nb> [bodies]
 //
 // nb is -1 for internal cells (nil Bodies); leaves write their body count
 // followed by the body indices. Decoding validates child and body indices,
@@ -27,8 +27,6 @@ func (t *Tree) AppendTo(pw *planio.Writer) {
 	pw.End()
 	for i := range t.Cells {
 		c := &t.Cells[i]
-		pw.Float(c.X0)
-		pw.Float(c.Y0)
 		pw.Float(c.Size)
 		for _, ch := range c.Child {
 			pw.Int(int(ch))
@@ -62,8 +60,6 @@ func DecodeTreeFrom(s *planio.Scanner, maxBody int) (*Tree, error) {
 	t := &Tree{Cells: make([]Cell, n), Root: int32(root)}
 	for i := 0; i < n; i++ {
 		c := &t.Cells[i]
-		c.X0 = s.Float()
-		c.Y0 = s.Float()
 		c.Size = s.Float()
 		for q := 0; q < 4; q++ {
 			c.Child[q] = int32(s.IntRange(-1, n-1))

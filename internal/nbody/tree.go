@@ -9,11 +9,11 @@ const LeafCap = 8
 // quadrants; leaves carry a slice of body indices. CX/CY/CM are the centre
 // of mass and total mass, computed bottom-up in deterministic order.
 type Cell struct {
-	X0, Y0, Size float64
-	Child        [4]int32 // -1 if empty/none
-	Bodies       []int32  // leaf payload (nil for internal cells)
-	CX, CY, CM   float64
-	NBody        int
+	Size       float64
+	Child      [4]int32 // -1 if empty/none
+	Bodies     []int32  // leaf payload (nil for internal cells)
+	CX, CY, CM float64
+	NBody      int
 }
 
 // Tree is a quadtree over a body set.
@@ -44,7 +44,7 @@ const maxDepth = 48
 func (t *Tree) build(b *Bodies, idx []int32, x0, y0, size float64, depth int) int32 {
 	c := int32(len(t.Cells))
 	t.Cells = append(t.Cells, Cell{
-		X0: x0, Y0: y0, Size: size,
+		Size:  size,
 		Child: [4]int32{-1, -1, -1, -1},
 		NBody: len(idx),
 	})

@@ -15,13 +15,14 @@ type PhaseStat struct {
 	Phase     string   `json:"phase"`
 	Min       sim.Time `json:"min_ns"`
 	Max       sim.Time `json:"max_ns"`
-	Mean      sim.Time `json:"mean_ns"`   // rounded half-up, like sim.AvgPhaseTime
+	Mean      sim.Time `json:"mean_ns"`   // rounded half-up
 	Imbalance float64  `json:"imbalance"` // max/mean; 1.0 = perfectly balanced
 }
 
 // aggregate computes one PhaseStat from per-processor times. The mean
-// rounds half-up (matching sim.Group.AvgPhaseTime) but the imbalance factor
-// is computed from the unrounded sum, so it is exact.
+// rounds half-up (plain integer division would bias every phase low by up
+// to n-1 time units) but the imbalance factor is computed from the
+// unrounded sum, so it is exact.
 func aggregate(name string, vals []sim.Time) PhaseStat {
 	st := PhaseStat{Phase: name, Min: vals[0]}
 	var sum sim.Time

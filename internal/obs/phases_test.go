@@ -54,6 +54,22 @@ func TestGroupPhasesHandComputed(t *testing.T) {
 	}
 }
 
+// A phase's mean over processors rounds half-up: plain integer division
+// would truncate each mean by up to n-1 time units, biasing every phase low.
+func TestPhaseMeanRoundsHalfUp(t *testing.T) {
+	// Sum 7 over 4 procs: truncation gives 1, half-up rounding gives 2. Sum
+	// 5 over 4 procs: 1.25 rounds down to 1.
+	for sum, want := range map[sim.Time]sim.Time{7: 2, 5: 1} {
+		g := sim.NewGroup(4)
+		p := g.Proc(0)
+		p.SetPhase(sim.PhaseCompute)
+		p.Advance(sum)
+		if got := GroupPhases(g)[0].Mean; got != want {
+			t.Errorf("mean of %v/4 = %v, want %v (round half-up)", sum, got, want)
+		}
+	}
+}
+
 func TestRunPhasesClockAggregate(t *testing.T) {
 	rp := NewRunPhases("fixture P=3", fixtureGroup())
 	if rp.Procs != 3 || rp.Total != 302 {

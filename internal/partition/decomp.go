@@ -27,7 +27,6 @@ type Decomp struct {
 	P int
 
 	TriOwner  []int32 // per triangle
-	EdgeOwner []int32 // per edge
 	VertOwner []int32 // per global vertex ID; -1 if unused in this snapshot
 
 	OwnedTris  [][]int32 // per proc, ascending triangle IDs
@@ -61,13 +60,9 @@ func NewDecomp(m *mesh.Mesh, triOwner []int32, nparts int) *Decomp {
 	}
 
 	// Edge ownership.
-	ne := m.NumEdges()
-	d.EdgeOwner = make([]int32, ne)
 	d.OwnedEdges = make([][]int32, nparts)
-	for e := 0; e < ne; e++ {
-		ts := m.EdgeTris[e]
-		own := triOwner[ts[0]]
-		d.EdgeOwner[e] = own
+	for e := range m.NumEdges() {
+		own := triOwner[m.EdgeTris[e][0]]
 		d.OwnedEdges[own] = append(d.OwnedEdges[own], int32(e))
 	}
 

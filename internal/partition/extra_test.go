@@ -26,10 +26,17 @@ func TestDecompPropertyRandomPartitions(t *testing.T) {
 		}
 		d := NewDecomp(m, owner, nparts)
 		// Edges owned exactly once, by the first adjacent tri's owner.
-		for e := 0; e < m.NumEdges(); e++ {
-			if d.EdgeOwner[e] != owner[m.EdgeTris[e][0]] {
-				return false
+		edges := 0
+		for p, own := range d.OwnedEdges {
+			for _, e := range own {
+				if owner[m.EdgeTris[e][0]] != int32(p) {
+					return false
+				}
 			}
+			edges += len(own)
+		}
+		if edges != m.NumEdges() {
+			return false
 		}
 		// Borders: owner correct, touch relation plausible.
 		for p := 0; p < nparts; p++ {
@@ -58,7 +65,7 @@ func TestRemapSinglePart(t *testing.T) {
 	newPart := []int32{0, 0, 0}
 	w := []float64{1, 2, 3}
 	assign, st := Remap(old, newPart, w, 1)
-	if assign[0] != 0 || st.TotalW != 0 || st.Retained != 1 {
+	if assign[0] != 0 || st.TotalW != 0 || retained(st, w) != 1 {
 		t.Fatalf("degenerate remap wrong: %v %+v", assign, st)
 	}
 }
@@ -68,9 +75,22 @@ func TestRemapAllWeightZero(t *testing.T) {
 	newPart := []int32{1, 0}
 	w := []float64{0, 0}
 	_, st := Remap(old, newPart, w, 2)
-	if st.Retained != 1 {
-		t.Fatalf("zero-weight retained = %v", st.Retained)
+	if r := retained(st, w); r != 1 {
+		t.Fatalf("zero-weight retained = %v", r)
 	}
+}
+
+// retained is the share of the total weight w that st leaves in place: 1
+// when nothing moves, including when there is no weight at all.
+func retained(st RemapStats, w []float64) float64 {
+	total := 0.0
+	for _, wi := range w {
+		total += wi
+	}
+	if total == 0 {
+		return 1
+	}
+	return 1 - st.TotalW/total
 }
 
 func TestRCBSinglePoint(t *testing.T) {

@@ -117,7 +117,7 @@ func TestRemapIdentityWhenUnchanged(t *testing.T) {
 	newPart := []int32{3, 3, 2, 2, 1, 1, 0, 0} // same groups, permuted labels
 	w := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	assign, st := Remap(old, newPart, w, 4)
-	if st.TotalW != 0 || st.Retained != 1 {
+	if st.TotalW != 0 || retained(st, w) != 1 {
 		t.Fatalf("remap failed to recognize permutation: %+v", st)
 	}
 	if assign[3] != 0 || assign[0] != 3 {
@@ -143,12 +143,12 @@ func TestRemapBeatsIdentity(t *testing.T) {
 		w[i] = 1
 	}
 	_, remapSt := Remap(old, newPart, w, p)
-	identSt := MigrationStats(old, newPart, w, IdentityAssign(p), p)
+	identSt := MigrationStats(old, newPart, w, IdentityAssign(p))
 	if remapSt.TotalW > identSt.TotalW {
 		t.Fatalf("remap moved %v > identity %v", remapSt.TotalW, identSt.TotalW)
 	}
-	if remapSt.Retained < 0.7 {
-		t.Fatalf("remap retained only %v", remapSt.Retained)
+	if r := retained(remapSt, w); r < 0.7 {
+		t.Fatalf("remap retained only %v", r)
 	}
 }
 

@@ -12,13 +12,10 @@ import (
 // build S[p][q] = weight currently on processor p that the new partition
 // assigns to part q, then greedily match the largest entries.
 
-// RemapStats quantifies the migration a remapping implies, in the metrics
-// PLUM reports.
+// RemapStats quantifies the migration a remapping implies, in PLUM's
+// TotalV metric.
 type RemapStats struct {
-	TotalW   float64 // total weight that changes processors (TotalV)
-	MaxOutW  float64 // largest per-processor outgoing weight (MaxV, send side)
-	MaxInW   float64 // largest per-processor incoming weight (MaxV, recv side)
-	Retained float64 // fraction of total weight that stays put
+	TotalW float64 // total weight that changes processors (TotalV)
 }
 
 // Remap chooses the part→processor assignment that (heuristically) maximizes
@@ -37,10 +34,8 @@ func Remap(oldOwner, newPart []int32, w []float64, nparts int) ([]int32, RemapSt
 	// processor, then lower part, for determinism), at O(nnz log nnz) instead
 	// of O(nparts³) — the dense scan dominated whole runs at 1024 parts.
 	sim := make(map[int64]float64)
-	total := 0.0
 	for i := range oldOwner {
 		sim[int64(oldOwner[i])<<32|int64(newPart[i])] += w[i]
-		total += w[i]
 	}
 	type entry struct {
 		w    float64
@@ -85,7 +80,7 @@ func Remap(oldOwner, newPart []int32, w []float64, nparts int) ([]int32, RemapSt
 			p++
 		}
 	}
-	return assign, migrationStats(oldOwner, newPart, w, assign, nparts, total)
+	return assign, MigrationStats(oldOwner, newPart, w, assign)
 }
 
 // IdentityAssign is the no-remap baseline: part q goes to processor q.
@@ -99,38 +94,12 @@ func IdentityAssign(nparts int) []int32 {
 
 // MigrationStats computes the movement statistics of an arbitrary
 // assignment, for comparing Remap against the identity baseline.
-func MigrationStats(oldOwner, newPart []int32, w []float64, assign []int32, nparts int) RemapStats {
-	total := 0.0
-	for _, wi := range w {
-		total += wi
-	}
-	return migrationStats(oldOwner, newPart, w, assign, nparts, total)
-}
-
-func migrationStats(oldOwner, newPart []int32, w []float64, assign []int32, nparts int, total float64) RemapStats {
+func MigrationStats(oldOwner, newPart []int32, w []float64, assign []int32) RemapStats {
 	var st RemapStats
-	out := make([]float64, nparts)
-	in := make([]float64, nparts)
 	for i := range oldOwner {
-		dst := assign[newPart[i]]
-		if dst != oldOwner[i] {
+		if assign[newPart[i]] != oldOwner[i] {
 			st.TotalW += w[i]
-			out[oldOwner[i]] += w[i]
-			in[dst] += w[i]
 		}
-	}
-	for p := 0; p < nparts; p++ {
-		if out[p] > st.MaxOutW {
-			st.MaxOutW = out[p]
-		}
-		if in[p] > st.MaxInW {
-			st.MaxInW = in[p]
-		}
-	}
-	if total > 0 {
-		st.Retained = 1 - st.TotalW/total
-	} else {
-		st.Retained = 1
 	}
 	return st
 }

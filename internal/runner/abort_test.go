@@ -9,6 +9,8 @@ package runner
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,6 +181,69 @@ func TestSecondWaiterKeepsCellAliveWhenFirstLeaves(t *testing.T) {
 	}
 	if got := count.Load(); got != 1 {
 		t.Fatalf("memo hit recomputed: %d runs", got)
+	}
+}
+
+// TestAbortedCellNeverTakesAFreedSlot: a cell whose last requester has left
+// never computes, even when its publisher reaches the worker pool with a
+// slot free — the moment at which a select between the slot and the abort
+// could pick either. Cell A holds the only slot while cell B's Prepare waits
+// on a gate; B's only request leaves (B is aborted), A finishes and frees the
+// slot, and only then does the gate open. Each round uses a fresh engine.
+func TestAbortedCellNeverTakesAFreedSlot(t *testing.T) {
+	bg := context.Background()
+	for round := range 50 {
+		e := New(1)
+		aStarted, aRelease, aDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			_, err := doCtx(bg, e, "a", func(context.Context) (any, error) {
+				close(aStarted)
+				<-aRelease
+				return 1, nil
+			})
+			aDone <- err
+		}()
+		<-aStarted
+
+		var ran atomic.Bool
+		events := make(chan Event, 1)
+		ctx, cancel := context.WithCancel(WithRequestHook(bg, func(ev Event) { events <- ev }))
+		bPreparing, gate, bDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			_, err := e.DoCell(ctx, Cell{Key: "b", Label: "b", Prepare: func(context.Context) (Compute, error) {
+				close(bPreparing)
+				<-gate
+				return func(context.Context) (any, error) { ran.Store(true); return 2, nil }, nil
+			}})
+			bDone <- err
+		}()
+		<-bPreparing
+		cancel()
+		if err := <-bDone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: B's cancelled request got %v", round, err)
+		}
+		close(aRelease)
+		if err := <-aDone; err != nil {
+			t.Fatalf("round %d: A failed: %v", round, err)
+		}
+		// A slot is freed by its compute goroutine after the cell published,
+		// so wait for it: before the gate opens, so B finds the slot free, and
+		// after B's event, so a compute B started has returned.
+		drained := func() {
+			for len(e.sem) != 0 {
+				runtime.Gosched()
+			}
+		}
+		drained()
+		close(gate)
+		ev := <-events
+		drained()
+		if ran.Load() {
+			t.Fatalf("round %d: the aborted cell B computed in the slot A freed", round)
+		}
+		if ev.Kind != EventCompute || !strings.Contains(ev.Err, ErrCellAborted.Error()) {
+			t.Fatalf("round %d: B's event is %v %q, want a compute event failed with %q", round, ev.Kind, ev.Err, ErrCellAborted)
+		}
 	}
 }
 

@@ -53,8 +53,11 @@ import (
 // v3 entry, whose record may carry a map, reads as stale. v5 drops the
 // outcome frame ("v\n" before a value, "e\n" before a failure): a failure is
 // never stored, so the payload is the codec's bytes verbatim, and a v4 entry
-// reads as stale.
-const Schema = "o2k-cellcache/v5"
+// reads as stale. v6 is v5 around the 176-byte metrics record, which no
+// longer carries per-phase averages, and around plan payloads without the
+// fields nothing read back (remap maxima and retained share, cell corners,
+// triangle leaf indices); every v5 entry reads as stale.
+const Schema = "o2k-cellcache/v6"
 
 // header is the first line of an entry file: integrity and identity metadata
 // for the payload bytes that follow the newline, written as

@@ -233,27 +233,37 @@ func TestJSONHeaderEntriesAreStale(t *testing.T) {
 // of another layout; a v4 entry frames its payload with an outcome tag. Even
 // under this binary's fence both read as stale.
 func TestV3EntriesAreStale(t *testing.T) {
-	for schema, payload := range map[string][]byte{
-		"o2k-cellcache/v3": []byte("record"),
-		"o2k-cellcache/v4": append([]byte("v\n"), make([]byte, 240)...),
-	} {
-		c := open(t)
-		k := key("cell-a")
-		sum := sha256.Sum256(payload)
-		p := filepath.Join(c.Dir(), k[:2], k+".cell")
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		entry := fmt.Sprintf("%s %s %s %s\n%s", schema, c.Fence(), k, hex.EncodeToString(sum[:]), payload)
-		if err := os.WriteFile(p, []byte(entry), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := c.Get(k); ok {
-			t.Fatalf("a %s entry was served", schema)
-		}
-		if cn := c.Counters(); cn.Stale != 1 || cn.Corrupt != 0 || cn.Evicted != 1 {
-			t.Fatalf("%s: counters = %+v, want stale=evicted=1, corrupt=0", schema, cn)
-		}
+	plantStale(t, "o2k-cellcache/v3", []byte("record"))
+	plantStale(t, "o2k-cellcache/v4", append([]byte("v\n"), make([]byte, 240)...))
+}
+
+// A v5 entry is the current envelope around the 240-byte record that still
+// carried the per-phase averages: it reads as stale under this binary's
+// fence, not as a corrupt or short record.
+func TestV5EntriesAreStale(t *testing.T) {
+	plantStale(t, "o2k-cellcache/v5", make([]byte, 240))
+}
+
+// plantStale writes one entry under schema with a valid checksum and this
+// cache's fence, and checks that Get serves nothing and counts it stale.
+func plantStale(t *testing.T, schema string, payload []byte) {
+	t.Helper()
+	c := open(t)
+	k := key("cell-a")
+	sum := sha256.Sum256(payload)
+	p := filepath.Join(c.Dir(), k[:2], k+".cell")
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entry := fmt.Sprintf("%s %s %s %s\n%s", schema, c.Fence(), k, hex.EncodeToString(sum[:]), payload)
+	if err := os.WriteFile(p, []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k); ok {
+		t.Fatalf("a %s entry was served", schema)
+	}
+	if cn := c.Counters(); cn.Stale != 1 || cn.Corrupt != 0 || cn.Evicted != 1 {
+		t.Fatalf("%s: counters = %+v, want stale=evicted=1, corrupt=0", schema, cn)
 	}
 }
 

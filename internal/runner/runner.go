@@ -389,6 +389,13 @@ func (e *Engine) prepare(ctx context.Context, rh Hook, label string, stage Prepa
 func (e *Engine) attempt(ctx context.Context, label string, compute Compute) (val any, err error, held time.Duration) {
 	select {
 	case e.sem <- struct{}{}:
+		// select picks either ready case, so a cell aborted while it waited
+		// can still win a freed slot: it gives the slot back instead of
+		// computing for nobody.
+		if ctx.Err() != nil {
+			<-e.sem
+			return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), 0
+		}
 	case <-ctx.Done():
 		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), 0
 	}

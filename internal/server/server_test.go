@@ -16,6 +16,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -623,16 +624,12 @@ func (tl *tally) mismatch(t *testing.T, url string) string {
 // left, which fire after its handler has returned.
 func TestMetricsCountEachEventOnce(t *testing.T) {
 	dir := t.TempDir()
-	open := func(cached bool) (*httptest.Server, *runner.Engine, *tally) {
-		cfg := runner.Config{Jobs: 1}
-		if cached {
-			dc, err := diskcache.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Cache = dc
+	open := func(dir string) (*httptest.Server, *runner.Engine, *tally) {
+		dc, err := diskcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		eng := runner.Open(context.Background(), cfg)
+		eng := runner.Open(context.Background(), runner.Config{Jobs: 1, Cache: dc})
 		tl := new(tally)
 		eng.SetHook(tl.hook)
 		ts, _, _ := newTestServer(t, Config{Engine: eng, MaxInflight: 8})
@@ -657,7 +654,7 @@ func TestMetricsCountEachEventOnce(t *testing.T) {
 		}
 	}
 
-	a, engA, tlA := open(true)
+	a, engA, tlA := open(dir)
 	if err := get(a.URL + "/v1/cells/stencil/mp/2?quick=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +691,7 @@ func TestMetricsCountEachEventOnce(t *testing.T) {
 		}
 	}
 
-	b, _, tlB := open(true)
+	b, _, tlB := open(dir)
 	if err := get(b.URL + "/v1/cells/stencil/mp/2?quick=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -704,11 +701,14 @@ func TestMetricsCountEachEventOnce(t *testing.T) {
 	}
 
 	// A client that leaves before its cells publish. The one slot stays
-	// held, so each of its cells can only be aborted, and fires its failed
-	// compute after the handler has returned. The daemon is memory-only: a
-	// compute that outlives the test writes nothing to the test's directory.
-	c, engC, tlC := open(false)
-	holdSlot(t, engC)
+	// held until every cell of the POST is aborted (retired from the
+	// report), so none can compute for the client; then it is freed while
+	// aborted publishers may still be on their way to it. Each fires its
+	// failed compute after the handler has returned, and none takes the
+	// slot: nothing reaches the daemon's cache.
+	cdir := t.TempDir()
+	c, engC, tlC := open(cdir)
+	releaseC := holdSlot(t, engC)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -722,12 +722,17 @@ func TestMetricsCountEachEventOnce(t *testing.T) {
 	waitCond(t, "the POST's cells in flight", func() bool { return engC.Report().Unique > 1 })
 	cancel()
 	<-done
+	waitCond(t, "every cell of the POST aborted", func() bool { return engC.Report().Unique == 1 })
+	releaseC()
 	waitCond(t, "every aborted compute counted once", func() bool {
 		tlC.mu.Lock()
 		failed := tlC.failed
 		tlC.mu.Unlock()
-		return failed > 0 && engC.Report().Unique == 1 && tlC.mismatch(t, c.URL) == ""
+		return failed > 0 && tlC.mismatch(t, c.URL) == ""
 	})
+	if cells, _ := filepath.Glob(filepath.Join(cdir, "*", "*.cell")); len(cells) > 0 {
+		t.Fatalf("aborted cells left %d cache entries: %v", len(cells), cells)
+	}
 }
 
 func TestTwoServersSharingCacheComputeEachCellOnce(t *testing.T) {

@@ -239,23 +239,6 @@ func (g *Group) MaxPhaseTime() [NumPhases]Time {
 	return out
 }
 
-// AvgPhaseTime returns the per-phase time averaged over processors, rounded
-// half-up: plain integer division would silently truncate each average by up
-// to n-1 time units, biasing every phase low.
-func (g *Group) AvgPhaseTime() [NumPhases]Time {
-	var out [NumPhases]Time
-	for _, p := range g.procs {
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			out[ph] += p.phaseTime[ph]
-		}
-	}
-	n := Time(len(g.procs))
-	for ph := range out {
-		out[ph] = (out[ph] + n/2) / n
-	}
-	return out
-}
-
 // TotalCounters sums event counters over all processors.
 func (g *Group) TotalCounters() Counters {
 	var c Counters

@@ -260,10 +260,6 @@ func TestGroupAggregates(t *testing.T) {
 	if maxPh[PhaseCompute] != 200 {
 		t.Errorf("max compute = %v, want 200", maxPh[PhaseCompute])
 	}
-	avgPh := g.AvgPhaseTime()
-	if avgPh[PhaseCompute] != 150 {
-		t.Errorf("avg compute = %v, want 150", avgPh[PhaseCompute])
-	}
 	if c := g.TotalCounters(); c.CacheHits != 3 {
 		t.Errorf("total hits = %d, want 3", c.CacheHits)
 	}

@@ -179,28 +179,3 @@ func TestReducerSlotOutOfRangePanics(t *testing.T) {
 		}
 	}
 }
-
-func TestAvgPhaseTimeRoundsHalfUp(t *testing.T) {
-	// Sum 7 over 4 procs: truncation gives 1, half-up rounding gives 2.
-	g := NewGroup(4)
-	g.Run(func(p *Proc) {
-		p.SetPhase(PhaseCompute)
-		if p.ID() == 0 {
-			p.Advance(7)
-		}
-	})
-	if got := g.AvgPhaseTime()[PhaseCompute]; got != 2 {
-		t.Fatalf("avg of 7/4 = %v, want 2 (round half-up)", got)
-	}
-	// Sum 5 over 4 procs: 1.25 rounds down to 1.
-	g2 := NewGroup(4)
-	g2.Run(func(p *Proc) {
-		p.SetPhase(PhaseCompute)
-		if p.ID() == 0 {
-			p.Advance(5)
-		}
-	})
-	if got := g2.AvgPhaseTime()[PhaseCompute]; got != 1 {
-		t.Fatalf("avg of 5/4 = %v, want 1", got)
-	}
-}
