@@ -217,8 +217,8 @@ func TestNoRemapMovesMore(t *testing.T) {
 	b := BuildPlans(w2, 8)
 	var withRemap, without float64
 	for i := range a {
-		withRemap += a[i].Remap.TotalW
-		without += b[i].Remap.TotalW
+		withRemap += a[i].Moved
+		without += b[i].Moved
 	}
 	if withRemap > without {
 		t.Fatalf("PLUM remap moved more (%v) than identity (%v)", withRemap, without)
@@ -233,7 +233,7 @@ func TestMetricsExtras(t *testing.T) {
 	met := RunWithPlans(core.SAS, mach(4), w, plans)
 	var want float64
 	for _, pl := range plans {
-		want += pl.Remap.TotalW
+		want += pl.Moved
 	}
 	if want <= 0 || met.MovedWeight != want {
 		t.Errorf("moved weight %v, want the plans' total %v > 0", met.MovedWeight, want)

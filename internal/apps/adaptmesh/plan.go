@@ -59,7 +59,7 @@ type CyclePlan struct {
 	EdgeA, EdgeB [][]int32
 
 	Imbalance float64
-	Remap     partition.RemapStats
+	Moved     float64 // weight the remap moved to other processors (PLUM's TotalV)
 
 	// MarkWork[p] is the number of triangles p evaluates the error indicator
 	// on (its share of the pre-adaptation mesh).
@@ -101,36 +101,36 @@ func (st *Structure) Plans(nprocs int, noRemap bool) []*CyclePlan {
 		// PLUM remap: similarity between the new parts and the previous
 		// owners.
 		assign := partition.IdentityAssign(nprocs)
-		var remap partition.RemapStats
+		moved := 0.0
 		if prev != nil {
 			oldOwner := make([]int32, nt)
 			for t := 0; t < nt; t++ {
 				oldOwner[t] = st.ancestorOwner(prev, m.Tris[t][0])
 			}
 			if noRemap {
-				remap = partition.MigrationStats(oldOwner, part, wt, assign)
+				moved = partition.MovedWeight(oldOwner, part, wt, assign)
 			} else {
-				assign, remap = partition.Remap(oldOwner, part, wt, nprocs)
+				assign, moved = partition.Remap(oldOwner, part, wt, nprocs)
 			}
 		}
 		triOwner := make([]int32, nt)
 		for t := 0; t < nt; t++ {
 			triOwner[t] = assign[part[t]]
 		}
-		p := st.planCycle(c, partition.NewDecomp(m, triOwner, nprocs), remap, nprocs, prev)
+		p := st.planCycle(c, partition.NewDecomp(m, triOwner, nprocs), moved, nprocs, prev)
 		plans = append(plans, p)
 		prev = p
 	}
 	return plans
 }
 
-// planCycle derives one cycle's full plan from its decomposition and remap
-// statistics — everything downstream of the partitioning decision is
+// planCycle derives one cycle's full plan from its decomposition and the
+// weight its remap moved — everything downstream of the partitioning decision is
 // deterministic in (structure, triangle owners), which is why the plan cache
 // can store just the owner vector and replay this derivation on warm runs
 // (the decomposition itself is rebuilt by the decoder, so it is taken here
 // instead of recomputed).
-func (st *Structure) planCycle(cycle int, dec *partition.Decomp, remap partition.RemapStats, nprocs int, prev *CyclePlan) *CyclePlan {
+func (st *Structure) planCycle(cycle int, dec *partition.Decomp, moved float64, nprocs int, prev *CyclePlan) *CyclePlan {
 	sc := st.Cycles[cycle]
 	m := sc.M
 	nv := m.NumVertsTotal()
@@ -139,7 +139,7 @@ func (st *Structure) planCycle(cycle int, dec *partition.Decomp, remap partition
 		NV:    nv,
 		MidA:  st.MidA[:nv],
 		MidB:  st.MidB[:nv],
-		Remap: remap,
+		Moved: moved,
 	}
 	p.Dec = dec
 	p.Deg = solver.Degrees(m)

@@ -77,7 +77,7 @@ func finishMetrics(model core.Model, g *sim.Group, sp *numa.Space, plans []*Cycl
 	mpB, shB, saB := maxDataMemory(plans, nfields)
 	met := apps.Collect(model, g, sp, checksum, mpB, shB, saB)
 	for _, pl := range plans {
-		met.MovedWeight += pl.Remap.TotalW
+		met.MovedWeight += pl.Moved
 	}
 	return met
 }

@@ -179,11 +179,11 @@ func DecodeStructure(data []byte, w Workload) (*Structure, error) {
 }
 
 // EncodePlans serializes the per-processor-count half of a plan sequence:
-// the partitioning decisions (triangle owners and remap statistics) each
+// the partitioning decisions (triangle owners and the weight the remap moved) each
 // cycle's full plan is deterministically derived from.
 //
 //	o2kmeshplan 1 <P> <cycles>
-//	<decomp> <TotalW>   (per cycle)
+//	<decomp> <moved>   (per cycle)
 func EncodePlans(plans []*CyclePlan, nprocs int) []byte {
 	var pw planio.Writer
 	pw.Word("o2kmeshplan")
@@ -193,7 +193,7 @@ func EncodePlans(plans []*CyclePlan, nprocs int) []byte {
 	pw.End()
 	for _, p := range plans {
 		p.Dec.AppendTo(&pw)
-		pw.Float(p.Remap.TotalW)
+		pw.Float(p.Moved)
 		pw.End()
 	}
 	return pw.Bytes()
@@ -230,11 +230,11 @@ func (st *Structure) DecodePlans(data []byte, nprocs int) ([]*CyclePlan, error) 
 		if dec.P != nprocs {
 			return nil, fmt.Errorf("adaptmesh: cycle %d decomp is for P=%d, want P=%d", c, dec.P, nprocs)
 		}
-		remap := partition.RemapStats{TotalW: s.Float()}
+		moved := s.Float()
 		if err := s.Err(); err != nil {
 			return nil, err
 		}
-		pl := st.planCycle(c, dec, remap, nprocs, prev)
+		pl := st.planCycle(c, dec, moved, nprocs, prev)
 		plans = append(plans, pl)
 		prev = pl
 	}

@@ -69,7 +69,7 @@ type Metrics struct {
 	Procs int
 
 	Total     sim.Time                // simulated wall-clock (max over procs)
-	PhaseMax  [sim.NumPhases]sim.Time // per-phase critical path
+	PhaseMax  [sim.NumPhases]sim.Time // per-phase maximum over procs
 	Counters  sim.Counters            // summed over procs
 	DataBytes int                     // model-visible field memory (analytic)
 

@@ -14,8 +14,8 @@ import (
 	"o2k/internal/runner"
 )
 
-// smallCellsFile pins the complete Metrics — total, per-phase critical path,
-// every counter, data size, checksum, moved weight — of every app
+// smallCellsFile pins the complete Metrics — total, per-phase maximum over
+// procs, every counter, data size, checksum, moved weight — of every app
 // under every model it runs at P = 1, 8 and 64 on the Small workloads, one
 // lossless core.EncodeMetrics document per line. It was recorded while sim
 // still had two schedulers, the event scheduler that remains and a gang of

@@ -26,16 +26,16 @@ func TestDecompPropertyRandomPartitions(t *testing.T) {
 		}
 		d := NewDecomp(m, owner, nparts)
 		// Edges owned exactly once, by the first adjacent tri's owner.
-		edges := 0
+		seen := make([]bool, m.NumEdges())
 		for p, own := range d.OwnedEdges {
 			for _, e := range own {
-				if owner[m.EdgeTris[e][0]] != int32(p) {
+				if seen[e] || owner[m.EdgeTris[e][0]] != int32(p) {
 					return false
 				}
+				seen[e] = true
 			}
-			edges += len(own)
 		}
-		if edges != m.NumEdges() {
+		if slices.Contains(seen, false) {
 			return false
 		}
 		// Borders: owner correct, touch relation plausible.
@@ -64,9 +64,9 @@ func TestRemapSinglePart(t *testing.T) {
 	old := []int32{0, 0, 0}
 	newPart := []int32{0, 0, 0}
 	w := []float64{1, 2, 3}
-	assign, st := Remap(old, newPart, w, 1)
-	if assign[0] != 0 || st.TotalW != 0 || retained(st, w) != 1 {
-		t.Fatalf("degenerate remap wrong: %v %+v", assign, st)
+	assign, moved := Remap(old, newPart, w, 1)
+	if assign[0] != 0 || moved != 0 || retained(moved, w) != 1 {
+		t.Fatalf("degenerate remap wrong: %v moved %v", assign, moved)
 	}
 }
 
@@ -74,15 +74,15 @@ func TestRemapAllWeightZero(t *testing.T) {
 	old := []int32{0, 1}
 	newPart := []int32{1, 0}
 	w := []float64{0, 0}
-	_, st := Remap(old, newPart, w, 2)
-	if r := retained(st, w); r != 1 {
+	_, moved := Remap(old, newPart, w, 2)
+	if r := retained(moved, w); r != 1 {
 		t.Fatalf("zero-weight retained = %v", r)
 	}
 }
 
-// retained is the share of the total weight w that st leaves in place: 1
-// when nothing moves, including when there is no weight at all.
-func retained(st RemapStats, w []float64) float64 {
+// retained is the share of the total weight w left in place when moved of it
+// moves: 1 when nothing moves, including when there is no weight at all.
+func retained(moved float64, w []float64) float64 {
 	total := 0.0
 	for _, wi := range w {
 		total += wi
@@ -90,7 +90,7 @@ func retained(st RemapStats, w []float64) float64 {
 	if total == 0 {
 		return 1
 	}
-	return 1 - st.TotalW/total
+	return 1 - moved/total
 }
 
 func TestRCBSinglePoint(t *testing.T) {

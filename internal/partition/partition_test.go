@@ -116,9 +116,9 @@ func TestRemapIdentityWhenUnchanged(t *testing.T) {
 	old := []int32{0, 0, 1, 1, 2, 2, 3, 3}
 	newPart := []int32{3, 3, 2, 2, 1, 1, 0, 0} // same groups, permuted labels
 	w := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	assign, st := Remap(old, newPart, w, 4)
-	if st.TotalW != 0 || retained(st, w) != 1 {
-		t.Fatalf("remap failed to recognize permutation: %+v", st)
+	assign, moved := Remap(old, newPart, w, 4)
+	if moved != 0 || retained(moved, w) != 1 {
+		t.Fatalf("remap failed to recognize permutation: moved %v", moved)
 	}
 	if assign[3] != 0 || assign[0] != 3 {
 		t.Fatalf("assignment wrong: %v", assign)
@@ -142,12 +142,12 @@ func TestRemapBeatsIdentity(t *testing.T) {
 		}
 		w[i] = 1
 	}
-	_, remapSt := Remap(old, newPart, w, p)
-	identSt := MigrationStats(old, newPart, w, IdentityAssign(p))
-	if remapSt.TotalW > identSt.TotalW {
-		t.Fatalf("remap moved %v > identity %v", remapSt.TotalW, identSt.TotalW)
+	_, remapMoved := Remap(old, newPart, w, p)
+	identMoved := MovedWeight(old, newPart, w, IdentityAssign(p))
+	if remapMoved > identMoved {
+		t.Fatalf("remap moved %v > identity %v", remapMoved, identMoved)
 	}
-	if r := retained(remapSt, w); r < 0.7 {
+	if r := retained(remapMoved, w); r < 0.7 {
 		t.Fatalf("remap retained only %v", r)
 	}
 }

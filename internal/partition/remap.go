@@ -12,18 +12,12 @@ import (
 // build S[p][q] = weight currently on processor p that the new partition
 // assigns to part q, then greedily match the largest entries.
 
-// RemapStats quantifies the migration a remapping implies, in PLUM's
-// TotalV metric.
-type RemapStats struct {
-	TotalW float64 // total weight that changes processors (TotalV)
-}
-
 // Remap chooses the part→processor assignment that (heuristically) maximizes
 // the weight that stays on its current processor. oldOwner[i] is element i's
 // current processor, newPart[i] its part in the fresh partition, w[i] its
 // weight (e.g. element count or compute cost). It returns assign with
-// assign[q] = processor that receives part q, plus migration statistics.
-func Remap(oldOwner, newPart []int32, w []float64, nparts int) ([]int32, RemapStats) {
+// assign[q] = processor that receives part q, plus the weight it moves.
+func Remap(oldOwner, newPart []int32, w []float64, nparts int) ([]int32, float64) {
 	if len(oldOwner) != len(newPart) || len(oldOwner) != len(w) {
 		panic("partition: remap input length mismatch")
 	}
@@ -80,7 +74,7 @@ func Remap(oldOwner, newPart []int32, w []float64, nparts int) ([]int32, RemapSt
 			p++
 		}
 	}
-	return assign, MigrationStats(oldOwner, newPart, w, assign)
+	return assign, MovedWeight(oldOwner, newPart, w, assign)
 }
 
 // IdentityAssign is the no-remap baseline: part q goes to processor q.
@@ -92,14 +86,14 @@ func IdentityAssign(nparts int) []int32 {
 	return a
 }
 
-// MigrationStats computes the movement statistics of an arbitrary
-// assignment, for comparing Remap against the identity baseline.
-func MigrationStats(oldOwner, newPart []int32, w []float64, assign []int32) RemapStats {
-	var st RemapStats
+// MovedWeight is the total weight an assignment moves to another processor
+// (PLUM's TotalV), for comparing Remap against the identity baseline.
+func MovedWeight(oldOwner, newPart []int32, w []float64, assign []int32) float64 {
+	moved := 0.0
 	for i := range oldOwner {
 		if assign[newPart[i]] != oldOwner[i] {
-			st.TotalW += w[i]
+			moved += w[i]
 		}
 	}
-	return st
+	return moved
 }
