@@ -62,8 +62,12 @@ func TestPlansStayBalanced(t *testing.T) {
 	w := Small()
 	plans := BuildPlans(w, 4)
 	for _, pl := range plans {
-		if pl.Imbalance > 1.6 {
-			t.Fatalf("partitioner left imbalance %v", pl.Imbalance)
+		most := 0
+		for _, tris := range pl.Dec.OwnedTris {
+			most = max(most, len(tris))
+		}
+		if imb := float64(most) * 4 / float64(pl.M.NumTris()); imb > 1.6 {
+			t.Fatalf("partitioner left imbalance %v", imb)
 		}
 	}
 }

@@ -58,8 +58,7 @@ type CyclePlan struct {
 	// endpoints index.
 	EdgeA, EdgeB [][]int32
 
-	Imbalance float64
-	Moved     float64 // weight the remap moved to other processors (PLUM's TotalV)
+	Moved float64 // weight the remap moved to other processors (PLUM's TotalV)
 
 	// MarkWork[p] is the number of triangles p evaluates the error indicator
 	// on (its share of the pre-adaptation mesh).
@@ -143,11 +142,6 @@ func (st *Structure) planCycle(cycle int, dec *partition.Decomp, moved float64, 
 	}
 	p.Dec = dec
 	p.Deg = solver.Degrees(m)
-	wt := make([]float64, len(dec.TriOwner))
-	for t := range wt {
-		wt[t] = 1
-	}
-	p.Imbalance = partition.Imbalance(dec.TriOwner, wt, nprocs)
 
 	if prev != nil {
 		p.PrevOwner = prev.Dec.VertOwner

@@ -76,5 +76,5 @@ func Small() Workload {
 // invariant the tests exploit: after any number of adaptations and
 // migrations, aux fields must still equal auxInit at every vertex.
 func auxInit(k int, x, y float64) float64 {
-	return float64(k+1)*x + float64(2*k+1)*y
+	return float64(float64(k+1)*x) + float64(float64(2*k+1)*y)
 }

@@ -35,10 +35,12 @@ func TestCostZonesBalanceWork(t *testing.T) {
 	for s := 1; s < len(plans); s++ {
 		pl := plans[s]
 		work := make([]int, 16)
+		total := 0
 		for i, p := range pl.Owner {
 			work[p] += pl.Inter[i]
+			total += pl.Inter[i]
 		}
-		imb := float64(slices.Max(work)) * 16 / float64(pl.TotalInter)
+		imb := float64(slices.Max(work)) * 16 / float64(total)
 		if imb > 1.35 {
 			t.Fatalf("step %d: interaction imbalance %.2f", s, imb)
 		}

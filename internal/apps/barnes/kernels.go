@@ -51,12 +51,12 @@ func leapfrog(p *sim.Proc, mach *machine.Machine, wp *WalkPlan, own []int32, x, 
 	cvx, cvy := vx.Cursor(p), vy.Cursor(p)
 	for _, i := range own {
 		j := int(i)
-		nvx := cvx.Load(j) + wp.AX[j]*nbody.DT
-		nvy := cvy.Load(j) + wp.AY[j]*nbody.DT
+		nvx := cvx.Load(j) + float64(wp.AX[j]*nbody.DT)
+		nvy := cvy.Load(j) + float64(wp.AY[j]*nbody.DT)
 		cvx.Store(j, nvx)
 		cvy.Store(j, nvy)
-		cx.Store(j, cx.Load(j)+nvx*nbody.DT)
-		cy.Store(j, cy.Load(j)+nvy*nbody.DT)
+		cx.Store(j, cx.Load(j)+float64(nvx*nbody.DT))
+		cy.Store(j, cy.Load(j)+float64(nvy*nbody.DT))
 	}
 	cx.Flush()
 	cy.Flush()

@@ -50,8 +50,7 @@ type StepPlan struct {
 	Owner       []int32     // per body, this step's cost-zones owner
 	OwnedBodies [][]int32   // per proc, ascending body indices
 	Inter       []int       // per body, interactions evaluated this step
-	TotalInter  int
-	Walk        *WalkPlan // lazy force-walk oracle, shared across processor counts
+	Walk        *WalkPlan   // lazy force-walk oracle, shared across processor counts
 
 	loads []procLoads // per processor: its force phase's load footprint
 }

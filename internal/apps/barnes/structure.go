@@ -102,7 +102,6 @@ func (st *Structure) Plans(nprocs int) []*StepPlan {
 		}
 		for i := 0; i < st.N; i++ {
 			pl.OwnedBodies[owner[i]] = append(pl.OwnedBodies[owner[i]], int32(i))
-			pl.TotalInter += ss.Inter[i]
 			cost[i] = float64(ss.Inter[i])
 		}
 		plans = append(plans, pl)

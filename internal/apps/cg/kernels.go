@@ -33,7 +33,7 @@ func initVecs(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, x, rv, pv *
 	for _, vid := range owned {
 		b := pl.B[vid]
 		dr[vid], dp[vid], dx[vid] = b, b, 0
-		part += b * b
+		part += float64(b * b)
 	}
 	cr.Flush()
 	cp.Flush()
@@ -84,9 +84,9 @@ func diagDot(pc *sim.Proc, mach *machine.Machine, w Workload, pl *Plan, me int, 
 	dp, dq := pv.Data(), q.Data()
 	pq := 0.0
 	for _, vid := range owned {
-		qa := dq[vid] + pl.Diag(w, vid)*dp[vid]
+		qa := dq[vid] + float64(pl.Diag(w, vid)*dp[vid])
 		dq[vid] = qa
-		pq += dp[vid] * qa
+		pq += float64(dp[vid] * qa)
 	}
 	cp.Flush()
 	cq.Flush()
@@ -109,10 +109,10 @@ func updateXR(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, alpha float
 	dx, dr, dp, dq := x.Data(), rv.Data(), pv.Data(), q.Data()
 	rr := 0.0
 	for _, vid := range owned {
-		dx[vid] = dx[vid] + alpha*dp[vid]
-		nr := dr[vid] - alpha*dq[vid]
+		dx[vid] = dx[vid] + float64(alpha*dp[vid])
+		nr := dr[vid] - float64(alpha*dq[vid])
 		dr[vid] = nr
-		rr += nr * nr
+		rr += float64(nr * nr)
 	}
 	cx.Flush()
 	cr.Flush()
@@ -132,7 +132,7 @@ func updateP(pc *sim.Proc, mach *machine.Machine, pl *Plan, me int, beta float64
 		numa.Stream[float64]{C: &cp, Idx: owned, Write: true})
 	dr, dp := rv.Data(), pv.Data()
 	for _, vid := range owned {
-		dp[vid] = dr[vid] + beta*dp[vid]
+		dp[vid] = dr[vid] + float64(beta*dp[vid])
 	}
 	cr.Flush()
 	cp.Flush()

@@ -51,9 +51,9 @@ import (
 // chains of the cells that missed. A plan cell's failure becomes the outcome
 // of every run cell that has to be computed from it, without starting the
 // run; a run cell already in the memo map or on disk is served even if its
-// plan cell would fail. The builders never read a plan themselves: the few
-// numbers Table 1 takes from one are small persisted *characteristics* cells
-// that depend on the plans the same lazy way.
+// plan cell would fail. The builders never read the plan tier themselves:
+// Table 1's few numbers come from small persisted *characteristics* cells
+// that depend on the structure cells the same lazy way.
 
 // prepareFn is the typed form of runner.Cell.Prepare: resolve the cell's
 // dependencies under ctx, return the work that captures them.
@@ -188,19 +188,26 @@ func cgPlanKey(w cg.Workload, procs int) string {
 	return core.CellKey("cg/plan", cg.PlanSchema, cgStructWorkload(w), procs)
 }
 
-// meshPlans returns the memoized cycle plans for the mesh workload at the
-// given processor count. The structure cell — the persisted adaptation
-// history — is resolved first rather than in the plan cell's prepare stage:
-// the plan cell persists only the per-cycle partitioning decisions, and its
-// decoder replays them against the structure, so a disk hit needs it too.
-// Either cell's failure is its error, as "mesh plans: …".
-func meshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) ([]*adaptmesh.CyclePlan, error) {
+// meshStructure returns the memoized adaptation history of the mesh
+// workload, the one structure cell every processor count's plan cell and the
+// characteristics cell derive from.
+func meshStructure(ctx context.Context, e *runner.Engine, w adaptmesh.Workload) (*adaptmesh.Structure, error) {
 	sw := meshStructWorkload(w)
-	st, err := cellOf(ctx, e, meshStructKey(w), "mesh structure",
+	return cellOf(ctx, e, meshStructKey(w), "mesh structure",
 		planCodec(
 			func(st *adaptmesh.Structure) []byte { return adaptmesh.EncodeStructure(st, sw) },
 			func(data []byte) (*adaptmesh.Structure, error) { return adaptmesh.DecodeStructure(data, sw) }),
 		leaf(func() *adaptmesh.Structure { return adaptmesh.BuildStructure(sw) }))
+}
+
+// meshPlans returns the memoized cycle plans for the mesh workload at the
+// given processor count. The structure cell is resolved first rather than in
+// the plan cell's prepare stage: the plan cell persists only the per-cycle
+// partitioning decisions, and its decoder replays them against the
+// structure, so a disk hit needs it too. Either cell's failure is its error,
+// as "mesh plans: …".
+func meshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) ([]*adaptmesh.CyclePlan, error) {
+	st, err := meshStructure(ctx, e, w)
 	if err != nil {
 		return nil, fmt.Errorf("mesh plans: %w", err)
 	}
@@ -215,17 +222,21 @@ func meshPlans(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, proc
 	return plans, nil
 }
 
-// nbodyPlans returns the memoized per-step plans for the N-body workload.
-// The structure cell persists the reference-simulation record — the force
-// evaluations that dominate plan construction; the per-P derivation
-// (cost-zones over the captured positions) is cheap relative to it, so the
-// plan cells stay memory-only. Either cell's failure is its error, as
-// "n-body plans: …".
-func nbodyPlans(ctx context.Context, e *runner.Engine, w barnes.Workload, procs int) ([]*barnes.StepPlan, error) {
-	st, err := cellOf(ctx, e, nbodyStructKey(w), "n-body structure",
+// nbodyStructure returns the memoized reference-simulation record of the
+// N-body workload: the force evaluations that dominate plan construction.
+func nbodyStructure(ctx context.Context, e *runner.Engine, w barnes.Workload) (*barnes.Structure, error) {
+	return cellOf(ctx, e, nbodyStructKey(w), "n-body structure",
 		planCodec(barnes.EncodeStructure,
 			func(data []byte) (*barnes.Structure, error) { return barnes.DecodeStructure(data, w) }),
 		leaf(func() *barnes.Structure { return barnes.BuildStructure(w) }))
+}
+
+// nbodyPlans returns the memoized per-step plans for the N-body workload.
+// The per-P derivation (cost-zones over the structure's captured positions)
+// is cheap relative to the structure, so the plan cells stay memory-only.
+// Either cell's failure is its error, as "n-body plans: …".
+func nbodyPlans(ctx context.Context, e *runner.Engine, w barnes.Workload, procs int) ([]*barnes.StepPlan, error) {
+	st, err := nbodyStructure(ctx, e, w)
 	if err != nil {
 		return nil, fmt.Errorf("n-body plans: %w", err)
 	}
@@ -237,23 +248,27 @@ func nbodyPlans(ctx context.Context, e *runner.Engine, w barnes.Workload, procs 
 	return plans, nil
 }
 
-// cgPlan returns the memoized static plan for the conjugate-gradient run.
-// The mesh cell — the persisted refined snapshot, serialized in the mesh
-// global-ID format — is resolved first; the plan cell persists the
-// partitioning decision only. Either cell's failure is its error, as
-// "cg plan: …".
-func cgPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*cg.Plan, error) {
-	sw := cgStructWorkload(w)
-	m, err := cellOf(ctx, e, cgMeshKey(w), "cg mesh",
+// cgMesh returns the memoized refined mesh of the conjugate-gradient
+// workload, persisted in the mesh global-ID format.
+func cgMesh(ctx context.Context, e *runner.Engine, w cg.Workload) (*mesh.Mesh, error) {
+	return cellOf(ctx, e, cgMeshKey(w), "cg mesh",
 		planCodec(func(m *mesh.Mesh) []byte {
 			var pw planio.Writer
 			m.AppendGlobal(&pw)
 			return pw.Bytes()
 		}, mesh.DecodeGlobal),
-		leaf(func() *mesh.Mesh { return cg.BuildMesh(sw) }))
+		leaf(func() *mesh.Mesh { return cg.BuildMesh(cgStructWorkload(w)) }))
+}
+
+// cgPlan returns the memoized static plan for the conjugate-gradient run.
+// The mesh cell is resolved first; the plan cell persists the partitioning
+// decision only. Either cell's failure is its error, as "cg plan: …".
+func cgPlan(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (*cg.Plan, error) {
+	m, err := cgMesh(ctx, e, w)
 	if err != nil {
 		return nil, fmt.Errorf("cg plan: %w", err)
 	}
+	sw := cgStructWorkload(w)
 	plan, err := cellOf(ctx, e, cgPlanKey(w, procs), fmt.Sprintf("cg plan P=%d", procs),
 		planCodec(cg.EncodePlan,
 			func(data []byte) (*cg.Plan, error) { return cg.DecodePlan(data, sw, m, procs) }),

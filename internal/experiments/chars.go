@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 
 	"o2k/internal/apps/adaptmesh"
 	"o2k/internal/apps/barnes"
@@ -12,33 +11,32 @@ import (
 	"o2k/internal/runner"
 )
 
-// Characteristics cells: the handful of numbers Table 1 reads off a plan,
-// its workload sizes. Each is keyed on its plan cell's key plus charsSchema,
-// persists as strict JSON (float64s round-trip exactly, see core/codec.go),
-// and names the plans as its dependency, so a warm suite renders those rows
-// from a few hundred bytes and a cold one builds the same plans the run
-// cells share.
+// Characteristics cells: the handful of numbers Table 1 reads off a
+// structure cell, its workload sizes, which no processor count changes. Each
+// is keyed on its structure cell's key plus charsSchema, persists as strict
+// JSON (see core/codec.go), and names the structure as its dependency, so a
+// warm suite renders those rows from a few hundred bytes and a cold one
+// builds the same structures the plan cells share.
 
 // charsSchema retires persisted characteristics when a struct below changes.
-const charsSchema = "o2kchars 2"
+const charsSchema = "o2kchars 3"
 
-// meshChars summarizes one mesh plan sequence.
+// meshChars summarizes one mesh adaptation history.
 type meshChars struct {
-	Cycles    int     // plans in the sequence
-	Tris      int     // Σ triangles over the cycles
-	Edges     int     // Σ edges over the cycles
-	FinalTris int     // triangles after the last cycle
-	Imbalance float64 // the last cycle's load imbalance on its (post-remap) decomposition
+	Cycles    int // cycles in the history
+	Tris      int // Σ triangles over the cycles
+	Edges     int // Σ edges over the cycles
+	FinalTris int // triangles after the last cycle
 }
 
-// nbodyChars summarizes one N-body plan sequence.
+// nbodyChars summarizes one N-body reference simulation.
 type nbodyChars struct {
-	Steps int // plans in the sequence
+	Steps int // steps in the record
 	Inter int // Σ interactions over the steps
 	Cells int // Σ tree cells over the steps
 }
 
-// cgChars summarizes the conjugate-gradient plan's mesh.
+// cgChars summarizes the conjugate-gradient mesh.
 type cgChars struct {
 	Tris, Edges, Rows int
 }
@@ -58,49 +56,48 @@ func charsCodec[T any]() *runner.Codec {
 	}
 }
 
-// meshCharacteristics returns the memoized summary of meshPlans(w, procs).
-func meshCharacteristics(ctx context.Context, e *runner.Engine, w adaptmesh.Workload, procs int) (meshChars, error) {
-	return cellOf(ctx, e, core.CellKey("mesh/chars", charsSchema, meshPlanKey(w, procs)), fmt.Sprintf("mesh characteristics P=%d", procs), charsCodec[meshChars](),
+// meshCharacteristics returns the memoized summary of meshStructure(w).
+func meshCharacteristics(ctx context.Context, e *runner.Engine, w adaptmesh.Workload) (meshChars, error) {
+	return cellOf(ctx, e, core.CellKey("mesh/chars", charsSchema, meshStructKey(w)), "mesh characteristics", charsCodec[meshChars](),
 		func(ctx context.Context) (func() meshChars, error) {
-			plans, err := meshPlans(ctx, e, w, procs)
+			st, err := meshStructure(ctx, e, w)
 			return func() meshChars {
-				c := meshChars{Cycles: len(plans)}
-				for _, pl := range plans {
-					c.Tris += pl.M.NumTris()
-					c.Edges += pl.M.NumEdges()
-				}
-				if len(plans) > 0 {
-					last := plans[len(plans)-1]
-					c.FinalTris, c.Imbalance = last.M.NumTris(), last.Imbalance
+				c := meshChars{Cycles: len(st.Cycles)}
+				for _, sc := range st.Cycles {
+					c.Tris += sc.M.NumTris()
+					c.Edges += sc.M.NumEdges()
+					c.FinalTris = sc.M.NumTris()
 				}
 				return c
 			}, err
 		})
 }
 
-// nbodyCharacteristics returns the memoized summary of nbodyPlans(w, procs).
-func nbodyCharacteristics(ctx context.Context, e *runner.Engine, w barnes.Workload, procs int) (nbodyChars, error) {
-	return cellOf(ctx, e, core.CellKey("nbody/chars", charsSchema, nbodyPlanKey(w, procs)), fmt.Sprintf("n-body characteristics P=%d", procs), charsCodec[nbodyChars](),
+// nbodyCharacteristics returns the memoized summary of nbodyStructure(w).
+func nbodyCharacteristics(ctx context.Context, e *runner.Engine, w barnes.Workload) (nbodyChars, error) {
+	return cellOf(ctx, e, core.CellKey("nbody/chars", charsSchema, nbodyStructKey(w)), "n-body characteristics", charsCodec[nbodyChars](),
 		func(ctx context.Context) (func() nbodyChars, error) {
-			plans, err := nbodyPlans(ctx, e, w, procs)
+			st, err := nbodyStructure(ctx, e, w)
 			return func() nbodyChars {
-				c := nbodyChars{Steps: len(plans)}
-				for _, pl := range plans {
-					c.Inter += pl.TotalInter
-					c.Cells += pl.Tree.NumCells()
+				c := nbodyChars{Steps: len(st.Steps)}
+				for _, ss := range st.Steps {
+					for _, n := range ss.Inter {
+						c.Inter += n
+					}
+					c.Cells += ss.Tree.NumCells()
 				}
 				return c
 			}, err
 		})
 }
 
-// cgCharacteristics returns the memoized summary of cgPlan(w, procs).
-func cgCharacteristics(ctx context.Context, e *runner.Engine, w cg.Workload, procs int) (cgChars, error) {
-	return cellOf(ctx, e, core.CellKey("cg/chars", charsSchema, cgPlanKey(w, procs)), fmt.Sprintf("cg characteristics P=%d", procs), charsCodec[cgChars](),
+// cgCharacteristics returns the memoized summary of cgMesh(w).
+func cgCharacteristics(ctx context.Context, e *runner.Engine, w cg.Workload) (cgChars, error) {
+	return cellOf(ctx, e, core.CellKey("cg/chars", charsSchema, cgMeshKey(w)), "cg characteristics", charsCodec[cgChars](),
 		func(ctx context.Context) (func() cgChars, error) {
-			plan, err := cgPlan(ctx, e, w, procs)
+			m, err := cgMesh(ctx, e, w)
 			return func() cgChars {
-				return cgChars{Tris: plan.M.NumTris(), Edges: plan.M.NumEdges(), Rows: plan.M.NumVertsUsed()}
+				return cgChars{Tris: m.NumTris(), Edges: m.NumEdges(), Rows: m.NumVertsUsed()}
 			}, err
 		})
 }

@@ -5,13 +5,16 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"o2k/internal/core"
 	"o2k/internal/runner"
+	"o2k/internal/sim"
 )
 
 // digestsFile is the byte manifest of o2kbench's stdout, one line per
@@ -29,8 +32,9 @@ const digestsFile = "testdata/digests.txt"
 // (RunOnCtx, then Render), commands of one scale on one engine, and checks
 // each section's digest. The large legs — full scale, and quick sweeps that
 // reach 256 processors — run unless -short or -race, whose cost they
-// multiply; the full-scale leg also checks what EXPERIMENTS.md quotes, and
-// the full-scale suite's columns (checkConstantColumns).
+// multiply; the full-scale leg also checks what EXPERIMENTS.md quotes. Each
+// `-exp all` suite's tables must also mean what their captions say
+// (checkConstantColumns, checkTotals, checkRatios).
 func TestDigests(t *testing.T) {
 	data, err := os.ReadFile(digestsFile)
 	if err != nil {
@@ -77,9 +81,11 @@ func TestDigests(t *testing.T) {
 		out := Render(tables)
 		if !req.Quick {
 			fullOuts = append(fullOuts, out)
-			if req.Exp == "all" {
-				checkConstantColumns(t, tables)
-			}
+		}
+		if req.Exp == "all" {
+			checkConstantColumns(t, tables)
+			checkTotals(t, tables)
+			checkRatios(t, tables)
 		}
 		got = append(got, digestLines(cmd, out)...)
 	}
@@ -119,19 +125,18 @@ func TestDigests(t *testing.T) {
 }
 
 // constantColumns is the allow-list of checkConstantColumns: columns of the
-// full-scale suite that print the same entry in every row, keyed "<table
-// title> | <column header>", each with the reason it stays. The list is
-// capped at its size when the check landed, and an entry that excuses
-// nothing fails, so it can only shrink.
+// quick and the full-scale suite that print the same entry in every row,
+// keyed "<table or figure number> | <column header>", each with the reason it
+// stays. The list is capped at its size when the check landed, and an entry
+// that excuses nothing fails, so it can only shrink.
 var constantColumns = map[string]string{
-	"Figure 7 — Sensitivity to remote:local latency ratio (mesh, P=32) | MP":    "the ratio scales only the coherence-miss costs CC-SAS pays; MP's messages do not see it",
-	"Figure 7 — Sensitivity to remote:local latency ratio (mesh, P=32) | SHMEM": "as MP: puts and gets do not see the miss-cost ratio",
-	"Figure 8 — PLUM remapping on vs off (mesh, P=64) | moved weight on":        "every model runs the same partition, so the remap moves the same weight under each",
-	"Figure 8 — PLUM remapping on vs off (mesh, P=64) | moved weight off":       "as moved weight on, without the remap",
-	"Table 9 — Traffic statistics (mesh application) | lock ops":                "no application takes a sas.Lock, so every row reads 0 (ROADMAP item 3(f))",
+	"Figure 7 | MP":               "the ratio scales only the coherence-miss costs CC-SAS pays; MP's messages do not see it",
+	"Figure 7 | SHMEM":            "as MP: puts and gets do not see the miss-cost ratio",
+	"Figure 8 | moved weight on":  "every model runs the same partition, so the remap moves the same weight under each",
+	"Figure 8 | moved weight off": "as moved weight on, without the remap",
 }
 
-const maxConstantColumns = 5
+const maxConstantColumns = 4
 
 // checkConstantColumns fails on a column that prints the same entry in every
 // row of a table of two or more rows, unless constantColumns lists it: a
@@ -146,11 +151,12 @@ func checkConstantColumns(t *testing.T, tables []*core.Table) {
 		if len(tb.Rows) < 2 {
 			continue
 		}
+		number, _, _ := strings.Cut(tb.Title, " — ")
 		for i, h := range tb.Header {
 			if slices.ContainsFunc(tb.Rows, func(r []string) bool { return len(r) <= i || r[i] != tb.Rows[0][i] }) {
 				continue // the first row is checked first, so Rows[0][i] exists below
 			}
-			name := tb.Title + " | " + h
+			name := number + " | " + h
 			if constantColumns[name] == "" {
 				t.Errorf("%s: all %d rows print %q; make it vary or list it with its reason", name, len(tb.Rows), tb.Rows[0][i])
 			}
@@ -164,13 +170,112 @@ func checkConstantColumns(t *testing.T, tables []*core.Table) {
 	}
 }
 
+// printed is a table entry read back as the number it prints, in
+// nanoseconds for a time, with half a unit of its last printed digit: the
+// interval [x-half, x+half] holds the value it rounds. ok is false for an
+// entry that is not a bare number or time.
+func printed(entry string) (x, half float64, ok bool) {
+	scale := 1.0
+	for _, u := range []struct {
+		suffix string
+		ns     float64
+	}{{"ms", 1e6}, {"us", 1e3}, {"ns", 1}, {"s", 1e9}} {
+		if num, cut := strings.CutSuffix(entry, u.suffix); cut {
+			entry, scale = num, u.ns
+			break
+		}
+	}
+	x, err := strconv.ParseFloat(entry, 64)
+	if err != nil {
+		return 0, 0, false
+	}
+	half = 0.5
+	if _, frac, dot := strings.Cut(entry, "."); dot {
+		half = 0.5 * math.Pow10(-len(frac))
+	}
+	return x * scale, half * scale, true
+}
+
+// checkTotals fails on a table with a TOTAL row whose other rows do not sum
+// to it at the printed precision, column by column, unless its title says
+// that its rows do not sum to TOTAL.
+func checkTotals(t *testing.T, tables []*core.Table) {
+	t.Helper()
+	for _, tb := range tables {
+		ti := slices.IndexFunc(tb.Rows, func(r []string) bool { return r[0] == "TOTAL" })
+		if ti < 0 || strings.Contains(tb.Title, "do not sum to TOTAL") {
+			continue
+		}
+		for i := 1; i < len(tb.Header); i++ {
+			total, slack, ok := printed(tb.Rows[ti][i])
+			sum := 0.0
+			for j, r := range tb.Rows {
+				x, half, rok := printed(r[i])
+				ok = ok && rok
+				if j != ti {
+					sum, slack = sum+x, slack+half
+				}
+			}
+			if !ok || math.Abs(sum-total) > slack {
+				t.Errorf("%s | %s: the rows sum to %v, TOTAL prints %q; make them add up or say in the title that they do not sum to TOTAL",
+					tb.Title, tb.Header[i], sim.Time(math.Round(sum)), tb.Rows[ti][i])
+			}
+		}
+	}
+}
+
+// checkRatios fails on a column of numbers whose header names a ratio, "A/B"
+// with an optional " ratio", unless each entry equals column A over column B
+// within the rounding of the three printed entries. A names the column whose
+// header is A, or else the one column with A among its words; so does B. A
+// ratio header that names no two columns fails too.
+func checkRatios(t *testing.T, tables []*core.Table) {
+	t.Helper()
+	for _, tb := range tables {
+		column := func(name string) int {
+			if i := slices.Index(tb.Header, name); i >= 0 {
+				return i
+			}
+			var found []int
+			for i, h := range tb.Header {
+				if slices.Contains(strings.Fields(h), name) {
+					found = append(found, i)
+				}
+			}
+			if len(found) != 1 {
+				return -1
+			}
+			return found[0]
+		}
+		for i, h := range tb.Header {
+			numName, denName, isRatio := strings.Cut(strings.TrimSuffix(h, " ratio"), "/")
+			if !isRatio || slices.ContainsFunc(tb.Rows, func(r []string) bool { _, _, ok := printed(r[i]); return !ok }) {
+				continue
+			}
+			ni, di := column(numName), column(denName)
+			if ni < 0 || di < 0 {
+				t.Errorf("%s | %s: the header names a ratio, but no two columns %q and %q", tb.Title, h, numName, denName)
+				continue
+			}
+			for _, r := range tb.Rows {
+				q, qh, _ := printed(r[i])
+				a, ah, aok := printed(r[ni])
+				b, bh, bok := printed(r[di])
+				if !aok || !bok || b <= bh || q+qh < (a-ah)/(b+bh) || q-qh > (a+ah)/(b-bh) {
+					t.Errorf("%s | %s: row %s prints %s, but %s/%s = %s/%s", tb.Title, h, r[0], r[i], numName, denName, r[ni], r[di])
+				}
+			}
+		}
+	}
+}
+
 // quickKeySet is the first 16 hex digits of the SHA-256 of the quick
 // suite's cell keys (core.CellKey), sorted, one per line. Keys are published
 // (the run report, GET /v1/cells) and name every disk-cache entry, so a
 // change in how they are derived silently resets every cache. A deliberate
 // key change updates this constant, as it updates digestsFile for moved
 // bytes.
-const quickKeySet = "1893291c7d3eb119"
+const quickKeySet = "2d9f48d8c109afd2"
 
 // TestGoldenQuickOutput checks `o2kbench -quick -exp all` against its lines
 // of digestsFile, and its cell keys against quickKeySet, on an engine of its

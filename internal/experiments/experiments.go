@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -194,18 +195,18 @@ func init() {
 func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	t := &core.Table{
 		Title:  "Table 1 — Application and workload characteristics (reconstructed)",
-		Header: []string{"application", "elements", "edges/interactions", "adapt cycles/steps", "sweeps per cycle", "max imbalance pre-LB"},
+		Header: []string{"application", "elements", "edges/interactions", "adapt cycles/steps", "sweeps per cycle"},
 	}
 	var mc meshChars
 	var nc nbodyChars
 	var cc cgChars
 	var meshErr, nbErr, cgErr error
 	e.Warm(
-		func() { mc, meshErr = meshCharacteristics(ctx, e, o.MeshW, 1) },
-		func() { nc, nbErr = nbodyCharacteristics(ctx, e, o.NBodyW, 1) },
-		func() { cc, cgErr = cgCharacteristics(ctx, e, o.CGW, 1) },
+		func() { mc, meshErr = meshCharacteristics(ctx, e, o.MeshW) },
+		func() { nc, nbErr = nbodyCharacteristics(ctx, e, o.NBodyW) },
+		func() { cc, cgErr = cgCharacteristics(ctx, e, o.CGW) },
 	)
-	// A zero-cycle/zero-step workload yields an empty plan sequence; it reads
+	// A zero-cycle/zero-step workload has an empty structure; it reads
 	// as a failed cell, and max keeps its averages below defined.
 	if mc.Cycles == 0 {
 		meshErr = cmp.Or(meshErr, fmt.Errorf("empty plan sequence (Cycles=%d)", o.MeshW.Cycles))
@@ -223,26 +224,22 @@ func buildTable1(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		f(meshErr, "%d tris (final %d)", mc.Tris/cycles, mc.FinalTris),
 		f(meshErr, "%d edges", mc.Edges/cycles),
 		f(meshErr, "%d cycles", o.MeshW.Cycles),
-		f(meshErr, "%d", o.MeshW.SolveIters),
-		f(meshErr, "%s", core.F(mc.Imbalance)))
+		f(meshErr, "%d", o.MeshW.SolveIters))
 	t.AddRow("barnes-hut n-body",
 		f(nbErr, "%d bodies", o.NBodyW.N),
-		f(nbErr, "%d interactions/step", nc.Inter/steps),
+		f(nbErr, "%d interactions/step, theta=%.2f, %d cells", nc.Inter/steps, o.NBodyW.Theta, nc.Cells/steps),
 		f(nbErr, "%d steps", o.NBodyW.Steps),
-		f(nbErr, "1"),
-		f(nbErr, "theta=%.2f, %d cells", o.NBodyW.Theta, nc.Cells/steps))
+		f(nbErr, "1"))
 	t.AddRow("jacobi stencil (control)",
 		fmt.Sprintf("%dx%d grid", o.StencilW.N, o.StencilW.N),
 		fmt.Sprintf("%d cells/sweep", o.StencilW.N*o.StencilW.N),
 		"static",
-		fmt.Sprintf("%d", o.StencilW.Iters),
-		"1.000")
+		fmt.Sprintf("%d", o.StencilW.Iters))
 	t.AddRow("conjugate gradient",
 		f(cgErr, "%d tris", cc.Tris),
 		f(cgErr, "%d edges (matrix rows %d)", cc.Edges, cc.Rows),
 		f(cgErr, "static refined"),
-		f(cgErr, "%d CG iters", o.CGW.Iters),
-		f(cgErr, "2 allreduce/iter"))
+		f(cgErr, "%d CG iters, 2 allreduce each", o.CGW.Iters))
 	return t
 }
 
@@ -279,7 +276,7 @@ func buildFig4(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	p := o.Procs[len(o.Procs)-1]
 	m := meshApp.cells(ctx, e, machine.Default(p), o)
 	t := &core.Table{
-		Title:  fmt.Sprintf("Figure 4 — Adaptive mesh phase breakdown at P=%d", p),
+		Title:  fmt.Sprintf("Figure 4 — Adaptive mesh phase breakdown at P=%d (per-phase maximum over processors; rows do not sum to TOTAL)", p),
 		Header: []string{"phase", "MP", "SHMEM", "CC-SAS"},
 	}
 	for ph := sim.Phase(0); ph < sim.NumPhases; ph++ {
@@ -378,9 +375,9 @@ func buildFig8(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 func buildTable9(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 	t := &core.Table{
 		Title:  "Table 9 — Traffic statistics (mesh application)",
-		Header: []string{"P", "model", "msgs", "bytes", "remote misses", "coh evictions", "lock ops"},
+		Header: []string{"P", "model", "msgs", "bytes", "remote misses", "coh evictions"},
 	}
-	procs := []int{o.Procs[len(o.Procs)/2], o.Procs[len(o.Procs)-1]}
+	procs := slices.Compact([]int{o.Procs[len(o.Procs)/2], o.Procs[len(o.Procs)-1]})
 	res := each(e, len(procs), func(i int) [3]runner.Res {
 		return meshApp.cells(ctx, e, machine.Default(procs[i]), o)
 	})
@@ -388,7 +385,7 @@ func buildTable9(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 		for j, model := range core.AllModels() {
 			r, row := res[i][j], []string{fmt.Sprintf("%d", p), model.String()}
 			c := r.M.Counters
-			for _, v := range []uint64{c.MsgsSent, c.BytesSent, c.RemoteMisses, c.CohMisses, c.LockOps} {
+			for _, v := range []uint64{c.MsgsSent, c.BytesSent, c.RemoteMisses, c.CohMisses} {
 				row = append(row, read(asCount, float64(v), r).String())
 			}
 			t.AddRow(row...)

@@ -106,6 +106,18 @@ func TestFig8RemapReducesMovement(t *testing.T) {
 	}
 }
 
+// Table 9 prints its middle and its largest P; with one -procs value they
+// are the same P, and it prints that P's three rows once.
+func TestTable9PrintsEachProcsOnce(t *testing.T) {
+	o, err := (Request{Exp: "table9", Quick: true, Procs: "4"}).Opts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb := runOne(t, "table9", o); len(tb.Rows) != 3 {
+		t.Fatalf("-quick -exp table9 -procs 4 printed %d rows, want 3:\n%s", len(tb.Rows), tb)
+	}
+}
+
 func TestFig12MachineClassWinners(t *testing.T) {
 	tb := runOne(t, "machine-sweep", QuickOpts())
 	winners := map[string]string{}

@@ -100,7 +100,7 @@ func diffMetrics(got, want core.Metrics) string {
 // cell, each with the reason. The list holds at most one entry, and an entry
 // whose number some cell now produces fails the test.
 var pinnedZero = map[string]string{
-	"Counters.LockOps": "no application takes a sas.Lock, so Table 9's lock-ops column is 0 in every row (ROADMAP item 3(f))",
+	"Counters.LockOps": "no application takes a sas.Lock; no table prints it, and bench/roster.go still reads it (ROADMAP item 1(vi))",
 }
 
 // TestEveryPinnedNumberIsProduced reads the pinned cells, and runs nothing:

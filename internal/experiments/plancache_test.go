@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"o2k/internal/apps/adaptmesh"
@@ -170,8 +171,8 @@ func TestCharacteristicsCellsPersistAndRejectForeignPayloads(t *testing.T) {
 
 	dc := openCache(t, dir)
 	for key, payload := range map[string]string{
-		core.CellKey("mesh/chars", charsSchema, meshPlanKey(o.MeshW, 1)): `{"Cycles":1,"Bogus":2}`,               // unknown field
-		core.CellKey("cg/chars", charsSchema, cgPlanKey(o.CGW, 1)):       `{"Tris":1,"Edges":1,"Rows":1} "more"`, // trailing data
+		core.CellKey("mesh/chars", charsSchema, meshStructKey(o.MeshW)): `{"Cycles":1,"Bogus":2}`,               // unknown field
+		core.CellKey("cg/chars", charsSchema, cgMeshKey(o.CGW)):         `{"Tris":1,"Edges":1,"Rows":1} "more"`, // trailing data
 	} {
 		if err := dc.Put(key, []byte(payload)); err != nil {
 			t.Fatal(err)
@@ -186,5 +187,24 @@ func TestCharacteristicsCellsPersistAndRejectForeignPayloads(t *testing.T) {
 	}
 	if _, rep = table1(openCache(t, dir)); rep.DiskHits != 3 {
 		t.Fatalf("evicted characteristics were not rewritten: disk hits=%d, want 3", rep.DiskHits)
+	}
+}
+
+// Table 1 describes workloads, which no processor count changes: a cold
+// Table 1 builds the structure cells its characteristics read and no plan
+// cell of any P.
+func TestTable1BuildsNoPlanCell(t *testing.T) {
+	e := runner.New(2)
+	if _, _, err := RunOnCtx(bg, e, "workloads", QuickOpts()); err != nil {
+		t.Fatal(err)
+	}
+	rep := e.Report()
+	for _, c := range rep.Cells {
+		if strings.Contains(c.Label, "plans P=") || strings.Contains(c.Label, "plan P=") {
+			t.Errorf("Table 1 built the plan cell %q", c.Label)
+		}
+	}
+	if rep.Unique != 6 || rep.PlanCells != 3 { // three characteristics, three structures
+		t.Fatalf("cold Table 1: %d cells, %d of the plan tier, want 6 and 3", rep.Unique, rep.PlanCells)
 	}
 }

@@ -33,8 +33,8 @@ func DefaultFront(maxLevel int) MovingFront {
 // At returns the indicator for time step "step": desired level decays by one
 // per band-width of distance from the front, so the request is graded.
 func (w MovingFront) At(step int) Indicator {
-	cx := w.X0 + float64(step)*w.DX
-	cy := w.Y0 + float64(step)*w.DY
+	cx := w.X0 + float64(float64(step)*w.DX)
+	cy := w.Y0 + float64(float64(step)*w.DY)
 	return func(x, y float64) int {
 		d := math.Abs(math.Hypot(x-cx, y-cy) - w.Radius)
 		lvl := w.MaxLevel - int(math.Floor((d-w.Band)/w.Band))

@@ -147,7 +147,7 @@ func (m *Mesh) Area(t int) float64 {
 	ax, ay := m.VX[v[0]], m.VY[v[0]]
 	bx, by := m.VX[v[1]], m.VY[v[1]]
 	cx, cy := m.VX[v[2]], m.VY[v[2]]
-	a := 0.5 * ((bx-ax)*(cy-ay) - (cx-ax)*(by-ay))
+	a := 0.5 * (float64((bx-ax)*(cy-ay)) - float64((cx-ax)*(by-ay)))
 	if a < 0 {
 		a = -a
 	}

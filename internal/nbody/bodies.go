@@ -48,20 +48,22 @@ func NewPlummer(n int, seed int64) *Bodies {
 		VY: make([]float64, n),
 		M:  make([]float64, n),
 	}
+	// A product or a draw (rng.Float64 ends in a product) that feeds a sum is
+	// converted, float64(x*y) + z, so no architecture fuses them (DESIGN.md §4).
 	for i := 0; i < n; i++ {
 		// Plummer radius sampling: r = a / sqrt(u^{-2/3} - 1).
-		u := rng.Float64()*0.99 + 0.005
+		u := float64(rng.Float64()*0.99) + 0.005
 		r := 0.15 / math.Sqrt(math.Pow(u, -2.0/3.0)-1)
 		if r > 2 {
 			r = 2
 		}
-		phi := rng.Float64() * 2 * math.Pi
-		b.X[i] = 0.5 + r*math.Cos(phi)
-		b.Y[i] = 0.5 + r*math.Sin(phi)
+		phi := float64(rng.Float64()) * 2 * math.Pi
+		b.X[i] = 0.5 + float64(r*math.Cos(phi))
+		b.Y[i] = 0.5 + float64(r*math.Sin(phi))
 		// Mild circular motion plus noise.
 		v := 0.3 * math.Sqrt(r)
-		b.VX[i] = -v*math.Sin(phi) + 0.02*(rng.Float64()-0.5)
-		b.VY[i] = v*math.Cos(phi) + 0.02*(rng.Float64()-0.5)
+		b.VX[i] = float64(-v*math.Sin(phi)) + float64(0.02*(float64(rng.Float64())-0.5))
+		b.VY[i] = float64(v*math.Cos(phi)) + float64(0.02*(float64(rng.Float64())-0.5))
 		b.M[i] = 1.0 / float64(n)
 	}
 	return b

@@ -67,10 +67,10 @@ func Step(b *Bodies, t *Tree, theta float64, ax, ay []float64, inter []int) {
 // index order.
 func (b *Bodies) Leapfrog(ax, ay []float64) {
 	for i := range b.X {
-		b.VX[i] += ax[i] * DT
-		b.VY[i] += ay[i] * DT
-		b.X[i] += b.VX[i] * DT
-		b.Y[i] += b.VY[i] * DT
+		b.VX[i] += float64(ax[i] * DT)
+		b.VY[i] += float64(ay[i] * DT)
+		b.X[i] += float64(b.VX[i] * DT)
+		b.Y[i] += float64(b.VY[i] * DT)
 	}
 }
 
@@ -79,7 +79,7 @@ func (b *Bodies) Leapfrog(ax, ay []float64) {
 func (b *Bodies) Energy() float64 {
 	e := 0.0
 	for i := 0; i < b.N(); i++ {
-		e += 0.5 * b.M[i] * (b.VX[i]*b.VX[i] + b.VY[i]*b.VY[i])
+		e += float64(0.5 * b.M[i] * (float64(b.VX[i]*b.VX[i]) + float64(b.VY[i]*b.VY[i])))
 	}
 	return e
 }

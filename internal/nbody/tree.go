@@ -56,7 +56,7 @@ func (t *Tree) build(b *Bodies, idx []int32, x0, y0, size float64, depth int) in
 		t.leafCOM(b, c)
 		return c
 	}
-	half := size / 2
+	half := float64(size / 2)
 	mx, my := x0+half, y0+half
 	// Partition into quadrants (stable: preserves index order).
 	var quads [4][]int32
@@ -93,8 +93,8 @@ func (t *Tree) build(b *Bodies, idx []int32, x0, y0, size float64, depth int) in
 			continue
 		}
 		cc := &t.Cells[ch]
-		sx += cc.CX * cc.CM
-		sy += cc.CY * cc.CM
+		sx += float64(cc.CX * cc.CM)
+		sy += float64(cc.CY * cc.CM)
 		sm += cc.CM
 	}
 	if sm > 0 {
@@ -108,8 +108,8 @@ func (t *Tree) build(b *Bodies, idx []int32, x0, y0, size float64, depth int) in
 func (t *Tree) leafCOM(b *Bodies, c int32) {
 	var sx, sy, sm float64
 	for _, i := range t.Cells[c].Bodies {
-		sx += b.X[i] * b.M[i]
-		sy += b.Y[i] * b.M[i]
+		sx += float64(b.X[i] * b.M[i])
+		sy += float64(b.Y[i] * b.M[i])
 		sm += b.M[i]
 	}
 	if sm > 0 {
@@ -151,22 +151,22 @@ func (t *Tree) Accel(self int32, bx, by, theta float64, readBody BodyReader, rea
 				}
 				jx, jy, jm := readBody(j)
 				dx, dy := jx-bx, jy-by
-				d2 := dx*dx + dy*dy + Soft2
+				d2 := float64(dx*dx) + float64(dy*dy) + Soft2
 				inv := 1 / (d2 * math.Sqrt(d2))
-				ax += G * jm * dx * inv
-				ay += G * jm * dy * inv
+				ax += float64(G * jm * dx * inv)
+				ay += float64(G * jm * dy * inv)
 				inter++
 			}
 			continue
 		}
 		cx, cy, cm := readCell(c)
 		dx, dy := cx-bx, cy-by
-		d2 := dx*dx + dy*dy
+		d2 := float64(dx*dx) + float64(dy*dy)
 		if cell.Size*cell.Size < tt*d2 {
 			d2 += Soft2
 			inv := 1 / (d2 * math.Sqrt(d2))
-			ax += G * cm * dx * inv
-			ay += G * cm * dy * inv
+			ax += float64(G * cm * dx * inv)
+			ay += float64(G * cm * dy * inv)
 			inter++
 			continue
 		}

@@ -26,7 +26,6 @@ type Decomp struct {
 	M *mesh.Mesh
 	P int
 
-	TriOwner  []int32 // per triangle
 	VertOwner []int32 // per global vertex ID; -1 if unused in this snapshot
 
 	OwnedTris  [][]int32 // per proc, ascending triangle IDs
@@ -52,7 +51,7 @@ func NewDecomp(m *mesh.Mesh, triOwner []int32, nparts int) *Decomp {
 	if len(triOwner) != m.NumTris() {
 		panic("partition: triOwner length != triangle count")
 	}
-	d := &Decomp{M: m, P: nparts, TriOwner: triOwner}
+	d := &Decomp{M: m, P: nparts}
 
 	d.OwnedTris = make([][]int32, nparts)
 	for t, p := range triOwner {

@@ -8,9 +8,9 @@ import (
 )
 
 // Decomp serialization. Every field of a Decomp is deterministically derived
-// by NewDecomp from (mesh, TriOwner, P) — see the ownership discipline in
-// decomp.go — so the codec stores only the triangle-owner vector and rebuilds
-// the rest on decode. That keeps plan-cache entries small and means a decoded
+// by NewDecomp from (mesh, triangle owners, P) — see the ownership discipline
+// in decomp.go — so the codec stores only the triangle-owner vector, read
+// back off OwnedTris, and rebuilds the rest on decode. That keeps plan-cache entries small and means a decoded
 // decomposition is reflect.DeepEqual to the encoded one by construction.
 //
 //	o2kdecomp 1 <P> <nt>
@@ -18,12 +18,18 @@ import (
 
 // AppendTo writes the decomposition's compact form.
 func (d *Decomp) AppendTo(pw *planio.Writer) {
+	owner := make([]int32, d.M.NumTris())
+	for p, tris := range d.OwnedTris {
+		for _, t := range tris {
+			owner[t] = int32(p)
+		}
+	}
 	pw.Word("o2kdecomp")
 	pw.Int(1)
 	pw.Int(d.P)
-	pw.Int(len(d.TriOwner))
+	pw.Int(len(owner))
 	pw.End()
-	pw.I32s(d.TriOwner)
+	pw.I32s(owner)
 	pw.End()
 }
 

@@ -126,27 +126,3 @@ func (r *rcb) split(lo, hi, base, nparts int) {
 	r.split(lo, lo+cut, base, left)
 	r.split(lo+cut, hi, base+left, right)
 }
-
-// Imbalance returns max part weight divided by average part weight (1.0 is
-// perfect) for the given assignment.
-func Imbalance(part []int32, w []float64, nparts int) float64 {
-	if len(part) == 0 {
-		return 1
-	}
-	sums := make([]float64, nparts)
-	total := 0.0
-	for i, p := range part {
-		sums[p] += w[i]
-		total += w[i]
-	}
-	maxW := 0.0
-	for _, s := range sums {
-		if s > maxW {
-			maxW = s
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return maxW * float64(nparts) / total
-}
